@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint lint-baseline race check bench bench-smoke trace torture serve
+.PHONY: all help build test vet lint lint-baseline race stress check bench bench-smoke trace torture serve
 
 all: check
 
@@ -18,6 +18,9 @@ help:
 	@echo "               (policy: keep it empty — fix or //drtmr:allow instead)"
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"
+	@echo "  stress       txn, check and serve suites 20 times each on 1 and 2"
+	@echo "               CPUs (-count=20 -cpu 1,2): catches tests that pass only"
+	@echo "               when goroutines happen (not) to overlap on the host"
 	@echo "  check        CI gate: build + vet + lint + race + smoke benchmarks"
 	@echo "  bench        all benchmarks (smoke scale)"
 	@echo "  bench-smoke  every benchmark once + emit/validate a trace JSON"
@@ -88,6 +91,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress repeats the suites whose outcomes depend on how goroutines interleave
+# on the host, on both a 1-CPU and a 2-CPU schedule, so a host-dependent test
+# fails here before it fails on someone's small machine.
+stress:
+	$(GO) test -count=20 -cpu 1,2 ./internal/txn/ ./internal/check/ ./internal/serve/
 
 # check is the CI gate: build, vet, the full suite under the race detector
 # (the simulator runs real goroutines per worker/applier, so -race exercises

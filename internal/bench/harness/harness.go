@@ -250,11 +250,13 @@ type Result struct {
 
 	// Contention-manager aggregates (DrTM+R systems). HotKeys ranks records
 	// by attributed abort count, worst first — the per-key complement of
-	// AbortMatrix. QueueWaits counts hot-key FIFO admissions and QueueWait
-	// is the merged queue-wait histogram (zero-count when nothing queued).
-	HotKeys    []KeyAborts
-	QueueWaits uint64
-	QueueWait  obs.Histogram
+	// AbortMatrix. GateAdmissions counts retries admitted through a hot-key
+	// FIFO gate; QueueWaits counts those that waited in virtual time and
+	// QueueWait is their merged histogram (zero-count when nothing queued).
+	HotKeys        []KeyAborts
+	GateAdmissions uint64
+	QueueWaits     uint64
+	QueueWait      obs.Histogram
 }
 
 // KeyAborts is one record's attributed abort count (Result.HotKeys).
@@ -311,7 +313,9 @@ func (r Result) String() string {
 // AbortSummary renders the top abort-attribution cells as
 // "reason@stage→nSITE:count" terms, worst first, followed by the top-K hot
 // keys ("tTABLE/kKEY:count") so table notes show WHICH records drive the
-// tail, not just reason×stage×site. Empty when nothing aborted.
+// tail, not just reason×stage×site, and by how many retries the hot-key gates
+// admitted (of which how many waited in virtual time). Empty when nothing
+// aborted.
 func (r Result) AbortSummary(topN int) string {
 	s := r.AbortMatrix.Summary(topN, abortReasonName, txn.StageName)
 	if len(r.HotKeys) == 0 {
@@ -325,6 +329,9 @@ func (r Result) AbortSummary(topN int) string {
 		terms = append(terms, fmt.Sprintf("t%d/k%d:%d", hk.Key.Table, hk.Key.Key, hk.Aborts))
 	}
 	hot := "hot keys " + strings.Join(terms, " ")
+	if r.GateAdmissions > 0 {
+		hot += fmt.Sprintf("; gate admissions %d (%d waited)", r.GateAdmissions, r.QueueWaits)
+	}
 	if s == "" {
 		return hot
 	}
@@ -567,6 +574,7 @@ func runDrTMR(o Options) Result {
 		recorders  []*obs.Recorder
 		histories  []*obs.HistoryRecorder
 		hotAgg     = make(map[txn.HotKey]uint64)
+		admissions uint64
 		queueWaits uint64
 		queueHist  obs.Histogram
 	)
@@ -644,6 +652,7 @@ func runDrTMR(o Options) Result {
 				for k, v := range w.Stats.KeyAborts {
 					hotAgg[k] += v
 				}
+				admissions += w.Stats.GateAdmissions
 				queueWaits += w.Stats.QueueWaits
 				queueHist.Merge(&w.Stats.QueueWaitHist)
 				if w.Rec != nil {
@@ -671,6 +680,7 @@ func runDrTMR(o Options) Result {
 	r.HotKeys = rankHotKeys(hotAgg)
 	r.ROVerbs = phaseAgg.ROVerbs
 	r.ROWakeups = phaseAgg.ROWakeups
+	r.GateAdmissions = admissions
 	r.QueueWaits = queueWaits
 	r.QueueWait = queueHist
 	r.Trace = recorders

@@ -14,7 +14,10 @@ import (
 // to completion before acting on any failure. An early `break` or `return`
 // from the scan leaks locks won later in the batch — the exact bug class of
 // the C.1 retry-batch fix (commit c08a886): the back-out path then releases
-// only the subset collected so far and the rest stay held forever.
+// only the subset collected so far and the rest stay held forever. The
+// commit pipelines share one such scan — Txn.lockBatch in
+// internal/txn/stages.go — so that is the single real site this analyzer
+// audits; the fixture keeps the shapes the three former copies had.
 //
 // Flow-sensitively, for every loop that inspects CAS results (reads the
 // .Swapped field of a *rdma.Pending):
@@ -27,9 +30,9 @@ import (
 //
 // Breaks that target a switch/select nested inside the loop are fine, as are
 // unlabeled continues and continues naming the scan loop itself (both start
-// the next result) — but `continue groups` out to a group driver (the farm
-// F.1 / fallback per-node-group shape) abandons the rest of the scan exactly
-// like a break does.
+// the next result) — but `continue groups` out to a group driver (the shape
+// the fallback's per-node-group loop had before it called lockBatch) abandons
+// the rest of the scan exactly like a break does.
 var LockPair = &analysis.Analyzer{
 	Name:          "lockpair",
 	Doc:           "lock-word CAS results must be fully scanned and every won lock recorded in the back-out set",

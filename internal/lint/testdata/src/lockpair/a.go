@@ -1,5 +1,8 @@
 // Fixture for the lockpair analyzer: scans over lock-CAS results must run
-// to completion and record every won lock in a back-out set.
+// to completion and record every won lock in a back-out set. The one real
+// site it guards is Txn.lockBatch (internal/txn/stages.go); goodSwitchBreak
+// is that function's shape, and the bad* functions are the ways its three
+// former copies could (and did) go wrong.
 package lockpair
 
 type pending struct {
@@ -122,8 +125,8 @@ func missingReason(pend []*pending, targets []target) []target {
 }
 
 // A labeled continue out to a group driver abandons the rest of the scan
-// exactly like a break — the farm F.1 / fallback per-node-group shape, where
-// the scan runs inside a `groups:` loop over node batches.
+// exactly like a break — the shape of the fallback's former per-node-group
+// loop, where the scan ran inside a `groups:` loop over node batches.
 func badLabeledContinue(groups [][]*pending, targets []target) []target {
 	var acquired []target
 groups:

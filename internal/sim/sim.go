@@ -1,6 +1,7 @@
 // Package sim provides the low-level simulation primitives shared by the
-// DrTM+R hardware substitutes: cacheline geometry, calibrated busy-wait
-// latency injection, token-bucket bandwidth limiting for the simulated NIC,
+// DrTM+R hardware substitutes: cacheline geometry, virtual-time clocks and
+// shared resources (vtime.go — NIC bandwidth is modelled there, as a backlog
+// drained in virtual time), a wall-clock spin for the few real-time paths,
 // and deterministic seeded randomness for workloads and failure injection.
 //
 // The rest of the repository treats this package as "the hardware": the HTM
@@ -11,7 +12,6 @@ package sim
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 )
 
@@ -41,12 +41,6 @@ func AlignUp(n int) int {
 	return (n + CachelineSize - 1) &^ (CachelineSize - 1)
 }
 
-// Latency models one injected hardware delay (an RDMA verb, a lock backoff).
-// Durations are wall-clock; the default profile is scaled down from real
-// InfiniBand latencies so that benchmarks finish quickly while preserving
-// the local-vs-remote cost ratio the paper's results depend on.
-type Latency time.Duration
-
 // Spin waits for roughly d of wall-clock time, yielding to the scheduler on
 // every iteration. Most latency modelling uses virtual time (see vtime.go);
 // Spin remains for the wall-clock paths — lease heartbeats, recovery, and
@@ -69,97 +63,3 @@ func Spin(d time.Duration) {
 
 //drtmr:allow virtualtime nanotime backs the spin-wait deadline, the one legitimate wall-clock read in sim
 func nanotime() int64 { return time.Now().UnixNano() }
-
-// RateLimiter is a token-bucket byte-rate limiter used to model NIC
-// bandwidth. It is the mechanism behind the paper's observation that 3-way
-// replication saturates the single 56Gbps NIC (Figs 11, 15, 16): every byte
-// an RDMA verb moves is charged against the source NIC's bucket, and callers
-// block (spin) when the bucket is empty.
-//
-// The zero value is an unlimited limiter.
-type RateLimiter struct {
-	bytesPerSec int64
-	burst       int64
-	// state packs the bucket: tokens and last refill time, guarded by CAS
-	// so the hot path is lock-free.
-	tokens   atomic.Int64
-	lastNano atomic.Int64
-}
-
-// NewRateLimiter returns a limiter that admits bytesPerSec bytes per second
-// with the given burst (bucket capacity). bytesPerSec <= 0 means unlimited.
-func NewRateLimiter(bytesPerSec, burst int64) *RateLimiter {
-	rl := &RateLimiter{bytesPerSec: bytesPerSec, burst: burst}
-	if burst <= 0 {
-		rl.burst = bytesPerSec / 100 // 10ms worth by default
-		if rl.burst < 4096 {
-			rl.burst = 4096
-		}
-	}
-	rl.tokens.Store(rl.burst)
-	rl.lastNano.Store(nanotime())
-	return rl
-}
-
-// Unlimited reports whether this limiter never blocks.
-func (rl *RateLimiter) Unlimited() bool { return rl == nil || rl.bytesPerSec <= 0 }
-
-// Take charges n bytes against the bucket, blocking until capacity is
-// available. Requests larger than the burst are consumed in burst-sized
-// chunks (they can never fit in the bucket whole). Safe for concurrent use.
-func (rl *RateLimiter) Take(n int64) {
-	if rl.Unlimited() || n <= 0 {
-		return
-	}
-	for n > rl.burst {
-		rl.Take(rl.burst)
-		n -= rl.burst
-	}
-	for {
-		rl.refill()
-		cur := rl.tokens.Load()
-		if cur >= n {
-			if rl.tokens.CompareAndSwap(cur, cur-n) {
-				return
-			}
-			continue
-		}
-		// Not enough tokens: wait approximately long enough for the
-		// deficit to refill, then retry.
-		deficit := n - cur
-		wait := time.Duration(deficit * int64(time.Second) / rl.bytesPerSec)
-		if wait < 100*time.Nanosecond {
-			wait = 100 * time.Nanosecond
-		}
-		if wait > 5*time.Millisecond {
-			wait = 5 * time.Millisecond
-		}
-		Spin(wait)
-	}
-}
-
-func (rl *RateLimiter) refill() {
-	now := nanotime()
-	last := rl.lastNano.Load()
-	elapsed := now - last
-	if elapsed <= 0 {
-		return
-	}
-	add := elapsed * rl.bytesPerSec / int64(time.Second)
-	if add == 0 {
-		return
-	}
-	if !rl.lastNano.CompareAndSwap(last, now) {
-		return // someone else refilled
-	}
-	for {
-		cur := rl.tokens.Load()
-		next := cur + add
-		if next > rl.burst {
-			next = rl.burst
-		}
-		if rl.tokens.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}

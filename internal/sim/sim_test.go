@@ -137,20 +137,3 @@ func TestLastName(t *testing.T) {
 		t.Fatalf("LastName(371) = %q", LastName(371))
 	}
 }
-
-func TestRateLimiter(t *testing.T) {
-	rl := NewRateLimiter(1<<20, 4096)
-	if rl.Unlimited() {
-		t.Fatal("limited limiter reports unlimited")
-	}
-	var nilRL *RateLimiter
-	if !nilRL.Unlimited() {
-		t.Fatal("nil limiter must be unlimited")
-	}
-	start := time.Now()
-	rl.Take(4096)  // burst
-	rl.Take(16384) // must wait ~16ms at 1MiB/s
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("rate limiter did not block")
-	}
-}

@@ -2,7 +2,6 @@ package txn
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"drtmr/internal/htm"
@@ -14,12 +13,6 @@ import (
 // htmRetries bounds commit-phase HTM attempts before the fallback handler
 // (§6.1). The paper reports the fallback firing on <1% of transactions.
 const htmRetries = 16
-
-// lockTarget is one remote record to lock in C.1 (deduplicated by address).
-type lockTarget struct {
-	node rdma.NodeID
-	off  uint64
-}
 
 // drtmrProto is the paper's hybrid HTM+RDMA commit pipeline (Fig 7) behind
 // the CommitProtocol interface — the default protocol. It locks BOTH read
@@ -51,15 +44,15 @@ func (drtmrProto) ReadOnlyCommit(tx *Txn) error { return tx.commitReadOnly() }
 func (proto drtmrProto) Commit(tx *Txn) error {
 	w := tx.w
 
+	// --- C.1: lock remote records, read and write sets both.
 	tx.stage = StageLock
 	if err := tx.resolveWriteOffsets(); err != nil {
 		return err
 	}
-
-	// --- C.1: lock remote records (read and write sets both: §4.4
-	// explains why even reads are locked — local HTM protection doesn't
-	// start until C.3).
-	locks := tx.remoteLockSet()
+	locks, err := tx.lockSet(scopeRemote)
+	if err != nil {
+		return err
+	}
 	// Read-only-participant accounting: each lock target the write set does
 	// not cover costs this protocol a C.1 lock CAS and a C.6 unlock CAS on a
 	// record the transaction merely read (C.2's validation READ is counted
@@ -72,12 +65,11 @@ func (proto drtmrProto) Commit(tx *Txn) error {
 	if err := tx.lockRemote(locks); err != nil {
 		return err
 	}
-	unlock := func() { tx.unlockRemote(locks) }
 
 	// --- C.2: validate remote reads; fetch base seqs of remote writes.
 	tx.stage = StageValidate
-	if err := proto.validateRemote(tx); err != nil {
-		unlock()
+	if err := tx.validate(validation{phase: PhaseValidate, lockedRS: true}); err != nil {
+		tx.unlockTargets(PhaseUnlock, locks)
 		return err
 	}
 
@@ -92,40 +84,13 @@ func (proto drtmrProto) Commit(tx *Txn) error {
 			tx.stage = StageFallback
 			return proto.fallbackCommit(tx, locks)
 		}
-		unlock()
+		tx.unlockTargets(PhaseUnlock, locks)
 		return err
 	}
 
-	// The transaction is now locally committed; nothing below may abort
-	// it (only degrade around failed machines).
-
-	// Inserts and deletes: apply locally / ship to hosts (§4.3).
-	tx.applyInsertsDeletes()
-
-	// --- R.1: replication.
-	tx.stage = StageLog
-	var toks []ringToken
-	if w.E.Replicated {
-		toks = tx.replicate()
-	}
-
-	// --- R.2: makeup — local records become committable.
-	if w.E.Replicated {
-		proto.makeupLocal(tx)
-	}
-
-	// --- C.5: write back remote updates with their final seq.
-	tx.stage = StageWriteBack
-	tx.writeBackRemote()
-
-	// --- C.6: unlock.
-	tx.stage = StageUnlock
-	unlock()
-
-	// Truncation watermark: these log entries' transactions are complete.
-	for _, tk := range toks {
-		w.E.M.LogWriter(tk.node).MarkCommitted(tk.tok.End())
-	}
+	// The transaction is now locally committed: inserts/deletes, R.1, R.2,
+	// C.5 and C.6 cannot abort it.
+	tx.finish(tail{unlock: PhaseUnlock}, locks)
 	return nil
 }
 
@@ -159,257 +124,6 @@ func (tx *Txn) resolveWriteOffsets() error {
 	return nil
 }
 
-// remoteLockSet collects unique remote record addresses from the read set
-// and the update/delete write set.
-func (tx *Txn) remoteLockSet() []lockTarget {
-	seen := make(map[lockTarget]struct{}, len(tx.rs)+len(tx.ws))
-	var out []lockTarget
-	add := func(node rdma.NodeID, off uint64) {
-		t := lockTarget{node: node, off: off}
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			out = append(out, t)
-		}
-	}
-	for i := range tx.rs {
-		if !tx.rs[i].local {
-			add(tx.rs[i].node, tx.rs[i].off)
-		}
-	}
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if !e.local && e.kind != wsInsert && e.off != 0 {
-			add(e.node, e.off)
-		}
-	}
-	// Deterministic order keeps lock acquisition patterns comparable
-	// across retries (and shortens convoys under contention).
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].node != out[j].node {
-			return out[i].node < out[j].node
-		}
-		return out[i].off < out[j].off
-	})
-	return out
-}
-
-// lockRemote try-locks every target with one doorbell batch of RDMA CASes
-// (try-lock semantics keep the batch deadlock-free: no verb ever waits).
-// Targets that fail on a dangling lock from a dead machine are passively
-// released and retried in a second, smaller batch (§5.2); any remaining
-// failure releases the acquired subset and aborts.
-func (tx *Txn) lockRemote(locks []lockTarget) error {
-	w := tx.w
-	myWord := memstore.LockWord(uint32(w.E.M.ID))
-	// Trade-off vs. the old sequential loop: all CASes post before any
-	// result is seen, so under contention we may briefly take (then release)
-	// locks a sequential early-exit would never have touched. We accept the
-	// slightly hotter contention profile in exchange for one round-trip of
-	// latency for the whole lock phase.
-	b := w.newBatch()
-	pend := make([]*rdma.Pending, len(locks))
-	for i, lt := range locks {
-		pend[i] = b.PostCAS(w.QP(lt.node), lt.off+memstore.LockOff, 0, myWord)
-	}
-	_ = tx.execBatch(PhaseLock, b)
-
-	acquired := make([]lockTarget, 0, len(locks))
-	var retry []int
-	var verr error
-	verrNode := w.E.M.ID
-	for i, p := range pend {
-		switch {
-		case p.Err != nil:
-			verr = p.Err
-			verrNode = locks[i].node
-		case p.Swapped:
-			acquired = append(acquired, locks[i])
-		default:
-			// Dangling lock from a failed machine? Release passively
-			// and retry once (§5.2).
-			w.maybeReleaseDangling(tx.cfg, locks[i].node, locks[i].off, p.Prev)
-			retry = append(retry, i)
-		}
-	}
-	if verr != nil {
-		tx.unlockTargets(PhaseLock, acquired)
-		return tx.abortAt(verrNode, AbortNodeDead, "lock: %v", verr)
-	}
-	if len(retry) > 0 {
-		rb := w.newBatch()
-		rpend := make([]*rdma.Pending, len(retry))
-		for j, i := range retry {
-			rpend[j] = rb.PostCAS(w.QP(locks[i].node), locks[i].off+memstore.LockOff, 0, myWord)
-		}
-		_ = tx.execBatch(PhaseLock, rb)
-		// The whole retry batch has executed: collect EVERY successful CAS
-		// into `acquired` before acting on any failure, or the back-out
-		// below would leak locks won later in the batch.
-		failed := -1
-		for j, i := range retry {
-			p := rpend[j]
-			if p.Err != nil || !p.Swapped {
-				if failed < 0 {
-					failed = j
-				}
-				continue
-			}
-			acquired = append(acquired, locks[i])
-		}
-		if failed >= 0 && w.E.Mut.IgnoreLockFail {
-			// Mutation: pretend every lock was won and barrel on unlocked.
-			// The C.6 unlock CASes on never-acquired records fail harmlessly
-			// (they expect our lock word), so the damage is pure protocol:
-			// two committers write back the same record concurrently.
-			failed = -1
-		}
-		if failed >= 0 {
-			tx.unlockTargets(PhaseLock, acquired)
-			i, p := retry[failed], rpend[failed]
-			if p.Err != nil {
-				return tx.abortAt(locks[i].node, AbortLockFailed, "record %d:%#x relock: %v",
-					locks[i].node, locks[i].off, p.Err)
-			}
-			if tbl, key, ok := tx.keyAt(locks[i].node, locks[i].off); ok {
-				return tx.abortOn(locks[i].node, tbl, key, AbortLockFailed, "record %d:%#x held by %#x",
-					locks[i].node, locks[i].off, p.Prev)
-			}
-			return tx.abortAt(locks[i].node, AbortLockFailed, "record %d:%#x held by %#x",
-				locks[i].node, locks[i].off, p.Prev)
-		}
-	}
-	return nil
-}
-
-func (tx *Txn) unlockRemote(locks []lockTarget) {
-	tx.unlockTargets(PhaseUnlock, locks)
-}
-
-// unlockTargets releases the given locks with one doorbell batch of CASes,
-// charged to phase (C.6 on the normal path, C.1 when backing out a failed
-// lock batch).
-func (tx *Txn) unlockTargets(phase CommitPhase, locks []lockTarget) {
-	if len(locks) == 0 {
-		return
-	}
-	w := tx.w
-	myWord := memstore.LockWord(uint32(w.E.M.ID))
-	b := w.newBatch()
-	for _, lt := range locks {
-		b.PostCAS(w.QP(lt.node), lt.off+memstore.LockOff, myWord, 0)
-	}
-	_ = tx.execBatch(phase, b)
-}
-
-// seqValidates applies Table 4's read-validation condition.
-func (tx *Txn) seqValidates(seen, cur uint64) bool {
-	if tx.w.E.Replicated {
-		return memstore.ClosestCommittable(seen) == cur
-	}
-	return seen == cur
-}
-
-// validateRemote is C.2: one doorbell batch of header READs covering every
-// remote read-set record plus the base-seq fetch of every blind remote
-// write, then all checks against the returned headers. The fetched headers
-// also carry each record's incarnation, which is cached on the write-set
-// entry so C.5 never re-reads it.
-func (proto drtmrProto) validateRemote(tx *Txn) error {
-	w := tx.w
-	b := w.newBatch()
-	rsPend := make([]*rdma.Pending, len(tx.rs))
-	for i := range tx.rs {
-		if !tx.rs[i].local {
-			rsPend[i] = b.PostRead(w.QP(tx.rs[i].node), tx.rs[i].off, 24)
-		}
-	}
-	var wsIdx []int
-	var wsPend []*rdma.Pending
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if e.local || (e.kind != wsUpdate && e.kind != wsDelta) || e.off == 0 {
-			continue
-		}
-		if tx.findRS(e.table, e.key) != nil {
-			continue // base comes from the read-set header below
-		}
-		// Deltas fetch the whole record, not just the header: the final
-		// image is the current value plus the pending adds, folded here
-		// under the C.1 lock.
-		n := 24
-		if e.kind == wsDelta {
-			n = w.E.M.Store.Table(e.table).RecBytes
-		}
-		wsIdx = append(wsIdx, i)
-		wsPend = append(wsPend, b.PostRead(w.QP(e.node), e.off, n))
-	}
-	_ = tx.execBatch(PhaseValidate, b)
-
-	for i := range tx.rs {
-		r := &tx.rs[i]
-		p := rsPend[i]
-		if p == nil {
-			continue
-		}
-		if p.Err != nil {
-			return tx.abortAt(r.node, AbortNodeDead, "validate: %v", p.Err)
-		}
-		if tx.findWS(r.table, r.key) == nil {
-			w.Stats.ROVerbs++ // validation READ on a record we only read
-		}
-		h := p.Data
-		if memstore.RecInc(h) != r.inc && !w.E.Mut.SkipRemoteValidate && !w.E.Mut.SkipIncCheck {
-			return tx.abortOn(r.node, r.table, r.key, AbortValidate, "remote inc changed")
-		}
-		cur := memstore.RecSeq(h)
-		if !tx.seqValidates(r.seq, cur) && !w.E.Mut.SkipRemoteValidate {
-			return tx.abortOn(r.node, r.table, r.key, AbortValidate, "remote seq %d -> %d", r.seq, cur)
-		}
-		// Record the authoritative base (and incarnation) for co-located
-		// writes.
-		if e := tx.findWS(r.table, r.key); e != nil && !e.local && (e.kind == wsUpdate || e.kind == wsDelta) {
-			e.baseSeq = cur
-			e.finSeq = tx.finalSeq(cur)
-			e.inc = r.inc
-			e.haveInc = true
-			if e.kind == wsDelta {
-				// The seq check just passed under the C.1 lock, so the
-				// execution-phase copy is the current value: fold over it.
-				e.materializeFrom(r.val)
-			}
-		}
-	}
-	// Blind remote writes: current seq was fetched under the lock.
-	for j, i := range wsIdx {
-		e := &tx.ws[i]
-		p := wsPend[j]
-		if p.Err != nil {
-			return tx.abortAt(e.node, AbortNodeDead, "ws fetch: %v", p.Err)
-		}
-		h := p.Data
-		cur := memstore.RecSeq(h)
-		if w.E.Replicated && !memstore.SeqIsCommittable(cur) {
-			// Table 4 C.2 R_WS: cannot overwrite an unreplicated record.
-			return tx.abortOn(e.node, e.table, e.key, AbortValidate, "remote ws uncommittable")
-		}
-		e.baseSeq = cur
-		e.finSeq = tx.finalSeq(cur)
-		e.inc = memstore.RecInc(h)
-		e.haveInc = true
-		if e.kind == wsDelta {
-			// h is the full record (fetched above). The record is locked,
-			// but a PRIOR local commit's makeup flip can still race the
-			// fetch: a torn value must not become the delta base.
-			if !memstore.VersionsConsistent(h) {
-				return tx.abortOn(e.node, e.table, e.key, AbortValidate, "delta base torn")
-			}
-			tbl := w.E.M.Store.Table(e.table)
-			e.materializeFrom(memstore.GatherValue(h, tbl.Spec.ValueSize))
-		}
-	}
-	return nil
-}
-
 // localHTMCommit is C.3+C.4: one HTM region validating the local read set
 // and applying the local (update) write set with seq+1. Bounded retries;
 // validation failures abort the transaction, repeated hardware aborts
@@ -423,7 +137,7 @@ func (proto drtmrProto) localHTMCommit(tx *Txn) error {
 		}
 	}
 	for i := range tx.ws {
-		if tx.ws[i].local && (tx.ws[i].kind == wsUpdate || tx.ws[i].kind == wsDelta) {
+		if tx.ws[i].local && tx.ws[i].inPlace() {
 			nLocal++
 		}
 	}
@@ -509,7 +223,7 @@ func (proto drtmrProto) localCommitBody(tx *Txn, htx *htm.Txn) error {
 	// C.4: apply local updates with seq+1 (odd under replication).
 	for i := range tx.ws {
 		e := &tx.ws[i]
-		if !e.local || (e.kind != wsUpdate && e.kind != wsDelta) {
+		if !e.local || !e.inPlace() {
 			continue
 		}
 		tbl := w.E.M.Store.Table(e.table)
@@ -543,13 +257,10 @@ func (proto drtmrProto) localCommitBody(tx *Txn, htx *htm.Txn) error {
 		if err != nil {
 			return err
 		}
-		e.baseSeq = cur
-		newSeq := cur + 1
-		e.finSeq = tx.finalSeq(cur)
-		// Remember the incarnation for the history record: local updates
+		// The incarnation is remembered for the history record: local updates
 		// never pass through C.2's header fetch.
-		e.inc = inc
-		e.haveInc = true
+		tx.setBase(e, cur, inc)
+		newSeq := cur + 1
 		if e.kind == wsDelta {
 			// Fold the pending adds over the current value, read inside the
 			// HTM region — strong atomicity makes this the moment the delta
@@ -577,23 +288,19 @@ func (tx *Txn) finalSeq(base uint64) uint64 {
 	return base + 1
 }
 
-// applyInsertsDeletes applies structural mutations with drtmrProto's
-// initial sequence numbers: under replication, fresh inserts start
-// uncommittable (seq=1) until R.2/C.5.
-func (tx *Txn) applyInsertsDeletes() {
-	initialSeq := uint64(0)
-	if tx.w.E.Replicated {
-		initialSeq = 1
-	}
-	tx.applyInsertsDeletesSeq(initialSeq)
+// setBase records an in-place write's base: the sequence number it
+// overwrites, the one it settles at, and the record's incarnation (which the
+// install must preserve and the history record reports).
+func (tx *Txn) setBase(e *wsEntry, cur, inc uint64) {
+	e.baseSeq = cur
+	e.finSeq = tx.finalSeq(cur)
+	e.inc, e.haveInc = inc, true
 }
 
-// applyInsertsDeletesSeq applies structural mutations after validation:
-// local ones directly, remote ones shipped to the host machine (§4.3).
-// Fresh inserts start at initialSeq — protocols that make log entries
-// durable BEFORE applying (farm) insert directly at the final committable
-// sequence number; drtmrProto inserts uncommittable and flips later.
-func (tx *Txn) applyInsertsDeletesSeq(initialSeq uint64) {
+// applyInsertsDeletes applies structural mutations after validation: local
+// ones directly, remote ones shipped to the host machine (§4.3). Fresh
+// inserts start at initialSeq (finish chooses it).
+func (tx *Txn) applyInsertsDeletes(initialSeq uint64) {
 	w := tx.w
 	for i := range tx.ws {
 		e := &tx.ws[i]
@@ -735,7 +442,7 @@ func (tx *Txn) logRecords() []oplog.Rec {
 // makeupLocal is R.2: flip local updates (and fresh local inserts) from odd
 // to even — committable — re-stamping the per-line versions. Each record is
 // flipped in its own small HTM region for atomicity against local readers.
-func (proto drtmrProto) makeupLocal(tx *Txn) {
+func (tx *Txn) makeupLocal() {
 	w := tx.w
 	for i := range tx.ws {
 		e := &tx.ws[i]
@@ -746,7 +453,7 @@ func (proto drtmrProto) makeupLocal(tx *Txn) {
 			if attempt > 0 {
 				w.backoff(attempt)
 			}
-			if proto.makeupAttempt(tx, e) {
+			if tx.makeupAttempt(e) {
 				break
 			}
 		}
@@ -756,7 +463,7 @@ func (proto drtmrProto) makeupLocal(tx *Txn) {
 // makeupAttempt is one R.2 seq-flip inside its own HTM region, bracketed
 // with htmBegin/htmEnd for the scheduler's no-yield-in-region assertion.
 // It reports whether the record has settled at its final sequence number.
-func (proto drtmrProto) makeupAttempt(tx *Txn, e *wsEntry) bool {
+func (tx *Txn) makeupAttempt(e *wsEntry) bool {
 	w := tx.w
 	w.htmBegin()
 	defer w.htmEnd()
@@ -812,16 +519,13 @@ func (tx *Txn) writeBackRemote() {
 		}
 		switch e.kind {
 		case wsUpdate, wsDelta:
-			// Deltas reach here with buf already materialized under the C.1
-			// lock (C.2 or the fallback), so the install is a plain image.
-			if e.finSeq == 0 {
-				e.finSeq = tx.finalSeq(e.baseSeq)
-			}
+			// The validate stage ran setBase on every resolved remote
+			// in-place write: the final seq and the incarnation to preserve
+			// are on the entry (no extra header READ here), and a delta's
+			// buf was materialized under the lock, so the install is a
+			// plain image.
 			tbl := w.E.M.Store.Table(e.table)
-			// Incarnation is preserved: C.2 (or fallback validation)
-			// cached it on the entry, so no extra header READ here.
-			inc := tx.incFor(e)
-			img := memstore.BuildRecordImage(tbl.Spec.ValueSize, e.buf, inc, e.finSeq)
+			img := memstore.BuildRecordImage(tbl.Spec.ValueSize, e.buf, e.inc, e.finSeq)
 			b.PostWrite(w.QP(e.node), e.off+8, img[8:])
 		case wsInsert:
 			if !w.E.Replicated {
@@ -840,24 +544,6 @@ func (tx *Txn) writeBackRemote() {
 		}
 	}
 	_ = tx.execBatch(PhaseWriteBack, b)
-}
-
-// incFor returns the incarnation to preserve in a remote write-back. The
-// normal pipeline always caches it during validation (C.2 or fallback); the
-// header READ is a last resort for paths that never fetched it.
-func (tx *Txn) incFor(e *wsEntry) uint64 {
-	if e.haveInc {
-		return e.inc
-	}
-	if r := tx.findRS(e.table, e.key); r != nil {
-		return r.inc
-	}
-	var hdr [24]byte
-	h, err := tx.w.QP(e.node).Read(e.off, 24, hdr[:])
-	if err != nil {
-		return 0
-	}
-	return memstore.RecInc(h)
 }
 
 // commitReadOnly validates sequence numbers only (§4.5): no HTM, no locks.

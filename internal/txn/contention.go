@@ -219,16 +219,20 @@ func (g *keyGate) abandon(t uint64) {
 // parks coroutine-style: every poll yields to sibling coroutines, hands the
 // deterministic gate to other workers, and cedes the OS thread — never a
 // virtual-time backoff, which is the whole point of queueing instead of
-// backing off. On admission the waiter's own-clock growth since enqueue
-// (sibling work on the shared clock while it was parked; see keyGate) is
-// recorded as the queue wait (Stats.QueueWaits/QueueWaitHist, plus an
-// EvPhase/StageQueue trace span). A bounded wait that runs out produces a
-// keyed StageQueue abort and the caller retries ungated.
+// backing off. Every admission counts in Stats.GateAdmissions; when the
+// waiter's own clock also grew since enqueue (sibling work on the shared
+// clock while it was parked; see keyGate) that growth is recorded as the
+// queue wait (Stats.QueueWaits/QueueWaitHist, plus an EvPhase/StageQueue
+// trace span). A worker with no sibling coroutines waits in host time only,
+// so its admissions show in the first counter and never in the second. A
+// bounded wait that runs out produces a keyed StageQueue abort and the caller
+// retries ungated.
 func (w *Worker) acquireGate(g *keyGate, hk HotKey) (ok bool, qerr *Error) {
 	start := w.Clk.Now()
 	t := g.enqueue()
 	for poll := 0; ; poll++ {
 		if g.tryEnter(t) {
+			w.Stats.GateAdmissions++
 			if wait := w.Clk.Now() - start; wait > 0 {
 				w.Stats.QueueWaits++
 				w.Stats.QueueWaitNanos += uint64(wait)

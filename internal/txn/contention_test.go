@@ -189,7 +189,9 @@ func TestReadStableUntracked(t *testing.T) {
 // detector primed to queue after a single abort: the FIFO gates must neither
 // lose updates (conservation) nor wedge (bounded test time). With real
 // conflict pressure, at least some retries should have gone through the
-// queue.
+// queue — counted as gate admissions, not queue waits: these workers run one
+// transaction at a time, so no sibling coroutine ever advances a parked
+// waiter's clock and its virtual wait is always zero.
 func TestHotKeyQueueConservation(t *testing.T) {
 	const (
 		nodes   = 3
@@ -200,7 +202,7 @@ func TestHotKeyQueueConservation(t *testing.T) {
 	w.load(t, 1, 1000)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var aborts, queueWaits uint64
+	var aborts, admissions, queueWaits uint64
 	for n := 0; n < nodes; n++ {
 		w.engines[n].ContentionHotThreshold = 1
 		for tid := 0; tid < perNode; tid++ {
@@ -222,6 +224,7 @@ func TestHotKeyQueueConservation(t *testing.T) {
 				}
 				mu.Lock()
 				aborts += wk.Stats.AbortsTotal()
+				admissions += wk.Stats.GateAdmissions
 				queueWaits += wk.Stats.QueueWaits
 				mu.Unlock()
 			}(wk)
@@ -231,9 +234,12 @@ func TestHotKeyQueueConservation(t *testing.T) {
 	if got, want := w.totalOnPrimaries(1), uint64(1000+nodes*perNode*iters); got != want {
 		t.Fatalf("updates lost through the hot-key queue: balance %d, want %d", got, want)
 	}
-	t.Logf("aborts=%d queueWaits=%d", aborts, queueWaits)
-	if aborts > 50 && queueWaits == 0 {
+	t.Logf("aborts=%d admissions=%d queueWaits=%d", aborts, admissions, queueWaits)
+	if aborts > 50 && admissions == 0 {
 		t.Fatalf("%d aborts on one key with threshold 1, but nothing ever queued", aborts)
+	}
+	if queueWaits > admissions {
+		t.Fatalf("%d queue waits exceed %d gate admissions", queueWaits, admissions)
 	}
 }
 

@@ -435,10 +435,14 @@ type Stats struct {
 
 	// Contention-manager counters. KeyAborts counts aborts attributed to a
 	// specific record (whenever the abort carries a key, in every mode) —
-	// the source of Result.AbortSummary's top-K hot keys. QueueWaits /
-	// QueueWaitNanos / QueueWaitHist measure hot-key FIFO admissions that
-	// actually waited (an immediate empty-queue pass-through records nothing).
+	// the source of Result.AbortSummary's top-K hot keys. GateAdmissions
+	// counts every retry admitted through a hot-key FIFO gate; QueueWaits /
+	// QueueWaitNanos / QueueWaitHist measure the admissions whose wait was
+	// positive in VIRTUAL time — the waiter's clock grows only through
+	// sibling coroutines' work, so a gated retry on a worker running one
+	// transaction at a time is an admission but not a queue wait.
 	KeyAborts      map[HotKey]uint64
+	GateAdmissions uint64
 	QueueWaits     uint64
 	QueueWaitNanos uint64
 	QueueWaitHist  obs.Histogram

@@ -1,12 +1,5 @@
 package txn
 
-import (
-	"sort"
-
-	"drtmr/internal/memstore"
-	"drtmr/internal/rdma"
-)
-
 // Fallback handler (§6.1). RTM is best-effort: the commit-phase HTM region
 // may keep aborting even without real conflicts, so after bounded retries
 // the transaction commits through a pure locking protocol instead. Because
@@ -23,307 +16,71 @@ import (
 // the paper's explicit design choice, affordable because the fallback runs
 // on <1% of transactions.
 
-// fbTarget is one record the fallback handler locks.
-type fbTarget struct {
-	node rdma.NodeID
-	off  uint64
-}
+// fallbackLockAttempts bounds how often the handler re-posts one node
+// group's unacquired lock CASes before it gives up and aborts.
+const fallbackLockAttempts = 32
 
 // fallbackCommit re-runs the commit under full locking and, on success,
 // carries the transaction through replication, write-back and unlock.
 // Preconditions: remote locks from C.1 are held (and are released here
-// first); the HTM region has NOT applied any local update.
+// first); the HTM region has NOT applied any local update. It is the stage
+// library run with every record in scope and everything charged to
+// PhaseFallback.
 func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []lockTarget) error {
-	w := tx.w
 	// Step 1: release owned remote locks.
-	tx.unlockRemote(remoteLocks)
+	tx.unlockTargets(PhaseUnlock, remoteLocks)
 
 	// Step 2: collect every record (local + remote) in sorted order.
-	seen := make(map[fbTarget]struct{})
-	var targets []fbTarget
-	add := func(node rdma.NodeID, off uint64) {
-		t := fbTarget{node: node, off: off}
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			targets = append(targets, t)
-		}
+	targets, err := tx.lockSet(scopeAll)
+	if err != nil {
+		return err
 	}
-	self := w.E.M.ID
-	for i := range tx.rs {
-		r := &tx.rs[i]
-		if r.local {
-			add(self, r.off)
-		} else {
-			add(r.node, r.off)
-		}
-	}
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if e.kind == wsInsert {
-			continue
-		}
-		if e.local && e.off == 0 {
-			tbl := w.E.M.Store.Table(e.table)
-			off, ok := tbl.Lookup(e.key)
-			if !ok {
-				if e.kind == wsDelete {
-					continue
-				}
-				return tx.abortOn(w.E.M.ID, e.table, e.key, AbortValidate, "fallback: local record vanished")
-			}
-			e.off = off
-		}
-		if e.off == 0 {
-			continue
-		}
-		if e.local {
-			add(self, e.off)
-		} else {
-			add(e.node, e.off)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool {
-		if targets[i].node != targets[j].node {
-			return targets[i].node < targets[j].node
-		}
-		return targets[i].off < targets[j].off
-	})
 
-	// Step 3: lock everything (loop-back RDMA CAS for local records). The
-	// targets are globally sorted; consecutive targets on the same node
-	// form one doorbell batch of CASes, and node groups are acquired
-	// strictly in sorted order — so the deadlock-freedom argument of the
-	// sorted acquisition is preserved while each group costs one CAS
-	// round-trip. Failed targets within a group retry (after passive
-	// dangling-lock release and backoff) in ever-smaller batches.
-	myWord := memstore.LockWord(uint32(self))
-	var acquired []fbTarget
-	lockFail := false
-groups:
-	for lo := 0; lo < len(targets); {
-		hi := lo
-		for hi < len(targets) && targets[hi].node == targets[lo].node {
-			hi++
-		}
-		remaining := targets[lo:hi]
-		for attempt := 0; len(remaining) > 0; attempt++ {
-			if attempt >= 32 {
-				lockFail = true
-				break groups
-			}
-			if attempt > 0 {
-				w.backoff(attempt)
-			}
-			b := w.newBatch()
-			pend := make([]*rdma.Pending, len(remaining))
-			for i, t := range remaining {
-				pend[i] = b.PostCAS(w.QP(t.node), t.off+memstore.LockOff, 0, myWord)
-			}
-			_ = tx.execBatch(PhaseFallback, b)
-			// Scan every result before acting on a failure: the batch has
-			// already executed, so CASes posted after a failed verb may
-			// still have swapped — exiting mid-scan would leak those wins
-			// past the back-out set (the c08a886 bug class, fallback edition).
-			var next []fbTarget
-			for i, p := range pend {
-				switch {
-				case p.Err != nil:
-					lockFail = true
-				case p.Swapped:
-					acquired = append(acquired, remaining[i])
-				default:
-					w.maybeReleaseDangling(tx.cfg, remaining[i].node, remaining[i].off, p.Prev)
-					next = append(next, remaining[i])
-				}
-			}
-			if lockFail {
-				break groups
-			}
-			remaining = next
-		}
-		lo = hi
-	}
-	unlockAll := func() {
-		if len(acquired) == 0 {
-			return
-		}
-		b := w.newBatch()
-		for _, t := range acquired {
-			b.PostCAS(w.QP(t.node), t.off+memstore.LockOff, myWord, 0)
-		}
-		_ = tx.execBatch(PhaseFallback, b)
-	}
-	if lockFail {
-		unlockAll()
+	// Step 3: lock everything (loop-back RDMA CAS for local records).
+	run := lockRun{held: make([]lockTarget, 0, len(targets))}
+	if !tx.lockInOrder(targets, &run) {
+		tx.unlockTargets(PhaseFallback, run.held)
 		return tx.abort(AbortLockFailed, "fallback lock failed")
 	}
 
 	// Step 4: validate the whole read set under locks.
-	if err := proto.fallbackValidate(tx); err != nil {
-		unlockAll()
+	if err := tx.validate(validation{phase: PhaseFallback, locals: true, lockedRS: true, uncounted: true}); err != nil {
+		tx.unlockTargets(PhaseFallback, run.held)
 		return err
 	}
 
-	// Step 5: apply local updates without HTM — safe because the records
-	// are locked (local execution-phase readers check the lock and back
-	// off; local committers' C.4 checks the lock and aborts; remote
-	// committers cannot take the lock; and strong atomicity aborts any
-	// in-flight HTM reader we race with).
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if !e.local || (e.kind != wsUpdate && e.kind != wsDelta) || e.off == 0 {
-			continue
-		}
-		newSeq := e.baseSeq + 1
-		e.finSeq = tx.finalSeq(e.baseSeq)
-		tbl := w.E.M.Store.Table(e.table)
-		inc := tx.localInc(e.off)
-		e.inc = inc
-		e.haveInc = true // history record: local updates bypass C.2's fetch
-		img := memstore.BuildRecordImage(tbl.Spec.ValueSize, e.buf, inc, newSeq)
-		w.E.M.Eng.WriteNonTx(e.off+8, img[8:])
-	}
-
-	// Step 6: the common tail — inserts/deletes, replication, makeup,
-	// remote write-back — then release every lock.
-	tx.applyInsertsDeletes()
-	var toks []ringToken
-	if w.E.Replicated {
-		toks = tx.replicate()
-		proto.makeupLocal(tx)
-	}
-	tx.writeBackRemote()
-	unlockAll()
-	for _, tk := range toks {
-		w.E.M.LogWriter(tk.node).MarkCommitted(tk.tok.End())
-	}
+	// Steps 5 and 6: apply local updates without HTM, then the common tail —
+	// inserts/deletes, replication, makeup, remote write-back — and release
+	// every lock.
+	tx.finish(tail{lockedLocals: true, unlock: PhaseFallback}, run.held)
 	return nil
 }
 
-// fallbackValidate checks every read-set record and fetches write bases, all
-// under locks. Remote header READs (read set + blind write bases) share one
-// doorbell batch; local records read memory directly.
-func (proto drtmrProto) fallbackValidate(tx *Txn) error {
-	w := tx.w
-	b := w.newBatch()
-	rsPend := make([]*rdma.Pending, len(tx.rs))
-	for i := range tx.rs {
-		if !tx.rs[i].local {
-			rsPend[i] = b.PostRead(w.QP(tx.rs[i].node), tx.rs[i].off, 24)
+// lockInOrder is the blocking lock stage: targets are globally sorted;
+// consecutive targets on the same node form one lockBatch, and node groups
+// are acquired strictly in sorted order — so the deadlock-freedom argument of
+// sorted acquisition is preserved while each group costs one CAS round-trip.
+// Targets a group's batch misses retry (after the passive dangling-lock
+// release and a backoff) in ever-smaller batches. It reports whether every
+// target was acquired; either way run.held is what the caller must release.
+func (tx *Txn) lockInOrder(targets []lockTarget, run *lockRun) bool {
+	for lo, hi := 0, 0; lo < len(targets); lo = hi {
+		for hi = lo; hi < len(targets) && targets[hi].node == targets[lo].node; hi++ {
+		}
+		todo := targets[lo:hi]
+		for attempt := 0; len(todo) > 0; attempt++ {
+			if attempt >= fallbackLockAttempts {
+				return false
+			}
+			if attempt > 0 {
+				tx.w.backoff(attempt)
+			}
+			tx.lockBatch(PhaseFallback, todo, run)
+			if run.err != nil {
+				return false
+			}
+			todo = run.missed
 		}
 	}
-	var wsIdx []int
-	var wsPend []*rdma.Pending
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if (e.kind != wsUpdate && e.kind != wsDelta) || e.off == 0 || e.local {
-			continue
-		}
-		if tx.findRS(e.table, e.key) != nil {
-			continue
-		}
-		// Deltas fetch the whole record (as in C.2): the final image is the
-		// current value plus the pending adds, folded under the sorted locks.
-		n := 24
-		if e.kind == wsDelta {
-			n = w.E.M.Store.Table(e.table).RecBytes
-		}
-		wsIdx = append(wsIdx, i)
-		wsPend = append(wsPend, b.PostRead(w.QP(e.node), e.off, n))
-	}
-	_ = tx.execBatch(PhaseFallback, b)
-
-	var hdr [24]byte
-	for i := range tx.rs {
-		r := &tx.rs[i]
-		var inc, cur uint64
-		if r.local {
-			h := w.E.M.Eng.ReadNonTx(r.off, 24, hdr[:])
-			inc, cur = memstore.RecInc(h), memstore.RecSeq(h)
-		} else {
-			p := rsPend[i]
-			if p.Err != nil {
-				return tx.abortAt(r.node, AbortNodeDead, "fallback validate: %v", p.Err)
-			}
-			inc, cur = memstore.RecInc(p.Data), memstore.RecSeq(p.Data)
-		}
-		skip := w.E.Mut.SkipRemoteValidate
-		if r.local {
-			skip = w.E.Mut.SkipLocalValidate
-		}
-		incOK := inc == r.inc || w.E.Mut.SkipIncCheck
-		if (!incOK || !tx.seqValidates(r.seq, cur)) && !skip {
-			site := w.E.M.ID
-			if !r.local {
-				site = r.node
-			}
-			return tx.abortOn(site, r.table, r.key, AbortValidate, "fallback: record changed")
-		}
-		if e := tx.findWS(r.table, r.key); e != nil && (e.kind == wsUpdate || e.kind == wsDelta) {
-			e.baseSeq = cur
-			e.finSeq = tx.finalSeq(cur)
-			if !e.local {
-				e.inc = inc
-				e.haveInc = true
-			}
-			if e.kind == wsDelta {
-				// Validation just passed under the sorted locks, so the
-				// execution-phase copy is current: fold the adds over it.
-				e.materializeFrom(r.val)
-			}
-		}
-	}
-	// Local blind writes read memory directly; remote ones use the batch.
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if (e.kind != wsUpdate && e.kind != wsDelta) || e.off == 0 || !e.local {
-			continue
-		}
-		if tx.findRS(e.table, e.key) != nil {
-			continue
-		}
-		tbl := w.E.M.Store.Table(e.table)
-		n := 24
-		if e.kind == wsDelta {
-			n = tbl.RecBytes
-		}
-		h := w.E.M.Eng.ReadNonTx(e.off, n, hdr[:0])
-		cur := memstore.RecSeq(h)
-		if w.E.Replicated && !memstore.SeqIsCommittable(cur) {
-			return tx.abortOn(w.E.M.ID, e.table, e.key, AbortValidate, "fallback: ws uncommittable")
-		}
-		e.baseSeq = cur
-		e.finSeq = tx.finalSeq(cur)
-		if e.kind == wsDelta {
-			e.materializeFrom(memstore.GatherValue(h, tbl.Spec.ValueSize))
-		}
-	}
-	for j, i := range wsIdx {
-		e := &tx.ws[i]
-		p := wsPend[j]
-		if p.Err != nil {
-			return tx.abortAt(e.node, AbortNodeDead, "fallback ws fetch: %v", p.Err)
-		}
-		cur := memstore.RecSeq(p.Data)
-		if w.E.Replicated && !memstore.SeqIsCommittable(cur) {
-			return tx.abortOn(e.node, e.table, e.key, AbortValidate, "fallback: ws uncommittable")
-		}
-		e.baseSeq = cur
-		e.finSeq = tx.finalSeq(cur)
-		e.inc = memstore.RecInc(p.Data)
-		e.haveInc = true
-		if e.kind == wsDelta {
-			tbl := w.E.M.Store.Table(e.table)
-			if !memstore.VersionsConsistent(p.Data) {
-				return tx.abortOn(e.node, e.table, e.key, AbortValidate, "fallback: delta base torn")
-			}
-			e.materializeFrom(memstore.GatherValue(p.Data, tbl.Spec.ValueSize))
-		}
-	}
-	return nil
-}
-
-// localInc reads a local record's incarnation non-transactionally.
-func (tx *Txn) localInc(off uint64) uint64 {
-	return tx.w.E.M.Eng.Load64NonTx(off + memstore.IncOff)
+	return true
 }

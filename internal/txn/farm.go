@@ -1,12 +1,5 @@
 package txn
 
-import (
-	"sort"
-
-	"drtmr/internal/memstore"
-	"drtmr/internal/rdma"
-)
-
 // farmProto is a FaRM-style commit pipeline (FaRM, SOSP'15) behind the
 // CommitProtocol interface: instead of locking the read set and relying on
 // an HTM region plus seqlock makeup, it locks ONLY the write set, validates
@@ -56,274 +49,33 @@ func (farmProto) Name() string { return "farm" }
 // validation.
 func (farmProto) ReadOnlyCommit(tx *Txn) error { return tx.commitReadOnly() }
 
-// Commit implements CommitProtocol: the F.1–F.5 pipeline above.
+// Commit implements CommitProtocol: the F.1–F.5 pipeline above, sequenced
+// from the same stage library as drtmrProto.
 func (proto farmProto) Commit(tx *Txn) error {
-	w := tx.w
-
 	// --- F.1: lock the write set (only).
 	tx.stage = StageLock
 	if err := tx.resolveWriteOffsets(); err != nil {
 		return err
 	}
-	locks, err := proto.writeLockSet(tx)
+	locks, err := tx.lockSet(scopeWrites)
 	if err != nil {
 		return err
 	}
 	if err := tx.lockRemote(locks); err != nil {
 		return err
 	}
-	unlock := func() { tx.unlockRemote(locks) }
 
-	// --- F.2: validate reads, fetch write bases, all under the locks.
+	// --- F.2: validate reads (their lock words too: the read set is not
+	// locked), fetch write bases, all under the locks.
 	tx.stage = StageValidate
-	if err := proto.validate(tx); err != nil {
-		unlock()
+	if err := tx.validate(validation{phase: PhaseValidate, locals: true}); err != nil {
+		tx.unlockTargets(PhaseUnlock, locks)
 		return err
 	}
 
-	// --- F.3: redo-log append. Durable before anything becomes visible,
-	// so nothing after this point may abort the transaction.
-	tx.stage = StageLog
-	var toks []ringToken
-	if w.E.Replicated {
-		toks = tx.replicate()
-	}
-
-	// --- F.4: install. Inserts land directly at their final committable
-	// seq when replicated (redo is already durable; drtmrProto's odd
-	// initial seq exists only because ITS log write happens after apply).
-	tx.stage = StageWriteBack
-	initial := uint64(0)
-	if w.E.Replicated {
-		initial = tx.finalSeq(0)
-	}
-	tx.applyInsertsDeletesSeq(initial)
-	proto.installLocal(tx)
-	tx.writeBackRemote()
-
-	// --- F.5: unlock.
-	tx.stage = StageUnlock
-	unlock()
-
-	for _, tk := range toks {
-		w.E.M.LogWriter(tk.node).MarkCommitted(tk.tok.End())
-	}
+	// --- F.3 redo-log append, durable before anything becomes visible, so
+	// nothing after this point may abort the transaction; F.4 install at the
+	// final committable seq under the held locks; F.5 unlock.
+	tx.finish(tail{logFirst: true, lockedLocals: true, unlock: PhaseUnlock}, locks)
 	return nil
-}
-
-// writeLockSet collects unique record addresses from the update/delta/delete
-// write set — local records included, addressed as this machine (loop-back
-// CAS). Read-set records are deliberately absent: that asymmetry against
-// drtmrProto's remoteLockSet is the protocol's whole point.
-func (proto farmProto) writeLockSet(tx *Txn) ([]lockTarget, error) {
-	w := tx.w
-	self := w.E.M.ID
-	seen := make(map[lockTarget]struct{}, len(tx.ws))
-	var out []lockTarget
-	add := func(node rdma.NodeID, off uint64) {
-		t := lockTarget{node: node, off: off}
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			out = append(out, t)
-		}
-	}
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if e.kind == wsInsert {
-			continue
-		}
-		if e.local && e.off == 0 {
-			tbl := w.E.M.Store.Table(e.table)
-			off, ok := tbl.Lookup(e.key)
-			if !ok {
-				if e.kind == wsDelete {
-					continue // deleting a missing record is a no-op
-				}
-				return nil, tx.abortOn(self, e.table, e.key, AbortValidate, "farm: local record vanished")
-			}
-			e.off = off
-		}
-		if e.off == 0 {
-			continue
-		}
-		if e.local {
-			add(self, e.off)
-		} else {
-			add(e.node, e.off)
-		}
-	}
-	// Sorted acquisition order, as everywhere locks are taken in batches.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].node != out[j].node {
-			return out[i].node < out[j].node
-		}
-		return out[i].off < out[j].off
-	})
-	return out, nil
-}
-
-// validate is F.2: every read-set record re-checked (lock word, incarnation,
-// sequence number) and every write base fetched, all under the F.1 locks.
-// Remote header READs share one doorbell batch; local records read memory
-// directly, charged at the validation rate.
-func (proto farmProto) validate(tx *Txn) error {
-	w := tx.w
-	self := w.E.M.ID
-	myWord := memstore.LockWord(uint32(self))
-
-	b := w.newBatch()
-	rsPend := make([]*rdma.Pending, len(tx.rs))
-	for i := range tx.rs {
-		if !tx.rs[i].local {
-			rsPend[i] = b.PostRead(w.QP(tx.rs[i].node), tx.rs[i].off, 24)
-		}
-	}
-	var wsIdx []int
-	var wsPend []*rdma.Pending
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if e.local || (e.kind != wsUpdate && e.kind != wsDelta) || e.off == 0 {
-			continue
-		}
-		if tx.findRS(e.table, e.key) != nil {
-			continue // base comes from the read-set header below
-		}
-		// Deltas fetch the whole record (as in C.2): the final image is the
-		// current value plus the pending adds, folded under the F.1 lock.
-		n := 24
-		if e.kind == wsDelta {
-			n = w.E.M.Store.Table(e.table).RecBytes
-		}
-		wsIdx = append(wsIdx, i)
-		wsPend = append(wsPend, b.PostRead(w.QP(e.node), e.off, n))
-	}
-	_ = tx.execBatch(PhaseValidate, b)
-
-	var hdr [24]byte
-	for i := range tx.rs {
-		r := &tx.rs[i]
-		var inc, cur, lockW uint64
-		site := self
-		skip := w.E.Mut.SkipLocalValidate
-		if r.local {
-			h := w.E.M.Eng.ReadNonTx(r.off, 24, hdr[:])
-			inc, cur, lockW = memstore.RecInc(h), memstore.RecSeq(h), memstore.RecLock(h)
-			w.Clk.Advance(w.E.Costs.PerValidate)
-		} else {
-			p := rsPend[i]
-			if p.Err != nil {
-				return tx.abortAt(r.node, AbortNodeDead, "farm validate: %v", p.Err)
-			}
-			inc, cur, lockW = memstore.RecInc(p.Data), memstore.RecSeq(p.Data), memstore.RecLock(p.Data)
-			site = r.node
-			skip = w.E.Mut.SkipRemoteValidate
-			if tx.findWS(r.table, r.key) == nil {
-				w.Stats.ROVerbs++ // validation READ on a record we only read
-			}
-		}
-		// The lock check: our own word proves ownership only where our write
-		// set covers the record (the word encodes the machine, not the
-		// transaction — a sibling worker's lock looks identical).
-		ownWS := lockW == myWord && tx.findWS(r.table, r.key) != nil
-		if lockW != 0 && !ownWS && !skip {
-			// Recovery hook: a dangling lock from a machine outside the
-			// configuration is passively released so the NEXT attempt can
-			// pass — farm never CASes read-set records itself.
-			w.maybeReleaseDangling(tx.cfg, site, r.off, lockW)
-			return tx.abortOn(site, r.table, r.key, AbortLocked, "farm: read-set record locked by %#x", lockW)
-		}
-		if inc != r.inc && !skip && !w.E.Mut.SkipIncCheck {
-			return tx.abortOn(site, r.table, r.key, AbortValidate, "farm: inc changed")
-		}
-		if !tx.seqValidates(r.seq, cur) && !skip {
-			return tx.abortOn(site, r.table, r.key, AbortValidate, "farm: seq %d -> %d", r.seq, cur)
-		}
-		// Record the authoritative base for co-located writes; the value
-		// just validated current, so deltas fold over the execution copy.
-		if e := tx.findWS(r.table, r.key); e != nil && (e.kind == wsUpdate || e.kind == wsDelta) {
-			e.baseSeq = cur
-			e.finSeq = tx.finalSeq(cur)
-			if !e.local {
-				e.inc = inc
-				e.haveInc = true
-			}
-			if e.kind == wsDelta {
-				e.materializeFrom(r.val)
-			}
-		}
-	}
-	// Local blind writes read memory directly (the record is locked: the
-	// header cannot move under us).
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if (e.kind != wsUpdate && e.kind != wsDelta) || e.off == 0 || !e.local {
-			continue
-		}
-		if tx.findRS(e.table, e.key) != nil {
-			continue
-		}
-		tbl := w.E.M.Store.Table(e.table)
-		n := 24
-		if e.kind == wsDelta {
-			n = tbl.RecBytes
-		}
-		h := w.E.M.Eng.ReadNonTx(e.off, n, hdr[:0])
-		cur := memstore.RecSeq(h)
-		if w.E.Replicated && !memstore.SeqIsCommittable(cur) {
-			// Defensive (Table 4's R_WS rule): pure farm never leaves odd
-			// seqs, but a mixed store may.
-			return tx.abortOn(self, e.table, e.key, AbortValidate, "farm: local ws uncommittable")
-		}
-		e.baseSeq = cur
-		e.finSeq = tx.finalSeq(cur)
-		if e.kind == wsDelta {
-			e.materializeFrom(memstore.GatherValue(h, tbl.Spec.ValueSize))
-		}
-	}
-	// Blind remote writes: base fetched under the lock through the batch.
-	for j, i := range wsIdx {
-		e := &tx.ws[i]
-		p := wsPend[j]
-		if p.Err != nil {
-			return tx.abortAt(e.node, AbortNodeDead, "farm ws fetch: %v", p.Err)
-		}
-		cur := memstore.RecSeq(p.Data)
-		if w.E.Replicated && !memstore.SeqIsCommittable(cur) {
-			return tx.abortOn(e.node, e.table, e.key, AbortValidate, "farm: remote ws uncommittable")
-		}
-		e.baseSeq = cur
-		e.finSeq = tx.finalSeq(cur)
-		e.inc = memstore.RecInc(p.Data)
-		e.haveInc = true
-		if e.kind == wsDelta {
-			if !memstore.VersionsConsistent(p.Data) {
-				return tx.abortOn(e.node, e.table, e.key, AbortValidate, "farm: delta base torn")
-			}
-			tbl := w.E.M.Store.Table(e.table)
-			e.materializeFrom(memstore.GatherValue(p.Data, tbl.Spec.ValueSize))
-		}
-	}
-	return nil
-}
-
-// installLocal is F.4's local half: install each local update directly at
-// its final committable sequence number with a plain store — no HTM region,
-// no odd-seq window. Safe because the record is locked (F.1): execution
-// readers check the lock and back off, local committers' C.4 aborts on it,
-// remote committers cannot take it, and the engine's strong atomicity
-// aborts any in-flight HTM reader the store races with.
-func (proto farmProto) installLocal(tx *Txn) {
-	w := tx.w
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		if !e.local || (e.kind != wsUpdate && e.kind != wsDelta) || e.off == 0 {
-			continue
-		}
-		tbl := w.E.M.Store.Table(e.table)
-		inc := tx.localInc(e.off)
-		e.inc = inc
-		e.haveInc = true // history record: local updates bypass the C.2-style fetch
-		img := memstore.BuildRecordImage(tbl.Spec.ValueSize, e.buf, inc, e.finSeq)
-		w.E.M.Eng.WriteNonTx(e.off+8, img[8:])
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"drtmr/internal/cluster"
 	"drtmr/internal/htm"
 	"drtmr/internal/memstore"
 	"drtmr/internal/sim"
@@ -13,8 +14,9 @@ import (
 
 // Protocol conformance suite: every registered CommitProtocol must pass the
 // same correctness battery — bank-invariant conservation (plain and
-// replicated), the uncommittable-read block, dangling-lock release after a
-// kill, coroutine-yield atomicity, and the lock-leak back-out regression. A
+// replicated, and again with the commit HTM region forced to fail every
+// time), the uncommittable-read block, dangling-lock release after a kill,
+// coroutine-yield atomicity, and the lock-leak back-out regression. A
 // third protocol registered tomorrow inherits all of it for free via
 // forEachProtocol.
 
@@ -123,6 +125,135 @@ func runProtocolBank(t *testing.T, proto string, replicas int) {
 	wg.Wait()
 	if total := w.totalOnPrimaries(accounts); total != accounts*initial {
 		t.Fatalf("%s: value not conserved: %d != %d", proto, total, accounts*initial)
+	}
+}
+
+// TestProtocolConformanceForcedFallback is the bank invariant with an HTM
+// that can never commit a region over two records (htmNeverCommits), and
+// transactions that each update two local records and one remote one. Under
+// drtmr every such commit exhausts htmRetries and goes through the §6.1
+// fallback handler — deterministically, where SpuriousAbortProb 0.02 over 16
+// retries never reaches it — so the handler's whole pipeline (release,
+// sorted relock through loop-back CAS, validation, locked install, tail) is
+// what conserves the money here, plain and replicated. A protocol without a
+// commit HTM region (farm) simply must not care. Afterwards no record may be
+// left locked.
+func TestProtocolConformanceForcedFallback(t *testing.T) {
+	forEachProtocol(t, func(t *testing.T, proto string) {
+		t.Run("plain", func(t *testing.T) { runForcedFallbackBank(t, proto, 1) })
+		t.Run("replicated", func(t *testing.T) { runForcedFallbackBank(t, proto, 3) })
+	})
+}
+
+func runForcedFallbackBank(t *testing.T, proto string, replicas int) {
+	const (
+		nodes    = 3
+		accounts = 24 // key%nodes is the home node: 8 accounts each
+		moves    = 25
+		initial  = 1000
+	)
+	w := newWorld(t, nodes, replicas, htmNeverCommits)
+	w.setProtocol(proto)
+	w.load(t, accounts, initial)
+	var (
+		wg                                sync.WaitGroup
+		mu                                sync.Mutex
+		committed, fallbacks, fallbackAbs uint64
+	)
+	for n := 0; n < nodes; n++ {
+		for wi := 0; wi < 2; wi++ {
+			wg.Add(1)
+			go func(node, id int) {
+				defer wg.Done()
+				wk := w.engines[node].NewWorker(id)
+				rng := newTestRand(uint64(node*10 + id + 1))
+				for i := 0; i < moves; i++ {
+					// Two distinct local accounts and one remote one.
+					a := uint64(node) + nodes*(rng.next()%(accounts/nodes))
+					b := uint64(node) + nodes*(rng.next()%(accounts/nodes))
+					c := (uint64(node)+1+rng.next()%(nodes-1))%nodes + nodes*(rng.next()%(accounts/nodes))
+					if a == b {
+						continue
+					}
+					err := wk.Run(func(tx *Txn) error {
+						av, err := tx.Read(tblAcct, a)
+						if err != nil {
+							return err
+						}
+						bv, err := tx.Read(tblAcct, b)
+						if err != nil {
+							return err
+						}
+						cv, err := tx.Read(tblAcct, c)
+						if err != nil {
+							return err
+						}
+						if decBal(av) < 2 {
+							return nil
+						}
+						if err := tx.Write(tblAcct, a, encBal(decBal(av)-2)); err != nil {
+							return err
+						}
+						if err := tx.Write(tblAcct, b, encBal(decBal(bv)+1)); err != nil {
+							return err
+						}
+						return tx.Write(tblAcct, c, encBal(decBal(cv)+1))
+					})
+					if err != nil {
+						t.Errorf("move: %v", err)
+						return
+					}
+				}
+				mu.Lock()
+				committed += wk.Stats.Committed
+				fallbacks += wk.Stats.Fallbacks
+				for r := uint8(0); r < uint8(NumAbortReasons); r++ {
+					fallbackAbs += wk.Stats.AbortCells.StageReasonTotal(r, StageFallback)
+				}
+				mu.Unlock()
+			}(n, wi)
+		}
+	}
+	wg.Wait()
+	if total := w.totalOnPrimaries(accounts); total != accounts*initial {
+		t.Fatalf("%s: value not conserved: %d != %d", proto, total, accounts*initial)
+	}
+	w.assertNoLocksHeld(t, accounts)
+	if committed == 0 {
+		t.Fatalf("%s: nothing committed", proto)
+	}
+	// Every entry into the handler ends as a commit or as an abort stamped
+	// with the fallback stage, and under drtmr no commit got by without it.
+	want := uint64(0)
+	if proto == DefaultProtocol {
+		want = committed + fallbackAbs
+	}
+	t.Logf("%s: %d commits, %d fallbacks, %d fallback-stage aborts", proto, committed, fallbacks, fallbackAbs)
+	if fallbacks != want {
+		t.Fatalf("%s: %d fallbacks, want %d (%d commits + %d fallback-stage aborts)",
+			proto, fallbacks, want, committed, fallbackAbs)
+	}
+}
+
+// lockWord reads the lock word of key's record on its primary.
+func (w *world) lockWord(t *testing.T, key uint64) uint64 {
+	t.Helper()
+	shard := cluster.ShardID(key % uint64(w.c.Spec.Nodes))
+	m := w.c.Machines[w.c.Coord.Current().PrimaryOf(shard)]
+	off, ok := m.Store.Table(tblAcct).Lookup(key)
+	if !ok {
+		t.Fatalf("key %d missing on its primary", key)
+	}
+	return m.Eng.Load64NonTx(off + memstore.LockOff)
+}
+
+// assertNoLocksHeld fails if any of accounts 0..n-1 is still locked.
+func (w *world) assertNoLocksHeld(t *testing.T, n int) {
+	t.Helper()
+	for key := uint64(0); key < uint64(n); key++ {
+		if lw := w.lockWord(t, key); lw != 0 {
+			t.Errorf("key %d left locked: %#x", key, lw)
+		}
 	}
 }
 
@@ -278,79 +409,95 @@ func TestProtocolConformanceCoroutineAtomicity(t *testing.T) {
 // (the c08a886 bug class) expressed against the SHARED interface instead of
 // drtmr internals: a commit whose lock batch fails on a LIVE holder's lock
 // must abort AbortLockFailed AND release every lock the batch did win —
-// under every protocol. A leak here is permanent: the holder is alive, so
-// passive release never clears it.
+// under every protocol, and in drtmr's fallback handler too, which drives the
+// same lock batch group by group. A leak here is permanent: the holder is
+// alive, so passive release never clears it.
 func TestProtocolLockBackoutReleasesAll(t *testing.T) {
-	forEachProtocol(t, func(t *testing.T, proto string) {
-		w := newWorld(t, 3, 1, htm.Config{})
-		w.setProtocol(proto)
-		w.load(t, 12, 100)
-		// Keys 1, 4, 7, 10 all live on shard 1's primary (node 1). Node 2
-		// (live!) plants its lock word on key 4's record.
-		m1 := w.c.Machines[1]
-		offs := map[uint64]uint64{}
-		for _, k := range []uint64{1, 4, 7, 10} {
-			off, ok := m1.Store.Table(tblAcct).Lookup(k)
-			if !ok {
-				t.Fatalf("setup: key %d missing", k)
-			}
-			offs[k] = off
-		}
-		liveWord := memstore.LockWord(2)
-		wk2 := w.engines[2].NewWorker(0)
-		if _, ok, _ := wk2.QP(1).CAS(offs[4]+memstore.LockOff, 0, liveWord); !ok {
-			t.Fatal("setup live lock failed")
-		}
+	type backoutCase struct {
+		name, proto string
+		htm         htm.Config
+		committer   int      // node the failing transaction runs on
+		keys        []uint64 // its read+write set; key 4 carries the live lock
+		stage       uint8    // where the abort must be attributed
+	}
+	var cases []backoutCase
+	for _, proto := range Protocols() {
+		// Node 0 writes four records of node 1 in one transaction: the lock
+		// batch wins 1, 7, 10 and fails on 4.
+		cases = append(cases, backoutCase{name: proto, proto: proto, committer: 0,
+			keys: []uint64{1, 4, 7, 10}, stage: StageLock})
+	}
+	// The fallback: node 1 writes the same four records — local to it — plus
+	// node 0's key 0, and its HTM region can never commit. C.1 wins key 0;
+	// the handler releases it, relocks it as the first (node 0) group, then
+	// wins 1, 7, 10 and keeps missing 4 in the second: the back-out spans a
+	// fully acquired group and the winners of a failed one.
+	cases = append(cases, backoutCase{name: "drtmr-fallback", proto: DefaultProtocol, htm: htmNeverCommits,
+		committer: 1, keys: []uint64{0, 1, 4, 7, 10}, stage: StageFallback})
 
-		// Node 0 writes all four records in one transaction: the lock batch
-		// wins 1, 7, 10 and fails on 4 (live holder, no passive release).
-		wk0 := w.engines[0].NewWorker(1)
-		tx := wk0.Begin()
-		for _, k := range []uint64{1, 4, 7, 10} {
-			v, err := tx.Read(tblAcct, k)
-			if err != nil {
-				t.Fatalf("read %d: %v", k, err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld(t, 3, 1, c.htm)
+			w.setProtocol(c.proto)
+			w.load(t, 12, 100)
+			rewriteAll := func(tx *Txn) error {
+				for _, k := range c.keys {
+					v, err := tx.Read(tblAcct, k)
+					if err != nil {
+						return err
+					}
+					if err := tx.Write(tblAcct, k, encBal(decBal(v)+1)); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
-			if err := tx.Write(tblAcct, k, encBal(decBal(v)+1)); err != nil {
+
+			wk := w.engines[c.committer].NewWorker(1)
+			tx := wk.Begin()
+			if err := rewriteAll(tx); err != nil {
 				t.Fatal(err)
 			}
-		}
-		err := tx.Commit()
-		var te *Error
-		if !errors.As(err, &te) || te.Reason != AbortLockFailed {
-			t.Fatalf("%s: commit against live lock: %v", proto, err)
-		}
-		if te.Stage != StageLock {
-			t.Errorf("%s: abort stage %s, want %s", proto, StageName(te.Stage), StageName(StageLock))
-		}
-		// Every OTHER lock word must be zero again; the live holder's stays.
-		for _, k := range []uint64{1, 7, 10} {
-			if got := m1.Eng.Load64NonTx(offs[k] + memstore.LockOff); got != 0 {
-				t.Fatalf("%s: lock on key %d leaked: %#x", proto, k, got)
+			// Node 2 (live!) plants its lock word on key 4's record on node 1
+			// — after the execution phase, which backs off from locked local
+			// records instead of reading them.
+			off4, _ := w.c.Machines[1].Store.Table(tblAcct).Lookup(4)
+			liveWord := memstore.LockWord(2)
+			wk2 := w.engines[2].NewWorker(0)
+			if _, ok, _ := wk2.QP(1).CAS(off4+memstore.LockOff, 0, liveWord); !ok {
+				t.Fatal("setup live lock failed")
 			}
-		}
-		if got := m1.Eng.Load64NonTx(offs[4] + memstore.LockOff); got != liveWord {
-			t.Fatalf("%s: live holder's lock clobbered: %#x", proto, got)
-		}
-		// After the holder releases, the same transaction commits.
-		if _, ok, _ := wk2.QP(1).CAS(offs[4]+memstore.LockOff, liveWord, 0); !ok {
-			t.Fatal("release live lock failed")
-		}
-		if err := wk0.Run(func(tx *Txn) error {
-			for _, k := range []uint64{1, 4, 7, 10} {
-				v, err := tx.Read(tblAcct, k)
-				if err != nil {
-					return err
+
+			err := tx.Commit()
+			var te *Error
+			if !errors.As(err, &te) || te.Reason != AbortLockFailed {
+				t.Fatalf("commit against live lock: %v", err)
+			}
+			if te.Stage != c.stage {
+				t.Errorf("abort stage %s, want %s", StageName(te.Stage), StageName(c.stage))
+			}
+			// Every OTHER lock word must be zero again; the live holder's stays.
+			for _, k := range c.keys {
+				want := uint64(0)
+				if k == 4 {
+					want = liveWord
 				}
-				if err := tx.Write(tblAcct, k, encBal(decBal(v)+1)); err != nil {
-					return err
+				if got := w.lockWord(t, k); got != want {
+					t.Fatalf("lock word of key %d after back-out: %#x, want %#x", k, got, want)
 				}
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
+			// After the holder releases, the same transaction commits.
+			if _, ok, _ := wk2.QP(1).CAS(off4+memstore.LockOff, liveWord, 0); !ok {
+				t.Fatal("release live lock failed")
+			}
+			if err := wk.Run(rewriteAll); err != nil {
+				t.Fatal(err)
+			}
+			if viaFallback := c.stage == StageFallback; (wk.Stats.Fallbacks > 0) != viaFallback {
+				t.Errorf("fallbacks = %d, want fallback path taken = %v", wk.Stats.Fallbacks, viaFallback)
+			}
+		})
+	}
 }
 
 // TestProtocolROVerbAccounting pins the protocol-matrix headline: for a

@@ -209,7 +209,12 @@ func TestDanglingCoroutineLockReleased(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.lockRemote(tx.remoteLockSet()); err != nil {
+		locks, err := tx.lockSet(scopeRemote)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := tx.lockRemote(locks); err != nil {
 			t.Error(err)
 			return
 		}

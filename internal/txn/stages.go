@@ -1,0 +1,449 @@
+package txn
+
+import (
+	"cmp"
+	"slices"
+
+	"drtmr/internal/memstore"
+	"drtmr/internal/rdma"
+)
+
+// The commit-stage library. The paper's commit phase (Fig 7 C.1–C.6), its
+// §6.1 fallback handler and the FaRM-style pipeline are one sequence of
+// stages — build a lock set, lock it, validate, log, install, unlock — run
+// over different record sets. Each stage exists once, here, parameterised by
+// the facts that really differ between pipelines; drtmrProto.Commit,
+// drtmrProto.fallbackCommit and farmProto.Commit only sequence them (the
+// stage × protocol table is DESIGN.md's "Protocol matrix"). The stages that
+// need no parameters — replicate (R.1), makeupLocal (R.2), writeBackRemote
+// (C.5), applyInsertsDeletes — live in commit.go.
+
+// lockTarget is one record to lock, addressed by the machine that hosts it
+// (this machine's own records are locked through loop-back RDMA CAS).
+type lockTarget struct {
+	node rdma.NodeID
+	off  uint64
+}
+
+// lockScope selects which of a transaction's records a pipeline locks.
+type lockScope uint8
+
+const (
+	// scopeRemote is C.1: the remote read AND write sets (§4.4 explains why
+	// even reads are locked — local HTM protection does not start until
+	// C.3). Local records are left to the HTM region.
+	scopeRemote lockScope = iota
+	// scopeAll is the §6.1 fallback: every record, local and remote.
+	scopeAll
+	// scopeWrites is farm's F.1: the write set only, local records included.
+	// Read-set records are deliberately absent — that asymmetry against
+	// scopeRemote is the FaRM-style protocol's whole point.
+	scopeWrites
+)
+
+// lockSet collects the unique record addresses scope selects, sorted by
+// (node, offset). Inserts have no record yet and are never locked. Local
+// write-set entries that execution never resolved (blind writes) are looked
+// up here, the one place that resolves them outside the HTM region; remote
+// ones were resolved by resolveWriteOffsets and are skipped if still
+// unresolved (a delete of a missing record). rsEntry.node and wsEntry.node
+// name this machine for local records, so they address loop-back CASes as is.
+func (tx *Txn) lockSet(scope lockScope) ([]lockTarget, error) {
+	// Allocated on the first target: an all-local transaction has nothing to
+	// lock under scopeRemote, and that is the common case.
+	var out []lockTarget
+	add := func(node rdma.NodeID, off uint64) {
+		if out == nil {
+			out = make([]lockTarget, 0, len(tx.rs)+len(tx.ws))
+		}
+		out = append(out, lockTarget{node: node, off: off})
+	}
+	if scope != scopeWrites {
+		for i := range tx.rs {
+			if r := &tx.rs[i]; !r.local || scope == scopeAll {
+				add(r.node, r.off)
+			}
+		}
+	}
+	for i := range tx.ws {
+		e := &tx.ws[i]
+		if e.kind == wsInsert || (e.local && scope == scopeRemote) {
+			continue
+		}
+		if e.local && e.off == 0 {
+			off, ok := tx.w.E.M.Store.Table(e.table).Lookup(e.key)
+			if !ok {
+				if e.kind == wsDelete {
+					continue // deleting a missing record is a no-op
+				}
+				return nil, tx.abortOn(e.node, e.table, e.key, AbortValidate, "local record vanished")
+			}
+			e.off = off
+		}
+		if e.off != 0 {
+			add(e.node, e.off)
+		}
+	}
+	// Sorted acquisition keeps lock patterns comparable across retries,
+	// shortens convoys under contention, and is what makes the fallback's
+	// group-by-group blocking acquisition deadlock-free. A record both read
+	// and written appears twice; sorting makes the copies adjacent.
+	slices.SortFunc(out, func(a, b lockTarget) int {
+		if c := cmp.Compare(a.node, b.node); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.off, b.off)
+	})
+	return slices.Compact(out), nil
+}
+
+// lockRun is one commit attempt's lock acquisition: the back-out set, and
+// what the last lockBatch left unacquired.
+type lockRun struct {
+	held   []lockTarget // every CAS won so far — what a back-out (or the final unlock) must release
+	missed []lockTarget // targets the last batch lost to another holder
+	holder uint64       // the lock word that beat missed[0]
+	err    error        // the last batch's last verb error: the target machine is dead
+	errAt  rdma.NodeID
+}
+
+// lockBatch try-locks every target with one doorbell batch of RDMA CASes
+// charged to phase, and sorts the results into run. Try-lock semantics keep
+// the batch deadlock-free: no verb ever waits. The trade-off against a
+// sequential loop is that all CASes post before any result is seen, so under
+// contention the batch may briefly take (then release) locks a sequential
+// early-exit would never have touched — accepted for one round-trip of
+// latency per batch.
+//
+// This is the ONLY function that posts lock-acquire CASes and the only scan
+// over their results. The discipline the scan must keep (drtmr-vet's lockpair
+// analyzer enforces it): the batch has already executed when the first result
+// is read, so CASes posted after a failed verb may still have swapped — the
+// scan runs to completion and records EVERY won lock in run.held before the
+// caller acts on any failure. Exiting early leaks the locks won later in the
+// batch past the back-out set, permanently if their would-be holder is alive
+// (commit c08a886 and its two re-occurrences, when this loop existed three
+// times). A target lost to a lock whose owner left the configuration is
+// passively released (§5.2) so that the caller's retry can win it.
+func (tx *Txn) lockBatch(phase CommitPhase, targets []lockTarget, run *lockRun) {
+	w := tx.w
+	myWord := memstore.LockWord(uint32(w.E.M.ID))
+	b := w.newBatch()
+	pend := make([]*rdma.Pending, len(targets))
+	for i, lt := range targets {
+		pend[i] = b.PostCAS(w.QP(lt.node), lt.off+memstore.LockOff, 0, myWord)
+	}
+	_ = tx.execBatch(phase, b)
+
+	// targets may alias run.missed (a retry): detach before refilling it.
+	run.missed, run.err = nil, nil
+	for i, p := range pend {
+		switch {
+		case p.Err != nil:
+			run.err, run.errAt = p.Err, targets[i].node
+		case p.Swapped:
+			run.held = append(run.held, targets[i])
+		default:
+			if len(run.missed) == 0 {
+				run.holder = p.Prev
+			}
+			w.maybeReleaseDangling(tx.cfg, targets[i].node, targets[i].off, p.Prev)
+			run.missed = append(run.missed, targets[i])
+		}
+	}
+}
+
+// lockRemote is the non-blocking lock stage (C.1, F.1): one lockBatch over
+// the whole set, then one retry batch over whatever it missed — a dangling
+// lock from a dead machine was passively released by the first pass (§5.2).
+// Any remaining failure releases the acquired subset and aborts.
+func (tx *Txn) lockRemote(locks []lockTarget) error {
+	if len(locks) == 0 {
+		return nil
+	}
+	run := lockRun{held: make([]lockTarget, 0, len(locks))}
+	todo := locks
+	for pass := 0; pass < 2 && len(todo) > 0; pass++ {
+		tx.lockBatch(PhaseLock, todo, &run)
+		if run.err != nil {
+			tx.unlockTargets(PhaseLock, run.held)
+			return tx.abortAt(run.errAt, AbortNodeDead, "lock: %v", run.err)
+		}
+		todo = run.missed
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	if tx.w.E.Mut.IgnoreLockFail {
+		// Mutation: pretend every lock was won and barrel on unlocked. The
+		// unlock CASes on never-acquired records fail harmlessly (they
+		// expect our lock word), so the damage is pure protocol: two
+		// committers write back the same record concurrently.
+		return nil
+	}
+	tx.unlockTargets(PhaseLock, run.held)
+	lt := todo[0]
+	if tbl, key, ok := tx.keyAt(lt.node, lt.off); ok {
+		return tx.abortOn(lt.node, tbl, key, AbortLockFailed, "record %d:%#x held by %#x", lt.node, lt.off, run.holder)
+	}
+	return tx.abortAt(lt.node, AbortLockFailed, "record %d:%#x held by %#x", lt.node, lt.off, run.holder)
+}
+
+// unlockTargets releases the given locks with one doorbell batch of CASes,
+// charged to phase: C.6 on the normal path, C.1 when backing out a failed
+// lock batch, the fallback phase for the handler's own lock set.
+func (tx *Txn) unlockTargets(phase CommitPhase, locks []lockTarget) {
+	if len(locks) == 0 {
+		return
+	}
+	w := tx.w
+	myWord := memstore.LockWord(uint32(w.E.M.ID))
+	b := w.newBatch()
+	for _, lt := range locks {
+		b.PostCAS(w.QP(lt.node), lt.off+memstore.LockOff, myWord, 0)
+	}
+	_ = tx.execBatch(phase, b)
+}
+
+// validation parameterises the validate stage by what differs between the
+// pipelines that run it.
+type validation struct {
+	// phase is charged the batch of remote header READs.
+	phase CommitPhase
+	// locals covers local records too, read straight from memory. drtmr's
+	// C.2 leaves them to the HTM region (C.3 validates, C.4 fetches bases).
+	locals bool
+	// lockedRS says the read set is locked, so its lock words need no look.
+	// Without it (farm locks writes only) validation REJECTS read-set records
+	// locked by anyone else. That lock check is what closes the cycle two
+	// transactions could otherwise build by each reading the other's write
+	// target — sequence checks alone pass for both.
+	lockedRS bool
+	// uncounted is the §6.1 handler's cost accounting (DESIGN.md known
+	// deltas 7 and 8): its local header checks charge no Costs.PerValidate
+	// and its validation READs are not counted in Stats.ROVerbs.
+	uncounted bool
+}
+
+// seqValidates applies Table 4's read-validation condition.
+func (tx *Txn) seqValidates(seen, cur uint64) bool {
+	if tx.w.E.Replicated {
+		return memstore.ClosestCommittable(seen) == cur
+	}
+	return seen == cur
+}
+
+// validate is the validation stage (C.2, F.2, fallback step 4), run under
+// the pipeline's locks: re-check every covered read-set record (incarnation,
+// sequence number, and the lock word unless the read set is locked) and fetch
+// the base sequence number and incarnation of every covered in-place write —
+// from the read-set header where the record was also read, from a fetch of
+// its own for blind writes. Remote headers (read set + blind write bases)
+// share one doorbell batch; local records read memory directly. The
+// incarnation is cached on the write-set entry so C.5 never re-reads it, and
+// deltas are folded here, where the current value can no longer move.
+func (tx *Txn) validate(v validation) error {
+	w := tx.w
+	mut := &w.E.Mut
+	myWord := memstore.LockWord(uint32(w.E.M.ID))
+
+	b := w.newBatch()
+	// One slot per read-set entry, then one per write-set entry; allocated on
+	// the first remote record (an all-local transaction posts nothing).
+	var pend []*rdma.Pending
+	post := func(slot int, node rdma.NodeID, off uint64, n int) {
+		if pend == nil {
+			pend = make([]*rdma.Pending, len(tx.rs)+len(tx.ws))
+		}
+		pend[slot] = b.PostRead(w.QP(node), off, n)
+	}
+	for i := range tx.rs {
+		if r := &tx.rs[i]; !r.local {
+			post(i, r.node, r.off, 24)
+		}
+	}
+	for i := range tx.ws {
+		e := &tx.ws[i]
+		if e.local || !e.inPlace() || e.off == 0 || tx.findRS(e.table, e.key) != nil {
+			continue // not fetched remotely, or the base comes from the read-set header
+		}
+		// Deltas fetch the whole record, not just the header: the final
+		// image is the current value plus the pending adds.
+		n := 24
+		if e.kind == wsDelta {
+			n = w.E.M.Store.Table(e.table).RecBytes
+		}
+		post(len(tx.rs)+i, e.node, e.off, n)
+	}
+	_ = tx.execBatch(v.phase, b)
+
+	var hdr [24]byte
+	for i := range tx.rs {
+		r := &tx.rs[i]
+		if r.local && !v.locals {
+			continue
+		}
+		e := tx.findWS(r.table, r.key)
+		var h []byte
+		skip := mut.SkipRemoteValidate
+		if r.local {
+			h = w.E.M.Eng.ReadNonTx(r.off, 24, hdr[:])
+			skip = mut.SkipLocalValidate
+			if !v.uncounted {
+				w.Clk.Advance(w.E.Costs.PerValidate)
+			}
+		} else {
+			p := pend[i]
+			if p.Err != nil {
+				return tx.abortAt(r.node, AbortNodeDead, "validate: %v", p.Err)
+			}
+			h = p.Data
+			if e == nil && !v.uncounted {
+				w.Stats.ROVerbs++ // validation READ on a record we only read
+			}
+		}
+		inc, cur, lockW := memstore.RecInc(h), memstore.RecSeq(h), memstore.RecLock(h)
+		// Our own lock word proves ownership only where our write set covers
+		// the record: the word encodes the machine, not the transaction — a
+		// sibling worker's lock looks identical.
+		if !v.lockedRS && lockW != 0 && !(lockW == myWord && e != nil) && !skip {
+			// Recovery hook: a dangling lock from a machine outside the
+			// configuration is passively released so the NEXT attempt can
+			// pass — a pipeline that never CASes read-set records has no
+			// other chance, and every reader of the record would starve.
+			w.maybeReleaseDangling(tx.cfg, r.node, r.off, lockW)
+			return tx.abortOn(r.node, r.table, r.key, AbortLocked, "read-set record locked by %#x", lockW)
+		}
+		if inc != r.inc && !skip && !mut.SkipIncCheck {
+			return tx.abortOn(r.node, r.table, r.key, AbortValidate, "inc changed")
+		}
+		if !tx.seqValidates(r.seq, cur) && !skip {
+			return tx.abortOn(r.node, r.table, r.key, AbortValidate, "seq %d -> %d", r.seq, cur)
+		}
+		if e != nil && e.inPlace() {
+			tx.setBase(e, cur, inc)
+			if e.kind == wsDelta {
+				// The sequence check just passed under the lock, so the
+				// execution-phase copy is the current value: fold over it.
+				e.materializeFrom(r.val)
+			}
+		}
+	}
+	// Blind writes: the base was fetched under the lock (the record cannot
+	// move under us), through the batch for remote records.
+	for i := range tx.ws {
+		e := &tx.ws[i]
+		if !e.inPlace() || e.off == 0 || (e.local && !v.locals) || tx.findRS(e.table, e.key) != nil {
+			continue
+		}
+		tbl := w.E.M.Store.Table(e.table)
+		var h []byte
+		if e.local {
+			n := 24
+			if e.kind == wsDelta {
+				n = tbl.RecBytes
+			}
+			h = w.E.M.Eng.ReadNonTx(e.off, n, hdr[:0])
+		} else {
+			p := pend[len(tx.rs)+i]
+			if p.Err != nil {
+				return tx.abortAt(e.node, AbortNodeDead, "ws fetch: %v", p.Err)
+			}
+			h = p.Data
+		}
+		cur := memstore.RecSeq(h)
+		if w.E.Replicated && !memstore.SeqIsCommittable(cur) {
+			// Table 4 C.2 R_WS: cannot overwrite an unreplicated record.
+			return tx.abortOn(e.node, e.table, e.key, AbortValidate, "ws uncommittable")
+		}
+		tx.setBase(e, cur, memstore.RecInc(h))
+		if e.kind == wsDelta {
+			// h is the full record. It is locked, but a PRIOR local commit's
+			// makeup flip on its host can still race a remote fetch: a torn
+			// value must not become the delta base.
+			if !memstore.VersionsConsistent(h) {
+				return tx.abortOn(e.node, e.table, e.key, AbortValidate, "delta base torn")
+			}
+			e.materializeFrom(memstore.GatherValue(h, tbl.Spec.ValueSize))
+		}
+	}
+	return nil
+}
+
+// writeLocalLocked installs every local in-place write with plain stores, no
+// HTM region (fallback step 5, farm F.4). Safe because the records are
+// locked: local execution-phase readers check the lock and back off, local
+// committers' C.4 checks the lock and aborts, remote committers cannot take
+// the lock, and strong atomicity aborts any in-flight HTM reader the store
+// races with. final picks the sequence number: the final committable one when
+// the redo log is already durable, else base+1 — odd under replication until
+// R.2's makeup flips it.
+func (tx *Txn) writeLocalLocked(final bool) {
+	w := tx.w
+	for i := range tx.ws {
+		e := &tx.ws[i]
+		if !e.local || !e.inPlace() || e.off == 0 {
+			continue
+		}
+		seq := e.finSeq
+		if !final {
+			seq = e.baseSeq + 1
+		}
+		tbl := w.E.M.Store.Table(e.table)
+		img := memstore.BuildRecordImage(tbl.Spec.ValueSize, e.buf, e.inc, seq)
+		w.E.M.Eng.WriteNonTx(e.off+8, img[8:])
+	}
+}
+
+// tail parameterises finish.
+type tail struct {
+	// logFirst makes the redo log durable BEFORE anything is installed
+	// (farm F.3), so installs go straight to the final committable sequence
+	// number: no odd-seq "uncommittable" window, no makeup. Without it the
+	// log is written after the local install (§5.1's optimistic replication)
+	// and R.2 flips local records committable afterwards.
+	logFirst bool
+	// lockedLocals says no HTM region applied the local write set: the local
+	// records are locked instead, and are installed here with plain stores.
+	lockedLocals bool
+	// unlock is the phase the final unlock batch is charged to.
+	unlock CommitPhase
+}
+
+// finish carries a validated transaction from its commit point to the end:
+// local install if still due, inserts/deletes, R.1 replication and R.2
+// makeup (or the log first), C.5 write-back, unlock of held, and the rings'
+// truncation watermark. Nothing here may abort the transaction — it is
+// committed (or, with logFirst, about to be durably logged); failed machines
+// are only degraded around.
+func (tx *Txn) finish(t tail, held []lockTarget) {
+	w := tx.w
+	var toks []ringToken
+	if w.E.Replicated && t.logFirst {
+		toks = tx.replicate()
+	}
+	if t.lockedLocals {
+		tx.writeLocalLocked(t.logFirst)
+	}
+	// Fresh inserts start uncommittable (seq 1) under replication until
+	// R.2/C.5 flip them — unless the log is already durable, when they are
+	// born at their final sequence number.
+	initialSeq := uint64(0)
+	if w.E.Replicated {
+		initialSeq = 1
+		if t.logFirst {
+			initialSeq = tx.finalSeq(0)
+		}
+	}
+	tx.applyInsertsDeletes(initialSeq)
+	if w.E.Replicated && !t.logFirst {
+		toks = tx.replicate()
+		tx.makeupLocal()
+	}
+	tx.writeBackRemote()
+	tx.unlockTargets(t.unlock, held)
+	// Truncation watermark: these log entries' transactions are complete.
+	for _, tk := range toks {
+		w.E.M.LogWriter(tk.node).MarkCommitted(tk.tok.End())
+	}
+}

@@ -81,14 +81,19 @@ type wsEntry struct {
 	// replication).
 	baseSeq uint64
 	finSeq  uint64
-	// inc caches the record's incarnation, captured by the C.2 /
-	// fallback-validation header fetch (valid when haveInc): C.5 rebuilds
-	// the remote image from it instead of issuing a second header READ.
+	// inc caches the record's incarnation, captured by the validate stage's
+	// header fetch or inside the C.4 HTM region (valid when haveInc): the
+	// install rebuilds the image from it instead of reading the header again.
 	inc     uint64
 	haveInc bool
 	// deltas holds a wsDelta entry's pending commutative adds.
 	deltas []fieldDelta
 }
+
+// inPlace reports whether the entry installs a new image over an existing
+// record — an update, or a delta once materialized — rather than changing the
+// table's structure (insert, delete).
+func (e *wsEntry) inPlace() bool { return e.kind == wsUpdate || e.kind == wsDelta }
 
 // materializeFrom builds a wsDelta entry's final image by folding its
 // pending deltas over the record's current value. Callers must hold the

@@ -66,8 +66,12 @@ go test -run '^$' -bench BenchmarkFigContentionTail -benchtime 1x .
 # battery (bank invariant, uncommittable-read block, dangling-lock release,
 # coroutine atomicity, lock back-out) over EVERY registered CommitProtocol,
 # and the protocol-matrix figure drives both pipelines head-to-head — it
-# fails on any nonzero read-only-participant wakeup count.
-go test -race -run 'TestProtocolConformance|TestProtocolLockBackoutReleasesAll|TestProtocolROVerbAccounting|TestProtocolRegistry' -count=1 ./internal/txn/
+# fails on any nonzero read-only-participant wakeup count. The battery
+# includes the forced-fallback cell (TestProtocolConformanceForcedFallback:
+# every commit through the §6.1 handler), and TestCommitVirtualNsPinned holds
+# every pipeline's virtual ns and per-phase verb counts to the exact values
+# recorded before the pipelines were merged into one stage library.
+go test -race -run 'TestProtocolConformance|TestProtocolLockBackoutReleasesAll|TestProtocolROVerbAccounting|TestProtocolRegistry|TestCommitVirtualNsPinned' -count=1 ./internal/txn/
 go test -run '^$' -bench BenchmarkFigProtocolMatrix -benchtime 1x .
 
 # Smoke-run every benchmark once: the figure benchmarks drive the full
