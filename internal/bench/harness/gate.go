@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"sort"
 	"sync"
 
 	"drtmr/internal/sim"
@@ -20,28 +19,36 @@ import (
 // worker goroutines start in arbitrary OS-scheduler order, and releasing
 // before all have registered would leak that order into the schedule. After
 // that the gate is strictly alternating — the one running worker parks (or
-// finishes) before the next is released — so the waiter set at each draw,
-// kept sorted by worker id, is schedule-determined, not arrival-determined.
+// finishes) before the next is released — so the set of parked workers at
+// each draw is schedule-determined, not arrival-determined, and the draw
+// indexes it in worker-id order.
+//
+// Worker ids are 0..expect-1 and a worker has one goroutine inside step at a
+// time (txn's coroutine scheduler is strict hand-off, so that holds for its
+// dispatcher and contexts too), so one reusable channel per id is enough: a
+// scheduling point allocates nothing.
 type stepGate struct {
 	mu      sync.Mutex
 	rng     *sim.Rand
-	expect  int
-	arrived map[int]bool
-	waiters []gateWaiter
-	running bool
-}
-
-type gateWaiter struct {
-	id int
-	ch chan struct{}
+	arrived []bool          // by id: has parked (or finished) at least once
+	missing int             // ids still false in arrived
+	parked  []bool          // by id: blocked in step, waiting for release
+	nParked int             // ids true in parked
+	release []chan struct{} // by id; buffer 1: a worker that draws itself sends before it receives
 }
 
 func newStepGate(seed uint64, expect int) *stepGate {
-	return &stepGate{
+	g := &stepGate{
 		rng:     sim.NewRand(seed | 1),
-		expect:  expect,
-		arrived: make(map[int]bool),
+		arrived: make([]bool, expect),
+		missing: expect,
+		parked:  make([]bool, expect),
+		release: make([]chan struct{}, expect),
 	}
+	for i := range g.release {
+		g.release[i] = make(chan struct{}, 1)
+	}
+	return g
 }
 
 // stepFn returns worker id's scheduling-point hook (txn.Worker.SetGate).
@@ -51,36 +58,48 @@ func (g *stepGate) stepFn(id int) func() {
 
 // step parks worker id and blocks until the gate releases it.
 func (g *stepGate) step(id int) {
-	ch := make(chan struct{})
 	g.mu.Lock()
-	g.arrived[id] = true
-	i := sort.Search(len(g.waiters), func(i int) bool { return g.waiters[i].id >= id })
-	g.waiters = append(g.waiters, gateWaiter{})
-	copy(g.waiters[i+1:], g.waiters[i:])
-	g.waiters[i] = gateWaiter{id: id, ch: ch}
-	g.running = false
-	g.wake()
+	g.parked[id] = true
+	g.nParked++
+	next := g.handOn(id)
 	g.mu.Unlock()
-	<-ch
+	g.wake(next)
+	<-g.release[id]
 }
 
 // finish retires worker id (its run loop returned) and hands the schedule on.
 func (g *stepGate) finish(id int) {
 	g.mu.Lock()
-	g.arrived[id] = true
-	g.running = false
-	g.wake()
+	next := g.handOn(id)
 	g.mu.Unlock()
+	g.wake(next)
 }
 
-// wake releases one waiter, chosen by the seeded RNG. Callers hold g.mu.
-func (g *stepGate) wake() {
-	if g.running || len(g.arrived) < g.expect || len(g.waiters) == 0 {
-		return
+// handOn records that worker id stopped running and draws the parked worker
+// to release with the seeded RNG, or -1 while the gate must stay shut.
+// Callers hold g.mu.
+func (g *stepGate) handOn(id int) (next int) {
+	if !g.arrived[id] {
+		g.arrived[id] = true
+		g.missing--
 	}
-	i := g.rng.Intn(len(g.waiters))
-	w := g.waiters[i]
-	g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-	g.running = true
-	close(w.ch)
+	if g.missing > 0 || g.nParked == 0 {
+		return -1
+	}
+	// The k-th parked worker in id order.
+	k := g.rng.Intn(g.nParked)
+	for ; !g.parked[next] || k > 0; next++ {
+		if g.parked[next] {
+			k--
+		}
+	}
+	g.parked[next] = false
+	g.nParked--
+	return next
+}
+
+func (g *stepGate) wake(next int) {
+	if next >= 0 {
+		g.release[next] <- struct{}{}
+	}
 }

@@ -238,6 +238,10 @@ type Result struct {
 	OverlapNanos uint64
 	StallNanos   uint64
 	MaxInFlight  uint64
+	// IdleWaits: times a worker slept rather than jump its clock past a
+	// slower worker (txn.Stats.CoIdleWaits); free-running runs only.
+	IdleWaits   uint64
+	IdleGiveUps uint64 // waits that ran out of patience; 0 on a healthy run
 
 	// Read-only footprint aggregates (DrTM+R systems; see txn.Stats). ROVerbs
 	// counts one-sided commit verbs spent on records read but not written —
@@ -257,6 +261,13 @@ type Result struct {
 	GateAdmissions uint64
 	QueueWaits     uint64
 	QueueWait      obs.Histogram
+
+	// Retry-backoff aggregates (DrTM+R systems; see txn.Stats): backoffs
+	// taken, the virtual delay they asked for, and the part that actually
+	// advanced a worker clock — the rest was covered by sibling coroutines.
+	Backoffs          uint64
+	BackoffNanos      uint64
+	BackoffStallNanos uint64
 }
 
 // KeyAborts is one record's attributed abort count (Result.HotKeys).
@@ -288,11 +299,18 @@ func (r Result) CommitBreakdown() string {
 		return ""
 	}
 	if r.Yields > 0 {
-		parts = append(parts, fmt.Sprintf("coroutine overlap %.1f yields, %.2fus hidden, %.2fus stalled, peak %d in-flight/worker",
+		parts = append(parts, fmt.Sprintf("coroutine overlap %.1f yields, %.2fus hidden, %.2fus stalled, peak %d in-flight/worker, %.3f idle waits (%d gave up)",
 			float64(r.Yields)/float64(r.Committed),
 			float64(r.OverlapNanos)/float64(r.Committed)/1e3,
 			float64(r.StallNanos)/float64(r.Committed)/1e3,
-			r.MaxInFlight))
+			r.MaxInFlight,
+			float64(r.IdleWaits)/float64(r.Committed), r.IdleGiveUps))
+	}
+	if r.Backoffs > 0 {
+		parts = append(parts, fmt.Sprintf("backoff %.2f taken, %.2fus asked, %.2fus stalled",
+			float64(r.Backoffs)/float64(r.Committed),
+			float64(r.BackoffNanos)/float64(r.Committed)/1e3,
+			float64(r.BackoffStallNanos)/float64(r.Committed)/1e3))
 	}
 	return "commit breakdown per txn: " + strings.Join(parts, "; ")
 }
@@ -647,6 +665,7 @@ func runDrTMR(o Options) Result {
 				fallbacks += w.Stats.Fallbacks
 				phaseAgg.AddPhases(&w.Stats)
 				phaseAgg.AddOverlap(&w.Stats)
+				phaseAgg.AddBackoff(&w.Stats)
 				latAgg.Merge(lat)
 				abortAgg.Merge(&w.Stats.AbortCells)
 				for k, v := range w.Stats.KeyAborts {
@@ -675,6 +694,11 @@ func runDrTMR(o Options) Result {
 	r.OverlapNanos = phaseAgg.CoOverlapNanos
 	r.StallNanos = phaseAgg.CoStallNanos
 	r.MaxInFlight = phaseAgg.CoMaxInFlight
+	r.IdleWaits = phaseAgg.CoIdleWaits
+	r.IdleGiveUps = phaseAgg.CoIdleGiveUps
+	r.Backoffs = phaseAgg.Backoffs
+	r.BackoffNanos = phaseAgg.BackoffNanos
+	r.BackoffStallNanos = phaseAgg.BackoffStallNanos
 	r.Lat = latAgg
 	r.AbortMatrix = abortAgg
 	r.HotKeys = rankHotKeys(hotAgg)

@@ -106,6 +106,11 @@ type Cluster struct {
 	Coord    *Coordinator
 	Machines []*Machine
 
+	// Frontier lists the worker clocks running coroutine schedulers on this
+	// cluster (txn.Worker.RunCoroutines joins it), so an idle worker does
+	// not skip past one that is still working; see sim.Frontier.
+	Frontier sim.Frontier
+
 	events   chan Event
 	obsRec   atomic.Pointer[obs.Recorder]
 	recovery recoveryState

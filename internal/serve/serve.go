@@ -143,6 +143,12 @@ type liveStats struct {
 	retries   atomic.Uint64
 	fallbacks atomic.Uint64
 
+	// Retry backoffs (txn.Stats): taken, virtual ns asked for, virtual ns
+	// that advanced an executor's clock.
+	backoffs          atomic.Uint64
+	backoffNanos      atomic.Uint64
+	backoffStallNanos atomic.Uint64
+
 	mu  sync.Mutex
 	hot map[txn.HotKey]uint64
 }
@@ -392,6 +398,9 @@ func (s *Server) workerLoop(node int) {
 		s.live.committed.Add(st.Committed - prev.Committed)
 		s.live.retries.Add(st.Retries - prev.Retries)
 		s.live.fallbacks.Add(st.Fallbacks - prev.Fallbacks)
+		s.live.backoffs.Add(st.Backoffs - prev.Backoffs)
+		s.live.backoffNanos.Add(st.BackoffNanos - prev.BackoffNanos)
+		s.live.backoffStallNanos.Add(st.BackoffStallNanos - prev.BackoffStallNanos)
 		var ab, prevAb uint64
 		for _, n := range st.Aborts {
 			ab += n
@@ -402,6 +411,7 @@ func (s *Server) workerLoop(node int) {
 		s.live.abortsN.Add(ab - prevAb)
 		s.live.aborts.LiveMerge(&st.AbortCells, &prev.AbortCells)
 		prev.Committed, prev.Retries, prev.Fallbacks = st.Committed, st.Retries, st.Fallbacks
+		prev.Backoffs, prev.BackoffNanos, prev.BackoffStallNanos = st.Backoffs, st.BackoffNanos, st.BackoffStallNanos
 		prev.Aborts = st.Aborts
 		prev.AbortCells = st.AbortCells
 		if len(st.KeyAborts) > 0 {

@@ -266,6 +266,11 @@ func TestStatusEndpoints(t *testing.T) {
 	if st.Committed < prev {
 		t.Fatalf("/statusz committed %d below wire status %d", st.Committed, prev)
 	}
+	// Executors run one transaction at a time: nothing can cover a backoff,
+	// so every virtual ns asked for is a ns stalled.
+	if st.BackoffStallNanos != st.BackoffNanos || (st.Backoffs == 0) != (st.BackoffNanos == 0) {
+		t.Fatalf("/statusz backoffs %d asked %dns stalled %dns", st.Backoffs, st.BackoffNanos, st.BackoffStallNanos)
+	}
 }
 
 // TestRegisterValidation covers registry misuse.

@@ -24,6 +24,13 @@ type Status struct {
 	Retries   uint64 `json:"retries"`
 	Fallbacks uint64 `json:"fallbacks"`
 
+	// Retry backoffs: how many, the virtual delay they asked for, and the
+	// part that advanced an executor's clock (all of it here — executors run
+	// one transaction at a time; see txn.Worker.backoff).
+	Backoffs          uint64 `json:"backoffs"`
+	BackoffNanos      uint64 `json:"backoff_ns"`
+	BackoffStallNanos uint64 `json:"backoff_stall_ns"`
+
 	Admission AdmissionStatus `json:"admission"`
 	Procs     []ProcStatus    `json:"procs"`
 	AbortTop  []AbortCell     `json:"abort_top"`
@@ -80,6 +87,10 @@ func (s *Server) Snapshot() Status {
 		Aborts:        s.live.abortsN.Load(),
 		Retries:       s.live.retries.Load(),
 		Fallbacks:     s.live.fallbacks.Load(),
+
+		Backoffs:          s.live.backoffs.Load(),
+		BackoffNanos:      s.live.backoffNanos.Load(),
+		BackoffStallNanos: s.live.backoffStallNanos.Load(),
 		Admission: AdmissionStatus{
 			Disabled:      s.adm.disabled,
 			QueueDepth:    s.adm.depth.Load(),

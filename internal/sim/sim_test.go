@@ -137,3 +137,110 @@ func TestLastName(t *testing.T) {
 		t.Fatalf("LastName(371) = %q", LastName(371))
 	}
 }
+
+func TestFrontierBehind(t *testing.T) {
+	var f Frontier
+	var a, b Clock
+	ra, rb := f.Join(&a), f.Join(&b)
+	a.AdvanceTo(100)
+	b.AdvanceTo(50)
+	if got := ra.Behind(60); got != rb {
+		t.Fatalf("a jumping to 60 passes b at 50: Behind = %p, want %p", got, rb)
+	}
+	if got := rb.Behind(60); got != nil {
+		t.Fatal("b jumping to 60 passes nobody: a is at 100 and b does not count itself")
+	}
+	// A published horizon stands in for the clock, until withdrawn.
+	rb.IdleUntil(80)
+	if ra.Behind(80) != nil || ra.Behind(81) != rb {
+		t.Fatal("b idle until 80 is passed by a jump to 81 and by none up to 80")
+	}
+	rb.Busy()
+	if ra.Behind(60) != rb {
+		t.Fatal("Busy did not withdraw the horizon")
+	}
+	rb.IdleUntil(Forever)
+	if ra.Behind(1<<60) != nil {
+		t.Fatal("a runner waiting on the others is never passed")
+	}
+	rb.Busy()
+	rb.Leave()
+	if ra.Behind(1<<60) != nil {
+		t.Fatal("a runner that left is still in the way")
+	}
+	ra.Leave()
+}
+
+// TestFrontierFollow: a follower sleeps until the runner it follows has
+// reached its instant — by its clock, by a horizon, or by leaving — and no
+// sooner.
+func TestFrontierFollow(t *testing.T) {
+	var f Frontier
+	var a, b Clock
+	ra, rb := f.Join(&a), f.Join(&b)
+	follow := func(at int64) chan bool {
+		done := make(chan bool, 1)
+		go func() { done <- ra.Follow(rb, at) }()
+		return done
+	}
+
+	done := follow(100)
+	b.AdvanceTo(99)
+	rb.Step()
+	select {
+	case <-done:
+		t.Fatal("released with the followed clock at 99 of 100")
+	case <-time.After(10 * time.Millisecond):
+	}
+	b.AdvanceTo(100)
+	rb.Step()
+	if !<-done {
+		t.Fatal("Follow ran out of patience although the clock got there")
+	}
+
+	done = follow(200)
+	rb.IdleUntil(300) // nothing to do before 300: as good as being there
+	if !<-done {
+		t.Fatal("a horizon past the instant did not release the follower")
+	}
+	rb.Busy()
+
+	done = follow(1 << 40)
+	rb.Leave()
+	if !<-done {
+		t.Fatal("Leave did not release the follower")
+	}
+	if ra.Follow(rb, 1<<50) != true {
+		t.Fatal("following a runner that has left must return at once")
+	}
+	ra.Leave()
+}
+
+// TestFrontierFollowPatience: a runner that never moves again (stopped outside
+// the simulator) costs its follower followPatience of host time, not a hang,
+// and the follower is left clean for its next Follow.
+func TestFrontierFollowPatience(t *testing.T) {
+	defer func(d time.Duration) { followPatience = d }(followPatience)
+	followPatience = 5 * time.Millisecond
+	var f Frontier
+	var a, b Clock
+	ra, rb := f.Join(&a), f.Join(&b)
+	start := time.Now()
+	if ra.Follow(rb, 1000) {
+		t.Fatal("released by a runner that never moved")
+	}
+	if waited := time.Since(start); waited < followPatience {
+		t.Fatalf("gave up after %v, before followPatience %v", waited, followPatience)
+	}
+	if len(rb.followers) != 0 || len(ra.wake) != 0 {
+		t.Fatalf("after giving up: %d followers registered, %d wake-ups pending", len(rb.followers), len(ra.wake))
+	}
+	b.AdvanceTo(1000)
+	rb.Step() // corrects the stale wakeAt, wakes nobody
+	if got := rb.wakeAt.Load(); got != Forever {
+		t.Fatalf("wakeAt = %d with no follower, want Forever", got)
+	}
+	if !ra.Follow(rb, 1000) {
+		t.Fatal("second Follow, already satisfied, did not return true")
+	}
+}

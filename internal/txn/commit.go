@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"drtmr/internal/htm"
@@ -358,7 +359,7 @@ func (tx *Txn) replicate() []ringToken {
 	// Target set from the FRESH configuration: if a backup died, its
 	// replacement placement is what matters now.
 	cfg := w.E.M.Config()
-	targets := make(map[rdma.NodeID]struct{})
+	var targets []rdma.NodeID
 	for i := range tx.ws {
 		e := &tx.ws[i]
 		if int(e.shard) >= cfg.NumShards() {
@@ -369,12 +370,14 @@ func (tx *Txn) replicate() []ringToken {
 		// always get it — including THIS machine when it happens to
 		// back up a remote shard (loop-back ring).
 		if p := cfg.PrimaryOf(e.shard); p != w.E.M.ID {
-			targets[p] = struct{}{}
+			targets = append(targets, p)
 		}
-		for _, b := range cfg.BackupsOf(e.shard) {
-			targets[b] = struct{}{}
-		}
+		targets = append(targets, cfg.BackupsOf(e.shard)...)
 	}
+	// Node order, each target once: the post order below decides per-NIC
+	// queueing, so it must not depend on map iteration.
+	slices.Sort(targets)
+	targets = slices.Compact(targets)
 	// Payload fan-out: every ring's payload write shares one doorbell
 	// batch (one base write latency for the whole fan-out); the header
 	// publishes below share a second. An empty batch — every target dead
@@ -386,7 +389,7 @@ func (tx *Txn) replicate() []ringToken {
 	}
 	pb := w.newBatch()
 	var appends []pendingAppend
-	for node := range targets {
+	for _, node := range targets {
 		tx.countWakeup(node)
 		wr := w.E.M.LogWriter(node)
 		tk, pend, err := wr.AppendPayload(w.QP(node), pb, entry)

@@ -5,7 +5,6 @@ import (
 
 	"drtmr/internal/memstore"
 	"drtmr/internal/obs"
-	"drtmr/internal/sim"
 )
 
 // Contention manager. Pure-OCC retry collapses on hot records: every retry
@@ -19,7 +18,7 @@ import (
 //     that keep killing transactions as hot. A retry against a hot record
 //     first queues on a per-machine FIFO gate for that key, so contenders
 //     take turns instead of trampling each other; while queued the coroutine
-//     parks (yield + deterministic gate), it does not spin-backoff. This is
+//     is in one gated park (sched.go), it does not spin-backoff. This is
 //     the local-queue half of DrTM's lease-lock idea: admission is ordered,
 //     but the protocol underneath is unchanged — the gate grants no record
 //     access by itself, it only spaces out the optimistic attempts.
@@ -74,8 +73,9 @@ const (
 	// keyed aborts, so a burst from minutes ago cannot keep a key hot.
 	hotDecayEvery = 64
 	// gateMaxPolls bounds queue admission; past it the waiter gives up with
-	// a StageQueue abort and retries ungated. Each poll is a scheduling
-	// point, so the holder always gets cycles to finish and release.
+	// a StageQueue abort and retries ungated. Each failed poll is a
+	// scheduling point (for sibling coroutines, other workers and the OS
+	// thread), so the holder always gets cycles to finish and release.
 	gateMaxPolls = 1 << 14
 )
 
@@ -146,7 +146,10 @@ func (cm *contentionManager) gateFor(hk HotKey) *keyGate {
 // keyGate is a ticket-FIFO admission gate for one hot key. A waiter draws a
 // ticket and is admitted when serving reaches it; release advances serving.
 // Timed-out tickets are marked abandoned so release skips them — the queue
-// never wedges on a waiter that walked away.
+// never wedges on a waiter that walked away. The gate only answers polls
+// (tryEnter); who polls is the waiter's business: the coroutine dispatcher on
+// behalf of a parked context (Worker.pollGate), or acquireGate in place on
+// a worker with no scheduler.
 //
 // Virtual-time accounting: the gate itself carries NO clock state and a
 // failed poll costs nothing. Worker clocks are not mutually synchronized,
@@ -216,47 +219,51 @@ func (g *keyGate) abandon(t uint64) {
 }
 
 // acquireGate queues the worker on g until admitted. While queued the worker
-// parks coroutine-style: every poll yields to sibling coroutines, hands the
-// deterministic gate to other workers, and cedes the OS thread — never a
-// virtual-time backoff, which is the whole point of queueing instead of
-// backing off. Every admission counts in Stats.GateAdmissions; when the
-// waiter's own clock also grew since enqueue (sibling work on the shared
-// clock while it was parked; see keyGate) that growth is recorded as the
-// queue wait (Stats.QueueWaits/QueueWaitHist, plus an EvPhase/StageQueue
-// trace span). A worker with no sibling coroutines waits in host time only,
-// so its admissions show in the first counter and never in the second. A
-// bounded wait that runs out produces a keyed StageQueue abort and the caller
-// retries ungated.
+// never takes a virtual-time backoff, which is the whole point of queueing
+// instead of backing off. Under the coroutine scheduler the wait is ONE gated
+// park (sched.go): the dispatcher polls the ticket on this context's turns
+// and its goroutine sleeps until it is admitted or the bounded wait runs out,
+// so sibling contexts — the holder may be one of them — keep the worker busy.
+// A worker with no scheduler (w.cur == nil: N=1, the serve executors, a plain
+// Worker.Run) polls in place, handing the deterministic gate to other workers
+// and ceding the OS thread between polls. Every admission counts in
+// Stats.GateAdmissions; when the waiter's own clock also grew since enqueue
+// (sibling work on the shared clock while it was parked; see keyGate) that
+// growth is recorded as the queue wait (Stats.QueueWaits/QueueWaitHist, plus
+// an EvPhase/StageQueue trace span). A worker with no sibling coroutines
+// waits in host time only, so its admissions show in the first counter and
+// never in the second. A bounded wait that runs out produces a keyed
+// StageQueue abort and the caller retries ungated.
 func (w *Worker) acquireGate(g *keyGate, hk HotKey) (ok bool, qerr *Error) {
 	start := w.Clk.Now()
 	t := g.enqueue()
-	for poll := 0; ; poll++ {
-		if g.tryEnter(t) {
-			w.Stats.GateAdmissions++
-			if wait := w.Clk.Now() - start; wait > 0 {
-				w.Stats.QueueWaits++
-				w.Stats.QueueWaitNanos += uint64(wait)
-				w.Stats.QueueWaitHist.Record(wait)
-				if w.Rec != nil {
-					w.Rec.Record(obs.EvPhase, StageQueue, uint16(w.E.M.ID), 0, 0, start, w.Clk.Now())
-				}
-			}
-			return true, nil
+	admitted := g.tryEnter(t)
+	if w.cur != nil {
+		admitted = admitted || w.yieldGated(g, t)
+	} else {
+		for poll := 0; !admitted && poll < gateMaxPolls && !w.E.M.Dead(); poll++ {
+			w.cede() // the holder is another worker
+			admitted = g.tryEnter(t)
 		}
-		if poll >= gateMaxPolls || w.E.M.Dead() {
-			g.abandon(t)
-			return false, &Error{
-				Reason: AbortLocked, Stage: StageQueue, Site: uint16(w.E.M.ID),
-				Table: hk.Table, Key: hk.Key, HasKey: true,
-				Detail: "hot-key queue admission timed out",
-			}
-		}
-		w.yield() // park: let the holding coroutine run to release
-		if w.gate != nil {
-			w.gate() // deterministic mode: the holder may be another worker
-		}
-		sim.Spin(0)
 	}
+	if !admitted {
+		g.abandon(t)
+		return false, &Error{
+			Reason: AbortLocked, Stage: StageQueue, Site: uint16(w.E.M.ID),
+			Table: hk.Table, Key: hk.Key, HasKey: true,
+			Detail: "hot-key queue admission timed out",
+		}
+	}
+	w.Stats.GateAdmissions++
+	if wait := w.Clk.Now() - start; wait > 0 {
+		w.Stats.QueueWaits++
+		w.Stats.QueueWaitNanos += uint64(wait)
+		w.Stats.QueueWaitHist.Record(wait)
+		if w.Rec != nil {
+			w.Rec.Record(obs.EvPhase, StageQueue, uint16(w.E.M.ID), 0, 0, start, w.Clk.Now())
+		}
+	}
+	return true, nil
 }
 
 // noteAbortKey feeds one keyed abort into the machine-level per-key counters

@@ -427,11 +427,18 @@ type Stats struct {
 	// round-trip hidden behind other coroutines' work, StallNanos the share
 	// the worker still had to wait out. Yields counts scheduling points
 	// taken; MaxInFlight is the peak number of parked in-flight
-	// transactions observed on this worker.
+	// transactions observed on this worker. IdleWaits counts the sleeps the
+	// conservative idle jump took (sched.go): times this worker had nothing
+	// due and waited for a slower worker instead of skipping ahead of it —
+	// host cost only, never virtual time. IdleGiveUps counts the waits that
+	// ran out of patience and jumped anyway: not zero means a worker stopped
+	// outside the simulator while others were running.
 	CoYields       uint64
 	CoOverlapNanos uint64
 	CoStallNanos   uint64
 	CoMaxInFlight  uint64
+	CoIdleWaits    uint64
+	CoIdleGiveUps  uint64
 
 	// Contention-manager counters. KeyAborts counts aborts attributed to a
 	// specific record (whenever the abort carries a key, in every mode) —
@@ -446,6 +453,15 @@ type Stats struct {
 	QueueWaits     uint64
 	QueueWaitNanos uint64
 	QueueWaitHist  obs.Histogram
+
+	// Retry-backoff counters. BackoffNanos is the delay the backoffs asked
+	// for, BackoffStallNanos the part the worker clock was actually advanced
+	// by: equal on a worker running one transaction at a time, and under the
+	// coroutine scheduler smaller by whatever sibling contexts' work covered
+	// while the backed-off one was parked (see Worker.backoff).
+	Backoffs          uint64
+	BackoffNanos      uint64
+	BackoffStallNanos uint64
 
 	// Read-only-participant accounting (the protocol-matrix figure).
 	// ROVerbs counts one-sided commit-pipeline verbs addressed to records
@@ -486,9 +502,19 @@ func (s *Stats) AddOverlap(o *Stats) {
 	s.CoYields += o.CoYields
 	s.CoOverlapNanos += o.CoOverlapNanos
 	s.CoStallNanos += o.CoStallNanos
+	s.CoIdleWaits += o.CoIdleWaits
+	s.CoIdleGiveUps += o.CoIdleGiveUps
 	if o.CoMaxInFlight > s.CoMaxInFlight {
 		s.CoMaxInFlight = o.CoMaxInFlight
 	}
+}
+
+// AddBackoff accumulates another worker's retry-backoff counters (harness
+// roll-up).
+func (s *Stats) AddBackoff(o *Stats) {
+	s.Backoffs += o.Backoffs
+	s.BackoffNanos += o.BackoffNanos
+	s.BackoffStallNanos += o.BackoffStallNanos
 }
 
 // NewWorker creates worker id on this engine.
@@ -572,6 +598,16 @@ func (tx *Txn) execBatch(phase CommitPhase, b *rdma.Batch) error {
 	return err
 }
 
+// backoff is §4.3's randomized exponential retry delay: d drawn from
+// [1, 2^min(attempt, BackoffMaxExp)] * Costs.Backoff. Under the coroutine
+// scheduler it is a timed park (sched.go), not a charge to the clock: the
+// delay belongs to this transaction, and the worker's clock is shared by all
+// its in-flight contexts, so advancing it up front would make every sibling
+// pay one context's wait. Parked until now+d, the context is charged on
+// resume only what sibling work has not already covered — the same
+// accounting as a doorbell. With no scheduler (w.cur == nil: N=1, the serve
+// executors, a plain Worker.Run) nobody else can use the time and the whole
+// delay is charged, exactly.
 func (w *Worker) backoff(attempt int) {
 	maxE := w.E.BackoffMaxExp
 	if maxE <= 0 {
@@ -582,12 +618,12 @@ func (w *Worker) backoff(attempt int) {
 	}
 	maxExp := 1 << uint(min(attempt, maxE))
 	d := time.Duration(1+w.rng.Intn(maxExp)) * w.E.Costs.Backoff
-	w.Clk.Advance(d)
-	w.yield() // let another in-flight transaction (maybe the lock holder) run
-	if w.gate != nil {
-		w.gate() // deterministic mode: hand the schedule to another worker
-	}
-	sim.Spin(0) // scheduling point so contenders interleave
+	deadline := w.Clk.Now() + int64(d)
+	w.yield(deadline) // let another in-flight transaction (maybe the lock holder) run
+	w.Stats.Backoffs++
+	w.Stats.BackoffNanos += uint64(d)
+	w.Stats.BackoffStallNanos += uint64(w.Clk.WaitUntil(deadline))
+	w.cede()
 }
 
 // Run executes fn as a transaction with automatic retry on aborts. fn may be
@@ -705,6 +741,12 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 }
 
 func (w *Worker) waitEpochChange() {
+	if s := w.sched; s != nil {
+		// A wall-clock wait with the clock stopped: other workers' idle
+		// jumps must not wait for this one.
+		s.idleUntil(sim.Forever)
+		defer s.busy()
+	}
 	cur := w.E.M.Config().Epoch
 	for i := 0; i < 1000; i++ {
 		if w.E.M.Config().Epoch > cur || w.E.M.Dead() {

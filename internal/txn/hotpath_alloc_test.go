@@ -52,29 +52,77 @@ func TestHotpathAllocFree(t *testing.T) {
 	})
 }
 
-// TestCoroutineHandoffAllocFree pins the steady-state yield/handoff cycle:
+// gateHandoff is one admission through hot-key gate g, held across a park so
+// that the sibling contexts queue up behind it before it releases. The holder
+// does 1ns of virtual work: contexts that never move the clock would starve a
+// sibling parked on a future instant.
+func gateHandoff(wk *Worker, g *keyGate) bool {
+	ok, _ := wk.acquireGate(g, HotKey{Table: tblAcct})
+	if ok {
+		wk.Clk.Advance(time.Nanosecond)
+		wk.yield(wk.Clk.Now())
+		g.release()
+	}
+	return ok
+}
+
+// TestCoroutineHandoffAllocFree pins the steady-state park/dispatch cycle:
 // once the contexts exist, parking and resuming them must not allocate —
-// neither in Worker.yield nor in RunCoroutines' ring dispatch (pop-by-
-// reslice there used to reallocate the run queue on every handoff).
+// neither in Worker.park nor in the dispatcher (the parked list is sized once;
+// pop-by-reslice used to reallocate the run queue on every handoff). One
+// cycle takes every kind of park: a gated wait behind three queued siblings,
+// a timed park that is due, and one that is not.
 func TestCoroutineHandoffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
 	w := newWorld(t, 1, 1, htm.Config{})
 	wk := w.engines[0].NewWorker(0)
+	g := &keyGate{}
 	done := false
 	var allocs float64
-	wk.RunCoroutines(2, func(slot int) {
+	wk.RunCoroutines(4, func(slot int) {
 		if slot == 0 {
-			allocs = testing.AllocsPerRun(200, func() { wk.yield() })
+			allocs = testing.AllocsPerRun(200, func() {
+				if !gateHandoff(wk, g) {
+					t.Error("gate admission timed out")
+				}
+				wk.yield(wk.Clk.Now() + 2)
+			})
 			done = true
 			return
 		}
 		for !done {
-			wk.yield()
+			if !gateHandoff(wk, g) {
+				t.Error("gate admission timed out")
+				return
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("yield/handoff allocates %v times per cycle, want 0", allocs)
+		t.Errorf("park/dispatch allocates %v times per cycle, want 0", allocs)
 	}
+}
+
+// BenchmarkGateHandoff is the host cost of one gated admission with four
+// contexts of one worker taking turns on one hot key: every admission waits
+// out three queued siblings, each of whose failed polls used to be a resume
+// and a re-park of the waiter's goroutine and is now a turn the dispatcher
+// takes itself.
+func BenchmarkGateHandoff(b *testing.B) {
+	w := newWorld(b, 1, 1, htm.Config{})
+	wk := w.engines[0].NewWorker(0)
+	g := &keyGate{}
+	left := b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	wk.RunCoroutines(4, func(int) {
+		for left > 0 {
+			left--
+			if !gateHandoff(wk, g) {
+				b.Error("gate admission timed out")
+				return
+			}
+		}
+	})
 }

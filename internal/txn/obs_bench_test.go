@@ -14,7 +14,7 @@ import (
 // the 8-remote-record commit at N=4 coroutines (virtual ns/commit at 200
 // iterations). The tracing subsystem must not move this number at all when
 // disabled — and, because recording only READS clocks, not even when enabled.
-const baselineCoro4Nanos = 6391.0
+const baselineCoro4Nanos = 6267.0
 
 // tracedCoroCommitVirtualNanos is coroCommitVirtualNanos with optional
 // tracing, returning the worker's recorder when enabled.

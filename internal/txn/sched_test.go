@@ -8,6 +8,7 @@ import (
 
 	"drtmr/internal/htm"
 	"drtmr/internal/memstore"
+	"drtmr/internal/obs"
 	"drtmr/internal/sim"
 )
 
@@ -117,7 +118,7 @@ func TestYieldInsideHTMPanics(t *testing.T) {
 			wk.htmBegin()
 			defer wk.htmEnd()
 			//drtmr:allow htmregion deliberately trips the runtime yield-in-HTM assert under test
-			wk.yield()
+			wk.yield(wk.Clk.Now())
 		}()
 	})
 	if p := <-panicked; p == nil {
@@ -274,5 +275,296 @@ func TestDanglingCoroutineLockReleased(t *testing.T) {
 	}
 	if got := decBal(m0.Store.Table(tblAcct).ReadValueNonTx(offA)); got != 107 {
 		t.Fatalf("write did not land: balance %d, want 107", got)
+	}
+}
+
+// backoffWorld is a 3-node world whose retry backoff is exactly d: with
+// attempt 0 the randomized range is [1, 2^0], so backoff(0) asks for
+// 1 * Costs.Backoff.
+func backoffWorld(t testing.TB, keys int, d time.Duration) *world {
+	w := newWorld(t, 3, 1, htm.Config{})
+	for _, e := range w.engines {
+		e.Costs.Backoff = d
+	}
+	w.load(t, keys, 1000)
+	return w
+}
+
+// TestBackoffChargesExactlyWithoutScheduler pins the N=1 side of the timed
+// park: with no sibling context to use the time, a backoff advances the worker
+// clock by exactly the delay it drew, through a plain call and through
+// RunCoroutines(1) alike.
+func TestBackoffChargesExactlyWithoutScheduler(t *testing.T) {
+	const d = 100 * time.Microsecond
+	for _, viaSched := range []bool{false, true} {
+		wk := backoffWorld(t, 1, d).engines[0].NewWorker(0)
+		if viaSched {
+			wk.RunCoroutines(1, func(int) { wk.backoff(0) })
+		} else {
+			wk.backoff(0)
+		}
+		st := wk.Stats
+		if wk.Clk.Now() != int64(d) || st.Backoffs != 1 || st.BackoffNanos != uint64(d) || st.BackoffStallNanos != uint64(d) {
+			t.Errorf("viaSched=%v: clock %d, backoffs %d asked %d stalled %d; want all of one %v backoff charged",
+				viaSched, wk.Clk.Now(), st.Backoffs, st.BackoffNanos, st.BackoffStallNanos, d)
+		}
+	}
+}
+
+// TestBackoffDoesNotStallSiblings is the tentpole's claim in one worker: a
+// context that backs off 100us while three siblings run doorbell transactions
+// is parked until the clock has passed its deadline, so the siblings' work
+// covers the whole delay — the worker finishes at the same virtual instant as
+// when that context does nothing at all. What the backoff itself stalls is at
+// most idle time a sibling's doorbell wait would have been charged anyway (its
+// deadline happened to be the next instant on a worker with nothing to run):
+// under one fabric round-trip, against 100us asked.
+func TestBackoffDoesNotStallSiblings(t *testing.T) {
+	const d = 100 * time.Microsecond
+	run := func(backoff bool) (int64, Stats) {
+		wk := backoffWorld(t, 48, d).engines[0].NewWorker(0)
+		wk.RunCoroutines(4, func(slot int) {
+			if slot == 0 {
+				if backoff {
+					wk.backoff(0)
+				}
+				return
+			}
+			for i := 0; i < 20; i++ {
+				if err := runEightRemoteTransferAt(wk, uint64(12*slot)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+		return wk.Clk.Now(), wk.Stats
+	}
+	work, _ := run(false)
+	if work <= int64(d) {
+		t.Fatalf("setup: siblings' work is %dns, must exceed the %v backoff", work, d)
+	}
+	got, st := run(true)
+	if got != work {
+		t.Errorf("worker clock ends at %dns with the backoff, %dns without: the sleeper's delay reached its siblings", got, work)
+	}
+	if st.Backoffs != 1 || st.BackoffNanos != uint64(d) || st.BackoffStallNanos > 2000 {
+		t.Errorf("backoffs %d asked %dns stalled %dns, want 1 / %d / under 2000", st.Backoffs, st.BackoffNanos, st.BackoffStallNanos, d)
+	}
+}
+
+// TestAllBackedOffJumpsToEarliestDeadline: when every context is asleep the
+// worker is idle, and the dispatcher resumes the context with the earliest
+// deadline, whose WaitUntil jumps the clock there. Four overlapping 100us
+// backoffs started 1us apart end 1us apart — not 100us apart, the sum.
+func TestAllBackedOffJumpsToEarliestDeadline(t *testing.T) {
+	const d = 100 * time.Microsecond
+	wk := backoffWorld(t, 1, d).engines[0].NewWorker(0)
+	var woke [4]int64
+	wk.RunCoroutines(4, func(slot int) {
+		wk.Clk.Advance(time.Microsecond) // this context's own work before it aborts
+		wk.backoff(0)
+		woke[slot] = wk.Clk.Now()
+	})
+	for slot, at := range woke {
+		// Slot i parked at (i+1)us, so its deadline is (i+1)us + d.
+		if want := int64(slot+1)*int64(time.Microsecond) + int64(d); at != want {
+			t.Errorf("slot %d resumed at %dns, want its own deadline %dns", slot, at, want)
+		}
+	}
+	// The first sleeper waits out what is left of its delay (d less the 3us
+	// its siblings worked), each later one only the 1us to its own deadline.
+	if got, want := wk.Stats.BackoffStallNanos, uint64(d); got != want {
+		t.Errorf("stalled %dns over four backoffs, want %dns", got, want)
+	}
+	if got, want := wk.Stats.BackoffNanos, uint64(4*d); got != want {
+		t.Errorf("asked %dns over four backoffs, want %dns", got, want)
+	}
+}
+
+// queueSpans returns the trace's hot-key queue-wait spans after checking each
+// directly follows the yield span of the gated park that waited for it.
+func queueSpans(t *testing.T, evs []obs.Event) (spans int) {
+	t.Helper()
+	for i, e := range evs {
+		if e.Kind != obs.EvPhase || e.Detail != StageQueue {
+			continue
+		}
+		spans++
+		if i == 0 || evs[i-1].Kind != obs.EvYield || evs[i-1].Start != e.Start || evs[i-1].End != e.End {
+			t.Errorf("queue span %d [%d,%d] is not preceded by its park's yield span", i, e.Start, e.End)
+		}
+	}
+	return spans
+}
+
+func countKind(evs []obs.Event, k obs.Kind) (n int) {
+	for _, e := range evs {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGatedWaitersBehindSleepingHolder is the livelock guard: two contexts
+// queue on a gate whose holder is a sibling asleep in a backoff. Nothing is
+// due and no poll can succeed, so after the waiters have had their polls the
+// dispatcher must declare the worker idle and run the sleeper, which releases.
+// The waiters' clocks grew by the holder's sleep, so both record a queue wait:
+// one yield span per wait, directly before its queue span.
+func TestGatedWaitersBehindSleepingHolder(t *testing.T) {
+	const d = 100 * time.Microsecond
+	wk := backoffWorld(t, 1, d).engines[0].NewWorker(0)
+	rec := wk.EnableTrace(0)
+	g, hk := &keyGate{}, HotKey{Table: tblAcct, Key: 0}
+	wk.RunCoroutines(3, func(slot int) {
+		if slot == 0 {
+			if !g.tryEnter(g.enqueue()) {
+				t.Error("setup: idle gate did not admit the holder")
+			}
+			wk.backoff(0)
+			g.release()
+			return
+		}
+		if ok, qerr := wk.acquireGate(g, hk); !ok {
+			t.Errorf("slot %d not admitted: %v", slot, qerr)
+			return
+		}
+		g.release()
+	})
+	st := wk.Stats
+	if wk.Clk.Now() != int64(d) {
+		t.Errorf("worker clock %dns, want the holder's %v sleep and nothing else", wk.Clk.Now(), d)
+	}
+	if st.GateAdmissions != 2 || st.QueueWaits != 2 || st.QueueWaitNanos != 2*uint64(d) {
+		t.Errorf("admissions %d, queue waits %d totalling %dns; want 2, 2, %d",
+			st.GateAdmissions, st.QueueWaits, st.QueueWaitNanos, 2*uint64(d))
+	}
+	evs := rec.Events()
+	if got := queueSpans(t, evs); got != 2 {
+		t.Errorf("%d queue spans, want 2", got)
+	}
+	if got := countKind(evs, obs.EvYield); got != 3 {
+		t.Errorf("%d yield spans, want 3: the holder's backoff and one per gate wait, not one per poll", got)
+	}
+}
+
+// TestGateTimeoutUnderScheduler: a gated park whose ticket is never served
+// runs out of polls on the dispatcher, and the context comes back with the
+// keyed StageQueue abort; its abandoned ticket is skipped once the holder
+// releases. gateMaxPolls failed polls cost no virtual time and one yield span.
+func TestGateTimeoutUnderScheduler(t *testing.T) {
+	wk := backoffWorld(t, 1, time.Microsecond).engines[0].NewWorker(0)
+	rec := wk.EnableTrace(0)
+	g, hk := &keyGate{}, HotKey{Table: tblAcct, Key: 7}
+	if !g.tryEnter(g.enqueue()) { // held from outside the worker for the whole wait
+		t.Fatal("setup: idle gate did not admit the holder")
+	}
+	var qerr *Error
+	wk.RunCoroutines(2, func(slot int) {
+		if slot == 0 {
+			_, qerr = wk.acquireGate(g, hk)
+		}
+	})
+	if qerr == nil || qerr.Stage != StageQueue || qerr.Reason != AbortLocked ||
+		!qerr.HasKey || qerr.Table != hk.Table || qerr.Key != hk.Key {
+		t.Fatalf("timed-out admission returned %+v, want a StageQueue abort keyed %v", qerr, hk)
+	}
+	if wk.Clk.Now() != 0 || wk.Stats.GateAdmissions != 0 {
+		t.Errorf("clock %dns, admissions %d after a timed-out wait; failed polls must cost nothing", wk.Clk.Now(), wk.Stats.GateAdmissions)
+	}
+	if got := countKind(rec.Events(), obs.EvYield); got != 1 {
+		t.Errorf("%d yield spans for one gate wait, want 1", got)
+	}
+	next := g.enqueue()
+	g.release()
+	if !g.tryEnter(next) {
+		t.Error("the abandoned ticket was not skipped")
+	}
+}
+
+// TestIdleJumpWaitsForSlowerWorker: a worker whose contexts are all backed off
+// does not jump its clock past a worker on the same cluster that is still
+// working its way there. It publishes the instant as its horizon and sleeps;
+// the slow worker's own dispatcher wakes it once it has caught up, and the
+// wait costs the sleeper no virtual time.
+func TestIdleJumpWaitsForSlowerWorker(t *testing.T) {
+	const d = time.Millisecond // several times idleSlack
+	w := backoffWorld(t, 1, d)
+	fast, slow := w.engines[0].NewWorker(0), w.engines[1].NewWorker(0)
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		fast.RunCoroutines(2, func(slot int) {
+			if slot == 0 {
+				close(started)
+			}
+			fast.backoff(0)
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		slow.RunCoroutines(2, func(slot int) {
+			if slot != 0 {
+				return
+			}
+			<-started
+			// Until the fast worker has said it is idle until d ...
+			for i := 0; slow.sched.run.Behind(int64(d)) != nil; i++ {
+				if i > 1<<22 {
+					t.Error("the fast worker never published its horizon")
+					return
+				}
+				sim.Spin(0)
+			}
+			// ... and from then on, while this one stays at 0, its clock must not move.
+			for i := 0; i < 200; i++ {
+				if at := fast.Clk.Now(); at != 0 {
+					t.Errorf("fast worker's clock at %dns while the slow one is still at 0", at)
+					return
+				}
+				sim.Spin(0)
+			}
+			slow.Clk.Advance(5 * d)
+			slow.yield(slow.Clk.Now()) // a dispatch: where followers are woken
+		})
+	}()
+	wg.Wait()
+	if got := fast.Clk.Now(); got != int64(d) {
+		t.Errorf("fast worker ends at %dns, want its %v backoff and nothing for the wait", got, d)
+	}
+	if st := fast.Stats; st.CoIdleWaits == 0 || st.CoIdleGiveUps != 0 {
+		t.Errorf("fast worker: %d idle waits, %d gave up; want at least one wait and none given up", st.CoIdleWaits, st.CoIdleGiveUps)
+	}
+	if st := slow.Stats; st.CoIdleWaits != 0 {
+		t.Errorf("the slowest worker waited %d times; it must never wait", st.CoIdleWaits)
+	}
+}
+
+// TestIdleWorkersDoNotWaitOnEachOther: two workers with nothing but backoffs
+// parked each stand at their horizon for the other, so the nearer one jumps
+// and neither runs out of patience.
+func TestIdleWorkersDoNotWaitOnEachOther(t *testing.T) {
+	w := backoffWorld(t, 1, time.Millisecond)
+	w.engines[1].Costs.Backoff = 2 * time.Millisecond
+	var wg sync.WaitGroup
+	wks := []*Worker{w.engines[0].NewWorker(0), w.engines[1].NewWorker(0)}
+	for _, wk := range wks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wk.RunCoroutines(2, func(int) { wk.backoff(0) })
+		}()
+	}
+	wg.Wait()
+	for i, wk := range wks {
+		if want := int64(i+1) * int64(time.Millisecond); wk.Clk.Now() != want {
+			t.Errorf("worker %d ends at %dns, want %dns", i, wk.Clk.Now(), want)
+		}
+		if wk.Stats.CoIdleGiveUps != 0 {
+			t.Errorf("worker %d ran out of patience %d times waiting for an idle peer", i, wk.Stats.CoIdleGiveUps)
+		}
 	}
 }

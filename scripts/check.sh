@@ -62,6 +62,16 @@ go test ./internal/txn/ -run '^$' -bench BenchmarkTraceOverhead -benchtime 200x
 # catch-all pass below also includes it).
 go test -run '^$' -bench BenchmarkFigContentionTail -benchtime 1x .
 
+# Scheduler and gate gate: the wake-ordered coroutine dispatcher (timed and
+# gated parks, the idle jump, the sleeping-holder livelock guard, the gate
+# timeout) and the hot-key gates, on a 1-CPU and a 2-CPU host schedule — the
+# dispatcher polls gates whose holder may be another worker's goroutine, so
+# how goroutines overlap on the host is exactly what must not matter. With
+# them the conservative idle jump: workers sleeping on and waking each other
+# across goroutines (sim.Frontier, TestIdle*).
+go test -race -cpu 1,2 -run 'TestFrontier' -count=1 ./internal/sim/
+go test -race -cpu 1,2 -run 'TestBackoff|TestAllBackedOff|TestIdle|TestGatedWaiters|TestGateTimeout|TestCoroutine|TestHotKeyQueueConservation|TestKeyGateFIFO' -count=1 ./internal/txn/
+
 # Commit-protocol gate: the conformance suite runs the shared correctness
 # battery (bank invariant, uncommittable-read block, dangling-lock release,
 # coroutine atomicity, lock back-out) over EVERY registered CommitProtocol,
