@@ -18,7 +18,7 @@ help:
 	@echo "               (policy: keep it empty — fix or //drtmr:allow instead)"
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"
-	@echo "  stress       txn, check and serve suites 20 times each on 1 and 2"
+	@echo "  stress       txn, check, serve and harness suites 20 times each on 1 and 2"
 	@echo "               CPUs (-count=20 -cpu 1,2): catches tests that pass only"
 	@echo "               when goroutines happen (not) to overlap on the host"
 	@echo "  check        CI gate: build + vet + lint + race + smoke benchmarks"
@@ -32,24 +32,13 @@ help:
 	@echo "               (/statusz on :7708; ADDR=/HTTP= to override)"
 	@echo ""
 	@echo "Knobs:"
-	@echo "  Engine.Protocol / harness Options.Protocol / drtmr-bench -protocol:"
-	@echo "    commit protocol by registry name (default drtmr = the paper's"
-	@echo "    HTM pipeline; farm = FaRM-style one-sided log-append: write-set"
-	@echo "    locks only, lock-checking validation, replicate-before-install,"
-	@echo "    no HTM commit region). Head-to-head sweep: 'go run"
-	@echo "    ./cmd/drtmr-bench -fig proto' or BenchmarkFigProtocolMatrix;"
-	@echo "    conformance battery: TestProtocolConformance* (internal/txn)."
-	@echo "  Engine.CoroutinesPerWorker / harness Options.CoroutinesPerWorker:"
-	@echo "    in-flight transaction contexts per worker (default 4)."
-	@echo "    1 = classic one-transaction-per-thread ablation; sweep with"
-	@echo "    'go run ./cmd/drtmr-bench -fig coro' or BenchmarkCoroutineOverlap."
-	@echo "  Engine.DisableVerbBatching: per-verb latency accounting ablation."
-	@echo "  Engine.ContentionMode / harness Options.ContentionMode:"
-	@echo "    hot-record contention manager (default on). off = pure OCC"
-	@echo "    retry ablation; sweep with 'go run ./cmd/drtmr-bench -fig tail'"
-	@echo "    or BenchmarkFigContentionTail. Tuning: Engine.ContentionHotThreshold"
-	@echo "    (aborts before a key is queued), Engine.BackoffMaxExp (retry"
-	@echo "    backoff exponent cap)."
+	@echo "  Engine tunables are the fields of txn.Knobs (internal/txn/engine.go),"
+	@echo "    documented there; txn.Engine and the harness Options embed it, so"
+	@echo "    each is set under one name. Figures that sweep one:"
+	@echo "    drtmr-bench -fig proto (Protocol; also -protocol on -trace runs),"
+	@echo "    -fig coro (CoroutinesPerWorker), -fig tail (ContentionMode);"
+	@echo "    the same as benchmarks: go test -bench 'BenchmarkFig/proto' ."
+	@echo "    Conformance battery: TestProtocolConformance* (internal/txn)."
 	@echo "  Observability (internal/obs, see DESIGN.md):"
 	@echo "    drtmr-bench -trace out.json       per-worker event trace (open at"
 	@echo "                                      https://ui.perfetto.dev)"
@@ -96,7 +85,7 @@ race:
 # on the host, on both a 1-CPU and a 2-CPU schedule, so a host-dependent test
 # fails here before it fails on someone's small machine.
 stress:
-	$(GO) test -count=20 -cpu 1,2 ./internal/txn/ ./internal/check/ ./internal/serve/
+	$(GO) test -count=20 -cpu 1,2 ./internal/txn/ ./internal/check/ ./internal/serve/ ./internal/bench/harness/
 
 # check is the CI gate: build, vet, the full suite under the race detector
 # (the simulator runs real goroutines per worker/applier, so -race exercises

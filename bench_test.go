@@ -17,173 +17,63 @@ import (
 	"drtmr/internal/bench/serveload"
 )
 
-// reportFirstRow surfaces the experiment's first row (the headline
-// throughput row; sweep tables put their smallest configuration first) as
-// custom metrics.
-func reportFirstRow(b *testing.B, t harness.Table) {
-	b.Helper()
-	if len(t.Rows) == 0 || len(t.Rows[0].Values) == 0 {
-		b.Fatal("empty experiment table")
-	}
-	first := t.Rows[0]
-	for i, col := range t.Columns {
-		if i < len(first.Values) {
-			unit := strings.ReplaceAll(col, " ", "-") + "_txns/s"
-			b.ReportMetric(first.Values[i], unit)
-		}
-	}
-}
-
-func runFig(b *testing.B, fn func(harness.Scale) harness.Table) {
-	b.Helper()
-	var t harness.Table
-	for i := 0; i < b.N; i++ {
-		t = fn(harness.Smoke)
-	}
-	reportFirstRow(b, t)
-}
-
-// BenchmarkFig10_TPCCScaleMachines reproduces Fig 10: TPC-C new-order
-// throughput vs machine count for DrTM+R, DrTM+R/3, DrTM and Calvin.
-func BenchmarkFig10_TPCCScaleMachines(b *testing.B) { runFig(b, harness.Fig10) }
-
-// BenchmarkFig11_TPCCScaleThreads reproduces Fig 11: thread scaling on a
-// fixed cluster; DrTM's big HTM regions stop scaling first.
-func BenchmarkFig11_TPCCScaleThreads(b *testing.B) { runFig(b, harness.Fig11) }
-
-// BenchmarkFig12_LogicalNodes reproduces Fig 12: logical-node scale-out.
-func BenchmarkFig12_LogicalNodes(b *testing.B) { runFig(b, harness.Fig12) }
-
-// BenchmarkFig13_SmallBankMachines reproduces Fig 13.
-func BenchmarkFig13_SmallBankMachines(b *testing.B) { runFig(b, harness.Fig13) }
-
-// BenchmarkFig14_SmallBankThreads reproduces Fig 14.
-func BenchmarkFig14_SmallBankThreads(b *testing.B) { runFig(b, harness.Fig14) }
-
-// BenchmarkFig15_SmallBankRepMachines reproduces Fig 15 (3-way replication,
-// NIC-bound).
-func BenchmarkFig15_SmallBankRepMachines(b *testing.B) { runFig(b, harness.Fig15) }
-
-// BenchmarkFig16_SmallBankRepThreads reproduces Fig 16 (replication
-// plateaus at the NIC as threads grow).
-func BenchmarkFig16_SmallBankRepThreads(b *testing.B) { runFig(b, harness.Fig16) }
-
-// BenchmarkFig17_CrossWarehouse reproduces Fig 17: throughput vs
-// cross-warehouse access probability.
-func BenchmarkFig17_CrossWarehouse(b *testing.B) { runFig(b, harness.Fig17) }
-
-// BenchmarkFig18_HighContention reproduces Fig 18: one warehouse per
-// machine.
-func BenchmarkFig18_HighContention(b *testing.B) { runFig(b, harness.Fig18) }
-
-// BenchmarkFig19_DataSize reproduces Fig 19: throughput vs warehouses.
-func BenchmarkFig19_DataSize(b *testing.B) { runFig(b, harness.Fig19) }
-
-// BenchmarkTable6_ReplicationImpact reproduces Table 6: replication's
-// throughput/latency cost.
-func BenchmarkTable6_ReplicationImpact(b *testing.B) { runFig(b, harness.Table6) }
-
-// BenchmarkSiloComparison reproduces §7.2's per-machine Silo comparison.
-func BenchmarkSiloComparison(b *testing.B) { runFig(b, harness.SiloComparison) }
-
-// BenchmarkFigCoroutineOverlap sweeps coroutines/worker (ours, not in the
-// paper): SmallBank throughput as each worker overlaps the RDMA round-trips
-// of 1-8 in-flight transactions.
-func BenchmarkFigCoroutineOverlap(b *testing.B) { runFig(b, harness.FigCoroutineOverlap) }
-
-// BenchmarkFigProtocolMatrix runs the commit-protocol head-to-head (ours,
-// not in the paper): DrTM+R's HTM pipeline vs the FaRM-style one-sided
-// log-append protocol on replicated SmallBank, swept over remote probability
-// and read-only share. Mixed units per column: throughput in txns/s, p99 in
-// microseconds, read-only verbs per 100 transactions, and remote-CPU wakeup
-// counts at pure read participants (must measure 0 for both protocols).
-func BenchmarkFigProtocolMatrix(b *testing.B) {
-	var t harness.Table
-	for i := 0; i < b.N; i++ {
-		t = harness.FigProtocolMatrix(harness.Smoke)
-	}
-	if len(t.Rows) == 0 || len(t.Rows[0].Values) == 0 {
-		b.Fatal("empty experiment table")
-	}
-	first := t.Rows[0]
-	for i, col := range t.Columns {
-		if i >= len(first.Values) {
-			break
-		}
-		unit := "_count"
-		switch {
-		case strings.HasSuffix(col, "tps"):
-			unit = "_txns/s"
-		case strings.HasSuffix(col, "p99us"):
-			unit = "_us"
-		case strings.Contains(col, "rov"):
-			unit = "_verbs/100txn"
-		}
-		b.ReportMetric(first.Values[i], strings.ReplaceAll(col, " ", "-")+unit)
-	}
-	for _, r := range t.Rows {
-		if r.Values[6] != 0 || r.Values[7] != 0 {
-			b.Fatalf("row %s: nonzero read-only wakeups (drtmr=%g farm=%g)", r.XName, r.Values[6], r.Values[7])
-		}
+// columnUnit is the metric unit a figure column reports in, read off the
+// column's name: the figures' own tables mix throughput, latency percentiles,
+// verb counts and rates. A bare series name ("DrTM+R", "remote=5%") is a
+// throughput.
+func columnUnit(col string) string {
+	switch {
+	case strings.HasSuffix(col, "us"):
+		return "_us"
+	case strings.HasSuffix(col, "ms"):
+		return "_ms"
+	case strings.HasSuffix(col, "shed%"):
+		return "_%"
+	case strings.Contains(col, "rov"):
+		return "_verbs/100txn"
+	case strings.HasSuffix(col, "wake"):
+		return "_count"
+	default:
+		return "_txns/s"
 	}
 }
 
-// BenchmarkFigContentionTail sweeps hot-key skew with the contention manager
-// on vs off (ours, not in the paper). The table mixes units — latency
-// percentiles in microseconds and throughput in txns/s — so it reports the
-// first row with per-column units instead of reportFirstRow's txns/s.
-func BenchmarkFigContentionTail(b *testing.B) {
-	var t harness.Table
-	for i := 0; i < b.N; i++ {
-		t = harness.FigContentionTail(harness.Smoke)
-	}
-	if len(t.Rows) == 0 || len(t.Rows[0].Values) == 0 {
-		b.Fatal("empty experiment table")
-	}
-	first := t.Rows[0]
-	for i, col := range t.Columns {
-		if i >= len(first.Values) {
-			break
-		}
-		unit := "_us"
-		if strings.HasSuffix(col, "tps") {
-			unit = "_txns/s"
-		}
-		b.ReportMetric(first.Values[i], strings.ReplaceAll(col, " ", "-")+unit)
-	}
-}
-
-// BenchmarkFigServeOverload runs the network-serve overload sweep (ours, not
-// in the paper): an open-loop client fleet over real TCP against the
-// drtmr-serve front door, admission control on vs off. Unlike every other
-// figure this one is wall time end to end. The table mixes units —
-// accepted throughput in txns/s (wall), p99 in milliseconds, shed rate in
-// percent — so it reports the first row with per-column units.
-func BenchmarkFigServeOverload(b *testing.B) {
-	var t harness.Table
-	for i := 0; i < b.N; i++ {
-		t = serveload.FigServeOverload(harness.Smoke)
-	}
-	if len(t.Rows) == 0 || len(t.Rows[0].Values) == 0 {
-		b.Fatal("empty experiment table")
-	}
-	first := t.Rows[0]
-	for i, col := range t.Columns {
-		if i >= len(first.Values) {
-			break
-		}
-		unit := "_ms"
-		switch {
-		case strings.HasSuffix(col, "tps"):
-			unit = "_txns/s"
-		case strings.HasSuffix(col, "shed%"):
-			unit = "_%"
-		}
-		b.ReportMetric(first.Values[i], strings.ReplaceAll(col, " ", "-")+unit)
-	}
-	for _, n := range t.Notes {
-		if strings.Contains(n, "DROPPED") {
-			b.Fatalf("fleet accounting hole: %s", n)
-		}
+// BenchmarkFig runs every figure of serveload.Figures (harness.Figures plus
+// the network-serve sweep) as a sub-benchmark named by its -fig value, e.g.
+// "go test -bench 'BenchmarkFig/proto$'", and reports the table's first row
+// (the headline row; sweep tables put their smallest configuration first) as
+// custom metrics. Two table-wide checks ride along: a "wake" column counts
+// remote-CPU wakeups at pure read participants and must measure 0 in every
+// row for every protocol, and a note saying DROPPED is a hole in the serve
+// fleet's accounting.
+func BenchmarkFig(b *testing.B) {
+	for _, f := range serveload.Figures {
+		b.Run(f.Name, func(b *testing.B) {
+			var t harness.Table
+			for i := 0; i < b.N; i++ {
+				t = f.Run(harness.Smoke)
+			}
+			if len(t.Rows) == 0 || len(t.Rows[0].Values) == 0 {
+				b.Fatal("empty experiment table")
+			}
+			for i, col := range t.Columns {
+				if i < len(t.Rows[0].Values) {
+					b.ReportMetric(t.Rows[0].Values[i], strings.ReplaceAll(col, " ", "-")+columnUnit(col))
+				}
+				if !strings.HasSuffix(col, "wake") {
+					continue
+				}
+				for _, r := range t.Rows {
+					if r.Values[i] != 0 {
+						b.Fatalf("row %s: nonzero read-only wakeups in column %q: %g", r.XName, col, r.Values[i])
+					}
+				}
+			}
+			for _, n := range t.Notes {
+				if strings.Contains(n, "DROPPED") {
+					b.Fatalf("fleet accounting hole: %s", n)
+				}
+			}
+		})
 	}
 }

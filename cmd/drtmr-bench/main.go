@@ -1,14 +1,13 @@
 // Command drtmr-bench regenerates the paper's evaluation tables and figures
-// (§7) at full scale. Each -fig value maps to one experiment; "all" runs the
-// complete suite. Results print as text tables whose rows mirror the
-// paper's series.
+// (§7) at full scale. Each -fig value maps to one experiment ("drtmr-bench -h"
+// lists them, from harness.Figures); "all" runs the complete suite. Results
+// print as text tables whose rows mirror the paper's series.
 //
 // Usage:
 //
-//	drtmr-bench -fig 10             # Fig 10: TPC-C vs machines, all systems
+//	drtmr-bench -fig 10             # one figure, full scale
 //	drtmr-bench -fig 16 -smoke      # quick, scaled-down run
 //	drtmr-bench -fig 20             # recovery timeline (wall clock)
-//	drtmr-bench -fig proto          # commit-protocol matrix: drtmr vs farm
 //	drtmr-bench -fig all
 //	drtmr-bench -trace out.json     # traced SmallBank run, Perfetto JSON
 //	drtmr-bench -trace f.json -protocol farm  # same, FaRM-style commit
@@ -42,7 +41,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", `figure/table to reproduce: 10..20, "6t" (Table 6), "silo", "coro" (coroutine overlap sweep), "lat" (latency CDF), "tail" (contention-manager tail sweep), "proto" (commit-protocol matrix), "serve" (network-serve overload sweep), or "all"`)
+	fig := flag.String("fig", "all", `figure/table to reproduce (listed below), or "all"`)
 	smoke := flag.Bool("smoke", false, "run the scaled-down smoke version")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON to this path (traced SmallBank run, or the recovery milestones with -fig 20)")
 	protocol := flag.String("protocol", "", `commit protocol for -trace runs: "" = drtmr (the HTM pipeline), "farm" = the one-sided log-append pipeline; "proto" figures sweep both`)
@@ -50,6 +49,16 @@ func main() {
 	mutate := flag.Bool("mutate", false, "with -torture: run the checker self-test against deliberately broken protocols")
 	seed := flag.Uint64("seed", 3, "torture sweep seed (a violating seed replays deterministically)")
 	txPerWorker := flag.Int("tx", 0, "torture: transactions per worker in deterministic cells (0 = default)")
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
+		flag.PrintDefaults()
+		fmt.Fprintln(out, "\nFigures (-fig):")
+		for _, f := range serveload.Figures {
+			fmt.Fprintf(out, "  %-6s %s\n", f.Name, f.Doc)
+		}
+		fmt.Fprintf(out, "  %-6s %s\n", "20", "Fig 20: recovery timeline (wall clock)")
+	}
 	flag.Parse()
 
 	if *torture {
@@ -67,27 +76,6 @@ func main() {
 	if *smoke {
 		scale = harness.Smoke
 	}
-	figs := map[string]func(harness.Scale) harness.Table{
-		"10":   harness.Fig10,
-		"11":   harness.Fig11,
-		"12":   harness.Fig12,
-		"13":   harness.Fig13,
-		"14":   harness.Fig14,
-		"15":   harness.Fig15,
-		"16":   harness.Fig16,
-		"17":   harness.Fig17,
-		"18":   harness.Fig18,
-		"19":   harness.Fig19,
-		"6t":   harness.Table6,
-		"silo": harness.SiloComparison,
-		"coro": harness.FigCoroutineOverlap,
-		"lat":   harness.FigLatencyCDF,
-		"tail":  harness.FigContentionTail,
-		"proto": harness.FigProtocolMatrix,
-		"serve": serveload.FigServeOverload,
-	}
-	order := []string{"10", "11", "12", "13", "14", "15", "16", "17", "18", "19", "6t", "silo", "coro", "lat", "tail", "proto", "serve"}
-
 	runOne := func(name string) {
 		if name == "20" {
 			runFor := 3 * time.Second
@@ -101,15 +89,16 @@ func main() {
 			}
 			return
 		}
-		fn, ok := figs[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
-			os.Exit(2)
+		for _, f := range serveload.Figures {
+			if f.Name == name {
+				start := time.Now()
+				f.Run(scale).Fprint(os.Stdout)
+				fmt.Printf("(%s wall time)\n\n", time.Since(start).Round(time.Millisecond))
+				return
+			}
 		}
-		start := time.Now()
-		t := fn(scale)
-		t.Fprint(os.Stdout)
-		fmt.Printf("(%s wall time)\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
+		os.Exit(2)
 	}
 
 	if *traceOut != "" && *fig != "20" {
@@ -117,8 +106,8 @@ func main() {
 		return
 	}
 	if *fig == "all" {
-		for _, name := range order {
-			runOne(name)
+		for _, f := range serveload.Figures {
+			runOne(f.Name)
 		}
 		runOne("20")
 		return
@@ -155,12 +144,11 @@ func runTorture(mutate bool, seed uint64, txPerWorker int) int {
 // exports every worker's event ring as a Chrome trace.
 func runTraced(path string, smoke bool, protocol string) {
 	o := harness.Options{
-		System:              harness.SysDrTMR,
-		Workload:            harness.WLSmallBank,
-		Protocol:            protocol,
-		SBRemoteProb:        0.10,
-		CoroutinesPerWorker: 2,
-		Trace:               true,
+		System:       harness.SysDrTMR,
+		Workload:     harness.WLSmallBank,
+		Knobs:        txn.Knobs{Protocol: protocol, CoroutinesPerWorker: 2},
+		SBRemoteProb: 0.10,
+		Trace:        true,
 	}
 	if smoke {
 		o.Nodes, o.ThreadsPerNode, o.TxPerWorker = 3, 2, 60

@@ -101,11 +101,11 @@ func runDrTMBaseline(o Options) Result {
 	recon := tpccRecon{c: c, wcfg: wcfg}
 
 	var (
-		wg                   sync.WaitGroup
-		mu                   sync.Mutex
-		committed, newOrders uint64
-		aborts, fallbacks    uint64
-		maxVirtual           int64
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		agg       txn.Stats // Committed, Fallbacks, Retries (= aborts)
+		newOrders uint64
+		clocks    workerClocks
 	)
 	for n := 0; n < o.Nodes; n++ {
 		for t := 0; t < o.ThreadsPerNode; t++ {
@@ -135,19 +135,17 @@ func runDrTMBaseline(o Options) Result {
 					}
 				}
 				mu.Lock()
-				committed += w.Stats.Committed
+				agg.Committed += w.Stats.Committed
+				agg.Retries += w.Stats.Aborts
+				agg.Fallbacks += w.Stats.Fallbacks
 				newOrders += localNO
-				aborts += w.Stats.Aborts
-				fallbacks += w.Stats.Fallbacks
-				if v := w.Clk.Now(); v > maxVirtual {
-					maxVirtual = v
-				}
+				clocks.add(w.Clk.Now())
 				mu.Unlock()
 			}(n, t)
 		}
 	}
 	wg.Wait()
-	return summarize(o, committed, newOrders, aborts, fallbacks, maxVirtual)
+	return summarize(o, &agg, newOrders, clocks)
 }
 
 type drtmExec struct {
@@ -391,10 +389,11 @@ func runCalvinBaseline(o Options) Result {
 	recon := tpccRecon{c: c, wcfg: wcfg}
 
 	var (
-		wg                   sync.WaitGroup
-		mu                   sync.Mutex
-		committed, newOrders uint64
-		maxVirtual           int64
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		agg       txn.Stats // Committed only: Calvin never aborts
+		newOrders uint64
+		clocks    workerClocks
 	)
 	for n := 0; n < o.Nodes; n++ {
 		for t := 0; t < o.ThreadsPerNode; t++ {
@@ -424,17 +423,15 @@ func runCalvinBaseline(o Options) Result {
 					}
 				}
 				mu.Lock()
-				committed += w.Stats.Committed
+				agg.Committed += w.Stats.Committed
 				newOrders += localNO
-				if v := w.Clk.Now(); v > maxVirtual {
-					maxVirtual = v
-				}
+				clocks.add(w.Clk.Now())
 				mu.Unlock()
 			}(n, t)
 		}
 	}
 	wg.Wait()
-	return summarize(o, committed, newOrders, 0, 0, maxVirtual)
+	return summarize(o, &agg, newOrders, clocks)
 }
 
 type calvinExec struct {
@@ -608,11 +605,11 @@ func runSiloBaseline(o Options) Result {
 	siloLoad(db, wcfg, o.Seed)
 
 	var (
-		wg                   sync.WaitGroup
-		mu                   sync.Mutex
-		committed, newOrders uint64
-		aborts               uint64
-		maxVirtual           int64
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		agg       txn.Stats // Committed, Retries (= aborts)
+		newOrders uint64
+		clocks    workerClocks
 	)
 	for t := 0; t < o.ThreadsPerNode; t++ {
 		wg.Add(1)
@@ -646,17 +643,15 @@ func runSiloBaseline(o Options) Result {
 				}
 			}
 			mu.Lock()
-			committed += w.Stats.Committed
+			agg.Committed += w.Stats.Committed
+			agg.Retries += w.Stats.Aborts
 			newOrders += localNO
-			aborts += w.Stats.Aborts
-			if v := w.Clk.Now(); v > maxVirtual {
-				maxVirtual = v
-			}
+			clocks.add(w.Clk.Now())
 			mu.Unlock()
 		}(t)
 	}
 	wg.Wait()
-	return summarize(o, committed, newOrders, aborts, 0, maxVirtual)
+	return summarize(o, &agg, newOrders, clocks)
 }
 
 func siloLoad(db *silo.DB, wcfg tpcc.Config, seed uint64) {

@@ -1,6 +1,10 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"drtmr/internal/txn"
+)
 
 // TestDeterministicReplay is the determinism regression test: two runs with
 // identical Options must produce bit-identical Results — same commits, same
@@ -11,7 +15,7 @@ func TestDeterministicReplay(t *testing.T) {
 		System: SysDrTMR, Workload: WLSmallBank,
 		Nodes: 3, ThreadsPerNode: 2, TxPerWorker: 50,
 		SBAccountsPerNode: 40, SBRemoteProb: 0.4,
-		CoroutinesPerWorker: 4, History: true, Deterministic: true, Seed: 7,
+		Knobs: txn.Knobs{CoroutinesPerWorker: 4}, History: true, Deterministic: true, Seed: 7,
 	}
 	a, b := Run(o), Run(o)
 	fa, fb := a.Fingerprint(), b.Fingerprint()

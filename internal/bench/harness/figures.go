@@ -14,9 +14,9 @@ import (
 	"drtmr/internal/txn"
 )
 
-// Figure experiment drivers: one function per table/figure of §7. Each
-// returns a Table whose rows mirror the paper's series; Fprint renders it.
-// Scale sizes the run: Smoke keeps `go test -bench` fast, Full is the
+// Figure experiment drivers, one per table/figure of §7, listed in Figures.
+// Each returns a Table whose rows mirror the paper's series; Fprint renders
+// it. Scale sizes the run: Smoke keeps `go test -bench` fast, Full is the
 // cmd/drtmr-bench default.
 
 // Scale selects run size.
@@ -83,337 +83,246 @@ func (t Table) Fprint(w io.Writer) {
 	}
 }
 
-// Fig10 — TPC-C new-order throughput vs machine count (8 threads each):
-// DrTM+R, DrTM+R/3-way, DrTM, Calvin.
-func Fig10(scale Scale) Table {
-	t := Table{
-		Title:   "Fig 10: TPC-C new-order throughput vs machines (8 threads/machine)",
-		XLabel:  "machines",
-		Columns: []string{"DrTM+R", "DrTM+R/r=3", "DrTM", "Calvin"},
-	}
-	threads := 8
-	if scale == Smoke {
-		threads = 2
-	}
-	maxNodes := 6
-	nodesList := []int{1, 2, 3, 4, 5, 6}
-	if scale == Smoke {
-		nodesList = []int{1, 3}
-	}
-	var last Result
-	for _, n := range nodesList {
-		if n > maxNodes {
-			break
+// Figure is one entry of the evaluation: the -fig value that selects it
+// (also its sub-benchmark name under BenchmarkFig), a one-line description for
+// the usage text, and the experiment.
+type Figure struct {
+	Name string
+	Doc  string
+	Run  func(Scale) Table
+}
+
+// Figures lists every figure and table the harness reproduces, in the order
+// "-fig all" runs them. This is the only list: cmd/drtmr-bench (flag lookup,
+// usage text) and bench_test.go (one sub-benchmark each) iterate it.
+var Figures = []Figure{
+	{"10", "Fig 10: TPC-C vs machines, all systems", fig10.run},
+	{"11", "Fig 11: TPC-C vs threads; DrTM's big HTM regions stop scaling first", fig11.run},
+	{"12", "Fig 12: TPC-C logical-node scale-out", fig12.run},
+	{"13", "Fig 13: SmallBank vs machines", figSmallBank(13, SysDrTMR, true).run},
+	{"14", "Fig 14: SmallBank vs threads", figSmallBank(14, SysDrTMR, false).run},
+	{"15", "Fig 15: SmallBank vs machines, 3-way replication (NIC-bound)", figSmallBank(15, SysDrTMR3, true).run},
+	{"16", "Fig 16: SmallBank vs threads, 3-way replication (plateaus at the NIC)", figSmallBank(16, SysDrTMR3, false).run},
+	{"17", "Fig 17: TPC-C vs cross-warehouse access probability", fig17.run},
+	{"18", "Fig 18: TPC-C high contention, one warehouse per machine", fig18.run},
+	{"19", "Fig 19: TPC-C vs database size", fig19.run},
+	{"6t", "Table 6: replication's throughput and latency cost", Table6},
+	{"silo", "§7.2: per-machine throughput, Silo vs one DrTM+R machine", figSilo.run},
+	{"coro", "coroutine overlap sweep: SmallBank vs in-flight transactions per worker", figCoro.run},
+	{"lat", "latency CDF: virtual commit-latency percentiles", FigLatencyCDF},
+	{"tail", "contention-manager tail sweep: hot-record p99, manager on vs off", FigContentionTail},
+	{"proto", "commit-protocol matrix: drtmr vs farm", FigProtocolMatrix},
+}
+
+// sweep is a figure as data: one Run per (swept value, column) cell, each
+// cell's throughput — new-order/s for TPC-C, total/s for SmallBank — in the
+// table. Two-element arrays are indexed by Scale.
+type sweep struct {
+	title, xlabel string
+	columns       []string // nil = the systems' names
+	systems       []System // the system of each column; nil = DrTM+R in all
+	notes         []string
+	xs            [2][]float64 // the swept values
+	base          [2]Options   // what every cell shares
+	// cell sets what varies: o starts as base with the column's system and
+	// the scale's TxPerWorker filled in.
+	cell func(o *Options, x float64, col int)
+	// padReplicated runs 3-way replicated cells on at least 3 machines: the
+	// paper replicates to standby machines below 3, modelled here by
+	// running 3 nodes.
+	padReplicated bool
+	// breakdown labels the commit-breakdown note, taken from the last row's
+	// run in column breakdownCol ("" = no note).
+	breakdown    string
+	breakdownCol int
+}
+
+func (f sweep) run(scale Scale) Table {
+	t := Table{Title: f.title, XLabel: f.xlabel, Columns: f.columns, Notes: append([]string(nil), f.notes...)}
+	if t.Columns == nil {
+		for _, sys := range f.systems {
+			t.Columns = append(t.Columns, sys.String())
 		}
-		row := Row{X: float64(n)}
-		for _, sys := range []System{SysDrTMR, SysDrTMR3, SysDrTM, SysCalvin} {
-			nn := n
-			if sys == SysDrTMR3 && n < 3 {
-				// 3-way replication needs >= 3 machines; the paper
-				// replicates to standby machines below 3 — model by
-				// running with 3 nodes but load on n.
-				nn = max(n, 3)
+	}
+	var noted Result
+	for _, x := range f.xs[scale] {
+		row := Row{X: x}
+		for col := range t.Columns {
+			o := f.base[scale]
+			if f.systems != nil {
+				o.System = f.systems[col]
 			}
-			r := runFigPoint(sys, nn, threads, scale)
-			if sys == SysDrTMR {
-				last = r
+			o.TxPerWorker = scale.txPerWorker()
+			f.cell(&o, x, col)
+			if f.padReplicated && o.System == SysDrTMR3 {
+				o.Nodes = max(o.Nodes, 3)
 			}
-			row.Values = append(row.Values, r.NewOrderTPS)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.addBreakdown("DrTM+R (largest sweep point)", last)
-	return t
-}
-
-func runFigPoint(sys System, nodes, threads int, scale Scale) Result {
-	return Run(Options{
-		System: sys, Workload: WLTPCC,
-		Nodes: nodes, ThreadsPerNode: threads,
-		WarehousesPerNode: threads,
-		TxPerWorker:       scale.txPerWorker(),
-	})
-}
-
-// Fig11 — TPC-C throughput vs threads per machine (6 machines): DrTM+R,
-// DrTM+R/3, DrTM. DrTM's big HTM regions degrade beyond ~8 threads.
-func Fig11(scale Scale) Table {
-	t := Table{
-		Title:   "Fig 11: TPC-C new-order throughput vs threads (6 machines)",
-		XLabel:  "threads",
-		Columns: []string{"DrTM+R", "DrTM+R/r=3", "DrTM"},
-	}
-	nodes := 6
-	threadsList := []int{1, 2, 4, 8, 12, 16}
-	if scale == Smoke {
-		nodes = 2
-		threadsList = []int{1, 4}
-	}
-	var last Result
-	for _, th := range threadsList {
-		row := Row{X: float64(th)}
-		for _, sys := range []System{SysDrTMR, SysDrTMR3, SysDrTM} {
-			r := runFigPoint(sys, nodes, th, scale)
-			if sys == SysDrTMR {
-				last = r
+			r := Run(o)
+			if col == f.breakdownCol {
+				noted = r
 			}
-			row.Values = append(row.Values, r.NewOrderTPS)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.addBreakdown("DrTM+R (most threads)", last)
-	return t
-}
-
-// Fig12 — logical-node scale-out: N logical nodes x 4 threads (the paper
-// emulates up to 24 logical nodes on 6 machines; every node here is logical
-// anyway, so this is the same experiment at face value).
-func Fig12(scale Scale) Table {
-	t := Table{
-		Title:   "Fig 12: TPC-C new-order throughput vs logical nodes (4 threads each)",
-		XLabel:  "logical-nodes",
-		Columns: []string{"DrTM+R"},
-		Notes:   []string{"every simulated machine is a logical node; cross-node interaction uses the RDMA protocol as in the paper's emulation"},
-	}
-	list := []int{6, 12, 18, 24}
-	if scale == Smoke {
-		list = []int{2, 4}
-	}
-	var last Result
-	for _, n := range list {
-		row := Row{X: float64(n)}
-		last = runFigPoint(SysDrTMR, n, 4, scale)
-		row.Values = append(row.Values, last.NewOrderTPS)
-		t.Rows = append(t.Rows, row)
-	}
-	t.addBreakdown("DrTM+R (most nodes)", last)
-	return t
-}
-
-// figSmallBank sweeps SmallBank throughput for Figs 13-16.
-func figSmallBank(title, xlabel string, replicated bool, byMachines bool, scale Scale) Table {
-	t := Table{
-		Title:   title,
-		XLabel:  xlabel,
-		Columns: []string{"remote=1%", "remote=5%", "remote=10%"},
-	}
-	sys := SysDrTMR
-	if replicated {
-		sys = SysDrTMR3
-	}
-	var sweep []int
-	if byMachines {
-		sweep = []int{1, 2, 3, 4, 5, 6}
-		if scale == Smoke {
-			sweep = []int{1, 3}
-		}
-	} else {
-		sweep = []int{1, 2, 4, 8, 12, 16}
-		if scale == Smoke {
-			sweep = []int{1, 4}
-		}
-	}
-	accounts := 10000
-	if scale == Smoke {
-		accounts = 1000
-	}
-	var last Result
-	for _, x := range sweep {
-		row := Row{X: float64(x)}
-		for _, prob := range []float64{0.01, 0.05, 0.10} {
-			nodes, threads := 6, 8
-			if byMachines {
-				nodes, threads = x, 8
-				if scale == Smoke {
-					threads = 2
-				}
+			if o.Workload == WLTPCC {
+				row.Values = append(row.Values, r.NewOrderTPS)
 			} else {
-				nodes, threads = 6, x
-				if scale == Smoke {
-					nodes = 2
-				}
+				row.Values = append(row.Values, r.TotalTPS)
 			}
-			if replicated && nodes < 3 {
-				nodes = 3
-			}
-			r := Run(Options{
-				System: sys, Workload: WLSmallBank,
-				Nodes: nodes, ThreadsPerNode: threads,
-				SBAccountsPerNode: accounts, SBRemoteProb: prob,
-				TxPerWorker: scale.txPerWorker(),
-			})
-			last = r
-			row.Values = append(row.Values, r.TotalTPS)
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	t.addBreakdown(sys.String()+" (largest sweep point, remote=10%)", last)
-	return t
-}
-
-// Fig13 — SmallBank vs machines (no replication).
-func Fig13(scale Scale) Table {
-	return figSmallBank("Fig 13: SmallBank throughput vs machines (DrTM+R, 8 threads)",
-		"machines", false, true, scale)
-}
-
-// Fig14 — SmallBank vs threads (no replication).
-func Fig14(scale Scale) Table {
-	return figSmallBank("Fig 14: SmallBank throughput vs threads (DrTM+R, 6 machines)",
-		"threads", false, false, scale)
-}
-
-// Fig15 — SmallBank vs machines, 3-way replication (NIC-bound).
-func Fig15(scale Scale) Table {
-	return figSmallBank("Fig 15: SmallBank throughput vs machines (DrTM+R/r=3, 8 threads)",
-		"machines", true, true, scale)
-}
-
-// Fig16 — SmallBank vs threads, 3-way replication (plateaus at the NIC).
-func Fig16(scale Scale) Table {
-	return figSmallBank("Fig 16: SmallBank throughput vs threads (DrTM+R/r=3, 6 machines)",
-		"threads", true, false, scale)
-}
-
-// Fig17 — TPC-C new-order throughput vs cross-warehouse access probability.
-func Fig17(scale Scale) Table {
-	t := Table{
-		Title:   "Fig 17: TPC-C new-order throughput vs cross-warehouse access %, 6 machines x 8 threads",
-		XLabel:  "cross-wh %",
-		Columns: []string{"DrTM+R", "DrTM+R/r=3", "DrTM"},
-	}
-	nodes, threads := 6, 8
-	probs := []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.00}
-	if scale == Smoke {
-		nodes, threads = 2, 2
-		probs = []float64{0.01, 0.50}
-	}
-	var last Result
-	for _, p := range probs {
-		row := Row{X: p * 100}
-		for _, sys := range []System{SysDrTMR, SysDrTMR3, SysDrTM} {
-			n := nodes
-			if sys == SysDrTMR3 && n < 3 {
-				n = 3
-			}
-			r := Run(Options{
-				System: sys, Workload: WLTPCC,
-				Nodes: n, ThreadsPerNode: threads,
-				WarehousesPerNode: threads,
-				CrossWarehouseNO:  p,
-				TxPerWorker:       scale.txPerWorker(),
-			})
-			if sys == SysDrTMR {
-				last = r
-			}
-			row.Values = append(row.Values, r.NewOrderTPS)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.addBreakdown("DrTM+R (highest cross-warehouse %)", last)
-	return t
-}
-
-// Fig18 — high contention: ONE warehouse per machine, thread sweep.
-func Fig18(scale Scale) Table {
-	t := Table{
-		Title:   "Fig 18: TPC-C new-order throughput, 1 warehouse/machine (high contention), 6 machines",
-		XLabel:  "threads",
-		Columns: []string{"DrTM+R", "DrTM"},
-	}
-	nodes := 6
-	threadsList := []int{1, 2, 4, 8, 12, 16}
-	if scale == Smoke {
-		nodes = 2
-		threadsList = []int{1, 4}
-	}
-	var last Result
-	for _, th := range threadsList {
-		row := Row{X: float64(th)}
-		for _, sys := range []System{SysDrTMR, SysDrTM} {
-			r := Run(Options{
-				System: sys, Workload: WLTPCC,
-				Nodes: nodes, ThreadsPerNode: th,
-				WarehousesPerNode: 1, // all threads share one warehouse
-				TxPerWorker:       scale.txPerWorker(),
-			})
-			if sys == SysDrTMR {
-				last = r
-			}
-			row.Values = append(row.Values, r.NewOrderTPS)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.addBreakdown("DrTM+R (most threads)", last)
-	return t
-}
-
-// Fig19 — throughput vs database size (warehouses per machine).
-func Fig19(scale Scale) Table {
-	t := Table{
-		Title:   "Fig 19: TPC-C new-order throughput vs warehouses (6 machines x 8 threads)",
-		XLabel:  "warehouses",
-		Columns: []string{"DrTM+R", "DrTM+R/r=3"},
-	}
-	nodes, threads := 6, 8
-	whList := []int{8, 16, 32, 48, 64}
-	if scale == Smoke {
-		nodes, threads = 2, 2
-		whList = []int{2, 8}
-	}
-	for _, wh := range whList {
-		row := Row{X: float64(wh * nodes), XName: fmt.Sprintf("%d", wh*nodes)}
-		for _, sys := range []System{SysDrTMR, SysDrTMR3} {
-			r := Run(Options{
-				System: sys, Workload: WLTPCC,
-				Nodes: nodes, ThreadsPerNode: threads,
-				WarehousesPerNode: wh,
-				TxPerWorker:       scale.txPerWorker(),
-			})
-			row.Values = append(row.Values, r.NewOrderTPS)
-		}
-		t.Rows = append(t.Rows, row)
+	if f.breakdown != "" {
+		t.addBreakdown(f.breakdown, noted)
 	}
 	return t
 }
 
-// FigCoroutineOverlap — coroutine scheduler sweep (ours, not in the paper):
-// SmallBank throughput vs in-flight transaction contexts per worker
-// (txn.Engine.CoroutinesPerWorker). N=1 is the one-transaction-per-thread
+// tpccBase is what the TPC-C sweeps share: nodes x threads, one warehouse
+// per thread (0 = the dimension the figure sweeps).
+func tpccBase(nodes, threads int) Options {
+	return Options{Workload: WLTPCC, Nodes: nodes, ThreadsPerNode: threads, WarehousesPerNode: threads}
+}
+
+var (
+	machines = [2][]float64{{1, 3}, {1, 2, 3, 4, 5, 6}}
+	threads  = [2][]float64{{1, 4}, {1, 2, 4, 8, 12, 16}}
+)
+
+var fig10 = sweep{
+	title:   "Fig 10: TPC-C new-order throughput vs machines (8 threads/machine)",
+	xlabel:  "machines",
+	systems: []System{SysDrTMR, SysDrTMR3, SysDrTM, SysCalvin},
+	xs:      machines,
+	base:    [2]Options{tpccBase(0, 2), tpccBase(0, 8)},
+	cell:    func(o *Options, x float64, _ int) { o.Nodes = int(x) },
+
+	padReplicated: true,
+	breakdown:     "DrTM+R (largest sweep point)",
+}
+
+// Fig 11: DrTM's big HTM regions degrade beyond ~8 threads.
+var fig11 = sweep{
+	title:   "Fig 11: TPC-C new-order throughput vs threads (6 machines)",
+	xlabel:  "threads",
+	systems: []System{SysDrTMR, SysDrTMR3, SysDrTM},
+	xs:      threads,
+	base:    [2]Options{tpccBase(2, 0), tpccBase(6, 0)},
+	cell:    func(o *Options, x float64, _ int) { o.ThreadsPerNode, o.WarehousesPerNode = int(x), int(x) },
+
+	breakdown: "DrTM+R (most threads)",
+}
+
+// Fig 12: the paper emulates up to 24 logical nodes on 6 machines; every
+// node here is logical anyway, so this is the same experiment at face value.
+var fig12 = sweep{
+	title:   "Fig 12: TPC-C new-order throughput vs logical nodes (4 threads each)",
+	xlabel:  "logical-nodes",
+	columns: []string{"DrTM+R"},
+	notes:   []string{"every simulated machine is a logical node; cross-node interaction uses the RDMA protocol as in the paper's emulation"},
+	xs:      [2][]float64{{2, 4}, {6, 12, 18, 24}},
+	base:    [2]Options{tpccBase(0, 4), tpccBase(0, 4)},
+	cell:    func(o *Options, x float64, _ int) { o.Nodes = int(x) },
+
+	breakdown: "DrTM+R (most nodes)",
+}
+
+// figSmallBank is Figs 13-16: SmallBank throughput at three remote-access
+// probabilities, swept over threads (6 machines) or over machines (8 threads
+// each), with or without 3-way replication.
+func figSmallBank(fig int, sys System, byMachines bool) sweep {
+	sb := func(nodes, threads, accounts int) Options {
+		return Options{System: sys, Workload: WLSmallBank, Nodes: nodes, ThreadsPerNode: threads, SBAccountsPerNode: accounts}
+	}
+	f := sweep{
+		title:   fmt.Sprintf("Fig %d: SmallBank throughput vs threads (%s, 6 machines)", fig, sys),
+		xlabel:  "threads",
+		columns: []string{"remote=1%", "remote=5%", "remote=10%"},
+		xs:      threads,
+		base:    [2]Options{sb(2, 0, 1000), sb(6, 0, 10000)},
+
+		padReplicated: true,
+		breakdown:     sys.String() + " (largest sweep point, remote=10%)",
+		breakdownCol:  2,
+	}
+	vary := func(o *Options, x int) { o.ThreadsPerNode = x }
+	if byMachines {
+		f.title = fmt.Sprintf("Fig %d: SmallBank throughput vs machines (%s, 8 threads)", fig, sys)
+		f.xlabel, f.xs = "machines", machines
+		f.base = [2]Options{sb(0, 2, 1000), sb(0, 8, 10000)}
+		vary = func(o *Options, x int) { o.Nodes = x }
+	}
+	f.cell = func(o *Options, x float64, col int) {
+		vary(o, int(x))
+		o.SBRemoteProb = []float64{0.01, 0.05, 0.10}[col]
+	}
+	return f
+}
+
+var fig17 = sweep{
+	title:   "Fig 17: TPC-C new-order throughput vs cross-warehouse access %, 6 machines x 8 threads",
+	xlabel:  "cross-wh %",
+	systems: []System{SysDrTMR, SysDrTMR3, SysDrTM},
+	xs:      [2][]float64{{1, 50}, {1, 5, 10, 25, 50, 100}},
+	base:    [2]Options{tpccBase(2, 2), tpccBase(6, 8)},
+	cell:    func(o *Options, x float64, _ int) { o.CrossWarehouseNO = x / 100 },
+
+	padReplicated: true,
+	breakdown:     "DrTM+R (highest cross-warehouse %)",
+}
+
+var fig18 = sweep{
+	title:   "Fig 18: TPC-C new-order throughput, 1 warehouse/machine (high contention), 6 machines",
+	xlabel:  "threads",
+	systems: []System{SysDrTMR, SysDrTM},
+	xs:      threads,
+	// All of a machine's threads share its one warehouse.
+	base: [2]Options{{Workload: WLTPCC, Nodes: 2, WarehousesPerNode: 1}, {Workload: WLTPCC, Nodes: 6, WarehousesPerNode: 1}},
+	cell: func(o *Options, x float64, _ int) { o.ThreadsPerNode = int(x) },
+
+	breakdown: "DrTM+R (most threads)",
+}
+
+// Fig 19 sweeps the database size; x is the cluster's warehouse total.
+var fig19 = sweep{
+	title:   "Fig 19: TPC-C new-order throughput vs warehouses (6 machines x 8 threads)",
+	xlabel:  "warehouses",
+	systems: []System{SysDrTMR, SysDrTMR3},
+	xs:      [2][]float64{{4, 16}, {48, 96, 192, 288, 384}},
+	base:    [2]Options{tpccBase(2, 2), tpccBase(6, 8)},
+	cell:    func(o *Options, x float64, _ int) { o.WarehousesPerNode = int(x) / o.Nodes },
+}
+
+// figSilo is §7.2's per-machine efficiency check.
+var figSilo = sweep{
+	title:   "§7.2: per-machine new-order throughput, Silo vs DrTM+R (1 machine)",
+	xlabel:  "threads",
+	columns: []string{"DrTM+R(1 node)", "Silo"},
+	systems: []System{SysDrTMR, SysSilo},
+	xs:      [2][]float64{{2}, {8, 16}},
+	base:    [2]Options{tpccBase(1, 0), tpccBase(1, 0)},
+	cell:    func(o *Options, x float64, _ int) { o.ThreadsPerNode, o.WarehousesPerNode = int(x), int(x) },
+}
+
+// figCoro — coroutine scheduler sweep (ours, not in the paper): SmallBank
+// throughput vs in-flight transaction contexts per worker
+// (txn.Knobs.CoroutinesPerWorker). N=1 is the one-transaction-per-thread
 // ablation; larger N overlaps the fabric round-trips that doorbell batching
 // alone cannot hide. The gain is largest when most commits are distributed
 // (high remote probability) and saturates once per-verb NIC queueing or
 // local CPU work dominates.
-func FigCoroutineOverlap(scale Scale) Table {
-	t := Table{
-		Title:   "Coroutine overlap: SmallBank throughput vs coroutines/worker (DrTM+R)",
-		XLabel:  "coroutines",
-		Columns: []string{"remote=10%", "remote=50%"},
-	}
-	nodes, threads := 6, 8
-	if scale == Smoke {
-		nodes, threads = 3, 2
-	}
-	var last Result
-	for _, n := range []int{1, 2, 4, 8} {
-		row := Row{X: float64(n)}
-		for _, prob := range []float64{0.10, 0.50} {
-			r := Run(Options{
-				System: SysDrTMR, Workload: WLSmallBank,
-				Nodes: nodes, ThreadsPerNode: threads,
-				SBRemoteProb:        prob,
-				CoroutinesPerWorker: n,
-				TxPerWorker:         scale.txPerWorker(),
-			})
-			if prob == 0.50 {
-				last = r
-			}
-			row.Values = append(row.Values, r.TotalTPS)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.addBreakdown("DrTM+R (8 coroutines, remote=50%)", last)
-	return t
+var figCoro = sweep{
+	title:   "Coroutine overlap: SmallBank throughput vs coroutines/worker (DrTM+R)",
+	xlabel:  "coroutines",
+	columns: []string{"remote=10%", "remote=50%"},
+	xs:      [2][]float64{{1, 2, 4, 8}, {1, 2, 4, 8}},
+	base: [2]Options{
+		{Workload: WLSmallBank, Nodes: 3, ThreadsPerNode: 2},
+		{Workload: WLSmallBank, Nodes: 6, ThreadsPerNode: 8},
+	},
+	cell: func(o *Options, x float64, col int) {
+		o.SBRemoteProb = []float64{0.10, 0.50}[col]
+		o.CoroutinesPerWorker = int(x)
+	},
+	breakdown:    "DrTM+R (8 coroutines, remote=50%)",
+	breakdownCol: 1,
 }
 
 // FigProtocolMatrix — commit-protocol head-to-head (ours, not in the paper):
@@ -449,8 +358,8 @@ func FigProtocolMatrix(scale Scale) Table {
 	run := func(proto string, remote, ro float64) Result {
 		return Run(Options{
 			System: SysDrTMR3, Workload: WLSmallBank,
-			Protocol: proto,
-			Nodes:    nodes, ThreadsPerNode: threads,
+			Knobs: txn.Knobs{Protocol: proto},
+			Nodes: nodes, ThreadsPerNode: threads,
 			SBAccountsPerNode: accts,
 			SBRemoteProb:      remote,
 			SBReadOnlyFrac:    ro,
@@ -605,7 +514,7 @@ func FigContentionTail(scale Scale) Table {
 			WarehousesPerNode: threads,
 			SBAccountsPerNode: accts,
 			SBHotFraction:     hot,
-			ContentionMode:    mode,
+			Knobs:             txn.Knobs{ContentionMode: mode},
 			TxPerWorker:       scale.txPerWorker(),
 		})
 	}
@@ -640,30 +549,6 @@ func FigContentionTail(scale Scale) Table {
 		addRow(fmt.Sprintf("sb-hot=%g", hot), WLSmallBank, hot)
 	}
 	addRow("tpcc-default", WLTPCC, 0)
-	return t
-}
-
-// SiloComparison — per-machine throughput: Silo vs a single DrTM+R machine
-// (§7.2's per-machine efficiency check).
-func SiloComparison(scale Scale) Table {
-	t := Table{
-		Title:   "§7.2: per-machine new-order throughput, Silo vs DrTM+R (1 machine)",
-		XLabel:  "threads",
-		Columns: []string{"DrTM+R(1 node)", "Silo"},
-	}
-	threadsList := []int{8, 16}
-	if scale == Smoke {
-		threadsList = []int{2}
-	}
-	for _, th := range threadsList {
-		row := Row{X: float64(th)}
-		a := Run(Options{System: SysDrTMR, Workload: WLTPCC, Nodes: 1,
-			ThreadsPerNode: th, WarehousesPerNode: th, TxPerWorker: scale.txPerWorker()})
-		b := Run(Options{System: SysSilo, Workload: WLTPCC, Nodes: 1,
-			ThreadsPerNode: th, WarehousesPerNode: th, TxPerWorker: scale.txPerWorker()})
-		row.Values = append(row.Values, a.NewOrderTPS, b.NewOrderTPS)
-		t.Rows = append(t.Rows, row)
-	}
 	return t
 }
 

@@ -87,16 +87,11 @@ type Options struct {
 	// read-only share is exactly where the commit protocols differ most.
 	SBReadOnlyFrac float64
 
-	// Protocol selects the commit protocol by registry name for DrTM+R
-	// systems ("" = txn.DefaultProtocol, the DrTM+R HTM pipeline; "farm" =
-	// the one-sided log-append pipeline). Baseline systems ignore it.
-	Protocol string
-
-	// CoroutinesPerWorker overrides txn.Engine.CoroutinesPerWorker for
-	// DrTM+R systems: the number of in-flight transaction contexts each
-	// worker multiplexes (doorbells become yield points, round-trips
-	// overlap). 0 keeps the engine default; 1 is the no-overlap ablation.
-	CoroutinesPerWorker int
+	// Knobs are the engine's tunables (commit protocol, coroutines per
+	// worker, ablations, contention manager, mutation switches; see
+	// txn.Knobs for each), handed as they are to every engine of a DrTM+R
+	// system. Baseline systems ignore them.
+	txn.Knobs
 
 	// Trace enables per-worker event tracing (DrTM+R systems): each worker
 	// records txn/phase/HTM/doorbell/yield events into a preallocated ring
@@ -106,16 +101,6 @@ type Options struct {
 	// Rings overwrite oldest-first, so an undersized ring keeps the tail of
 	// the run rather than failing.
 	TraceEventsPerWorker int
-
-	// DisableVerbBatching forwards the engine's sequential-verb ablation
-	// knob (one full round-trip per verb instead of doorbell batches).
-	DisableVerbBatching bool
-
-	// ContentionMode forwards txn.Engine.ContentionMode (DrTM+R systems).
-	// The zero value is ON — hot-key FIFO gates plus the commutative-delta
-	// write path; txn.ContentionOff is the pure-OCC-retry ablation (under
-	// which workload Adds degrade to read-modify-writes).
-	ContentionMode txn.ContentionMode
 
 	// History records every committed transaction's versioned read/write
 	// sets (DrTM+R systems): Result.History carries one recorder per worker
@@ -131,11 +116,6 @@ type Options struct {
 	// injection, and the default (quiescent) failure-detector timing; Run
 	// panics otherwise.
 	Deterministic bool
-
-	// Mutations forwards the protocol-breaking mutation-test switches to
-	// every engine (internal/check's mutation mode; all-false = correct
-	// protocol).
-	Mutations txn.Mutations
 
 	// KillAfter, when >0, kills machine KillNode after that wall-clock delay
 	// mid-run (torture cells exercising recovery under load). Lease and
@@ -188,20 +168,21 @@ type Result struct {
 	System   System
 	Workload Workload
 
-	Committed uint64
 	NewOrders uint64 // TPC-C only: the paper's headline metric
 
-	VirtualSec   float64
-	TotalTPS     float64
-	NewOrderTPS  float64
-	AbortRate    float64
-	Fallbacks    uint64
-	AvgLatencyUs float64
+	// VirtualSec is the slowest worker's virtual clock (the throughput
+	// denominator), WorkerVirtualSec the sum of every worker's.
+	VirtualSec       float64
+	WorkerVirtualSec float64
+	TotalTPS         float64
+	NewOrderTPS      float64
+	AbortRate        float64
+	AvgLatencyUs     float64
 
 	// Virtual commit-latency percentiles from Lat (DrTM+R systems; zero
 	// when the run recorded no histogram). AvgLatencyUs is the histogram
-	// mean when Lat is present, the workers/throughput back-computation
-	// otherwise.
+	// mean when Lat is present, the back-computation WorkerVirtualSec /
+	// Committed otherwise.
 	P50Us  float64
 	P90Us  float64
 	P99Us  float64
@@ -212,68 +193,25 @@ type Result struct {
 	// workers. Nil for baseline systems without the instrumented engine.
 	Lat *obs.TypedHist
 
-	// AbortMatrix attributes every abort to (reason, pipeline stage,
-	// responsible site) — the structured replacement for the flat abort
-	// counter. Always populated for DrTM+R systems, even without Trace.
-	AbortMatrix obs.AbortMatrix
+	// Stats is every engine counter merged across all workers (txn.Stats
+	// documents each): commits, fallbacks, the per-phase verb / doorbell /
+	// latency counters CommitBreakdown renders, the abort matrix, coroutine
+	// overlap, hot-key gate and backoff counters. Baseline systems fill
+	// Committed, Fallbacks and Retries only.
+	txn.Stats
+	// Yields is Stats.CoYields under a second name, kept because benchmark/
+	// (frozen in this change) reads Result.Yields in inproc.go and
+	// Worker.Stats.CoYields in probes.go. The next benchmark-only change
+	// should pick one name and drop this field.
+	Yields uint64
 
 	// Trace carries each worker's event recorder when Options.Trace was
 	// set; export with obs.WriteTrace(w, r.Trace, TraceNames()).
 	Trace []*obs.Recorder
 
-	// Phases aggregates the commit pipeline's per-phase verb / doorbell /
-	// virtual-latency counters across all workers (DrTM+R systems only;
-	// see txn.CommitPhase). CommitBreakdown renders it.
-	Phases [txn.NumPhases]txn.PhaseStat
-
 	// History carries each worker's transaction-history recorder when
 	// Options.History was set; HistoryTxns() merges them for internal/check.
 	History []*obs.HistoryRecorder
-
-	// Coroutine overlap aggregates (DrTM+R with CoroutinesPerWorker > 1):
-	// scheduling yields taken, virtual time of fabric round-trips hidden
-	// behind other in-flight transactions vs. still stalling the worker,
-	// and the peak in-flight transaction count seen on any single worker.
-	Yields       uint64
-	OverlapNanos uint64
-	StallNanos   uint64
-	MaxInFlight  uint64
-	// IdleWaits: times a worker slept rather than jump its clock past a
-	// slower worker (txn.Stats.CoIdleWaits); free-running runs only.
-	IdleWaits   uint64
-	IdleGiveUps uint64 // waits that ran out of patience; 0 on a healthy run
-
-	// Read-only footprint aggregates (DrTM+R systems; see txn.Stats). ROVerbs
-	// counts one-sided commit verbs spent on records read but not written —
-	// the per-protocol cost of a read-only record. ROWakeups counts CPU
-	// deliveries (RPCs, log appends) to machines participating only as
-	// read sources; both shipped protocols keep it at zero by construction,
-	// and the figure reports the measured value rather than assuming it.
-	ROVerbs   uint64
-	ROWakeups uint64
-
-	// Contention-manager aggregates (DrTM+R systems). HotKeys ranks records
-	// by attributed abort count, worst first — the per-key complement of
-	// AbortMatrix. GateAdmissions counts retries admitted through a hot-key
-	// FIFO gate; QueueWaits counts those that waited in virtual time and
-	// QueueWait is their merged histogram (zero-count when nothing queued).
-	HotKeys        []KeyAborts
-	GateAdmissions uint64
-	QueueWaits     uint64
-	QueueWait      obs.Histogram
-
-	// Retry-backoff aggregates (DrTM+R systems; see txn.Stats): backoffs
-	// taken, the virtual delay they asked for, and the part that actually
-	// advanced a worker clock — the rest was covered by sibling coroutines.
-	Backoffs          uint64
-	BackoffNanos      uint64
-	BackoffStallNanos uint64
-}
-
-// KeyAborts is one record's attributed abort count (Result.HotKeys).
-type KeyAborts struct {
-	Key    txn.HotKey
-	Aborts uint64
 }
 
 // CommitBreakdown renders the per-phase commit-latency breakdown: average
@@ -298,9 +236,9 @@ func (r Result) CommitBreakdown() string {
 	if len(parts) == 0 {
 		return ""
 	}
-	if r.Yields > 0 {
+	if r.CoYields > 0 {
 		parts = append(parts, fmt.Sprintf("coroutine overlap %.1f yields, %.2fus hidden, %.2fus stalled, peak %d in-flight/worker, %.3f idle waits (%d gave up)",
-			float64(r.Yields)/float64(r.Committed),
+			float64(r.CoYields)/float64(r.Committed),
 			float64(r.OverlapNanos)/float64(r.Committed)/1e3,
 			float64(r.StallNanos)/float64(r.Committed)/1e3,
 			r.MaxInFlight,
@@ -336,11 +274,12 @@ func (r Result) String() string {
 // aborted.
 func (r Result) AbortSummary(topN int) string {
 	s := r.AbortMatrix.Summary(topN, abortReasonName, txn.StageName)
-	if len(r.HotKeys) == 0 {
+	ranked := r.HotKeys()
+	if len(ranked) == 0 {
 		return s
 	}
 	terms := make([]string, 0, topN)
-	for i, hk := range r.HotKeys {
+	for i, hk := range ranked {
 		if topN > 0 && i >= topN {
 			break
 		}
@@ -354,28 +293,6 @@ func (r Result) AbortSummary(topN int) string {
 		return hot
 	}
 	return s + "; " + hot
-}
-
-// rankHotKeys flattens the merged per-key abort counters, worst first
-// (ties break on table then key so the ordering is deterministic).
-func rankHotKeys(agg map[txn.HotKey]uint64) []KeyAborts {
-	if len(agg) == 0 {
-		return nil
-	}
-	out := make([]KeyAborts, 0, len(agg))
-	for k, v := range agg {
-		out = append(out, KeyAborts{Key: k, Aborts: v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Aborts != out[j].Aborts {
-			return out[i].Aborts > out[j].Aborts
-		}
-		if out[i].Key.Table != out[j].Key.Table {
-			return out[i].Key.Table < out[j].Key.Table
-		}
-		return out[i].Key.Key < out[j].Key.Key
-	})
-	return out
 }
 
 func abortReasonName(c uint8) string { return txn.AbortReason(c).String() }
@@ -543,16 +460,8 @@ func runDrTMR(o Options) Result {
 			engines = append(engines, txn.NewEngine(m, wcfg.Partitioner(), txn.DefaultCosts()))
 		}
 	}
-	if o.CoroutinesPerWorker > 0 {
-		for _, e := range engines {
-			e.CoroutinesPerWorker = o.CoroutinesPerWorker
-		}
-	}
 	for _, e := range engines {
-		e.DisableVerbBatching = o.DisableVerbBatching
-		e.ContentionMode = o.ContentionMode
-		e.Mut = o.Mutations
-		e.Protocol = o.Protocol
+		e.Knobs = o.Knobs
 	}
 	c.Start()
 
@@ -579,22 +488,14 @@ func runDrTMR(o Options) Result {
 
 	typeNames := typeNamesFor(o.Workload)
 	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		committed  uint64
-		newOrders  uint64
-		aborts     uint64
-		fallbacks  uint64
-		maxVirtual int64
-		phaseAgg   txn.Stats
-		latAgg     = obs.NewTypedHist(typeNames...)
-		abortAgg   obs.AbortMatrix
-		recorders  []*obs.Recorder
-		histories  []*obs.HistoryRecorder
-		hotAgg     = make(map[txn.HotKey]uint64)
-		admissions uint64
-		queueWaits uint64
-		queueHist  obs.Histogram
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		agg       txn.Stats
+		newOrders uint64
+		clocks    workerClocks
+		latAgg    = obs.NewTypedHist(typeNames...)
+		recorders []*obs.Recorder
+		histories []*obs.HistoryRecorder
 	)
 	for n := 0; n < o.Nodes; n++ {
 		for t := 0; t < o.ThreadsPerNode; t++ {
@@ -622,7 +523,7 @@ func runDrTMR(o Options) Result {
 				// coroutines (strict handoff keeps the shared countdown and
 				// generator state single-threaded); N=1 runs the classic
 				// sequential loop.
-				ncoro := engines[node].CoroutinesPerWorker
+				ncoro := o.Coroutines()
 				remaining := o.TxPerWorker
 				switch o.Workload {
 				case WLTPCC:
@@ -659,54 +560,24 @@ func runDrTMR(o Options) Result {
 					})
 				}
 				mu.Lock()
-				committed += w.Stats.Committed
+				agg.Merge(&w.Stats)
 				newOrders += localNO
-				aborts += w.Stats.AbortsTotal()
-				fallbacks += w.Stats.Fallbacks
-				phaseAgg.AddPhases(&w.Stats)
-				phaseAgg.AddOverlap(&w.Stats)
-				phaseAgg.AddBackoff(&w.Stats)
+				clocks.add(w.Clk.Now())
 				latAgg.Merge(lat)
-				abortAgg.Merge(&w.Stats.AbortCells)
-				for k, v := range w.Stats.KeyAborts {
-					hotAgg[k] += v
-				}
-				admissions += w.Stats.GateAdmissions
-				queueWaits += w.Stats.QueueWaits
-				queueHist.Merge(&w.Stats.QueueWaitHist)
 				if w.Rec != nil {
 					recorders = append(recorders, w.Rec)
 				}
 				if w.Hist != nil {
 					histories = append(histories, w.Hist)
 				}
-				if v := w.Clk.Now(); v > maxVirtual {
-					maxVirtual = v
-				}
 				mu.Unlock()
 			}(n, t)
 		}
 	}
 	wg.Wait()
-	r := summarize(o, committed, newOrders, aborts, fallbacks, maxVirtual)
-	r.Phases = phaseAgg.Phases
-	r.Yields = phaseAgg.CoYields
-	r.OverlapNanos = phaseAgg.CoOverlapNanos
-	r.StallNanos = phaseAgg.CoStallNanos
-	r.MaxInFlight = phaseAgg.CoMaxInFlight
-	r.IdleWaits = phaseAgg.CoIdleWaits
-	r.IdleGiveUps = phaseAgg.CoIdleGiveUps
-	r.Backoffs = phaseAgg.Backoffs
-	r.BackoffNanos = phaseAgg.BackoffNanos
-	r.BackoffStallNanos = phaseAgg.BackoffStallNanos
+	r := summarize(o, &agg, newOrders, clocks)
+	r.Yields = r.CoYields
 	r.Lat = latAgg
-	r.AbortMatrix = abortAgg
-	r.HotKeys = rankHotKeys(hotAgg)
-	r.ROVerbs = phaseAgg.ROVerbs
-	r.ROWakeups = phaseAgg.ROWakeups
-	r.GateAdmissions = admissions
-	r.QueueWaits = queueWaits
-	r.QueueWait = queueHist
 	r.Trace = recorders
 	r.History = histories
 	r.applyHistogram()
@@ -727,9 +598,9 @@ func (r Result) HistoryTxns() []obs.HistTxn {
 }
 
 // applyHistogram derives the latency summary fields from Lat. The mean
-// REPLACES summarize's workers/throughput back-computation: the two agree
-// only when each worker runs one transaction at a time (CoroutinesPerWorker
-// = 1; see TestAvgLatencyAgreesWithHistogram) — with N in-flight contexts a
+// REPLACES summarize's back-computation: the two agree only when each worker
+// runs one transaction at a time (CoroutinesPerWorker = 1; see
+// TestAvgLatencyAgreesWithHistogram) — with N in-flight contexts a
 // transaction's latency includes the virtual time peers consume while it is
 // parked, which the back-computation divides away.
 func (r *Result) applyHistogram() {
@@ -744,27 +615,38 @@ func (r *Result) applyHistogram() {
 	r.P999Us = all.Quantile(0.999) / 1e3
 }
 
-func summarize(o Options, committed, newOrders, aborts, fallbacks uint64, maxVirtual int64) Result {
-	vs := float64(maxVirtual) / 1e9
+// workerClocks folds the workers' final virtual clocks: the slowest one is
+// the run's elapsed time, the sum is what all transactions together cost.
+type workerClocks struct{ max, sum int64 }
+
+func (c *workerClocks) add(v int64) {
+	c.max = max(c.max, v)
+	c.sum += v
+}
+
+// summarize derives the rates from a run's merged counters and clocks. An
+// abort is a retried attempt in every system, so st.Retries is the abort
+// count (the baselines have no per-reason Aborts to sum).
+func summarize(o Options, st *txn.Stats, newOrders uint64, clocks workerClocks) Result {
+	vs := float64(clocks.max) / 1e9
 	if vs <= 0 {
 		vs = 1e-9
 	}
 	r := Result{
-		System:     o.System,
-		Workload:   o.Workload,
-		Committed:  committed,
-		NewOrders:  newOrders,
-		VirtualSec: vs,
-		Fallbacks:  fallbacks,
+		System:           o.System,
+		Workload:         o.Workload,
+		Stats:            *st,
+		NewOrders:        newOrders,
+		VirtualSec:       vs,
+		WorkerVirtualSec: float64(clocks.sum) / 1e9,
 	}
-	r.TotalTPS = float64(committed) / vs
+	r.TotalTPS = float64(st.Committed) / vs
 	r.NewOrderTPS = float64(newOrders) / vs
-	if committed+aborts > 0 {
-		r.AbortRate = float64(aborts) / float64(committed+aborts)
+	if st.Committed+st.Retries > 0 {
+		r.AbortRate = float64(st.Retries) / float64(st.Committed+st.Retries)
 	}
-	if committed > 0 {
-		workers := float64(o.Nodes * o.ThreadsPerNode)
-		r.AvgLatencyUs = vs / (float64(committed) / workers) * 1e6
+	if st.Committed > 0 {
+		r.AvgLatencyUs = r.WorkerVirtualSec / float64(st.Committed) * 1e6
 	}
 	return r
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"drtmr/internal/obs"
+	"drtmr/internal/txn"
 )
 
 func TestSmokeAllSystems(t *testing.T) {
@@ -32,17 +33,17 @@ func TestSmokeAllSystems(t *testing.T) {
 }
 
 // TestAvgLatencyAgreesWithHistogram pins the AvgLatencyUs fix: the reported
-// latency now comes from the recorded histogram mean, and at one transaction
-// per worker at a time (CoroutinesPerWorker=1) it must agree with the old
-// workers/throughput back-computation — virtual seconds divided by committed
-// transactions per worker — since then a worker's virtual time is exactly
-// the sum of its transactions' latencies (modulo worker skew: VirtualSec is
-// the SLOWEST worker's clock, so the back-computation overestimates a bit).
+// latency comes from the recorded histogram mean, and at one transaction per
+// worker at a time (CoroutinesPerWorker=1) it must agree with the
+// back-computation — the sum of the workers' virtual clocks divided by the
+// committed transactions — since then a worker's clock is exactly the sum of
+// its transactions' latencies. (The sum, not workers x the slowest clock: one
+// worker's long backoff chain would stretch that by itself.)
 func TestAvgLatencyAgreesWithHistogram(t *testing.T) {
 	r := Run(Options{
 		System: SysDrTMR, Workload: WLSmallBank,
 		Nodes: 3, ThreadsPerNode: 2, TxPerWorker: 150,
-		SBAccountsPerNode: 500, CoroutinesPerWorker: 1,
+		SBAccountsPerNode: 500, Knobs: txn.Knobs{CoroutinesPerWorker: 1},
 	})
 	if r.Lat == nil || r.Lat.All().Count() == 0 {
 		t.Fatal("no latency histogram recorded")
@@ -51,9 +52,8 @@ func TestAvgLatencyAgreesWithHistogram(t *testing.T) {
 		t.Errorf("histogram count %d != committed %d", r.Lat.All().Count(), r.Committed)
 	}
 	hist := r.AvgLatencyUs
-	workers := 3.0 * 2.0
-	back := r.VirtualSec / (float64(r.Committed) / workers) * 1e6
-	if rel := math.Abs(hist-back) / back; rel > 0.30 {
+	back := r.WorkerVirtualSec / float64(r.Committed) * 1e6
+	if rel := math.Abs(hist-back) / back; rel > 0.001 {
 		t.Errorf("histogram mean %.1fus disagrees with back-computation %.1fus by %.0f%%",
 			hist, back, rel*100)
 	}
@@ -73,7 +73,7 @@ func TestHarnessTraceExport(t *testing.T) {
 		System: SysDrTMR, Workload: WLSmallBank,
 		Nodes: 3, ThreadsPerNode: 2, TxPerWorker: 60,
 		SBAccountsPerNode: 500, SBRemoteProb: 0.2,
-		CoroutinesPerWorker: 2, Trace: true,
+		Knobs: txn.Knobs{CoroutinesPerWorker: 2}, Trace: true,
 	})
 	if len(r.Trace) != 3*2 {
 		t.Fatalf("got %d recorders, want one per worker (6)", len(r.Trace))

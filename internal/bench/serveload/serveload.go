@@ -13,6 +13,15 @@ import (
 	"drtmr/internal/serve"
 )
 
+// Figures is the complete evaluation: harness.Figures plus the serve sweep,
+// which cannot sit in that table for the import cycle above. cmd/drtmr-bench
+// and bench_test.go iterate this list.
+var Figures = append(harness.Figures[:len(harness.Figures):len(harness.Figures)], harness.Figure{
+	Name: "serve",
+	Doc:  "network-serve overload sweep over real TCP, admission on vs off (wall time)",
+	Run:  FigServeOverload,
+})
+
 // FigServeOverload sweeps open-loop offered load through 2× saturation
 // against a live drtmr-serve over TCP, with the admission controller on
 // versus off (-fig serve; BENCH_serve_overload.json). The claim under test:

@@ -38,18 +38,17 @@ func mutationCell(mut txn.Mutations, seed uint64) Cell {
 	return Cell{
 		Name: "mutation",
 		Opts: harness.Options{
-			System:              harness.SysDrTMR,
-			Workload:            harness.WLSmallBank,
-			Nodes:               3,
-			ThreadsPerNode:      2,
-			TxPerWorker:         130,
-			SBAccountsPerNode:   16,
-			SBRemoteProb:        0.5,
-			CoroutinesPerWorker: 4,
-			History:             true,
-			Deterministic:       true,
-			Mutations:           mut,
-			Seed:                seed,
+			System:            harness.SysDrTMR,
+			Workload:          harness.WLSmallBank,
+			Nodes:             3,
+			ThreadsPerNode:    2,
+			TxPerWorker:       130,
+			SBAccountsPerNode: 16,
+			SBRemoteProb:      0.5,
+			Knobs:             txn.Knobs{CoroutinesPerWorker: 4, Mut: mut},
+			History:           true,
+			Deterministic:     true,
+			Seed:              seed,
 		},
 		CheckOpts: Options{Strict: true},
 	}

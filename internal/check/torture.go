@@ -181,20 +181,18 @@ func Cells(o TortureOptions) []Cell {
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("drtmr coro=%d batch=%v fallback=%.2f", co, batch, fb),
 					Opts: harness.Options{
-						System:              harness.SysDrTMR,
-						Workload:            harness.WLSmallBank,
-						Nodes:               o.Nodes,
-						ThreadsPerNode:      o.ThreadsPerNode,
-						TxPerWorker:         o.TxPerWorker,
-						SBAccountsPerNode:   o.AccountsPerNode,
-						SBRemoteProb:        o.RemoteProb,
-						CoroutinesPerWorker: co,
-						DisableVerbBatching: !batch,
-						History:             true,
-						Deterministic:       true,
-						Mutations:           o.Mutations,
-						Seed:                seed,
-						HTM:                 htm.Config{SpuriousAbortProb: fb, Seed: seed ^ 0xA5A5},
+						System:            harness.SysDrTMR,
+						Workload:          harness.WLSmallBank,
+						Nodes:             o.Nodes,
+						ThreadsPerNode:    o.ThreadsPerNode,
+						TxPerWorker:       o.TxPerWorker,
+						SBAccountsPerNode: o.AccountsPerNode,
+						SBRemoteProb:      o.RemoteProb,
+						Knobs:             txn.Knobs{CoroutinesPerWorker: co, DisableVerbBatching: !batch, Mut: o.Mutations},
+						History:           true,
+						Deterministic:     true,
+						Seed:              seed,
+						HTM:               htm.Config{SpuriousAbortProb: fb, Seed: seed ^ 0xA5A5},
 					},
 					CheckOpts: Options{Strict: true},
 				})
@@ -212,19 +210,17 @@ func Cells(o TortureOptions) []Cell {
 		cells = append(cells, Cell{
 			Name: fmt.Sprintf("drtmr hot-key contention=%s", mode),
 			Opts: harness.Options{
-				System:              harness.SysDrTMR,
-				Workload:            harness.WLSmallBank,
-				Nodes:               o.Nodes,
-				ThreadsPerNode:      o.ThreadsPerNode,
-				TxPerWorker:         o.TxPerWorker / 2,
-				SBAccountsPerNode:   2,
-				SBRemoteProb:        o.RemoteProb,
-				CoroutinesPerWorker: 4,
-				ContentionMode:      mode,
-				History:             true,
-				Deterministic:       true,
-				Mutations:           o.Mutations,
-				Seed:                seed,
+				System:            harness.SysDrTMR,
+				Workload:          harness.WLSmallBank,
+				Nodes:             o.Nodes,
+				ThreadsPerNode:    o.ThreadsPerNode,
+				TxPerWorker:       o.TxPerWorker / 2,
+				SBAccountsPerNode: 2,
+				SBRemoteProb:      o.RemoteProb,
+				Knobs:             txn.Knobs{CoroutinesPerWorker: 4, ContentionMode: mode, Mut: o.Mutations},
+				History:           true,
+				Deterministic:     true,
+				Seed:              seed,
 			},
 			CheckOpts: Options{Strict: true},
 		})
@@ -236,21 +232,20 @@ func Cells(o TortureOptions) []Cell {
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("drtmr/r=3 coro=%d KILL node %d", co, o.Nodes-1),
 				Opts: harness.Options{
-					System:              harness.SysDrTMR3,
-					Workload:            harness.WLSmallBank,
-					Nodes:               o.Nodes,
-					ThreadsPerNode:      o.ThreadsPerNode,
-					TxPerWorker:         o.KillTxPerWorker,
-					SBAccountsPerNode:   o.AccountsPerNode,
-					SBRemoteProb:        o.RemoteProb,
-					CoroutinesPerWorker: co,
-					History:             true,
-					Mutations:           o.Mutations,
-					Seed:                seed,
-					KillAfter:           12 * time.Millisecond,
-					KillNode:            o.Nodes - 1,
-					Lease:               80 * time.Millisecond,
-					HeartbeatEvery:      8 * time.Millisecond,
+					System:            harness.SysDrTMR3,
+					Workload:          harness.WLSmallBank,
+					Nodes:             o.Nodes,
+					ThreadsPerNode:    o.ThreadsPerNode,
+					TxPerWorker:       o.KillTxPerWorker,
+					SBAccountsPerNode: o.AccountsPerNode,
+					SBRemoteProb:      o.RemoteProb,
+					Knobs:             txn.Knobs{CoroutinesPerWorker: co, Mut: o.Mutations},
+					History:           true,
+					Seed:              seed,
+					KillAfter:         12 * time.Millisecond,
+					KillNode:          o.Nodes - 1,
+					Lease:             80 * time.Millisecond,
+					HeartbeatEvery:    8 * time.Millisecond,
 				},
 				// Kill histories are incomplete by design: the dead
 				// machine's in-flight effects are only partially
@@ -274,20 +269,17 @@ func Cells(o TortureOptions) []Cell {
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("%s coro=%d batch=%v", proto, co, batch),
 					Opts: harness.Options{
-						System:              harness.SysDrTMR,
-						Workload:            harness.WLSmallBank,
-						Protocol:            proto,
-						Nodes:               o.Nodes,
-						ThreadsPerNode:      o.ThreadsPerNode,
-						TxPerWorker:         o.TxPerWorker,
-						SBAccountsPerNode:   o.AccountsPerNode,
-						SBRemoteProb:        o.RemoteProb,
-						CoroutinesPerWorker: co,
-						DisableVerbBatching: !batch,
-						History:             true,
-						Deterministic:       true,
-						Mutations:           o.Mutations,
-						Seed:                seed,
+						System:            harness.SysDrTMR,
+						Workload:          harness.WLSmallBank,
+						Knobs:             txn.Knobs{Protocol: proto, CoroutinesPerWorker: co, DisableVerbBatching: !batch, Mut: o.Mutations},
+						Nodes:             o.Nodes,
+						ThreadsPerNode:    o.ThreadsPerNode,
+						TxPerWorker:       o.TxPerWorker,
+						SBAccountsPerNode: o.AccountsPerNode,
+						SBRemoteProb:      o.RemoteProb,
+						History:           true,
+						Deterministic:     true,
+						Seed:              seed,
 					},
 					CheckOpts: Options{Strict: true},
 				})
@@ -300,20 +292,18 @@ func Cells(o TortureOptions) []Cell {
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%s coro=4 batch=true htm-noise=0.15", proto),
 				Opts: harness.Options{
-					System:              harness.SysDrTMR,
-					Workload:            harness.WLSmallBank,
-					Protocol:            proto,
-					Nodes:               o.Nodes,
-					ThreadsPerNode:      o.ThreadsPerNode,
-					TxPerWorker:         o.TxPerWorker,
-					SBAccountsPerNode:   o.AccountsPerNode,
-					SBRemoteProb:        o.RemoteProb,
-					CoroutinesPerWorker: 4,
-					History:             true,
-					Deterministic:       true,
-					Mutations:           o.Mutations,
-					Seed:                seed,
-					HTM:                 htm.Config{SpuriousAbortProb: 0.15, Seed: seed ^ 0xA5A5},
+					System:            harness.SysDrTMR,
+					Workload:          harness.WLSmallBank,
+					Knobs:             txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4, Mut: o.Mutations},
+					Nodes:             o.Nodes,
+					ThreadsPerNode:    o.ThreadsPerNode,
+					TxPerWorker:       o.TxPerWorker,
+					SBAccountsPerNode: o.AccountsPerNode,
+					SBRemoteProb:      o.RemoteProb,
+					History:           true,
+					Deterministic:     true,
+					Seed:              seed,
+					HTM:               htm.Config{SpuriousAbortProb: 0.15, Seed: seed ^ 0xA5A5},
 				},
 				CheckOpts: Options{Strict: true},
 			})
@@ -324,20 +314,17 @@ func Cells(o TortureOptions) []Cell {
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%s hot-key contention=%s", proto, mode),
 				Opts: harness.Options{
-					System:              harness.SysDrTMR,
-					Workload:            harness.WLSmallBank,
-					Protocol:            proto,
-					Nodes:               o.Nodes,
-					ThreadsPerNode:      o.ThreadsPerNode,
-					TxPerWorker:         o.TxPerWorker / 2,
-					SBAccountsPerNode:   2,
-					SBRemoteProb:        o.RemoteProb,
-					CoroutinesPerWorker: 4,
-					ContentionMode:      mode,
-					History:             true,
-					Deterministic:       true,
-					Mutations:           o.Mutations,
-					Seed:                seed,
+					System:            harness.SysDrTMR,
+					Workload:          harness.WLSmallBank,
+					Knobs:             txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4, ContentionMode: mode, Mut: o.Mutations},
+					Nodes:             o.Nodes,
+					ThreadsPerNode:    o.ThreadsPerNode,
+					TxPerWorker:       o.TxPerWorker / 2,
+					SBAccountsPerNode: 2,
+					SBRemoteProb:      o.RemoteProb,
+					History:           true,
+					Deterministic:     true,
+					Seed:              seed,
 				},
 				CheckOpts: Options{Strict: true},
 			})
@@ -349,22 +336,20 @@ func Cells(o TortureOptions) []Cell {
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("%s/r=3 coro=%d KILL node %d", proto, co, o.Nodes-1),
 					Opts: harness.Options{
-						System:              harness.SysDrTMR3,
-						Workload:            harness.WLSmallBank,
-						Protocol:            proto,
-						Nodes:               o.Nodes,
-						ThreadsPerNode:      o.ThreadsPerNode,
-						TxPerWorker:         o.KillTxPerWorker,
-						SBAccountsPerNode:   o.AccountsPerNode,
-						SBRemoteProb:        o.RemoteProb,
-						CoroutinesPerWorker: co,
-						History:             true,
-						Mutations:           o.Mutations,
-						Seed:                seed,
-						KillAfter:           12 * time.Millisecond,
-						KillNode:            o.Nodes - 1,
-						Lease:               80 * time.Millisecond,
-						HeartbeatEvery:      8 * time.Millisecond,
+						System:            harness.SysDrTMR3,
+						Workload:          harness.WLSmallBank,
+						Knobs:             txn.Knobs{Protocol: proto, CoroutinesPerWorker: co, Mut: o.Mutations},
+						Nodes:             o.Nodes,
+						ThreadsPerNode:    o.ThreadsPerNode,
+						TxPerWorker:       o.KillTxPerWorker,
+						SBAccountsPerNode: o.AccountsPerNode,
+						SBRemoteProb:      o.RemoteProb,
+						History:           true,
+						Seed:              seed,
+						KillAfter:         12 * time.Millisecond,
+						KillNode:          o.Nodes - 1,
+						Lease:             80 * time.Millisecond,
+						HeartbeatEvery:    8 * time.Millisecond,
 					},
 					CheckOpts: Options{Strict: false, Replicated: true},
 				})

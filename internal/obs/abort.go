@@ -50,24 +50,8 @@ func (m *AbortMatrix) LiveRecord(reason, stage uint8, site int) {
 	atomic.AddUint64(&m.c[clampIdx(int(reason), NumReasons)][clampIdx(int(stage), NumStages)][clampIdx(site, NumSites)], 1)
 }
 
-// LiveMerge atomically adds (cur - prev) into m — the delta-publish step a
-// single-writer worker uses to fold its private matrix into a shared live
-// aggregate mid-run. cur and prev belong to the calling goroutine (read
-// non-atomically); only m is shared. Callers then copy cur into prev.
-func (m *AbortMatrix) LiveMerge(cur, prev *AbortMatrix) {
-	for r := range m.c {
-		for s := range m.c[r] {
-			for n := range m.c[r][s] {
-				if d := cur.c[r][s][n] - prev.c[r][s][n]; d != 0 {
-					atomic.AddUint64(&m.c[r][s][n], d)
-				}
-			}
-		}
-	}
-}
-
 // Snapshot returns an atomically loaded copy safe to take while LiveRecord
-// or LiveMerge race. Successive snapshots are monotone per cell.
+// races. Successive snapshots are monotone per cell.
 func (m *AbortMatrix) Snapshot() AbortMatrix {
 	var s AbortMatrix
 	for r := range m.c {

@@ -98,8 +98,8 @@ func TestTypedHistLiveSnapshot(t *testing.T) {
 	}
 }
 
-// TestAbortMatrixSnapshotConcurrent exercises LiveRecord + LiveMerge against
-// racing Snapshots: race-clean, per-cell monotone, and exact at the end.
+// TestAbortMatrixSnapshotConcurrent exercises LiveRecord against racing
+// Snapshots: race-clean, per-cell monotone, and exact at the end.
 func TestAbortMatrixSnapshotConcurrent(t *testing.T) {
 	var m AbortMatrix
 	const writers = 4
@@ -109,23 +109,9 @@ func TestAbortMatrixSnapshotConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Half the writers record directly; half publish deltas from a
-			// private matrix the way serve workers do.
-			if w%2 == 0 {
-				for i := 0; i < perWriter; i++ {
-					m.LiveRecord(uint8(i%NumReasons), uint8(i%NumStages), i%NumSites)
-				}
-				return
-			}
-			var cur, prev AbortMatrix
 			for i := 0; i < perWriter; i++ {
-				cur.Record(uint8(i%NumReasons), uint8(i%NumStages), i%NumSites)
-				if i%64 == 63 {
-					m.LiveMerge(&cur, &prev)
-					prev = cur
-				}
+				m.LiveRecord(uint8(i%NumReasons), uint8(i%NumStages), i%NumSites)
 			}
-			m.LiveMerge(&cur, &prev)
 		}(w)
 	}
 	done := make(chan struct{})

@@ -10,13 +10,14 @@
 // and executes. Responses are written back on the request's connection
 // under a per-connection write lock, so workers never block each other on
 // the socket. Status requests are answered directly on the reader goroutine
-// from lock-free snapshots (obs LiveRecord/Snapshot): the read path never
-// queues behind the commit pipeline.
+// from the live aggregate (liveStats): the read path never queues behind the
+// commit pipeline.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -133,24 +134,41 @@ func (c *conn) writeStatusResult(id uint64, json []byte) error {
 }
 
 // liveStats is the server-wide mid-run aggregate the status endpoint
-// snapshots: per-procedure wall-latency histograms (LiveRecord), the abort
-// matrix (LiveMerge deltas), flat counters, and the hot-key table.
+// snapshots: per-procedure wall-latency histograms and the admission
+// controller's shed verdicts (lock-free, recorded per request), and one
+// txn.Stats per executor — the copy of its engine counters it last published.
 type liveStats struct {
-	hist      *obs.TypedHist
-	aborts    obs.AbortMatrix
-	committed atomic.Uint64
-	abortsN   atomic.Uint64
-	retries   atomic.Uint64
-	fallbacks atomic.Uint64
+	hist  *obs.TypedHist
+	sheds obs.AbortMatrix
 
-	// Retry backoffs (txn.Stats): taken, virtual ns asked for, virtual ns
-	// that advanced an executor's clock.
-	backoffs          atomic.Uint64
-	backoffNanos      atomic.Uint64
-	backoffStallNanos atomic.Uint64
+	mu    sync.Mutex
+	execs []txn.Stats // guarded by mu; slot i belongs to executor i
+}
 
-	mu  sync.Mutex
-	hot map[txn.HotKey]uint64
+// publish replaces executor i's slot with its worker's current counters. The
+// slot keeps a key-abort map of its own: the worker goes on writing to its map.
+func (l *liveStats) publish(i int, st *txn.Stats) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	slot := &l.execs[i]
+	hot := slot.KeyAborts
+	if hot == nil && len(st.KeyAborts) > 0 {
+		hot = make(map[txn.HotKey]uint64, len(st.KeyAborts))
+	}
+	*slot = *st
+	slot.KeyAborts = hot
+	maps.Copy(hot, st.KeyAborts)
+}
+
+// merged sums every executor's published counters and the shed verdicts.
+func (l *liveStats) merged() *txn.Stats {
+	agg := &txn.Stats{AbortMatrix: l.sheds.Snapshot()}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range l.execs {
+		agg.Merge(&l.execs[i])
+	}
+	return agg
 }
 
 // Server is a running drtmr-serve instance.
@@ -214,8 +232,8 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	nodes := len(s.db.Cluster().Machines)
 	s.adm = newAdmission(s.opts.Admission, nodes*s.opts.WorkersPerNode)
 	s.live = &liveStats{
-		hist: obs.NewTypedHist(s.reg.names()...),
-		hot:  make(map[txn.HotKey]uint64),
+		hist:  obs.NewTypedHist(s.reg.names()...),
+		execs: make([]txn.Stats, s.Workers()),
 	}
 	s.start = now()
 	s.queues = make([]*queue, nodes)
@@ -230,7 +248,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	for n := 0; n < nodes; n++ {
 		for i := 0; i < s.opts.WorkersPerNode; i++ {
 			s.wg.Add(1)
-			go s.workerLoop(n)
+			go s.workerLoop(n, n*s.opts.WorkersPerNode+i)
 		}
 	}
 	s.wg.Add(1)
@@ -353,7 +371,7 @@ func (s *Server) readLoop(c *conn) {
 			node := s.route(e, m.Args)
 			deadline := time.Duration(m.DeadlineUs) * time.Microsecond
 			if shed := s.adm.admit(node, deadline); shed != nil {
-				s.live.aborts.LiveRecord(uint8(shed.Reason), shed.Stage, int(shed.Site))
+				s.live.sheds.LiveRecord(uint8(shed.Reason), shed.Stage, int(shed.Site))
 				if err := c.writeResult(m.ID, wire.StatusAbort, uint8(shed.Reason),
 					shed.Stage, shed.Site, shed.Detail, nil); err != nil {
 					return
@@ -373,14 +391,15 @@ func (s *Server) readLoop(c *conn) {
 	}
 }
 
-// statsPublishEvery is how many requests a worker executes between folding
-// its private engine stats into the live aggregate. Small enough that the
-// status endpoint is fresh, large enough that publishing (an atomic sweep
-// of the abort matrix) stays off the per-request path.
+// statsPublishEvery is how many requests a worker executes between
+// publishing its engine stats to the live aggregate. Small enough that the
+// status endpoint is fresh, large enough that publishing (a copy of the
+// worker's Stats under the aggregate's lock) stays off the per-request path.
 const statsPublishEvery = 32
 
-// workerLoop drains one node's queue on a dedicated engine worker.
-func (s *Server) workerLoop(node int) {
+// workerLoop drains one node's queue on a dedicated engine worker; exec is
+// the executor's index in the live aggregate.
+func (s *Server) workerLoop(node, exec int) {
 	defer s.wg.Done()
 	sess := s.db.Session(drtmr.NodeID(node))
 	w := sess.Worker()
@@ -390,42 +409,8 @@ func (s *Server) workerLoop(node int) {
 		s.history = append(s.history, h)
 		s.histMu.Unlock()
 	}
-	var prev txn.Stats
-	prevHot := make(map[txn.HotKey]uint64)
 	sincePublish := 0
-	publish := func() {
-		st := &w.Stats
-		s.live.committed.Add(st.Committed - prev.Committed)
-		s.live.retries.Add(st.Retries - prev.Retries)
-		s.live.fallbacks.Add(st.Fallbacks - prev.Fallbacks)
-		s.live.backoffs.Add(st.Backoffs - prev.Backoffs)
-		s.live.backoffNanos.Add(st.BackoffNanos - prev.BackoffNanos)
-		s.live.backoffStallNanos.Add(st.BackoffStallNanos - prev.BackoffStallNanos)
-		var ab, prevAb uint64
-		for _, n := range st.Aborts {
-			ab += n
-		}
-		for _, n := range prev.Aborts {
-			prevAb += n
-		}
-		s.live.abortsN.Add(ab - prevAb)
-		s.live.aborts.LiveMerge(&st.AbortCells, &prev.AbortCells)
-		prev.Committed, prev.Retries, prev.Fallbacks = st.Committed, st.Retries, st.Fallbacks
-		prev.Backoffs, prev.BackoffNanos, prev.BackoffStallNanos = st.Backoffs, st.BackoffNanos, st.BackoffStallNanos
-		prev.Aborts = st.Aborts
-		prev.AbortCells = st.AbortCells
-		if len(st.KeyAborts) > 0 {
-			s.live.mu.Lock()
-			for k, n := range st.KeyAborts {
-				if d := n - prevHot[k]; d != 0 {
-					s.live.hot[k] += d
-					prevHot[k] = n
-				}
-			}
-			s.live.mu.Unlock()
-		}
-	}
-	defer publish()
+	defer func() { s.live.publish(exec, &w.Stats) }()
 	for {
 		req, ok := s.queues[node].pop()
 		if !ok {
@@ -440,7 +425,7 @@ func (s *Server) workerLoop(node int) {
 					Site:   uint16(node),
 					Detail: fmt.Sprintf("deadline %s expired after %s in queue", req.deadline, waited),
 				}
-				s.live.aborts.LiveRecord(uint8(e.Reason), e.Stage, int(e.Site))
+				s.live.sheds.LiveRecord(uint8(e.Reason), e.Stage, int(e.Site))
 				s.respond(req, nil, e)
 				s.adm.finish(0)
 				continue
@@ -454,7 +439,7 @@ func (s *Server) workerLoop(node int) {
 		s.respond(req, reply, err)
 		s.adm.finish(svc)
 		if sincePublish++; sincePublish >= statsPublishEvery {
-			publish()
+			s.live.publish(exec, &w.Stats)
 			sincePublish = 0
 		}
 	}

@@ -7,17 +7,20 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"drtmr/internal/bench/smallbank"
 	"drtmr/internal/check"
 	"drtmr/internal/serve/client"
+	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
 
 // startBank boots a loaded bank cluster and a server on a loopback port.
-func startBank(t *testing.T, cfg smallbank.Config, o Options, procs BankProcs) (*Server, string) {
+func startBank(t *testing.T, cfg smallbank.Config, o Options, procs BankProcs, extra ...Proc) (*Server, string) {
 	t.Helper()
 	db, err := OpenBank(cfg, 1)
 	if err != nil {
@@ -26,6 +29,11 @@ func startBank(t *testing.T, cfg smallbank.Config, o Options, procs BankProcs) (
 	s := New(db, o)
 	if err := RegisterBank(s, cfg, procs); err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range extra {
+		if err := s.Register(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
@@ -196,8 +204,21 @@ func TestUnknownProcAndBadArgs(t *testing.T) {
 // over HTTP, checking monotonicity and the per-procedure protocol labels.
 func TestStatusEndpoints(t *testing.T) {
 	cfg := smallbank.Config{AccountsPerNode: 500, Nodes: 2, InitialBalance: 10000}
+	// "hot" is a read-modify-write of one record with no home node, so every
+	// executor of both nodes runs it; ceding the host between the read and
+	// the commit makes concurrent calls overlap however few CPUs there are.
+	hot := Proc{Name: "hot", Fn: func(w *txn.Worker, _ []byte) ([]byte, error) {
+		return nil, w.Run(func(tx *txn.Txn) error {
+			c, err := tx.Read(smallbank.TableChecking, 7)
+			if err != nil {
+				return err
+			}
+			sim.Spin(0)
+			return tx.Write(smallbank.TableChecking, 7, smallbank.EncBalance(smallbank.DecBalance(c)+1))
+		})
+	}}
 	s, addr := startBank(t, cfg, Options{WorkersPerNode: 2},
-		BankProcs{PaymentProtocol: "farm", DepositProtocol: "drtmr"})
+		BankProcs{PaymentProtocol: "farm", DepositProtocol: "drtmr"}, hot)
 	httpAddr, err := s.StartHTTP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -205,13 +226,45 @@ func TestStatusEndpoints(t *testing.T) {
 	cl := client.New(client.Options{Addr: addr, MaxConns: 4})
 	defer cl.Close()
 
-	var prev uint64
+	// Every scalar the snapshot carries must be monotone from one snapshot
+	// to the next: the embedded engine counters (walked by reflection, so a
+	// counter added to txn.Counters is covered), the abort total and the
+	// admission count.
+	var prev Status
+	monotone := func(st Status) {
+		t.Helper()
+		cur, was := reflect.ValueOf(st.Counters), reflect.ValueOf(prev.Counters)
+		for i := 0; i < cur.NumField(); i++ {
+			if cur.Field(i).Uint() < was.Field(i).Uint() {
+				t.Fatalf("%s went backwards: %d -> %d", cur.Type().Field(i).Name, was.Field(i).Uint(), cur.Field(i).Uint())
+			}
+		}
+		if st.Aborts < prev.Aborts || st.Admission.Admitted < prev.Admission.Admitted {
+			t.Fatalf("aborts %d -> %d, admitted %d -> %d", prev.Aborts, st.Aborts, prev.Admission.Admitted, st.Admission.Admitted)
+		}
+		prev = st
+	}
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 200; i++ {
 			if _, err := cl.Call("payment", EncPayment(uint64(i), uint64(i+1), 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		// A gated run: concurrent "hot" calls abort each other on their one
+		// record until the contention manager queues the retries on that
+		// key's gate.
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					// Sheds and aborts are fine here; only the counters matter.
+					_, _ = cl.Call("hot", nil)
+				}
+			}()
+		}
+		wg.Wait()
 		raw, err := cl.Status()
 		if err != nil {
 			t.Fatal(err)
@@ -220,10 +273,7 @@ func TestStatusEndpoints(t *testing.T) {
 		if err := json.Unmarshal(raw, &st); err != nil {
 			t.Fatalf("status JSON: %v\n%s", err, raw)
 		}
-		if st.Committed < prev {
-			t.Fatalf("committed went backwards: %d -> %d", prev, st.Committed)
-		}
-		prev = st.Committed
+		monotone(st)
 		if round == 4 {
 			if st.Committed == 0 {
 				t.Fatal("status never saw a commit")
@@ -263,8 +313,9 @@ func TestStatusEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("/statusz JSON: %v\n%s", err, body)
 	}
-	if st.Committed < prev {
-		t.Fatalf("/statusz committed %d below wire status %d", st.Committed, prev)
+	monotone(st)
+	if st.GateAdmissions == 0 {
+		t.Fatalf("/statusz reports no gate admissions after %d aborts on one hot account", st.Aborts)
 	}
 	// Executors run one transaction at a time: nothing can cover a backoff,
 	// so every virtual ns asked for is a ns stalled.

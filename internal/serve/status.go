@@ -4,32 +4,26 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
-	"sort"
 
 	"drtmr/internal/txn"
 )
 
 // Status is one point-in-time snapshot of a running server, shipped as JSON
 // over the wire (KindStatus) and over plain HTTP (/statusz). Every quantity
-// comes from the lock-free live aggregates (obs Snapshot), so taking it
-// perturbs neither the commit pipeline nor the admission queue.
+// comes from the live aggregates (liveStats, the admission controller's
+// atomics), so taking it perturbs neither the commit pipeline nor the
+// admission queue.
 type Status struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Workers       int     `json:"workers"`
 
-	// Engine-side totals (published by workers every statsPublishEvery
-	// requests, so they can trail the wire counters slightly).
-	Committed uint64 `json:"committed"`
-	Aborts    uint64 `json:"aborts"`
-	Retries   uint64 `json:"retries"`
-	Fallbacks uint64 `json:"fallbacks"`
-
-	// Retry backoffs: how many, the virtual delay they asked for, and the
-	// part that advanced an executor's clock (all of it here — executors run
-	// one transaction at a time; see txn.Worker.backoff).
-	Backoffs          uint64 `json:"backoffs"`
-	BackoffNanos      uint64 `json:"backoff_ns"`
-	BackoffStallNanos uint64 `json:"backoff_stall_ns"`
+	// Engine-side totals, published by workers every statsPublishEvery
+	// requests, so they can trail the wire counters slightly: every scalar
+	// counter txn.Stats declares (executors run one transaction at a time,
+	// so the coroutine counters read 0 and backoff_stall_ns equals
+	// backoff_ns; see txn.Worker.backoff), plus the abort total.
+	txn.Counters
+	Aborts uint64 `json:"aborts"`
 
 	Admission AdmissionStatus `json:"admission"`
 	Procs     []ProcStatus    `json:"procs"`
@@ -80,17 +74,12 @@ const statusTopK = 10
 // Snapshot assembles a Status from the live aggregates. Successive
 // snapshots are monotone in every counter.
 func (s *Server) Snapshot() Status {
+	agg := s.live.merged()
 	st := Status{
 		UptimeSeconds: since(s.start).Seconds(),
 		Workers:       s.Workers(),
-		Committed:     s.live.committed.Load(),
-		Aborts:        s.live.abortsN.Load(),
-		Retries:       s.live.retries.Load(),
-		Fallbacks:     s.live.fallbacks.Load(),
-
-		Backoffs:          s.live.backoffs.Load(),
-		BackoffNanos:      s.live.backoffNanos.Load(),
-		BackoffStallNanos: s.live.backoffStallNanos.Load(),
+		Counters:      agg.Counters,
+		Aborts:        agg.AbortsTotal(),
 		Admission: AdmissionStatus{
 			Disabled:      s.adm.disabled,
 			QueueDepth:    s.adm.depth.Load(),
@@ -117,8 +106,7 @@ func (s *Server) Snapshot() Status {
 	}
 	s.reg.mu.RUnlock()
 
-	am := s.live.aborts.Snapshot()
-	cells := am.Cells()
+	cells := agg.AbortMatrix.Cells()
 	if len(cells) > statusTopK {
 		cells = cells[:statusTopK]
 	}
@@ -131,25 +119,14 @@ func (s *Server) Snapshot() Status {
 		})
 	}
 
-	s.live.mu.Lock()
-	hot := make([]HotKey, 0, len(s.live.hot))
-	for k, n := range s.live.hot {
-		hot = append(hot, HotKey{Table: int(k.Table), Key: k.Key, Aborts: n})
+	ranked := agg.HotKeys()
+	if len(ranked) > statusTopK {
+		ranked = ranked[:statusTopK]
 	}
-	s.live.mu.Unlock()
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].Aborts != hot[j].Aborts {
-			return hot[i].Aborts > hot[j].Aborts
-		}
-		if hot[i].Table != hot[j].Table {
-			return hot[i].Table < hot[j].Table
-		}
-		return hot[i].Key < hot[j].Key
-	})
-	if len(hot) > statusTopK {
-		hot = hot[:statusTopK]
+	st.HotKeys = make([]HotKey, len(ranked))
+	for i, hk := range ranked {
+		st.HotKeys[i] = HotKey{Table: int(hk.Key.Table), Key: hk.Key.Key, Aborts: hk.Aborts}
 	}
-	st.HotKeys = hot
 	return st
 }
 

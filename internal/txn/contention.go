@@ -64,10 +64,10 @@ type HotKey struct {
 // Detector and queue tuning.
 const (
 	// DefaultContentionHotThreshold is the decayed per-key abort count at
-	// which a key is treated as hot (Engine.ContentionHotThreshold overrides).
+	// which a key is treated as hot (Knobs.ContentionHotThreshold overrides).
 	DefaultContentionHotThreshold = 3
 	// DefaultBackoffMaxExp caps the randomized exponential backoff at
-	// 2^exp * Costs.Backoff (Engine.BackoffMaxExp overrides).
+	// 2^exp * Costs.Backoff (Knobs.BackoffMaxExp overrides).
 	DefaultBackoffMaxExp = 8
 	// hotDecayEvery halves every decayed per-key counter after this many
 	// keyed aborts, so a burst from minutes ago cannot keep a key hot.
@@ -160,7 +160,7 @@ func (cm *contentionManager) gateFor(hk HotKey) *keyGate {
 // OS-scheduling delay) charges host noise, not model. A parked waiter's
 // clock therefore grows exactly the way it does for doorbell parking: by
 // the virtual work its sibling coroutines perform on the shared clock
-// while it waits. That growth is what Stats.QueueWaitHist records.
+// while it waits. That growth is what Stats.QueueWait records.
 type keyGate struct {
 	mu        sync.Mutex
 	next      uint64
@@ -229,7 +229,7 @@ func (g *keyGate) abandon(t uint64) {
 // and ceding the OS thread between polls. Every admission counts in
 // Stats.GateAdmissions; when the waiter's own clock also grew since enqueue
 // (sibling work on the shared clock while it was parked; see keyGate) that
-// growth is recorded as the queue wait (Stats.QueueWaits/QueueWaitHist, plus
+// growth is recorded as the queue wait (Stats.QueueWaits/QueueWait, plus
 // an EvPhase/StageQueue trace span). A worker with no sibling coroutines
 // waits in host time only, so its admissions show in the first counter and
 // never in the second. A bounded wait that runs out produces a keyed
@@ -258,7 +258,7 @@ func (w *Worker) acquireGate(g *keyGate, hk HotKey) (ok bool, qerr *Error) {
 	if wait := w.Clk.Now() - start; wait > 0 {
 		w.Stats.QueueWaits++
 		w.Stats.QueueWaitNanos += uint64(wait)
-		w.Stats.QueueWaitHist.Record(wait)
+		w.Stats.QueueWait.Record(wait)
 		if w.Rec != nil {
 			w.Rec.Record(obs.EvPhase, StageQueue, uint16(w.E.M.ID), 0, 0, start, w.Clk.Now())
 		}
@@ -288,7 +288,7 @@ func (w *Worker) noteAbortKey(te *Error) *keyGate {
 	if !w.E.cm.noteAbort(hk, thr) {
 		return nil
 	}
-	if w.Stats.AbortCells.StageReasonTotal(uint8(te.Reason), te.Stage) < uint64(thr) {
+	if w.Stats.AbortMatrix.StageReasonTotal(uint8(te.Reason), te.Stage) < uint64(thr) {
 		return nil
 	}
 	return w.E.cm.gateFor(hk)

@@ -21,6 +21,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -219,29 +220,32 @@ func DefaultCosts() CostModel {
 	}
 }
 
-// Engine is the per-machine transaction layer instance.
-type Engine struct {
-	M     *cluster.Machine
-	Part  Partitioner
-	Costs CostModel
-	// Replicated enables the optimistic replication scheme (Replicas>1).
-	Replicated bool
-	Replicas   int
-	// DisableLocCache turns off the location cache (§6.3) — ablation knob:
-	// every remote access walks the remote hash index with RDMA READs.
-	DisableLocCache bool
-	// DisableVerbBatching turns off doorbell batching in the commit
-	// pipeline — ablation knob: every batch charges per-verb full
-	// round-trips (the pre-batching sequential accounting), so experiments
-	// can measure exactly what batching buys.
-	DisableVerbBatching bool
+// Knobs are the engine's tunables — the one declaration of each. Engine
+// embeds it, and so does every configuration surface that forwards to an
+// engine (harness.Options), so a knob is set under one name everywhere. The
+// zero value is the shipped configuration.
+type Knobs struct {
+	// Protocol selects the commit pipeline by registered CommitProtocol name
+	// ("" = DefaultProtocol, the DrTM+R seqlock-replication pipeline; "farm"
+	// = the one-sided log-append protocol). The execution layer is
+	// protocol-agnostic; only Txn.Commit dispatches on this.
+	Protocol string
 	// CoroutinesPerWorker is the number of logical transaction contexts a
 	// worker multiplexes when driven through Worker.RunCoroutines: at every
 	// RDMA doorbell the running transaction yields so another in-flight one
 	// executes during the fabric round-trip (the coroutine technique of the
 	// FaRM lineage). 1 disables overlap and reproduces the
-	// one-transaction-per-thread behaviour exactly (the ablation baseline).
+	// one-transaction-per-thread behaviour exactly (the ablation baseline);
+	// 0 = DefaultCoroutinesPerWorker. Read it through Coroutines.
 	CoroutinesPerWorker int
+	// DisableVerbBatching turns off doorbell batching in the commit
+	// pipeline — ablation knob: every batch charges per-verb full
+	// round-trips (the pre-batching sequential accounting), so experiments
+	// can measure exactly what batching buys.
+	DisableVerbBatching bool
+	// DisableLocCache turns off the location cache (§6.3) — ablation knob:
+	// every remote access walks the remote hash index with RDMA READs.
+	DisableLocCache bool
 	// ContentionMode selects the hot-record strategy (contention.go): the
 	// zero value enables the hot-key FIFO gates and the commutative-delta
 	// write path; ContentionOff is the pure-OCC-retry ablation.
@@ -252,16 +256,32 @@ type Engine struct {
 	// BackoffMaxExp caps Worker.backoff's randomized exponential range at
 	// 2^exp * Costs.Backoff (0 = DefaultBackoffMaxExp).
 	BackoffMaxExp int
-	// Protocol selects the commit pipeline by registered CommitProtocol name
-	// ("" = DefaultProtocol, the DrTM+R seqlock-replication pipeline; "farm"
-	// = the one-sided log-append protocol). The execution layer is
-	// protocol-agnostic; only Txn.Commit dispatches on this.
-	Protocol string
-
 	// Mut deliberately breaks protocol steps — the mutation-testing knobs
 	// that prove the strict-serializability checker has teeth. Never set
 	// outside tests.
 	Mut Mutations
+}
+
+// DefaultCoroutinesPerWorker is the default number of in-flight transaction
+// contexts per worker thread.
+const DefaultCoroutinesPerWorker = 4
+
+// Coroutines resolves CoroutinesPerWorker: 0 means the default.
+func (k Knobs) Coroutines() int {
+	if k.CoroutinesPerWorker <= 0 {
+		return DefaultCoroutinesPerWorker
+	}
+	return k.CoroutinesPerWorker
+}
+
+// Engine is the per-machine transaction layer instance.
+type Engine struct {
+	M     *cluster.Machine
+	Part  Partitioner
+	Costs CostModel
+	// Replicated enables the optimistic replication scheme (Replicas>1).
+	Replicated bool
+	Knobs
 
 	locCache *locCache
 	cm       *contentionManager
@@ -289,28 +309,17 @@ type Mutations struct {
 	SkipIncCheck bool
 }
 
-// Any reports whether any mutation is enabled.
-func (m Mutations) Any() bool {
-	return m.SkipRemoteValidate || m.SkipLocalValidate || m.IgnoreLockFail || m.SkipIncCheck
-}
-
-// DefaultCoroutinesPerWorker is the default number of in-flight transaction
-// contexts per worker thread.
-const DefaultCoroutinesPerWorker = 4
-
 // NewEngine builds the transaction layer for machine m. It registers the
 // insert/delete RPC handlers (§4.3: inserts and deletes ship to the host
 // machine over SEND/RECV).
 func NewEngine(m *cluster.Machine, part Partitioner, costs CostModel) *Engine {
 	e := &Engine{
-		M:                   m,
-		Part:                part,
-		Costs:               costs,
-		Replicas:            m.Cluster().Spec.Replicas,
-		Replicated:          m.Cluster().Spec.Replicas > 1,
-		CoroutinesPerWorker: DefaultCoroutinesPerWorker,
-		locCache:            newLocCache(),
-		cm:                  newContentionManager(),
+		M:          m,
+		Part:       part,
+		Costs:      costs,
+		Replicated: m.Cluster().Spec.Replicas > 1,
+		locCache:   newLocCache(),
+		cm:         newContentionManager(),
 	}
 	e.registerRPC()
 	return e
@@ -354,7 +363,7 @@ type Worker struct {
 	// serialize all workers into one reproducible interleaving.
 	gate func()
 
-	// Protocol, when non-empty, overrides the engine-wide Engine.Protocol
+	// Protocol, when non-empty, overrides the engine-wide Knobs.Protocol
 	// for transactions this worker commits. The serve layer sets it per
 	// stored procedure (a worker is single-goroutine, so flipping it
 	// between requests is race-free).
@@ -408,60 +417,51 @@ type PhaseStat struct {
 	Nanos   uint64 // virtual ns spent executing this phase's batches
 }
 
-// Stats counts per-worker outcomes.
-type Stats struct {
-	Committed uint64
-	Aborts    [NumAbortReasons]uint64 // indexed by AbortReason
-	Fallbacks uint64
-	Retries   uint64
-	Phases    [NumPhases]PhaseStat
-
-	// AbortCells attributes every abort along reason × stage × site — the
-	// structured replacement for the flat Aborts view ("1100 C.1-lock
-	// conflicts on node 2", not just "1200 lock-failed"). Always on:
-	// recording is one array increment.
-	AbortCells obs.AbortMatrix
+// Counters are the scalar counters of Stats. This is the one place a counter
+// is declared: harness.Result embeds Stats and serve.Status embeds Counters
+// (the JSON names are /statusz's), so a field added here reaches every table
+// note and the status endpoint with one line in Merge.
+type Counters struct {
+	Committed uint64 `json:"committed"`
+	Fallbacks uint64 `json:"fallbacks"`
+	Retries   uint64 `json:"retries"`
 
 	// Coroutine overlap counters (all zero when CoroutinesPerWorker <= 1).
 	// For every awaited doorbell: OverlapNanos is the share of the fabric
 	// round-trip hidden behind other coroutines' work, StallNanos the share
-	// the worker still had to wait out. Yields counts scheduling points
+	// the worker still had to wait out. CoYields counts scheduling points
 	// taken; MaxInFlight is the peak number of parked in-flight
-	// transactions observed on this worker. IdleWaits counts the sleeps the
-	// conservative idle jump took (sched.go): times this worker had nothing
+	// transactions observed on any one worker. IdleWaits counts the sleeps
+	// the conservative idle jump took (sched.go): times a worker had nothing
 	// due and waited for a slower worker instead of skipping ahead of it —
 	// host cost only, never virtual time. IdleGiveUps counts the waits that
 	// ran out of patience and jumped anyway: not zero means a worker stopped
 	// outside the simulator while others were running.
-	CoYields       uint64
-	CoOverlapNanos uint64
-	CoStallNanos   uint64
-	CoMaxInFlight  uint64
-	CoIdleWaits    uint64
-	CoIdleGiveUps  uint64
+	CoYields     uint64 `json:"yields"`
+	OverlapNanos uint64 `json:"overlap_ns"`
+	StallNanos   uint64 `json:"stall_ns"`
+	MaxInFlight  uint64 `json:"max_in_flight"`
+	IdleWaits    uint64 `json:"idle_waits"`
+	IdleGiveUps  uint64 `json:"idle_give_ups"`
 
-	// Contention-manager counters. KeyAborts counts aborts attributed to a
-	// specific record (whenever the abort carries a key, in every mode) —
-	// the source of Result.AbortSummary's top-K hot keys. GateAdmissions
-	// counts every retry admitted through a hot-key FIFO gate; QueueWaits /
-	// QueueWaitNanos / QueueWaitHist measure the admissions whose wait was
-	// positive in VIRTUAL time — the waiter's clock grows only through
-	// sibling coroutines' work, so a gated retry on a worker running one
-	// transaction at a time is an admission but not a queue wait.
-	KeyAborts      map[HotKey]uint64
-	GateAdmissions uint64
-	QueueWaits     uint64
-	QueueWaitNanos uint64
-	QueueWaitHist  obs.Histogram
+	// Contention-manager counters. GateAdmissions counts every retry
+	// admitted through a hot-key FIFO gate; QueueWaits / QueueWaitNanos (and
+	// Stats.QueueWait) measure the admissions whose wait was positive in
+	// VIRTUAL time — the waiter's clock grows only through sibling
+	// coroutines' work, so a gated retry on a worker running one transaction
+	// at a time is an admission but not a queue wait.
+	GateAdmissions uint64 `json:"gate_admissions"`
+	QueueWaits     uint64 `json:"queue_waits"`
+	QueueWaitNanos uint64 `json:"queue_wait_ns"`
 
 	// Retry-backoff counters. BackoffNanos is the delay the backoffs asked
 	// for, BackoffStallNanos the part the worker clock was actually advanced
 	// by: equal on a worker running one transaction at a time, and under the
 	// coroutine scheduler smaller by whatever sibling contexts' work covered
 	// while the backed-off one was parked (see Worker.backoff).
-	Backoffs          uint64
-	BackoffNanos      uint64
-	BackoffStallNanos uint64
+	Backoffs          uint64 `json:"backoffs"`
+	BackoffNanos      uint64 `json:"backoff_ns"`
+	BackoffStallNanos uint64 `json:"backoff_stall_ns"`
 
 	// Read-only-participant accounting (the protocol-matrix figure).
 	// ROVerbs counts one-sided commit-pipeline verbs addressed to records
@@ -472,8 +472,28 @@ type Stats struct {
 	// hosting none of the transaction's writes and owing it no replication
 	// duty. Both protocols keep reads fully one-sided, so ROWakeups stays
 	// zero; it is measured rather than assumed (Txn.countWakeup).
-	ROVerbs   uint64
-	ROWakeups uint64
+	ROVerbs   uint64 `json:"ro_verbs"`
+	ROWakeups uint64 `json:"ro_wakeups"`
+}
+
+// Stats counts one worker's outcomes, or, after Merge, a run's.
+type Stats struct {
+	Counters
+	Aborts [NumAbortReasons]uint64 // indexed by AbortReason
+	Phases [NumPhases]PhaseStat
+
+	// AbortMatrix attributes every abort along reason × stage × site — the
+	// structured replacement for the flat Aborts view ("1100 C.1-lock
+	// conflicts on node 2", not just "1200 lock-failed"). Always on:
+	// recording is one array increment.
+	AbortMatrix obs.AbortMatrix
+
+	// QueueWait is the distribution behind QueueWaits / QueueWaitNanos.
+	QueueWait obs.Histogram
+
+	// KeyAborts counts aborts attributed to a specific record (whenever the
+	// abort carries a key, in every contention mode); HotKeys ranks it.
+	KeyAborts map[HotKey]uint64
 }
 
 // AbortsTotal sums all abort reasons.
@@ -485,36 +505,68 @@ func (s *Stats) AbortsTotal() uint64 {
 	return t
 }
 
-// AddPhases accumulates another worker's phase counters (harness roll-up).
-func (s *Stats) AddPhases(o *Stats) {
-	for i := range s.Phases {
-		s.Phases[i].Verbs += o.Phases[i].Verbs
-		s.Phases[i].Batches += o.Phases[i].Batches
-		s.Phases[i].Nanos += o.Phases[i].Nanos
-	}
-	s.ROVerbs += o.ROVerbs
-	s.ROWakeups += o.ROWakeups
+// KeyAbortCount is one record's attributed abort count (Stats.HotKeys).
+type KeyAbortCount struct {
+	Key    HotKey
+	Aborts uint64
 }
 
-// AddOverlap accumulates another worker's coroutine overlap counters
-// (harness roll-up; MaxInFlight takes the max, the rest sum).
-func (s *Stats) AddOverlap(o *Stats) {
+// HotKeys ranks KeyAborts, worst first (ties break on table then key, so the
+// order is deterministic) — the per-key complement of AbortMatrix.
+func (s *Stats) HotKeys() []KeyAbortCount {
+	out := make([]KeyAbortCount, 0, len(s.KeyAborts))
+	for k, n := range s.KeyAborts {
+		out = append(out, KeyAbortCount{Key: k, Aborts: n})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Aborts != out[j].Aborts {
+			return out[i].Aborts > out[j].Aborts
+		}
+		if out[i].Key.Table != out[j].Key.Table {
+			return out[i].Key.Table < out[j].Key.Table
+		}
+		return out[i].Key.Key < out[j].Key.Key
+	})
+	return out
+}
+
+// Merge folds another worker's stats into s (harness roll-up, /statusz):
+// every counter sums, except MaxInFlight, a peak, which takes the max.
+// TestStatsMergeCoversEveryField fails when a field is missing here.
+func (s *Stats) Merge(o *Stats) {
+	s.Committed += o.Committed
+	s.Fallbacks += o.Fallbacks
+	s.Retries += o.Retries
 	s.CoYields += o.CoYields
-	s.CoOverlapNanos += o.CoOverlapNanos
-	s.CoStallNanos += o.CoStallNanos
-	s.CoIdleWaits += o.CoIdleWaits
-	s.CoIdleGiveUps += o.CoIdleGiveUps
-	if o.CoMaxInFlight > s.CoMaxInFlight {
-		s.CoMaxInFlight = o.CoMaxInFlight
-	}
-}
-
-// AddBackoff accumulates another worker's retry-backoff counters (harness
-// roll-up).
-func (s *Stats) AddBackoff(o *Stats) {
+	s.OverlapNanos += o.OverlapNanos
+	s.StallNanos += o.StallNanos
+	s.MaxInFlight = max(s.MaxInFlight, o.MaxInFlight)
+	s.IdleWaits += o.IdleWaits
+	s.IdleGiveUps += o.IdleGiveUps
+	s.GateAdmissions += o.GateAdmissions
+	s.QueueWaits += o.QueueWaits
+	s.QueueWaitNanos += o.QueueWaitNanos
 	s.Backoffs += o.Backoffs
 	s.BackoffNanos += o.BackoffNanos
 	s.BackoffStallNanos += o.BackoffStallNanos
+	s.ROVerbs += o.ROVerbs
+	s.ROWakeups += o.ROWakeups
+	for i, n := range o.Aborts {
+		s.Aborts[i] += n
+	}
+	for i, p := range o.Phases {
+		s.Phases[i].Verbs += p.Verbs
+		s.Phases[i].Batches += p.Batches
+		s.Phases[i].Nanos += p.Nanos
+	}
+	s.AbortMatrix.Merge(&o.AbortMatrix)
+	s.QueueWait.Merge(&o.QueueWait)
+	if len(o.KeyAborts) > 0 && s.KeyAborts == nil {
+		s.KeyAborts = make(map[HotKey]uint64, len(o.KeyAborts))
+	}
+	for k, n := range o.KeyAborts {
+		s.KeyAborts[k] += n
+	}
 }
 
 // NewWorker creates worker id on this engine.
@@ -605,24 +657,29 @@ func (tx *Txn) execBatch(phase CommitPhase, b *rdma.Batch) error {
 // its in-flight contexts, so advancing it up front would make every sibling
 // pay one context's wait. Parked until now+d, the context is charged on
 // resume only what sibling work has not already covered — the same
-// accounting as a doorbell. With no scheduler (w.cur == nil: N=1, the serve
-// executors, a plain Worker.Run) nobody else can use the time and the whole
-// delay is charged, exactly.
+// accounting as a doorbell. With no scheduler (N=1, the serve executors, a
+// plain Worker.Run) nobody else can use the time and the whole delay is
+// charged, exactly — and, free-running, also spent on the host (sim.Spin):
+// a backoff is the one step that moves the clock without host work, so a
+// waiter that only yielded retried a thousand times per step of a holder the
+// host kept off the CPU, and charged itself 100-400 ms for a 5 us hold in
+// one serve run in ten. Spun, its wait is at most the host time the holder lost.
 func (w *Worker) backoff(attempt int) {
 	maxE := w.E.BackoffMaxExp
 	if maxE <= 0 {
 		maxE = DefaultBackoffMaxExp
 	}
-	if maxE > 62 {
-		maxE = 62 // 1<<63 overflows int64
-	}
-	maxExp := 1 << uint(min(attempt, maxE))
+	maxExp := 1 << uint(min(attempt, maxE, 62)) // 1<<63 overflows int64
 	d := time.Duration(1+w.rng.Intn(maxExp)) * w.E.Costs.Backoff
 	deadline := w.Clk.Now() + int64(d)
 	w.yield(deadline) // let another in-flight transaction (maybe the lock holder) run
 	w.Stats.Backoffs++
 	w.Stats.BackoffNanos += uint64(d)
 	w.Stats.BackoffStallNanos += uint64(w.Clk.WaitUntil(deadline))
+	if w.sched == nil && w.gate == nil {
+		sim.Spin(d)
+		return
+	}
 	w.cede()
 }
 
@@ -665,7 +722,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 				// Admission timed out (or this machine died): account it
 				// like any abort, then retry ungated.
 				w.Stats.Aborts[qerr.Reason]++
-				w.Stats.AbortCells.Record(uint8(qerr.Reason), qerr.Stage, int(qerr.Site))
+				w.Stats.AbortMatrix.Record(uint8(qerr.Reason), qerr.Stage, int(qerr.Site))
 				w.Stats.Retries++
 				if w.E.M.Dead() {
 					return qerr
@@ -714,7 +771,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 			return err // user error: not retried
 		}
 		w.Stats.Aborts[te.Reason]++
-		w.Stats.AbortCells.Record(uint8(te.Reason), te.Stage, int(te.Site))
+		w.Stats.AbortMatrix.Record(uint8(te.Reason), te.Stage, int(te.Site))
 		w.Stats.Retries++
 		if w.Rec != nil {
 			w.Rec.Record(obs.EvTxnAbort, te.Stage, te.Site, uint32(te.Reason), tx.id, start, w.Clk.Now())

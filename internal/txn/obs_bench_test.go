@@ -175,7 +175,7 @@ func TestAbortAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := wk.Stats.AbortCells.Cells()
+	cells := wk.Stats.AbortMatrix.Cells()
 	if len(cells) == 0 {
 		t.Fatal("no abort cells recorded")
 	}
@@ -183,10 +183,10 @@ func TestAbortAttribution(t *testing.T) {
 	if AbortReason(top.Reason) != AbortLockFailed || top.Stage != StageLock || top.Site != 1 {
 		t.Errorf("top abort cell %+v, want lock-failed at C.1 on node 1", top)
 	}
-	if got, want := wk.Stats.AbortCells.Total(), wk.Stats.AbortsTotal(); got != want {
+	if got, want := wk.Stats.AbortMatrix.Total(), wk.Stats.AbortsTotal(); got != want {
 		t.Errorf("matrix total %d != flat aborts %d", got, want)
 	}
-	s := wk.Stats.AbortCells.Summary(3,
+	s := wk.Stats.AbortMatrix.Summary(3,
 		func(r uint8) string { return AbortReason(r).String() }, StageName)
 	if s == "" {
 		t.Error("empty abort summary")

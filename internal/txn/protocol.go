@@ -37,7 +37,7 @@ import (
 //     shared by every engine and worker concurrently.
 type CommitProtocol interface {
 	// Name is the registry key ("drtmr", "farm") — the value of
-	// Engine.Protocol and the harness -protocol knob.
+	// Knobs.Protocol and the harness -protocol knob.
 	Name() string
 	// Commit runs the full read-write commit pipeline.
 	Commit(tx *Txn) error
@@ -94,7 +94,7 @@ func init() {
 
 // protocol resolves this worker's commit protocol: the per-worker override
 // (set by the serve layer per stored procedure) wins over the engine-wide
-// Engine.Protocol, which defaults to DefaultProtocol. An unknown name
+// Knobs.Protocol, which defaults to DefaultProtocol. An unknown name
 // panics: it is a configuration error that must fail loudly, not a runtime
 // abort.
 func (w *Worker) protocol() CommitProtocol {

@@ -208,7 +208,7 @@ func runForcedFallbackBank(t *testing.T, proto string, replicas int) {
 				committed += wk.Stats.Committed
 				fallbacks += wk.Stats.Fallbacks
 				for r := uint8(0); r < uint8(NumAbortReasons); r++ {
-					fallbackAbs += wk.Stats.AbortCells.StageReasonTotal(r, StageFallback)
+					fallbackAbs += wk.Stats.AbortMatrix.StageReasonTotal(r, StageFallback)
 				}
 				mu.Unlock()
 			}(n, wi)

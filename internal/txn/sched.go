@@ -66,7 +66,7 @@ import (
 //     the gate has not come yet. The sleep is bounded in host time, and one
 //     that runs out of patience is the last for that jump: a peer stopped
 //     outside the simulator costs host time, never a hang
-//     (Stats.CoIdleGiveUps). Work is never held back, only idling; a worker
+//     (Stats.IdleGiveUps). Work is never held back, only idling; a worker
 //     with no scheduler neither joins nor waits; and under the deterministic
 //     gate the rule is off, because there the seeded schedule steps every
 //     worker at the same rate and a waiter cannot out-poll its holder.
@@ -82,7 +82,7 @@ import (
 // earlier-posted one that has not, as a completion-queue poll would. N = 1
 // bypasses the scheduler entirely and runs fn(0) inline: byte-for-byte the
 // one-transaction-per-thread behaviour, kept as the ablation baseline
-// (Engine.CoroutinesPerWorker = 1).
+// (Knobs.CoroutinesPerWorker = 1).
 
 // coro is one logical transaction context multiplexed on a worker.
 type coro struct {
@@ -231,9 +231,9 @@ func (s *scheduler) passes(w *Worker, t int64) *sim.Runner {
 // the sleep ran out of patience instead.
 func (s *scheduler) idleWait(w *Worker, x *sim.Runner, t int64) bool {
 	s.idleUntil(t)
-	w.Stats.CoIdleWaits++
+	w.Stats.IdleWaits++
 	if !s.run.Follow(x, t-int64(idleSlack)) {
-		w.Stats.CoIdleGiveUps++
+		w.Stats.IdleGiveUps++
 		return false
 	}
 	return true
@@ -332,8 +332,8 @@ func (w *Worker) park(c *coro) {
 	}
 	s := w.sched
 	s.inFlight++
-	if uint64(s.inFlight) > w.Stats.CoMaxInFlight {
-		w.Stats.CoMaxInFlight = uint64(s.inFlight)
+	if uint64(s.inFlight) > w.Stats.MaxInFlight {
+		w.Stats.MaxInFlight = uint64(s.inFlight)
 	}
 	var parked int64
 	if w.Rec != nil {
@@ -369,9 +369,9 @@ func (w *Worker) await(c *rdma.Completion) error {
 	stalled := w.Clk.WaitUntil(c.End())
 	w.Stats.CoYields++
 	if flight := c.End() - issued; flight > 0 {
-		w.Stats.CoStallNanos += uint64(stalled)
+		w.Stats.StallNanos += uint64(stalled)
 		if hidden := flight - stalled; hidden > 0 {
-			w.Stats.CoOverlapNanos += uint64(hidden)
+			w.Stats.OverlapNanos += uint64(hidden)
 		}
 	}
 	return c.Err()

@@ -3,6 +3,7 @@ package txn
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func TestCoroutineAblationExact(t *testing.T) {
 	if !reflect.DeepEqual(stPlain, stCoro) {
 		t.Errorf("stats differ:\nplain   %+v\ncoro(1) %+v", stPlain, stCoro)
 	}
-	if stCoro.CoYields != 0 || stCoro.CoOverlapNanos != 0 || stCoro.CoMaxInFlight != 0 {
+	if stCoro.CoYields != 0 || stCoro.OverlapNanos != 0 || stCoro.MaxInFlight != 0 {
 		t.Errorf("N=1 recorded overlap activity: %+v", stCoro)
 	}
 }
@@ -93,11 +94,11 @@ func TestCoroutineOverlapCounters(t *testing.T) {
 	if st.CoYields == 0 {
 		t.Error("no yields recorded")
 	}
-	if st.CoOverlapNanos == 0 {
+	if st.OverlapNanos == 0 {
 		t.Error("no round-trip time was hidden")
 	}
-	if st.CoMaxInFlight < 2 || st.CoMaxInFlight > 4 {
-		t.Errorf("in-flight peak %d, want 2..4", st.CoMaxInFlight)
+	if st.MaxInFlight < 2 || st.MaxInFlight > 4 {
+		t.Errorf("in-flight peak %d, want 2..4", st.MaxInFlight)
 	}
 }
 
@@ -308,6 +309,28 @@ func TestBackoffChargesExactlyWithoutScheduler(t *testing.T) {
 			t.Errorf("viaSched=%v: clock %d, backoffs %d asked %d stalled %d; want all of one %v backoff charged",
 				viaSched, wk.Clk.Now(), st.Backoffs, st.BackoffNanos, st.BackoffStallNanos, d)
 		}
+	}
+}
+
+// TestBackoffCannotOutpollAHolderOffTheCPU: a free-running worker with no
+// scheduler retries against a holder the host is not running (here: asleep for
+// 5 ms). Each backoff is spent on the host too, so the waiter's clock moves
+// about as far as the wall clock did. Yielding only, it charged itself ~90 us
+// per ~1 us retry: some 400 ms for this hold.
+func TestBackoffCannotOutpollAHolderOffTheCPU(t *testing.T) {
+	wk := backoffWorld(t, 1, 700*time.Nanosecond).engines[0].NewWorker(0)
+	var released atomic.Bool
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		released.Store(true)
+	}()
+	start := time.Now()
+	for attempt := 0; !released.Load(); attempt++ {
+		wk.backoff(attempt)
+	}
+	wall := time.Since(start)
+	if virt := time.Duration(wk.Clk.Now()); virt > wall+time.Millisecond {
+		t.Errorf("waiter charged itself %v of backoff in %v of host time (%d backoffs)", virt, wall, wk.Stats.Backoffs)
 	}
 }
 
@@ -535,11 +558,11 @@ func TestIdleJumpWaitsForSlowerWorker(t *testing.T) {
 	if got := fast.Clk.Now(); got != int64(d) {
 		t.Errorf("fast worker ends at %dns, want its %v backoff and nothing for the wait", got, d)
 	}
-	if st := fast.Stats; st.CoIdleWaits == 0 || st.CoIdleGiveUps != 0 {
-		t.Errorf("fast worker: %d idle waits, %d gave up; want at least one wait and none given up", st.CoIdleWaits, st.CoIdleGiveUps)
+	if st := fast.Stats; st.IdleWaits == 0 || st.IdleGiveUps != 0 {
+		t.Errorf("fast worker: %d idle waits, %d gave up; want at least one wait and none given up", st.IdleWaits, st.IdleGiveUps)
 	}
-	if st := slow.Stats; st.CoIdleWaits != 0 {
-		t.Errorf("the slowest worker waited %d times; it must never wait", st.CoIdleWaits)
+	if st := slow.Stats; st.IdleWaits != 0 {
+		t.Errorf("the slowest worker waited %d times; it must never wait", st.IdleWaits)
 	}
 }
 
@@ -563,8 +586,8 @@ func TestIdleWorkersDoNotWaitOnEachOther(t *testing.T) {
 		if want := int64(i+1) * int64(time.Millisecond); wk.Clk.Now() != want {
 			t.Errorf("worker %d ends at %dns, want %dns", i, wk.Clk.Now(), want)
 		}
-		if wk.Stats.CoIdleGiveUps != 0 {
-			t.Errorf("worker %d ran out of patience %d times waiting for an idle peer", i, wk.Stats.CoIdleGiveUps)
+		if wk.Stats.IdleGiveUps != 0 {
+			t.Errorf("worker %d ran out of patience %d times waiting for an idle peer", i, wk.Stats.IdleGiveUps)
 		}
 	}
 }

@@ -60,7 +60,7 @@ go test ./internal/txn/ -run '^$' -bench BenchmarkTraceOverhead -benchtime 200x
 # through the hot-key queue and commutative-delta commit paths (named
 # explicitly so a benchmark-filter change can't silently drop it; the
 # catch-all pass below also includes it).
-go test -run '^$' -bench BenchmarkFigContentionTail -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkFig$/^tail$' -benchtime 1x .
 
 # Scheduler and gate gate: the wake-ordered coroutine dispatcher (timed and
 # gated parks, the idle jump, the sleeping-holder livelock guard, the gate
@@ -82,7 +82,7 @@ go test -race -cpu 1,2 -run 'TestBackoff|TestAllBackedOff|TestIdle|TestGatedWait
 # every pipeline's virtual ns and per-phase verb counts to the exact values
 # recorded before the pipelines were merged into one stage library.
 go test -race -run 'TestProtocolConformance|TestProtocolLockBackoutReleasesAll|TestProtocolROVerbAccounting|TestProtocolRegistry|TestCommitVirtualNsPinned' -count=1 ./internal/txn/
-go test -run '^$' -bench BenchmarkFigProtocolMatrix -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkFig$/^proto$' -benchtime 1x .
 
 # Smoke-run every benchmark once: the figure benchmarks drive the full
 # harness (including the coroutine-overlap sweep), so this catches
