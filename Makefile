@@ -18,7 +18,7 @@ help:
 	@echo "               (policy: keep it empty — fix or //drtmr:allow instead)"
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"
-	@echo "  stress       txn, check, serve and harness suites 20 times each on 1 and 2"
+	@echo "  stress       rdma, txn, check, serve and harness suites 20 times each on 1 and 2"
 	@echo "               CPUs (-count=20 -cpu 1,2): catches tests that pass only"
 	@echo "               when goroutines happen (not) to overlap on the host"
 	@echo "  check        CI gate: build + vet + lint + race + smoke benchmarks"
@@ -85,7 +85,7 @@ race:
 # on the host, on both a 1-CPU and a 2-CPU schedule, so a host-dependent test
 # fails here before it fails on someone's small machine.
 stress:
-	$(GO) test -count=20 -cpu 1,2 ./internal/txn/ ./internal/check/ ./internal/serve/ ./internal/bench/harness/
+	$(GO) test -count=20 -cpu 1,2 ./internal/rdma/ ./internal/txn/ ./internal/check/ ./internal/serve/ ./internal/bench/harness/
 
 # check is the CI gate: build, vet, the full suite under the race detector
 # (the simulator runs real goroutines per worker/applier, so -race exercises

@@ -18,9 +18,17 @@ import (
 //
 // Single-verb QP calls in functions with no Batch in scope (last-resort
 // header reads, passive lock release) are legitimate and not flagged.
+//
+// The second rule guards the two-doorbell commit the same way: a queue pair
+// executes its work requests in post order, so two doorbells rung one after
+// the other are only needed when the second batch's verbs depend on what the
+// first returned. Two execBatch calls in one function with no read of a
+// Pending's result (Data, Val, Prev, Swapped — Err is a failure, not data)
+// between them is a round-trip, a coroutine yield and a stretch of lock-hold
+// time that fusing the batches would delete.
 var Doorbell = &analysis.Analyzer{
 	Name:          "doorbell",
-	Doc:           "flag raw single-verb QP.Read/Write/CAS calls where an rdma.Batch is in scope (doorbell batching regression guard)",
+	Doc:           "flag raw single-verb QP.Read/Write/CAS calls where an rdma.Batch is in scope, and back-to-back execBatch doorbells with no data dependency between them (doorbell batching regression guards)",
 	PackageFilter: isProtocolPackage,
 	Run:           runDoorbell,
 }
@@ -39,6 +47,7 @@ var singleVerbMethods = map[string]string{
 
 func runDoorbell(pass *analysis.Pass) error {
 	for _, fd := range funcDecls(pass.Files) {
+		checkBackToBackDoorbells(pass, fd)
 		batchPos := firstBatchInScope(pass.TypesInfo, fd)
 		if !batchPos.IsValid() {
 			continue
@@ -62,6 +71,38 @@ func runDoorbell(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// pendingResults are the fields of rdma.Pending that carry what a verb
+// returned.
+var pendingResults = map[string]bool{"Data": true, "Val": true, "Prev": true, "Swapped": true}
+
+// checkBackToBackDoorbells reports every execBatch call that follows another
+// in fd (source order) with no Pending result read in between.
+func checkBackToBackDoorbells(pass *analysis.Pass, fd *ast.FuncDecl) {
+	var rings, reads []token.Pos
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if calleeName(pass.TypesInfo, n) == "execBatch" {
+				rings = append(rings, n.Pos())
+			}
+		case *ast.SelectorExpr:
+			if pendingResults[n.Sel.Name] && exprTypeName(pass.TypesInfo, n.X) == "Pending" {
+				reads = append(reads, n.Pos())
+			}
+		}
+		return true
+	})
+	for i := 1; i < len(rings); i++ {
+		dependent := false
+		for _, r := range reads {
+			dependent = dependent || (rings[i-1] < r && r < rings[i])
+		}
+		if !dependent {
+			pass.Reportf(rings[i], "back-to-back doorbells with no data dependency: fuse or justify (one QP executes in post order, so the second batch's verbs can ride the first doorbell)")
+		}
+	}
 }
 
 // firstBatchInScope returns the position of the first declaration of a

@@ -166,7 +166,7 @@ func (r *ring) record(v uint64) {
 }
 
 // TestEnumSwitchTeeth mirrors the txn write-set kind dispatch
-// (applyInsertsDeletes / writeBackRemote): every wsKind must be handled or
+// (applyInsertsDeletes / postWriteBack): every wsKind must be handled or
 // the skip documented. Dropping the documented arm must fire enumswitch.
 func TestEnumSwitchTeeth(t *testing.T) {
 	const clean = `package seed

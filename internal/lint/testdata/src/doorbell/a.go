@@ -9,15 +9,21 @@ func (q *QP) Write(off uint64, data []byte) error                { return nil }
 func (q *QP) Write64(off, v uint64) error                        { return nil }
 func (q *QP) CAS(off, old, new uint64) (uint64, bool, error)     { return 0, false, nil }
 
-type pendingOp struct{}
+type Pending struct {
+	Data    []byte
+	Swapped bool
+	Err     error
+}
 
 type Batch struct{}
 
-func (b *Batch) PostRead(q *QP, off uint64, n int) *pendingOp      { return nil }
-func (b *Batch) PostCAS(q *QP, off, old, new uint64) *pendingOp    { return nil }
-func (b *Batch) Execute() error                                    { return nil }
+func (b *Batch) PostRead(q *QP, off uint64, n int) *Pending   { return &Pending{} }
+func (b *Batch) PostCAS(q *QP, off, old, new uint64) *Pending { return &Pending{} }
+func (b *Batch) Execute() error                               { return nil }
 
 func newBatch() *Batch { return &Batch{} }
+
+func execBatch(b *Batch) error { return b.Execute() }
 
 func okNoBatchInScope(q *QP) {
 	_, _, _ = q.CAS(8, 0, 1) // no batch in this function: legitimate
@@ -56,4 +62,53 @@ func missingReason(q *QP) {
 	b := newBatch()
 	_ = b.Execute()
 	_, _, _ = q.CAS(8, 0, 1) //drtmr:allow doorbell // want "single-verb QP.CAS" "missing the required reason"
+}
+
+func badBackToBack(q *QP) {
+	lock := newBatch()
+	lock.PostCAS(q, 8, 0, 1)
+	_ = execBatch(lock)
+	hdr := newBatch()
+	hdr.PostRead(q, 0, 24)
+	_ = execBatch(hdr) // want "back-to-back doorbells with no data dependency: fuse or justify"
+}
+
+func badErrIsNotData(q *QP) {
+	payload := newBatch()
+	p := payload.PostRead(q, 0, 24)
+	_ = execBatch(payload)
+	publish := newBatch()
+	if p.Err == nil {
+		publish.PostCAS(q, 8, 0, 1)
+	}
+	_ = execBatch(publish) // want "back-to-back doorbells with no data dependency"
+}
+
+func okDependsOnResult(q *QP) {
+	lock := newBatch()
+	p := lock.PostCAS(q, 8, 0, 1)
+	_ = execBatch(lock)
+	retry := newBatch()
+	if !p.Swapped {
+		retry.PostCAS(q, 8, 0, 1)
+	}
+	_ = execBatch(retry) // the second batch is built from the first's results
+	third := newBatch()
+	_ = execBatch(third) // want "back-to-back doorbells with no data dependency"
+}
+
+func okFused(q *QP) {
+	b := newBatch()
+	b.PostCAS(q, 8, 0, 1)
+	hdr := b.PostRead(q, 0, 24) // rides the lock doorbell
+	_ = execBatch(b)
+	_ = hdr.Data
+}
+
+func allowedBackToBack(q *QP) {
+	a := newBatch()
+	_ = execBatch(a)
+	b := newBatch()
+	//drtmr:allow doorbell the second batch targets memory the first batch's remote CPU handler allocates
+	_ = execBatch(b)
 }

@@ -116,6 +116,16 @@ func (p *Pending) perform() {
 
 // Batch collects posted verbs (possibly to many QPs) for one doorbell.
 // A Batch belongs to one worker thread; it is not safe for concurrent use.
+//
+// Ordering contract: verbs posted to ONE QP execute at the target in post
+// order, each seeing the memory effects of those before it — the guarantee a
+// reliable-connection queue pair gives its work requests — under batched and
+// sequential accounting alike, and a target that has died fails every verb
+// posted to it, not a prefix. The commit pipeline depends on it twice: a READ
+// posted behind a lock CAS sees the record as the CAS left it, and a record's
+// write-back WRITE has landed when the unlock CAS posted behind it clears the
+// lock word (internal/txn lockBatch, finish). Nothing is promised between
+// different QPs of one batch. TestBatchPerQPOrder holds the contract.
 type Batch struct {
 	clk *sim.Clock
 	ops []*Pending

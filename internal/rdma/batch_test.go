@@ -2,6 +2,8 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 
@@ -230,6 +232,114 @@ func TestBatchDeadNodePerVerbError(t *testing.T) {
 	}
 	if pl.Err != nil || pl.Val != 7 {
 		t.Fatalf("live-target verb: err=%v val=%d", pl.Err, pl.Val)
+	}
+}
+
+// TestBatchPerQPOrder holds Batch's ordering contract, which the commit
+// pipeline's two fused doorbells rest on, under batched and sequential
+// accounting: verbs posted to one QP execute in post order.
+func TestBatchPerQPOrder(t *testing.T) {
+	const lockOff, valOff = 0, 8 // one cacheline: a READ of both is atomic
+	for _, seq := range []bool{false, true} {
+		name := "batched"
+		if seq {
+			name = "sequential"
+		}
+		t.Run(name, func(t *testing.T) {
+			net, engs := newFabric(t, 3, Config{})
+			var clk sim.Clock
+			qp1, qp2 := net.NewQP(0, 1, &clk), net.NewQP(0, 2, &clk)
+			newBatch := func() *Batch {
+				b := NewBatch(&clk)
+				b.SetSequential(seq)
+				return b
+			}
+
+			// Lock + fetch: the READ behind a CAS returns the post-CAS lock
+			// word, swapped or not.
+			engs[2].Store64NonTx(lockOff, 9) // node 2's record is held by someone else
+			b := newBatch()
+			won, wonHdr := b.PostCAS(qp1, lockOff, 0, 5), b.PostRead(qp1, lockOff, 16)
+			lost, lostHdr := b.PostCAS(qp2, lockOff, 0, 5), b.PostRead(qp2, lockOff, 16)
+			if err := b.Execute(); err != nil {
+				t.Fatal(err)
+			}
+			if !won.Swapped || binary.LittleEndian.Uint64(wonHdr.Data) != 5 {
+				t.Fatalf("READ behind a won CAS: swapped=%v, lock word %d, want 5", won.Swapped, binary.LittleEndian.Uint64(wonHdr.Data))
+			}
+			if lost.Swapped || binary.LittleEndian.Uint64(lostHdr.Data) != 9 {
+				t.Fatalf("READ behind a lost CAS: swapped=%v, lock word %d, want the holder's 9", lost.Swapped, binary.LittleEndian.Uint64(lostHdr.Data))
+			}
+
+			// Write-back + unlock: round r locks the record with word r, then
+			// posts WRITE value=r and, behind it, CAS r->0. A reader that has
+			// seen the record locked in round r must never afterwards see it
+			// unlocked with an older value.
+			engs[1].Store64NonTx(lockOff, 0)
+			const rounds = 2000
+			stop := make(chan struct{})
+			readerDone := make(chan error, 1)
+			go func() {
+				var rclk sim.Clock
+				rqp := net.NewQP(2, 1, &rclk)
+				var lastLocked uint64
+				for {
+					select {
+					case <-stop:
+						readerDone <- nil
+						return
+					default:
+					}
+					rec, err := rqp.Read(lockOff, 16, nil)
+					if err != nil {
+						readerDone <- err
+						return
+					}
+					lock, val := binary.LittleEndian.Uint64(rec), binary.LittleEndian.Uint64(rec[valOff:])
+					if lock != 0 {
+						lastLocked = lock
+					} else if val < lastLocked {
+						readerDone <- fmt.Errorf("record unlocked with value %d after round %d locked it", val, lastLocked)
+						return
+					}
+				}
+			}()
+			for r := uint64(1); r <= rounds; r++ {
+				if _, ok, err := qp1.CAS(lockOff, 0, r); err != nil || !ok {
+					t.Fatalf("round %d lock: ok=%v err=%v", r, ok, err)
+				}
+				b := newBatch()
+				b.PostWrite64(qp1, valOff, r)
+				unlock := b.PostCAS(qp1, lockOff, r, 0)
+				if err := b.Execute(); err != nil || !unlock.Swapped {
+					t.Fatalf("round %d write-back+unlock: swapped=%v err=%v", r, unlock.Swapped, err)
+				}
+			}
+			close(stop)
+			if err := <-readerDone; err != nil {
+				t.Fatal(err)
+			}
+
+			// A target that dies between post and doorbell fails the CAS AND
+			// the READ behind it; the other QP's pair is untouched.
+			engs[2].Store64NonTx(lockOff, 0)
+			b = newBatch()
+			deadCAS, deadHdr := b.PostCAS(qp1, lockOff, 0, 5), b.PostRead(qp1, lockOff, 16)
+			liveCAS, liveHdr := b.PostCAS(qp2, lockOff, 0, 5), b.PostRead(qp2, lockOff, 16)
+			net.NIC(1).Kill()
+			if err := b.Execute(); err != ErrNodeDead {
+				t.Fatalf("Execute err = %v, want ErrNodeDead", err)
+			}
+			if deadCAS.Err != ErrNodeDead || deadHdr.Err != ErrNodeDead || deadCAS.Swapped || deadHdr.Data != nil {
+				t.Fatalf("dead target: CAS err=%v swapped=%v, READ err=%v data=%v", deadCAS.Err, deadCAS.Swapped, deadHdr.Err, deadHdr.Data)
+			}
+			if liveCAS.Err != nil || !liveCAS.Swapped || liveHdr.Err != nil || binary.LittleEndian.Uint64(liveHdr.Data) != 5 {
+				t.Fatalf("live target: CAS err=%v swapped=%v, READ err=%v", liveCAS.Err, liveCAS.Swapped, liveHdr.Err)
+			}
+			if got := engs[1].Load64NonTx(lockOff); got != 0 {
+				t.Fatalf("dead target's lock word moved to %d", got)
+			}
+		})
 	}
 }
 

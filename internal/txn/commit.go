@@ -33,15 +33,15 @@ func (drtmrProto) ReadOnlyCommit(tx *Txn) error { return tx.commitReadOnly() }
 // Commit runs the six-step commit phase (Fig 7) plus optimistic replication
 // (§5.1):
 //
-//	C.1 lock remote read+write sets with RDMA CAS
-//	C.2 validate remote read set (and fetch base seqs for remote writes)
+//	C.1 lock remote read+write sets with RDMA CAS            ┐ one doorbell: each
+//	C.2 validate remote read set (+ remote write base seqs)  ┘ READ behind its CAS
 //	C.3 validate local read set   ┐ one HTM region
 //	C.4 update local write set    ┘ (fallback handler after retries)
 //	    apply inserts/deletes (local + shipped to hosts)
 //	R.1 write full-write-set log entries to every replica ring
 //	R.2 makeup: flip local records to committable (+1 → even)
-//	C.5 write back remote writes (committable seq) with RDMA WRITE
-//	C.6 unlock remote records with RDMA CAS
+//	C.5 write back remote writes (committable seq), RDMA WRITE  ┐ one doorbell:
+//	C.6 unlock remote records with RDMA CAS                     ┘ CASes last
 func (proto drtmrProto) Commit(tx *Txn) error {
 	w := tx.w
 
@@ -63,13 +63,14 @@ func (proto drtmrProto) Commit(tx *Txn) error {
 			w.Stats.ROVerbs += 2
 		}
 	}
-	if err := tx.lockRemote(locks); err != nil {
+	var run lockRun
+	if err := tx.lockRemote(locks, &run); err != nil {
 		return err
 	}
 
-	// --- C.2: validate remote reads; fetch base seqs of remote writes.
+	// --- C.2: validate remote reads, take base seqs of remote writes (C.1 fetched them).
 	tx.stage = StageValidate
-	if err := tx.validate(validation{phase: PhaseValidate, lockedRS: true}); err != nil {
+	if err := tx.validate(validation{phase: PhaseValidate, lockedRS: true}, &run); err != nil {
 		tx.unlockTargets(PhaseUnlock, locks)
 		return err
 	}
@@ -409,6 +410,7 @@ func (tx *Txn) replicate() []ringToken {
 		w.E.M.LogWriter(a.node).Publish(w.QP(a.node), hb, a.tok, entry)
 		toks = append(toks, ringToken{node: a.node, tok: a.tok})
 	}
+	//drtmr:allow doorbell a header must not publish a payload that never landed; RC ordering gives that too (a dead target fails both), so this pair is ROADMAP's next doorbell to fuse — it moves every replicated pin and sb-r3, and lands with its own before/after rows
 	_ = tx.execBatch(PhaseLog, hb)
 	return toks
 }
@@ -509,12 +511,11 @@ func (tx *Txn) stampVersions(htx *htm.Txn, off uint64, table memstore.TableID, s
 	return nil
 }
 
-// writeBackRemote is C.5: one doorbell batch of RDMA WRITEs installing each
-// remote update's new image (final committable seq, versions stamped),
-// skipping the lock word, plus the seq-flip of remote inserts.
-func (tx *Txn) writeBackRemote() {
+// postWriteBack is C.5: it posts the RDMA WRITEs installing each remote
+// update's new image (final committable seq, versions stamped), skipping the
+// lock word, plus the seq-flip of remote inserts. finish rings the doorbell.
+func (tx *Txn) postWriteBack(b *rdma.Batch) {
 	w := tx.w
-	b := w.newBatch()
 	for i := range tx.ws {
 		e := &tx.ws[i]
 		if e.local || e.off == 0 {
@@ -546,7 +547,6 @@ func (tx *Txn) writeBackRemote() {
 			// there is no image to install.
 		}
 	}
-	_ = tx.execBatch(PhaseWriteBack, b)
 }
 
 // commitReadOnly validates sequence numbers only (§4.5): no HTM, no locks.

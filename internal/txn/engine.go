@@ -378,11 +378,11 @@ type CommitPhase int
 
 // Commit pipeline phases.
 const (
-	PhaseLock       CommitPhase = iota // C.1: lock remote read+write sets
+	PhaseLock       CommitPhase = iota // C.1: lock remote read+write sets; its doorbell carries C.2's READs
 	PhaseValidate                      // C.2: validate remote reads, fetch write bases
 	PhaseLog                           // R.1: replication payload + publish fan-out
 	PhaseWriteBack                     // C.5: write back remote updates
-	PhaseUnlock                        // C.6: unlock remote records
+	PhaseUnlock                        // C.6: unlock remote records; its doorbell carries C.5's WRITEs
 	PhaseROValidate                    // §4.5: read-only remote validation
 	PhaseFallback                      // §6.1: fallback handler verb groups
 	NumPhases
@@ -466,12 +466,12 @@ type Counters struct {
 	// Read-only-participant accounting (the protocol-matrix figure).
 	// ROVerbs counts one-sided commit-pipeline verbs addressed to records
 	// the transaction read but did not write: drtmrProto pays 3 per such
-	// record (C.1 lock CAS + C.2 validation READ + C.6 unlock CAS), the
-	// farm protocol 1 (a validation READ). ROWakeups counts remote-CPU
-	// deliveries (RPCs, redo-log appends) to pure read participants — nodes
-	// hosting none of the transaction's writes and owing it no replication
-	// duty. Both protocols keep reads fully one-sided, so ROWakeups stays
-	// zero; it is measured rather than assumed (Txn.countWakeup).
+	// record, in 2 doorbells (C.1 lock CAS with C.2's validation READ behind
+	// it, C.6 unlock CAS), farm 1 (a validation READ). ROWakeups counts
+	// remote-CPU deliveries (RPCs, redo-log appends) to pure read participants
+	// — nodes hosting none of the transaction's writes and owing it no
+	// replication duty. Both protocols keep reads fully one-sided, so ROWakeups
+	// stays zero; it is measured rather than assumed (Txn.countWakeup).
 	ROVerbs   uint64 `json:"ro_verbs"`
 	ROWakeups uint64 `json:"ro_wakeups"`
 }
@@ -648,6 +648,14 @@ func (tx *Txn) execBatch(phase CommitPhase, b *rdma.Batch) error {
 		w.Rec.Record(obs.EvPhase, phaseStage(phase), 0, uint32(n), tx.id, start, w.Clk.Now())
 	}
 	return err
+}
+
+// moveVerbs counts n verbs that rode phase's doorbell to their own stage's
+// phase: a fused doorbell's Batches, Nanos and trace span belong to the CAS
+// that sets its base latency, each verb to the stage Fig 7 draws it in.
+func (w *Worker) moveVerbs(phase, own CommitPhase, n int) {
+	w.Stats.Phases[phase].Verbs -= uint64(n)
+	w.Stats.Phases[own].Verbs += uint64(n)
 }
 
 // backoff is §4.3's randomized exponential retry delay: d drawn from

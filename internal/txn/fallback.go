@@ -37,14 +37,14 @@ func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []lockTarget) error 
 	}
 
 	// Step 3: lock everything (loop-back RDMA CAS for local records).
-	run := lockRun{held: make([]lockTarget, 0, len(targets))}
+	var run lockRun
 	if !tx.lockInOrder(targets, &run) {
 		tx.unlockTargets(PhaseFallback, run.held)
 		return tx.abort(AbortLockFailed, "fallback lock failed")
 	}
 
 	// Step 4: validate the whole read set under locks.
-	if err := tx.validate(validation{phase: PhaseFallback, locals: true, lockedRS: true, uncounted: true}); err != nil {
+	if err := tx.validate(validation{phase: PhaseFallback, locals: true, lockedRS: true, uncounted: true}, &run); err != nil {
 		tx.unlockTargets(PhaseFallback, run.held)
 		return err
 	}
@@ -75,7 +75,7 @@ func (tx *Txn) lockInOrder(targets []lockTarget, run *lockRun) bool {
 			if attempt > 0 {
 				tx.w.backoff(attempt)
 			}
-			tx.lockBatch(PhaseFallback, todo, run)
+			tx.lockBatch(PhaseFallback, PhaseFallback, todo, run)
 			if run.err != nil {
 				return false
 			}

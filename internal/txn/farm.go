@@ -12,9 +12,10 @@ package txn
 //	    records included via loop-back CAS (HCA atomicity, as §6.2's
 //	    fallback argues) — read-set records are never locked, so a record
 //	    another transaction only reads costs one verb here, not three.
-//	F.2 validate: one doorbell batch of header READs over the remote read
-//	    set plus base fetches for blind remote writes; local records read
-//	    memory directly. Validation REJECTS records locked by anyone else
+//	F.2 validate: remote written records from the header READ posted behind
+//	    their F.1 CAS, remote read-only ones from one doorbell batch of
+//	    READs rung once F.1 holds every lock, local ones from memory.
+//	    Validation REJECTS records locked by anyone else
 //	    (same-node transactions included: the lock word only encodes the
 //	    owner machine, so "our" word proves ownership only for records our
 //	    own write set covers). This lock check is what closes the cycle two
@@ -32,8 +33,9 @@ package txn
 //	    install non-transactionally under the held lock (the §6.1 fallback
 //	    step-5 argument: execution-phase readers check the lock and back
 //	    off, committers abort on it, strong atomicity kills racing HTM
-//	    readers); remote updates write back through the shared C.5 batch.
-//	F.5 unlock the write set; then MarkCommitted watermarks the rings.
+//	    readers); remote updates write back through the shared C.5 WRITEs.
+//	F.5 unlock the write set: CASes behind those WRITEs, one doorbell (FaRM's
+//	    COMMIT-PRIMARY); then MarkCommitted watermarks the rings.
 //
 // There is no commit-phase HTM region, hence no HTM-capacity fallback path:
 // the write-set install is plain stores under locks. Read-only transactions
@@ -61,14 +63,15 @@ func (proto farmProto) Commit(tx *Txn) error {
 	if err != nil {
 		return err
 	}
-	if err := tx.lockRemote(locks); err != nil {
+	var run lockRun
+	if err := tx.lockRemote(locks, &run); err != nil {
 		return err
 	}
 
 	// --- F.2: validate reads (their lock words too: the read set is not
-	// locked), fetch write bases, all under the locks.
+	// locked), take write bases (F.1 fetched those headers), all under the locks.
 	tx.stage = StageValidate
-	if err := tx.validate(validation{phase: PhaseValidate, locals: true}); err != nil {
+	if err := tx.validate(validation{phase: PhaseValidate, locals: true}, &run); err != nil {
 		tx.unlockTargets(PhaseUnlock, locks)
 		return err
 	}

@@ -14,7 +14,9 @@ import (
 // the 8-remote-record commit at N=4 coroutines (virtual ns/commit at 200
 // iterations). The tracing subsystem must not move this number at all when
 // disabled — and, because recording only READS clocks, not even when enabled.
-const baselineCoro4Nanos = 6267.0
+// 6267 until the commit went from four doorbells to two: each of the four
+// in-flight transactions lost a READ and a WRITE base latency and two parks.
+const baselineCoro4Nanos = 5642.0
 
 // tracedCoroCommitVirtualNanos is coroCommitVirtualNanos with optional
 // tracing, returning the worker's recorder when enabled.

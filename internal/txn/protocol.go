@@ -127,21 +127,8 @@ func (tx *Txn) Commit() error {
 // writesAt reports whether the write set covers the record at (node, off) —
 // the read-only-participant test for lock targets (Stats.ROVerbs).
 func (tx *Txn) writesAt(node rdma.NodeID, off uint64) bool {
-	if off == 0 {
-		return false
-	}
-	self := tx.w.E.M.ID
-	for i := range tx.ws {
-		e := &tx.ws[i]
-		n := e.node
-		if e.local {
-			n = self
-		}
-		if n == node && e.off == off {
-			return true
-		}
-	}
-	return false
+	_, e := tx.entriesAt(node, off)
+	return e != nil
 }
 
 // countWakeup records a remote-CPU delivery (RPC or redo-log append) bound

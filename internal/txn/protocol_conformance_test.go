@@ -500,6 +500,104 @@ func TestProtocolLockBackoutReleasesAll(t *testing.T) {
 	}
 }
 
+// TestProtocolConformanceDoorbellBudget: a committed transaction rings TWO
+// commit-phase doorbells however many remote nodes and records it touches —
+// lock CASes with the validation READs behind them, write-back WRITEs with
+// the unlock CASes behind them — whatever its read/write mix. The one
+// exception is a protocol that does not lock what it only reads: farm reads
+// such remote records in a third doorbell, rung once every write lock is held.
+// In the forced-fallback cell the §6.1 handler validates from the headers its
+// relock fetched: one doorbell per node group, one for the tail, no READ
+// doorbell of its own.
+func TestProtocolConformanceDoorbellBudget(t *testing.T) {
+	type access struct {
+		key         uint64 // key%3 is the home node; the worker runs on node 0
+		read, write bool   // write without read: a blind update; neither: a blind Add
+	}
+	shapes := []struct {
+		name     string
+		acc      []access
+		roRemote bool // some remote record is read but not written
+	}{
+		{name: "rw-1-node", acc: []access{{1, true, true}}},
+		{name: "rw-2-nodes", acc: []access{{1, true, true}, {2, true, true}, {4, true, true}, {5, true, true}}},
+		{name: "blind-2-nodes", acc: []access{{1, false, true}, {2, false, false}}},
+		{name: "rw+locals", acc: []access{{1, true, true}, {0, true, true}, {3, true, true}}},
+		{name: "ro+rw", acc: []access{{1, true, false}, {2, true, true}}, roRemote: true},
+		{name: "ro+local-write", acc: []access{{1, true, false}, {2, true, false}, {0, true, true}}, roRemote: true},
+	}
+	run := func(tx *Txn, acc []access) error {
+		for _, a := range acc {
+			var v []byte
+			var err error
+			switch {
+			case a.read:
+				v, err = tx.Read(tblAcct, a.key)
+			case !a.write:
+				err = tx.Add(tblAcct, a.key, 0, 1)
+			default:
+				v = encBal(7)
+			}
+			if err == nil && a.write {
+				err = tx.Write(tblAcct, a.key, encBal(decBal(v)+1))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	doorbells := func(s *Stats) (n uint64) {
+		for _, ps := range s.Phases {
+			n += ps.Batches
+		}
+		return n
+	}
+	forEachProtocol(t, func(t *testing.T, proto string) {
+		for _, sh := range shapes {
+			t.Run(sh.name, func(t *testing.T) {
+				w := newWorld(t, 3, 1, htm.Config{})
+				w.setProtocol(proto)
+				w.load(t, 6, 100)
+				wk := w.engines[0].NewWorker(0)
+				if err := wk.Run(func(tx *Txn) error { return run(tx, sh.acc) }); err != nil {
+					t.Fatal(err)
+				}
+				want := uint64(2)
+				if proto == "farm" && sh.roRemote {
+					want = 3
+				}
+				if got := doorbells(&wk.Stats); got != want || wk.Stats.Retries != 0 {
+					t.Errorf("%d commit-phase doorbells (%d retries), want %d: %+v", got, wk.Stats.Retries, want, wk.Stats.Phases)
+				}
+			})
+		}
+		t.Run("forced-fallback", func(t *testing.T) {
+			w := newWorld(t, 3, 1, htmNeverCommits)
+			w.setProtocol(proto)
+			w.load(t, 6, 100)
+			wk := w.engines[0].NewWorker(0)
+			if err := wk.Run(func(tx *Txn) error { return run(tx, shapes[3].acc) }); err != nil {
+				t.Fatal(err)
+			}
+			ph := &wk.Stats.Phases
+			if wk.Stats.Fallbacks == 0 {
+				// No commit HTM region to fail: the plain budget holds.
+				if got := doorbells(&wk.Stats); got != 2 {
+					t.Errorf("%d commit-phase doorbells, want 2: %+v", got, *ph)
+				}
+				return
+			}
+			// C.1+C.2, the handler's release, its relock of node 0's and node
+			// 1's groups, its write-back+unlock.
+			if ph[PhaseValidate].Batches != 0 || ph[PhaseWriteBack].Batches != 0 || ph[PhaseFallback].Batches != 3 || doorbells(&wk.Stats) != 5 {
+				t.Errorf("fallback commit rang %d doorbells, want lock 1, unlock 1, fallback 3 and none for validation or write-back: %+v",
+					doorbells(&wk.Stats), *ph)
+			}
+		})
+	})
+}
+
 // TestProtocolROVerbAccounting pins the protocol-matrix headline: for a
 // transaction that reads two remote records and writes one local record,
 // drtmr charges 3 one-sided verbs per read-only record (C.1 lock CAS + C.2

@@ -216,7 +216,8 @@ func TestDanglingCoroutineLockReleased(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.lockRemote(locks); err != nil {
+		var run lockRun
+		if err := tx.lockRemote(locks, &run); err != nil {
 			t.Error(err)
 			return
 		}

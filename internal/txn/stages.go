@@ -15,7 +15,7 @@ import (
 // the facts that really differ between pipelines; drtmrProto.Commit,
 // drtmrProto.fallbackCommit and farmProto.Commit only sequence them (the
 // stage × protocol table is DESIGN.md's "Protocol matrix"). The stages that
-// need no parameters — replicate (R.1), makeupLocal (R.2), writeBackRemote
+// need no parameters — replicate (R.1), makeupLocal (R.2), postWriteBack
 // (C.5), applyInsertsDeletes — live in commit.go.
 
 // lockTarget is one record to lock, addressed by the machine that hosts it
@@ -100,20 +100,51 @@ func (tx *Txn) lockSet(scope lockScope) ([]lockTarget, error) {
 // lockRun is one commit attempt's lock acquisition: the back-out set, and
 // what the last lockBatch left unacquired.
 type lockRun struct {
-	held   []lockTarget // every CAS won so far — what a back-out (or the final unlock) must release
-	missed []lockTarget // targets the last batch lost to another holder
-	holder uint64       // the lock word that beat missed[0]
-	err    error        // the last batch's last verb error: the target machine is dead
-	errAt  rdma.NodeID
+	held []lockTarget // every CAS won so far — what a back-out (or the final unlock) must release
+	// fetched[i] is the READ behind the CAS that won held[i] (nil: none needed).
+	// One behind a CAS that lost is dropped: the holder may yet rewrite the record.
+	fetched []*rdma.Pending
+	missed  []lockTarget // targets the last batch lost to another holder
+	holder  uint64       // the lock word that beat missed[0]
+	err     error        // the last batch's last verb error: the target machine is dead
+	errAt   rdma.NodeID
+}
+
+// fetchLen is how many bytes of the remote record at (node, off) the validate
+// stage reads once it is locked: a read-set record's header, a blind in-place
+// write's base, nothing where only a delete names the record.
+func (tx *Txn) fetchLen(node rdma.NodeID, off uint64) int {
+	switch r, e := tx.entriesAt(node, off); {
+	case node == tx.w.E.M.ID:
+		return 0 // loop-back target: validate reads local records from memory
+	case r != nil:
+		return 24
+	case e != nil && e.inPlace():
+		return tx.baseLen(e)
+	}
+	return 0
+}
+
+// baseLen is what an in-place write's base fetch covers: the header, or the
+// whole record for a delta (its image is the current value plus the adds).
+func (tx *Txn) baseLen(e *wsEntry) int {
+	if e.kind == wsDelta {
+		return tx.w.E.M.Store.Table(e.table).RecBytes
+	}
+	return 24
 }
 
 // lockBatch try-locks every target with one doorbell batch of RDMA CASes
-// charged to phase, and sorts the results into run. Try-lock semantics keep
-// the batch deadlock-free: no verb ever waits. The trade-off against a
-// sequential loop is that all CASes post before any result is seen, so under
-// contention the batch may briefly take (then release) locks a sequential
-// early-exit would never have touched — accepted for one round-trip of
-// latency per batch.
+// charged to phase, and sorts the results into run. Behind each CAS to a
+// remote target rides the READ validate needs of that record (fetchLen, its
+// verb counted to fetchPhase): a queue pair executes in post order, so behind
+// a CAS that swapped it sees the record as it stays until this transaction
+// unlocks, and behind one that lost it is one wasted 88-byte message.
+// Try-lock semantics keep the batch deadlock-free: no verb ever waits. The
+// trade-off against a sequential loop is that all CASes post before any
+// result is seen, so under contention the batch may briefly take (then
+// release) locks a sequential early-exit would never have touched — accepted
+// for one round-trip of latency per batch.
 //
 // This is the ONLY function that posts lock-acquire CASes and the only scan
 // over their results. The discipline the scan must keep (drtmr-vet's lockpair
@@ -125,46 +156,61 @@ type lockRun struct {
 // (commit c08a886 and its two re-occurrences, when this loop existed three
 // times). A target lost to a lock whose owner left the configuration is
 // passively released (§5.2) so that the caller's retry can win it.
-func (tx *Txn) lockBatch(phase CommitPhase, targets []lockTarget, run *lockRun) {
+func (tx *Txn) lockBatch(phase, fetchPhase CommitPhase, targets []lockTarget, run *lockRun) {
 	w := tx.w
 	myWord := memstore.LockWord(uint32(w.E.M.ID))
 	b := w.newBatch()
-	pend := make([]*rdma.Pending, len(targets))
+	pend := make([]struct{ cas, read *rdma.Pending }, len(targets))
 	for i, lt := range targets {
-		pend[i] = b.PostCAS(w.QP(lt.node), lt.off+memstore.LockOff, 0, myWord)
+		pend[i].cas = b.PostCAS(w.QP(lt.node), lt.off+memstore.LockOff, 0, myWord)
+		if n := tx.fetchLen(lt.node, lt.off); n > 0 {
+			pend[i].read = b.PostRead(w.QP(lt.node), lt.off, n)
+		}
 	}
+	reads := b.Len() - len(targets)
 	_ = tx.execBatch(phase, b)
+	w.moveVerbs(phase, fetchPhase, reads)
 
 	// targets may alias run.missed (a retry): detach before refilling it.
 	run.missed, run.err = nil, nil
+	run.held = slices.Grow(run.held, len(targets)) // one allocation: a retry's targets fit the first pass's
+	run.fetched = slices.Grow(run.fetched, len(targets))
 	for i, p := range pend {
 		switch {
-		case p.Err != nil:
-			run.err, run.errAt = p.Err, targets[i].node
-		case p.Swapped:
+		case p.cas.Err != nil:
+			run.err, run.errAt = p.cas.Err, targets[i].node
+		case p.cas.Swapped:
 			run.held = append(run.held, targets[i])
+			run.fetched = append(run.fetched, p.read)
 		default:
 			if len(run.missed) == 0 {
-				run.holder = p.Prev
+				run.holder = p.cas.Prev
 			}
-			w.maybeReleaseDangling(tx.cfg, targets[i].node, targets[i].off, p.Prev)
+			w.maybeReleaseDangling(tx.cfg, targets[i].node, targets[i].off, p.cas.Prev)
 			run.missed = append(run.missed, targets[i])
 		}
 	}
+}
+
+// header returns the READ the lock stage fetched behind the CAS that won the
+// remote record at (node, off), or nil if this attempt does not hold its lock.
+func (run *lockRun) header(node rdma.NodeID, off uint64) *rdma.Pending {
+	for i, lt := range run.held {
+		if lt.node == node && lt.off == off {
+			return run.fetched[i]
+		}
+	}
+	return nil
 }
 
 // lockRemote is the non-blocking lock stage (C.1, F.1): one lockBatch over
 // the whole set, then one retry batch over whatever it missed — a dangling
 // lock from a dead machine was passively released by the first pass (§5.2).
 // Any remaining failure releases the acquired subset and aborts.
-func (tx *Txn) lockRemote(locks []lockTarget) error {
-	if len(locks) == 0 {
-		return nil
-	}
-	run := lockRun{held: make([]lockTarget, 0, len(locks))}
+func (tx *Txn) lockRemote(locks []lockTarget, run *lockRun) error {
 	todo := locks
 	for pass := 0; pass < 2 && len(todo) > 0; pass++ {
-		tx.lockBatch(PhaseLock, todo, &run)
+		tx.lockBatch(PhaseLock, PhaseValidate, todo, run)
 		if run.err != nil {
 			tx.unlockTargets(PhaseLock, run.held)
 			return tx.abortAt(run.errAt, AbortNodeDead, "lock: %v", run.err)
@@ -190,25 +236,29 @@ func (tx *Txn) lockRemote(locks []lockTarget) error {
 }
 
 // unlockTargets releases the given locks with one doorbell batch of CASes,
-// charged to phase: C.6 on the normal path, C.1 when backing out a failed
-// lock batch, the fallback phase for the handler's own lock set.
+// charged to phase — the abort back-outs: C.1 for a failed lock batch, C.6 or
+// the fallback phase after a failed validation. A commit unlocks in finish.
 func (tx *Txn) unlockTargets(phase CommitPhase, locks []lockTarget) {
 	if len(locks) == 0 {
 		return
 	}
-	w := tx.w
-	myWord := memstore.LockWord(uint32(w.E.M.ID))
-	b := w.newBatch()
-	for _, lt := range locks {
-		b.PostCAS(w.QP(lt.node), lt.off+memstore.LockOff, myWord, 0)
-	}
+	b := tx.w.newBatch()
+	tx.postUnlocks(b, locks)
 	_ = tx.execBatch(phase, b)
+}
+
+// postUnlocks posts one lock-release CAS per target.
+func (tx *Txn) postUnlocks(b *rdma.Batch, locks []lockTarget) {
+	myWord := memstore.LockWord(uint32(tx.w.E.M.ID))
+	for _, lt := range locks {
+		b.PostCAS(tx.w.QP(lt.node), lt.off+memstore.LockOff, myWord, 0)
+	}
 }
 
 // validation parameterises the validate stage by what differs between the
 // pipelines that run it.
 type validation struct {
-	// phase is charged the batch of remote header READs.
+	// phase is charged the header READs of records this attempt has not locked.
 	phase CommitPhase
 	// locals covers local records too, read straight from memory. drtmr's
 	// C.2 leaves them to the HTM region (C.3 validates, C.4 fetches bases).
@@ -238,24 +288,31 @@ func (tx *Txn) seqValidates(seen, cur uint64) bool {
 // sequence number, and the lock word unless the read set is locked) and fetch
 // the base sequence number and incarnation of every covered in-place write —
 // from the read-set header where the record was also read, from a fetch of
-// its own for blind writes. Remote headers (read set + blind write bases)
-// share one doorbell batch; local records read memory directly. The
-// incarnation is cached on the write-set entry so C.5 never re-reads it, and
-// deltas are folded here, where the current value can no longer move.
-func (tx *Txn) validate(v validation) error {
+// its own for blind writes. A remote record run holds brought its header with
+// its lock; the others (farm's read-only records) share one doorbell batch
+// here, after every lock is held — any earlier reopens the cycle lockedRS
+// describes. Local records read memory directly. The incarnation is cached on
+// the write-set entry so C.5 never re-reads it, and deltas are folded here,
+// where the current value can no longer move.
+func (tx *Txn) validate(v validation, run *lockRun) error {
 	w := tx.w
 	mut := &w.E.Mut
 	myWord := memstore.LockWord(uint32(w.E.M.ID))
 
-	b := w.newBatch()
-	// One slot per read-set entry, then one per write-set entry; allocated on
-	// the first remote record (an all-local transaction posts nothing).
+	// One slot per read-set entry, then one per write-set entry, allocated on
+	// the first remote record; the batch on the first READ not fetched already.
 	var pend []*rdma.Pending
+	var b *rdma.Batch
 	post := func(slot int, node rdma.NodeID, off uint64, n int) {
 		if pend == nil {
 			pend = make([]*rdma.Pending, len(tx.rs)+len(tx.ws))
 		}
-		pend[slot] = b.PostRead(w.QP(node), off, n)
+		if pend[slot] = run.header(node, off); pend[slot] == nil {
+			if b == nil {
+				b = w.newBatch()
+			}
+			pend[slot] = b.PostRead(w.QP(node), off, n)
+		}
 	}
 	for i := range tx.rs {
 		if r := &tx.rs[i]; !r.local {
@@ -267,15 +324,11 @@ func (tx *Txn) validate(v validation) error {
 		if e.local || !e.inPlace() || e.off == 0 || tx.findRS(e.table, e.key) != nil {
 			continue // not fetched remotely, or the base comes from the read-set header
 		}
-		// Deltas fetch the whole record, not just the header: the final
-		// image is the current value plus the pending adds.
-		n := 24
-		if e.kind == wsDelta {
-			n = w.E.M.Store.Table(e.table).RecBytes
-		}
-		post(len(tx.rs)+i, e.node, e.off, n)
+		post(len(tx.rs)+i, e.node, e.off, tx.baseLen(e))
 	}
-	_ = tx.execBatch(v.phase, b)
+	if b != nil {
+		_ = tx.execBatch(v.phase, b)
+	}
 
 	var hdr [24]byte
 	for i := range tx.rs {
@@ -330,7 +383,7 @@ func (tx *Txn) validate(v validation) error {
 		}
 	}
 	// Blind writes: the base was fetched under the lock (the record cannot
-	// move under us), through the batch for remote records.
+	// move under us), through a batch for remote records.
 	for i := range tx.ws {
 		e := &tx.ws[i]
 		if !e.inPlace() || e.off == 0 || (e.local && !v.locals) || tx.findRS(e.table, e.key) != nil {
@@ -339,11 +392,7 @@ func (tx *Txn) validate(v validation) error {
 		tbl := w.E.M.Store.Table(e.table)
 		var h []byte
 		if e.local {
-			n := 24
-			if e.kind == wsDelta {
-				n = tbl.RecBytes
-			}
-			h = w.E.M.Eng.ReadNonTx(e.off, n, hdr[:0])
+			h = w.E.M.Eng.ReadNonTx(e.off, tx.baseLen(e), hdr[:0])
 		} else {
 			p := pend[len(tx.rs)+i]
 			if p.Err != nil {
@@ -412,7 +461,9 @@ type tail struct {
 
 // finish carries a validated transaction from its commit point to the end:
 // local install if still due, inserts/deletes, R.1 replication and R.2
-// makeup (or the log first), C.5 write-back, unlock of held, and the rings'
+// makeup (or the log first), ONE doorbell batch of C.5's write-back WRITEs
+// with held's unlock CASes behind them (a queue pair executes in post order:
+// a record's image has landed when its lock word clears), and the rings'
 // truncation watermark. Nothing here may abort the transaction — it is
 // committed (or, with logFirst, about to be durably logged); failed machines
 // are only degraded around.
@@ -440,8 +491,16 @@ func (tx *Txn) finish(t tail, held []lockTarget) {
 		toks = tx.replicate()
 		tx.makeupLocal()
 	}
-	tx.writeBackRemote()
-	tx.unlockTargets(t.unlock, held)
+	b := w.newBatch()
+	tx.postWriteBack(b)
+	writes := b.Len()
+	tx.postUnlocks(b, held)
+	phase := t.unlock
+	if len(held) == 0 {
+		phase = PhaseWriteBack // a remote insert's seq flip, nothing to unlock
+	}
+	_ = tx.execBatch(phase, b)
+	w.moveVerbs(phase, PhaseWriteBack, writes)
 	// Truncation watermark: these log entries' transactions are complete.
 	for _, tk := range toks {
 		w.E.M.LogWriter(tk.node).MarkCommitted(tk.tok.End())

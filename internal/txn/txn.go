@@ -180,30 +180,33 @@ func (tx *Txn) abortOn(node rdma.NodeID, table memstore.TableID, key uint64, r A
 	return e
 }
 
-// keyAt resolves a record offset on node back to the (table, key) this
-// transaction knows it as — used to key aborts raised by offset-level
-// operations (C.1 lock CASes).
-func (tx *Txn) keyAt(node rdma.NodeID, off uint64) (memstore.TableID, uint64, bool) {
-	self := tx.w.E.M.ID
+// entriesAt finds the read-set and the write-set entry naming the record at
+// (node, off): how offset-level steps (a lock CAS, the READ behind it) get back
+// to what the transaction knows. Unresolved entries (off 0) never match.
+func (tx *Txn) entriesAt(node rdma.NodeID, off uint64) (r *rsEntry, e *wsEntry) {
 	for i := range tx.rs {
-		r := &tx.rs[i]
-		n := r.node
-		if r.local {
-			n = self
-		}
-		if n == node && r.off == off {
-			return r.table, r.key, true
+		if c := &tx.rs[i]; c.node == node && c.off == off && off != 0 {
+			r = c
+			break
 		}
 	}
 	for i := range tx.ws {
-		e := &tx.ws[i]
-		n := e.node
-		if e.local {
-			n = self
+		if c := &tx.ws[i]; c.node == node && c.off == off && off != 0 {
+			e = c
+			break
 		}
-		if n == node && e.off == off && e.off != 0 {
-			return e.table, e.key, true
-		}
+	}
+	return r, e
+}
+
+// keyAt is the (table, key) of the record at (node, off), to key aborts raised
+// by offset-level operations (C.1 lock CASes).
+func (tx *Txn) keyAt(node rdma.NodeID, off uint64) (memstore.TableID, uint64, bool) {
+	switch r, e := tx.entriesAt(node, off); {
+	case r != nil:
+		return r.table, r.key, true
+	case e != nil:
+		return e.table, e.key, true
 	}
 	return 0, 0, false
 }

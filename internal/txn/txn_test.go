@@ -620,6 +620,110 @@ func TestLockRetryBackoutReleasesAll(t *testing.T) {
 	}
 }
 
+// TestLockRetryDropsHeaderBehindLostCAS: the lock stage posts each record's
+// validation READ behind its lock CAS, and retries the CASes it lost. A READ
+// behind a LOST CAS saw a record its holder was still entitled to rewrite, so
+// only the header fetched behind the CAS that swapped may validate. Here T2
+// holds key 1 through T1's first lock pass and commits a new version before
+// T1's retry pass wins: T1 must abort on the sequence number — committing on
+// the first pass's header would lose T2's update — under drtmr, in its §6.1
+// fallback handler (whose relock retries the same way) and under farm.
+func TestLockRetryDropsHeaderBehindLostCAS(t *testing.T) {
+	cases := []struct {
+		name, proto string
+		htm         htm.Config
+		keys        []uint64 // T1's read+write set; T1 runs on node 0, key 1 lives on node 1
+		stage       uint8    // where T1's lock pass loses, and where it must abort
+	}{
+		{name: "drtmr", proto: "drtmr", keys: []uint64{1}, stage: StageValidate},
+		{name: "drtmr-fallback", proto: "drtmr", htm: htmNeverCommits, keys: []uint64{1, 0, 3}, stage: StageFallback},
+		{name: "farm", proto: "farm", keys: []uint64{1}, stage: StageValidate},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld(t, 3, 1, c.htm)
+			w.setProtocol(c.proto)
+			w.load(t, 6, 100)
+			rewrite := func(keys []uint64) func(tx *Txn) error {
+				return func(tx *Txn) error {
+					for _, k := range keys {
+						v, err := tx.Read(tblAcct, k)
+						if err != nil {
+							return err
+						}
+						if err := tx.Write(tblAcct, k, encBal(decBal(v)+1)); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+			}
+			wk1, wk2 := w.engines[0].NewWorker(0), w.engines[2].NewWorker(0)
+			t1, t2 := wk1.Begin(), wk2.Begin()
+			if err := rewrite(c.keys)(t1); err != nil {
+				t.Fatal(err)
+			}
+			if err := rewrite([]uint64{1})(t2); err != nil {
+				t.Fatal(err)
+			}
+
+			// T2 is driven stage by stage: lock + validate when T1 reaches the
+			// lock pass under test (at once, or for the fallback cell when the
+			// handler has released T1's C.1 lock), finish — write back and
+			// unlock — at T1's first scheduling point after a CAS of T1's has
+			// reached node 1 and lost. T1's next pass is the retry.
+			atomics := func() uint64 { return w.c.Net.NIC(1).Snapshot().Atomics }
+			var locks2 []lockTarget
+			var lostAt uint64 // node 1's atomics count once T2 holds the lock; 0 before
+			done := false
+			step := func() {
+				switch {
+				case done:
+				case lostAt == 0:
+					if c.stage == StageFallback && (t1.stage != StageFallback || w.lockWord(t, 1) != 0) {
+						return
+					}
+					if err := t2.resolveWriteOffsets(); err != nil {
+						t.Fatal(err)
+					}
+					locks2, _ = t2.lockSet(scopeRemote)
+					var run2 lockRun
+					if err := t2.lockRemote(locks2, &run2); err != nil {
+						t.Fatal(err)
+					}
+					if err := t2.validate(validation{phase: PhaseValidate, lockedRS: true}, &run2); err != nil {
+						t.Fatal(err)
+					}
+					lostAt = atomics()
+				case atomics() > lostAt:
+					t2.finish(tail{unlock: PhaseUnlock}, locks2)
+					done = true
+				}
+			}
+			step()
+			wk1.SetGate(step)
+			err := t1.Commit()
+			wk1.SetGate(nil)
+
+			var te *Error
+			if !errors.As(err, &te) || te.Reason != AbortValidate || te.Stage != c.stage {
+				t.Fatalf("T1 committed on a header read behind a lost CAS (or failed elsewhere): %v", err)
+			}
+			if !done {
+				t.Fatal("T2 never committed: the scenario did not run")
+			}
+			w.assertNoLocksHeld(t, 6)
+			// T2's update survives, and T1's retry lands on top of it.
+			if err := wk1.Run(rewrite(c.keys)); err != nil {
+				t.Fatal(err)
+			}
+			if got := w.totalOnPrimaries(6); got != 6*100+1+uint64(len(c.keys)) {
+				t.Fatalf("balances sum to %d after T2 and T1's retry", got)
+			}
+		})
+	}
+}
+
 // testRand is a tiny LCG for test-side randomness.
 type testRand struct{ s uint64 }
 

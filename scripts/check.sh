@@ -82,6 +82,13 @@ go test -race -cpu 1,2 -run 'TestBackoff|TestAllBackedOff|TestIdle|TestGatedWait
 # every pipeline's virtual ns and per-phase verb counts to the exact values
 # recorded before the pipelines were merged into one stage library.
 go test -race -run 'TestProtocolConformance|TestProtocolLockBackoutReleasesAll|TestProtocolROVerbAccounting|TestProtocolRegistry|TestCommitVirtualNsPinned' -count=1 ./internal/txn/
+# The two-doorbell commit rests on one QP executing in post order: the
+# contract itself (rdma), the header behind a lost lock CAS that must never
+# validate, and the doorbell budget of every protocol — on a 1-CPU and a
+# 2-CPU host schedule, since the contract test races a reader against the
+# write-back+unlock batch.
+go test -race -cpu 1,2 -run 'TestBatchPerQPOrder' -count=1 ./internal/rdma/
+go test -race -cpu 1,2 -run 'TestLockRetryDropsHeaderBehindLostCAS|TestProtocolConformanceDoorbellBudget' -count=1 ./internal/txn/
 go test -run '^$' -bench '^BenchmarkFig$/^proto$' -benchtime 1x .
 
 # Smoke-run every benchmark once: the figure benchmarks drive the full
