@@ -21,6 +21,9 @@ func TestSmokeAllSystems(t *testing.T) {
 		if r.Committed == 0 {
 			t.Errorf("%v: nothing committed", sys)
 		}
+		if r.NewOrders == 0 {
+			t.Errorf("%v: no new-order committed", sys)
+		}
 	}
 	o := base
 	o.Workload = WLSmallBank
@@ -29,6 +32,33 @@ func TestSmokeAllSystems(t *testing.T) {
 	fmt.Printf("smallbank: %v\n", r)
 	if r.Committed == 0 {
 		t.Error("smallbank: nothing committed")
+	}
+}
+
+// TestBaselineVirtualNsPinned holds the three comparison systems to exact
+// commits, new-orders and virtual ns on one single-worker TPC-C run each. One
+// worker has no one to race, so the run is a pure function of Options: any
+// change to a baseline's cost model, to a transaction's declared set or to
+// what the generator draws moves a digit here.
+func TestBaselineVirtualNsPinned(t *testing.T) {
+	for _, pin := range []struct {
+		sys                  System
+		committed, newOrders uint64
+		virtualNs            int64
+	}{
+		{SysDrTM, 518, 169, 4239278},
+		{SysCalvin, 504, 193, 20241250},
+		{SysSilo, 400, 176, 3246760},
+	} {
+		r := Run(Options{System: pin.sys, Nodes: 1, ThreadsPerNode: 1, TxPerWorker: 400, WarehousesPerNode: 1})
+		ns := int64(math.Round(r.VirtualSec * 1e9))
+		if r.Committed != pin.committed || r.NewOrders != pin.newOrders || ns != pin.virtualNs {
+			t.Errorf("%v: %d commits / %d new-orders / %d virtual ns, pinned %d / %d / %d",
+				pin.sys, r.Committed, r.NewOrders, ns, pin.committed, pin.newOrders, pin.virtualNs)
+		}
+		if r.Retries != 0 || r.Fallbacks != 0 {
+			t.Errorf("%v: %d retries, %d fallbacks on a single worker", pin.sys, r.Retries, r.Fallbacks)
+		}
 	}
 }
 
