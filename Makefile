@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint lint-baseline race stress check bench bench-smoke trace torture serve
+.PHONY: all help build test vet lint lint-baseline race stress check loc bench bench-smoke trace torture serve
 
 all: check
 
@@ -22,6 +22,9 @@ help:
 	@echo "               CPUs (-count=20 -cpu 1,2): catches tests that pass only"
 	@echo "               when goroutines happen (not) to overlap on the host"
 	@echo "  check        CI gate: build + vet + lint + race + smoke benchmarks"
+	@echo "  loc          non-test Go lines, total then per package: the number"
+	@echo "               ROADMAP's design-diet item tracks and every PR quotes"
+	@echo "               before and after"
 	@echo "  bench        all benchmarks (smoke scale)"
 	@echo "  bench-smoke  every benchmark once + emit/validate a trace JSON"
 	@echo "  trace        traced SmallBank run -> trace.json (Perfetto/Chrome)"
@@ -92,6 +95,10 @@ stress:
 # the HTM engine and NIC paths hard), then a 1x pass over every benchmark.
 check:
 	./scripts/check.sh
+
+# loc prints the non-test line count (scripts/loc.sh says what it leaves out).
+loc:
+	@./scripts/loc.sh
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

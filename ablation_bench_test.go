@@ -25,19 +25,12 @@ func ablationWorld(b *testing.B, replicas int, remoteProb float64, nicBps int64)
 		Nodes: 3, Replicas: replicas, MemBytes: 32 << 20,
 		RDMA: rdma.Config{NICBytesPerSec: nicBps},
 	})
+	if err := smallbank.LoadCluster(c, cfg); err != nil {
+		b.Fatal(err)
+	}
 	var engines []*txn.Engine
 	for _, m := range c.Machines {
-		smallbank.CreateTables(m.Store, cfg)
 		engines = append(engines, txn.NewEngine(m, cfg.Partitioner(), txn.DefaultCosts()))
-	}
-	cfg0 := c.Coord.Current()
-	for s := 0; s < 3; s++ {
-		shard := cluster.ShardID(s)
-		for _, nd := range append([]rdma.NodeID{cfg0.PrimaryOf(shard)}, cfg0.BackupsOf(shard)...) {
-			if err := smallbank.Load(c.Machines[nd].Store, cfg, shard); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 	c.Start()
 	b.Cleanup(c.Stop)

@@ -37,20 +37,10 @@ func main() {
 
 	// Tables + data on every machine that holds a copy.
 	c := db.Cluster()
-	for _, m := range c.Machines {
-		smallbank.CreateTables(m.Store, cfg)
+	if err := smallbank.LoadCluster(c, cfg); err != nil {
+		log.Fatal(err)
 	}
-	initCfg := c.Coord.Current()
-	var before uint64
-	for s := 0; s < *nodes; s++ {
-		shard := cluster.ShardID(s)
-		for _, nd := range append([]drtmr.NodeID{initCfg.PrimaryOf(shard)}, initCfg.BackupsOf(shard)...) {
-			if err := smallbank.Load(c.Machines[nd].Store, cfg, shard); err != nil {
-				log.Fatal(err)
-			}
-		}
-		before += uint64(cfg.AccountsPerNode) * cfg.InitialBalance * 2
-	}
+	before := uint64(*nodes*cfg.AccountsPerNode) * cfg.InitialBalance * 2
 	db.Start()
 
 	var wg sync.WaitGroup

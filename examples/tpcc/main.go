@@ -13,8 +13,6 @@ import (
 
 	"drtmr"
 	"drtmr/internal/bench/tpcc"
-	"drtmr/internal/cluster"
-	"drtmr/internal/sim"
 )
 
 func main() {
@@ -83,21 +81,8 @@ func runMix(nodes, threads, txns int, cross float64) (runResult, error) {
 	defer db.Close()
 
 	c := db.Cluster()
-	for _, m := range c.Machines {
-		tpcc.CreateTables(m.Store, wcfg)
-	}
-	initCfg := c.Coord.Current()
-	for n := 0; n < nodes; n++ {
-		if err := tpcc.Load(c.Machines[n].Store, wcfg, n, uint64(n)+1); err != nil {
-			return runResult{}, err
-		}
-		for _, b := range initCfg.BackupsOf(cluster.ShardID(n)) {
-			for _, w := range wcfg.WarehousesOf(n) {
-				if err := tpcc.LoadWarehouse(c.Machines[b].Store, w, sim.NewRand(uint64(n)+uint64(b)*3)); err != nil {
-					return runResult{}, err
-				}
-			}
-		}
+	if err := tpcc.LoadCluster(c, wcfg, 1); err != nil {
+		return runResult{}, err
 	}
 	db.Start()
 

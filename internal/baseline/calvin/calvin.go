@@ -30,19 +30,13 @@ import (
 	"sync"
 	"time"
 
+	"drtmr/internal/baseline"
 	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
 	"drtmr/internal/rdma"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
-
-// Ref declares one record access.
-type Ref struct {
-	Table memstore.TableID
-	Key   uint64
-	Write bool
-}
 
 // System is the cluster-wide Calvin deployment (sequencer + per-machine
 // lock managers).
@@ -163,12 +157,8 @@ type Worker struct {
 	ID   int
 	Clk  sim.Clock
 
-	Stats Stats
-}
-
-// Stats counts outcomes.
-type Stats struct {
-	Committed uint64
+	// Stats counts outcomes: Committed only, Calvin never aborts.
+	Stats txn.Counters
 }
 
 // NewWorker creates a worker on node.
@@ -176,15 +166,13 @@ func (s *System) NewWorker(node rdma.NodeID, id int) *Worker {
 	return &Worker{S: s, Node: node, ID: id}
 }
 
-// Ctx provides record access during execution (all locks held).
-type Ctx struct {
-	w      *Worker
-	values map[Ref][]byte
-	local  map[lockKey]uint64 // local record offsets
+// bodyCtx is the baseline.Ctx of an executing transaction (all locks held).
+type bodyCtx struct {
+	values map[baseline.Ref][]byte
 }
 
 // Get returns a declared record's value.
-func (c *Ctx) Get(table memstore.TableID, key uint64) ([]byte, error) {
+func (c *bodyCtx) Get(table memstore.TableID, key uint64) ([]byte, error) {
 	for r, v := range c.values {
 		if r.Table == table && r.Key == key {
 			return v, nil
@@ -195,7 +183,7 @@ func (c *Ctx) Get(table memstore.TableID, key uint64) ([]byte, error) {
 
 // Put replaces a declared record's value (applied locally at the owning
 // partition after the body runs).
-func (c *Ctx) Put(table memstore.TableID, key uint64, value []byte) error {
+func (c *bodyCtx) Put(table memstore.TableID, key uint64, value []byte) error {
 	for r := range c.values {
 		if r.Table == table && r.Key == key {
 			if !r.Write {
@@ -209,7 +197,7 @@ func (c *Ctx) Put(table memstore.TableID, key uint64, value []byte) error {
 }
 
 // Run executes one deterministic transaction with declared refs.
-func (w *Worker) Run(refs []Ref, body func(c *Ctx) error) error {
+func (w *Worker) Run(refs []baseline.Ref, body func(baseline.Ctx) error) error {
 	s := w.S
 	cfg := s.c.Coord.Current()
 
@@ -257,7 +245,7 @@ func (w *Worker) Run(refs []Ref, body func(c *Ctx) error) error {
 	}
 	// Collect values: local reads directly; remote reads via an IPoIB
 	// round trip per participant (Calvin pushes reads to peers).
-	ctx := &Ctx{w: w, values: make(map[Ref][]byte), local: make(map[lockKey]uint64)}
+	ctx := &bodyCtx{values: make(map[baseline.Ref][]byte)}
 	for _, r := range refs {
 		rk := lockKey{r.Table, r.Key}
 		node := nodeOf[rk]
@@ -268,7 +256,6 @@ func (w *Worker) Run(refs []Ref, body func(c *Ctx) error) error {
 			return fmt.Errorf("calvin: missing record %d/%d", r.Table, r.Key)
 		}
 		if node == w.Node {
-			ctx.local[rk] = off
 			w.Clk.Advance(s.cost.LocalAccess)
 		} else {
 			w.Clk.Advance(s.msgLatency) // read result shipped over IPoIB

@@ -1,6 +1,7 @@
 package calvin
 
 import (
+	"drtmr/internal/baseline"
 	"encoding/binary"
 	"sync"
 	"testing"
@@ -42,11 +43,11 @@ func newWorld(t *testing.T, nodes int) (*cluster.Cluster, *System) {
 func TestDeterministicTransfer(t *testing.T) {
 	c, sys := newWorld(t, 2)
 	w := sys.NewWorker(0, 0)
-	refs := []Ref{
+	refs := []baseline.Ref{
 		{Table: tbl, Key: 0, Write: true},
 		{Table: tbl, Key: 1, Write: true}, // remote partition
 	}
-	if err := w.Run(refs, func(cx *Ctx) error {
+	if err := w.Run(refs, func(cx baseline.Ctx) error {
 		a, err := cx.Get(tbl, 0)
 		if err != nil {
 			return err
@@ -77,7 +78,7 @@ func TestDeterministicTransfer(t *testing.T) {
 func TestUndeclaredAccessRejected(t *testing.T) {
 	_, sys := newWorld(t, 2)
 	w := sys.NewWorker(0, 0)
-	err := w.Run([]Ref{{Table: tbl, Key: 0}}, func(cx *Ctx) error {
+	err := w.Run([]baseline.Ref{{Table: tbl, Key: 0}}, func(cx baseline.Ctx) error {
 		_, err := cx.Get(tbl, 3)
 		return err
 	})
@@ -103,11 +104,11 @@ func TestDeterministicLockOrderConserves(t *testing.T) {
 				if from == to {
 					continue
 				}
-				refs := []Ref{
+				refs := []baseline.Ref{
 					{Table: tbl, Key: from, Write: true},
 					{Table: tbl, Key: to, Write: true},
 				}
-				if err := w.Run(refs, func(cx *Ctx) error {
+				if err := w.Run(refs, func(cx baseline.Ctx) error {
 					a, err := cx.Get(tbl, from)
 					if err != nil {
 						return err

@@ -26,6 +26,7 @@ import (
 	"sort"
 	"time"
 
+	"drtmr/internal/baseline"
 	"drtmr/internal/cluster"
 	"drtmr/internal/htm"
 	"drtmr/internal/memstore"
@@ -33,13 +34,6 @@ import (
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
-
-// Ref names one record in a declared read/write set.
-type Ref struct {
-	Table memstore.TableID
-	Key   uint64
-	Write bool
-}
 
 // Engine is the per-machine DrTM instance.
 type Engine struct {
@@ -61,14 +55,9 @@ type Worker struct {
 	rng *sim.Rand
 	qps []*rdma.QP
 
-	Stats Stats
-}
-
-// Stats counts outcomes.
-type Stats struct {
-	Committed uint64
-	Aborts    uint64
-	Fallbacks uint64
+	// Stats counts outcomes: Committed, Retries (aborted attempts) and
+	// Fallbacks.
+	Stats txn.Counters
 }
 
 // NewWorker creates worker id.
@@ -82,15 +71,15 @@ func (e *Engine) NewWorker(id int) *Worker {
 	return w
 }
 
-// Ctx is the execution context handed to the transaction body: all remote
+// bodyCtx is the baseline.Ctx handed to the transaction body: all remote
 // records are pre-fetched (and locked); local records go through the big
 // HTM region.
-type Ctx struct {
+type bodyCtx struct {
 	w      *Worker
 	htx    *htm.Txn
 	noHTM  bool // fallback mode: plain accesses under locks
-	remote map[Ref][]byte
-	dirty  map[Ref][]byte
+	remote map[baseline.Ref][]byte
+	dirty  map[baseline.Ref][]byte
 	refs   map[refKey]*refState
 }
 
@@ -100,7 +89,7 @@ type refKey struct {
 }
 
 type refState struct {
-	ref    Ref
+	ref    baseline.Ref
 	local  bool
 	node   rdma.NodeID
 	off    uint64
@@ -112,7 +101,7 @@ type refState struct {
 var ErrAborted = errors.New("drtm: aborted")
 
 // Get reads a declared record.
-func (c *Ctx) Get(table memstore.TableID, key uint64) ([]byte, error) {
+func (c *bodyCtx) Get(table memstore.TableID, key uint64) ([]byte, error) {
 	rk := refKey{table, key}
 	st := c.refs[rk]
 	if st == nil {
@@ -154,7 +143,7 @@ func (c *Ctx) Get(table memstore.TableID, key uint64) ([]byte, error) {
 }
 
 // Put writes a declared record.
-func (c *Ctx) Put(table memstore.TableID, key uint64, value []byte) error {
+func (c *bodyCtx) Put(table memstore.TableID, key uint64, value []byte) error {
 	rk := refKey{table, key}
 	st := c.refs[rk]
 	if st == nil || !st.ref.Write {
@@ -189,7 +178,7 @@ func (c *Ctx) Put(table memstore.TableID, key uint64, value []byte) error {
 // Run executes a transaction with declared refs: lock remote (2PL growing
 // phase), fetch remote reads, run body in one big HTM region, write back and
 // unlock (shrinking phase).
-func (w *Worker) Run(refs []Ref, body func(c *Ctx) error) error {
+func (w *Worker) Run(refs []baseline.Ref, body func(baseline.Ctx) error) error {
 	for attempt := 0; ; attempt++ {
 		err := w.attempt(refs, body, attempt)
 		if err == nil {
@@ -199,7 +188,7 @@ func (w *Worker) Run(refs []Ref, body func(c *Ctx) error) error {
 		if !errors.Is(err, ErrAborted) {
 			return err
 		}
-		w.Stats.Aborts++
+		w.Stats.Retries++
 		w.backoff(attempt)
 	}
 }
@@ -210,15 +199,14 @@ func (w *Worker) backoff(attempt int) {
 	sim.Spin(0)
 }
 
-
 const bigHTMRetries = 8
 
-func (w *Worker) attempt(refs []Ref, body func(c *Ctx) error, attempt int) error {
+func (w *Worker) attempt(refs []baseline.Ref, body func(baseline.Ctx) error, attempt int) error {
 	w.Clk.Advance(w.E.Cost.TxnOverhead)
-	ctx := &Ctx{
+	ctx := &bodyCtx{
 		w:      w,
-		remote: make(map[Ref][]byte),
-		dirty:  make(map[Ref][]byte),
+		remote: make(map[baseline.Ref][]byte),
+		dirty:  make(map[baseline.Ref][]byte),
 		refs:   make(map[refKey]*refState, len(refs)),
 	}
 	cfg := w.E.M.Config()
@@ -319,7 +307,7 @@ func (w *Worker) attempt(refs []Ref, body func(c *Ctx) error, attempt int) error
 
 // bigHTMRun executes body inside one HTM transaction covering every local
 // record's data lines — the DrTM design point.
-func (w *Worker) bigHTMRun(ctx *Ctx, states []*refState, body func(c *Ctx) error, myWord uint64) error {
+func (w *Worker) bigHTMRun(ctx *bodyCtx, states []*refState, body func(baseline.Ctx) error, myWord uint64) error {
 	nLocal := 0
 	for _, st := range states {
 		if st.local {

@@ -1,6 +1,7 @@
 package drtm
 
 import (
+	"drtmr/internal/baseline"
 	"encoding/binary"
 	"sync"
 	"testing"
@@ -46,11 +47,11 @@ func TestDeclaredTransfer(t *testing.T) {
 	c, engines := newWorld(t, 2)
 	w := engines[0].NewWorker(0)
 	// Key 0 local, key 1 remote: the classic 2PL+HTM distributed case.
-	refs := []Ref{
+	refs := []baseline.Ref{
 		{Table: tbl, Key: 0, Write: true},
 		{Table: tbl, Key: 1, Write: true},
 	}
-	if err := w.Run(refs, func(cx *Ctx) error {
+	if err := w.Run(refs, func(cx baseline.Ctx) error {
 		a, err := cx.Get(tbl, 0)
 		if err != nil {
 			return err
@@ -87,14 +88,14 @@ func TestDeclaredTransfer(t *testing.T) {
 func TestUndeclaredAccessRejected(t *testing.T) {
 	_, engines := newWorld(t, 2)
 	w := engines[0].NewWorker(0)
-	err := w.Run([]Ref{{Table: tbl, Key: 0}}, func(cx *Ctx) error {
+	err := w.Run([]baseline.Ref{{Table: tbl, Key: 0}}, func(cx baseline.Ctx) error {
 		_, err := cx.Get(tbl, 2) // not declared
 		return err
 	})
 	if err == nil {
 		t.Fatal("undeclared read accepted — DrTM requires a-priori sets")
 	}
-	err = w.Run([]Ref{{Table: tbl, Key: 0}}, func(cx *Ctx) error {
+	err = w.Run([]baseline.Ref{{Table: tbl, Key: 0}}, func(cx baseline.Ctx) error {
 		return cx.Put(tbl, 0, enc(1)) // declared read-only
 	})
 	if err == nil {
@@ -116,11 +117,11 @@ func TestConcurrentDeclaredConserve(t *testing.T) {
 				if from == to {
 					continue
 				}
-				refs := []Ref{
+				refs := []baseline.Ref{
 					{Table: tbl, Key: from, Write: true},
 					{Table: tbl, Key: to, Write: true},
 				}
-				if err := w.Run(refs, func(cx *Ctx) error {
+				if err := w.Run(refs, func(cx baseline.Ctx) error {
 					a, err := cx.Get(tbl, from)
 					if err != nil {
 						return err

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"drtmr/internal/memstore"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
@@ -53,7 +54,7 @@ type Table struct {
 
 // DB is a single-machine Silo database.
 type DB struct {
-	tables map[uint8]*Table
+	tables map[memstore.TableID]*Table
 	epoch  atomic.Uint64
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -64,8 +65,8 @@ type DB struct {
 // NewDB creates a database with the given table ids and starts the epoch
 // thread (Silo advances the global epoch every ~40ms; the exact period only
 // bounds freshness, not throughput).
-func NewDB(tableIDs []uint8, cost txn.CostModel) *DB {
-	db := &DB{tables: make(map[uint8]*Table), stop: make(chan struct{}), Cost: cost}
+func NewDB(tableIDs []memstore.TableID, cost txn.CostModel) *DB {
+	db := &DB{tables: make(map[memstore.TableID]*Table), stop: make(chan struct{}), Cost: cost}
 	db.epoch.Store(1)
 	for _, id := range tableIDs {
 		db.tables[id] = &Table{rows: make(map[uint64]*record)}
@@ -92,7 +93,7 @@ func (db *DB) Close() {
 }
 
 // Insert loads a row (setup path).
-func (db *DB) Insert(table uint8, key uint64, val []byte) error {
+func (db *DB) Insert(table memstore.TableID, key uint64, val []byte) error {
 	t := db.tables[table]
 	if t == nil {
 		return fmt.Errorf("silo: unknown table %d", table)
@@ -108,7 +109,7 @@ func (db *DB) Insert(table uint8, key uint64, val []byte) error {
 	return nil
 }
 
-func (db *DB) row(table uint8, key uint64) *record {
+func (db *DB) row(table memstore.TableID, key uint64) *record {
 	t := db.tables[table]
 	if t == nil {
 		return nil
@@ -120,7 +121,7 @@ func (db *DB) row(table uint8, key uint64) *record {
 }
 
 // insertRow adds a row transactionally (used by Txn.Insert at commit).
-func (db *DB) insertRow(table uint8, key uint64, val []byte, tid uint64) *record {
+func (db *DB) insertRow(table memstore.TableID, key uint64, val []byte, tid uint64) *record {
 	t := db.tables[table]
 	r := &record{val: append([]byte(nil), val...)}
 	r.word.Store(tid)
@@ -141,13 +142,8 @@ type Worker struct {
 	Clk sim.Clock
 	rng *sim.Rand
 
-	Stats Stats
-}
-
-// Stats counts outcomes.
-type Stats struct {
-	Committed uint64
-	Aborts    uint64
+	// Stats counts outcomes: Committed and Retries (aborted attempts).
+	Stats txn.Counters
 }
 
 // NewWorker creates worker id.
@@ -173,7 +169,7 @@ type rsEnt struct {
 }
 
 type wsEnt struct {
-	table  uint8
+	table  memstore.TableID
 	key    uint64
 	rec    *record // nil for inserts
 	val    []byte
@@ -196,17 +192,17 @@ func (w *Worker) Run(fn func(tx *Txn) error) error {
 		if !errors.Is(err, errAbort) {
 			return err
 		}
-		w.Stats.Aborts++
+		w.Stats.Retries++
 		maxExp := 1 << uint(min(attempt, 8))
 		w.Clk.Advance(time.Duration(1+w.rng.Intn(maxExp)) * w.DB.Cost.Backoff)
 		sim.Spin(0)
 	}
 }
 
-
-// Read returns a stable snapshot of the record (Silo's optimistic read:
-// word, value, word re-check).
-func (tx *Txn) Read(table uint8, key uint64) ([]byte, error) {
+// Get returns a stable snapshot of the record (Silo's optimistic read: word,
+// value, word re-check). With Put it makes a Txn a baseline.Ctx, so a body
+// written for the declared-set systems runs on Silo unchanged.
+func (tx *Txn) Get(table memstore.TableID, key uint64) ([]byte, error) {
 	for i := range tx.ws {
 		if tx.ws[i].table == table && tx.ws[i].key == key {
 			return append([]byte(nil), tx.ws[i].val...), nil
@@ -233,8 +229,8 @@ func (tx *Txn) Read(table uint8, key uint64) ([]byte, error) {
 	}
 }
 
-// Write buffers an update.
-func (tx *Txn) Write(table uint8, key uint64, val []byte) error {
+// Put buffers an update.
+func (tx *Txn) Put(table memstore.TableID, key uint64, val []byte) error {
 	for i := range tx.ws {
 		if tx.ws[i].table == table && tx.ws[i].key == key {
 			tx.ws[i].val = append(tx.ws[i].val[:0], val...)
@@ -250,7 +246,7 @@ func (tx *Txn) Write(table uint8, key uint64, val []byte) error {
 }
 
 // Insert buffers a new row.
-func (tx *Txn) Insert(table uint8, key uint64, val []byte) error {
+func (tx *Txn) Insert(table memstore.TableID, key uint64, val []byte) error {
 	tx.ws = append(tx.ws, wsEnt{table: table, key: key, insert: true, val: append([]byte(nil), val...)})
 	return nil
 }

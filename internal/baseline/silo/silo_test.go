@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"drtmr/internal/memstore"
 	"drtmr/internal/txn"
 )
 
@@ -19,7 +20,7 @@ func dec(b []byte) uint64 { return binary.LittleEndian.Uint64(b[:8]) }
 
 func newDB(t *testing.T) *DB {
 	t.Helper()
-	db := NewDB([]uint8{1}, txn.DefaultCosts())
+	db := NewDB([]memstore.TableID{1}, txn.DefaultCosts())
 	t.Cleanup(db.Close)
 	return db
 }
@@ -34,16 +35,16 @@ func TestBasicReadWrite(t *testing.T) {
 	}
 	w := db.NewWorker(0)
 	if err := w.Run(func(tx *Txn) error {
-		v, err := tx.Read(1, 5)
+		v, err := tx.Get(1, 5)
 		if err != nil {
 			return err
 		}
-		return tx.Write(1, 5, enc(dec(v)+1))
+		return tx.Put(1, 5, enc(dec(v)+1))
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Run(func(tx *Txn) error {
-		v, err := tx.Read(1, 5)
+		v, err := tx.Get(1, 5)
 		if err != nil {
 			return err
 		}
@@ -58,7 +59,7 @@ func TestBasicReadWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := w.Run(func(tx *Txn) error {
-		_, err := tx.Read(1, 999)
+		_, err := tx.Get(1, 999)
 		return err
 	})
 	if !errors.Is(err, ErrNotFound) {
@@ -78,7 +79,7 @@ func TestTxnInsertVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.Run(func(tx *Txn) error {
-		v, err := tx.Read(1, 77)
+		v, err := tx.Get(1, 77)
 		if err != nil {
 			return err
 		}
@@ -114,21 +115,21 @@ func TestConcurrentTransfersConserve(t *testing.T) {
 					continue
 				}
 				if err := w.Run(func(tx *Txn) error {
-					a, err := tx.Read(1, from)
+					a, err := tx.Get(1, from)
 					if err != nil {
 						return err
 					}
-					b, err := tx.Read(1, to)
+					b, err := tx.Get(1, to)
 					if err != nil {
 						return err
 					}
 					if dec(a) == 0 {
 						return nil
 					}
-					if err := tx.Write(1, from, enc(dec(a)-1)); err != nil {
+					if err := tx.Put(1, from, enc(dec(a)-1)); err != nil {
 						return err
 					}
-					return tx.Write(1, to, enc(dec(b)+1))
+					return tx.Put(1, to, enc(dec(b)+1))
 				}); err != nil {
 					t.Errorf("run: %v", err)
 					return
@@ -142,7 +143,7 @@ func TestConcurrentTransfersConserve(t *testing.T) {
 	if err := w.Run(func(tx *Txn) error {
 		total = 0
 		for k := uint64(0); k < accounts; k++ {
-			v, err := tx.Read(1, k)
+			v, err := tx.Get(1, k)
 			if err != nil {
 				return err
 			}

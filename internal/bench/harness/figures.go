@@ -600,19 +600,8 @@ func RunRecovery(nodes, threads int, runFor time.Duration, lease time.Duration) 
 		Nodes: nodes, WarehousesPerNode: threads,
 		RemoteNewOrderProb: 0.01, RemotePaymentProb: 0.15,
 	}
-	for _, m := range c.Machines {
-		tpcc.CreateTables(m.Store, wcfg)
-	}
-	cfg0 := c.Coord.Current()
-	for n := 0; n < nodes; n++ {
-		if err := tpcc.Load(c.Machines[n].Store, wcfg, n, uint64(n)+3); err != nil {
-			panic(err)
-		}
-		for _, b := range cfg0.BackupsOf(cluster.ShardID(n)) {
-			for _, w := range wcfg.WarehousesOf(n) {
-				_ = tpcc.LoadWarehouse(c.Machines[b].Store, w, simRand(uint64(n)*7+uint64(b)))
-			}
-		}
+	if err := tpcc.LoadCluster(c, wcfg, 3); err != nil {
+		panic(err)
 	}
 	var engines []*txn.Engine
 	for _, m := range c.Machines {

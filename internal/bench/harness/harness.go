@@ -329,12 +329,11 @@ func Run(o Options) Result {
 	switch o.System {
 	case SysDrTMR, SysDrTMR3:
 		return runDrTMR(o)
-	case SysDrTM:
-		return runDrTMBaseline(o)
-	case SysCalvin:
-		return runCalvinBaseline(o)
-	case SysSilo:
-		return runSiloBaseline(o)
+	case SysDrTM, SysCalvin, SysSilo:
+		if o.Workload != WLTPCC {
+			panic("harness: the comparison baselines implement TPC-C only")
+		}
+		return baselines[o.System](o)
 	default:
 		panic("harness: unknown system")
 	}
@@ -368,7 +367,6 @@ func buildCluster(o Options, replicas int) (*cluster.Cluster, interface{}) {
 		Lease:          lease,
 		HeartbeatEvery: heartbeat,
 	})
-	cfg0 := c.Coord.Current()
 	switch o.Workload {
 	case WLTPCC:
 		wcfg := tpcc.Config{
@@ -377,20 +375,8 @@ func buildCluster(o Options, replicas int) (*cluster.Cluster, interface{}) {
 			RemoteNewOrderProb: o.CrossWarehouseNO,
 			RemotePaymentProb:  o.CrossWarehousePay,
 		}
-		for _, m := range c.Machines {
-			tpcc.CreateTables(m.Store, wcfg)
-		}
-		for n := 0; n < o.Nodes; n++ {
-			if err := tpcc.Load(c.Machines[n].Store, wcfg, n, o.Seed+uint64(n)); err != nil {
-				panic(err)
-			}
-			for _, b := range cfg0.BackupsOf(cluster.ShardID(n)) {
-				for _, w := range wcfg.WarehousesOf(n) {
-					if err := tpcc.LoadWarehouse(c.Machines[b].Store, w, simRand(o.Seed+uint64(n)*31+uint64(b))); err != nil {
-						panic(err)
-					}
-				}
-			}
+		if err := tpcc.LoadCluster(c, wcfg, o.Seed); err != nil {
+			panic(err)
 		}
 		return c, wcfg
 	case WLSmallBank:
@@ -406,17 +392,8 @@ func buildCluster(o Options, replicas int) (*cluster.Cluster, interface{}) {
 			ReadOnlyFrac:    o.SBReadOnlyFrac,
 			InitialBalance:  10000,
 		}
-		for _, m := range c.Machines {
-			smallbank.CreateTables(m.Store, wcfg)
-		}
-		for s := 0; s < o.Nodes; s++ {
-			shard := cluster.ShardID(s)
-			nodes := append([]rdma.NodeID{cfg0.PrimaryOf(shard)}, cfg0.BackupsOf(shard)...)
-			for _, nd := range nodes {
-				if err := smallbank.Load(c.Machines[nd].Store, wcfg, shard); err != nil {
-					panic(err)
-				}
-			}
+		if err := smallbank.LoadCluster(c, wcfg); err != nil {
+			panic(err)
 		}
 		return c, wcfg
 	default:
@@ -487,99 +464,81 @@ func runDrTMR(o Options) Result {
 	}
 
 	typeNames := typeNamesFor(o.Workload)
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		agg       txn.Stats
-		newOrders uint64
-		clocks    workerClocks
-		latAgg    = obs.NewTypedHist(typeNames...)
-		recorders []*obs.Recorder
-		histories []*obs.HistoryRecorder
-	)
-	for n := 0; n < o.Nodes; n++ {
-		for t := 0; t < o.ThreadsPerNode; t++ {
-			wg.Add(1)
-			go func(node, tid int) {
-				defer wg.Done()
-				w := engines[node].NewWorker(tid)
-				if gate != nil {
-					gid := node*o.ThreadsPerNode + tid
-					w.SetGate(gate.stepFn(gid))
-					defer gate.finish(gid)
+	// What a worker hands back beside its counters, one slot per worker.
+	lats := make([]*obs.TypedHist, o.Nodes*o.ThreadsPerNode)
+	workers := make([]*txn.Worker, len(lats))
+	r := runWorkers(o, o.Nodes, func(node, tid int) worked {
+		gid := node*o.ThreadsPerNode + tid
+		w := engines[node].NewWorker(tid)
+		workers[gid] = w
+		if gate != nil {
+			w.SetGate(gate.stepFn(gid))
+			defer gate.finish(gid)
+		}
+		if ticks != nil {
+			w.EnableHistory(ticks)
+		}
+		if o.Trace {
+			w.EnableTrace(o.TraceEventsPerWorker)
+		}
+		// Per-worker histogram of virtual commit latency (measured
+		// around each successful transaction, retries included).
+		lat := obs.NewTypedHist(typeNames...)
+		lats[gid] = lat
+		var newOrders uint64
+		// The worker multiplexes its TxPerWorker budget over N
+		// coroutines (strict handoff keeps the shared countdown and
+		// generator state single-threaded); N=1 runs the classic
+		// sequential loop.
+		ncoro := o.Coroutines()
+		remaining := o.TxPerWorker
+		switch o.Workload {
+		case WLTPCC:
+			wcfg := wcfgAny.(tpcc.Config)
+			whs := wcfg.WarehousesOf(node)
+			home := whs[tid%len(whs)]
+			ex := tpcc.NewExecutor(w, tpcc.NewGen(wcfg, home, o.Seed+uint64(node*100+tid)))
+			w.RunCoroutines(ncoro, func(int) {
+				for remaining > 0 && !engines[node].M.Dead() {
+					remaining--
+					s := w.Clk.Now()
+					ty, err := ex.RunOne()
+					if err != nil {
+						continue
+					}
+					lat.Record(int(ty), w.Clk.Now()-s)
+					if ty == tpcc.TxNewOrder {
+						newOrders++
+					}
 				}
-				if ticks != nil {
-					w.EnableHistory(ticks)
+			})
+		case WLSmallBank:
+			wcfg := wcfgAny.(smallbank.Config)
+			g := smallbank.NewGen(wcfg, cluster.ShardID(node), o.Seed+uint64(node*100+tid))
+			w.RunCoroutines(ncoro, func(int) {
+				for remaining > 0 && !engines[node].M.Dead() {
+					remaining--
+					p := g.Next()
+					s := w.Clk.Now()
+					if smallbank.Execute(w, p) == nil {
+						lat.Record(int(p.Type), w.Clk.Now()-s)
+					}
 				}
-				if o.Trace {
-					w.EnableTrace(o.TraceEventsPerWorker)
-				}
-				// Per-worker histogram of virtual commit latency (measured
-				// around each successful transaction, retries included),
-				// merged under the lock after the run.
-				lat := obs.NewTypedHist(typeNames...)
-				var localNO uint64
-				// The worker multiplexes its TxPerWorker budget over N
-				// coroutines (strict handoff keeps the shared countdown and
-				// generator state single-threaded); N=1 runs the classic
-				// sequential loop.
-				ncoro := o.Coroutines()
-				remaining := o.TxPerWorker
-				switch o.Workload {
-				case WLTPCC:
-					wcfg := wcfgAny.(tpcc.Config)
-					whs := wcfg.WarehousesOf(node)
-					home := whs[tid%len(whs)]
-					ex := tpcc.NewExecutor(w, tpcc.NewGen(wcfg, home, o.Seed+uint64(node*100+tid)))
-					w.RunCoroutines(ncoro, func(int) {
-						for remaining > 0 && !engines[node].M.Dead() {
-							remaining--
-							s := w.Clk.Now()
-							ty, err := ex.RunOne()
-							if err != nil {
-								continue
-							}
-							lat.Record(int(ty), w.Clk.Now()-s)
-							if ty == tpcc.TxNewOrder {
-								localNO++
-							}
-						}
-					})
-				case WLSmallBank:
-					wcfg := wcfgAny.(smallbank.Config)
-					g := smallbank.NewGen(wcfg, cluster.ShardID(node), o.Seed+uint64(node*100+tid))
-					w.RunCoroutines(ncoro, func(int) {
-						for remaining > 0 && !engines[node].M.Dead() {
-							remaining--
-							p := g.Next()
-							s := w.Clk.Now()
-							if smallbank.Execute(w, p) == nil {
-								lat.Record(int(p.Type), w.Clk.Now()-s)
-							}
-						}
-					})
-				}
-				mu.Lock()
-				agg.Merge(&w.Stats)
-				newOrders += localNO
-				clocks.add(w.Clk.Now())
-				latAgg.Merge(lat)
-				if w.Rec != nil {
-					recorders = append(recorders, w.Rec)
-				}
-				if w.Hist != nil {
-					histories = append(histories, w.Hist)
-				}
-				mu.Unlock()
-			}(n, t)
+			})
+		}
+		return worked{stats: &w.Stats, newOrders: newOrders, clock: w.Clk.Now()}
+	})
+	r.Yields = r.CoYields
+	r.Lat = obs.NewTypedHist(typeNames...)
+	for gid, w := range workers {
+		r.Lat.Merge(lats[gid])
+		if w.Rec != nil {
+			r.Trace = append(r.Trace, w.Rec)
+		}
+		if w.Hist != nil {
+			r.History = append(r.History, w.Hist)
 		}
 	}
-	wg.Wait()
-	r := summarize(o, &agg, newOrders, clocks)
-	r.Yields = r.CoYields
-	r.Lat = latAgg
-	r.Trace = recorders
-	r.History = histories
 	r.applyHistogram()
 	return r
 }
@@ -615,38 +574,51 @@ func (r *Result) applyHistogram() {
 	r.P999Us = all.Quantile(0.999) / 1e3
 }
 
-// workerClocks folds the workers' final virtual clocks: the slowest one is
-// the run's elapsed time, the sum is what all transactions together cost.
-type workerClocks struct{ max, sum int64 }
-
-func (c *workerClocks) add(v int64) {
-	c.max = max(c.max, v)
-	c.sum += v
+// worked is what one worker goroutine reports when its transactions are done.
+type worked struct {
+	stats     *txn.Stats
+	newOrders uint64
+	clock     int64 // the worker's final virtual clock
 }
 
-// summarize derives the rates from a run's merged counters and clocks. An
-// abort is a retried attempt in every system, so st.Retries is the abort
-// count (the baselines have no per-reason Aborts to sum).
-func summarize(o Options, st *txn.Stats, newOrders uint64, clocks workerClocks) Result {
-	vs := float64(clocks.max) / 1e9
-	if vs <= 0 {
-		vs = 1e-9
+// runWorkers is where every system harness.Run knows gets its worker
+// goroutines: work(node, tid) runs once per worker, nodes × o.ThreadsPerNode
+// of them side by side, and what they report is folded into the Result —
+// counters merged, new-orders summed, and of the final virtual clocks the
+// slowest as the run's elapsed time and the sum as what all transactions
+// together cost. An abort is a retried attempt in every system, so
+// Stats.Retries is the abort count (the baselines have no per-reason Aborts
+// to sum).
+func runWorkers(o Options, nodes int, work func(node, tid int) worked) Result {
+	outs := make([]worked, nodes*o.ThreadsPerNode)
+	var wg sync.WaitGroup
+	for n := 0; n < nodes; n++ {
+		for t := 0; t < o.ThreadsPerNode; t++ {
+			wg.Add(1)
+			go func(node, tid int) {
+				defer wg.Done()
+				outs[node*o.ThreadsPerNode+tid] = work(node, tid)
+			}(n, t)
+		}
 	}
-	r := Result{
-		System:           o.System,
-		Workload:         o.Workload,
-		Stats:            *st,
-		NewOrders:        newOrders,
-		VirtualSec:       vs,
-		WorkerVirtualSec: float64(clocks.sum) / 1e9,
+	wg.Wait()
+	r := Result{System: o.System, Workload: o.Workload}
+	var slowest, sum int64
+	for _, out := range outs {
+		r.Stats.Merge(out.stats)
+		r.NewOrders += out.newOrders
+		slowest = max(slowest, out.clock)
+		sum += out.clock
 	}
-	r.TotalTPS = float64(st.Committed) / vs
-	r.NewOrderTPS = float64(newOrders) / vs
-	if st.Committed+st.Retries > 0 {
-		r.AbortRate = float64(st.Retries) / float64(st.Committed+st.Retries)
+	r.VirtualSec = max(float64(slowest)/1e9, 1e-9)
+	r.WorkerVirtualSec = float64(sum) / 1e9
+	r.TotalTPS = float64(r.Committed) / r.VirtualSec
+	r.NewOrderTPS = float64(r.NewOrders) / r.VirtualSec
+	if r.Committed+r.Retries > 0 {
+		r.AbortRate = float64(r.Retries) / float64(r.Committed+r.Retries)
 	}
-	if st.Committed > 0 {
-		r.AvgLatencyUs = r.WorkerVirtualSec / float64(st.Committed) * 1e6
+	if r.Committed > 0 {
+		r.AvgLatencyUs = r.WorkerVirtualSec / float64(r.Committed) * 1e6
 	}
 	return r
 }

@@ -24,7 +24,7 @@ var Figures = append(harness.Figures[:len(harness.Figures):len(harness.Figures)]
 
 // FigServeOverload sweeps open-loop offered load through 2× saturation
 // against a live drtmr-serve over TCP, with the admission controller on
-// versus off (-fig serve; BENCH_serve_overload.json). The claim under test:
+// versus off (drtmr-bench -fig serve regenerates it). The claim under test:
 // watermark shedding keeps the *accepted* requests' p99 bounded at
 // overload — paying for it with an explicit shed rate — while the
 // no-shedding ablation queues without limit and its p99 collapses to the

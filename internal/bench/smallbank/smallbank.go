@@ -21,6 +21,7 @@ import (
 
 	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
+	"drtmr/internal/rdma"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
@@ -162,15 +163,25 @@ func CreateTables(store *memstore.Store, c Config) {
 	}
 }
 
-// Load populates machine node's share of accounts (call for primaries and,
-// with the same arguments, for each backup holding a copy).
-func Load(store *memstore.Store, c Config, shard cluster.ShardID) error {
-	lo := uint64(shard) * uint64(c.AccountsPerNode)
-	hi := lo + uint64(c.AccountsPerNode)
-	for key := lo; key < hi; key++ {
-		for _, id := range []memstore.TableID{TableChecking, TableSavings} {
-			if _, err := store.Table(id).Insert(key, EncBalance(c.InitialBalance)); err != nil {
-				return fmt.Errorf("smallbank load key %d: %w", key, err)
+// LoadCluster creates the tables on every machine and loads every shard's
+// accounts, at the initial balance, on its primary and its backups.
+func LoadCluster(c *cluster.Cluster, cfg Config) error {
+	for _, m := range c.Machines {
+		CreateTables(m.Store, cfg)
+	}
+	cfg0 := c.Coord.Current()
+	for s := 0; s < cfg.Nodes; s++ {
+		shard := cluster.ShardID(s)
+		lo := uint64(s) * uint64(cfg.AccountsPerNode)
+		hi := lo + uint64(cfg.AccountsPerNode)
+		for _, nd := range append([]rdma.NodeID{cfg0.PrimaryOf(shard)}, cfg0.BackupsOf(shard)...) {
+			store := c.Machines[nd].Store
+			for key := lo; key < hi; key++ {
+				for _, id := range []memstore.TableID{TableChecking, TableSavings} {
+					if _, err := store.Table(id).Insert(key, EncBalance(cfg.InitialBalance)); err != nil {
+						return fmt.Errorf("smallbank load key %d: %w", key, err)
+					}
+				}
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
-	"drtmr/internal/rdma"
 	"drtmr/internal/txn"
 )
 
@@ -15,21 +14,12 @@ func smallWorld(t *testing.T, nodes, replicas int, cfg Config) (*cluster.Cluster
 	c := cluster.New(cluster.Spec{
 		Nodes: nodes, Replicas: replicas, MemBytes: 32 << 20, RingBytes: 1 << 17,
 	})
+	if err := LoadCluster(c, cfg); err != nil {
+		t.Fatal(err)
+	}
 	var engines []*txn.Engine
 	for _, m := range c.Machines {
-		CreateTables(m.Store, cfg)
 		engines = append(engines, txn.NewEngine(m, cfg.Partitioner(), txn.DefaultCosts()))
-	}
-	// Load primaries and backups.
-	initCfg := c.Coord.Current()
-	for s := 0; s < nodes; s++ {
-		shard := cluster.ShardID(s)
-		nodesFor := append([]rdma.NodeID{initCfg.PrimaryOf(shard)}, initCfg.BackupsOf(shard)...)
-		for _, nd := range nodesFor {
-			if err := Load(c.Machines[nd].Store, cfg, shard); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	c.Start()
 	t.Cleanup(c.Stop)

@@ -202,10 +202,10 @@ func getU64(b []byte, off int) uint64    { return binary.LittleEndian.Uint64(b[o
 // needs its value for the order keys, so it stays a read-modify-write and
 // relies on the contention manager's hot-key queue instead.
 const (
-	WarehouseYTDOff   = 8  // warehouse ytd accumulator
-	DistrictYTDOff    = 8  // district ytd accumulator
-	CustomerBalanceOff = 0 // customer balance (signed; subtract via two's complement)
-	CustomerYTDOff     = 8 // customer ytdPayment accumulator
+	WarehouseYTDOff    = 8  // warehouse ytd accumulator
+	DistrictYTDOff     = 8  // district ytd accumulator
+	CustomerBalanceOff = 0  // customer balance (signed; subtract via two's complement)
+	CustomerYTDOff     = 8  // customer ytdPayment accumulator
 	CustomerPayCntOff  = 16 // customer paymentCnt counter
 )
 
@@ -349,27 +349,44 @@ func ApplyStockOrder(b []byte, qty uint64, remote bool) {
 	}
 }
 
-// Loader populates one machine's share (call with the same node id on the
-// primary and on each backup machine that replicates it).
-func Load(store *memstore.Store, c Config, node int, seed uint64) error {
-	rng := sim.NewRand(seed + 1)
-	// ITEM replicates everywhere.
-	for i := 1; i <= ItemCount; i++ {
-		if _, err := store.Table(TableItem).Insert(IKey(i), ItemRow(uint64(100+rng.Intn(9900)))); err != nil {
-			return fmt.Errorf("tpcc load item %d: %w", i, err)
-		}
+// LoadCluster creates the tables on every machine and loads every shard on
+// its primary and its backups. Node n's stream is seeded seed+n and drawn in
+// one order — its ITEM copy (replicated everywhere, loaded with the primary
+// shard), then its warehouses — and every holder of a warehouse loads it from
+// the same point of that stream, so a backup promoted after a failure serves
+// exactly the rows its primary held.
+func LoadCluster(c *cluster.Cluster, wcfg Config, seed uint64) error {
+	for _, m := range c.Machines {
+		CreateTables(m.Store, wcfg)
 	}
-	for _, w := range c.WarehousesOf(node) {
-		if err := LoadWarehouse(store, w, rng); err != nil {
-			return err
+	cfg0 := c.Coord.Current()
+	for n := 0; n < wcfg.Nodes; n++ {
+		shard := cluster.ShardID(n)
+		primary := c.Machines[cfg0.PrimaryOf(shard)].Store
+		rng := sim.NewRand(seed + uint64(n) + 1)
+		for i := 1; i <= ItemCount; i++ {
+			if _, err := primary.Table(TableItem).Insert(IKey(i), ItemRow(uint64(100+rng.Intn(9900)))); err != nil {
+				return fmt.Errorf("tpcc load item %d: %w", i, err)
+			}
+		}
+		for _, w := range wcfg.WarehousesOf(n) {
+			at := *rng
+			if err := loadWarehouse(primary, w, rng); err != nil {
+				return err
+			}
+			for _, b := range cfg0.BackupsOf(shard) {
+				r := at
+				if err := loadWarehouse(c.Machines[b].Store, w, &r); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
 }
 
-// LoadWarehouse populates a single warehouse's rows into store (exported so
-// backups can load exactly the shards they replicate).
-func LoadWarehouse(store *memstore.Store, w int, rng *sim.Rand) error {
+// loadWarehouse populates a single warehouse's rows into store.
+func loadWarehouse(store *memstore.Store, w int, rng *sim.Rand) error {
 	if _, err := store.Table(TableWarehouse).Insert(WKey(w), WarehouseRow(uint64(rng.Intn(2000)), 0)); err != nil {
 		return fmt.Errorf("tpcc load warehouse %d: %w", w, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"drtmr/internal/cluster"
-	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
 
@@ -15,32 +14,17 @@ func tpccWorld(t *testing.T, nodes, replicas, whPerNode int) (*cluster.Cluster, 
 	c := cluster.New(cluster.Spec{
 		Nodes: nodes, Replicas: replicas, MemBytes: 96 << 20, RingBytes: 1 << 18,
 	})
+	if err := LoadCluster(c, cfg, 0); err != nil {
+		t.Fatal(err)
+	}
 	var engines []*txn.Engine
 	for _, m := range c.Machines {
-		CreateTables(m.Store, cfg)
 		engines = append(engines, txn.NewEngine(m, cfg.Partitioner(m.ID), txn.DefaultCosts()))
-	}
-	initCfg := c.Coord.Current()
-	for n := 0; n < nodes; n++ {
-		// Primary copy.
-		if err := Load(c.Machines[n].Store, cfg, n, uint64(n)); err != nil {
-			t.Fatal(err)
-		}
-		// Backup copies of node n's warehouses.
-		for _, b := range initCfg.BackupsOf(cluster.ShardID(n)) {
-			for _, w := range cfg.WarehousesOf(n) {
-				if err := LoadWarehouse(c.Machines[b].Store, w, testRng(uint64(n)+uint64(b))); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
 	}
 	c.Start()
 	t.Cleanup(c.Stop)
 	return c, engines, cfg
 }
-
-func testRng(seed uint64) *sim.Rand { return sim.NewRand(seed) }
 
 func TestKeyPackingDisjoint(t *testing.T) {
 	seen := map[uint64]string{}

@@ -7,8 +7,6 @@ import (
 
 	"drtmr"
 	"drtmr/internal/bench/smallbank"
-	"drtmr/internal/cluster"
-	"drtmr/internal/rdma"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
@@ -66,20 +64,9 @@ func OpenBank(cfg smallbank.Config, replicas int) (*drtmr.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := db.Cluster()
-	for _, m := range c.Machines {
-		smallbank.CreateTables(m.Store, cfg)
-	}
-	cfg0 := c.Coord.Current()
-	for s := 0; s < cfg.Nodes; s++ {
-		shard := cluster.ShardID(s)
-		nodes := append([]rdma.NodeID{cfg0.PrimaryOf(shard)}, cfg0.BackupsOf(shard)...)
-		for _, nd := range nodes {
-			if err := smallbank.Load(c.Machines[nd].Store, cfg, shard); err != nil {
-				db.Close()
-				return nil, err
-			}
-		}
+	if err := smallbank.LoadCluster(db.Cluster(), cfg); err != nil {
+		db.Close()
+		return nil, err
 	}
 	return db, nil
 }

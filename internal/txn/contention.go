@@ -64,10 +64,10 @@ type HotKey struct {
 // Detector and queue tuning.
 const (
 	// DefaultContentionHotThreshold is the decayed per-key abort count at
-	// which a key is treated as hot (Knobs.ContentionHotThreshold overrides).
+	// which a key is treated as hot.
 	DefaultContentionHotThreshold = 3
 	// DefaultBackoffMaxExp caps the randomized exponential backoff at
-	// 2^exp * Costs.Backoff (Knobs.BackoffMaxExp overrides).
+	// 2^exp * Costs.Backoff.
 	DefaultBackoffMaxExp = 8
 	// hotDecayEvery halves every decayed per-key counter after this many
 	// keyed aborts, so a burst from minutes ago cannot keep a key hot.
@@ -112,8 +112,8 @@ func newContentionManager() *contentionManager {
 }
 
 // noteAbort feeds one keyed abort into the decayed counters and reports
-// whether the key's count has reached thr.
-func (cm *contentionManager) noteAbort(hk HotKey, thr int) bool {
+// whether the key's count has reached DefaultContentionHotThreshold.
+func (cm *contentionManager) noteAbort(hk HotKey) bool {
 	cm.hotMu.Lock()
 	if cm.hotEvents++; cm.hotEvents >= hotDecayEvery {
 		cm.hotEvents = 0
@@ -128,7 +128,7 @@ func (cm *contentionManager) noteAbort(hk HotKey, thr int) bool {
 	c := cm.hotCounts[hk] + 1
 	cm.hotCounts[hk] = c
 	cm.hotMu.Unlock()
-	return int64(c) >= int64(thr)
+	return c >= DefaultContentionHotThreshold
 }
 
 func (cm *contentionManager) gateFor(hk HotKey) *keyGate {
@@ -281,14 +281,10 @@ func (w *Worker) noteAbortKey(te *Error) *keyGate {
 	if !w.E.contentionOn() {
 		return nil
 	}
-	thr := w.E.ContentionHotThreshold
-	if thr <= 0 {
-		thr = DefaultContentionHotThreshold
-	}
-	if !w.E.cm.noteAbort(hk, thr) {
+	if !w.E.cm.noteAbort(hk) {
 		return nil
 	}
-	if w.Stats.AbortMatrix.StageReasonTotal(uint8(te.Reason), te.Stage) < uint64(thr) {
+	if w.Stats.AbortMatrix.StageReasonTotal(uint8(te.Reason), te.Stage) < DefaultContentionHotThreshold {
 		return nil
 	}
 	return w.E.cm.gateFor(hk)

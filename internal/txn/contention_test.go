@@ -10,38 +10,29 @@ import (
 
 // TestBackoffMaxExpCapped pins the backoff cap: no matter how many times a
 // transaction has retried, one backoff advances the virtual clock by at most
-// 2^BackoffMaxExp * Costs.Backoff (the ISSUE's unbounded-backoff tail
-// contributor). Checked for the default and a custom knob value.
+// 2^DefaultBackoffMaxExp * Costs.Backoff (the ISSUE's unbounded-backoff tail
+// contributor).
 func TestBackoffMaxExpCapped(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		knob int
-		exp  int
-	}{
-		{"default", 0, DefaultBackoffMaxExp},
-		{"custom", 3, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := newWorld(t, 1, 1, htm.Config{})
-			w.engines[0].BackoffMaxExp = tc.knob
-			wk := w.engines[0].NewWorker(0)
-			cap64 := int64(1<<uint(tc.exp)) * int64(w.engines[0].Costs.Backoff)
-			for _, attempt := range []int{0, 1, tc.exp, tc.exp + 1, 1000, 1 << 20} {
-				for i := 0; i < 32; i++ {
-					before := wk.Clk.Now()
-					wk.backoff(attempt)
-					d := wk.Clk.Now() - before
-					if d <= 0 {
-						t.Fatalf("attempt %d: backoff advanced %dns, want > 0", attempt, d)
-					}
-					if d > cap64 {
-						t.Fatalf("attempt %d: backoff advanced %dns, cap is %dns (2^%d * %v)",
-							attempt, d, cap64, tc.exp, w.engines[0].Costs.Backoff)
-					}
+	t.Run("default", func(t *testing.T) {
+		const exp = DefaultBackoffMaxExp
+		w := newWorld(t, 1, 1, htm.Config{})
+		wk := w.engines[0].NewWorker(0)
+		cap64 := int64(1<<exp) * int64(w.engines[0].Costs.Backoff)
+		for _, attempt := range []int{0, 1, exp, exp + 1, 1000, 1 << 20} {
+			for i := 0; i < 32; i++ {
+				before := wk.Clk.Now()
+				wk.backoff(attempt)
+				d := wk.Clk.Now() - before
+				if d <= 0 {
+					t.Fatalf("attempt %d: backoff advanced %dns, want > 0", attempt, d)
+				}
+				if d > cap64 {
+					t.Fatalf("attempt %d: backoff advanced %dns, cap is %dns (2^%d * %v)",
+						attempt, d, cap64, exp, w.engines[0].Costs.Backoff)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestDeltaInterleavedVersionChain alternates commutative deltas (Txn.Add)
@@ -115,7 +106,6 @@ func TestAddBuildsDeltaEntry(t *testing.T) {
 	if got := len(tx.ws[0].deltas); got != 2 {
 		t.Fatalf("want 2 folded deltas, got %d", got)
 	}
-	tx.abandon()
 }
 
 // TestAddOffModeDegrades pins the ablation: with ContentionOff, Txn.Add is
@@ -139,7 +129,6 @@ func TestAddOffModeDegrades(t *testing.T) {
 	if got := decBal(tx.ws[0].buf); got != 105 {
 		t.Fatalf("off-mode Add staged balance %d, want 105", got)
 	}
-	tx.abandon()
 }
 
 // TestReadStableUntracked pins ReadStable's contract: with the manager on it
@@ -172,7 +161,6 @@ func TestReadStableUntracked(t *testing.T) {
 	if got := decBal(v); got != 7 {
 		t.Fatalf("stable read ignored the pending own write: got %d, want 7", got)
 	}
-	tx.abandon()
 
 	w.engines[0].ContentionMode = ContentionOff
 	tx = wk.Begin()
@@ -182,11 +170,10 @@ func TestReadStableUntracked(t *testing.T) {
 	if len(tx.rs) != 1 {
 		t.Fatalf("off-mode ReadStable made %d read-set entries, want 1 (plain Read)", len(tx.rs))
 	}
-	tx.abandon()
 }
 
-// TestHotKeyQueueConservation hammers one record from every machine with the
-// detector primed to queue after a single abort: the FIFO gates must neither
+// TestHotKeyQueueConservation hammers one record from every machine: the
+// FIFO gates must neither
 // lose updates (conservation) nor wedge (bounded test time). With real
 // conflict pressure, at least some retries should have gone through the
 // queue — counted as gate admissions, not queue waits: these workers run one
@@ -204,7 +191,6 @@ func TestHotKeyQueueConservation(t *testing.T) {
 	var mu sync.Mutex
 	var aborts, admissions, queueWaits uint64
 	for n := 0; n < nodes; n++ {
-		w.engines[n].ContentionHotThreshold = 1
 		for tid := 0; tid < perNode; tid++ {
 			wk := w.engines[n].NewWorker(tid)
 			wg.Add(1)
@@ -236,7 +222,7 @@ func TestHotKeyQueueConservation(t *testing.T) {
 	}
 	t.Logf("aborts=%d admissions=%d queueWaits=%d", aborts, admissions, queueWaits)
 	if aborts > 50 && admissions == 0 {
-		t.Fatalf("%d aborts on one key with threshold 1, but nothing ever queued", aborts)
+		t.Fatalf("%d aborts on one key, but nothing ever queued", aborts)
 	}
 	if queueWaits > admissions {
 		t.Fatalf("%d queue waits exceed %d gate admissions", queueWaits, admissions)

@@ -250,12 +250,6 @@ type Knobs struct {
 	// zero value enables the hot-key FIFO gates and the commutative-delta
 	// write path; ContentionOff is the pure-OCC-retry ablation.
 	ContentionMode ContentionMode
-	// ContentionHotThreshold is the decayed per-key abort count at which a
-	// key is treated as hot (0 = DefaultContentionHotThreshold).
-	ContentionHotThreshold int
-	// BackoffMaxExp caps Worker.backoff's randomized exponential range at
-	// 2^exp * Costs.Backoff (0 = DefaultBackoffMaxExp).
-	BackoffMaxExp int
 	// Mut deliberately breaks protocol steps — the mutation-testing knobs
 	// that prove the strict-serializability checker has teeth. Never set
 	// outside tests.
@@ -659,7 +653,7 @@ func (w *Worker) moveVerbs(phase, own CommitPhase, n int) {
 }
 
 // backoff is §4.3's randomized exponential retry delay: d drawn from
-// [1, 2^min(attempt, BackoffMaxExp)] * Costs.Backoff. Under the coroutine
+// [1, 2^min(attempt, DefaultBackoffMaxExp)] * Costs.Backoff. Under the coroutine
 // scheduler it is a timed park (sched.go), not a charge to the clock: the
 // delay belongs to this transaction, and the worker's clock is shared by all
 // its in-flight contexts, so advancing it up front would make every sibling
@@ -673,11 +667,7 @@ func (w *Worker) moveVerbs(phase, own CommitPhase, n int) {
 // host kept off the CPU, and charged itself 100-400 ms for a 5 us hold in
 // one serve run in ten. Spun, its wait is at most the host time the holder lost.
 func (w *Worker) backoff(attempt int) {
-	maxE := w.E.BackoffMaxExp
-	if maxE <= 0 {
-		maxE = DefaultBackoffMaxExp
-	}
-	maxExp := 1 << uint(min(attempt, maxE, 62)) // 1<<63 overflows int64
+	maxExp := 1 << uint(min(attempt, DefaultBackoffMaxExp))
 	d := time.Duration(1+w.rng.Intn(maxExp)) * w.E.Costs.Backoff
 	deadline := w.Clk.Now() + int64(d)
 	w.yield(deadline) // let another in-flight transaction (maybe the lock holder) run
@@ -754,8 +744,6 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		err := fn(tx)
 		if err == nil {
 			err = tx.Commit()
-		} else {
-			tx.abandon()
 		}
 		if held != nil {
 			held.release()

@@ -277,7 +277,6 @@ func TestProtocolConformanceUncommittableBlock(t *testing.T) {
 		if !errors.As(err, &te) || te.Reason != AbortLocked {
 			t.Fatalf("%s: read of uncommittable record should wait then abort, got: %v", proto, err)
 		}
-		tx.abandon()
 		// Once "replicated" (seq flipped even), the retry commits.
 		m.Eng.FAA64NonTx(off+memstore.SeqOff, 1)
 		if err := wk.Run(func(tx *Txn) error {

@@ -1,7 +1,6 @@
 package txn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -156,9 +155,6 @@ func (w *Worker) BeginReadOnly() *Txn {
 	tx.readOnly = true
 	return tx
 }
-
-// abandon discards the transaction (nothing to undo: writes are buffered).
-func (tx *Txn) abandon() {}
 
 // abort builds an abort attributed to the worker's own node (local causes:
 // HTM exhaustion, local validation, locked local records).
@@ -656,9 +652,6 @@ func (w *Worker) maybeReleaseDangling(cfg *cluster.Config, node rdma.NodeID, off
 	}
 	_, _, _ = w.QP(node).CAS(off+memstore.LockOff, lockW, 0)
 }
-
-// equalValue is used by tests: whether a read value equals b.
-func equalValue(a, b []byte) bool { return bytes.Equal(a, b) }
 
 // Store returns the local machine's memory store, for workload-level index
 // probes (ordered scans resolve candidate keys through the local B+-tree and

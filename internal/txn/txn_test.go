@@ -431,7 +431,6 @@ func TestUncommittableBlocksCommit(t *testing.T) {
 	if !errors.As(err, &te) || te.Reason != AbortLocked {
 		t.Fatalf("read of uncommittable record should wait then abort, got: %v", err)
 	}
-	tx.abandon()
 	// Once "replicated" (seq flipped even), the retry succeeds.
 	m.Eng.FAA64NonTx(off+memstore.SeqOff, 1)
 	if err := wk.Run(func(tx *Txn) error {

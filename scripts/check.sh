@@ -95,3 +95,6 @@ go test -run '^$' -bench '^BenchmarkFig$/^proto$' -benchtime 1x .
 # harness (including the coroutine-overlap sweep), so this catches
 # experiment-path regressions that unit tests miss.
 go test -run '^$' -bench . -benchtime 1x ./...
+
+# Non-test Go lines, total and per package: the design-diet number (ROADMAP).
+./scripts/loc.sh
