@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,27 +54,213 @@ func TestBatchChargesMaxNotSum(t *testing.T) {
 	}
 }
 
-// TestBatchSequentialMatchesSyncVerbs: the ablation knob must reproduce the
-// old per-verb accounting — K verbs cost K full base latencies.
-func TestBatchSequentialMatchesSyncVerbs(t *testing.T) {
-	net, _ := newFabric(t, 2, Config{})
-	var clk sim.Clock
-	qp := net.NewQP(0, 1, &clk)
-	prof := net.Profile()
+// pinnedVerb is one entry of the verb list TestBatchSequentialMatchesSyncVerbs
+// runs through every path; the fields mean what they mean in Pending.
+type pinnedVerb struct {
+	verb     batchVerb
+	off      uint64
+	n        int
+	data     []byte
+	old, arg uint64
+}
 
-	b := NewBatch(&clk)
-	b.SetSequential(true)
-	const k = 6
-	for i := 0; i < k; i++ {
-		b.PostRead64(qp, uint64(i*64))
+func (v pinnedVerb) post(b *Batch, qp *QP) *Pending {
+	switch v.verb {
+	case verbRead:
+		return b.PostRead(qp, v.off, v.n)
+	case verbRead64:
+		return b.PostRead64(qp, v.off)
+	case verbWrite:
+		return b.PostWrite(qp, v.off, v.data)
+	case verbWrite64:
+		return b.PostWrite64(qp, v.off, v.arg)
 	}
-	start := clk.Now()
-	if err := b.Execute(); err != nil {
-		t.Fatal(err)
+	return b.PostCAS(qp, v.off, v.old, v.arg)
+}
+
+// sync runs the verb through the synchronous QP method of its kind (READ
+// through ReadAsync and an immediate Wait when async is set) and reports the
+// outcome in the shape a batch reports it.
+func (v pinnedVerb) sync(qp *QP, async bool) *Pending {
+	var p Pending
+	switch v.verb {
+	case verbRead:
+		if async {
+			var c *Completion
+			p.Data, c = qp.ReadAsync(v.off, v.n, nil)
+			p.Err = c.Wait()
+		} else {
+			p.Data, p.Err = qp.Read(v.off, v.n, nil)
+		}
+	case verbRead64:
+		p.Val, p.Err = qp.Read64(v.off)
+	case verbWrite:
+		p.Err = qp.Write(v.off, v.data)
+	case verbWrite64:
+		p.Err = qp.Write64(v.off, v.arg)
+	case verbCAS:
+		p.Prev, p.Swapped, p.Err = qp.CAS(v.off, v.old, v.arg)
 	}
-	elapsed := time.Duration(clk.Now() - start)
-	if elapsed < k*prof.Read {
-		t.Fatalf("sequential %d-READ batch charged %v, want >= %v (sum of bases)", k, elapsed, k*prof.Read)
+	return &p
+}
+
+// TestBatchSequentialMatchesSyncVerbs: sequential accounting IS the
+// synchronous verbs' accounting. One mixed verb list — READ, READ64, WRITE,
+// WRITE64, a CAS that wins, a CAS that loses, a READ of what the WRITE left —
+// run as synchronous QP verbs, as one SetSequential batch, as sequential
+// batches of one verb each, and with ReadAsync+Wait standing in for Read must
+// leave the same final clock to the nanosecond, the same counters on both
+// NICs, the same per-verb results and the same target memory, whatever the
+// fabric looks like.
+func TestBatchSequentialMatchesSyncVerbs(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xAB}, 200) // four cachelines on the wire
+	verbs := []pinnedVerb{
+		{verb: verbRead, off: 128, n: 200},
+		{verb: verbRead64, off: 512},
+		{verb: verbWrite, off: 1024, data: payload},
+		{verb: verbWrite64, off: 2048, arg: 77},
+		{verb: verbCAS, off: 512, old: 41, arg: 42},
+		{verb: verbCAS, off: 576, old: 99, arg: 1},
+		{verb: verbRead, off: 1000, n: 300},
+	}
+	var sumBases, sumWire int64 // every verb's base latency; its bytes on an idle 56G wire
+	for _, v := range verbs {
+		p := Pending{verb: v.verb, n: v.n, data: v.data}
+		sumBases += int64(p.base(DefaultProfile()))
+		sumWire += (int64(p.wireBytes()) + 64) * int64(time.Second) / NICBandwidth56G
+	}
+
+	ways := []struct {
+		name string
+		run  func(clk *sim.Clock, qp *QP) []*Pending
+	}{
+		{"synchronous verbs", func(_ *sim.Clock, qp *QP) (out []*Pending) {
+			for _, v := range verbs {
+				out = append(out, v.sync(qp, false))
+			}
+			return out
+		}},
+		{"one sequential batch", func(clk *sim.Clock, qp *QP) (out []*Pending) {
+			b := NewBatch(clk)
+			b.SetSequential(true)
+			for _, v := range verbs {
+				out = append(out, v.post(b, qp))
+			}
+			b.Execute()
+			return out
+		}},
+		{"one-verb sequential batches", func(clk *sim.Clock, qp *QP) (out []*Pending) {
+			b := NewBatch(clk)
+			b.SetSequential(true)
+			for _, v := range verbs {
+				p := v.post(b, qp)
+				if err := b.Execute(); err != p.Err {
+					t.Errorf("one-verb batch returned %v, its verb %v", err, p.Err)
+				}
+				out = append(out, p)
+			}
+			return out
+		}},
+		{"ReadAsync+Wait for Read", func(_ *sim.Clock, qp *QP) (out []*Pending) {
+			for _, v := range verbs {
+				out = append(out, v.sync(qp, true))
+			}
+			return out
+		}},
+	}
+
+	type outcome struct {
+		clock    int64
+		src, dst StatsSnapshot
+		results  string
+		mem      []byte
+	}
+	cases := []struct {
+		name     string
+		cfg      Config
+		src, dst NodeID
+		backlog  bool // another requester's bytes already queued on the target NIC
+		dead     bool
+		check    func(t *testing.T, o outcome)
+	}{
+		{name: "unlimited bandwidth", dst: 1, check: func(t *testing.T, o outcome) {
+			if o.clock != sumBases {
+				t.Errorf("clock %d, want the sum of the base latencies %d", o.clock, sumBases)
+			}
+		}},
+		{name: "56G idle", cfg: Config{NICBytesPerSec: NICBandwidth56G}, dst: 1, check: func(t *testing.T, o outcome) {
+			if o.clock != sumBases+sumWire {
+				t.Errorf("clock %d, want base latencies %d + serialization %d", o.clock, sumBases, sumWire)
+			}
+		}},
+		{name: "56G behind a backlog", cfg: Config{NICBytesPerSec: NICBandwidth56G}, dst: 1, backlog: true, check: func(t *testing.T, o outcome) {
+			if o.clock <= sumBases+sumWire+3000 {
+				t.Errorf("clock %d: the first verbs did not queue behind the target's backlog", o.clock)
+			}
+		}},
+		{name: "loop-back QP", cfg: Config{NICBytesPerSec: NICBandwidth56G}, check: func(t *testing.T, o outcome) {
+			if o.src.BytesOut != o.src.BytesIn || o.src.BytesOut == 0 {
+				t.Errorf("loop-back NIC out %d in %d", o.src.BytesOut, o.src.BytesIn)
+			}
+			if o.clock != sumBases+sumWire {
+				t.Errorf("clock %d, want %d: src == dst books the one wire once", o.clock, sumBases+sumWire)
+			}
+		}},
+		{name: "dead target", cfg: Config{NICBytesPerSec: NICBandwidth56G}, dst: 1, dead: true, check: func(t *testing.T, o outcome) {
+			if o.clock != 0 || o.src != (StatsSnapshot{}) || o.dst != (StatsSnapshot{}) {
+				t.Errorf("verbs to a dead target charged: clock %d, src %+v, dst %+v", o.clock, o.src, o.dst)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want outcome
+			for i, way := range ways {
+				net, engs := newFabric(t, 3, tc.cfg)
+				engs[tc.dst].WriteNonTx(128, bytes.Repeat([]byte("drtm+r "), 40))
+				engs[tc.dst].Store64NonTx(512, 41)
+				if tc.backlog {
+					var other sim.Clock
+					if err := net.NewQP(2, tc.dst, &other).Write(1<<15, make([]byte, 1<<15)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if tc.dead {
+					net.NIC(tc.dst).Kill()
+				}
+				var clk sim.Clock
+				got := outcome{mem: make([]byte, 4096)}
+				for _, p := range way.run(&clk, net.NewQP(tc.src, tc.dst, &clk)) {
+					if tc.dead != (p.Err == ErrNodeDead) {
+						t.Errorf("%s: verb error %v on a target with dead=%v", way.name, p.Err, tc.dead)
+					}
+					got.results += fmt.Sprintf("%x %d %d %v %v\n", p.Data, p.Val, p.Prev, p.Swapped, p.Err)
+				}
+				got.clock = clk.Now()
+				got.src, got.dst = net.NIC(tc.src).Snapshot(), net.NIC(tc.dst).Snapshot()
+				engs[tc.dst].ReadNonTx(0, len(got.mem), got.mem)
+				if i == 0 {
+					want = got
+					tc.check(t, want)
+					continue
+				}
+				if got.clock != want.clock {
+					t.Errorf("%s: final clock %d ns, %s %d ns", way.name, got.clock, ways[0].name, want.clock)
+				}
+				if got.src != want.src || got.dst != want.dst {
+					t.Errorf("%s: NIC counters src %+v dst %+v, %s src %+v dst %+v", way.name, got.src, got.dst, ways[0].name, want.src, want.dst)
+				}
+				if got.results != want.results {
+					t.Errorf("%s: per-verb results\n%s%s:\n%s", way.name, got.results, ways[0].name, want.results)
+				}
+				if !bytes.Equal(got.mem, want.mem) {
+					t.Errorf("%s: target memory differs from %s", way.name, ways[0].name)
+				}
+			}
+			if !tc.dead && !strings.Contains(want.results, " 41 true <nil>") {
+				t.Errorf("the winning CAS did not win:\n%s", want.results)
+			}
+		})
 	}
 }
 
