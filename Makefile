@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint lint-baseline race stress check loc bench bench-smoke trace torture serve
+.PHONY: all help build test vet lint race stress check loc bench bench-smoke trace torture serve
 
 all: check
 
@@ -8,14 +8,11 @@ help:
 	@echo "Targets:"
 	@echo "  build        go build ./..."
 	@echo "  vet          go vet ./... (after build)"
-	@echo "  lint         drtmr-vet ratcheted sweep (internal/lint), both build-"
-	@echo "               tag halves: htmregion, virtualtime, abortattr, lockpair,"
-	@echo "               doorbell, lockorder, hotalloc, enumswitch; diffs against"
-	@echo "               lint-baseline.json in both directions (new findings AND"
-	@echo "               stale entries fail); SARIF at bin/drtmr-vet.sarif;"
-	@echo "               suppress with '//drtmr:allow <analyzer> <reason>'"
-	@echo "  lint-baseline  regenerate lint-baseline.json from current findings"
-	@echo "               (policy: keep it empty — fix or //drtmr:allow instead)"
+	@echo "  lint         go vet -vettool=bin/drtmr-vet (internal/lint) over both"
+	@echo "               build-tag halves: htmregion, virtualtime, abortattr,"
+	@echo "               lockpair, doorbell, lockorder, hotalloc, enumswitch; any"
+	@echo "               finding fails; fix it or suppress it with"
+	@echo "               '//drtmr:allow <analyzer> <reason>'"
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"
 	@echo "  stress       rdma, txn, check, serve and harness suites 20 times each on 1 and 2"
@@ -62,21 +59,13 @@ build:
 vet: build
 	$(GO) vet ./...
 
-# lint runs the protocol-invariant analyzer suite through the real go vet
-# -vettool driver (cmd/drtmr-vet speaks the unitchecker protocol), sweeping
-# both race/!race build-tag halves and ratcheting against the committed
-# baseline in both directions. The SARIF log is the CI code-scanning
-# artifact.
+# lint runs the protocol-invariant analyzer suite as a go vet tool
+# (cmd/drtmr-vet speaks the unitchecker protocol) over both race/!race
+# build-tag halves; go vet's exit status is the gate.
 lint: build
 	$(GO) build -o bin/drtmr-vet ./cmd/drtmr-vet
-	./bin/drtmr-vet -race -sarif bin/drtmr-vet.sarif ./...
-
-# lint-baseline regenerates lint-baseline.json from the current findings.
-# Policy: the committed baseline stays empty (DESIGN.md, Static invariants);
-# use this only to audit what a dirty tree would ratchet.
-lint-baseline: build
-	$(GO) build -o bin/drtmr-vet ./cmd/drtmr-vet
-	./bin/drtmr-vet -race -write-baseline ./...
+	$(GO) vet -vettool=$(CURDIR)/bin/drtmr-vet ./...
+	$(GO) vet -vettool=$(CURDIR)/bin/drtmr-vet -tags race ./...
 
 test:
 	$(GO) test ./...

@@ -1,199 +1,21 @@
-// Command drtmr-vet is the multichecker bundling drtmr's eight invariant
-// analyzers (internal/lint): htmregion, virtualtime, abortattr, lockpair,
-// doorbell, lockorder, hotalloc, enumswitch. It has two faces:
+// Command drtmr-vet bundles drtmr's eight invariant analyzers (internal/lint):
+// htmregion, virtualtime, abortattr, lockpair, doorbell, lockorder, hotalloc,
+// enumswitch. It speaks cmd/go's vet tool protocol and nothing else:
 //
-// Vet tool protocol (driven by cmd/go):
+//	go vet -vettool=$PWD/bin/drtmr-vet ./...
+//	go vet -vettool=$PWD/bin/drtmr-vet -tags race ./...
 //
-//	go vet -vettool=$(command -v drtmr-vet) ./...
-//
-// Ratchet CLI (direct invocation with package patterns):
-//
-//	drtmr-vet [-baseline file] [-write-baseline] [-race]
-//	          [-json file] [-sarif file] [./...]
-//
-// The CLI re-executes `go vet -vettool=<self>` (so the driver, build cache,
-// and export data all come from the Go toolchain), collects the findings
-// every unit emits (DRTMRVET_EMIT), and diffs them against the committed
-// baseline (lint-baseline.json). The ratchet fails in both directions: new
-// findings are new debt, and stale baseline entries — findings that no
-// longer occur — must be removed so paid-off debt cannot return.
-// -race runs a second sweep with the race build tag and merges the findings,
-// covering both halves of the repo's race/!race build-tag pairs.
+// (`make lint` runs both lines: the second covers the race half of the
+// repo's race/!race build-tag pairs.) A finding prints as
+// file:line:col: analyzer: message and go vet exits 1.
 //
 // Suppress a finding with `//drtmr:allow <analyzer> <reason>` on the
 // offending line or the line above (the reason is required).
 package main
 
 import (
-	"flag"
-	"fmt"
-	"os"
-	"os/exec"
-	"strings"
-
 	"drtmr/internal/lint"
-	"drtmr/internal/lint/ratchet"
 	"drtmr/internal/lint/unitchecker"
 )
 
-func main() {
-	if isToolProtocol(os.Args[1:]) {
-		unitchecker.Main(lint.Analyzers...)
-		return
-	}
-	os.Exit(runCLI(os.Args[1:]))
-}
-
-// isToolProtocol reports whether the arguments are cmd/go's vet tool
-// protocol (-V=full / -flags probes, analyzer flags, a vet.cfg path) rather
-// than the ratchet CLI. CLI flags are a fixed set, so anything else dashed —
-// and any .cfg operand — belongs to the protocol.
-func isToolProtocol(args []string) bool {
-	cliFlags := map[string]bool{
-		"baseline": true, "write-baseline": true, "race": true,
-		"json": true, "sarif": true, "h": true, "help": true,
-	}
-	for _, a := range args {
-		if strings.HasSuffix(a, ".cfg") {
-			return true
-		}
-		if strings.HasPrefix(a, "-") {
-			name := strings.TrimLeft(a, "-")
-			if i := strings.IndexByte(name, '='); i >= 0 {
-				name = name[:i]
-			}
-			if !cliFlags[name] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func runCLI(args []string) int {
-	fs := flag.NewFlagSet("drtmr-vet", flag.ExitOnError)
-	baselinePath := fs.String("baseline", "lint-baseline.json", "ratchet baseline file")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the baseline from the current findings and exit 0")
-	race := fs.Bool("race", false, "also sweep with -tags race and merge findings (covers both build-tag halves)")
-	jsonOut := fs.String("json", "", "write findings as a JSON array to this file")
-	sarifOut := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: drtmr-vet [flags] [packages]   (ratcheted sweep, default ./...)")
-		fmt.Fprintln(os.Stderr, "       go vet -vettool=drtmr-vet ./... (vet tool protocol)")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(args)
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	findings, err := sweep(patterns, *race)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "drtmr-vet: %v\n", err)
-		return 1
-	}
-
-	if *jsonOut != "" {
-		if err := ratchet.WriteJSON(*jsonOut, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "drtmr-vet: %v\n", err)
-			return 1
-		}
-	}
-	if *sarifOut != "" {
-		docs := ratchet.RuleDocs{}
-		for _, a := range lint.Analyzers {
-			docs[a.Name] = a.Doc
-		}
-		docs["allow"] = "hygiene of //drtmr:allow suppression directives"
-		if err := ratchet.WriteSARIF(*sarifOut, findings, docs); err != nil {
-			fmt.Fprintf(os.Stderr, "drtmr-vet: %v\n", err)
-			return 1
-		}
-	}
-
-	if *writeBaseline {
-		if err := ratchet.WriteBaseline(*baselinePath, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "drtmr-vet: %v\n", err)
-			return 1
-		}
-		fmt.Printf("drtmr-vet: baseline %s rewritten with %d finding(s)\n", *baselinePath, len(findings))
-		return 0
-	}
-
-	base, err := ratchet.LoadBaseline(*baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "drtmr-vet: %v\n", err)
-		return 1
-	}
-	newFindings, stale := ratchet.Diff(findings, base)
-	for _, f := range newFindings {
-		fmt.Fprintf(os.Stderr, "%s\n", f)
-	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "drtmr-vet: stale baseline entry (finding no longer occurs — remove it): %s: %s: %s\n",
-			e.File, e.Analyzer, e.Message)
-	}
-	if len(newFindings) > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "drtmr-vet: ratchet failed: %d new finding(s), %d stale baseline entr(ies)\n",
-			len(newFindings), len(stale))
-		return 1
-	}
-	fmt.Printf("drtmr-vet: ratchet clean (%d finding(s), all baselined)\n", len(findings))
-	return 0
-}
-
-// sweep runs `go vet -vettool=<self>` over the patterns, collecting emitted
-// findings; with race it runs a second sweep under the race build tag and
-// merges. A vet failure with zero emitted findings is a real error (build or
-// driver breakage) and aborts.
-func sweep(patterns []string, race bool) ([]ratchet.Finding, error) {
-	self, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	variants := [][]string{nil}
-	if race {
-		variants = append(variants, []string{"-tags", "race"})
-	}
-	seen := make(map[string]bool)
-	var all []ratchet.Finding
-	for _, extra := range variants {
-		emitDir, err := os.MkdirTemp("", "drtmr-vet-emit-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(emitDir)
-
-		cmdArgs := append([]string{"vet", "-vettool=" + self}, extra...)
-		cmdArgs = append(cmdArgs, patterns...)
-		cmd := exec.Command("go", cmdArgs...)
-		cmd.Env = append(os.Environ(), "DRTMRVET_EMIT="+emitDir)
-		out, runErr := cmd.CombinedOutput()
-
-		fs, readErr := ratchet.ReadEmitted(emitDir, cwd)
-		if readErr != nil {
-			return nil, readErr
-		}
-		if runErr != nil && len(fs) == 0 {
-			// vet failed but no unit emitted findings: a compile error or a
-			// broken driver, not lint debt. Surface the raw output.
-			os.Stderr.Write(out)
-			return nil, fmt.Errorf("go vet failed: %v", runErr)
-		}
-		for _, f := range fs {
-			id := fmt.Sprintf("%s\x00%s\x00%d\x00%d\x00%s", f.Analyzer, f.File, f.Line, f.Col, f.Message)
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			all = append(all, f)
-		}
-	}
-	ratchet.Sort(all)
-	return all, nil
-}
+func main() { unitchecker.Main(lint.Analyzers...) }

@@ -47,20 +47,6 @@ type Spec struct {
 	HeartbeatEvery time.Duration
 }
 
-// DefaultSpec is a 6-machine, 3-way-replication cluster shaped like the
-// paper's testbed.
-func DefaultSpec() Spec {
-	return Spec{
-		Nodes:          6,
-		Replicas:       3,
-		MemBytes:       64 << 20,
-		RingBytes:      1 << 20,
-		RDMA:           rdma.Config{NICBytesPerSec: rdma.NICBandwidth56G},
-		Lease:          10 * time.Millisecond,
-		HeartbeatEvery: 2 * time.Millisecond,
-	}
-}
-
 // Machine is one simulated server: engine + store + NIC + log infrastructure
 // + configuration cache + auxiliary threads.
 type Machine struct {

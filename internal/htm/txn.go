@@ -439,9 +439,3 @@ func (t *Txn) Commit() error {
 	t.traceEnd(0, 0)
 	return nil
 }
-
-// ReadSetSize returns the number of distinct read-only lines tracked.
-func (t *Txn) ReadSetSize() int { return len(t.readLines) }
-
-// WriteSetSize returns the number of distinct written lines tracked.
-func (t *Txn) WriteSetSize() int { return len(t.writeUndo) }

@@ -42,7 +42,6 @@ var singleVerbMethods = map[string]string{
 	"Write":   "PostWrite",
 	"Write64": "PostWrite64",
 	"CAS":     "PostCAS",
-	"FAA":     "PostCAS", // no batched FAA; restructure or justify
 }
 
 func runDoorbell(pass *analysis.Pass) error {

@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -34,9 +33,10 @@ func buildVettool(t *testing.T, dir string) (tool, root string) {
 }
 
 // TestVettoolProtocol builds cmd/drtmr-vet and drives it through the real
-// `go vet -vettool` protocol over the commit-pipeline packages — the
-// acceptance path check.sh gates on. The suite must come back clean: every
-// repo finding is either fixed or carries a reasoned //drtmr:allow.
+// `go vet -vettool` protocol, the way `make lint` and check.sh do. Over the
+// commit-pipeline packages the suite must come back clean: every repo finding
+// is either fixed or carries a reasoned //drtmr:allow. Over a module seeded
+// with one violation per summary analyzer go vet must fail and name each.
 func TestVettoolProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the vettool and re-vets packages; skipped in -short")
@@ -48,6 +48,32 @@ func TestVettoolProtocol(t *testing.T) {
 	vet.Dir = root
 	if out, err := vet.CombinedOutput(); err != nil {
 		t.Fatalf("go vet -vettool=drtmr-vet found unsuppressed diagnostics: %v\n%s", err, out)
+	}
+
+	mod := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(mod, "internal", "txn"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for rel, content := range map[string]string{
+		"go.mod":                 "module drtmr\n\ngo 1.22\n",
+		"internal/txn/seeded.go": seededBuggy,
+	} {
+		if err := os.WriteFile(filepath.Join(mod, rel), []byte(content), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vet = exec.Command("go", "vet", "-vettool="+tool, "./...")
+	vet.Dir = mod
+	dirty, err := vet.CombinedOutput()
+	if _, failed := err.(*exec.ExitError); !failed {
+		t.Fatalf("go vet over the seeded module: err %v, want a failing exit status\n%s", err, dirty)
+	}
+	for _, want := range []string{
+		"seeded.go:20:2: lockorder: ", "seeded.go:26:9: hotalloc: ", "seeded.go:30:2: enumswitch: ",
+	} {
+		if !strings.Contains(string(dirty), want) {
+			t.Errorf("go vet over the seeded module does not report %q:\n%s", want, dirty)
+		}
 	}
 
 	// The protocol probes cmd/go uses must answer in the expected shapes.
@@ -112,144 +138,3 @@ func pick(m Mode) int {
 	return 1
 }
 `
-
-// seededFixedAlloc is seededBuggy with the hotalloc violation repaired (the
-// other two bugs stay), so its baseline entry goes stale.
-const seededFixedAlloc = `package txn
-
-import "sync"
-
-type Mode uint8
-
-const (
-	ModeOff Mode = iota
-	ModeOn
-	ModeAuto
-)
-
-type box struct {
-	mu sync.Mutex
-	ch chan int
-}
-
-func (b *box) heldAcrossSend() {
-	b.mu.Lock()
-	b.ch <- 1
-	b.mu.Unlock()
-}
-
-//drtmr:hotpath
-func hotStore(dst []uint64, i int, v uint64) {
-	dst[i] = v
-}
-
-func pick(m Mode) int {
-	switch m {
-	case ModeOff:
-		return 0
-	}
-	return 1
-}
-`
-
-// TestRatchetCLI drives the drtmr-vet ratchet CLI end to end over a
-// temporary module seeded with one violation per summary analyzer: a dirty
-// sweep fails with machine-readable JSON/SARIF output, -write-baseline
-// records the debt, the recorded sweep passes, and paying off a finding
-// without updating the ledger fails as a stale entry.
-func TestRatchetCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the vettool and runs go vet sweeps; skipped in -short")
-	}
-	tool, _ := buildVettool(t, t.TempDir())
-
-	mod := t.TempDir()
-	writeFile := func(rel, content string) {
-		t.Helper()
-		path := filepath.Join(mod, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("go.mod", "module drtmr\n\ngo 1.22\n")
-	writeFile("internal/txn/seeded.go", seededBuggy)
-
-	run := func(args ...string) (string, int) {
-		t.Helper()
-		cmd := exec.Command(tool, args...)
-		cmd.Dir = mod
-		out, err := cmd.CombinedOutput()
-		code := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
-		} else if err != nil {
-			t.Fatalf("drtmr-vet %v: %v\n%s", args, err, out)
-		}
-		return string(out), code
-	}
-
-	// 1. Dirty sweep: exit 1, all three analyzers fire, JSON + SARIF land.
-	out, code := run("-json", "out.json", "-sarif", "out.sarif", "./...")
-	if code != 1 {
-		t.Fatalf("dirty sweep exit %d, want 1\n%s", code, out)
-	}
-	for _, want := range []string{"lockorder", "hotalloc", "enumswitch"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dirty sweep output missing %s finding:\n%s", want, out)
-		}
-	}
-	var arr []map[string]any
-	data, err := os.ReadFile(filepath.Join(mod, "out.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &arr); err != nil {
-		t.Fatalf("out.json: %v", err)
-	}
-	if len(arr) != 3 {
-		t.Fatalf("out.json has %d findings, want 3: %s", len(arr), data)
-	}
-	var sarif struct {
-		Runs []struct {
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	data, err = os.ReadFile(filepath.Join(mod, "out.sarif"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &sarif); err != nil {
-		t.Fatalf("out.sarif: %v", err)
-	}
-	if len(sarif.Runs) != 1 || len(sarif.Runs[0].Results) != 3 {
-		t.Fatalf("out.sarif shape wrong: %s", data)
-	}
-
-	// 2. Record the debt; the recorded sweep is then clean.
-	if out, code := run("-write-baseline", "./..."); code != 0 {
-		t.Fatalf("-write-baseline exit %d\n%s", code, out)
-	}
-	if out, code := run("./..."); code != 0 || !strings.Contains(out, "ratchet clean") {
-		t.Fatalf("baselined sweep exit %d, want clean\n%s", code, out)
-	}
-
-	// 3. Fix the hotalloc bug without updating the ledger: stale entry.
-	writeFile("internal/txn/seeded.go", seededFixedAlloc)
-	out, code = run("./...")
-	if code != 1 || !strings.Contains(out, "stale baseline entry") {
-		t.Fatalf("paid-debt sweep exit %d, want 1 with stale entry\n%s", code, out)
-	}
-
-	// 4. Re-recording brings it back to green.
-	if out, code := run("-write-baseline", "./..."); code != 0 {
-		t.Fatalf("re-write-baseline exit %d\n%s", code, out)
-	}
-	if out, code := run("./..."); code != 0 {
-		t.Fatalf("final sweep exit %d, want 0\n%s", code, out)
-	}
-}

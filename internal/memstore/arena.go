@@ -85,10 +85,3 @@ func (a *Arena) Free(off uint64, n int) {
 	a.free[size] = append(a.free[size], off)
 	a.mu.Unlock()
 }
-
-// Used reports bytes handed out so far (high-water mark).
-func (a *Arena) Used() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.next
-}

@@ -154,11 +154,6 @@ func PutRecInc(rec []byte, inc uint64) {
 	binary.LittleEndian.PutUint64(rec[IncOff:IncOff+8], inc)
 }
 
-// PutRecLock stores a lock word into a record image.
-func PutRecLock(rec []byte, w uint64) {
-	binary.LittleEndian.PutUint64(rec[LockOff:LockOff+8], w)
-}
-
 // BuildRecordImage assembles a full record image: header (lock=0, given
 // incarnation and seq) plus scattered value and stamped versions. Used when
 // constructing the payload of an RDMA WRITE-back (C.5) and by loading.

@@ -118,12 +118,6 @@ func (t *Table) Lookup(key uint64) (off uint64, ok bool) {
 	return off, true
 }
 
-// LookupLoc resolves key to its packed (offset, incarnation) location, the
-// form remote machines read out of bucket images.
-func (t *Table) LookupLoc(key uint64) (packed uint64, ok bool) {
-	return t.hash.Lookup(key)
-}
-
 // Insert allocates and initializes a record for key with the given value and
 // publishes it in the indexes. The record starts unlocked, committable
 // (even seqnum 0) and with its incarnation bumped past whatever previously

@@ -349,13 +349,6 @@ func (a *Applier) Applied() uint64 {
 	return a.appliedEntries
 }
 
-// Head returns the truncation frontier (for recovery accounting).
-func (a *Applier) Head() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.head
-}
-
 // Poll applies all newly published entries and truncates up to the
 // watermark. Returns how many entries were applied.
 func (a *Applier) Poll() (int, error) {

@@ -74,7 +74,7 @@ func (p *Pending) base(prof LatencyProfile) time.Duration {
 	return 0
 }
 
-// wireBytes is the verb's payload size on the wire (headers added by charge).
+// wireBytes is the verb's payload size on the wire (headers added by book).
 func (p *Pending) wireBytes() int {
 	switch p.verb {
 	case verbRead:
@@ -86,16 +86,36 @@ func (p *Pending) wireBytes() int {
 	}
 }
 
-// perform routes the verb through the target machine's HTM engine, exactly
-// like the synchronous QP verb of the same kind: non-transactional access
-// (aborts conflicting HTM transactions), per-cacheline atomicity, and the
-// target NIC's atomic lock for CAS.
+// issue is the one place a one-sided verb meets the wire and the target: its
+// bytes queue on both endpoints' NICs from virtual instant t, it runs against
+// the target's memory, and the instant its last byte has left is returned.
+// The synchronous QP verbs, ReadAsync and both accountings of a doorbell
+// differ only in the t they pass and in what they do with the answer, so
+// anything that must happen to EVERY verb — a fault plane's per-link delay or
+// error on the k-th verb, a per-verb trace point — goes here, once.
+func (p *Pending) issue(t int64) int64 {
+	end := book(p.qp.local, p.qp.remote, t, p.wireBytes())
+	p.perform()
+	return end
+}
+
+// perform routes the verb through the target machine's HTM engine:
+// non-transactional access (aborts conflicting HTM transactions),
+// per-cacheline atomicity, and the target NIC's atomic lock for CAS.
 func (p *Pending) perform() {
 	nic := p.qp.remote
 	switch p.verb {
 	case verbRead:
 		nic.stats.Reads.Add(1)
-		p.Data = nic.eng.ReadNonTx(p.off, p.n, p.Data)
+		// Sized here and filled in place: storing ReadNonTx's result back
+		// through p would make every caller's buffer escape, and the
+		// synchronous verbs read into stack arrays (a bucket image, a record
+		// header; TestHotpathAllocFree).
+		if cap(p.Data) < p.n {
+			p.Data = make([]byte, p.n)
+		}
+		p.Data = p.Data[:p.n]
+		nic.eng.ReadNonTx(p.off, p.n, p.Data)
 	case verbRead64:
 		nic.stats.Reads.Add(1)
 		p.Val = nic.eng.Load64NonTx(p.off)
@@ -226,16 +246,12 @@ func (b *Batch) Execute() error {
 // coroutine scheduler can run other transactions during the round-trip.
 // The batch is reset for reuse.
 func (b *Batch) ExecuteAsync() *Completion {
-	c := &Completion{clk: b.clk, end: b.clk.Now()}
+	now := b.clk.Now()
+	c := &Completion{clk: b.clk, end: now}
 	if len(b.ops) == 0 {
 		return c
 	}
-	if b.seq {
-		return b.executeSequentialAsync(c)
-	}
-	now := b.clk.Now()
-	maxEnd := now
-	var base time.Duration
+	var base int64 // batched: the slowest posted kind's latency, paid once behind the last byte
 	for _, p := range b.ops {
 		if !p.qp.remote.alive.Load() {
 			p.Err = ErrNodeDead
@@ -244,71 +260,16 @@ func (b *Batch) ExecuteAsync() *Completion {
 			}
 			continue
 		}
-		if vb := p.base(p.qp.local.net.cfg.Profile); vb > base {
-			base = vb
+		t, vb := now, int64(p.base(p.qp.local.net.cfg.Profile))
+		if b.seq {
+			t, vb = c.end+vb, 0 // sequential: a cursor pays each verb's latency before its bytes queue
 		}
-		wire := int64(p.wireBytes()) + 64
-		if bw := p.qp.local.net.cfg.NICBytesPerSec; bw > 0 {
-			ser := time.Duration(wire * int64(time.Second) / bw)
-			if end := p.qp.local.wire.Use(now, ser); end > maxEnd {
-				maxEnd = end
-			}
-			if p.qp.remote != p.qp.local {
-				if end := p.qp.remote.wire.Use(now, ser); end > maxEnd {
-					maxEnd = end
-				}
-			}
-		}
-		p.qp.local.stats.BytesOut.Add(uint64(wire))
-		p.qp.remote.stats.BytesIn.Add(uint64(wire))
-		p.perform()
+		c.end = max(c.end, p.issue(t))
+		base = max(base, vb)
 	}
-	c.end = maxEnd + int64(base)
+	c.end += base
 	if b.rec != nil {
 		b.recordDoorbell(len(b.ops), now, c.end)
-	}
-	b.Reset()
-	return c
-}
-
-// executeSequentialAsync is the ablation path: per-verb full round-trips —
-// the exact accounting recurrence of the synchronous QP verbs, computed on
-// a cursor instead of the live clock so the charge can still be deferred.
-func (b *Batch) executeSequentialAsync(c *Completion) *Completion {
-	t := b.clk.Now()
-	for _, p := range b.ops {
-		if !p.qp.remote.alive.Load() {
-			p.Err = ErrNodeDead
-			if c.err == nil {
-				c.err = ErrNodeDead
-			}
-			continue
-		}
-		// Mirror charge() verb by verb: advance the cursor by the base
-		// latency, then queue the wire bytes on both endpoints at that
-		// instant.
-		t += int64(p.base(p.qp.local.net.cfg.Profile))
-		wire := int64(p.wireBytes()) + 64
-		end := t
-		if bw := p.qp.local.net.cfg.NICBytesPerSec; bw > 0 {
-			ser := time.Duration(wire * int64(time.Second) / bw)
-			if e := p.qp.local.wire.Use(t, ser); e > end {
-				end = e
-			}
-			if p.qp.remote != p.qp.local {
-				if e := p.qp.remote.wire.Use(t, ser); e > end {
-					end = e
-				}
-			}
-		}
-		t = end
-		p.qp.local.stats.BytesOut.Add(uint64(wire))
-		p.qp.remote.stats.BytesIn.Add(uint64(wire))
-		p.perform()
-	}
-	c.end = t
-	if b.rec != nil {
-		b.recordDoorbell(len(b.ops), b.clk.Now(), c.end)
 	}
 	b.Reset()
 	return c

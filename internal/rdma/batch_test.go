@@ -54,17 +54,9 @@ func TestBatchChargesMaxNotSum(t *testing.T) {
 	}
 }
 
-// pinnedVerb is one entry of the verb list TestBatchSequentialMatchesSyncVerbs
-// runs through every path; the fields mean what they mean in Pending.
-type pinnedVerb struct {
-	verb     batchVerb
-	off      uint64
-	n        int
-	data     []byte
-	old, arg uint64
-}
-
-func (v pinnedVerb) post(b *Batch, qp *QP) *Pending {
+// postLike posts a verb with v's request fields to b: the verb list of
+// TestBatchSequentialMatchesSyncVerbs is written as unposted Pendings.
+func postLike(b *Batch, qp *QP, v Pending) *Pending {
 	switch v.verb {
 	case verbRead:
 		return b.PostRead(qp, v.off, v.n)
@@ -78,19 +70,23 @@ func (v pinnedVerb) post(b *Batch, qp *QP) *Pending {
 	return b.PostCAS(qp, v.off, v.old, v.arg)
 }
 
-// sync runs the verb through the synchronous QP method of its kind (READ
-// through ReadAsync and an immediate Wait when async is set) and reports the
-// outcome in the shape a batch reports it.
-func (v pinnedVerb) sync(qp *QP, async bool) *Pending {
+// syncLike runs the same verb through the synchronous QP method of its kind
+// (READ through ReadAsync and an immediate Wait when async is set) and
+// reports the outcome in the shape a batch reports it.
+func syncLike(qp *QP, v Pending, async bool) *Pending {
 	var p Pending
 	switch v.verb {
 	case verbRead:
+		buf := make([]byte, 512) // the caller's own buffer: reused, and not handed back by a dead target
 		if async {
 			var c *Completion
-			p.Data, c = qp.ReadAsync(v.off, v.n, nil)
+			p.Data, c = qp.ReadAsync(v.off, v.n, buf)
 			p.Err = c.Wait()
 		} else {
-			p.Data, p.Err = qp.Read(v.off, v.n, nil)
+			p.Data, p.Err = qp.Read(v.off, v.n, buf)
+		}
+		if p.Err == nil && &p.Data[0] != &buf[0] {
+			p.Err = fmt.Errorf("READ of %d bytes did not reuse a %d-byte buffer", v.n, len(buf))
 		}
 	case verbRead64:
 		p.Val, p.Err = qp.Read64(v.off)
@@ -114,7 +110,7 @@ func (v pinnedVerb) sync(qp *QP, async bool) *Pending {
 // fabric looks like.
 func TestBatchSequentialMatchesSyncVerbs(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 200) // four cachelines on the wire
-	verbs := []pinnedVerb{
+	verbs := []Pending{
 		{verb: verbRead, off: 128, n: 200},
 		{verb: verbRead64, off: 512},
 		{verb: verbWrite, off: 1024, data: payload},
@@ -125,9 +121,8 @@ func TestBatchSequentialMatchesSyncVerbs(t *testing.T) {
 	}
 	var sumBases, sumWire int64 // every verb's base latency; its bytes on an idle 56G wire
 	for _, v := range verbs {
-		p := Pending{verb: v.verb, n: v.n, data: v.data}
-		sumBases += int64(p.base(DefaultProfile()))
-		sumWire += (int64(p.wireBytes()) + 64) * int64(time.Second) / NICBandwidth56G
+		sumBases += int64(v.base(DefaultProfile()))
+		sumWire += (int64(v.wireBytes()) + 64) * int64(time.Second) / NICBandwidth56G
 	}
 
 	ways := []struct {
@@ -136,7 +131,7 @@ func TestBatchSequentialMatchesSyncVerbs(t *testing.T) {
 	}{
 		{"synchronous verbs", func(_ *sim.Clock, qp *QP) (out []*Pending) {
 			for _, v := range verbs {
-				out = append(out, v.sync(qp, false))
+				out = append(out, syncLike(qp, v, false))
 			}
 			return out
 		}},
@@ -144,7 +139,7 @@ func TestBatchSequentialMatchesSyncVerbs(t *testing.T) {
 			b := NewBatch(clk)
 			b.SetSequential(true)
 			for _, v := range verbs {
-				out = append(out, v.post(b, qp))
+				out = append(out, postLike(b, qp, v))
 			}
 			b.Execute()
 			return out
@@ -153,7 +148,7 @@ func TestBatchSequentialMatchesSyncVerbs(t *testing.T) {
 			b := NewBatch(clk)
 			b.SetSequential(true)
 			for _, v := range verbs {
-				p := v.post(b, qp)
+				p := postLike(b, qp, v)
 				if err := b.Execute(); err != p.Err {
 					t.Errorf("one-verb batch returned %v, its verb %v", err, p.Err)
 				}
@@ -163,7 +158,7 @@ func TestBatchSequentialMatchesSyncVerbs(t *testing.T) {
 		}},
 		{"ReadAsync+Wait for Read", func(_ *sim.Clock, qp *QP) (out []*Pending) {
 			for _, v := range verbs {
-				out = append(out, v.sync(qp, true))
+				out = append(out, syncLike(qp, v, true))
 			}
 			return out
 		}},

@@ -4,8 +4,8 @@
 //   - One-sided READ / WRITE with per-cacheline (not per-message) atomicity
 //     against the target CPU — a multi-line WRITE lands line by line, which
 //     is exactly the torn-read hazard §4.3 defends against.
-//   - Atomic verbs (CAS, FETCH_AND_ADD) with IBV_ATOMIC_HCA-level atomicity:
-//     they serialize against other RDMA atomics at the target NIC but NOT
+//   - The atomic verb (CAS) with IBV_ATOMIC_HCA-level atomicity: it
+//     serializes against other RDMA atomics at the target NIC but NOT
 //     against the target CPU's own atomic instructions (§4.4 C.1, §6.2).
 //   - Cache coherence with the target's HTM: every verb routes through the
 //     target machine's htm.Engine as a non-transactional access and
@@ -24,10 +24,11 @@
 //     unchanged, only the overlap of round-trips is modelled.
 //   - Asynchronous completions: ReadAsync / Batch.ExecuteAsync still execute
 //     every verb against the target at post time (memory effects, HTM aborts
-//     and NIC queueing are byte-for-byte those of the synchronous verbs) but
-//     defer the requester's latency charge to a Completion, so a coroutine
-//     scheduler can overlap round-trips of independent in-flight
-//     transactions; Completion.Wait charges each round-trip at most once.
+//     and NIC queueing are those of the synchronous verbs because they are
+//     the same function, Pending.issue) but defer the requester's latency
+//     charge to a Completion, so a coroutine scheduler can overlap
+//     round-trips of independent in-flight transactions; Completion.Wait
+//     charges each round-trip at most once.
 //
 // Failure injection: a NIC can be killed (fail-stop). Verbs against a dead
 // NIC return ErrNodeDead after a timeout; the machine's memory is preserved,
@@ -85,17 +86,6 @@ func DefaultProfile() LatencyProfile {
 		Write: 1000 * time.Nanosecond,
 		CAS:   2000 * time.Nanosecond,
 		Send:  5000 * time.Nanosecond,
-	}
-}
-
-// IPoIBProfile models IP-over-InfiniBand socket messaging (the transport the
-// paper runs Calvin on): no one-sided verbs, kernel-stack latencies.
-func IPoIBProfile() LatencyProfile {
-	return LatencyProfile{
-		Read:  40 * time.Microsecond, // emulated via request/response
-		Write: 40 * time.Microsecond,
-		CAS:   40 * time.Microsecond,
-		Send:  40 * time.Microsecond,
 	}
 }
 
@@ -220,38 +210,26 @@ func (nic *NIC) Kill() { nic.alive.Store(false) }
 // taking over the NIC of a surviving machine).
 func (nic *NIC) Revive() { nic.alive.Store(true) }
 
-// charge advances the worker's virtual clock by the verb latency and queues
-// the wire bytes on both endpoint NICs' bandwidth resources. Saturation
-// shows up as NIC completion times running ahead of worker clocks.
-func charge(clk *sim.Clock, src, dst *NIC, base time.Duration, bytes int) {
-	clk.AdvanceTo(chargeAsync(clk, src, dst, base, bytes))
-}
-
-// chargeAsync computes the virtual completion time of one verb issued now
-// WITHOUT advancing the worker's clock. The cost model is identical to
-// charge — base round-trip latency, then wire serialization queued on both
-// endpoint NICs at the post-latency instant — but the clock advance is
-// deferred to Completion.Wait, so a worker that multiplexes coroutines can
-// overlap the round-trip with other transactions' work and pay it at most
-// once. NIC queueing (Resource.Use) is still booked per verb at post time:
-// overlap hides latency, never wire bytes.
-func chargeAsync(clk *sim.Clock, src, dst *NIC, base time.Duration, bytes int) int64 {
-	t := clk.Now() + int64(base)
-	end := t
-	wire := int64(bytes) + 64 // 64B of headers per verb
-	if bw := src.net.cfg.NICBytesPerSec; bw > 0 {
-		ser := time.Duration(wire * int64(time.Second) / bw)
-		if e := src.wire.Use(t, ser); e > end {
-			end = e
-		}
-		if dst != src {
-			if e := dst.wire.Use(t, ser); e > end {
-				end = e
-			}
-		}
-	}
+// book queues one message of payload bytes (plus 64 B of headers) on both
+// endpoints' wires from virtual instant t, counts it on both NICs and returns
+// the instant its last byte has left; a loop-back message (src == dst)
+// crosses its one NIC once. Saturation shows up as the returned instants
+// running ahead of the requesters' clocks. The bytes are booked when the
+// message is posted even if the requester defers its own clock advance to a
+// Completion: overlap hides latency, never wire bytes.
+func book(src, dst *NIC, t int64, payload int) int64 {
+	wire := int64(payload) + 64
 	src.stats.BytesOut.Add(uint64(wire))
 	dst.stats.BytesIn.Add(uint64(wire))
+	bw := src.net.cfg.NICBytesPerSec
+	if bw <= 0 {
+		return t
+	}
+	ser := time.Duration(wire * int64(time.Second) / bw)
+	end := src.wire.Use(t, ser)
+	if dst != src {
+		end = max(end, dst.wire.Use(t, ser))
+	}
 	return end
 }
 
@@ -303,8 +281,9 @@ type QP struct {
 	rec    *obs.Recorder // nil = tracing off (the fast path)
 }
 
-// SetRecorder attaches a trace recorder: asynchronous verbs emit doorbell
-// events (post → completion, virtual time). nil detaches.
+// SetRecorder attaches a trace recorder: every verb issued on the QP itself,
+// synchronous or ReadAsync, emits a one-verb doorbell event (post →
+// completion, virtual time). nil detaches.
 func (qp *QP) SetRecorder(r *obs.Recorder) { qp.rec = r }
 
 // NewQP opens a queue pair from src to dst, charging verb costs to clk
@@ -316,15 +295,31 @@ func (n *Network) NewQP(src, dst NodeID, clk *sim.Clock) *QP {
 // Remote returns the target node of this QP.
 func (qp *QP) Remote() NodeID { return qp.remote.node }
 
+// ring runs p as a sequential doorbell of one and returns its completion:
+// all of a synchronous verb but the wait. It owns what the single-verb paths
+// share — the liveness check (a dead target charges nothing), the clock the
+// verb is priced on and the doorbell trace event — and leaves the verb to
+// Pending.issue, so no method below can drift from what a SetSequential
+// batch does for the same verb (TestBatchSequentialMatchesSyncVerbs).
+func (qp *QP) ring(p *Pending) Completion {
+	now := qp.clk.Now()
+	if !qp.remote.alive.Load() {
+		p.Data = nil // a refused READ hands back no bytes, not the caller's stale buffer
+		return Completion{clk: qp.clk, end: now, err: ErrNodeDead}
+	}
+	end := p.issue(now + int64(p.base(qp.local.net.cfg.Profile)))
+	if qp.rec != nil {
+		qp.rec.Record(obs.EvDoorbell, 0, uint16(qp.remote.node), 1, 0, now, end)
+	}
+	return Completion{clk: qp.clk, end: end}
+}
+
 // Read performs a one-sided RDMA READ of n bytes at the remote offset,
 // atomic per cacheline. buf is reused if large enough.
 func (qp *QP) Read(off uint64, n int, buf []byte) ([]byte, error) {
-	if !qp.remote.alive.Load() {
-		return nil, ErrNodeDead
-	}
-	charge(qp.clk, qp.local, qp.remote, qp.local.net.cfg.Profile.Read, n)
-	qp.remote.stats.Reads.Add(1)
-	return qp.remote.eng.ReadNonTx(off, n, buf), nil
+	p := Pending{verb: verbRead, qp: qp, off: off, n: n, Data: buf}
+	c := qp.ring(&p)
+	return p.Data, c.Wait()
 }
 
 // ReadAsync issues the same one-sided READ as Read without blocking the
@@ -332,83 +327,43 @@ func (qp *QP) Read(off uint64, n int, buf []byte) ([]byte, error) {
 // with the same per-cacheline atomicity and strong-atomicity HTM aborts),
 // and the returned Completion carries the virtual completion time — call
 // Wait to settle the latency charge. ReadAsync followed by an immediate
-// Wait is accounting-identical to Read. On a dead target the data is nil
-// and the Completion reports ErrNodeDead with nothing charged, matching
-// Read's error path.
+// Wait IS Read. On a dead target the data is nil, nothing is charged and the
+// Completion reports ErrNodeDead.
 func (qp *QP) ReadAsync(off uint64, n int, buf []byte) ([]byte, *Completion) {
-	if !qp.remote.alive.Load() {
-		return nil, &Completion{clk: qp.clk, end: qp.clk.Now(), err: ErrNodeDead}
-	}
-	start := qp.clk.Now()
-	end := chargeAsync(qp.clk, qp.local, qp.remote, qp.local.net.cfg.Profile.Read, n)
-	qp.remote.stats.Reads.Add(1)
-	if qp.rec != nil {
-		qp.rec.Record(obs.EvDoorbell, 0, uint16(qp.remote.node), 1, 0, start, end)
-	}
-	return qp.remote.eng.ReadNonTx(off, n, buf), &Completion{clk: qp.clk, end: end}
+	p := Pending{verb: verbRead, qp: qp, off: off, n: n, Data: buf}
+	c := qp.ring(&p)
+	return p.Data, &c
 }
 
 // Write performs a one-sided RDMA WRITE, atomic per cacheline: a write
 // spanning multiple lines lands line by line (§4.3, Fig 4).
 func (qp *QP) Write(off uint64, data []byte) error {
-	if !qp.remote.alive.Load() {
-		return ErrNodeDead
-	}
-	charge(qp.clk, qp.local, qp.remote, qp.local.net.cfg.Profile.Write, len(data))
-	qp.remote.stats.Writes.Add(1)
-	qp.remote.eng.WriteNonTx(off, data)
-	return nil
+	p := Pending{verb: verbWrite, qp: qp, off: off, data: data}
+	c := qp.ring(&p)
+	return c.Wait()
 }
 
 // Read64 reads one 8-byte word (must not straddle a cacheline).
 func (qp *QP) Read64(off uint64) (uint64, error) {
-	if !qp.remote.alive.Load() {
-		return 0, ErrNodeDead
-	}
-	charge(qp.clk, qp.local, qp.remote, qp.local.net.cfg.Profile.Read, 8)
-	qp.remote.stats.Reads.Add(1)
-	return qp.remote.eng.Load64NonTx(off), nil
+	p := Pending{verb: verbRead64, qp: qp, off: off}
+	c := qp.ring(&p)
+	return p.Val, c.Wait()
 }
 
 // Write64 writes one 8-byte word.
 func (qp *QP) Write64(off uint64, v uint64) error {
-	if !qp.remote.alive.Load() {
-		return ErrNodeDead
-	}
-	charge(qp.clk, qp.local, qp.remote, qp.local.net.cfg.Profile.Write, 8)
-	qp.remote.stats.Writes.Add(1)
-	qp.remote.eng.Store64NonTx(off, v)
-	return nil
+	p := Pending{verb: verbWrite64, qp: qp, off: off, arg: v}
+	c := qp.ring(&p)
+	return c.Wait()
 }
 
 // CAS performs an RDMA compare-and-swap with IBV_ATOMIC_HCA atomicity: it
 // holds the target NIC's atomic lock, so it is atomic against other RDMA
 // atomics but not against local CPU atomics.
 func (qp *QP) CAS(off uint64, old, new uint64) (prev uint64, swapped bool, err error) {
-	if !qp.remote.alive.Load() {
-		return 0, false, ErrNodeDead
-	}
-	charge(qp.clk, qp.local, qp.remote, qp.local.net.cfg.Profile.CAS, 8)
-	qp.remote.stats.Atomics.Add(1)
-	qp.remote.atomicsMu.Lock()
-	//drtmr:allow lockorder IBV_ATOMIC_HCA semantics: atomicsMu serializes RDMA atomics while the engine drains conflicting HTM regions; the spin is bounded by region length and no coroutine parks under it
-	prev, swapped = qp.remote.eng.CAS64NonTx(off, old, new)
-	qp.remote.atomicsMu.Unlock()
-	return prev, swapped, nil
-}
-
-// FAA performs an RDMA fetch-and-add with the same atomicity as CAS.
-func (qp *QP) FAA(off uint64, delta uint64) (prev uint64, err error) {
-	if !qp.remote.alive.Load() {
-		return 0, ErrNodeDead
-	}
-	charge(qp.clk, qp.local, qp.remote, qp.local.net.cfg.Profile.CAS, 8)
-	qp.remote.stats.Atomics.Add(1)
-	qp.remote.atomicsMu.Lock()
-	//drtmr:allow lockorder IBV_ATOMIC_HCA semantics: same bounded serialization as CAS above
-	prev = qp.remote.eng.FAA64NonTx(off, delta)
-	qp.remote.atomicsMu.Unlock()
-	return prev, nil
+	p := Pending{verb: verbCAS, qp: qp, off: off, old: old, arg: new}
+	c := qp.ring(&p)
+	return p.Prev, p.Swapped, c.Wait()
 }
 
 // Send delivers a two-sided message into the remote NIC's receive queue.
@@ -416,7 +371,7 @@ func (qp *QP) Send(payload []byte) error {
 	if !qp.remote.alive.Load() {
 		return ErrNodeDead
 	}
-	charge(qp.clk, qp.local, qp.remote, qp.local.net.cfg.Profile.Send, len(payload))
+	qp.clk.AdvanceTo(book(qp.local, qp.remote, qp.clk.Now()+int64(qp.local.net.cfg.Profile.Send), len(payload)))
 	qp.remote.stats.Sends.Add(1)
 	msg := Message{From: qp.local.node, Payload: append([]byte(nil), payload...)}
 	select {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"drtmr/internal/txn"
@@ -87,12 +86,5 @@ func (r *registry) names() []string {
 	for i, e := range r.order {
 		out[i] = e.Name
 	}
-	return out
-}
-
-// sortedNames returns the names alphabetically (status JSON determinism).
-func (r *registry) sortedNames() []string {
-	out := r.names()
-	sort.Strings(out)
 	return out
 }

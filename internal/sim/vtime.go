@@ -339,11 +339,3 @@ func (r *Resource) Use(now int64, dur time.Duration) int64 {
 	r.mu.Unlock()
 	return end
 }
-
-// BusyUntil reports the resource's current horizon (for utilization
-// reporting): the drain frontier plus the work still queued behind it.
-func (r *Resource) BusyUntil() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastNow + r.backlog
-}

@@ -150,7 +150,7 @@ func coroCommitVirtualNanos(tb testing.TB, ncoro, itersPerCoro int) float64 {
 // 8-remote-record transaction with N in-flight coroutines per worker. The
 // coros=1 row must match BenchmarkCommitVerbLatency/batched exactly (pure
 // refactor); larger N divides the stall portion of each doorbell across the
-// in-flight transactions (BENCH_coroutine_overlap.json).
+// in-flight transactions (baselineCoro4Nanos in obs_bench_test.go pins N=4).
 func BenchmarkCoroutineOverlap(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("coros=%d", n), func(b *testing.B) {

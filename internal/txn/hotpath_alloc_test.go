@@ -6,6 +6,7 @@ import (
 
 	"drtmr/internal/htm"
 	"drtmr/internal/obs"
+	"drtmr/internal/rdma"
 	"drtmr/internal/sim"
 )
 
@@ -49,6 +50,23 @@ func TestHotpathAllocFree(t *testing.T) {
 	now := int64(0)
 	requireNoAlloc(t, "sim.Resource.Use", func() {
 		now = res.Use(now, 100*time.Nanosecond)
+	})
+
+	// A synchronous verb is a Pending on the stack, and it must leave its
+	// caller's buffer on the stack too: remoteLookup reads hash buckets and
+	// the oplog writes its skip marker from stack arrays.
+	net := rdma.NewNetwork(2, rdma.Config{NICBytesPerSec: rdma.NICBandwidth56G})
+	for i := 0; i < net.Nodes(); i++ {
+		net.Attach(rdma.NodeID(i), htm.NewEngine(make([]byte, 4096), htm.Config{}))
+	}
+	qp := net.NewQP(0, 1, &clk)
+	requireNoAlloc(t, "rdma.QP synchronous verbs", func() {
+		var img [64]byte
+		_, _ = qp.Read(0, len(img), img[:])
+		_ = qp.Write(64, img[:])
+		_, _ = qp.Read64(128)
+		_ = qp.Write64(128, 1)
+		_, _, _ = qp.CAS(128, 1, 0)
 	})
 }
 

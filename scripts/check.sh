@@ -16,15 +16,12 @@ go vet ./...
 # attributed txn.Error literals, complete lock-CAS back-out scans, no
 # single-verb RDMA where a doorbell batch is in scope, lock-order/hold-
 # across-yield discipline, allocation-free //drtmr:hotpath functions, and
-# exhaustive protocol-enum switches. The ratchet CLI sweeps BOTH build-tag
-# halves (-race re-runs with -tags race) and diffs findings against the
-# committed lint-baseline.json in both directions: new findings are new
-# debt, stale entries are paid-off debt that must leave the ledger.
-# Suppressions require a reasoned //drtmr:allow. The SARIF log is the
-# code-scanning artifact for CI upload.
+# exhaustive protocol-enum switches. The suite runs as a go vet tool over BOTH
+# build-tag halves and any finding fails the gate: fix it, or suppress it with
+# a reasoned //drtmr:allow.
 go build -o bin/drtmr-vet ./cmd/drtmr-vet
-./bin/drtmr-vet -race -sarif bin/drtmr-vet.sarif ./...
-echo "drtmr-vet SARIF artifact: bin/drtmr-vet.sarif"
+go vet -vettool="$PWD/bin/drtmr-vet" ./...
+go vet -vettool="$PWD/bin/drtmr-vet" -tags race ./...
 
 # Both halves of the //go:build race / !race pair must keep compiling: the
 # !race half is covered by the plain build+vet above; this compiles (and
@@ -52,8 +49,8 @@ go test -run '^$' -fuzz FuzzFrameRoundtrip -fuzztime 5s ./internal/serve/wire/
 
 # Trace-overhead gate: the observability layer must not move virtual time.
 # TestTraceOverheadBudget (in the race run above) asserts enabled==disabled
-# and <3% drift vs BENCH_coroutine_overlap.json; this prints the numbers at
-# the baseline's iteration count for the log.
+# and <3% drift vs its baselineCoro4Nanos; this prints the numbers at the
+# baseline's iteration count for the log.
 go test ./internal/txn/ -run '^$' -bench BenchmarkTraceOverhead -benchtime 200x
 
 # Contention-manager gate: the tail sweep runs both ContentionMode settings
