@@ -216,6 +216,41 @@ func TestFrontierFollow(t *testing.T) {
 	ra.Leave()
 }
 
+// TestRunnerAllocFree pins what a coroutine dispatcher calls on its runner on
+// every pass — Behind, Step, IdleUntil, Busy — and the release of a follower
+// to zero allocations: once registered the first time, a follower is woken
+// through its own wake channel and the follower list is reused.
+func TestRunnerAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	var f Frontier
+	var a, b Clock
+	ra, rb := f.Join(&a), f.Join(&b)
+	rb.wake = make(chan struct{}, 1)
+	allocs := testing.AllocsPerRun(200, func() {
+		a.Advance(time.Microsecond)
+		if ra.Behind(a.Now()) != rb {
+			t.Fatal("b at 0 is not behind a")
+		}
+		// rb follows ra to ra's next instant, registered as Follow does it.
+		at := a.Now() + 1
+		ra.followers = append(ra.followers, follower{rb, at})
+		ra.wakeAt.Store(at)
+		ra.Step() // not there yet: nobody is woken
+		ra.IdleUntil(at)
+		select {
+		case <-rb.wake:
+		default:
+			t.Fatal("a horizon at the follower's instant did not release it")
+		}
+		ra.Busy()
+	})
+	if allocs != 0 {
+		t.Errorf("Runner methods allocate %v times per cycle, want 0", allocs)
+	}
+}
+
 // TestFrontierFollowPatience: a runner that never moves again (stopped outside
 // the simulator) costs its follower followPatience of host time, not a hang,
 // and the follower is left clean for its next Follow.

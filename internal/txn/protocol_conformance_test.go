@@ -505,9 +505,10 @@ func TestProtocolLockBackoutReleasesAll(t *testing.T) {
 // the unlock CASes behind them — whatever its read/write mix. The one
 // exception is a protocol that does not lock what it only reads: farm reads
 // such remote records in a third doorbell, rung once every write lock is held.
-// In the forced-fallback cell the §6.1 handler validates from the headers its
-// relock fetched: one doorbell per node group, one for the tail, no READ
-// doorbell of its own.
+// A read-only transaction rings one under every protocol: its validation
+// READs. In the forced-fallback cell the §6.1 handler validates from the
+// headers its relock fetched: one doorbell per node group, one for the tail,
+// no READ doorbell of its own.
 func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 	type access struct {
 		key         uint64 // key%3 is the home node; the worker runs on node 0
@@ -517,6 +518,7 @@ func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 		name     string
 		acc      []access
 		roRemote bool // some remote record is read but not written
+		readOnly bool // run through RunReadOnly
 	}{
 		{name: "rw-1-node", acc: []access{{1, true, true}}},
 		{name: "rw-2-nodes", acc: []access{{1, true, true}, {2, true, true}, {4, true, true}, {5, true, true}}},
@@ -524,6 +526,7 @@ func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 		{name: "rw+locals", acc: []access{{1, true, true}, {0, true, true}, {3, true, true}}},
 		{name: "ro+rw", acc: []access{{1, true, false}, {2, true, true}}, roRemote: true},
 		{name: "ro+local-write", acc: []access{{1, true, false}, {2, true, false}, {0, true, true}}, roRemote: true},
+		{name: "ro-2-nodes", acc: []access{{1, true, false}, {2, true, false}}, readOnly: true},
 	}
 	run := func(tx *Txn, acc []access) error {
 		for _, a := range acc {
@@ -559,11 +562,18 @@ func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 				w.setProtocol(proto)
 				w.load(t, 6, 100)
 				wk := w.engines[0].NewWorker(0)
-				if err := wk.Run(func(tx *Txn) error { return run(tx, sh.acc) }); err != nil {
+				runTx := wk.Run
+				if sh.readOnly {
+					runTx = wk.RunReadOnly
+				}
+				if err := runTx(func(tx *Txn) error { return run(tx, sh.acc) }); err != nil {
 					t.Fatal(err)
 				}
 				want := uint64(2)
-				if proto == "farm" && sh.roRemote {
+				switch {
+				case sh.readOnly:
+					want = 1
+				case proto == "farm" && sh.roRemote:
 					want = 3
 				}
 				if got := doorbells(&wk.Stats); got != want || wk.Stats.Retries != 0 {
