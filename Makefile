@@ -10,8 +10,8 @@ help:
 	@echo "  vet          go vet ./... (after build)"
 	@echo "  lint         go vet -vettool=bin/drtmr-vet (internal/lint) over both"
 	@echo "               build-tag halves: htmregion, virtualtime, abortattr,"
-	@echo "               lockpair, doorbell, lockorder, hotalloc, enumswitch; any"
-	@echo "               finding fails; fix it or suppress it with"
+	@echo "               lockorder, enumswitch; any finding fails; fix it or"
+	@echo "               suppress it with"
 	@echo "               '//drtmr:allow <analyzer> <reason>'"
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"

@@ -104,12 +104,12 @@ func main() {
 	}
 
 	res := serve.RunFleet(serve.FleetOptions{
-		Addr:     target,
-		Users:    *fleet,
-		Rate:     *rate,
-		Calls:    *calls,
-		Skew:     *skew,
-		Accounts: *accounts * *nodes,
+		Addr:      target,
+		Users:     *fleet,
+		Rate:      *rate,
+		Calls:     *calls,
+		Skew:      *skew,
+		Accounts:  *accounts * *nodes,
 		Deadline:  *deadline,
 		ReadFrac:  *readFrac,
 		AuditFrac: *auditFrac,

@@ -1,6 +1,6 @@
-// Command drtmr-vet bundles drtmr's eight invariant analyzers (internal/lint):
-// htmregion, virtualtime, abortattr, lockpair, doorbell, lockorder, hotalloc,
-// enumswitch. It speaks cmd/go's vet tool protocol and nothing else:
+// Command drtmr-vet bundles drtmr's five invariant analyzers (internal/lint):
+// htmregion, virtualtime, abortattr, lockorder, enumswitch. It speaks cmd/go's
+// vet tool protocol and nothing else:
 //
 //	go vet -vettool=$PWD/bin/drtmr-vet ./...
 //	go vet -vettool=$PWD/bin/drtmr-vet -tags race ./...

@@ -49,8 +49,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts holds the interprocedural summaries (see summary.go) for this
-	// package plus everything imported below it. Always non-nil during Run.
+	// Facts holds the interprocedural summaries lockorder reads (see
+	// summary.go) for this package plus everything imported below it. Always
+	// non-nil during Run.
 	Facts *PkgFacts
 	// Fixture is true under the analysistest driver: package-path-scoped
 	// heuristics (e.g. lockorder's wire-I/O rule, normally limited to
@@ -138,7 +139,7 @@ type Options struct {
 func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
 	facts := opts.Facts
 	if facts == nil {
-		facts = Summarize(fset, files, pkg, info, nil)
+		facts = Summarize(files, pkg, info, nil)
 	}
 	var raw []Diagnostic
 	for _, a := range analyzers {

@@ -1,27 +1,14 @@
-// Summary-based interprocedural facts. Summarize walks every function in a
-// package once and produces a FuncSummary per function: behaviour flags
-// (may-yield, may-block, may-allocate, may-do-wire-I/O), the set of lock
-// classes the function transitively acquires, and the lock-order edges its
-// body creates (lock B acquired while A is held). Summaries are propagated
-// bottom-up: calls into already-summarized functions (same package via an
-// in-package fixpoint, dependency packages via the vetx facts files the
-// unitchecker exchanges with cmd/go) fold the callee's facts into the
-// caller's, so an analyzer looking at one call site sees the whole call
-// chain behind it. Standard-library behaviour is modelled by a conservative
-// table (synthesize): sync/atomic and math/bits are pure, fmt allocates,
-// sync.Mutex.Lock blocks, net/io/os do wire I/O, and anything unknown is
-// assumed to allocate and block.
-//
-// Three doc-comment directives feed the summaries:
-//
-//	//drtmr:hotpath          this function must be transitively allocation-free
-//	//drtmr:locks <class>    calling this function acquires the named pseudo-
-//	                         lock (CAS lock words, contention gates) — the
-//	                         class joins the acquisition graph for cycle
-//	                         checks but is exempt from the held-across-yield
-//	                         rule (protocol locks are legitimately held
-//	                         across yields)
-//	//drtmr:unlocks <class>  calling this function releases the pseudo-lock
+// Summary-based interprocedural facts, the ones lockorder reads. Summarize
+// walks every function in a package once and produces a FuncSummary per
+// function: whether it may park the coroutine or perform wire I/O (each with
+// the first witness behind it), the lock classes it transitively acquires,
+// and the lock-order edges its body creates (lock B acquired while A is
+// held). Summaries are propagated bottom-up: calls into already-summarized
+// functions (same package via an in-package fixpoint, dependency packages via
+// the vetx facts files the unitchecker exchanges with cmd/go) fold the
+// callee's facts into the caller's, so an analyzer looking at one call site
+// sees the whole call chain behind it. Standard-library behaviour is a table
+// (synthesize): runtime.Gosched yields, net/io/os and their kin do wire I/O.
 //
 // Precision notes (deliberate approximations, all safe-with-escape-hatch
 // because findings can carry a reasoned //drtmr:allow):
@@ -30,8 +17,9 @@
 //     syntactic Unlock;
 //   - function literals are summarized as separate pseudo-functions
 //     (key "parent$litN") so lock misuse inside them is still caught, but
-//     their flags do not propagate to the enclosing function (calling a
-//     closure is a dynamic call, which is conservatively may-allocate);
+//     their facts do not propagate to the enclosing function;
+//   - calls through function values, and interface methods of this
+//     repository's types, have no summary and contribute nothing;
 //   - same-class edges (A while A) are dropped: they almost always mean two
 //     instances of one sharded structure, not re-entrant acquisition.
 package analysis
@@ -40,140 +28,74 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Flags is the behaviour bitmask of one function, transitively closed over
-// its callees.
-type Flags uint8
-
-const (
-	// FlagYield: may park the running coroutine / hand off control —
-	// channel operations, select, runtime.Gosched, or a callee that does.
-	FlagYield Flags = 1 << iota
-	// FlagBlock: may block the OS thread (mutex lock, cond wait, sleep,
-	// channel op, I/O).
-	FlagBlock
-	// FlagAlloc: may allocate on the heap.
-	FlagAlloc
-	// FlagWireIO: may perform network or file I/O (net/io/bufio/os, or a
-	// callee that does).
-	FlagWireIO
-)
-
-func (f Flags) String() string {
-	var parts []string
-	if f&FlagYield != 0 {
-		parts = append(parts, "yield")
-	}
-	if f&FlagBlock != 0 {
-		parts = append(parts, "block")
-	}
-	if f&FlagAlloc != 0 {
-		parts = append(parts, "alloc")
-	}
-	if f&FlagWireIO != 0 {
-		parts = append(parts, "wireio")
-	}
-	if len(parts) == 0 {
-		return "pure"
-	}
-	return strings.Join(parts, "|")
-}
-
 // FuncSummary is one function's interprocedural fact record — the unit
 // serialized into vetx facts files.
 type FuncSummary struct {
-	Name    string `json:"name"`
-	Flags   Flags  `json:"flags,omitempty"`
-	Hotpath bool   `json:"hotpath,omitempty"`
+	Name string `json:"name"`
 
-	// Via chains name the first witness behind a transitive flag, e.g.
-	// AllocVia "fmt.Errorf" or YieldVia "txn.(*Worker).yield → channel send".
+	// YieldVia names the first witness behind a function that may park the
+	// running coroutine — a channel operation, select, runtime.Gosched, or a
+	// callee that does — e.g. "txn.(*Worker).yield → channel send"; WireVia
+	// the same for network or file I/O. Each is "" when the function cannot.
 	YieldVia string `json:"yieldVia,omitempty"`
-	AllocVia string `json:"allocVia,omitempty"`
 	WireVia  string `json:"wireVia,omitempty"`
 
 	// Acquires lists every lock class this function may acquire, directly
-	// or through any callee. Pseudo-lock classes from //drtmr:locks carry a
-	// leading '@'.
+	// or through any callee.
 	Acquires []string `json:"acquires,omitempty"`
-
-	// LocksGate / UnlocksGate record //drtmr:locks / //drtmr:unlocks
-	// directives: calling this function acquires / releases the pseudo-lock.
-	LocksGate   string `json:"locksGate,omitempty"`
-	UnlocksGate string `json:"unlocksGate,omitempty"`
 }
 
 // LockEdge is one acquisition-order edge: To was acquired at Pos (inside Fn)
-// while From was held.
+// while From was held. Pos means something only in the package that made
+// the edge, so it is not exported.
 type LockEdge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	Fn   string `json:"fn"`
-	Pos  string `json:"pos,omitempty"`
+	From string    `json:"from"`
+	To   string    `json:"to"`
+	Fn   string    `json:"fn"`
+	Pos  token.Pos `json:"-"`
 }
+
+func (e LockEdge) key() string { return e.From + "\x00" + e.To + "\x00" + e.Fn }
 
 // PkgSummaries is the vetx facts payload one package exports: its own
 // function summaries plus every acquisition edge it knows about (its own and
 // its dependencies', re-exported so cycle detection in a dependent package
-// sees the whole graph below it).
+// sees the whole graph below it). Summarize takes its dependencies' payloads
+// merged into one.
 type PkgSummaries struct {
 	Funcs []*FuncSummary `json:"funcs,omitempty"`
 	Edges []LockEdge     `json:"edges,omitempty"`
 }
 
-// DepFacts is the merged view of every dependency's PkgSummaries.
-type DepFacts struct {
-	Funcs map[string]*FuncSummary
-	Edges []LockEdge
-}
-
-// CallSite is one out-edge of a function body: a resolved call, a dynamic
-// call, or a direct scheduling-point operation, with the lock classes held
-// at that point.
+// CallSite is one out-edge of a function body — a statically resolved call
+// or a direct scheduling-point operation — with the lock classes held there.
 type CallSite struct {
 	Pos    token.Pos
-	Held   []string // lock classes held here ('@'-prefixed = pseudo-locks)
-	Callee string   // qualified key of a statically resolved callee, or ""
-	Dyn    string   // description of a dynamic call ("call through w.gate")
-	Op     string   // direct op: "channel send", "channel receive", "select"
-}
-
-// AllocOp is one local allocation site.
-type AllocOp struct {
-	Pos  token.Pos
-	What string
+	Held   []string
+	Callee string // qualified key of the callee, or ""
+	Op     string // direct op: "channel send", "channel receive", "select"
 }
 
 // FuncFacts is the per-function working set an analyzer consumes: the
-// summary plus the body-derived site lists the summary was built from.
+// summary plus the call sites it was built from.
 type FuncFacts struct {
 	Summary *FuncSummary
-	Decl    *ast.FuncDecl // nil for function literals
-	Pos     token.Pos     // reporting anchor (the func keyword / name)
 	Calls   []CallSite
-	Allocs  []AllocOp
-}
-
-// LocalEdge is a lock-order edge with its in-package position retained for
-// reporting.
-type LocalEdge struct {
-	From, To, Fn string
-	Pos          token.Pos
 }
 
 // PkgFacts is everything Summarize derives for one package.
 type PkgFacts struct {
-	Pkg        *types.Package
 	Local      map[string]*FuncFacts   // this package's functions (+ closures)
 	Imported   map[string]*FuncSummary // dependency + synthesized summaries
-	LocalEdges []LocalEdge
-	AllEdges   []LockEdge // LocalEdges rendered + dependency edges, deduped
+	LocalEdges []LockEdge
+	AllEdges   []LockEdge // LocalEdges + dependency edges, deduped
 
-	edgeSeen map[string]bool
-	fset     *token.FileSet
+	localSeen map[string]bool
 }
 
 // IsLocalModule reports whether an import path belongs to this repository
@@ -220,8 +142,8 @@ func ShortName(key string) string {
 
 // Lookup resolves a callee to its summary: local package first, then
 // dependency facts, then the standard-library model. Returns nil for
-// functions with no computable summary (interface methods of local types,
-// missing facts) — callers treat nil as unknown/conservative.
+// functions with no summary (interface methods of local types, missing
+// facts, the "" callee of a direct operation).
 func (pf *PkgFacts) Lookup(key string) *FuncSummary {
 	if ff := pf.Local[key]; ff != nil {
 		return ff.Summary
@@ -232,70 +154,39 @@ func (pf *PkgFacts) Lookup(key string) *FuncSummary {
 // Summarize computes per-function facts for one type-checked package,
 // propagating dependency summaries (deps may be nil) through an in-package
 // fixpoint.
-func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, deps *DepFacts) *PkgFacts {
+func Summarize(files []*ast.File, pkg *types.Package, info *types.Info, deps *PkgSummaries) *PkgFacts {
 	pf := &PkgFacts{
-		Pkg:      pkg,
-		Local:    make(map[string]*FuncFacts),
-		Imported: make(map[string]*FuncSummary),
-		edgeSeen: make(map[string]bool),
-		fset:     fset,
+		Local:     make(map[string]*FuncFacts),
+		Imported:  make(map[string]*FuncSummary),
+		localSeen: make(map[string]bool),
 	}
-	var depEdges []LockEdge
-	if deps != nil {
-		for k, s := range deps.Funcs {
-			pf.Imported[k] = s
-		}
-		depEdges = deps.Edges
+	if deps == nil {
+		deps = &PkgSummaries{}
 	}
-
-	// Pre-pass: directives, so gate annotations resolve regardless of
-	// declaration order.
-	type declInfo struct {
-		key string
-		fd  *ast.FuncDecl
+	for _, s := range deps.Funcs {
+		pf.Imported[s.Name] = s
 	}
-	var decls []declInfo
 	for _, file := range files {
 		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				pf.walk(info, declKey(pkg, info, fd), fd.Body)
 			}
-			key := declKey(pkg, info, fd)
-			sum := &FuncSummary{Name: key}
-			parseFuncDirectives(fd, sum)
-			pf.Local[key] = &FuncFacts{Summary: sum, Decl: fd, Pos: fd.Name.Pos()}
-			decls = append(decls, declInfo{key, fd})
 		}
 	}
-
-	// Body walk: local flags, lock tracking, call/alloc sites, direct edges.
-	for _, di := range decls {
-		w := &funcWalker{pf: pf, info: info, key: di.key, ff: pf.Local[di.key]}
-		w.walkBody(di.fd.Body)
-	}
-
-	// In-package fixpoint: fold callee facts into callers until stable.
 	pf.propagate()
 
-	// Assemble the full edge set: local first (stable report positions),
-	// then dependency edges.
-	for _, e := range pf.LocalEdges {
-		pf.addAllEdge(LockEdge{From: e.From, To: e.To, Fn: e.Fn, Pos: fset.Position(e.Pos).String()})
-	}
-	for _, e := range depEdges {
-		pf.addAllEdge(e)
+	// The full edge set: local first (stable report positions), then
+	// dependency edges.
+	seen := make(map[string]bool)
+	for _, edges := range [][]LockEdge{pf.LocalEdges, deps.Edges} {
+		for _, e := range edges {
+			if !seen[e.key()] {
+				seen[e.key()] = true
+				pf.AllEdges = append(pf.AllEdges, e)
+			}
+		}
 	}
 	return pf
-}
-
-func (pf *PkgFacts) addAllEdge(e LockEdge) {
-	k := e.From + "\x00" + e.To + "\x00" + e.Fn
-	if pf.edgeSeen[k] {
-		return
-	}
-	pf.edgeSeen[k] = true
-	pf.AllEdges = append(pf.AllEdges, e)
 }
 
 // Export renders the facts a dependent package needs: local function
@@ -304,11 +195,10 @@ func (pf *PkgFacts) addAllEdge(e LockEdge) {
 func (pf *PkgFacts) Export() *PkgSummaries {
 	out := &PkgSummaries{Edges: pf.AllEdges}
 	var keys []string
-	for k, ff := range pf.Local {
-		if ff.Decl == nil {
-			continue // closure pseudo-function
+	for k := range pf.Local {
+		if !strings.Contains(k, "$lit") {
+			keys = append(keys, k)
 		}
-		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
@@ -317,73 +207,33 @@ func (pf *PkgFacts) Export() *PkgSummaries {
 	return out
 }
 
-// propagate runs the in-package fixpoint over flags, acquire sets, and
-// callee-derived lock edges.
+// propagate runs the in-package fixpoint over the yield and wire-I/O facts,
+// acquire sets, and callee-derived lock edges.
 func (pf *PkgFacts) propagate() {
 	for changed := true; changed; {
 		changed = false
 		for _, ff := range pf.Local {
 			sum := ff.Summary
 			for _, cs := range ff.Calls {
-				if cs.Callee == "" {
-					if cs.Dyn != "" {
-						// A call we cannot resolve: assume it allocates and
-						// blocks (but not that it yields — yield facts stay
-						// precise so lockorder does not cry wolf).
-						if sum.Flags&FlagAlloc == 0 {
-							sum.Flags |= FlagAlloc
-							sum.AllocVia = cs.Dyn
-							changed = true
-						}
-						if sum.Flags&FlagBlock == 0 {
-							sum.Flags |= FlagBlock
-							changed = true
-						}
-					}
-					continue
-				}
 				cal := pf.Lookup(cs.Callee)
 				if cal == nil {
-					// Unknown local-module callee (typically an interface
-					// method): conservative on allocation and blocking.
-					if sum.Flags&FlagAlloc == 0 {
-						sum.Flags |= FlagAlloc
-						sum.AllocVia = ShortName(cs.Callee) + " (unsummarized)"
-						changed = true
-					}
-					if sum.Flags&FlagBlock == 0 {
-						sum.Flags |= FlagBlock
-						changed = true
-					}
 					continue
 				}
-				if add := cal.Flags &^ sum.Flags; add != 0 {
-					sum.Flags |= add
-					short := ShortName(cs.Callee)
-					if add&FlagYield != 0 {
-						sum.YieldVia = chain(short, cal.YieldVia)
-					}
-					if add&FlagAlloc != 0 {
-						sum.AllocVia = chain(short, cal.AllocVia)
-					}
-					if add&FlagWireIO != 0 {
-						sum.WireVia = chain(short, cal.WireVia)
-					}
-					changed = true
+				if sum.YieldVia == "" && cal.YieldVia != "" {
+					sum.YieldVia, changed = chain(ShortName(cs.Callee), cal.YieldVia), true
+				}
+				if sum.WireVia == "" && cal.WireVia != "" {
+					sum.WireVia, changed = chain(ShortName(cs.Callee), cal.WireVia), true
 				}
 				// Transitive acquisitions, and the edges they induce at
 				// this (lock-held) call site.
-				acq := cal.Acquires
-				if g := cal.LocksGate; g != "" && !contains(acq, "@"+g) {
-					acq = append(append([]string(nil), acq...), "@"+g)
-				}
-				for _, a := range acq {
-					if !contains(sum.Acquires, a) {
+				for _, a := range cal.Acquires {
+					if !slices.Contains(sum.Acquires, a) {
 						sum.Acquires = append(sum.Acquires, a)
 						changed = true
 					}
 					for _, h := range cs.Held {
-						if h != a && pf.addLocalEdge(LocalEdge{From: h, To: a, Fn: sum.Name, Pos: cs.Pos}) {
+						if h != a && pf.addLocalEdge(LockEdge{From: h, To: a, Fn: sum.Name, Pos: cs.Pos}) {
 							changed = true
 						}
 					}
@@ -396,12 +246,13 @@ func (pf *PkgFacts) propagate() {
 	}
 }
 
-func (pf *PkgFacts) addLocalEdge(e LocalEdge) bool {
-	k := e.From + "\x00" + e.To + "\x00" + e.Fn
-	if pf.edgeSeen["local\x00"+k] {
+// addLocalEdge records e unless this package already has an edge with its
+// From, To and Fn, and reports whether it did.
+func (pf *PkgFacts) addLocalEdge(e LockEdge) bool {
+	if pf.localSeen[e.key()] {
 		return false
 	}
-	pf.edgeSeen["local\x00"+k] = true
+	pf.localSeen[e.key()] = true
 	pf.LocalEdges = append(pf.LocalEdges, e)
 	return true
 }
@@ -419,15 +270,6 @@ func chain(head, tail string) string {
 	return head + " → " + tail
 }
 
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
 func declKey(pkg *types.Package, info *types.Info, fd *ast.FuncDecl) string {
 	if obj, ok := info.Defs[fd.Name].(*types.Func); ok && obj != nil {
 		return FuncKey(obj)
@@ -440,26 +282,4 @@ func declKey(pkg *types.Package, info *types.Info, fd *ast.FuncDecl) string {
 		return path + "(?)." + fd.Name.Name
 	}
 	return path + fd.Name.Name
-}
-
-// parseFuncDirectives reads //drtmr:hotpath, //drtmr:locks, //drtmr:unlocks
-// from a function's doc comment.
-func parseFuncDirectives(fd *ast.FuncDecl, sum *FuncSummary) {
-	if fd.Doc == nil {
-		return
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		switch {
-		case text == "//drtmr:hotpath" || strings.HasPrefix(text, "//drtmr:hotpath "):
-			sum.Hotpath = true
-		case strings.HasPrefix(text, "//drtmr:locks "):
-			sum.LocksGate = strings.Fields(text[len("//drtmr:locks "):])[0]
-		case strings.HasPrefix(text, "//drtmr:unlocks "):
-			sum.UnlocksGate = strings.Fields(text[len("//drtmr:unlocks "):])[0]
-		}
-	}
-	if sum.LocksGate != "" {
-		sum.Acquires = append(sum.Acquires, "@"+sum.LocksGate)
-	}
 }

@@ -1,7 +1,8 @@
-// Synthesized summaries for standard-library callees. The table is
-// deliberately conservative: anything not recognized is assumed to allocate
-// and block, so a hotpath that wanders into unmodelled territory is flagged
-// rather than silently trusted.
+// Synthesized summaries for standard-library callees, which are not walked:
+// only runtime.Gosched parks the coroutine (channel operations and select are
+// seen in the caller's own body), and only the I/O packages do wire I/O —
+// with fmt and encoding/binary, whose pure string formatters and fixed-width
+// codecs are told apart by name.
 package analysis
 
 import (
@@ -9,142 +10,33 @@ import (
 	"strings"
 )
 
-// synthesize builds a FuncSummary for a non-repo function from the
-// behaviour table. The result is memoized by the walker into PkgFacts.
+// wireIOPackages do network or file I/O throughout their API.
+var wireIOPackages = map[string]bool{
+	"net": true, "io": true, "bufio": true, "os": true,
+	"net/http": true, "io/ioutil": true, "crypto/tls": true,
+}
+
+// synthesize builds the summary of a function outside this repository. The
+// walker memoizes it into PkgFacts.
 func synthesize(f *types.Func) *FuncSummary {
-	key := FuncKey(f)
-	sum := &FuncSummary{Name: key}
-	pkg := ""
-	if f.Pkg() != nil {
-		pkg = f.Pkg().Path()
+	sum := &FuncSummary{Name: FuncKey(f)}
+	pkg, name := f.Pkg().Path(), f.Name()
+	switch {
+	case pkg == "runtime" && name == "Gosched":
+		sum.YieldVia = ShortName(sum.Name)
+	case wireIOPackages[pkg],
+		pkg == "fmt" && !hasPrefix(name, "Sprint", "Errorf", "Append"),
+		pkg == "encoding/binary" && !hasPrefix(name, "PutUint", "Uint", "AppendUint"):
+		sum.WireVia = ShortName(sum.Name)
 	}
-	name := f.Name()
-	recv := recvName(f)
-
-	set := func(fl Flags) {
-		sum.Flags = fl
-		short := ShortName(key)
-		if fl&FlagYield != 0 {
-			sum.YieldVia = short
-		}
-		if fl&FlagAlloc != 0 {
-			sum.AllocVia = short
-		}
-		if fl&FlagWireIO != 0 {
-			sum.WireVia = short
-		}
-	}
-
-	switch pkg {
-	case "sync":
-		switch recv {
-		case "Mutex", "RWMutex":
-			switch name {
-			case "Lock", "RLock":
-				set(FlagBlock)
-			default: // Unlock, RUnlock, TryLock...
-				set(0)
-			}
-			return sum
-		case "Cond":
-			if name == "Wait" {
-				// A cond wait blocks the OS thread but does not park the
-				// coroutine scheduler — modelling it as yield would flag
-				// every classic mutex+cond queue.
-				set(FlagBlock)
-			} else {
-				set(0) // Signal, Broadcast
-			}
-			return sum
-		case "WaitGroup":
-			if name == "Wait" {
-				set(FlagBlock)
-			} else {
-				set(0) // Add, Done
-			}
-			return sum
-		case "Once":
-			set(FlagBlock | FlagAlloc)
-			return sum
-		case "Map", "Pool":
-			set(FlagBlock | FlagAlloc)
-			return sum
-		}
-		set(FlagBlock | FlagAlloc)
-		return sum
-
-	case "sync/atomic", "math/bits", "math", "unicode", "unsafe":
-		set(0)
-		return sum
-
-	case "runtime":
-		if name == "Gosched" {
-			set(FlagYield | FlagBlock)
-		} else {
-			set(FlagBlock | FlagAlloc)
-		}
-		return sum
-
-	case "time":
-		switch {
-		case name == "Sleep", name == "After", name == "Tick":
-			set(FlagBlock | FlagAlloc)
-		case name == "Now", name == "Since", name == "Until":
-			set(0)
-		case recv == "Duration" && name != "String":
-			set(0) // Nanoseconds, Seconds, comparisons...
-		default:
-			set(FlagBlock | FlagAlloc)
-		}
-		return sum
-
-	case "encoding/binary":
-		switch {
-		case strings.HasPrefix(name, "PutUint"), strings.HasPrefix(name, "Uint"):
-			set(0) // byteOrder fixed-width codecs are pure
-		case strings.HasPrefix(name, "AppendUint"):
-			set(FlagAlloc)
-		default: // Read, Write, Size — reflective / io-coupled
-			set(FlagAlloc | FlagBlock | FlagWireIO)
-		}
-		return sum
-
-	case "net", "io", "bufio", "os", "net/http", "io/ioutil", "crypto/tls":
-		set(FlagWireIO | FlagBlock | FlagAlloc)
-		return sum
-
-	case "fmt":
-		if strings.HasPrefix(name, "Sprint") || name == "Errorf" || strings.HasPrefix(name, "Append") {
-			set(FlagAlloc)
-		} else {
-			set(FlagAlloc | FlagWireIO | FlagBlock) // Print*/Fprint*/Scan*
-		}
-		return sum
-
-	case "errors", "strings", "strconv", "sort", "bytes", "encoding/json",
-		"encoding/hex", "encoding/base64", "log", "regexp", "slices", "maps",
-		"container/heap", "hash/crc32", "hash/fnv", "math/rand", "path",
-		"path/filepath", "flag", "reflect", "context", "expvar":
-		set(FlagAlloc)
-		return sum
-	}
-
-	// Unrecognized package: conservative.
-	set(FlagAlloc | FlagBlock)
 	return sum
 }
 
-func recvName(f *types.Func) string {
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return ""
+func hasPrefix(s string, prefixes ...string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(s, p) {
+			return true
+		}
 	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
+	return false
 }

@@ -1,6 +1,6 @@
 // Body walker behind Summarize: one linear source-order pass per function
-// that tracks the held-lock set, records call sites (with the locks held at
-// each), direct scheduling-point operations, and local allocation sites.
+// that tracks the held-lock set and records call sites (with the locks held
+// at each) and direct scheduling-point operations.
 package analysis
 
 import (
@@ -8,6 +8,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 type funcWalker struct {
@@ -15,23 +16,25 @@ type funcWalker struct {
 	info *types.Info
 	key  string
 	ff   *FuncFacts
-	held []string // ordered held-lock classes; '@' prefix = pseudo-lock
+	held []string // ordered held-lock classes
 	lits int      // closure counter for "$litN" keys
 }
 
-func (w *funcWalker) walkBody(body *ast.BlockStmt) {
+// walk summarizes one function body under key.
+func (pf *PkgFacts) walk(info *types.Info, key string, body *ast.BlockStmt) {
+	ff := &FuncFacts{Summary: &FuncSummary{Name: key}}
+	pf.Local[key] = ff
+	w := &funcWalker{pf: pf, info: info, key: key, ff: ff}
 	ast.Inspect(body, w.visit)
 }
 
 func (w *funcWalker) visit(n ast.Node) bool {
 	switch x := n.(type) {
 	case *ast.FuncLit:
-		w.alloc(x.Pos(), "function literal (closure)")
 		w.walkLit(x)
 		return false
 
 	case *ast.GoStmt:
-		w.alloc(x.Pos(), "go statement (new goroutine)")
 		if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
 			w.walkLit(lit)
 		}
@@ -43,123 +46,50 @@ func (w *funcWalker) visit(n ast.Node) bool {
 
 	case *ast.DeferStmt:
 		// defer mu.Unlock() keeps the lock held to the end of the function:
-		// swallow the release. Other deferred calls are treated as calls
-		// made here (an approximation that keeps them in the call graph).
-		if cls, op := w.lockOp(x.Call); cls != "" && (op == "Unlock" || op == "RUnlock") {
-			return false
-		}
-		if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			w.alloc(lit.Pos(), "function literal (closure)")
-			w.walkLit(lit)
-			return false
-		}
-		w.call(x.Call)
-		for _, a := range x.Call.Args {
-			ast.Inspect(a, w.visit)
-		}
-		return false
+		// swallow the release. Other deferred calls count as calls made
+		// here (an approximation that keeps them in the call graph).
+		cls, op := w.lockOp(x.Call)
+		return cls == "" || (op != "Unlock" && op != "RUnlock")
 
 	case *ast.CallExpr:
 		w.call(x)
-		// Keep walking: nested calls/literals in Fun and Args still count.
-		return true
 
 	case *ast.SendStmt:
 		w.op(x.Pos(), "channel send")
-		return true
 
 	case *ast.UnaryExpr:
 		if x.Op == token.ARROW {
 			w.op(x.Pos(), "channel receive")
 		}
-		if x.Op == token.AND {
-			if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-				w.alloc(x.Pos(), "address of composite literal")
-			}
-		}
-		return true
 
 	case *ast.SelectStmt:
 		w.op(x.Pos(), "select")
-		return true
 
 	case *ast.RangeStmt:
-		if t := w.typeOf(x.X); t != nil {
+		if t := w.info.TypeOf(x.X); t != nil {
 			if _, ok := t.Underlying().(*types.Chan); ok {
 				w.op(x.Pos(), "channel receive (range)")
 			}
 		}
-		return true
-
-	case *ast.CompositeLit:
-		if t := w.typeOf(x); t != nil {
-			switch t.Underlying().(type) {
-			case *types.Slice:
-				w.alloc(x.Pos(), "slice literal")
-			case *types.Map:
-				w.alloc(x.Pos(), "map literal")
-			}
-		}
-		return true
-
-	case *ast.BinaryExpr:
-		if x.Op == token.ADD && w.isNonConstString(x) {
-			w.alloc(x.Pos(), "string concatenation")
-		}
-		return true
-
-	case *ast.AssignStmt:
-		w.assign(x)
-		return true
 	}
 	return true
 }
 
 // walkLit summarizes a function literal as a separate pseudo-function
-// ("parent$litN") with a fresh held set. Its flags do not flow back to the
+// ("parent$litN") with a fresh held set. Its facts do not flow back to the
 // parent (invoking the closure later is a dynamic call); its lock edges and
-// held-across-operation sites are still recorded globally.
+// held-across-operation sites are still recorded.
 func (w *funcWalker) walkLit(lit *ast.FuncLit) {
 	w.lits++
-	key := fmt.Sprintf("%s$lit%d", w.key, w.lits)
-	ff := &FuncFacts{Summary: &FuncSummary{Name: key}, Pos: lit.Pos()}
-	w.pf.Local[key] = ff
-	sub := &funcWalker{pf: w.pf, info: w.info, key: key, ff: ff}
-	sub.walkBody(lit.Body)
-}
-
-func (w *funcWalker) typeOf(e ast.Expr) types.Type {
-	if tv, ok := w.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-func (w *funcWalker) isNonConstString(e ast.Expr) bool {
-	tv, ok := w.info.Types[e]
-	if !ok || tv.Value != nil || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-func (w *funcWalker) alloc(pos token.Pos, what string) {
-	w.ff.Allocs = append(w.ff.Allocs, AllocOp{Pos: pos, What: what})
-	if w.ff.Summary.Flags&FlagAlloc == 0 {
-		w.ff.Summary.Flags |= FlagAlloc
-		w.ff.Summary.AllocVia = what
-	}
+	w.pf.walk(w.info, fmt.Sprintf("%s$lit%d", w.key, w.lits), lit.Body)
 }
 
 // op records a direct scheduling-point operation (channel op / select).
 func (w *funcWalker) op(pos token.Pos, desc string) {
 	w.ff.Calls = append(w.ff.Calls, CallSite{Pos: pos, Held: w.heldCopy(), Op: desc})
-	s := w.ff.Summary
-	if s.Flags&FlagYield == 0 {
-		s.YieldVia = desc
+	if w.ff.Summary.YieldVia == "" {
+		w.ff.Summary.YieldVia = desc
 	}
-	s.Flags |= FlagYield | FlagBlock
 }
 
 func (w *funcWalker) heldCopy() []string {
@@ -250,13 +180,12 @@ func (w *funcWalker) acquire(pos token.Pos, class string) {
 		if h == class {
 			continue // same-class edge: sharded instances, not re-entrancy
 		}
-		w.pf.addLocalEdge(LocalEdge{From: h, To: class, Fn: w.key, Pos: pos})
+		w.pf.addLocalEdge(LockEdge{From: h, To: class, Fn: w.key, Pos: pos})
 	}
 	w.held = append(w.held, class)
-	if !contains(w.ff.Summary.Acquires, class) {
+	if !slices.Contains(w.ff.Summary.Acquires, class) {
 		w.ff.Summary.Acquires = append(w.ff.Summary.Acquires, class)
 	}
-	w.ff.Summary.Flags |= FlagBlock
 }
 
 func (w *funcWalker) release(class string) {
@@ -268,76 +197,38 @@ func (w *funcWalker) release(class string) {
 	}
 }
 
-// call classifies one CallExpr: conversion, builtin, mutex op, gate
-// directive, static call, or dynamic call.
+// call classifies one CallExpr: a mutex operation, or a call to a statically
+// resolved function. Conversions, builtins and calls through function values
+// resolve to no function and are not recorded.
 func (w *funcWalker) call(call *ast.CallExpr) {
-	fun := ast.Unparen(call.Fun)
-
-	// Type conversion?
-	if tv, ok := w.info.Types[fun]; ok && tv.IsType() {
-		w.conversion(call, tv.Type)
-		return
-	}
-
-	// Builtin?
-	if id, ok := fun.(*ast.Ident); ok {
-		if b, ok := w.info.Uses[id].(*types.Builtin); ok {
-			w.builtin(call, b.Name())
-			return
-		}
-	}
-
-	// sync mutex operation?
 	if class, op := w.lockOp(call); class != "" {
 		switch op {
-		case "Lock", "RLock":
-			w.acquire(call.Pos(), class)
 		case "Unlock", "RUnlock":
 			w.release(class)
-		case "TryLock", "TryRLock":
-			// Result-dependent: treated as an acquisition for ordering
-			// purposes (the success path holds it), released immediately
-			// is unknowable linearly — record the edge, keep it held.
+		default:
+			// A TryLock is result-dependent: it counts as an acquisition
+			// for ordering purposes (the success path holds it).
 			w.acquire(call.Pos(), class)
 		}
 		return
 	}
-
-	// Statically resolved callee?
-	if f := w.calleeFunc(fun); f != nil {
-		key := FuncKey(f)
-		// Memoize non-repo callees through the synthesized stdlib model so
-		// the fixpoint only ever consults Local/Imported.
-		if f.Pkg() != nil && !IsLocalModule(f.Pkg().Path()) {
-			if _, ok := w.pf.Imported[key]; !ok {
-				w.pf.Imported[key] = synthesize(f)
-			}
-		}
-		// Gate directives on the callee act like lock ops at the call site.
-		// In-package callees may not be summarized yet, but directives were
-		// collected in the pre-pass, so this is order-independent.
-		if cal := w.pf.Lookup(key); cal != nil {
-			if g := cal.LocksGate; g != "" {
-				w.acquire(call.Pos(), "@"+g)
-			}
-			if g := cal.UnlocksGate; g != "" {
-				w.release("@" + g)
-			}
-		}
-		w.ff.Calls = append(w.ff.Calls, CallSite{Pos: call.Pos(), Held: w.heldCopy(), Callee: key})
-		w.boxingAtCall(call, f)
+	f := w.calleeFunc(ast.Unparen(call.Fun))
+	if f == nil {
 		return
 	}
-
-	// Dynamic call: through a func value, method value, or interface that
-	// the type checker cannot pin to one function.
-	w.ff.Calls = append(w.ff.Calls, CallSite{Pos: call.Pos(), Held: w.heldCopy(), Dyn: "dynamic call through " + renderExpr(fun)})
+	key := FuncKey(f)
+	// Memoize non-repo callees through the synthesized stdlib model so the
+	// fixpoint only ever consults Local/Imported.
+	if f.Pkg() != nil && !IsLocalModule(f.Pkg().Path()) && w.pf.Imported[key] == nil {
+		w.pf.Imported[key] = synthesize(f)
+	}
+	w.ff.Calls = append(w.ff.Calls, CallSite{Pos: call.Pos(), Held: w.heldCopy(), Callee: key})
 }
 
 // calleeFunc resolves fun to a *types.Func for direct calls and concrete
 // method calls. Interface method calls resolve to the interface method
-// (which has no summary — handled conservatively by the fixpoint); calls
-// through func-typed values return nil.
+// (which has a summary only when synthesized); calls through func-typed
+// values return nil.
 func (w *funcWalker) calleeFunc(fun ast.Expr) *types.Func {
 	switch x := fun.(type) {
 	case *ast.Ident:
@@ -357,134 +248,4 @@ func (w *funcWalker) calleeFunc(fun ast.Expr) *types.Func {
 		return w.calleeFunc(x.X)
 	}
 	return nil
-}
-
-func (w *funcWalker) builtin(call *ast.CallExpr, name string) {
-	switch name {
-	case "append":
-		w.alloc(call.Pos(), "append (may grow backing array)")
-	case "make":
-		w.alloc(call.Pos(), "make")
-	case "new":
-		w.alloc(call.Pos(), "new")
-	case "panic":
-		if len(call.Args) == 1 && !w.isConst(call.Args[0]) && !w.isInterfaceTyped(call.Args[0]) {
-			w.alloc(call.Pos(), "value boxed into interface by panic")
-		}
-	}
-}
-
-func (w *funcWalker) conversion(call *ast.CallExpr, to types.Type) {
-	if len(call.Args) != 1 {
-		return
-	}
-	arg := call.Args[0]
-	from := w.typeOf(arg)
-	if from == nil {
-		return
-	}
-	switch tu := to.Underlying().(type) {
-	case *types.Basic:
-		if tu.Info()&types.IsString != 0 && !w.isConst(arg) {
-			if s, ok := from.Underlying().(*types.Slice); ok {
-				if isByteOrRune(s.Elem()) {
-					w.alloc(call.Pos(), "string conversion copies")
-				}
-			}
-		}
-	case *types.Slice:
-		if fb, ok := from.Underlying().(*types.Basic); ok && fb.Info()&types.IsString != 0 && isByteOrRune(tu.Elem()) {
-			w.alloc(call.Pos(), "byte-slice conversion copies")
-		}
-	case *types.Interface:
-		if !types.IsInterface(from) && !w.isConst(arg) {
-			w.alloc(call.Pos(), "conversion boxes value into interface")
-		}
-	}
-}
-
-func isByteOrRune(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8 || b.Kind() == types.Rune || b.Kind() == types.Int32)
-}
-
-func (w *funcWalker) isConst(e ast.Expr) bool {
-	tv, ok := w.info.Types[e]
-	return ok && tv.Value != nil
-}
-
-func (w *funcWalker) isInterfaceTyped(e ast.Expr) bool {
-	t := w.typeOf(e)
-	return t != nil && types.IsInterface(t)
-}
-
-// boxingAtCall flags non-constant concrete arguments passed to interface
-// parameters (including variadic ...any): each such argument may escape to
-// the heap. Constant arguments are exempt — the compiler materializes them
-// statically.
-func (w *funcWalker) boxingAtCall(call *ast.CallExpr, f *types.Func) {
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil {
-		return
-	}
-	params := sig.Params()
-	np := params.Len()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= np-1:
-			if call.Ellipsis.IsValid() {
-				continue // slice passed through, no per-arg boxing
-			}
-			pt = params.At(np - 1).Type()
-			if s, ok := pt.Underlying().(*types.Slice); ok {
-				pt = s.Elem()
-			}
-		case i < np:
-			pt = params.At(i).Type()
-		default:
-			continue
-		}
-		if pt == nil || !types.IsInterface(pt.Underlying()) {
-			continue
-		}
-		at := w.typeOf(arg)
-		if at == nil || types.IsInterface(at) || w.isConst(arg) {
-			continue
-		}
-		if b, ok := at.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
-			continue
-		}
-		w.alloc(arg.Pos(), fmt.Sprintf("argument boxed into interface parameter of %s", ShortName(FuncKey(f))))
-	}
-}
-
-// assign flags map writes and string-append assignment.
-func (w *funcWalker) assign(as *ast.AssignStmt) {
-	for _, lhs := range as.Lhs {
-		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-			if t := w.typeOf(ix.X); t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					w.alloc(as.Pos(), "map write")
-				}
-			}
-		}
-	}
-	if as.Tok == token.ADD_ASSIGN && len(as.Lhs) == 1 && w.isNonConstString(as.Lhs[0]) {
-		w.alloc(as.Pos(), "string concatenation")
-	}
-}
-
-func renderExpr(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return renderExpr(x.X) + "." + x.Sel.Name
-	case *ast.IndexExpr:
-		return renderExpr(x.X) + "[...]"
-	case *ast.CallExpr:
-		return renderExpr(x.Fun) + "()"
-	}
-	return "expression"
 }

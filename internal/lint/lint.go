@@ -1,25 +1,25 @@
 // Package lint is drtmr's own vet suite: five analyzers that turn the
 // protocol's structural runtime invariants — the properties the paper's
-// correctness argument (and the seeded torture oracle) lean on — into
-// compile-time errors. They run over every build via `make lint` /
-// scripts/check.sh through cmd/drtmr-vet (a `go vet -vettool` multichecker).
+// correctness argument (and the seeded torture oracle) lean on, broken in
+// ways no tier-1 test notices — into compile-time errors. They run over
+// every build via `make lint` / scripts/check.sh through cmd/drtmr-vet (a
+// `go vet -vettool` multichecker).
 //
-// The eight invariants (DESIGN.md "Static invariants" has the full story):
+// The five invariants (DESIGN.md "Static invariants" has the full story, and
+// the audit that keeps an analyzer only while tier-1 would miss its
+// violations):
 //
 //	htmregion   — no blocking/yielding operation inside an HTM region
 //	virtualtime — no wall clock or global randomness in protocol packages
 //	abortattr   — every txn.Error names its Stage and Site
-//	lockpair    — lock CAS results are fully scanned and recorded
-//	doorbell    — no raw single-verb QP calls where a Batch is in scope
 //	lockorder   — no lock-order cycles; no lock held across a coroutine
-//	              yield, or across wire I/O in internal/serve (interprocedural)
-//	hotalloc    — //drtmr:hotpath functions are transitively allocation-free
+//	              yield, or across wire I/O in internal/serve
 //	enumswitch  — switches over protocol enums are exhaustive or carry an
 //	              explicit default-with-reason
 //
-// The last three ride on the summary-based interprocedural framework in
-// internal/lint/analysis (summary.go): per-function facts propagated
-// bottom-up, across packages via vetx facts files under `go vet`.
+// lockorder alone is interprocedural: it reads the per-function facts of
+// internal/lint/analysis (summary.go), propagated bottom-up and across
+// packages via vetx facts files under `go vet`.
 //
 // Findings are suppressed with `//drtmr:allow <analyzer> <reason>` on the
 // offending line or the line above; the reason is mandatory.
@@ -38,10 +38,7 @@ var Analyzers = []*analysis.Analyzer{
 	HTMRegion,
 	VirtualTime,
 	AbortAttr,
-	LockPair,
-	Doorbell,
 	LockOrder,
-	HotAlloc,
 	EnumSwitch,
 }
 
@@ -87,11 +84,9 @@ func isAbortSurfacePackage(path string) bool {
 		path == "drtmr/internal/serve" || strings.HasPrefix(path, "drtmr/internal/serve/")
 }
 
-// isSummaryPackage scopes the interprocedural analyzers (lockorder,
-// hotalloc, enumswitch) to the packages whose lock discipline, hot paths,
-// and enums the protocol's correctness and measurements depend on: the
-// protocol/simulator tree plus the observability layer (its ring recorder
-// and live histograms are the canonical //drtmr:hotpath surfaces).
+// isSummaryPackage scopes lockorder and enumswitch to the packages whose lock
+// discipline and enums the protocol's correctness and measurements depend on:
+// the protocol/simulator tree plus the observability layer.
 func isSummaryPackage(path string) bool {
 	return inProtocolPackages(path) ||
 		path == "drtmr/internal/obs" || strings.HasPrefix(path, "drtmr/internal/obs/")
@@ -177,14 +172,6 @@ func recvTypeName(info *types.Info, call *ast.CallExpr) string {
 	return namedTypeName(sig.Recv().Type())
 }
 
-// exprTypeName names the (possibly pointer-wrapped) named type of e.
-func exprTypeName(info *types.Info, e ast.Expr) string {
-	if tv, ok := info.Types[e]; ok {
-		return namedTypeName(tv.Type)
-	}
-	return ""
-}
-
 // funcDecls yields every function declaration with a body in the package.
 func funcDecls(files []*ast.File) []*ast.FuncDecl {
 	var out []*ast.FuncDecl
@@ -201,48 +188,4 @@ func funcDecls(files []*ast.File) []*ast.FuncDecl {
 // isTestFile reports whether pos's file is a _test.go file.
 func isTestFile(pass *analysis.Pass, n ast.Node) bool {
 	return strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go")
-}
-
-// childStmts returns the direct child statements of a compound statement
-// (loop/switch/select bodies plus init/post clauses).
-func childStmts(s ast.Stmt) []ast.Stmt {
-	var out []ast.Stmt
-	add := func(ss ...ast.Stmt) {
-		for _, c := range ss {
-			if c != nil {
-				out = append(out, c)
-			}
-		}
-	}
-	switch st := s.(type) {
-	case *ast.ForStmt:
-		add(st.Init, st.Post)
-		add(st.Body.List...)
-	case *ast.RangeStmt:
-		add(st.Body.List...)
-	case *ast.SwitchStmt:
-		add(st.Init)
-		for _, cl := range st.Body.List {
-			if cc, ok := cl.(*ast.CaseClause); ok {
-				add(cc.Body...)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		add(st.Init, st.Assign)
-		for _, cl := range st.Body.List {
-			if cc, ok := cl.(*ast.CaseClause); ok {
-				add(cc.Body...)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, cl := range st.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok {
-				add(cc.Comm)
-				add(cc.Body...)
-			}
-		}
-	case *ast.BlockStmt:
-		add(st.List...)
-	}
-	return out
 }

@@ -24,20 +24,8 @@ func TestAbortAttr(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.AbortAttr, "abortattr")
 }
 
-func TestLockPair(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.LockPair, "lockpair")
-}
-
-func TestDoorbell(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Doorbell, "doorbell")
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.LockOrder, "lockorder")
-}
-
-func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.HotAlloc, "hotalloc")
 }
 
 func TestEnumSwitch(t *testing.T) {
@@ -45,15 +33,12 @@ func TestEnumSwitch(t *testing.T) {
 }
 
 // TestPackageFilters pins the analyzer scoping, which comes in four widths:
-// the commit-pipeline checks (htmregion, lockpair, doorbell) cover
-// internal/txn AND any protocol package nested under it; abort attribution
-// additionally covers the serve tree, which mints and reconstructs typed
-// aborts at the network boundary; determinism (virtualtime) covers every
-// protocol package including serve; the interprocedural summary analyzers
-// (lockorder, hotalloc, enumswitch) cover the protocol packages plus the
-// obs tree (whose ring recorder and live histograms are the canonical
-// hotpath surfaces). Nothing fires on the harness-external packages (cmd,
-// examples, lint).
+// the commit-pipeline check (htmregion) covers internal/txn AND any protocol
+// package nested under it; abort attribution additionally covers the serve
+// tree, which mints and reconstructs typed aborts at the network boundary;
+// determinism (virtualtime) covers every protocol package including serve;
+// lockorder and enumswitch cover the protocol packages plus the obs tree.
+// Nothing fires on the harness-external packages (cmd, examples, lint).
 func TestPackageFilters(t *testing.T) {
 	cases := []struct {
 		path        string
@@ -91,7 +76,7 @@ func TestPackageFilters(t *testing.T) {
 				want = c.virtualTime
 			case "abortattr":
 				want = c.abortAttr
-			case "lockorder", "hotalloc", "enumswitch":
+			case "lockorder", "enumswitch":
 				want = c.summary
 			default:
 				want = c.txnOnly

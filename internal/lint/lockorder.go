@@ -10,9 +10,8 @@ import (
 // LockOrder is the interprocedural lock-discipline analyzer. It consumes the
 // summary facts (analysis.Summarize) and reports three classes of finding:
 //
-//   - lock-order cycles: the static acquisition graph (sync.Mutex/RWMutex
-//     classes plus '@'-prefixed pseudo-locks from //drtmr:locks — CAS lock
-//     words, contention gates) contains a cycle, i.e. a potential deadlock;
+//   - lock-order cycles: the static acquisition graph of sync.Mutex/RWMutex
+//     classes contains a cycle, i.e. a potential deadlock;
 //   - lock held across a coroutine yield: a mutex is held at a call site
 //     whose callee may yield (channel op, select, runtime.Gosched,
 //     transitively) — in the strict-handoff scheduler that parks the worker
@@ -21,10 +20,8 @@ import (
 //     while a callee may touch the network, stretching the critical section
 //     across an unbounded syscall.
 //
-// Pseudo-locks ('@' classes) participate in cycle detection only: protocol
-// lock words are legitimately held across yields (the fallback path waits on
-// remote CASes while holding them), so the yield/wire rules consider real
-// mutexes alone.
+// Protocol lock words (CAS locks, contention gates) are not mutexes and are
+// not in the graph: they are legitimately held across yields.
 var LockOrder = &analysis.Analyzer{
 	Name:          "lockorder",
 	Doc:           "detect lock-order cycles and locks held across coroutine yields or wire I/O",
@@ -34,10 +31,6 @@ var LockOrder = &analysis.Analyzer{
 
 func runLockOrder(pass *analysis.Pass) error {
 	pf := pass.Facts
-	if pf == nil {
-		return nil
-	}
-
 	wirePkg := pass.Fixture || (pass.Pkg != nil && strings.HasPrefix(pass.Pkg.Path(), "drtmr/internal/serve"))
 
 	// Stable iteration order for deterministic output.
@@ -48,30 +41,24 @@ func runLockOrder(pass *analysis.Pass) error {
 	sort.Strings(keys)
 
 	for _, k := range keys {
-		ff := pf.Local[k]
-		for _, cs := range ff.Calls {
-			held := realLocks(cs.Held)
-			if len(held) == 0 {
+		for _, cs := range pf.Local[k].Calls {
+			if len(cs.Held) == 0 {
 				continue
 			}
-			heldStr := strings.Join(shortAll(held), ", ")
+			heldStr := strings.Join(shortAll(cs.Held), ", ")
 			if cs.Op != "" {
 				pass.Reportf(cs.Pos, "%s held across %s", heldStr, cs.Op)
-				continue
-			}
-			if cs.Callee == "" {
 				continue
 			}
 			cal := pf.Lookup(cs.Callee)
 			if cal == nil {
 				continue
 			}
-			if cal.Flags&analysis.FlagYield != 0 {
+			switch {
+			case cal.YieldVia != "":
 				pass.Reportf(cs.Pos, "%s held across call to %s, which may yield%s",
 					heldStr, analysis.ShortName(cs.Callee), viaClause(cs.Callee, cal.YieldVia))
-				continue
-			}
-			if wirePkg && cal.Flags&analysis.FlagWireIO != 0 {
+			case wirePkg && cal.WireVia != "":
 				pass.Reportf(cs.Pos, "%s held across call to %s, which may perform wire I/O%s",
 					heldStr, analysis.ShortName(cs.Callee), viaClause(cs.Callee, cal.WireVia))
 			}
@@ -91,17 +78,6 @@ func viaClause(calleeKey, via string) string {
 	}
 	via = strings.TrimPrefix(via, short+" → ")
 	return " (via " + via + ")"
-}
-
-// realLocks filters out '@'-prefixed pseudo-lock classes.
-func realLocks(held []string) []string {
-	var out []string
-	for _, h := range held {
-		if !strings.HasPrefix(h, "@") {
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 func shortAll(classes []string) []string {

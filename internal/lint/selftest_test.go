@@ -131,40 +131,6 @@ func (w *worker) yield() {
 	expectTeeth(t, lint.LockOrder, clean, mutated, "held across channel send")
 }
 
-// TestHotAllocTeeth mirrors obs.(*Recorder).Record, the canonical hotpath:
-// an indexed store into a preallocated ring. Mutating the store into an
-// append — the exact regression that would put an allocation on every
-// recorded event — must fire hotalloc.
-func TestHotAllocTeeth(t *testing.T) {
-	const clean = `package seed
-
-type ring struct {
-	ev []uint64
-	n  uint64
-}
-
-//drtmr:hotpath
-func (r *ring) record(v uint64) {
-	r.ev[r.n%uint64(len(r.ev))] = v
-	r.n++
-}
-`
-	const mutated = `package seed
-
-type ring struct {
-	ev []uint64
-	n  uint64
-}
-
-//drtmr:hotpath
-func (r *ring) record(v uint64) {
-	r.ev = append(r.ev, v)
-	r.n++
-}
-`
-	expectTeeth(t, lint.HotAlloc, clean, mutated, "append")
-}
-
 // TestEnumSwitchTeeth mirrors the txn write-set kind dispatch
 // (applyInsertsDeletes / postWriteBack): every wsKind must be handled or
 // the skip documented. Dropping the documented arm must fire enumswitch.

@@ -59,7 +59,7 @@ func badSelect(w *worker) {
 
 func badMutex(w *worker) {
 	w.htmBegin()
-	w.mu.Lock() // want "mutex Lock inside an HTM region"
+	w.mu.Lock()   // want "mutex Lock inside an HTM region"
 	w.mu.Unlock() // want "mutex Unlock inside an HTM region"
 	w.htmEnd()
 }
@@ -73,8 +73,8 @@ func badGo(w *worker) {
 func badAppend(w *worker) {
 	local := make([]int, 0, 4)
 	w.htmBegin()
-	local = append(local, 1) // function-local: fine
-	w.buf = append(w.buf, 1) // want "append into shared state"
+	local = append(local, 1)   // function-local: fine
+	w.buf = append(w.buf, 1)   // want "append into shared state"
 	shared = append(shared, 1) // want "append into shared state"
 	w.htmEnd()
 	_ = local

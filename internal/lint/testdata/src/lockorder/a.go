@@ -1,7 +1,6 @@
 // Fixture for the lockorder analyzer: acquisition-order cycles, locks held
 // across coroutine yields (channel ops, transitively), locks held across
-// wire I/O, pseudo-lock gates from //drtmr:locks directives, and the
-// //drtmr:allow suppression contract.
+// wire I/O, and the //drtmr:allow suppression contract.
 package lockorder
 
 import (
@@ -110,35 +109,4 @@ func closureHeldAcrossSend(p *pair) {
 		p.a.Unlock()
 	}
 	f()
-}
-
-// Pseudo-locks: //drtmr:locks / //drtmr:unlocks participate in the
-// acquisition graph (cycle detection) but are exempt from the yield rule —
-// protocol lock words are held across yields by design.
-var gateMu sync.Mutex
-
-//drtmr:locks gate
-func enterGate() {}
-
-//drtmr:unlocks gate
-func leaveGate() {}
-
-func gateThenLock() {
-	enterGate()
-	gateMu.Lock() // want "lock order cycle: acquiring lockorder.gateMu while @gate held closes cycle \[@gate → lockorder.gateMu → @gate\]"
-	gateMu.Unlock()
-	leaveGate()
-}
-
-func lockThenGate() {
-	gateMu.Lock()
-	enterGate() // want "lock order cycle: acquiring @gate while lockorder.gateMu held closes cycle \[lockorder.gateMu → @gate → lockorder.gateMu\]"
-	leaveGate()
-	gateMu.Unlock()
-}
-
-func gateAcrossYield(ch chan int) {
-	enterGate()
-	<-ch // no finding: pseudo-locks are held across yields by design
-	leaveGate()
 }

@@ -9,17 +9,17 @@ import (
 )
 
 func badClock() int64 {
-	t := time.Now()              // want "time.Now reads the wall clock"
-	time.Sleep(time.Millisecond) // want "time.Sleep reads the wall clock"
+	t := time.Now()                // want "time.Now reads the wall clock"
+	time.Sleep(time.Millisecond)   // want "time.Sleep reads the wall clock"
 	<-time.After(time.Millisecond) // want "time.After reads the wall clock"
-	_ = time.Since(t)            // want "time.Since reads the wall clock"
+	_ = time.Since(t)              // want "time.Since reads the wall clock"
 	return t.UnixNano()
 }
 
 func badGlobalRand() int {
-	rand.Seed(42)          // want "math/rand.Seed draws from the global"
-	n := rand.Intn(4)      // want "math/rand.Intn draws from the global"
-	f := rand.Float64()    // want "math/rand.Float64 draws from the global"
+	rand.Seed(42)       // want "math/rand.Seed draws from the global"
+	n := rand.Intn(4)   // want "math/rand.Intn draws from the global"
+	f := rand.Float64() // want "math/rand.Float64 draws from the global"
 	return n + int(f)
 }
 

@@ -216,7 +216,7 @@ func analyzeUnit(cfgPath string, analyzers []*analysis.Analyzer) ([]string, erro
 
 	// Fold in dependency facts, summarize, and export this unit's facts.
 	deps := readDepFacts(&cfg)
-	facts := analysis.Summarize(fset, files, pkg, info, deps)
+	facts := analysis.Summarize(files, pkg, info, deps)
 	if cfg.VetxOutput != "" {
 		out, err := json.Marshal(facts.Export())
 		if err != nil {
@@ -245,8 +245,8 @@ func analyzeUnit(cfgPath string, analyzers []*analysis.Analyzer) ([]string, erro
 // readDepFacts loads every drtmr dependency's vetx facts file named in the
 // unit config and merges them (empty files — stdlib acknowledgements or
 // failed units — are skipped).
-func readDepFacts(cfg *Config) *analysis.DepFacts {
-	deps := &analysis.DepFacts{Funcs: make(map[string]*analysis.FuncSummary)}
+func readDepFacts(cfg *Config) *analysis.PkgSummaries {
+	deps := &analysis.PkgSummaries{}
 	for path, file := range cfg.PackageVetx {
 		if !analysis.IsLocalModule(path) {
 			continue
@@ -259,9 +259,7 @@ func readDepFacts(cfg *Config) *analysis.DepFacts {
 		if err := json.Unmarshal(data, &ps); err != nil {
 			continue
 		}
-		for _, f := range ps.Funcs {
-			deps.Funcs[f.Name] = f
-		}
+		deps.Funcs = append(deps.Funcs, ps.Funcs...)
 		deps.Edges = append(deps.Edges, ps.Edges...)
 	}
 	return deps

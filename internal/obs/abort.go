@@ -36,16 +36,12 @@ func clampIdx(i, n int) int {
 }
 
 // Record counts one abort with the given reason, stage, and site.
-//
-//drtmr:hotpath
 func (m *AbortMatrix) Record(reason, stage uint8, site int) {
 	m.c[clampIdx(int(reason), NumReasons)][clampIdx(int(stage), NumStages)][clampIdx(site, NumSites)]++
 }
 
 // LiveRecord is Record with an atomic increment, for matrices a live status
 // endpoint snapshots while recording continues (internal/serve).
-//
-//drtmr:hotpath
 func (m *AbortMatrix) LiveRecord(reason, stage uint8, site int) {
 	atomic.AddUint64(&m.c[clampIdx(int(reason), NumReasons)][clampIdx(int(stage), NumStages)][clampIdx(site, NumSites)], 1)
 }

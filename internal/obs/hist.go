@@ -22,8 +22,6 @@ const (
 const numBuckets = histSub * (64 - histSubBits)
 
 // BucketIndex maps a value to its bucket. Exported for boundary tests.
-//
-//drtmr:hotpath
 func BucketIndex(v int64) int {
 	if v < histSub {
 		if v < 0 {
@@ -69,8 +67,6 @@ type Histogram struct {
 }
 
 // Record adds one value. Negative values clamp to zero.
-//
-//drtmr:hotpath
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
@@ -93,8 +89,6 @@ func (h *Histogram) Record(v int64) {
 // using the cheaper single-writer Record. The two must not be mixed on one
 // histogram while concurrent readers exist. LiveRecord does not maintain
 // min/max; Snapshot derives them at bucket resolution instead.
-//
-//drtmr:hotpath
 func (h *Histogram) LiveRecord(v int64) {
 	if v < 0 {
 		v = 0
@@ -248,8 +242,6 @@ func NewTypedHist(names ...string) *TypedHist {
 // Record adds v under type ty and to the aggregate. An out-of-range ty is
 // dropped entirely (not even the aggregate), so the aggregate is always
 // exactly the sum of the typed histograms.
-//
-//drtmr:hotpath
 func (t *TypedHist) Record(ty int, v int64) {
 	if ty < 0 || ty >= len(t.H) {
 		return
@@ -262,8 +254,6 @@ func (t *TypedHist) Record(ty int, v int64) {
 // Histogram.LiveRecord): the mid-run path for per-procedure histograms a
 // status endpoint snapshots while workers record. Out-of-range types are
 // dropped, as in Record.
-//
-//drtmr:hotpath
 func (t *TypedHist) LiveRecord(ty int, v int64) {
 	if ty < 0 || ty >= len(t.H) {
 		return

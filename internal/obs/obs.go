@@ -156,8 +156,6 @@ func NewSharedRecorder(pid, tid, capacity int) *Recorder {
 // Record appends one event, overwriting the oldest once the ring is full.
 // It never allocates. Callers guard the call with a nil check on the
 // recorder pointer — that nil check IS the disabled fast path.
-//
-//drtmr:hotpath
 func (r *Recorder) Record(k Kind, detail uint8, site uint16, arg uint32, id uint64, start, end int64) {
 	if r.mu != nil {
 		r.mu.Lock()

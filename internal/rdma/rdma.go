@@ -247,13 +247,9 @@ type Completion struct {
 
 // End returns the virtual completion time of the slowest verb in the
 // completion.
-//
-//drtmr:hotpath
 func (c *Completion) End() int64 { return c.end }
 
 // Err returns the first per-verb error without settling the latency charge.
-//
-//drtmr:hotpath
 func (c *Completion) Err() error { return c.err }
 
 // Wait advances the issuing worker's clock to max(now, completion time) and
@@ -261,8 +257,6 @@ func (c *Completion) Err() error { return c.err }
 // transactions while the verbs were in flight pays only the portion of the
 // round-trip not already covered — overlapped round-trips are charged once.
 // Wait is idempotent; waiting on a nil Completion is a no-op.
-//
-//drtmr:hotpath
 func (c *Completion) Wait() error {
 	if c == nil {
 		return nil

@@ -7,10 +7,10 @@ import (
 
 // TestDecodeAllocFree pins the reader cursor and Decode's non-copying
 // paths to zero allocations: a server's read loop decodes every inbound
-// frame with the reader's //drtmr:hotpath accessors, and the returned Msg
-// aliases the payload rather than copying it. (Call decoding converts the
-// proc name to a string and is exempt — names are interned by the registry
-// lookup on the server, and clients never decode Calls.)
+// frame with the reader's accessors, and the returned Msg aliases the
+// payload rather than copying it. (Call decoding converts the proc name to a
+// string and is exempt — names are interned by the registry lookup on the
+// server, and clients never decode Calls.)
 func TestDecodeAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")

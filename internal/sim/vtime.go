@@ -34,8 +34,6 @@ type Clock struct {
 }
 
 // Advance moves the clock forward by d.
-//
-//drtmr:hotpath
 func (c *Clock) Advance(d time.Duration) {
 	if d > 0 {
 		c.ns.Add(int64(d))
@@ -43,8 +41,6 @@ func (c *Clock) Advance(d time.Duration) {
 }
 
 // AdvanceTo moves the clock forward to t (no-op if already past).
-//
-//drtmr:hotpath
 func (c *Clock) AdvanceTo(t int64) {
 	for {
 		cur := c.ns.Load()
@@ -58,8 +54,6 @@ func (c *Clock) AdvanceTo(t int64) {
 }
 
 // Now returns the current virtual time in nanoseconds.
-//
-//drtmr:hotpath
 func (c *Clock) Now() int64 { return c.ns.Load() }
 
 // WaitUntil advances the clock to t and reports how far it actually moved:
@@ -70,8 +64,6 @@ func (c *Clock) Now() int64 { return c.ns.Load() }
 // was fully overlapped and is charged at most once), while shared-resource
 // queueing (Resource.Use) still accumulates per verb, so overlap can hide
 // latency but can never compress wire bytes.
-//
-//drtmr:hotpath
 func (c *Clock) WaitUntil(t int64) (stalled int64) {
 	now := c.ns.Load()
 	if t <= now {
@@ -172,15 +164,11 @@ func (r *Runner) Leave() {
 }
 
 // position is where the runner stands for everyone else.
-//
-//drtmr:hotpath
 func (r *Runner) position() int64 { return max(r.clk.Now(), r.horizon.Load()) }
 
 // IdleUntil publishes that the runner has nothing to do before instant t
 // (Forever: nothing until another runner acts). It stays published until
 // Busy.
-//
-//drtmr:hotpath
 func (r *Runner) IdleUntil(t int64) {
 	r.horizon.Store(t)
 	r.Step()
@@ -188,16 +176,12 @@ func (r *Runner) IdleUntil(t int64) {
 
 // Busy withdraws the published horizon: the runner is doing work again and
 // its clock alone says where it is.
-//
-//drtmr:hotpath
 func (r *Runner) Busy() { r.horizon.Store(0) }
 
 // Step is the runner's side of Follow: it wakes the followers whose instant
 // its position has reached. The owner calls it wherever it is convenient
 // after advancing the clock (the coroutine dispatcher: once per dispatch); a
 // late Step only keeps a follower asleep a little longer.
-//
-//drtmr:hotpath
 func (r *Runner) Step() {
 	if at := r.wakeAt.Load(); at != Forever {
 		if p := r.position(); p >= at {
@@ -207,8 +191,6 @@ func (r *Runner) Step() {
 }
 
 // release wakes and drops the followers waiting for an instant up to p.
-//
-//drtmr:hotpath
 func (r *Runner) release(p int64) {
 	r.mu.Lock()
 	least, n := int64(Forever), 0
@@ -229,8 +211,6 @@ func (r *Runner) release(p int64) {
 
 // Behind returns a runner that moving this one's clock to t would pass — one
 // whose position is still before t — or nil when there is none.
-//
-//drtmr:hotpath
 func (r *Runner) Behind(t int64) *Runner {
 	for _, x := range *r.f.runners.Load() {
 		if x != r && x.position() < t {
@@ -317,8 +297,6 @@ type Resource struct {
 
 // Use reserves dur of service time for a caller whose clock reads now.
 // Returns the virtual completion time; the caller should AdvanceTo it.
-//
-//drtmr:hotpath
 func (r *Resource) Use(now int64, dur time.Duration) int64 {
 	if dur <= 0 {
 		return now

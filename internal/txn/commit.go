@@ -24,9 +24,6 @@ const htmRetries = 16
 // replication), flipping them even in R.2.
 type drtmrProto struct{}
 
-// Name implements CommitProtocol.
-func (drtmrProto) Name() string { return DefaultProtocol }
-
 // ReadOnlyCommit implements CommitProtocol: §4.5's lock-free protocol.
 func (drtmrProto) ReadOnlyCommit(tx *Txn) error { return tx.commitReadOnly() }
 
@@ -410,7 +407,10 @@ func (tx *Txn) replicate() []ringToken {
 		w.E.M.LogWriter(a.node).Publish(w.QP(a.node), hb, a.tok, entry)
 		toks = append(toks, ringToken{node: a.node, tok: a.tok})
 	}
-	//drtmr:allow doorbell a header must not publish a payload that never landed; RC ordering gives that too (a dead target fails both), so this pair is ROADMAP's next doorbell to fuse — it moves every replicated pin and sb-r3, and lands with its own before/after rows
+	// A second doorbell because a header must not publish a payload that
+	// never landed. RC ordering gives that too (a dead target fails both), so
+	// this pair is ROADMAP's next doorbell to fuse — it moves every
+	// replicated pin and sb-r3, and lands with its own before/after rows.
 	_ = tx.execBatch(PhaseLog, hb)
 	return toks
 }

@@ -225,7 +225,7 @@ func DefaultCosts() CostModel {
 // engine (harness.Options), so a knob is set under one name everywhere. The
 // zero value is the shipped configuration.
 type Knobs struct {
-	// Protocol selects the commit pipeline by registered CommitProtocol name
+	// Protocol selects the commit pipeline by CommitProtocol name
 	// ("" = DefaultProtocol, the DrTM+R seqlock-replication pipeline; "farm"
 	// = the one-sided log-append protocol). The execution layer is
 	// protocol-agnostic; only Txn.Commit dispatches on this.

@@ -44,9 +44,6 @@ package txn
 // unlocking, so a seq-stable read pair brackets any writer.
 type farmProto struct{}
 
-// Name implements CommitProtocol.
-func (farmProto) Name() string { return "farm" }
-
 // ReadOnlyCommit implements CommitProtocol: the shared lock-free read-only
 // validation.
 func (farmProto) ReadOnlyCommit(tx *Txn) error { return tx.commitReadOnly() }

@@ -10,8 +10,7 @@ import (
 	"drtmr/internal/sim"
 )
 
-// requireNoAlloc pins fn to zero allocations per call — the runtime half of
-// the hotalloc analyzer's static guarantee on //drtmr:hotpath functions.
+// requireNoAlloc pins fn to zero allocations per call.
 func requireNoAlloc(t *testing.T, name string, fn func()) {
 	t.Helper()
 	if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
@@ -19,9 +18,9 @@ func requireNoAlloc(t *testing.T, name string, fn func()) {
 	}
 }
 
-// TestHotpathAllocFree drives every //drtmr:hotpath-annotated recording and
-// clock primitive and checks AllocsPerRun == 0, so the static hotalloc
-// verdict and the runtime behaviour cannot drift apart.
+// TestHotpathAllocFree drives the per-event recording and clock primitives
+// and the synchronous verbs and checks AllocsPerRun == 0: each runs once or
+// more per transaction, so an allocation here is one on every commit.
 func TestHotpathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")

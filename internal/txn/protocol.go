@@ -2,7 +2,6 @@ package txn
 
 import (
 	"sort"
-	"sync"
 
 	"drtmr/internal/rdma"
 )
@@ -33,12 +32,9 @@ import (
 //     and must tolerate the §5.2 recovery obligations: dangling locks left
 //     by dead machines are released passively (Worker.maybeReleaseDangling)
 //     and log ring truncation happens only after MarkCommitted.
-//   - Implementations must be stateless values: one registered instance is
-//     shared by every engine and worker concurrently.
+//   - Implementations must be stateless values: the one instance in
+//     protocols is shared by every engine and worker concurrently.
 type CommitProtocol interface {
-	// Name is the registry key ("drtmr", "farm") — the value of
-	// Knobs.Protocol and the harness -protocol knob.
-	Name() string
 	// Commit runs the full read-write commit pipeline.
 	Commit(tx *Txn) error
 	// ReadOnlyCommit validates a read-only transaction.
@@ -49,47 +45,28 @@ type CommitProtocol interface {
 // uses: the paper's DrTM+R seqlock-replication pipeline.
 const DefaultProtocol = "drtmr"
 
-var (
-	protoMu  sync.RWMutex
-	protoReg = make(map[string]CommitProtocol)
-)
-
-// RegisterProtocol adds a commit protocol to the registry. Registering two
-// protocols under one name is a programming error and panics.
-func RegisterProtocol(p CommitProtocol) {
-	protoMu.Lock()
-	defer protoMu.Unlock()
-	name := p.Name()
-	if _, dup := protoReg[name]; dup {
-		panic("txn: duplicate commit protocol " + name)
-	}
-	protoReg[name] = p
+// protocols holds every commit protocol under its name — the value of
+// Knobs.Protocol and the harness -protocol knob.
+var protocols = map[string]CommitProtocol{
+	DefaultProtocol: drtmrProto{},
+	"farm":          farmProto{},
 }
 
-// ProtocolByName resolves a registered protocol.
+// ProtocolByName resolves a commit protocol by name.
 func ProtocolByName(name string) (CommitProtocol, bool) {
-	protoMu.RLock()
-	defer protoMu.RUnlock()
-	p, ok := protoReg[name]
+	p, ok := protocols[name]
 	return p, ok
 }
 
-// Protocols lists the registered protocol names, sorted — the conformance
-// suite iterates it so a new protocol gets correctness coverage for free.
+// Protocols lists the protocol names, sorted — the conformance suite
+// iterates it so a new protocol gets correctness coverage for free.
 func Protocols() []string {
-	protoMu.RLock()
-	defer protoMu.RUnlock()
-	names := make([]string, 0, len(protoReg))
-	for n := range protoReg {
+	names := make([]string, 0, len(protocols))
+	for n := range protocols {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
-}
-
-func init() {
-	RegisterProtocol(drtmrProto{})
-	RegisterProtocol(farmProto{})
 }
 
 // protocol resolves this worker's commit protocol: the per-worker override
@@ -105,7 +82,7 @@ func (w *Worker) protocol() CommitProtocol {
 	if name == "" {
 		name = DefaultProtocol
 	}
-	p, ok := ProtocolByName(name)
+	p, ok := protocols[name]
 	if !ok {
 		panic("txn: unknown commit protocol " + name)
 	}

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,15 +13,15 @@ import (
 	"drtmr/internal/sim"
 )
 
-// Protocol conformance suite: every registered CommitProtocol must pass the
+// Protocol conformance suite: every CommitProtocol in protocols must pass the
 // same correctness battery — bank-invariant conservation (plain and
 // replicated, and again with the commit HTM region forced to fail every
 // time), the uncommittable-read block, dangling-lock release after a kill,
 // coroutine-yield atomicity, and the lock-leak back-out regression. A
-// third protocol registered tomorrow inherits all of it for free via
+// third protocol added to the table tomorrow inherits all of it for free via
 // forEachProtocol.
 
-// forEachProtocol runs f once per registered commit protocol.
+// forEachProtocol runs f once per commit protocol.
 func forEachProtocol(t *testing.T, f func(t *testing.T, proto string)) {
 	for _, name := range Protocols() {
 		t.Run(name, func(t *testing.T) { f(t, name) })
@@ -34,26 +35,15 @@ func (w *world) setProtocol(name string) {
 	}
 }
 
-// TestProtocolRegistry pins the registry surface: both shipped protocols
-// are present, resolvable, and self-consistent about their names.
+// TestProtocolRegistry pins the protocol table's surface: both shipped
+// protocols are listed, in order, and resolvable.
 func TestProtocolRegistry(t *testing.T) {
-	names := Protocols()
-	want := map[string]bool{"drtmr": false, "farm": false}
-	for _, n := range names {
-		if _, seen := want[n]; seen {
-			want[n] = true
-		}
-		p, ok := ProtocolByName(n)
-		if !ok {
-			t.Fatalf("Protocols() lists %q but ProtocolByName misses it", n)
-		}
-		if p.Name() != n {
-			t.Fatalf("protocol %q reports name %q", n, p.Name())
-		}
+	if names := Protocols(); !slices.Equal(names, []string{"drtmr", "farm"}) {
+		t.Fatalf("Protocols() = %v, want [drtmr farm]", names)
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("protocol %q not registered (have %v)", n, names)
+	for _, n := range Protocols() {
+		if _, ok := ProtocolByName(n); !ok {
+			t.Fatalf("Protocols() lists %q but ProtocolByName misses it", n)
 		}
 	}
 	if _, ok := ProtocolByName("no-such-protocol"); ok {

@@ -169,8 +169,6 @@ func (w *Worker) RunCoroutines(n int, fn func(slot int)) {
 // next removes and returns the parked context to resume (the dispatch rule in
 // the file header). It never touches the clock: idle time is charged by the
 // resumed context's own WaitUntil.
-//
-//drtmr:hotpath
 func (s *scheduler) next(w *Worker) *coro {
 	for patient := true; ; {
 		now := w.Clk.Now()
@@ -183,7 +181,6 @@ func (s *scheduler) next(w *Worker) *coro {
 			c := s.parked[i]
 			switch {
 			case c.gate != nil:
-				//drtmr:allow hotalloc a failed poll steps the deterministic-mode gate hook (nil on every measured configuration) and calls sim.Spin(0), which is runtime.Gosched and never reaches Spin's time.Sleep arm
 				if !w.pollGate(c) {
 					copy(s.parked[i:], s.parked[i+1:])
 					s.parked[len(s.parked)-1] = c
@@ -201,7 +198,6 @@ func (s *scheduler) next(w *Worker) *coro {
 		if earliest >= 0 {
 			if t := s.parked[earliest].until; patient {
 				if x := s.passes(w, t); x != nil {
-					//drtmr:allow hotalloc Follow makes its wake channel and timer on a worker's first wait and grows the followed worker's list to at most one entry per worker; after that a wait allocates nothing
 					patient = s.idleWait(w, x, t)
 					continue // a second worker may still be behind, a gate may have opened
 				}
@@ -217,8 +213,6 @@ func (s *scheduler) next(w *Worker) *coro {
 // passes is the test of the conservative idle jump (file header): the running
 // worker that jumping this one's clock to t would pass by more than idleSlack,
 // or nil.
-//
-//drtmr:hotpath
 func (s *scheduler) passes(w *Worker, t int64) *sim.Runner {
 	if w.gate != nil {
 		return nil
@@ -240,14 +234,11 @@ func (s *scheduler) idleWait(w *Worker, x *sim.Runner, t int64) bool {
 }
 
 // idleUntil publishes a horizon (sim.Runner.IdleUntil); busy withdraws it.
-//
-//drtmr:hotpath
 func (s *scheduler) idleUntil(t int64) {
 	s.run.IdleUntil(t)
 	s.idle = true
 }
 
-//drtmr:hotpath
 func (s *scheduler) busy() {
 	if s.idle {
 		s.run.Busy()
@@ -256,8 +247,6 @@ func (s *scheduler) busy() {
 }
 
 // take removes parked[i], keeping park order; the worker is busy again.
-//
-//drtmr:hotpath
 func (s *scheduler) take(i int) *coro {
 	s.busy()
 	s.run.Step() // the clock has moved since the last dispatch: wake who waited for that
@@ -300,8 +289,6 @@ func (w *Worker) cede() {
 // earlier if nothing else on the worker can run — the caller settles the
 // difference with Clk.WaitUntil(until). yield(Clk.Now()) is a plain
 // round-robin yield. A no-op without a scheduler.
-//
-//drtmr:hotpath
 func (w *Worker) yield(until int64) {
 	if c := w.cur; c != nil {
 		c.until = until
@@ -324,8 +311,6 @@ func (w *Worker) yieldGated(g *keyGate, t uint64) (admitted bool) {
 // set, to the dispatcher and blocks until c is resumed. Parking inside an
 // HTM region is a protocol bug — speculative state cannot survive a context
 // switch — so the scheduler asserts against it.
-//
-//drtmr:hotpath
 func (w *Worker) park(c *coro) {
 	if w.htmDepth > 0 {
 		panic("txn: coroutine yielded inside an HTM region")
@@ -354,11 +339,8 @@ func (w *Worker) park(c *coro) {
 // other in-flight transactions run during the fabric round-trip, then
 // charges only the uncovered remainder; without a scheduler it degenerates
 // to Completion.Wait — the exact synchronous accounting.
-//
-//drtmr:hotpath
 func (w *Worker) await(c *rdma.Completion) error {
 	if w.gate != nil {
-		//drtmr:allow hotalloc gate is the deterministic-mode worker-switch hook, nil on every measured configuration; the hook itself must not allocate but that is its installer's contract
 		w.gate() // deterministic mode: doorbells are worker-switch points too
 	}
 	if w.cur == nil {
@@ -380,9 +362,6 @@ func (w *Worker) await(c *rdma.Completion) error {
 // htmBegin/htmEnd bracket a commit-protocol HTM region on this worker so
 // the coroutine scheduler can assert that no region ever spans a yield
 // point.
-//
-//drtmr:hotpath
 func (w *Worker) htmBegin() { w.htmDepth++ }
 
-//drtmr:hotpath
 func (w *Worker) htmEnd() { w.htmDepth-- }

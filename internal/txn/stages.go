@@ -147,15 +147,16 @@ func (tx *Txn) baseLen(e *wsEntry) int {
 // for one round-trip of latency per batch.
 //
 // This is the ONLY function that posts lock-acquire CASes and the only scan
-// over their results. The discipline the scan must keep (drtmr-vet's lockpair
-// analyzer enforces it): the batch has already executed when the first result
-// is read, so CASes posted after a failed verb may still have swapped — the
-// scan runs to completion and records EVERY won lock in run.held before the
-// caller acts on any failure. Exiting early leaks the locks won later in the
-// batch past the back-out set, permanently if their would-be holder is alive
-// (commit c08a886 and its two re-occurrences, when this loop existed three
-// times). A target lost to a lock whose owner left the configuration is
-// passively released (§5.2) so that the caller's retry can win it.
+// over their results. The discipline the scan must keep
+// (TestProtocolLockBackoutReleasesAll holds it): the batch has already
+// executed when the first result is read, so CASes posted after a failed verb
+// may still have swapped — the scan runs to completion and records EVERY won
+// lock in run.held before the caller acts on any failure. Exiting early leaks
+// the locks won later in the batch past the back-out set, permanently if
+// their would-be holder is alive (commit c08a886 and its two re-occurrences,
+// when this loop existed three times). A target lost to a lock whose owner
+// left the configuration is passively released (§5.2) so that the caller's
+// retry can win it.
 func (tx *Txn) lockBatch(phase, fetchPhase CommitPhase, targets []lockTarget, run *lockRun) {
 	w := tx.w
 	myWord := memstore.LockWord(uint32(w.E.M.ID))

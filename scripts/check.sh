@@ -10,15 +10,17 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 
+# Every Go file is gofmt-clean (benchmark/ is frozen and not ours to format).
+unformatted=$(gofmt -l . | grep -v '^benchmark/' || true)
+test -z "$unformatted"
+
 # Static protocol invariants: the drtmr-vet analyzer suite (internal/lint)
-# enforces the runtime invariants at compile time — no blocking/yield inside
-# HTM regions, no wall clock or global rand in protocol packages, fully
-# attributed txn.Error literals, complete lock-CAS back-out scans, no
-# single-verb RDMA where a doorbell batch is in scope, lock-order/hold-
-# across-yield discipline, allocation-free //drtmr:hotpath functions, and
-# exhaustive protocol-enum switches. The suite runs as a go vet tool over BOTH
-# build-tag halves and any finding fails the gate: fix it, or suppress it with
-# a reasoned //drtmr:allow.
+# enforces the runtime invariants no tier-1 test would notice breaking — no
+# blocking/yield inside HTM regions, no wall clock or global rand in protocol
+# packages, fully attributed txn.Error literals, lock-order/hold-across-yield
+# and hold-across-wire-I/O discipline, and exhaustive protocol-enum switches.
+# The suite runs as a go vet tool over BOTH build-tag halves and any finding
+# fails the gate: fix it, or suppress it with a reasoned //drtmr:allow.
 go build -o bin/drtmr-vet ./cmd/drtmr-vet
 go vet -vettool="$PWD/bin/drtmr-vet" ./...
 go vet -vettool="$PWD/bin/drtmr-vet" -tags race ./...
@@ -71,7 +73,7 @@ go test -race -cpu 1,2 -run 'TestBackoff|TestAllBackedOff|TestIdle|TestGatedWait
 
 # Commit-protocol gate: the conformance suite runs the shared correctness
 # battery (bank invariant, uncommittable-read block, dangling-lock release,
-# coroutine atomicity, lock back-out) over EVERY registered CommitProtocol,
+# coroutine atomicity, lock back-out) over EVERY CommitProtocol,
 # and the protocol-matrix figure drives both pipelines head-to-head — it
 # fails on any nonzero read-only-participant wakeup count. The battery
 # includes the forced-fallback cell (TestProtocolConformanceForcedFallback:
