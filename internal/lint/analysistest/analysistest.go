@@ -16,14 +16,10 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strings"
 	"testing"
 
 	"drtmr/internal/lint/analysis"
@@ -32,51 +28,33 @@ import (
 var wantRE = regexp.MustCompile(`// want (.*)$`)
 var wantArgRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
-// Run loads testdata/src/<dir>, type-checks it (stdlib imports resolve
-// through the source importer), runs the analyzer with package filters
-// bypassed, and compares diagnostics with the `// want` expectations.
+// Run loads testdata/src/<dir> as package dir and compares the analyzer's
+// diagnostics with the `// want` expectations.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, dir string) {
 	t.Helper()
-	pkgdir := filepath.Join(testdata, "src", dir)
+	files, err := filepath.Glob(filepath.Join(testdata, "src", dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fixture files in %s: %v", dir, err)
+	}
 	fset := token.NewFileSet()
+	pkg := Check(t, fset, dir, files, a)
+	check(t, fset, pkg.Files, pkg.Diags)
+}
 
-	entries, err := os.ReadDir(pkgdir)
-	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(pkgdir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no fixture files in %s", pkgdir)
-	}
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
-		Error:    func(err error) { t.Logf("fixture type error (tolerated): %v", err) },
-	}
-	pkg, _ := conf.Check(dir, fset, files, info)
-
-	diags, err := analysis.Run(fset, files, pkg, info, []*analysis.Analyzer{a}, analysis.Options{IgnoreFilters: true})
+// Check runs one analyzer, package filters bypassed, over the named files
+// as package path. Imports resolve against the standard library's gc export
+// data; type errors are logged and tolerated.
+func Check(t *testing.T, fset *token.FileSet, path string, files []string, a *analysis.Analyzer) *analysis.Package {
+	t.Helper()
+	pkg, err := analysis.Check(fset, path, files, importer.ForCompiler(fset, "gc", nil), nil,
+		[]*analysis.Analyzer{a}, analysis.Options{IgnoreFilters: true})
 	if err != nil {
 		t.Fatalf("analysis failed: %v", err)
 	}
-	check(t, fset, files, diags)
+	for _, err := range pkg.TypeErrors {
+		t.Logf("fixture type error (tolerated): %v", err)
+	}
+	return pkg
 }
 
 // expectation is the set of want regexps on one line.

@@ -1,45 +1,26 @@
 package lint_test
 
 import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"drtmr/internal/lint"
 	"drtmr/internal/lint/analysis"
+	"drtmr/internal/lint/analysistest"
 )
 
-// runAnalyzer type-checks one in-memory source file and runs a single
-// analyzer over it with package filters bypassed.
+// runAnalyzer runs a single analyzer, package filters bypassed, over one
+// source file.
 func runAnalyzer(t *testing.T, a *analysis.Analyzer, src string) []analysis.Diagnostic {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "seed.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parsing seeded source: %v", err)
+	file := filepath.Join(t.TempDir(), "seed.go")
+	if err := os.WriteFile(file, []byte(src), 0o666); err != nil {
+		t.Fatal(err)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
-		Error:    func(error) {},
-	}
-	pkg, _ := conf.Check("seed", fset, []*ast.File{f}, info)
-	diags, err := analysis.Run(fset, []*ast.File{f}, pkg, info,
-		[]*analysis.Analyzer{a}, analysis.Options{IgnoreFilters: true})
-	if err != nil {
-		t.Fatalf("analysis failed: %v", err)
-	}
-	return diags
+	return analysistest.Check(t, token.NewFileSet(), "seed", []string{file}, a).Diags
 }
 
 // expectTeeth runs the analyzer over a clean shape and a seeded mutation of
