@@ -115,9 +115,9 @@ var baselines = map[System]func(Options) Result{
 }
 
 func runDrTMBaseline(o Options) Result {
-	c, wcfgAny := buildCluster(o, 1)
+	c := buildCluster(o, 1)
 	defer c.Stop()
-	wcfg := wcfgAny.(tpcc.Config)
+	wcfg := tpccConfig(o)
 	var engines []*drtm.Engine
 	for _, m := range c.Machines {
 		engines = append(engines, drtm.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts()))
@@ -129,9 +129,9 @@ func runDrTMBaseline(o Options) Result {
 }
 
 func runCalvinBaseline(o Options) Result {
-	c, wcfgAny := buildCluster(o, 1)
+	c := buildCluster(o, 1)
 	defer c.Stop()
-	wcfg := wcfgAny.(tpcc.Config)
+	wcfg := tpccConfig(o)
 	// Calvin's partitioner cannot be machine-relative (one global plan), so
 	// ITEM — which real Calvin replicates too — is routed to machine 0's
 	// copy and, being read-only, charged as a local access.

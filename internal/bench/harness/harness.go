@@ -341,7 +341,7 @@ func Run(o Options) Result {
 
 // buildCluster creates a cluster, per-machine stores and loads the workload
 // (primaries and backups).
-func buildCluster(o Options, replicas int) (*cluster.Cluster, interface{}) {
+func buildCluster(o Options, replicas int) *cluster.Cluster {
 	// Throughput experiments never kill machines; an effectively infinite
 	// lease prevents false suspicions while the host oversubscribes its
 	// cores running worker goroutines. Kill-injection runs override both
@@ -367,37 +367,44 @@ func buildCluster(o Options, replicas int) (*cluster.Cluster, interface{}) {
 		Lease:          lease,
 		HeartbeatEvery: heartbeat,
 	})
+	var err error
 	switch o.Workload {
 	case WLTPCC:
-		wcfg := tpcc.Config{
-			Nodes:              o.Nodes,
-			WarehousesPerNode:  o.WarehousesPerNode,
-			RemoteNewOrderProb: o.CrossWarehouseNO,
-			RemotePaymentProb:  o.CrossWarehousePay,
-		}
-		if err := tpcc.LoadCluster(c, wcfg, o.Seed); err != nil {
-			panic(err)
-		}
-		return c, wcfg
+		err = tpcc.LoadCluster(c, tpccConfig(o), o.Seed)
 	case WLSmallBank:
-		hot := o.SBHotFraction
-		if hot == 0 {
-			hot = 0.04
-		}
-		wcfg := smallbank.Config{
-			AccountsPerNode: o.SBAccountsPerNode,
-			Nodes:           o.Nodes,
-			RemoteProb:      o.SBRemoteProb,
-			HotFraction:     hot,
-			ReadOnlyFrac:    o.SBReadOnlyFrac,
-			InitialBalance:  10000,
-		}
-		if err := smallbank.LoadCluster(c, wcfg); err != nil {
-			panic(err)
-		}
-		return c, wcfg
+		err = smallbank.LoadCluster(c, smallbankConfig(o))
 	default:
 		panic("harness: unknown workload")
+	}
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// tpccConfig is the TPC-C workload o describes.
+func tpccConfig(o Options) tpcc.Config {
+	return tpcc.Config{
+		Nodes:              o.Nodes,
+		WarehousesPerNode:  o.WarehousesPerNode,
+		RemoteNewOrderProb: o.CrossWarehouseNO,
+		RemotePaymentProb:  o.CrossWarehousePay,
+	}
+}
+
+// smallbankConfig is the SmallBank workload o describes.
+func smallbankConfig(o Options) smallbank.Config {
+	hot := o.SBHotFraction
+	if hot == 0 {
+		hot = 0.04
+	}
+	return smallbank.Config{
+		AccountsPerNode: o.SBAccountsPerNode,
+		Nodes:           o.Nodes,
+		RemoteProb:      o.SBRemoteProb,
+		HotFraction:     hot,
+		ReadOnlyFrac:    o.SBReadOnlyFrac,
+		InitialBalance:  10000,
 	}
 }
 
@@ -421,20 +428,19 @@ func memFor(o Options) int {
 // runDrTMR measures DrTM+R (with or without replication).
 func runDrTMR(o Options) Result {
 	replicas := replicasFor(o.System)
-	c, wcfgAny := buildCluster(o, replicas)
+	c := buildCluster(o, replicas)
 	defer c.Stop()
+	tcfg, scfg := tpccConfig(o), smallbankConfig(o)
 
 	var engines []*txn.Engine
 	switch o.Workload {
 	case WLTPCC:
-		wcfg := wcfgAny.(tpcc.Config)
 		for _, m := range c.Machines {
-			engines = append(engines, txn.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts()))
+			engines = append(engines, txn.NewEngine(m, tcfg.Partitioner(m.ID), txn.DefaultCosts()))
 		}
 	case WLSmallBank:
-		wcfg := wcfgAny.(smallbank.Config)
 		for _, m := range c.Machines {
-			engines = append(engines, txn.NewEngine(m, wcfg.Partitioner(), txn.DefaultCosts()))
+			engines = append(engines, txn.NewEngine(m, scfg.Partitioner(), txn.DefaultCosts()))
 		}
 	}
 	for _, e := range engines {
@@ -494,10 +500,9 @@ func runDrTMR(o Options) Result {
 		remaining := o.TxPerWorker
 		switch o.Workload {
 		case WLTPCC:
-			wcfg := wcfgAny.(tpcc.Config)
-			whs := wcfg.WarehousesOf(node)
+			whs := tcfg.WarehousesOf(node)
 			home := whs[tid%len(whs)]
-			ex := tpcc.NewExecutor(w, tpcc.NewGen(wcfg, home, o.Seed+uint64(node*100+tid)))
+			ex := tpcc.NewExecutor(w, tpcc.NewGen(tcfg, home, o.Seed+uint64(node*100+tid)))
 			w.RunCoroutines(ncoro, func(int) {
 				for remaining > 0 && !engines[node].M.Dead() {
 					remaining--
@@ -513,8 +518,7 @@ func runDrTMR(o Options) Result {
 				}
 			})
 		case WLSmallBank:
-			wcfg := wcfgAny.(smallbank.Config)
-			g := smallbank.NewGen(wcfg, cluster.ShardID(node), o.Seed+uint64(node*100+tid))
+			g := smallbank.NewGen(scfg, cluster.ShardID(node), o.Seed+uint64(node*100+tid))
 			w.RunCoroutines(ncoro, func(int) {
 				for remaining > 0 && !engines[node].M.Dead() {
 					remaining--

@@ -114,7 +114,7 @@ func TestLoadClusterBackupsMatchPrimary(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := Options{Workload: tc.wl, Nodes: 3, WarehousesPerNode: 1, SBAccountsPerNode: 500}.Defaults()
-			c, _ := buildCluster(o, 3)
+			c := buildCluster(o, 3)
 			defer c.Stop()
 			cfg0 := c.Coord.Current()
 			read := func(node rdma.NodeID, r row) []byte {
