@@ -8,11 +8,11 @@ help:
 	@echo "Targets:"
 	@echo "  build        go build ./..."
 	@echo "  vet          go vet ./... (after build)"
-	@echo "  lint         go vet -vettool=bin/drtmr-vet (internal/lint) over both"
-	@echo "               build-tag halves: htmregion, virtualtime, abortattr,"
-	@echo "               lockorder, enumswitch; any finding fails; fix it or"
-	@echo "               suppress it with"
-	@echo "               '//drtmr:allow <analyzer> <reason>'"
+	@echo "  lint         TestAnalyzers alone (internal/lint; part of test): the"
+	@echo "               analyzers over the whole module, both build-tag halves:"
+	@echo "               htmregion, virtualtime, abortattr, lockorder,"
+	@echo "               enumswitch; any finding fails; fix it or suppress it"
+	@echo "               with '//drtmr:allow <analyzer> <reason>'"
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"
 	@echo "  stress       rdma, txn, check, serve and harness suites 20 times each on 1 and 2"
@@ -59,13 +59,10 @@ build:
 vet: build
 	$(GO) vet ./...
 
-# lint runs the protocol-invariant analyzer suite as a go vet tool
-# (cmd/drtmr-vet speaks the unitchecker protocol) over both race/!race
-# build-tag halves; go vet's exit status is the gate.
-lint: build
-	$(GO) build -o bin/drtmr-vet ./cmd/drtmr-vet
-	$(GO) vet -vettool=$(CURDIR)/bin/drtmr-vet ./...
-	$(GO) vet -vettool=$(CURDIR)/bin/drtmr-vet -tags race ./...
+# lint runs only the tier-1 test that runs the protocol-invariant analyzers
+# over the whole module, both race/!race build-tag halves.
+lint:
+	$(GO) test -count=1 -run '^TestAnalyzers$$' ./internal/lint/
 
 test:
 	$(GO) test ./...

@@ -1,10 +1,10 @@
 // Wall-clock access for the serve tree, centralized so every use is one of
-// a handful of audited sites. internal/serve is on drtmr-vet's virtualtime
+// a handful of audited sites. internal/serve is on the virtualtime analyzer's
 // list like the protocol packages — but unlike them it is a real network
 // server: request deadlines, service-time EWMAs, and open-loop arrival
 // schedules are wall-time quantities by design. Every helper below carries
 // its own //drtmr:allow so a new raw time.Now sneaking in elsewhere in the
-// tree still fails the vet gate.
+// tree still fails TestAnalyzers.
 package serve
 
 import "time"

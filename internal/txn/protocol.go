@@ -21,7 +21,7 @@ import (
 //     nil once the transaction is durably committed under the engine's
 //     replication mode, or a *Error carrying full Reason/Stage/Site (and
 //     Table/Key when the conflicting record is known) abort attribution —
-//     drtmr-vet's abortattr analyzer enforces the attribution statically.
+//     the abortattr analyzer enforces the attribution statically.
 //   - On abort, no lock may stay held and no write may be visible: the
 //     retry loop re-executes from scratch.
 //   - A committed transaction's records must carry their final sequence

@@ -14,16 +14,9 @@ go vet ./...
 unformatted=$(gofmt -l . | grep -v '^benchmark/' || true)
 test -z "$unformatted"
 
-# Static protocol invariants: the drtmr-vet analyzer suite (internal/lint)
-# enforces the runtime invariants no tier-1 test would notice breaking — no
-# blocking/yield inside HTM regions, no wall clock or global rand in protocol
-# packages, fully attributed txn.Error literals, lock-order/hold-across-yield
-# and hold-across-wire-I/O discipline, and exhaustive protocol-enum switches.
-# The suite runs as a go vet tool over BOTH build-tag halves and any finding
-# fails the gate: fix it, or suppress it with a reasoned //drtmr:allow.
-go build -o bin/drtmr-vet ./cmd/drtmr-vet
-go vet -vettool="$PWD/bin/drtmr-vet" ./...
-go vet -vettool="$PWD/bin/drtmr-vet" -tags race ./...
+# The static protocol invariants (internal/lint) need no step of their own:
+# TestAnalyzers, in the test run below, runs the analyzers over the whole
+# module and both build-tag halves.
 
 # Both halves of the //go:build race / !race pair must keep compiling: the
 # !race half is covered by the plain build+vet above; this compiles (and
