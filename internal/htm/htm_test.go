@@ -264,6 +264,9 @@ func TestConcurrentCountersLinearize(t *testing.T) {
 	if total != workers*increments {
 		t.Fatalf("lost updates: got %d, want %d", total, workers*increments)
 	}
+	if n := liveLines(e); n != 0 {
+		t.Fatalf("%d registry entries after every region ended, want 0", n)
+	}
 }
 
 // TestConcurrentTransferInvariant moves value between slots transactionally
@@ -349,6 +352,9 @@ func TestConcurrentTransferInvariant(t *testing.T) {
 	}
 	if total != slots*initial {
 		t.Fatalf("value not conserved: got %d, want %d", total, slots*initial)
+	}
+	if n := liveLines(e); n != 0 {
+		t.Fatalf("%d registry entries after every region ended, want 0", n)
 	}
 }
 
