@@ -21,6 +21,11 @@
 // the status word, then acquires that mutex to run cleanup, so cleanup never
 // races an in-flight operation. No code path ever holds two shard locks at
 // once, which keeps the engine deadlock-free by construction.
+//
+// The registry owns membership: a line entry's writer and readers say who
+// holds the line, and each shard keeps the entries it drops on a free list.
+// A Txn keeps only its footprint, on arrays inside it, so a small region
+// costs one heap object, its Txn (DESIGN.md says why Txns are not reused).
 package htm
 
 import (
@@ -118,10 +123,12 @@ type Engine struct {
 type shard struct {
 	mu    sync.Mutex
 	lines map[uint64]*line
+	free  []*line // dropped entries, reused by acquireLine
 }
 
 // line is the conflict registry for one cacheline. Protected by its shard's
-// mutex.
+// mutex, and never used outside it: a *line does not leave the lock, which is
+// what makes reusing one from the free list safe.
 type line struct {
 	writer  *Txn
 	readers []*Txn

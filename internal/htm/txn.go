@@ -3,6 +3,7 @@ package htm
 import (
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,9 +48,15 @@ type Txn struct {
 	opMu    sync.Mutex
 	cleaned bool // guarded by opMu
 
-	readLines  map[uint64]struct{}
-	writeUndo  map[uint64][]byte // line -> original 64B content
-	writeOrder []uint64          // lines in first-write order (for tests/debug)
+	// The footprint in registration order, which the capacity bounds count
+	// and cleanup walks; membership is the registry's. A line read and then
+	// written stays in readLines. undo[i*CachelineSize:] is writeLines[i]'s
+	// pre-image. The arrays hold a local record read or a bucket mutation.
+	readLines, writeLines []uint64
+	undo                  []byte
+	readBuf               [8]uint64
+	writeBuf              [4]uint64
+	undoBuf               [4 * sim.CachelineSize]byte
 
 	// Tracing (nil rec = off). The end event is emitted only by OWNER-side
 	// paths (Commit, selfAbort, checkActive) — never by extAbort, whose
@@ -85,11 +92,9 @@ func (t *Txn) traceEnd(cause AbortCause, code uint8) {
 // Begin starts a hardware transaction.
 func (e *Engine) Begin() *Txn {
 	e.stats.Begins.Add(1)
-	return &Txn{
-		eng:       e,
-		readLines: make(map[uint64]struct{}, 8),
-		writeUndo: make(map[uint64][]byte, 4),
-	}
+	t := &Txn{eng: e}
+	t.readLines, t.writeLines, t.undo = t.readBuf[:0], t.writeBuf[:0], t.undoBuf[:0]
+	return t
 }
 
 // Active reports whether the transaction can still perform operations.
@@ -110,7 +115,7 @@ func (t *Txn) checkActive() *AbortError {
 		return nil
 	}
 	if w&0xff == statusAborted {
-		t.cleanupLocked()
+		t.releaseLocked(true)
 		_, cause, code := unpack(w)
 		t.traceEnd(cause, code)
 	}
@@ -123,7 +128,7 @@ func (t *Txn) selfAbort(cause AbortCause, code uint8) *AbortError {
 	if t.status.CompareAndSwap(statusActive, packAborted(cause, code)) {
 		t.eng.stats.countAbort(cause)
 	}
-	t.cleanupLocked()
+	t.releaseLocked(true)
 	_, cause, code = unpack(t.status.Load())
 	t.traceEnd(cause, code)
 	return t.abortErr()
@@ -139,33 +144,33 @@ func (t *Txn) extAbort(cause AbortCause) {
 	}
 	t.eng.stats.countAbort(cause)
 	if t.opMu.TryLock() {
-		t.cleanupLocked()
+		t.releaseLocked(true)
 		t.opMu.Unlock()
 	}
 }
 
-// cleanupLocked restores undo data and deregisters every line. Caller holds
+// releaseLocked deregisters every line of the footprint, first restoring a
+// written line's pre-image if the region aborted (restore). Caller holds
 // opMu. Idempotent.
-func (t *Txn) cleanupLocked() {
+func (t *Txn) releaseLocked(restore bool) {
 	if t.cleaned {
 		return
 	}
 	t.cleaned = true
-	for lineIdx, undo := range t.writeUndo {
+	for i, lineIdx := range t.writeLines {
 		s := t.eng.shardFor(lineIdx)
 		s.mu.Lock()
-		off := lineIdx << sim.CachelineShift
-		copy(t.eng.mem[off:off+sim.CachelineSize], undo)
+		if restore {
+			off := lineIdx << sim.CachelineShift
+			copy(t.eng.mem[off:off+sim.CachelineSize], t.undo[i<<sim.CachelineShift:])
+		}
 		if ln := s.lines[lineIdx]; ln != nil && ln.writer == t {
 			ln.writer = nil
 			s.maybeDrop(lineIdx, ln)
 		}
 		s.mu.Unlock()
 	}
-	for lineIdx := range t.readLines {
-		if _, alsoWrote := t.writeUndo[lineIdx]; alsoWrote {
-			continue // write deregistration handled above
-		}
+	for _, lineIdx := range t.readLines {
 		s := t.eng.shardFor(lineIdx)
 		s.mu.Lock()
 		if ln := s.lines[lineIdx]; ln != nil {
@@ -174,37 +179,6 @@ func (t *Txn) cleanupLocked() {
 		}
 		s.mu.Unlock()
 	}
-	t.writeUndo = nil
-	t.readLines = nil
-}
-
-// deregisterCommitted removes registrations leaving written data in place.
-// Caller holds opMu.
-func (t *Txn) deregisterCommitted() {
-	t.cleaned = true
-	for lineIdx := range t.writeUndo {
-		s := t.eng.shardFor(lineIdx)
-		s.mu.Lock()
-		if ln := s.lines[lineIdx]; ln != nil && ln.writer == t {
-			ln.writer = nil
-			s.maybeDrop(lineIdx, ln)
-		}
-		s.mu.Unlock()
-	}
-	for lineIdx := range t.readLines {
-		if _, alsoWrote := t.writeUndo[lineIdx]; alsoWrote {
-			continue
-		}
-		s := t.eng.shardFor(lineIdx)
-		s.mu.Lock()
-		if ln := s.lines[lineIdx]; ln != nil {
-			ln.dropReader(t)
-			s.maybeDrop(lineIdx, ln)
-		}
-		s.mu.Unlock()
-	}
-	t.writeUndo = nil
-	t.readLines = nil
 }
 
 func (ln *line) dropReader(t *Txn) {
@@ -212,15 +186,19 @@ func (ln *line) dropReader(t *Txn) {
 		if r == t {
 			last := len(ln.readers) - 1
 			ln.readers[i] = ln.readers[last]
+			ln.readers[last] = nil
 			ln.readers = ln.readers[:last]
 			return
 		}
 	}
 }
 
+// maybeDrop deregisters an entry nobody holds any more and keeps it, with
+// its readers capacity, on the shard's free list. Caller holds s.mu.
 func (s *shard) maybeDrop(lineIdx uint64, ln *line) {
 	if ln.writer == nil && len(ln.readers) == 0 {
 		delete(s.lines, lineIdx)
+		s.free = append(s.free, ln)
 	}
 }
 
@@ -237,72 +215,74 @@ func (t *Txn) acquireLine(lineIdx uint64, asWriter bool) *AbortError {
 		s := t.eng.shardFor(lineIdx)
 		s.mu.Lock()
 		ln := s.lines[lineIdx]
-		if ln == nil {
-			ln = &line{}
-			s.lines[lineIdx] = ln
-		}
-		// Collect victims. We must not abort them while holding the
-		// shard lock (their cleanup needs shard locks), so gather and
-		// release first. A victim that is already aborted but still
-		// registered is mid-cleanup: wait for it to disappear.
-		var victims []*Txn
-		pending := false
-		if ln.writer != nil && ln.writer != t {
-			if ln.writer.Active() {
-				victims = append(victims, ln.writer)
-			} else {
-				pending = true
-			}
-		}
-		if asWriter {
-			for _, r := range ln.readers {
-				if r == t {
-					continue
-				}
-				if r.Active() {
-					victims = append(victims, r)
+		if ln != nil {
+			// Collect victims. We must not abort them while holding the
+			// shard lock (their cleanup needs shard locks), so gather and
+			// release first. A victim that is already aborted but still
+			// registered is mid-cleanup: wait for it to disappear.
+			var victims []*Txn
+			pending := false
+			if ln.writer != nil && ln.writer != t {
+				if ln.writer.Active() {
+					victims = append(victims, ln.writer)
 				} else {
 					pending = true
 				}
 			}
-		}
-		if len(victims) > 0 || pending {
-			s.mu.Unlock()
-			for _, v := range victims {
-				v.extAbort(CauseConflict)
-			}
-			if pending && len(victims) == 0 {
-				runtime.Gosched() // let the victim finish cleanup
-			}
-			continue // registry changed; retry
-		}
-		// No conflicts: register.
-		if asWriter {
-			if _, ok := t.writeUndo[lineIdx]; !ok {
-				if len(t.writeUndo) >= t.eng.cfg.MaxWriteLines {
-					s.mu.Unlock()
-					return t.selfAbort(CauseCapacity, 0)
-				}
-				off := lineIdx << sim.CachelineShift
-				undo := make([]byte, sim.CachelineSize)
-				copy(undo, t.eng.mem[off:off+sim.CachelineSize])
-				t.writeUndo[lineIdx] = undo
-				t.writeOrder = append(t.writeOrder, lineIdx)
-				ln.writer = t
-				// A writer subsumes its own read registration.
-				ln.dropReader(t)
-			}
-		} else {
-			if _, wrote := t.writeUndo[lineIdx]; !wrote {
-				if _, ok := t.readLines[lineIdx]; !ok {
-					if len(t.readLines) >= t.eng.cfg.MaxReadLines {
-						s.mu.Unlock()
-						return t.selfAbort(CauseCapacity, 0)
+			if asWriter {
+				for _, r := range ln.readers {
+					if r == t {
+						continue
 					}
-					t.readLines[lineIdx] = struct{}{}
-					ln.readers = append(ln.readers, t)
+					if r.Active() {
+						victims = append(victims, r)
+					} else {
+						pending = true
+					}
 				}
 			}
+			if len(victims) > 0 || pending {
+				s.mu.Unlock()
+				for _, v := range victims {
+					v.extAbort(CauseConflict)
+				}
+				if pending && len(victims) == 0 {
+					runtime.Gosched() // let the victim finish cleanup
+				}
+				continue // registry changed; retry
+			}
+			// A line this region already writes needs nothing more, and
+			// neither does a re-read of one it already reads.
+			if ln.writer == t || !asWriter && slices.Contains(ln.readers, t) {
+				s.mu.Unlock()
+				return nil
+			}
+		}
+		// No conflicts, and the line is new to the footprint. Capacity is
+		// checked before an entry exists, so an abort here leaves none.
+		if asWriter && len(t.writeLines) >= t.eng.cfg.MaxWriteLines ||
+			!asWriter && len(t.readLines) >= t.eng.cfg.MaxReadLines {
+			s.mu.Unlock()
+			return t.selfAbort(CauseCapacity, 0)
+		}
+		if ln == nil {
+			if n := len(s.free); n > 0 {
+				ln, s.free = s.free[n-1], s.free[:n-1]
+			} else {
+				ln = new(line)
+			}
+			s.lines[lineIdx] = ln
+		}
+		if asWriter {
+			off := lineIdx << sim.CachelineShift
+			t.writeLines = append(t.writeLines, lineIdx)
+			t.undo = append(t.undo, t.eng.mem[off:off+sim.CachelineSize]...)
+			ln.writer = t
+			// A writer subsumes its own read registration.
+			ln.dropReader(t)
+		} else {
+			t.readLines = append(t.readLines, lineIdx)
+			ln.readers = append(ln.readers, t)
 		}
 		s.mu.Unlock()
 		return nil
@@ -428,14 +408,14 @@ func (t *Txn) Commit() error {
 	if !t.status.CompareAndSwap(statusActive, statusCommitted) {
 		w := t.status.Load()
 		if w&0xff == statusAborted {
-			t.cleanupLocked()
+			t.releaseLocked(true)
 			_, cause, code := unpack(w)
 			t.traceEnd(cause, code)
 		}
 		return t.abortErr()
 	}
 	t.eng.stats.Commits.Add(1)
-	t.deregisterCommitted()
+	t.releaseLocked(false)
 	t.traceEnd(0, 0)
 	return nil
 }

@@ -169,8 +169,9 @@ func (h *HashTable) Insert(key uint64, recOff uint64) error {
 	ik := key + 1
 	return h.retryHTM(func(tx *htm.Txn) error {
 		off := h.BucketOff(key)
+		var buf [bucketBytes]byte
 		for {
-			img, err := tx.Read(off, bucketBytes, nil)
+			img, err := tx.Read(off, bucketBytes, buf[:])
 			if err != nil {
 				return err
 			}
@@ -225,8 +226,9 @@ func (h *HashTable) Insert(key uint64, recOff uint64) error {
 }
 
 func (h *HashTable) chainHas(tx *htm.Txn, off uint64, ik uint64) (bool, error) {
+	var buf [bucketBytes]byte
 	for off != 0 {
-		img, err := tx.Read(off, bucketBytes, nil)
+		img, err := tx.Read(off, bucketBytes, buf[:])
 		if err != nil {
 			return false, err
 		}
@@ -253,8 +255,9 @@ func (h *HashTable) Delete(key uint64) (recOff uint64, err error) {
 	ik := key + 1
 	err = h.retryHTM(func(tx *htm.Txn) error {
 		off := h.BucketOff(key)
+		var buf [bucketBytes]byte
 		for off != 0 {
-			img, rerr := tx.Read(off, bucketBytes, nil)
+			img, rerr := tx.Read(off, bucketBytes, buf[:])
 			if rerr != nil {
 				return rerr
 			}

@@ -13,14 +13,21 @@ import (
 // requireNoAlloc pins fn to zero allocations per call.
 func requireNoAlloc(t *testing.T, name string, fn func()) {
 	t.Helper()
-	if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
-		t.Errorf("%s allocates %v times per call, want 0", name, allocs)
+	requireAllocs(t, name, 0, fn)
+}
+
+// requireAllocs pins fn to want allocations per call.
+func requireAllocs(t *testing.T, name string, want float64, fn func()) {
+	t.Helper()
+	if allocs := testing.AllocsPerRun(200, fn); allocs != want {
+		t.Errorf("%s allocates %v times per call, want %v", name, allocs, want)
 	}
 }
 
 // TestHotpathAllocFree drives the per-event recording and clock primitives
 // and the synchronous verbs and checks AllocsPerRun == 0: each runs once or
-// more per transaction, so an allocation here is one on every commit.
+// more per transaction, so an allocation here is one on every commit. An HTM
+// region, which a transaction runs dozens of, is held to its one Txn.
 func TestHotpathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -66,6 +73,44 @@ func TestHotpathAllocFree(t *testing.T) {
 		_, _ = qp.Read64(128)
 		_ = qp.Write64(128, 1)
 		_, _, _ = qp.CAS(128, 1, 0)
+	})
+
+	// An HTM region's footprint lives in its Txn and the line registry keeps
+	// its entries, so a region that fits the Txn's inline footprint costs the
+	// Txn alone.
+	eng := htm.NewEngine(make([]byte, 4096), htm.Config{})
+	var span [3 * 64]byte
+	requireAllocs(t, "htm region", 1, func() {
+		tx := eng.Begin()
+		_, _ = tx.Load64(0)
+		_, _ = tx.Load64(256)
+		_, _ = tx.Read(64, len(span), span[:])
+		_ = tx.Store64(0, 1)
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+		}
+	})
+
+	w := newWorld(t, 1, 1, htm.Config{})
+	w.load(t, 1, 100)
+	ht := w.c.Machines[0].Store.Table(tblAcct).Hash()
+	requireAllocs(t, "memstore.HashTable Insert+Delete", 2, func() {
+		if err := ht.Insert(1<<20, 4096); err != nil {
+			t.Error(err)
+		}
+		if _, err := ht.Delete(1 << 20); err != nil {
+			t.Error(err)
+		}
+	})
+
+	// A local read costs its HTM region, the value the read set keeps and the
+	// copy Read returns: the record snapshot is the worker's scratch.
+	tx := w.engines[0].NewWorker(0).Begin()
+	requireAllocs(t, "local Txn.Read", 3, func() {
+		tx.rs = tx.rs[:0]
+		if _, err := tx.Read(tblAcct, 0); err != nil {
+			t.Error(err)
+		}
 	})
 }
 

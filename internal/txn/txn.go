@@ -462,14 +462,11 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 	if !ok {
 		return rsEntry{}, ErrNotFound
 	}
-	var img []byte
 	for attempt := 0; attempt < 256; attempt++ {
 		tx.w.Clk.Advance(tx.w.E.Costs.LocalAccess)
-		var (
-			lockW uint64
-			ok    bool
-		)
-		img, lockW, ok = tx.localReadAttempt(off, tbl, img)
+		// The snapshot lands in the worker's scratch: GatherValue copies the
+		// value out before anything here can yield to a sibling transaction.
+		img, lockW, ok := tx.localReadAttempt(off, tbl, tx.w.scratch(tbl.RecBytes))
 		if ok {
 			seq := memstore.RecSeq(img)
 			if tx.w.E.Replicated && !memstore.SeqIsCommittable(seq) {
