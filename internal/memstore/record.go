@@ -158,7 +158,14 @@ func PutRecInc(rec []byte, inc uint64) {
 // incarnation and seq) plus scattered value and stamped versions. Used when
 // constructing the payload of an RDMA WRITE-back (C.5) and by loading.
 func BuildRecordImage(valueSize int, value []byte, inc, seq uint64) []byte {
-	rec := make([]byte, RecordBytes(valueSize))
+	return BuildRecordImageInto(nil, valueSize, value, inc, seq)
+}
+
+// BuildRecordImageInto is BuildRecordImage on dst's storage when it has room:
+// an image that is installed and then dropped is built on its installer's
+// scratch.
+func BuildRecordImageInto(dst []byte, valueSize int, value []byte, inc, seq uint64) []byte {
+	rec := append(dst[:0], make([]byte, RecordBytes(valueSize))...)
 	PutRecInc(rec, inc)
 	PutRecSeq(rec, seq)
 	ScatterValue(rec, value)

@@ -333,6 +333,7 @@ type Applier struct {
 
 	head    uint64 // truncation frontier (logical)
 	applied uint64 // apply frontier (logical), >= head
+	img     []byte // Poll's record-image scratch (installValue)
 
 	appliedEntries uint64
 }
@@ -470,7 +471,7 @@ func (a *Applier) apply(entry []byte) error {
 		if a.replicates != nil && !a.replicates(r.Shard) {
 			continue
 		}
-		if err := a.ApplyRec(r); err != nil {
+		if err := a.applyRec(r, &a.img); err != nil {
 			return err
 		}
 	}
@@ -478,8 +479,12 @@ func (a *Applier) apply(entry []byte) error {
 }
 
 // ApplyRec installs one record mutation (exported: recovery forwards foreign
-// records to their new primaries, which install them through this path).
-func (a *Applier) ApplyRec(r Rec) error {
+// records to their new primaries, which install them through this path). It
+// can run beside Poll, so it builds its record image in a buffer of its own.
+func (a *Applier) ApplyRec(r Rec) error { return a.applyRec(r, new([]byte)) }
+
+// applyRec is ApplyRec building the record image on *img.
+func (a *Applier) applyRec(r Rec, img *[]byte) error {
 	tbl := a.store.Table(r.Table)
 	if tbl == nil {
 		return fmt.Errorf("oplog: unknown table %d", r.Table)
@@ -500,16 +505,17 @@ func (a *Applier) ApplyRec(r Rec) error {
 				return err
 			}
 		}
-		return a.installValue(tbl, off, r)
+		return a.installValue(tbl, off, r, img)
 	default:
 		return fmt.Errorf("oplog: unknown kind %d", r.Kind)
 	}
 }
 
-// installValue writes value+seq into the record at off if r.Seq advances it.
-// Retries yield to the scheduler: requester-wins conflict resolution can
-// livelock two tight loops on an oversubscribed host otherwise.
-func (a *Applier) installValue(tbl *memstore.Table, off uint64, r Rec) error {
+// installValue writes value+seq into the record at off if r.Seq advances it,
+// building the image on *img. Retries yield to the scheduler: requester-wins
+// conflict resolution can livelock two tight loops on an oversubscribed host
+// otherwise.
+func (a *Applier) installValue(tbl *memstore.Table, off uint64, r Rec, img *[]byte) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			sim.Spin(time.Duration(attempt%64) * 200 * time.Nanosecond)
@@ -527,10 +533,10 @@ func (a *Applier) installValue(tbl *memstore.Table, off uint64, r Rec) error {
 		if err != nil {
 			continue
 		}
-		img := memstore.BuildRecordImage(tbl.Spec.ValueSize, r.Value, inc, r.Seq)
+		*img = memstore.BuildRecordImageInto(*img, tbl.Spec.ValueSize, r.Value, inc, r.Seq)
 		// Preserve the lock word (first 8 bytes): backup records are
 		// never locked, but recovery may be mid-promotion.
-		if err := tx.Write(off+8, img[8:]); err != nil {
+		if err := tx.Write(off+8, (*img)[8:]); err != nil {
 			continue
 		}
 		if tx.Commit() == nil {

@@ -264,13 +264,13 @@ func (proto drtmrProto) localCommitBody(tx *Txn, htx *htm.Txn) error {
 			// Fold the pending adds over the current value, read inside the
 			// HTM region — strong atomicity makes this the moment the delta
 			// stops commuting and becomes a plain image install.
-			curImg, err := htx.Read(e.off, tbl.RecBytes, nil)
+			curImg, err := htx.Read(e.off, tbl.RecBytes, w.scratch(tbl.RecBytes))
 			if err != nil {
 				return err
 			}
 			e.materializeFrom(memstore.GatherValue(curImg, tbl.Spec.ValueSize))
 		}
-		img := memstore.BuildRecordImage(tbl.Spec.ValueSize, e.buf, inc, newSeq)
+		img := memstore.BuildRecordImageInto(w.scratch(tbl.RecBytes), tbl.Spec.ValueSize, e.buf, inc, newSeq)
 		if err := htx.Write(e.off+8, img[8:]); err != nil {
 			return err
 		}
@@ -554,10 +554,14 @@ func (tx *Txn) postWriteBack(b *rdma.Batch) {
 func (tx *Txn) commitReadOnly() error {
 	w := tx.w
 	b := w.newBatch()
-	pend := make([]*rdma.Pending, len(tx.rs))
+	// The remote reads' READs, in read-set order. The doorbell below yields,
+	// and a sibling transaction's commit may run meanwhile, so the slots live
+	// in this frame, not on the worker.
+	var slots [8]*rdma.Pending
+	pend := slots[:0]
 	for i := range tx.rs {
 		if !tx.rs[i].local {
-			pend[i] = b.PostRead(w.QP(tx.rs[i].node), tx.rs[i].off, 24)
+			pend = append(pend, b.PostRead(w.QP(tx.rs[i].node), tx.rs[i].off, 24))
 			w.Stats.ROVerbs++ // every read-only validation READ hits a pure read participant
 		}
 	}
@@ -572,7 +576,8 @@ func (tx *Txn) commitReadOnly() error {
 			inc, cur = memstore.RecInc(h), memstore.RecSeq(h)
 			w.Clk.Advance(w.E.Costs.PerValidate)
 		} else {
-			p := pend[i]
+			p := pend[0]
+			pend = pend[1:]
 			if p.Err != nil {
 				return tx.abortAt(r.node, AbortNodeDead, "ro validate: %v", p.Err)
 			}

@@ -440,7 +440,7 @@ func (tx *Txn) writeLocalLocked(final bool) {
 			seq = e.baseSeq + 1
 		}
 		tbl := w.E.M.Store.Table(e.table)
-		img := memstore.BuildRecordImage(tbl.Spec.ValueSize, e.buf, e.inc, seq)
+		img := memstore.BuildRecordImageInto(w.scratch(tbl.RecBytes), tbl.Spec.ValueSize, e.buf, e.inc, seq)
 		w.E.M.Eng.WriteNonTx(e.off+8, img[8:])
 	}
 }
