@@ -15,9 +15,10 @@ help:
 	@echo "               with '//drtmr:allow <analyzer> <reason>'"
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"
-	@echo "  stress       rdma, txn, check, serve and harness suites 20 times each on 1 and 2"
-	@echo "               CPUs (-count=20 -cpu 1,2): catches tests that pass only"
-	@echo "               when goroutines happen (not) to overlap on the host"
+	@echo "  stress       htm, memstore, oplog, rdma, txn, check, serve and harness suites"
+	@echo "               20 times each on 1 and 2 CPUs (-count=20 -cpu 1,2): catches"
+	@echo "               tests that pass only when goroutines happen (not) to overlap"
+	@echo "               on the host, and the HTM line registry's entry reuse"
 	@echo "  check        CI gate: build + vet + lint + race + smoke benchmarks"
 	@echo "  loc          non-test Go lines, total then per package: the number"
 	@echo "               ROADMAP's design-diet item tracks and every PR quotes"
@@ -72,9 +73,11 @@ race:
 
 # stress repeats the suites whose outcomes depend on how goroutines interleave
 # on the host, on both a 1-CPU and a 2-CPU schedule, so a host-dependent test
-# fails here before it fails on someone's small machine.
+# fails here before it fails on someone's small machine. htm, memstore and
+# oplog are here because the line registry reuses its entries, and whether a
+# reused entry meets a stale reader depends on the interleaving.
 stress:
-	$(GO) test -count=20 -cpu 1,2 ./internal/rdma/ ./internal/txn/ ./internal/check/ ./internal/serve/ ./internal/bench/harness/
+	$(GO) test -count=20 -cpu 1,2 ./internal/htm/ ./internal/memstore/ ./internal/oplog/ ./internal/rdma/ ./internal/txn/ ./internal/check/ ./internal/serve/ ./internal/bench/harness/
 
 # check is the CI gate: build, vet, the full suite under the race detector
 # (the simulator runs real goroutines per worker/applier, so -race exercises

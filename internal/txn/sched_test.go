@@ -516,7 +516,9 @@ func TestIdleJumpWaitsForSlowerWorker(t *testing.T) {
 	const d = time.Millisecond // several times idleSlack
 	w := backoffWorld(t, 1, d)
 	fast, slow := w.engines[0].NewWorker(0), w.engines[1].NewWorker(0)
-	started := make(chan struct{})
+	// Both workers are on the Frontier before the fast one backs off: a fast
+	// worker that found itself alone there would rightly jump.
+	started, joined := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -524,6 +526,7 @@ func TestIdleJumpWaitsForSlowerWorker(t *testing.T) {
 		fast.RunCoroutines(2, func(slot int) {
 			if slot == 0 {
 				close(started)
+				<-joined
 			}
 			fast.backoff(0)
 		})
@@ -534,6 +537,7 @@ func TestIdleJumpWaitsForSlowerWorker(t *testing.T) {
 			if slot != 0 {
 				return
 			}
+			close(joined)
 			<-started
 			// Until the fast worker has said it is idle until d ...
 			for i := 0; slow.sched.run.Behind(int64(d)) != nil; i++ {
