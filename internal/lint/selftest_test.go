@@ -76,40 +76,28 @@ func (c *conn) writeResult(buf []byte) error {
 
 // TestLockOrderYieldTeeth mirrors the coroutine scheduler's discipline: a
 // worker must release its locks before parking. Holding one across the
-// park channel send — the shape txn.(*Worker).yield would take if a lock
-// leaked into it — must fire the yield rule.
+// park's coroutine switch — a call through the yield iter.Pull handed the
+// context, the shape txn.(*Worker).park would take if a lock leaked into it
+// — must fire the yield rule.
 func TestLockOrderYieldTeeth(t *testing.T) {
-	const clean = `package seed
+	const body = `package seed
 
 import "sync"
 
 type worker struct {
-	mu   sync.Mutex
-	park chan struct{}
+	mu    sync.Mutex
+	yield func(struct{}) bool
 }
 
-func (w *worker) yield() {
+func (w *worker) park() {
 	w.mu.Lock()
-	w.mu.Unlock()
-	w.park <- struct{}{}
+	%s
+	w.yield(struct{}{})
 }
 `
-	const mutated = `package seed
-
-import "sync"
-
-type worker struct {
-	mu   sync.Mutex
-	park chan struct{}
-}
-
-func (w *worker) yield() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.park <- struct{}{}
-}
-`
-	expectTeeth(t, lint.LockOrder, clean, mutated, "held across channel send")
+	clean := strings.Replace(body, "%s", "w.mu.Unlock()", 1)
+	mutated := strings.Replace(body, "%s", "defer w.mu.Unlock()", 1)
+	expectTeeth(t, lint.LockOrder, clean, mutated, "held across coroutine switch")
 }
 
 // TestEnumSwitchTeeth mirrors the txn write-set kind dispatch

@@ -1,6 +1,6 @@
 // Fixture for the lockorder analyzer: acquisition-order cycles, locks held
-// across coroutine yields (channel ops, transitively), locks held across
-// wire I/O, and the //drtmr:allow suppression contract.
+// across coroutine yields (channel ops and coroutine switches, transitively),
+// locks held across wire I/O, and the //drtmr:allow suppression contract.
 package lockorder
 
 import (
@@ -109,4 +109,33 @@ func closureHeldAcrossSend(p *pair) {
 		p.a.Unlock()
 	}
 	f()
+}
+
+// A call through a function value named yield — the yield iter.Pull hands a
+// coroutine's body — switches coroutines: the same bug as a channel send,
+// directly and through a call.
+type coro struct {
+	mu    sync.Mutex
+	yield func(struct{}) bool
+}
+
+func (c *coro) heldAcrossSwitch() {
+	c.mu.Lock()
+	c.yield(struct{}{}) // want "lockorder.coro.mu held across coroutine switch"
+	c.mu.Unlock()
+}
+
+func (c *coro) park() { c.yield(struct{}{}) }
+
+func (c *coro) heldAcrossPark() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.park() // want "lockorder.coro.mu held across call to lockorder.\(\*coro\).park, which may yield \(via coroutine switch\)"
+}
+
+// Other function values stay dynamic calls that contribute nothing.
+func (c *coro) heldAcrossFuncValue(f func()) {
+	c.mu.Lock()
+	f()
+	c.mu.Unlock()
 }

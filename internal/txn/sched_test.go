@@ -127,6 +127,42 @@ func TestYieldInsideHTMPanics(t *testing.T) {
 	}
 }
 
+// TestCoroutinePanicSurfaces: a panic inside a context comes out of
+// RunCoroutines on the caller's goroutine, where it can be recovered, while a
+// sibling stays parked. By then the worker has left the cluster's Frontier, so
+// no other worker's idle jump waits on its clock, and it can run contexts again.
+func TestCoroutinePanicSurfaces(t *testing.T) {
+	w := newWorld(t, 1, 1, htm.Config{})
+	wk := w.engines[0].NewWorker(0)
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		wk.RunCoroutines(2, func(slot int) {
+			if slot == 1 {
+				panic("context failed")
+			}
+			wk.Clk.Advance(time.Microsecond)
+			wk.yield(wk.Clk.Now()) // parked when its sibling panics
+		})
+		return nil
+	}()
+	if got != "context failed" {
+		t.Fatalf("RunCoroutines ended with %v, want the context's panic", got)
+	}
+	probe := w.c.Frontier.Join(&sim.Clock{})
+	defer probe.Leave()
+	if x := probe.Behind(sim.Forever); x != nil {
+		t.Error("the worker whose context panicked is still on the Frontier")
+	}
+	ran := 0
+	wk.RunCoroutines(2, func(int) {
+		wk.yield(wk.Clk.Now())
+		ran++
+	})
+	if ran != 2 {
+		t.Errorf("%d of 2 contexts ran after the panic", ran)
+	}
+}
+
 // TestCoroutineBankInvariant runs contending coroutine-scheduled workers on
 // all machines and checks conservation: intra-worker interleaving (several
 // in-flight transactions sharing one worker's QPs and lock word) must not
