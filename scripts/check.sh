@@ -7,6 +7,16 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# internal/txn/sched.go builds only on go1.23 or newer (iter.Pull): an older
+# toolchain skips the file and reports RunCoroutines undefined instead.
+v=$(go env GOVERSION)
+minor=${v#*go1.}
+minor=${minor%%[!0-9]*}
+if [ "${minor:-0}" -lt 23 ]; then
+	echo "check.sh: $v is older than go1.23, which internal/txn/sched.go needs" >&2
+	exit 1
+fi
+
 go build ./...
 go vet ./...
 
