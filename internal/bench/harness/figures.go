@@ -589,10 +589,11 @@ func RunRecovery(nodes, threads int, runFor time.Duration, lease time.Duration) 
 	if lease <= 0 {
 		lease = 150 * time.Millisecond
 	}
+	// The arena only grows: 28 MiB after loading, 63 MiB after 3 s on 2 cores.
 	spec := cluster.Spec{
 		Nodes:    nodes,
 		Replicas: 3,
-		MemBytes: 64 << 20,
+		MemBytes: 128 << 20,
 		Lease:    lease,
 	}
 	c := cluster.New(spec)

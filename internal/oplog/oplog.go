@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drtmr/internal/htm"
@@ -160,8 +161,10 @@ type Writer struct {
 	mu              sync.Mutex
 	tail            uint64 // logical position; authoritative (only we write this ring)
 	head            uint64 // cached remote head (refresh on pressure)
-	committed       uint64 // logical position below which txns are fully committed
 	pushedCommitted uint64 // last watermark value pushed to the remote side
+	// committed: txns below this logical position are fully committed. Not
+	// under mu, which an appender waiting for ring space holds until it moves.
+	committed atomic.Uint64
 }
 
 // NewWriter creates the writer-side handle.
@@ -257,19 +260,23 @@ func (w *Writer) Append(qp *rdma.QP, entry []byte) error {
 // committed transaction and may be truncated by the applier. The watermark
 // is pushed to the remote side lazily (PushWatermark) to amortize verbs.
 func (w *Writer) MarkCommitted(end uint64) {
-	w.mu.Lock()
-	if end > w.committed {
-		w.committed = end
+	for {
+		c := w.committed.Load()
+		if end <= c || w.committed.CompareAndSwap(c, end) {
+			return
+		}
 	}
-	w.mu.Unlock()
 }
 
 // PushWatermark writes the committed watermark to the remote ring if it
 // moved. force pushes even small advances (used on ring pressure and at
-// shutdown).
+// shutdown). An appender holding the writer pushes it itself while it waits
+// for space, so this gives way: the caller goes on draining its own rings.
 func (w *Writer) PushWatermark(qp *rdma.QP, force bool) error {
-	w.mu.Lock()
-	c, p := w.committed, w.pushedCommitted
+	if !w.mu.TryLock() {
+		return nil
+	}
+	c, p := w.committed.Load(), w.pushedCommitted
 	w.mu.Unlock()
 	if c == p {
 		return nil
@@ -293,7 +300,7 @@ func (w *Writer) PushWatermark(qp *rdma.QP, force bool) error {
 // the watermark out, since the applier cannot truncate past it.
 func (w *Writer) waitSpace(qp *rdma.QP, need uint64) error {
 	for w.tail+need > w.head+w.geo.Size {
-		if c := w.committed; c > w.pushedCommitted {
+		if c := w.committed.Load(); c > w.pushedCommitted {
 			if err := qp.Write64(w.geo.MarkOff, c); err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"drtmr/internal/htm"
 	"drtmr/internal/memstore"
@@ -247,6 +248,83 @@ func TestRingFullBlocksUntilTruncation(t *testing.T) {
 	img := f.engs[1].ReadNonTx(off, tbl.RecBytes, nil)
 	if memstore.RecSeq(img) != 6 {
 		t.Fatalf("seq after unblock: %d", memstore.RecSeq(img))
+	}
+}
+
+// TestMarkCommittedWhileAppenderWaits: an appender that finds the ring full
+// holds the writer while it waits for truncation, and truncation waits for
+// the watermark that MarkCommitted advances. The entries filling the ring
+// belong to transactions still to mark them committed, so a MarkCommitted
+// that needed the writer's mutex deadlocked with the appender. So did the
+// backup side: the auxiliary thread that pushes this machine's watermarks
+// also drains the rings other machines' appenders wait on.
+func TestMarkCommittedWhileAppenderWaits(t *testing.T) {
+	f := newRingFixture(t, 4*sim.CachelineSize)
+	var toks []Token
+	for i := uint64(1); i <= 2; i++ { // two half-ring entries, published, not committed
+		entry := Encode(i, []Rec{{Kind: KindUpdate, Table: 1, Key: 1, Seq: 2 * i, Value: val("a")}})
+		b := f.qp.Batch()
+		tk, _, err := f.writer.AppendPayload(f.qp, b, entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.writer.Publish(f.qp, b, tk, entry)
+		if err := b.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		toks = append(toks, tk)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() { // the backup's auxiliary thread
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := f.applier.Poll(); err != nil {
+				t.Error(err)
+				return
+			}
+			sim.Spin(0)
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		done <- f.writer.Append(f.qp, Encode(3, []Rec{{Kind: KindUpdate, Table: 1, Key: 1, Seq: 6, Value: val("c")}}))
+	}()
+	for f.writer.mu.TryLock() { // until the appender holds the writer
+		f.writer.mu.Unlock()
+		sim.Spin(0)
+	}
+	pushed := make(chan error, 1)
+	go func() { pushed <- f.writer.PushWatermark(f.net.NewQP(0, 1, new(sim.Clock)), false) }()
+	select {
+	case err := <-pushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the auxiliary thread's watermark push blocked behind an appender waiting for ring space")
+	}
+	marked := make(chan struct{})
+	go func() {
+		f.writer.MarkCommitted(toks[1].End())
+		close(marked)
+	}()
+	select {
+	case <-marked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("MarkCommitted blocked behind an appender waiting for ring space")
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the appender never got its space")
 	}
 }
 
