@@ -44,13 +44,10 @@ const auditMaxSpan = 4096
 // goroutine instead, so queue depth measures real backlog on any machine.
 const auditColdFetch = 100 * time.Microsecond
 
-// BankProcs maps each bank procedure to its commit protocol ("" = engine
-// default, "drtmr", "farm") — the per-procedure protocol-selection knob.
+// BankProcs sets the bank procedures' per-procedure knobs: the payment
+// procedure's commit protocol ("" = engine default, "drtmr", "farm").
 type BankProcs struct {
 	PaymentProtocol string
-	DepositProtocol string
-	BalanceProtocol string
-	AuditProtocol   string
 }
 
 // OpenBank opens a drtmr cluster shaped for cfg (cfg.Partitioner wired in)
@@ -104,9 +101,8 @@ func RegisterBank(s *Server, cfg smallbank.Config, p BankProcs) error {
 			},
 		},
 		{
-			Name:     "deposit",
-			Protocol: p.DepositProtocol,
-			Home:     home,
+			Name: "deposit",
+			Home: home,
 			Fn: func(w *txn.Worker, args []byte) ([]byte, error) {
 				if len(args) != 16 {
 					return nil, fmt.Errorf("%w: deposit wants 16 bytes, got %d", errBadArgs, len(args))
@@ -120,9 +116,8 @@ func RegisterBank(s *Server, cfg smallbank.Config, p BankProcs) error {
 			},
 		},
 		{
-			Name:     "balance",
-			Protocol: p.BalanceProtocol,
-			Home:     home,
+			Name: "balance",
+			Home: home,
 			Fn: func(w *txn.Worker, args []byte) ([]byte, error) {
 				if len(args) != 8 {
 					return nil, fmt.Errorf("%w: balance wants 8 bytes, got %d", errBadArgs, len(args))
@@ -148,9 +143,8 @@ func RegisterBank(s *Server, cfg smallbank.Config, p BankProcs) error {
 			},
 		},
 		{
-			Name:     "audit",
-			Protocol: p.AuditProtocol,
-			Home:     home,
+			Name: "audit",
+			Home: home,
 			Fn: func(w *txn.Worker, args []byte) ([]byte, error) {
 				if len(args) != 16 {
 					return nil, fmt.Errorf("%w: audit wants 16 bytes, got %d", errBadArgs, len(args))

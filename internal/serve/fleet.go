@@ -57,9 +57,11 @@ type FleetResult struct {
 	Errors       uint64 // transport/server errors (connection died, ...)
 	Dropped      uint64
 
-	// Lat is the committed calls' sojourn time from *scheduled* arrival to
-	// completion (wall ns): queueing for a user slot, the wire, admission,
-	// the server queue, and execution all count.
+	// Lat is the committed calls' sojourn time to completion (wall ns): from
+	// the *scheduled* arrival under an open loop (queueing for a user slot,
+	// the wire, admission, the server queue and execution all count), from
+	// the send under a closed loop (Rate 0), where a call is due whenever its
+	// user is free.
 	Lat     obs.Histogram
 	Elapsed time.Duration
 }
@@ -135,11 +137,15 @@ func RunFleet(o FleetOptions) FleetResult {
 			defer func() { done <- struct{}{} }()
 			for c := range queue {
 				sleep(c.due.Sub(now())) // hold to the arrival schedule
+				from := c.due
+				if o.Rate <= 0 {
+					from = now()
+				}
 				_, err := cl.Call(c.proc, c.args)
 				switch {
 				case err == nil:
 					t.ok++
-					lat.LiveRecord(since(c.due).Nanoseconds())
+					lat.LiveRecord(since(from).Nanoseconds())
 				case client.IsBusy(err):
 					t.shedBusy++
 				case client.IsDeadline(err):

@@ -152,6 +152,32 @@ func TestAdmissionDisabledQueuesEverything(t *testing.T) {
 	}
 }
 
+// TestClosedLoopLatencyIsPerCall: with Rate 0 every call is due at the
+// start, so a closed loop must time each call from its send, not from the
+// start of the run. Each user's calls run one after another, so a call takes
+// about Elapsed/(Calls/Users), and the median must sit far below Elapsed/2,
+// where position-in-run would put it.
+func TestClosedLoopLatencyIsPerCall(t *testing.T) {
+	cfg := smallbank.Config{AccountsPerNode: 500, Nodes: 2, InitialBalance: 10000}
+	_, addr := startBank(t, cfg, Options{WorkersPerNode: 1}, BankProcs{})
+	res := RunFleet(FleetOptions{
+		Addr:     addr,
+		Users:    2,
+		Calls:    400,
+		Accounts: cfg.AccountsPerNode * cfg.Nodes,
+		ReadFrac: 0.5,
+		Seed:     17,
+	})
+	if res.OK != res.Offered {
+		t.Fatalf("not all calls committed: %+v", res)
+	}
+	p50 := time.Duration(res.Lat.Quantile(0.5))
+	t.Logf("p50 %v over %v", p50, res.Elapsed)
+	if p50 > res.Elapsed/20 {
+		t.Fatalf("closed-loop p50 %v of a %v run: latency counts the wait for earlier calls", p50, res.Elapsed)
+	}
+}
+
 // TestDeadlineSheds sends an impossible deadline: the server must answer
 // with the typed Deadline/ServerBusy taxonomy, not hang or drop.
 func TestDeadlineSheds(t *testing.T) {
@@ -218,7 +244,7 @@ func TestStatusEndpoints(t *testing.T) {
 		})
 	}}
 	s, addr := startBank(t, cfg, Options{WorkersPerNode: 2},
-		BankProcs{PaymentProtocol: "farm", DepositProtocol: "drtmr"}, hot)
+		BankProcs{PaymentProtocol: "farm"}, hot)
 	httpAddr, err := s.StartHTTP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +308,7 @@ func TestStatusEndpoints(t *testing.T) {
 			for _, p := range st.Procs {
 				protos[p.Name] = p.Protocol
 			}
-			if protos["payment"] != "farm" || protos["deposit"] != "drtmr" || protos["balance"] != "" {
+			if protos["payment"] != "farm" || protos["deposit"] != "" || protos["balance"] != "" {
 				t.Fatalf("per-proc protocols wrong: %v", protos)
 			}
 			if st.Admission.Admitted == 0 {
