@@ -15,7 +15,8 @@ help:
 	@echo "               with '//drtmr:allow <analyzer> <reason>'"
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"
-	@echo "  stress       htm, memstore, oplog, rdma, txn, check, serve and harness suites"
+	@echo "  stress       htm, memstore, oplog, rdma, cluster, txn, check, serve, harness"
+	@echo "               and root-package suites"
 	@echo "               20 times each on 1 and 2 CPUs (-count=20 -cpu 1,2): catches"
 	@echo "               tests that pass only when goroutines happen (not) to overlap"
 	@echo "               on the host, and the HTM line registry's entry reuse"
@@ -44,7 +45,8 @@ help:
 	@echo "    drtmr-bench -trace out.json       per-worker event trace (open at"
 	@echo "                                      https://ui.perfetto.dev)"
 	@echo "    drtmr-bench -fig lat              latency-percentile CDF table"
-	@echo "    drtmr-bench -fig 20 -trace r.json recovery milestones as a trace"
+	@echo "    drtmr-bench -fig 20 -trace r.json Fig 20's run traced, failure"
+	@echo "                                      milestones on the workers' timeline"
 	@echo "    Worker.EnableTrace / Options.Trace enable recording in code."
 	@echo "  Serve mode (internal/serve, cmd/drtmr-serve, see DESIGN.md):"
 	@echo "    drtmr-serve -addr :7707 -http :7708   TCP front door + /statusz"
@@ -75,9 +77,10 @@ race:
 # on the host, on both a 1-CPU and a 2-CPU schedule, so a host-dependent test
 # fails here before it fails on someone's small machine. htm, memstore and
 # oplog are here because the line registry reuses its entries, and whether a
-# reused entry meets a stale reader depends on the interleaving.
+# reused entry meets a stale reader depends on the interleaving; cluster and
+# the root package because their kills race detector goroutines.
 stress:
-	$(GO) test -count=20 -cpu 1,2 ./internal/htm/ ./internal/memstore/ ./internal/oplog/ ./internal/rdma/ ./internal/txn/ ./internal/check/ ./internal/serve/ ./internal/bench/harness/
+	$(GO) test -count=20 -cpu 1,2 ./internal/htm/ ./internal/memstore/ ./internal/oplog/ ./internal/rdma/ ./internal/cluster/ ./internal/txn/ ./internal/check/ ./internal/serve/ ./internal/bench/harness/ .
 
 # check is the CI gate: build, vet, the full suite under the race detector
 # (the simulator runs real goroutines per worker/applier, so -race exercises

@@ -7,17 +7,17 @@
 //
 //	drtmr-bench -fig 10             # one figure, full scale
 //	drtmr-bench -fig 16 -smoke      # quick, scaled-down run
-//	drtmr-bench -fig 20             # recovery timeline (wall clock)
 //	drtmr-bench -fig all
 //	drtmr-bench -trace out.json     # traced SmallBank run, Perfetto JSON
 //	drtmr-bench -trace f.json -protocol farm  # same, FaRM-style commit
-//	drtmr-bench -fig 20 -trace r.json  # recovery milestones as a trace
+//	drtmr-bench -fig 20 -trace r.json  # the recovery run, milestones included
 //	drtmr-bench -torture -seed 42   # strict-serializability torture sweep
 //	drtmr-bench -torture -mutate    # checker self-test on broken protocols
 //
 // -trace writes a Chrome trace-event file: open it at https://ui.perfetto.dev
 // (or chrome://tracing). Without -fig it runs a dedicated traced SmallBank
-// experiment; with -fig 20 it exports the recovery run's milestone track.
+// experiment; with -fig 20 it traces Fig 20's run, whose failure milestones
+// share the worker spans' virtual timeline.
 //
 // -torture replaces the figure run with the internal/check torture harness:
 // every knob-matrix cell's history is checked for strict serializability and
@@ -43,7 +43,7 @@ import (
 func main() {
 	fig := flag.String("fig", "all", `figure/table to reproduce (listed below), or "all"`)
 	smoke := flag.Bool("smoke", false, "run the scaled-down smoke version")
-	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON to this path (traced SmallBank run, or the recovery milestones with -fig 20)")
+	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON to this path (traced SmallBank run, or Fig 20's run with -fig 20)")
 	protocol := flag.String("protocol", "", `commit protocol for -trace runs: "" = drtmr (the HTM pipeline), "farm" = the one-sided log-append pipeline; "proto" figures sweep both`)
 	torture := flag.Bool("torture", false, "run the strict-serializability torture sweep instead of a figure")
 	mutate := flag.Bool("mutate", false, "with -torture: run the checker self-test against deliberately broken protocols")
@@ -57,7 +57,6 @@ func main() {
 		for _, f := range serveload.Figures {
 			fmt.Fprintf(out, "  %-6s %s\n", f.Name, f.Doc)
 		}
-		fmt.Fprintf(out, "  %-6s %s\n", "20", "Fig 20: recovery timeline (wall clock)")
 	}
 	flag.Parse()
 
@@ -77,18 +76,6 @@ func main() {
 		scale = harness.Smoke
 	}
 	runOne := func(name string) {
-		if name == "20" {
-			runFor := 3 * time.Second
-			if *smoke {
-				runFor = 1500 * time.Millisecond
-			}
-			tl := harness.RunRecovery(3, 2, runFor, 0)
-			tl.Fprint(os.Stdout)
-			if *traceOut != "" {
-				writeTrace(*traceOut, []*obs.Recorder{tl.Trace})
-			}
-			return
-		}
 		for _, f := range serveload.Figures {
 			if f.Name == name {
 				start := time.Now()
@@ -101,15 +88,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *traceOut != "" && *fig != "20" {
-		runTraced(*traceOut, *smoke, *protocol)
+	if *traceOut != "" {
+		runTraced(*traceOut, *fig == "20", scale, *protocol)
 		return
 	}
 	if *fig == "all" {
 		for _, f := range serveload.Figures {
 			runOne(f.Name)
 		}
-		runOne("20")
 		return
 	}
 	runOne(*fig)
@@ -140,22 +126,28 @@ func runTorture(mutate bool, seed uint64, txPerWorker int) int {
 	return 0
 }
 
-// runTraced runs one SmallBank experiment with per-worker tracing on and
-// exports every worker's event ring as a Chrome trace.
-func runTraced(path string, smoke bool, protocol string) {
+// runTraced runs one SmallBank experiment, or Fig 20's run, with per-worker
+// tracing on and exports every event ring as a Chrome trace.
+func runTraced(path string, recovery bool, scale harness.Scale, protocol string) {
 	o := harness.Options{
 		System:       harness.SysDrTMR,
 		Workload:     harness.WLSmallBank,
 		Knobs:        txn.Knobs{Protocol: protocol, CoroutinesPerWorker: 2},
 		SBRemoteProb: 0.10,
-		Trace:        true,
 	}
-	if smoke {
+	if scale == harness.Smoke {
 		o.Nodes, o.ThreadsPerNode, o.TxPerWorker = 3, 2, 60
 		o.SBAccountsPerNode = 1000
 	}
+	if recovery {
+		o = harness.RecoveryOptions(scale)
+	}
+	o.Trace = true
 	r := harness.Run(o)
 	fmt.Printf("%v\n", r)
+	if recovery {
+		harness.RecoveryTable(r).Fprint(os.Stdout)
+	}
 	if s := r.AbortSummary(5); s != "" {
 		fmt.Printf("top aborts: %s\n", s)
 	}

@@ -3,14 +3,9 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"time"
 
-	"drtmr/internal/bench/tpcc"
-	"drtmr/internal/cluster"
 	"drtmr/internal/obs"
-	"drtmr/internal/rdma"
 	"drtmr/internal/txn"
 )
 
@@ -106,6 +101,7 @@ var Figures = []Figure{
 	{"17", "Fig 17: TPC-C vs cross-warehouse access probability", fig17.run},
 	{"18", "Fig 18: TPC-C high contention, one warehouse per machine", fig18.run},
 	{"19", "Fig 19: TPC-C vs database size", fig19.run},
+	{"20", "Fig 20: recovery after a machine is killed, on the cluster's virtual clock", FigRecovery},
 	{"6t", "Table 6: replication's throughput and latency cost", Table6},
 	{"silo", "§7.2: per-machine throughput, Silo vs one DrTM+R machine", figSilo.run},
 	{"coro", "coroutine overlap sweep: SmallBank vs in-flight transactions per worker", figCoro.run},
@@ -552,241 +548,50 @@ func FigContentionTail(scale Scale) Table {
 	return t
 }
 
-// RecoveryTimeline is the Fig 20 experiment: run TPC-C with 3-way
-// replication, kill a machine, and report the throughput timeline around the
-// failure plus the suspect / config-commit / recovery-done milestones. This
-// experiment runs on WALL-CLOCK time (leases and detection are real-time
-// mechanisms); throughput is reported in committed transactions per 2ms
-// bucket, normalized to the pre-failure average.
-type RecoveryTimeline struct {
-	Lease        time.Duration
-	KillAt       time.Time
-	SuspectAt    time.Time
-	ConfigAt     time.Time
-	RecoveredAt  time.Time
-	Buckets      []int // committed txns per BucketDur
-	BucketDur    time.Duration
-	Start        time.Time
-	PostFailPct  float64 // regained throughput as % of pre-failure
-	DetectNanos  int64
-	RecoverNanos int64
-
-	// Trace is the shared cluster recorder the milestones above were read
-	// from (obs.EvMilestone instants stamped with wall time); export with
-	// obs.WriteTrace for the Perfetto view of the failure window.
-	Trace *obs.Recorder
+// RecoveryOptions is Fig 20's run: TPC-C with 3-way replication on 3 nodes x
+// 2 threads, the last machine killed about a third of the way into the run,
+// at the paper's 10ms lease (the cluster default).
+func RecoveryOptions(scale Scale) Options {
+	o := Options{
+		System: SysDrTMR3, Workload: WLTPCC,
+		Nodes: 3, ThreadsPerNode: 2, WarehousesPerNode: 2,
+		TxPerWorker: 700, KillAt: 4 * time.Millisecond, KillNode: 2,
+	}
+	if scale == Full {
+		o.TxPerWorker, o.KillAt = 6000, 36*time.Millisecond
+	}
+	return o
 }
 
-// RunRecovery executes the Fig 20 experiment. lease scales the paper's
-// conservative 10ms failure-detection lease: on dedicated cores 10ms works,
-// but the simulator multiplexes every machine's threads onto the host's
-// cores, where goroutine scheduling delays of tens of milliseconds would
-// cause false suspicions; the default below keeps the same *structure*
-// (detection gated by lease expiry, then reconfiguration, then log-replay
-// recovery) at a starvation-proof scale. EXPERIMENTS.md reports times
-// relative to the lease for comparison with the paper.
-func RunRecovery(nodes, threads int, runFor time.Duration, lease time.Duration) RecoveryTimeline {
-	if lease <= 0 {
-		lease = 150 * time.Millisecond
-	}
-	// The arena only grows: 28 MiB after loading, 63 MiB after 3 s on 2 cores.
-	spec := cluster.Spec{
-		Nodes:    nodes,
-		Replicas: 3,
-		MemBytes: 128 << 20,
-		Lease:    lease,
-	}
-	c := cluster.New(spec)
-	wcfg := tpcc.Config{
-		Nodes: nodes, WarehousesPerNode: threads,
-		RemoteNewOrderProb: 0.01, RemotePaymentProb: 0.15,
-	}
-	if err := tpcc.LoadCluster(c, wcfg, 3); err != nil {
-		panic(err)
-	}
-	var engines []*txn.Engine
-	for _, m := range c.Machines {
-		engines = append(engines, txn.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts()))
-	}
-	// Milestones flow through the obs subsystem: the cluster records every
-	// emit into a shared (mutex-guarded, Pid=-1 "cluster" track) recorder,
-	// and the timeline fields are extracted from it after the run. The
-	// legacy Events() channel below only triggers worker revival.
-	rec := obs.NewSharedRecorder(-1, 0, 256)
-	c.SetRecorder(rec)
-	c.Start()
-	defer c.Stop()
+// FigRecovery is Fig 20: kill a machine of a replicated TPC-C cluster and
+// report, in virtual time, when the survivors suspect it, commit the new
+// configuration and finish recovery, and how much throughput comes back.
+func FigRecovery(scale Scale) Table { return RecoveryTable(Run(RecoveryOptions(scale))) }
 
-	//drtmr:allow virtualtime recovery-timeline harness measures real elapsed wall time, not replayed protocol time
-	tl := RecoveryTimeline{BucketDur: runFor / 100, Start: time.Now(), Lease: lease, Trace: rec}
-	var commitMu sync.Mutex
-	var commitTimes []time.Time
-	recordCommit := func(ts time.Time) {
-		commitMu.Lock()
-		commitTimes = append(commitTimes, ts)
-		commitMu.Unlock()
+// RecoveryTable renders a kill run's milestones as microseconds after the
+// kill and its regained throughput as a percentage of the pre-kill rate.
+func RecoveryTable(r Result) Table {
+	t := Table{
+		Title:   "Fig 20: recovery after killing 1 of 3 machines (TPC-C, r=3, 10ms lease), us after the kill in virtual time",
+		XLabel:  "milestone",
+		Columns: []string{"DrTM+R/r=3"},
+		Notes:   []string{"paper: suspected at lease expiry (10 ms), recovery done ≈40 ms after the kill, ≈80 % of throughput regained"},
 	}
-	stop := make(chan struct{})
-	victim := rdma.NodeID(nodes - 1)
-
-	// Workers: the victim's workers stop at the kill; the paper revives
-	// the failed instance on a surviving machine, so replacement workers
-	// start there once recovery completes.
-	startWorker := func(node int, tid int, seed uint64) {
-		w := engines[node].NewWorker(tid)
-		home := wcfg.WarehousesOf(int(victim))[tid%threads]
-		if node != int(victim) {
-			home = wcfg.WarehousesOf(node)[tid%threads]
-		}
-		ex := tpcc.NewExecutor(w, tpcc.NewGen(wcfg, home, seed))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if c.Machines[node].Dead() {
-				return
-			}
-			if _, err := ex.RunOne(); err == nil {
-				//drtmr:allow virtualtime commit timestamps feed the wall-clock recovery timeline, not the replayed schedule
-				recordCommit(time.Now())
-			}
+	rc := r.Recovery
+	killed, ok := rc.At(obs.MilestoneKilled)
+	if !ok {
+		t.Notes = append(t.Notes, "the run ended before the kill instant")
+		return t
+	}
+	for _, kind := range []uint8{obs.MilestoneSuspect, obs.MilestoneConfigCommit, obs.MilestoneRecoveryDone} {
+		if at, ok := rc.At(kind); ok {
+			t.Rows = append(t.Rows, Row{XName: obs.MilestoneName(kind), Values: []float64{float64(at-killed) / 1e3}})
 		}
 	}
-	for n := 0; n < nodes; n++ {
-		for t := 0; t < threads; t++ {
-			go startWorker(n, t, uint64(n*100+t+1))
-		}
+	if rc.PreTPS > 0 {
+		t.Rows = append(t.Rows, Row{XName: "regained %", Values: []float64{rc.PostTPS / rc.PreTPS * 100}})
 	}
-
-	// Revival trigger: the only remaining consumer of the Events() channel
-	// (milestone TIMES come from the obs recorder post-run). On the first
-	// recovery-done, revive the failed instance's workload on the promoted
-	// machine (shares its NIC, as in the paper: "two instances ... sharing
-	// a single InfiniBand NIC").
-	go func() {
-		revived := false
-		for {
-			select {
-			case <-stop:
-				return
-			case ev := <-c.Events():
-				if ev.Kind == "recovery-done" && !revived {
-					revived = true
-					promoted := c.Coord.Current().PrimaryOf(cluster.ShardID(victim))
-					for t := 0; t < threads; t++ {
-						go startWorker(int(promoted), 100+t, uint64(900+t))
-					}
-				}
-			}
-		}
-	}()
-
-	// The whole kill/recover choreography below runs in harness wall time:
-	// the figure plots real throughput dips around a real fault instant.
-	time.Sleep(runFor / 3) //drtmr:allow virtualtime harness wall-clock choreography for the recovery figure
-	//drtmr:allow virtualtime harness wall-clock choreography for the recovery figure
-	tl.KillAt = time.Now()
-	c.Kill(victim)
-	time.Sleep(2 * runFor / 3) //drtmr:allow virtualtime harness wall-clock choreography for the recovery figure
-	close(stop)
-
-	// Bucketize commits (stragglers may still append briefly; snapshot).
-	time.Sleep(20 * time.Millisecond) //drtmr:allow virtualtime harness wall-clock choreography for the recovery figure
-	commitMu.Lock()
-	snapshot := append([]time.Time(nil), commitTimes...)
-	commitMu.Unlock()
-	//drtmr:allow virtualtime harness wall-clock choreography for the recovery figure
-	end := time.Now()
-	n := int(end.Sub(tl.Start)/tl.BucketDur) + 1
-	tl.Buckets = make([]int, n)
-	for _, ts := range snapshot {
-		i := int(ts.Sub(tl.Start) / tl.BucketDur)
-		if i >= 0 && i < n {
-			tl.Buckets[i]++
-		}
-	}
-	// Extract milestone times from the obs recorder (first occurrence of
-	// each milestone wins; timestamps are wall-clock UnixNano).
-	for _, ev := range rec.Events() {
-		if ev.Kind != obs.EvMilestone {
-			continue
-		}
-		at := time.Unix(0, ev.Start)
-		switch ev.Detail {
-		case obs.MilestoneSuspect:
-			if tl.SuspectAt.IsZero() {
-				tl.SuspectAt = at
-			}
-		case obs.MilestoneConfigCommit:
-			if tl.ConfigAt.IsZero() {
-				tl.ConfigAt = at
-			}
-		case obs.MilestoneRecoveryDone:
-			if tl.RecoveredAt.IsZero() {
-				tl.RecoveredAt = at
-			}
-		case obs.MilestoneKilled:
-			// KillAt comes from the harness's own kill record (the killer
-			// knows the instant exactly); the event copy is redundant.
-		}
-	}
-	if !tl.SuspectAt.IsZero() {
-		tl.DetectNanos = tl.SuspectAt.Sub(tl.KillAt).Nanoseconds()
-	}
-	if !tl.RecoveredAt.IsZero() {
-		tl.RecoverNanos = tl.RecoveredAt.Sub(tl.KillAt).Nanoseconds()
-	}
-	// Pre/post throughput comparison.
-	killIdx := int(tl.KillAt.Sub(tl.Start) / tl.BucketDur)
-	pre := avgBuckets(tl.Buckets[:killIdx])
-	tailStart := killIdx + (n-killIdx)/2
-	post := avgBuckets(tl.Buckets[tailStart:])
-	if pre > 0 {
-		tl.PostFailPct = post / pre * 100
-	}
-	return tl
-}
-
-func avgBuckets(b []int) float64 {
-	if len(b) == 0 {
-		return 0
-	}
-	vals := append([]int(nil), b...)
-	sort.Ints(vals)
-	// Trim the 10% tails (startup/shutdown buckets).
-	lo, hi := len(vals)/10, len(vals)-len(vals)/10
-	if hi <= lo {
-		lo, hi = 0, len(vals)
-	}
-	sum := 0
-	for _, v := range vals[lo:hi] {
-		sum += v
-	}
-	return float64(sum) / float64(hi-lo)
-}
-
-// Fprint renders the recovery timeline.
-func (tl RecoveryTimeline) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== Fig 20: recovery timeline (wall clock) ==\n")
-	fmt.Fprintf(w, "kill at        t=%v\n", tl.KillAt.Sub(tl.Start).Round(time.Millisecond))
-	if !tl.SuspectAt.IsZero() {
-		fmt.Fprintf(w, "suspect        +%v after kill\n", time.Duration(tl.DetectNanos).Round(time.Millisecond))
-	}
-	if !tl.ConfigAt.IsZero() {
-		fmt.Fprintf(w, "config-commit  +%v after kill\n", tl.ConfigAt.Sub(tl.KillAt).Round(time.Millisecond))
-	}
-	if !tl.RecoveredAt.IsZero() {
-		fmt.Fprintf(w, "recovery-done  +%v after kill\n", time.Duration(tl.RecoverNanos).Round(time.Millisecond))
-	}
-	fmt.Fprintf(w, "regained throughput: %.0f%% of pre-failure\n", tl.PostFailPct)
-	fmt.Fprintf(w, "timeline (txns per %v bucket):\n", tl.BucketDur)
-	for i, b := range tl.Buckets {
-		if i%10 == 0 {
-			fmt.Fprintf(w, "\n t=%4dms ", i*int(tl.BucketDur/time.Millisecond))
-		}
-		fmt.Fprintf(w, "%5d", b)
-	}
-	fmt.Fprintln(w)
+	t.Notes = append(t.Notes, fmt.Sprintf("killed at %.1f ms; %.0f txns/s before the kill, %.0f after recovery",
+		float64(killed)/1e6, rc.PreTPS, rc.PostTPS))
+	return t
 }

@@ -9,6 +9,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,6 +21,7 @@ import (
 	"drtmr/internal/htm"
 	"drtmr/internal/obs"
 	"drtmr/internal/rdma"
+	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
 
@@ -112,17 +114,19 @@ type Options struct {
 	// doorbell, backoff), and the gate's seeded RNG picks who runs next. The
 	// run's interleaving — and therefore its entire Result — becomes a pure
 	// function of Options, which is what lets a torture-harness violation be
-	// replayed from its seed. Requires an unreplicated system, no kill
-	// injection, and the default (quiescent) failure-detector timing; Run
-	// panics otherwise.
+	// replayed from its seed. Requires an unreplicated system and no kill;
+	// Run panics otherwise. The failure plane never ticks under the gate.
 	Deterministic bool
 
-	// KillAfter, when >0, kills machine KillNode after that wall-clock delay
-	// mid-run (torture cells exercising recovery under load). Lease and
-	// HeartbeatEvery then override the cluster's failure-detector timing so
-	// the survivors actually detect the death within the run (0 keeps the
-	// harness default: effectively never suspect).
-	KillAfter      time.Duration
+	// KillAt, when >0, kills machine KillNode at that virtual instant of the
+	// cluster's clock (cluster.Cluster.Report): the first transaction begin
+	// or backoff of any worker that crosses it. The victim's remaining
+	// transaction budget resumes on its shard's promoted primary from the
+	// recovery-done instant, and Result.Recovery reports the milestones.
+	// Needs a replicated system. Lease and HeartbeatEvery set the failure
+	// detector's timing (0 = the cluster's: the paper's 10ms lease, 2ms
+	// period).
+	KillAt         time.Duration
 	KillNode       int
 	Lease          time.Duration
 	HeartbeatEvery time.Duration
@@ -212,6 +216,59 @@ type Result struct {
 	// History carries each worker's transaction-history recorder when
 	// Options.History was set; HistoryTxns() merges them for internal/check.
 	History []*obs.HistoryRecorder
+
+	// Recovery is the failure timeline of a run that killed a machine (nil
+	// otherwise).
+	Recovery *Recovery
+}
+
+// Recovery is what a run that kills a machine reports about it: the failure
+// plane's milestones, in virtual ns on the cluster's clock, and the
+// throughput around them.
+type Recovery struct {
+	Milestones []cluster.Milestone
+	// PreTPS is committed transactions per virtual second before the kill;
+	// PostTPS from recovery-done until the first worker ran out of budget.
+	PreTPS, PostTPS float64
+}
+
+// At returns the instant of the first milestone of kind (an obs milestone
+// code), and whether there was one.
+func (rc *Recovery) At(kind uint8) (int64, bool) {
+	for _, ms := range rc.Milestones {
+		if ms.Kind == kind {
+			return ms.At, true
+		}
+	}
+	return 0, false
+}
+
+// newRecovery reads a kill run's throughput around its milestones from each
+// worker's commit instants and final clock.
+func newRecovery(ms []cluster.Milestone, commits [][]int64, ends []int64) *Recovery {
+	rc := &Recovery{Milestones: ms}
+	killed, ok := rc.At(obs.MilestoneKilled)
+	done, ok2 := rc.At(obs.MilestoneRecoveryDone)
+	if !ok || !ok2 {
+		return rc
+	}
+	end := slices.Min(ends)
+	var pre, post int
+	for _, cs := range commits {
+		for _, t := range cs {
+			switch {
+			case t < killed:
+				pre++
+			case t >= done && t < end:
+				post++
+			}
+		}
+	}
+	rc.PreTPS = float64(pre) / float64(killed) * 1e9
+	if end > done {
+		rc.PostTPS = float64(post) / float64(end-done) * 1e9
+	}
+	return rc
 }
 
 // CommitBreakdown renders the per-phase commit-latency breakdown: average
@@ -342,20 +399,10 @@ func Run(o Options) Result {
 // buildCluster creates a cluster, per-machine stores and loads the workload
 // (primaries and backups).
 func buildCluster(o Options, replicas int) *cluster.Cluster {
-	// Throughput experiments never kill machines; an effectively infinite
-	// lease prevents false suspicions while the host oversubscribes its
-	// cores running worker goroutines. Kill-injection runs override both
-	// timings so the survivors detect the death within the run, and
-	// deterministic runs stretch the heartbeat period so detector aux-QP
-	// traffic never perturbs the NIC queues mid-schedule.
-	lease, heartbeat := time.Hour, time.Duration(0)
-	if o.Lease > 0 {
-		lease = o.Lease
-	}
-	if o.HeartbeatEvery > 0 {
-		heartbeat = o.HeartbeatEvery
-	}
+	heartbeat := o.HeartbeatEvery
 	if o.Deterministic {
+		// The failure plane never ticks, so the gated schedule holds no
+		// heartbeat or detector work.
 		heartbeat = time.Hour
 	}
 	c := cluster.New(cluster.Spec{
@@ -364,7 +411,7 @@ func buildCluster(o Options, replicas int) *cluster.Cluster {
 		MemBytes:       memFor(o),
 		HTM:            o.HTM,
 		RDMA:           rdma.Config{NICBytesPerSec: rdma.NICBandwidth56G},
-		Lease:          lease,
+		Lease:          o.Lease,
 		HeartbeatEvery: heartbeat,
 	})
 	var err error
@@ -448,12 +495,13 @@ func runDrTMR(o Options) Result {
 	}
 	c.Start()
 
+	kill := o.KillAt > 0
 	var gate *stepGate
 	if o.Deterministic {
 		if replicas != 1 {
 			panic("harness: Deterministic requires an unreplicated system")
 		}
-		if o.KillAfter > 0 {
+		if kill {
 			panic("harness: Deterministic requires no kill injection")
 		}
 		gate = newStepGate(o.Seed^0x9E3779B97F4A7C15, o.Nodes*o.ThreadsPerNode)
@@ -462,89 +510,153 @@ func runDrTMR(o Options) Result {
 	if o.History {
 		ticks = obs.NewTickSource()
 	}
-	if o.KillAfter > 0 {
-		victim := rdma.NodeID(o.KillNode)
-		//drtmr:allow virtualtime the fault-injection instant is harness wall time, outside the replayed schedule
-		killTimer := time.AfterFunc(o.KillAfter, func() { c.Kill(victim) })
-		defer killTimer.Stop()
+	var milestones *obs.Recorder
+	if kill {
+		if replicas == 1 {
+			panic("harness: KillAt needs a replicated system")
+		}
+		c.KillAt(rdma.NodeID(o.KillNode), int64(o.KillAt))
+		if o.Trace {
+			milestones = obs.NewRecorder(-1, 0, 64)
+			c.SetRecorder(milestones)
+		}
 	}
 
 	typeNames := typeNamesFor(o.Workload)
-	// What a worker hands back beside its counters, one slot per worker.
-	lats := make([]*obs.TypedHist, o.Nodes*o.ThreadsPerNode)
-	workers := make([]*txn.Worker, len(lats))
+	n := o.Nodes * o.ThreadsPerNode
+	// What a worker hands back beside its counters, one slot per worker: a
+	// killed worker's slot also holds its successor on the promoted primary.
+	lats := make([]*obs.TypedHist, n)
+	workers := make([][]*txn.Worker, n)
+	commits := make([][]int64, n) // commit instants, in kill runs
+	ends := make([]int64, n)
 	r := runWorkers(o, o.Nodes, func(node, tid int) worked {
 		gid := node*o.ThreadsPerNode + tid
-		w := engines[node].NewWorker(tid)
-		workers[gid] = w
+		newWorker := func(e *txn.Engine, id int) *txn.Worker {
+			w := e.NewWorker(id)
+			workers[gid] = append(workers[gid], w)
+			if ticks != nil {
+				w.EnableHistory(ticks)
+			}
+			if o.Trace {
+				w.EnableTrace(o.TraceEventsPerWorker)
+			}
+			return w
+		}
+		w := newWorker(engines[node], tid)
 		if gate != nil {
 			w.SetGate(gate.stepFn(gid))
 			defer gate.finish(gid)
-		}
-		if ticks != nil {
-			w.EnableHistory(ticks)
-		}
-		if o.Trace {
-			w.EnableTrace(o.TraceEventsPerWorker)
 		}
 		// Per-worker histogram of virtual commit latency (measured
 		// around each successful transaction, retries included).
 		lat := obs.NewTypedHist(typeNames...)
 		lats[gid] = lat
+		committed := func(ty int, start int64) {
+			lat.Record(ty, w.Clk.Now()-start)
+			if kill {
+				commits[gid] = append(commits[gid], w.Clk.Now())
+			}
+		}
 		var newOrders uint64
-		// The worker multiplexes its TxPerWorker budget over N
-		// coroutines (strict handoff keeps the shared countdown and
-		// generator state single-threaded); N=1 runs the classic
-		// sequential loop.
-		ncoro := o.Coroutines()
-		remaining := o.TxPerWorker
+		var one func() // runs the workload's next transaction on w
+		var ex *tpcc.Executor
 		switch o.Workload {
 		case WLTPCC:
 			whs := tcfg.WarehousesOf(node)
-			home := whs[tid%len(whs)]
-			ex := tpcc.NewExecutor(w, tpcc.NewGen(tcfg, home, o.Seed+uint64(node*100+tid)))
-			w.RunCoroutines(ncoro, func(int) {
-				for remaining > 0 && !engines[node].M.Dead() {
-					remaining--
-					s := w.Clk.Now()
-					ty, err := ex.RunOne()
-					if err != nil {
-						continue
-					}
-					lat.Record(int(ty), w.Clk.Now()-s)
-					if ty == tpcc.TxNewOrder {
-						newOrders++
-					}
+			ex = tpcc.NewExecutor(w, tpcc.NewGen(tcfg, whs[tid%len(whs)], o.Seed+uint64(node*100+tid)))
+			one = func() {
+				s := w.Clk.Now()
+				ty, err := ex.RunOne()
+				if err != nil {
+					return
 				}
-			})
+				committed(int(ty), s)
+				if ty == tpcc.TxNewOrder {
+					newOrders++
+				}
+			}
 		case WLSmallBank:
 			g := smallbank.NewGen(scfg, cluster.ShardID(node), o.Seed+uint64(node*100+tid))
-			w.RunCoroutines(ncoro, func(int) {
-				for remaining > 0 && !engines[node].M.Dead() {
+			one = func() {
+				p := g.Next()
+				s := w.Clk.Now()
+				if smallbank.Execute(w, p) == nil {
+					committed(int(p.Type), s)
+				}
+			}
+		}
+		// The worker multiplexes its TxPerWorker budget over N coroutines
+		// (strict handoff keeps the shared countdown and generator state
+		// single-threaded); N=1 runs the classic sequential loop.
+		remaining := o.TxPerWorker
+		run := func() {
+			m := w.E.M
+			w.RunCoroutines(o.Coroutines(), func(int) {
+				for remaining > 0 && !m.Dead() {
 					remaining--
-					p := g.Next()
-					s := w.Clk.Now()
-					if smallbank.Execute(w, p) == nil {
-						lat.Record(int(p.Type), w.Clk.Now()-s)
-					}
+					one()
 				}
 			})
 		}
+		run()
+		if w.E.M.Dead() && remaining > 0 {
+			// The failed instance is revived on its shard's promoted
+			// primary, sharing that machine's NIC, as in the paper.
+			at := recoveredAt(c, w.E.M.ID)
+			prev := w
+			w = newWorker(engines[c.Coord.Current().PrimaryOf(cluster.ShardID(node))], o.ThreadsPerNode+tid)
+			w.Clk.AdvanceTo(at)
+			if ex != nil {
+				ex.W = w
+			}
+			run()
+			w.Stats.Merge(&prev.Stats)
+		}
+		ends[gid] = w.Clk.Now()
 		return worked{stats: &w.Stats, newOrders: newOrders, clock: w.Clk.Now()}
 	})
 	r.Yields = r.CoYields
 	r.Lat = obs.NewTypedHist(typeNames...)
-	for gid, w := range workers {
+	for gid, ws := range workers {
 		r.Lat.Merge(lats[gid])
-		if w.Rec != nil {
-			r.Trace = append(r.Trace, w.Rec)
+		for _, w := range ws {
+			if w.Rec != nil {
+				r.Trace = append(r.Trace, w.Rec)
+			}
+			if w.Hist != nil {
+				r.History = append(r.History, w.Hist)
+			}
 		}
-		if w.Hist != nil {
-			r.History = append(r.History, w.Hist)
-		}
+	}
+	if milestones != nil {
+		r.Trace = append(r.Trace, milestones)
+	}
+	if kill {
+		r.Recovery = newRecovery(c.Milestones(), commits, ends)
 	}
 	r.applyHistogram()
 	return r
+}
+
+// recoveredAt waits for the failure plane to record the recovery of dead's
+// shards and returns its instant. Waiting lets virtual time pass, as a
+// worker's wait for a new configuration does: when the cluster's clock has
+// not moved since the last look, the waiter reports its next tick.
+func recoveredAt(c *cluster.Cluster, dead rdma.NodeID) int64 {
+	for seen := int64(-1); ; {
+		for _, ms := range c.Milestones() {
+			if ms.Kind == obs.MilestoneRecoveryDone && ms.Node == dead {
+				return ms.At
+			}
+		}
+		sim.Spin(500 * time.Microsecond)
+		if now := c.Now(); now != seen {
+			seen = now
+		} else {
+			c.Report(c.NextTick())
+		}
+	}
 }
 
 // HistoryTxns merges every worker's recorded transactions into one history,

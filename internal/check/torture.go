@@ -19,9 +19,10 @@ import (
 // pure function of its harness.Options (the schedule gate serializes all
 // workers through one seeded RNG), so a violating cell is replayed exactly
 // by re-running RunCell with the reported cell — same seed, same
-// interleaving, same violation. Kill cells are wall-clock timed and
-// therefore only statistically reproducible; their seed still pins the
-// workload and schedule preferences.
+// interleaving, same violation. Kill cells run free, without the gate: the
+// kill, the lease and the recovery are instants on the cluster's virtual
+// clock, but the interleaving around them is the host's, so they reproduce
+// statistically; their seed still pins the workload.
 
 // TortureOptions configures a sweep. Zero values take torture defaults
 // (NOT the harness's paper defaults — torture wants small, hot, conflicting
@@ -51,8 +52,8 @@ type TortureOptions struct {
 
 	// Kill adds replicated (3-way) cells that kill a machine mid-run.
 	Kill bool
-	// KillTxPerWorker sizes the kill cells (they are slower: wall-clock
-	// failure detection, recovery, re-execution).
+	// KillTxPerWorker sizes the kill cells; their failure-plane timing
+	// (killAt, killLease, killHeartbeat) is sized to the run it gives.
 	KillTxPerWorker int
 
 	// Mutations forwards protocol-breaking switches to every cell
@@ -242,10 +243,10 @@ func Cells(o TortureOptions) []Cell {
 					Knobs:             txn.Knobs{CoroutinesPerWorker: co, Mut: o.Mutations},
 					History:           true,
 					Seed:              seed,
-					KillAfter:         12 * time.Millisecond,
+					KillAt:            killAt,
 					KillNode:          o.Nodes - 1,
-					Lease:             80 * time.Millisecond,
-					HeartbeatEvery:    8 * time.Millisecond,
+					Lease:             killLease,
+					HeartbeatEvery:    killHeartbeat,
 				},
 				// Kill histories are incomplete by design: the dead
 				// machine's in-flight effects are only partially
@@ -346,10 +347,10 @@ func Cells(o TortureOptions) []Cell {
 						SBRemoteProb:      o.RemoteProb,
 						History:           true,
 						Seed:              seed,
-						KillAfter:         12 * time.Millisecond,
+						KillAt:            killAt,
 						KillNode:          o.Nodes - 1,
-						Lease:             80 * time.Millisecond,
-						HeartbeatEvery:    8 * time.Millisecond,
+						Lease:             killLease,
+						HeartbeatEvery:    killHeartbeat,
 					},
 					CheckOpts: Options{Strict: false, Replicated: true},
 				})
@@ -381,3 +382,12 @@ func Torture(o TortureOptions) *Report {
 	}
 	return rep
 }
+
+// Kill cells' failure-plane timing, on the cluster's virtual clock. A kill
+// cell runs 1-3 ms of virtual time without the kill, so the machine dies
+// about a third of the way in and the survivors suspect it within the run.
+const (
+	killAt        = 300 * time.Microsecond
+	killLease     = 500 * time.Microsecond
+	killHeartbeat = 100 * time.Microsecond
+)

@@ -46,7 +46,7 @@ func TestMutationSelfTest(t *testing.T) {
 // TestTortureSweep runs the full knob matrix — coroutines × verb batching ×
 // fallback pressure, plus replicated kill cells — on the UNBROKEN protocol
 // and requires every cell's history to verify. Short mode shrinks the cells
-// and skips the (wall-clock-timed) kill cells.
+// and skips the (free-running) kill cells.
 func TestTortureSweep(t *testing.T) {
 	o := TortureOptions{Seed: 3, Kill: true}
 	if testing.Short() {

@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"drtmr/internal/memstore"
+	"drtmr/internal/obs"
 	"drtmr/internal/oplog"
 	"drtmr/internal/rdma"
 	"drtmr/internal/sim"
@@ -106,59 +110,103 @@ func TestRPCRoundtrip(t *testing.T) {
 	}
 }
 
+// driveUntil reports the failure plane's ticks one at a time, ceding the host
+// after each so the detectors keep up, until done holds.
+func driveUntil(t *testing.T, c *Cluster, what string, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !done() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened (failure plane at %v)", what, time.Duration(c.Now()))
+		}
+		c.Report(c.NextTick())
+		runtime.Gosched()
+	}
+}
+
+// milestoneAt returns the instant of the first milestone of kind, or -1.
+func milestoneAt(c *Cluster, kind uint8) int64 {
+	for _, ms := range c.Milestones() {
+		if ms.Kind == kind {
+			return ms.At
+		}
+	}
+	return -1
+}
+
 func TestFailureDetectionAndReconfig(t *testing.T) {
-	// A wider lease than testSpec's: the lower bound below compares against
-	// wall-clock kill time, so scheduler noise (missed heartbeat polls under
-	// full-suite load) must be small relative to the lease.
-	spec := testSpec(3, 3)
-	spec.Lease = 50 * time.Millisecond
-	spec.HeartbeatEvery = 5 * time.Millisecond
-	c := New(spec)
+	c := New(testSpec(3, 3))
 	c.Start()
 	defer c.Stop()
-	time.Sleep(60 * time.Millisecond) // let heartbeats establish
-	killAt := time.Now()
-	c.Kill(1)
-	var suspectAt, commitAt time.Time
-	deadline := time.After(2 * time.Second)
-	for suspectAt.IsZero() || commitAt.IsZero() {
-		select {
-		case ev := <-c.Events():
-			switch ev.Kind {
-			case "suspect":
-				if suspectAt.IsZero() {
-					suspectAt = ev.At
-				}
-			case "config-commit":
-				commitAt = ev.At
-			}
-		case <-deadline:
-			t.Fatalf("no reconfiguration after kill (suspect=%v commit=%v)",
-				suspectAt, commitAt)
-		}
+	// Between detection ticks, so the victim's last stamp and the last one a
+	// detector read are a tick apart.
+	const killAt = 7300 * time.Microsecond
+	c.KillAt(1, int64(killAt))
+	driveUntil(t, c, "config-commit", func() bool { return milestoneAt(c, obs.MilestoneConfigCommit) >= 0 })
+	lease, every := c.Spec.Lease, c.Spec.HeartbeatEvery
+	if got := milestoneAt(c, obs.MilestoneKilled); got != int64(killAt) {
+		t.Fatalf("killed at %v, want %v", time.Duration(got), killAt)
 	}
-	if suspectAt.Sub(killAt) < c.Spec.Lease/2 {
-		t.Fatalf("suspected too fast (%v): lease not honored", suspectAt.Sub(killAt))
+	suspect := time.Duration(milestoneAt(c, obs.MilestoneSuspect))
+	if lo, hi := killAt+lease-every/2, killAt+lease+2*every; suspect < lo || suspect > hi {
+		t.Fatalf("suspected at %v, want within [%v, %v]: the lease gates detection", suspect, lo, hi)
+	}
+	if commit := time.Duration(milestoneAt(c, obs.MilestoneConfigCommit)); commit < suspect {
+		t.Fatalf("config committed at %v, before the suspicion at %v", commit, suspect)
 	}
 	// Survivors converge on epoch 2 with node 1 gone and shard 1 promoted.
-	waitFor := func(m *Machine) *Config {
-		for i := 0; i < 200; i++ {
-			if cfg := m.Config(); cfg.Epoch >= 2 {
-				return cfg
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("machine %d never saw epoch 2", m.ID)
-		return nil
-	}
 	for _, id := range []rdma.NodeID{0, 2} {
-		cfg := waitFor(c.Machines[id])
+		m := c.Machines[id]
+		driveUntil(t, c, fmt.Sprintf("epoch 2 on machine %d", id), func() bool { return m.Config().Epoch >= 2 })
+		cfg := m.Config()
 		if cfg.IsMember(1) {
 			t.Fatalf("machine %d still sees node 1 as member", id)
 		}
 		if cfg.PrimaryOf(1) != 2 {
 			t.Fatalf("machine %d: shard 1 primary = %d, want 2", id, cfg.PrimaryOf(1))
 		}
+	}
+	for _, ms := range c.Milestones() {
+		if ms.Node != 1 {
+			t.Fatalf("milestone %s names live machine %d", obs.MilestoneName(ms.Kind), ms.Node)
+		}
+	}
+}
+
+// TestNoLiveMachineIsSuspected: machine 2 reports nothing (its workers have
+// finished, or never started) while machines 0 and 1 drive the cluster's
+// clock ten leases on. Every live machine is stamped on that one clock, so
+// machine 2 never goes stale; a heartbeat that followed each machine's own
+// workers would have it suspected after one lease.
+func TestNoLiveMachineIsSuspected(t *testing.T) {
+	c := New(testSpec(3, 3))
+	c.Start()
+	defer c.Stop()
+	end := 11 * int64(c.Spec.Lease)
+	var wg sync.WaitGroup
+	for node := 0; node < 2; node++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var clk sim.Clock
+			for clk.Now() < end {
+				clk.Advance(time.Duration(30+node*17) * time.Microsecond)
+				c.Report(clk.Now())
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, m := range c.Machines {
+		for m.passed.Load() < c.plane.detect.Load() {
+			runtime.Gosched()
+		}
+	}
+	if c.Now() < end-c.tick() {
+		t.Fatalf("clock reached only %v", time.Duration(c.Now()))
+	}
+	if ms := c.Milestones(); len(ms) != 0 {
+		t.Fatalf("live cluster recorded milestones: %+v", ms)
 	}
 }
 
@@ -218,21 +266,8 @@ func TestRecoveryPromotesBackupWithData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(20 * time.Millisecond)
 	c.Kill(1)
-	// Wait for recovery-done.
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case ev := <-c.Events():
-			if ev.Kind == "recovery-done" {
-				goto recovered
-			}
-		case <-deadline:
-			t.Fatal("recovery never completed")
-		}
-	}
-recovered:
+	driveUntil(t, c, "recovery-done", func() bool { return milestoneAt(c, obs.MilestoneRecoveryDone) >= 0 })
 	// New primary of shard 1 is machine 2, and it has the record.
 	cfg := c.Coord.Current()
 	if cfg.PrimaryOf(1) != 2 {

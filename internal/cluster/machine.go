@@ -9,7 +9,6 @@ import (
 
 	"drtmr/internal/htm"
 	"drtmr/internal/memstore"
-	"drtmr/internal/obs"
 	"drtmr/internal/oplog"
 	"drtmr/internal/rdma"
 	"drtmr/internal/sim"
@@ -40,10 +39,12 @@ type Spec struct {
 	RingBytes int
 	HTM       htm.Config
 	RDMA      rdma.Config
-	// Lease is the failure-detection lease (wall clock); the paper uses a
-	// conservative 10ms.
+	// Lease is the failure-detection lease on the cluster's virtual clock
+	// (failure.go): a machine whose heartbeat stamp lags a detection tick by
+	// more than Lease is suspected. 0 = the paper's conservative 10ms.
 	Lease time.Duration
-	// HeartbeatEvery is the detector polling period.
+	// HeartbeatEvery is the detector period: heartbeats are stamped every
+	// HeartbeatEvery/2 of virtual time and detectors run every HeartbeatEvery.
 	HeartbeatEvery time.Duration
 }
 
@@ -79,6 +80,12 @@ type Machine struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 	dead     atomic.Bool
+
+	// wake starts a detector pass (capacity 1: a pass reads the latest
+	// detection tick, so wake-ups that find it full are not lost); passed is
+	// the detection tick of the last pass finished.
+	wake   chan struct{}
+	passed atomic.Int64
 }
 
 // Handler processes one RPC request on the hosting machine and returns the
@@ -97,21 +104,11 @@ type Cluster struct {
 	// not skip past one that is still working; see sim.Frontier.
 	Frontier sim.Frontier
 
-	events   chan Event
-	obsRec   atomic.Pointer[obs.Recorder]
-	recovery recoveryState
-}
-
-// Event reports a recovery-timeline milestone (Fig 20's "suspect",
-// "config-commit", "recovery-done").
-type Event struct {
-	Kind string
-	Node rdma.NodeID
-	At   time.Time
+	plane failurePlane
 }
 
 // New builds a cluster. Workers are created by the transaction layer; Start
-// launches heartbeat/detector/auxiliary threads.
+// launches the detector and auxiliary threads.
 func New(spec Spec) *Cluster {
 	if spec.Nodes <= 0 {
 		panic("cluster: need at least one node")
@@ -126,21 +123,17 @@ func New(spec Spec) *Cluster {
 		spec.RingBytes = 1 << 20
 	}
 	if spec.Lease == 0 {
-		// The paper's conservative lease is 10ms on dedicated cores; the
-		// simulator often runs heavily oversubscribed (many simulated
-		// machines on few host cores), where a tight lease yields false
-		// suspicions. Recovery experiments set 10ms explicitly.
-		spec.Lease = 500 * time.Millisecond
+		spec.Lease = 10 * time.Millisecond
 	}
 	if spec.HeartbeatEvery == 0 {
 		spec.HeartbeatEvery = 2 * time.Millisecond
 	}
 	c := &Cluster{
-		Spec:   spec,
-		Net:    rdma.NewNetwork(spec.Nodes, spec.RDMA),
-		Coord:  NewCoordinator(NewInitialConfig(spec.Nodes, spec.Replicas)),
-		events: make(chan Event, 64),
+		Spec:  spec,
+		Net:   rdma.NewNetwork(spec.Nodes, spec.RDMA),
+		Coord: NewCoordinator(NewInitialConfig(spec.Nodes, spec.Replicas)),
 	}
+	c.plane.next.Store(c.tick())
 	ringArea := uint64(spec.Nodes) * uint64(spec.RingBytes)
 	arenaStart := uint64(ringCtlBase) + uint64(spec.Nodes)*2*sim.CachelineSize
 	arenaStart = (arenaStart + 4095) &^ 4095
@@ -161,6 +154,7 @@ func New(spec Spec) *Cluster {
 			handlers: make(map[uint8]Handler),
 			pending:  make(map[uint64]chan []byte),
 			stop:     make(chan struct{}),
+			wake:     make(chan struct{}, 1),
 		}
 		m.cfg.Store(initial)
 		c.Machines = append(c.Machines, m)
@@ -193,46 +187,6 @@ func New(spec Spec) *Cluster {
 		}
 	}
 	return c
-}
-
-// Events returns the recovery-milestone stream.
-func (c *Cluster) Events() <-chan Event { return c.events }
-
-// SetRecorder attaches an obs recorder to the milestone stream: every emit
-// additionally records an obs.EvMilestone instant event stamped with WALL
-// time (recovery runs on wall clock — leases and detection are real-time
-// mechanisms; see harness.RunRecovery). Milestones come from several machine
-// goroutines concurrently, so pass a shared (mutex-guarded) recorder.
-func (c *Cluster) SetRecorder(r *obs.Recorder) { c.obsRec.Store(r) }
-
-// milestoneCode maps the event-kind string to its obs milestone code.
-func milestoneCode(kind string) (uint8, bool) {
-	switch kind {
-	case "killed":
-		return obs.MilestoneKilled, true
-	case "suspect":
-		return obs.MilestoneSuspect, true
-	case "config-commit":
-		return obs.MilestoneConfigCommit, true
-	case "recovery-done":
-		return obs.MilestoneRecoveryDone, true
-	}
-	return 0, false
-}
-
-func (c *Cluster) emit(kind string, node rdma.NodeID) {
-	//drtmr:allow virtualtime milestone events are stamped in observer wall time for the recovery timeline
-	now := time.Now()
-	if r := c.obsRec.Load(); r != nil {
-		if code, ok := milestoneCode(kind); ok {
-			ns := now.UnixNano()
-			r.Record(obs.EvMilestone, code, uint16(node), 0, 0, ns, ns)
-		}
-	}
-	select {
-	case c.events <- Event{Kind: kind, Node: node, At: now}:
-	default:
-	}
 }
 
 // Machine returns machine id.
@@ -401,59 +355,19 @@ func (m *Machine) runAux() {
 	}
 }
 
-// runHeartbeat bumps this machine's heartbeat word (local store, remote
-// machines read it with RDMA).
-func (m *Machine) runHeartbeat() {
-	defer m.wg.Done()
-	tick := m.cluster.Spec.HeartbeatEvery / 2
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	for {
-		select {
-		case <-m.stop:
-			return
-		//drtmr:allow virtualtime heartbeat cadence is liveness machinery outside the deterministic replay scope
-		case <-time.After(tick):
-			m.Eng.FAA64NonTx(HeartbeatOff, 1)
-		}
-	}
-}
-
-// watchConfig keeps the cached configuration fresh.
-func (m *Machine) watchConfig(sub <-chan *Config) {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case cfg := <-sub:
-			if cfg != nil {
-				m.applyNewConfig(cfg)
-			}
-		//drtmr:allow virtualtime config-refresh polling is liveness machinery outside the deterministic replay scope
-		case <-time.After(50 * time.Millisecond):
-			cfg := m.cluster.Coord.Current()
-			if cfg.Epoch > m.cfg.Load().Epoch {
-				m.applyNewConfig(cfg)
-			}
-		}
-	}
-}
-
 // Start launches every machine's background threads.
 func (c *Cluster) Start() {
 	for _, m := range c.Machines {
 		// The initial epoch needs no log recovery; mark it recovered up
 		// front so the dangling-lock fence opens immediately.
 		c.Coord.MarkRecovered(c.Coord.Epoch(), m.ID)
-		m.wg.Add(4)
+		m.RegisterHandler(rpcRedo, m.handleRedo)
+		m.wg.Add(3)
 		go m.serveMessages()
 		go m.runAux()
-		go m.runHeartbeat()
-		go m.watchConfig(c.Coord.Subscribe())
+		go m.runDetector(c.Coord.Subscribe())
 	}
-	c.wgDetectors()
+	c.plane.started.Store(true)
 }
 
 // Stop terminates all background threads (for tests and benches).
@@ -464,14 +378,4 @@ func (c *Cluster) Stop() {
 	for _, m := range c.Machines {
 		m.wg.Wait()
 	}
-}
-
-// Kill fail-stops a machine: its NIC goes dark and its threads halt. Memory
-// is preserved (battery-backed NVRAM).
-func (c *Cluster) Kill(id rdma.NodeID) {
-	m := c.Machines[id]
-	m.dead.Store(true)
-	c.Net.NIC(id).Kill()
-	m.stopOnce.Do(func() { close(m.stop) })
-	c.emit("killed", id)
 }

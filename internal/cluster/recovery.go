@@ -3,10 +3,10 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
 	"time"
 
 	"drtmr/internal/memstore"
+	"drtmr/internal/obs"
 	"drtmr/internal/oplog"
 	"drtmr/internal/rdma"
 )
@@ -14,12 +14,12 @@ import (
 // Failure detection and recovery (§5.2).
 //
 // Every machine runs a detector thread that reads each peer's heartbeat word
-// with one-sided RDMA on a short period. A peer is *suspected* once its
-// heartbeat has not advanced (or its NIC is unreachable) for a full lease.
-// The suspecting machine proposes the successor configuration through the
-// coordination service; the winning proposal commits atomically, survivors
-// observe the new epoch, and each machine promoted to primary for an
-// orphaned shard performs recovery:
+// with one-sided RDMA at every detection tick of the cluster's virtual clock
+// (failure.go). A peer is *suspected* once its last stamp read lags the tick
+// by more than a lease. The suspecting machine proposes the successor
+// configuration through the coordination service; the winning proposal
+// commits atomically, survivors observe the new epoch, and each machine
+// promoted to primary for an orphaned shard performs recovery:
 //
 //  1. Drain its local log rings, applying every published entry for shards
 //     it now replicates (the redo path; entries below coordinators'
@@ -40,76 +40,12 @@ const (
 	rpcRedo = 0x10 // forward a full log record to its shard's primary
 )
 
-type recoveryState struct {
-	mu        sync.Mutex
-	suspected map[rdma.NodeID]bool
-}
-
-// wgDetectors starts one detector per live machine.
-func (c *Cluster) wgDetectors() {
-	c.recovery.suspected = make(map[rdma.NodeID]bool)
-	for _, m := range c.Machines {
-		m.wg.Add(1)
-		go m.runDetector()
-		m.RegisterHandler(rpcRedo, m.handleRedo)
-	}
-}
-
-// runDetector polls peers' heartbeat words and initiates reconfiguration
-// when a lease expires.
-func (m *Machine) runDetector() {
-	defer m.wg.Done()
-	type peerState struct {
-		lastBeat uint64
-		lastSeen time.Time
-	}
-	peers := make(map[rdma.NodeID]*peerState)
-	for {
-		select {
-		case <-m.stop:
-			return
-		//drtmr:allow virtualtime lease-expiry detection runs on wall-clock heartbeats by design
-		case <-time.After(m.cluster.Spec.HeartbeatEvery):
-		}
-		cfg := m.cfg.Load()
-		//drtmr:allow virtualtime lease ages are compared against wall-clock heartbeat stamps
-		now := time.Now()
-		for p := 0; p < m.cluster.Spec.Nodes; p++ {
-			pid := rdma.NodeID(p)
-			if pid == m.ID || !cfg.IsMember(pid) {
-				continue
-			}
-			ps := peers[pid]
-			if ps == nil {
-				ps = &peerState{lastSeen: now}
-				peers[pid] = ps
-			}
-			beat, err := m.auxQPs[p].Read64(HeartbeatOff)
-			if err == nil && beat != ps.lastBeat {
-				ps.lastBeat = beat
-				ps.lastSeen = now
-				continue
-			}
-			if now.Sub(ps.lastSeen) >= m.cluster.Spec.Lease {
-				m.suspect(pid)
-				ps.lastSeen = now // back off before re-suspecting
-			}
-		}
-	}
-}
-
-// suspect proposes removing dead from the configuration and, if this
-// machine's proposal wins, triggers recovery cluster-wide (each survivor
-// reacts to the epoch change it observes).
-func (m *Machine) suspect(dead rdma.NodeID) {
+// suspect proposes removing dead from the configuration at detection tick
+// at and, if this machine's proposal wins, triggers recovery cluster-wide
+// (each survivor reacts to the epoch change it observes).
+func (m *Machine) suspect(dead rdma.NodeID, at int64) {
 	c := m.cluster
-	c.recovery.mu.Lock()
-	already := c.recovery.suspected[dead]
-	c.recovery.suspected[dead] = true
-	c.recovery.mu.Unlock()
-	if !already {
-		c.emit("suspect", dead)
-	}
+	c.milestone(obs.MilestoneSuspect, dead, at)
 	cur := c.Coord.Current()
 	if !cur.IsMember(dead) {
 		return // someone already reconfigured
@@ -119,7 +55,7 @@ func (m *Machine) suspect(dead rdma.NodeID) {
 		return // unrecoverable shard; keep the config (operators' problem)
 	}
 	if _, won := c.Coord.Propose(next); won {
-		c.emit("config-commit", dead)
+		c.milestone(obs.MilestoneConfigCommit, dead, at)
 	}
 }
 
@@ -130,13 +66,6 @@ func (m *Machine) applyNewConfig(cfg *Config) {
 		return
 	}
 	m.cfg.Store(cfg)
-	// Promotion check: shards whose primary moved to us in this epoch.
-	promoted := false
-	for s := 0; s < cfg.NumShards(); s++ {
-		if cfg.Primary[s] == m.ID && old.Primary[s] != m.ID {
-			promoted = true
-		}
-	}
 	m.recoverLogs(cfg)
 	// Recovery barrier (§5.2): only after EVERY member has drained and
 	// redone its rings for this epoch is it safe to passively release locks
@@ -145,8 +74,12 @@ func (m *Machine) applyNewConfig(cfg *Config) {
 	// and releasing early would let a new writer rebuild the same versions
 	// over a stale base.
 	m.cluster.Coord.MarkRecovered(cfg.Epoch, m.ID)
-	if promoted {
-		m.cluster.emit("recovery-done", m.ID)
+	// Each shard whose primary moved here is recovered: the milestone names
+	// the machine that lost it.
+	for s, p := range cfg.Primary {
+		if p == m.ID && old.Primary[s] != m.ID {
+			m.cluster.milestone(obs.MilestoneRecoveryDone, old.Primary[s], m.cluster.Now())
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func okDurations() time.Duration {
 }
 
 func allowedWallClock() int64 {
-	//drtmr:allow virtualtime failure-detector lease, deliberately wall-clock
+	//drtmr:allow virtualtime socket deadline on a real network client, deliberately wall-clock
 	return time.Now().UnixNano()
 }
 

@@ -12,9 +12,9 @@ import (
 // sim.Rand, so that a torture-harness seed replays bit-identically: one
 // stray time.Now() in a decision path (or one draw from math/rand's global,
 // self-seeded source) silently breaks the oracle's determinism guarantee.
-// Deliberate wall-clock use — the failure-detector leases, the harness's
-// wall-time measurements, the virtual-time source itself — carries a
-// //drtmr:allow virtualtime annotation explaining why it is outside the
+// Deliberate wall-clock use — the front door's deadlines, the host-time
+// backstops on RPCs and message queues, the spin primitive itself — carries
+// a //drtmr:allow virtualtime annotation explaining why it is outside the
 // replayed state.
 //
 // _test.go files are exempt: test timeouts and benchmarks legitimately

@@ -15,16 +15,13 @@
 //     fixed-size Event structs; Record overwrites the oldest event once the
 //     ring wraps, so a long run keeps its most recent window.
 //  3. One writer per recorder. Workers own their recorder exactly like their
-//     virtual clock; only rare, cross-goroutine sources (cluster recovery
-//     milestones) use the mutex-guarded variant from NewSharedRecorder.
+//     virtual clock; the cluster serializes the milestones it records from
+//     several goroutines itself.
 //
-// Events carry virtual timestamps (worker clocks) except recovery milestones,
-// which are wall-clock — recovery is a real-time mechanism (lease expiry);
-// see internal/sim. Export to Chrome trace-event / Perfetto JSON lives in
+// Events carry virtual timestamps: worker clocks, and for recovery
+// milestones the cluster's failure-plane clock, one timeline. Export to Chrome trace-event / Perfetto JSON lives in
 // trace.go; histograms in hist.go; the abort matrix in abort.go.
 package obs
-
-import "sync"
 
 // Kind classifies a trace event.
 type Kind uint8
@@ -42,7 +39,7 @@ type Kind uint8
 //	EvDoorbell   span post→complete of one doorbell; Site = target node
 //	             (SiteMulti when one batch targets several), Arg = verbs
 //	EvYield      span park→resume of a coroutine scheduling point
-//	EvMilestone  instant recovery milestone (wall clock); Detail = milestone
+//	EvMilestone  instant recovery milestone; Detail = milestone
 //	             code, Site = the node the milestone concerns
 type Event struct {
 	Kind   Kind
@@ -50,7 +47,7 @@ type Event struct {
 	Site   uint16
 	Arg    uint32
 	ID     uint64 // transaction id, when one is in scope
-	Start  int64  // ns (virtual, except EvMilestone: wall)
+	Start  int64  // virtual ns
 	End    int64  // ns; == Start for instant events
 }
 
@@ -117,16 +114,14 @@ func MilestoneName(c uint8) string {
 	}
 }
 
-// Recorder is a fixed-capacity ring buffer of trace events. A Recorder
-// created with NewRecorder belongs to ONE goroutine (the worker that owns the
-// clock whose timestamps it records); NewSharedRecorder adds a mutex for the
-// rare multi-writer sources.
+// Recorder is a fixed-capacity ring buffer of trace events. It belongs to ONE
+// writer at a time (the worker that owns the clock whose timestamps it
+// records, or the cluster's milestone lock).
 type Recorder struct {
 	// Pid/Tid identify the recorder in exported traces (machine and worker
 	// thread for workers; Pid -1 for the cluster-level milestone recorder).
 	Pid, Tid int
 
-	mu *sync.Mutex // nil for single-writer recorders
 	ev []Event
 	n  uint64 // total events ever recorded
 }
@@ -144,23 +139,10 @@ func NewRecorder(pid, tid, capacity int) *Recorder {
 	return &Recorder{Pid: pid, Tid: tid, ev: make([]Event, capacity)}
 }
 
-// NewSharedRecorder creates a recorder safe for concurrent Record calls
-// (used for cluster-level recovery milestones, which several coordinator
-// goroutines may emit).
-func NewSharedRecorder(pid, tid, capacity int) *Recorder {
-	r := NewRecorder(pid, tid, capacity)
-	r.mu = &sync.Mutex{}
-	return r
-}
-
 // Record appends one event, overwriting the oldest once the ring is full.
 // It never allocates. Callers guard the call with a nil check on the
 // recorder pointer — that nil check IS the disabled fast path.
 func (r *Recorder) Record(k Kind, detail uint8, site uint16, arg uint32, id uint64, start, end int64) {
-	if r.mu != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	e := &r.ev[r.n%uint64(len(r.ev))]
 	e.Kind, e.Detail, e.Site, e.Arg, e.ID, e.Start, e.End = k, detail, site, arg, id, start, end
 	r.n++
@@ -168,10 +150,6 @@ func (r *Recorder) Record(k Kind, detail uint8, site uint16, arg uint32, id uint
 
 // Len returns the number of events currently held (≤ capacity).
 func (r *Recorder) Len() int {
-	if r.mu != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	if r.n < uint64(len(r.ev)) {
 		return int(r.n)
 	}
@@ -180,10 +158,6 @@ func (r *Recorder) Len() int {
 
 // Dropped returns how many events were overwritten by ring wrap-around.
 func (r *Recorder) Dropped() uint64 {
-	if r.mu != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	if r.n < uint64(len(r.ev)) {
 		return 0
 	}
@@ -191,13 +165,8 @@ func (r *Recorder) Dropped() uint64 {
 }
 
 // Events returns a copy of the held events in recording order (oldest
-// first). Safe to call concurrently on shared recorders; for single-writer
-// recorders call it only after the owning worker has finished.
+// first). Call it only after the writer has finished.
 func (r *Recorder) Events() []Event {
-	if r.mu != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	capN := uint64(len(r.ev))
 	if r.n <= capN {
 		return append([]Event(nil), r.ev[:r.n]...)

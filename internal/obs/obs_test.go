@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -236,24 +235,6 @@ func TestRecorderNoAlloc(t *testing.T) {
 	}
 }
 
-func TestSharedRecorderConcurrent(t *testing.T) {
-	r := NewSharedRecorder(-1, 0, 256)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				r.Record(EvMilestone, MilestoneSuspect, uint16(g), 0, 0, int64(i), int64(i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if r.Len() != 200 {
-		t.Fatalf("len=%d, want 200", r.Len())
-	}
-}
-
 // --- trace export / validation -------------------------------------------
 
 func TestWriteTraceRoundTrip(t *testing.T) {
@@ -265,7 +246,7 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 	w.Record(EvYield, 0, 0, 0, 100, 12, 35)
 	w.Record(EvTxnCommit, 0, 0, 1, 100, 0, 60)
 	w.Record(EvTxnAbort, 1, 2, 1, 101, 70, 90)
-	m := NewSharedRecorder(-1, 0, 8)
+	m := NewRecorder(-1, 0, 8)
 	m.Record(EvMilestone, MilestoneSuspect, 1, 0, 0, 1e9, 1e9)
 	m.Record(EvMilestone, MilestoneRecoveryDone, 1, 0, 0, 2e9, 2e9)
 

@@ -100,23 +100,16 @@ func eventName(e Event, names TraceNames) (name, cat string, args map[string]any
 // WriteTrace exports the events of all recorders as one Chrome trace-event
 // JSON document. Timestamps are normalised so the earliest event across all
 // recorders is ts=0; each recorder becomes one pid/tid track, named via "M"
-// metadata events. Milestone (wall-clock) events live on their own recorder
-// and are normalised within it, so virtual and wall tracks each start at 0
-// rather than being misleadingly offset against each other.
+// metadata events. Every event, milestones included, is in virtual ns on the
+// cluster's one timeline.
 func WriteTrace(w io.Writer, recs []*Recorder, names TraceNames) error {
 	bw := bufio.NewWriter(w)
 
-	// Per-timebase normalisation: virtual clocks all start at 0 already, but
-	// wall-clock milestones are unix nanos.
-	var minVirt, minWall int64 = -1, -1
+	var base int64 = -1
 	for _, r := range recs {
 		for _, e := range r.Events() {
-			if e.Kind == EvMilestone {
-				if minWall < 0 || e.Start < minWall {
-					minWall = e.Start
-				}
-			} else if minVirt < 0 || e.Start < minVirt {
-				minVirt = e.Start
+			if base < 0 || e.Start < base {
+				base = e.Start
 			}
 		}
 	}
@@ -141,8 +134,8 @@ func WriteTrace(w io.Writer, recs []*Recorder, names TraceNames) error {
 	}
 
 	for _, r := range recs {
-		// Track name metadata. Negative Pid marks the shared cluster-wide
-		// milestone recorder rather than a per-node worker.
+		// Track name metadata. Negative Pid marks the cluster-wide milestone
+		// recorder rather than a per-node worker.
 		name := fmt.Sprintf("worker n%d/w%d", r.Pid, r.Tid)
 		if r.Pid < 0 {
 			name = "cluster"
@@ -158,10 +151,6 @@ func WriteTrace(w io.Writer, recs []*Recorder, names TraceNames) error {
 		// recording order, which for spans is END order — sort by start.
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
 		for _, e := range evs {
-			base := minVirt
-			if e.Kind == EvMilestone {
-				base = minWall
-			}
 			name, cat, args := eventName(e, names)
 			te := traceEvent{
 				Name: name, Cat: cat, Pid: r.Pid, Tid: r.Tid,

@@ -42,10 +42,10 @@ func AlignUp(n int) int {
 }
 
 // Spin waits for roughly d of wall-clock time, yielding to the scheduler on
-// every iteration. Most latency modelling uses virtual time (see vtime.go);
-// Spin remains for the wall-clock paths — lease heartbeats, recovery, and
-// short waits for another goroutine to finish a cleanup — where yielding is
-// the whole point on an oversubscribed host.
+// every iteration. Latency modelling uses virtual time (see vtime.go); Spin
+// remains for host waits on another goroutine's progress (a cleanup, a
+// detector pass, a new configuration) and the front door's modelled storage
+// fetch, where yielding is the whole point on an oversubscribed host.
 func Spin(d time.Duration) {
 	if d <= 0 {
 		runtime.Gosched()

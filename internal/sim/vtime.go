@@ -22,9 +22,7 @@ import (
 // measure the host, while virtual time measures the modelled cluster.
 // Conflicts, aborts, lock waits and protocol interleavings still come from
 // real concurrent execution of the protocol code; only *duration* is
-// modelled. The recovery experiment (Fig 20) runs on wall-clock time
-// instead, because lease expiry and failure detection are inherently
-// real-time mechanisms.
+// modelled.
 
 // Clock is one worker thread's virtual clock. It is owned by a single
 // goroutine; reads from other goroutines (for progress reports) go through

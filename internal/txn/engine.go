@@ -690,6 +690,7 @@ func (w *Worker) backoff(attempt int) {
 	w.Stats.Backoffs++
 	w.Stats.BackoffNanos += uint64(d)
 	w.Stats.BackoffStallNanos += uint64(w.Clk.WaitUntil(deadline))
+	w.E.M.Cluster().Report(w.Clk.Now())
 	if w.sched == nil && w.gate == nil {
 		sim.Spin(d)
 		return
@@ -803,26 +804,47 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		}
 		if te.Reason == AbortNodeDead {
 			// Wait for the configuration to change before retrying.
-			w.waitEpochChange()
+			w.waitEpochChange(tx.cfg.Epoch)
 		}
 		w.backoff(attempt)
 	}
 }
 
-func (w *Worker) waitEpochChange() {
-	if s := w.sched; s != nil {
-		// A wall-clock wait with the clock stopped: other workers' idle
-		// jumps must not wait for this one.
+// waitEpochChange waits for a configuration newer than epoch, the one a
+// transaction that hit a dead machine ran under. Waiting lets virtual time pass, and only then: when the
+// failure plane's clock has not moved since the waiter last looked and no
+// scheduler worker on this cluster is still short of the next tick, the
+// waiter moves its own clock to that tick and reports it. So a cluster whose
+// workers all wait on the dead machine still reaches lease expiry, and a
+// waiter never outruns a working worker. On return the worker's clock is at
+// the failure plane's time.
+func (w *Worker) waitEpochChange(epoch uint64) {
+	s := w.sched
+	if s != nil {
+		// Other workers' idle jumps must not wait for this one.
 		s.idleUntil(sim.Forever)
 		defer s.busy()
 	}
-	cur := w.E.M.Config().Epoch
-	for i := 0; i < 1000; i++ {
-		if w.E.M.Config().Epoch > cur || w.E.M.Dead() {
-			return
-		}
+	c := w.E.M.Cluster()
+	seen := c.Now()
+	for i := 0; i < 1000 && w.E.M.Config().Epoch <= epoch && !w.E.M.Dead(); i++ {
 		sim.Spin(500 * time.Microsecond)
+		if now := c.Now(); now != seen {
+			seen = now
+			continue
+		}
+		t := c.NextTick()
+		if s != nil {
+			if x := s.run.Behind(t); x != nil {
+				s.run.Follow(x, t) // a working worker gets there first
+				continue
+			}
+		}
+		w.Clk.AdvanceTo(t)
+		c.Report(t)
+		seen = c.Now()
 	}
+	w.Clk.AdvanceTo(c.Now())
 }
 
 // locCache is the RDMA-friendly location cache (§6.3): it maps remote keys

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"drtmr/internal/cluster"
 	"drtmr/internal/htm"
@@ -305,17 +304,7 @@ func runDanglingLock(t *testing.T, proto string, writeLocked bool) {
 	if _, ok, _ := wk2.QP(0).CAS(off+memstore.LockOff, 0, memstore.LockWord(2)); !ok {
 		t.Fatal("setup lock failed")
 	}
-	w.c.Kill(2)
-	deadline := time.Now().Add(2 * time.Second)
-	for w.c.Coord.Current().IsMember(2) {
-		if time.Now().After(deadline) {
-			t.Fatal("no reconfig")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for m0.Config().IsMember(2) || w.c.Machines[1].Config().IsMember(2) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	w.kill(t, 2)
 
 	wk1 := w.engines[1].NewWorker(1)
 	err := wk1.Run(func(tx *Txn) error {

@@ -269,17 +269,7 @@ func TestDanglingCoroutineLockReleased(t *testing.T) {
 		}
 	}
 
-	w.c.Kill(2)
-	deadline := time.Now().Add(2 * time.Second)
-	for w.c.Coord.Current().IsMember(2) {
-		if time.Now().After(deadline) {
-			t.Fatal("no reconfig")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for m0.Config().IsMember(2) || w.c.Machines[1].Config().IsMember(2) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	w.kill(t, 2)
 
 	// A coroutine-scheduled worker on node 1 commits against both records:
 	// its C.1 CAS finds the dead owner's word, passively releases it, and

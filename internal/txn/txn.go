@@ -141,6 +141,7 @@ func (tx *Txn) setConflict(table memstore.TableID, key uint64) {
 func (w *Worker) Begin() *Txn {
 	w.nextTxn++
 	w.Clk.Advance(w.E.Costs.TxnOverhead)
+	w.E.M.Cluster().Report(w.Clk.Now())
 	return &Txn{
 		w:   w,
 		id:  uint64(w.E.M.ID)<<56 | uint64(w.ID)<<40 | w.nextTxn,

@@ -3,6 +3,7 @@ package txn
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,24 @@ func newWorld(t testing.TB, nodes, replicas int, htmCfg htm.Config) *world {
 	c.Start()
 	t.Cleanup(c.Stop)
 	return w
+}
+
+// kill fail-stops machine dead and drives the failure plane's clock, a tick
+// at a time as waiting workers would, until every survivor runs a
+// configuration without it.
+func (w *world) kill(t testing.TB, dead rdma.NodeID) {
+	t.Helper()
+	w.c.Kill(dead)
+	deadline := time.Now().Add(10 * time.Second)
+	for _, m := range w.c.Machines {
+		for m.ID != dead && m.Config().IsMember(dead) {
+			if time.Now().After(deadline) {
+				t.Fatal("no reconfig")
+			}
+			w.c.Report(w.c.NextTick())
+			runtime.Gosched()
+		}
+	}
 }
 
 func encBal(v uint64) []byte {
@@ -496,18 +515,7 @@ func TestDanglingLockReleased(t *testing.T) {
 	if _, ok, _ := wk2.QP(0).CAS(off+memstore.LockOff, 0, memstore.LockWord(2)); !ok {
 		t.Fatal("setup lock failed")
 	}
-	w.c.Kill(2)
-	// Wait for reconfiguration.
-	deadline := time.Now().Add(2 * time.Second)
-	for w.c.Coord.Current().IsMember(2) {
-		if time.Now().After(deadline) {
-			t.Fatal("no reconfig")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for m0.Config().IsMember(2) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	w.kill(t, 2)
 	// A transaction from node 1 touching the record must succeed by
 	// passively releasing the dangling lock.
 	wk1 := w.engines[1].NewWorker(1)
@@ -563,17 +571,7 @@ func TestLockRetryBackoutReleasesAll(t *testing.T) {
 	if _, ok, _ := wkD.QP(home).CAS(highOff+memstore.LockOff, 0, memstore.LockWord(uint32(deadNode))); !ok {
 		t.Fatal("setup dangling lock failed")
 	}
-	w.c.Kill(deadNode)
-	deadline := time.Now().Add(2 * time.Second)
-	for w.c.Coord.Current().IsMember(deadNode) {
-		if time.Now().After(deadline) {
-			t.Fatal("no reconfig")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for w.c.Machines[coord].Config().IsMember(deadNode) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	w.kill(t, deadNode)
 
 	wk := w.engines[coord].NewWorker(1)
 	tx := wk.Begin()
