@@ -18,9 +18,10 @@
 //     virtual clock; the cluster serializes the milestones it records from
 //     several goroutines itself.
 //
-// Events carry virtual timestamps: worker clocks, and for recovery
-// milestones the cluster's failure-plane clock, one timeline. Export to Chrome trace-event / Perfetto JSON lives in
-// trace.go; histograms in hist.go; the abort matrix in abort.go.
+// Events carry virtual timestamps on one timeline: worker clocks, and for
+// recovery milestones the cluster's failure-plane clock. Export to Chrome
+// trace-event / Perfetto JSON lives in trace.go; histograms in hist.go; the
+// abort matrix in abort.go.
 package obs
 
 // Kind classifies a trace event.
@@ -39,8 +40,8 @@ type Kind uint8
 //	EvDoorbell   span post→complete of one doorbell; Site = target node
 //	             (SiteMulti when one batch targets several), Arg = verbs
 //	EvYield      span park→resume of a coroutine scheduling point
-//	EvMilestone  instant recovery milestone; Detail = milestone
-//	             code, Site = the node the milestone concerns
+//	EvMilestone  instant recovery milestone; Detail = milestone code,
+//	             Site = the node the milestone concerns
 type Event struct {
 	Kind   Kind
 	Detail uint8

@@ -811,13 +811,13 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 }
 
 // waitEpochChange waits for a configuration newer than epoch, the one a
-// transaction that hit a dead machine ran under. Waiting lets virtual time pass, and only then: when the
-// failure plane's clock has not moved since the waiter last looked and no
-// scheduler worker on this cluster is still short of the next tick, the
-// waiter moves its own clock to that tick and reports it. So a cluster whose
-// workers all wait on the dead machine still reaches lease expiry, and a
-// waiter never outruns a working worker. On return the worker's clock is at
-// the failure plane's time.
+// transaction that hit a dead machine ran under. Waiting lets virtual time
+// pass, and only then: when the failure plane's clock has not moved since
+// the waiter last looked and no scheduler worker on this cluster is still
+// short of the next tick, the waiter moves its own clock to that tick and
+// reports it. So a cluster whose workers all wait on the dead machine still
+// reaches lease expiry, and a waiter never outruns a working worker. On
+// return the worker's clock is at the failure plane's time.
 func (w *Worker) waitEpochChange(epoch uint64) {
 	s := w.sched
 	if s != nil {
