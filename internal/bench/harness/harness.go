@@ -642,8 +642,10 @@ func runDrTMR(o Options) Result {
 // recoveredAt waits for the failure plane to record the recovery of dead's
 // shards and returns its instant. Waiting lets virtual time pass, as a
 // worker's wait for a new configuration does: when the cluster's clock has
-// not moved since the last look, the waiter reports its next tick.
+// not moved since the last look and no configuration without dead is
+// committed yet, the waiter reports the next tick.
 func recoveredAt(c *cluster.Cluster, dead rdma.NodeID) int64 {
+	epoch := c.Coord.Epoch()
 	for seen := int64(-1); ; {
 		for _, ms := range c.Milestones() {
 			if ms.Kind == obs.MilestoneRecoveryDone && ms.Node == dead {
@@ -651,7 +653,7 @@ func recoveredAt(c *cluster.Cluster, dead rdma.NodeID) int64 {
 			}
 		}
 		sim.Spin(500 * time.Microsecond)
-		if now := c.Now(); now != seen {
+		if now := c.Now(); now != seen || c.Coord.Epoch() > epoch {
 			seen = now
 		} else {
 			c.Report(c.NextTick())

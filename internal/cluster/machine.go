@@ -86,6 +86,11 @@ type Machine struct {
 	// the detection tick of the last pass finished.
 	wake   chan struct{}
 	passed atomic.Int64
+
+	// commits holds, per worker of this machine, the commit phases it has
+	// running (Commits); recovery waits for every machine's to finish.
+	commitsMu sync.Mutex
+	commits   []*atomic.Int32
 }
 
 // Handler processes one RPC request on the hosting machine and returns the
@@ -224,6 +229,35 @@ func (m *Machine) Replicates(shard ShardID) bool {
 
 // Dead reports whether the machine has been killed.
 func (m *Machine) Dead() bool { return m.dead.Load() }
+
+// Commits registers a worker of this machine and returns its count of
+// commit phases running, which the worker keeps. A commit counts itself
+// before it compares its configuration with the coordinator's, and recovery
+// reads the two the other way round (awaitCommits).
+func (m *Machine) Commits() *atomic.Int32 {
+	n := new(atomic.Int32)
+	m.commitsMu.Lock()
+	m.commits = append(m.commits, n)
+	m.commitsMu.Unlock()
+	return n
+}
+
+// awaitCommits waits until no worker of any machine is in a commit phase,
+// or until waiter is told to stop. Called once a new configuration is
+// committed, it waits only for commits that began before: later ones abort
+// at their first epoch check without yielding.
+func (c *Cluster) awaitCommits(waiter *Machine) {
+	for _, m := range c.Machines {
+		m.commitsMu.Lock()
+		counts := append([]*atomic.Int32(nil), m.commits...)
+		m.commitsMu.Unlock()
+		for _, n := range counts {
+			for n.Load() > 0 && !waiter.stopped() {
+				sim.Spin(0)
+			}
+		}
+	}
+}
 
 // RegisterHandler installs the RPC handler for a message kind. Kind 0xFF is
 // reserved for replies.

@@ -9,6 +9,7 @@ import (
 	"drtmr/internal/obs"
 	"drtmr/internal/oplog"
 	"drtmr/internal/rdma"
+	"drtmr/internal/sim"
 )
 
 // Failure detection and recovery (§5.2).
@@ -59,26 +60,42 @@ func (m *Machine) suspect(dead rdma.NodeID, at int64) {
 	}
 }
 
-// applyNewConfig installs cfg and performs this machine's share of recovery.
+// applyNewConfig performs this machine's share of recovery for cfg, then
+// installs it.
 func (m *Machine) applyNewConfig(cfg *Config) {
 	old := m.cfg.Load()
 	if cfg.Epoch <= old.Epoch {
 		return
 	}
-	m.cfg.Store(cfg)
+	c := m.cluster
+	// Epoch fence: a commit that began under an older configuration aborts
+	// before its point of no return (txn's fenced), and redo waits for those
+	// already past it, the dead machine's included (the simulator stops a
+	// killed machine's worker between transactions, not inside one, and its
+	// verbs to live machines land). Otherwise an entry published after the
+	// drain, or one left unpublished ahead of a published one, would hide a
+	// committed update from the promoted primary, and a lock taken on the
+	// dead primary would not exclude the promoted one's writers.
+	c.awaitCommits(m)
 	m.recoverLogs(cfg)
-	// Recovery barrier (§5.2): only after EVERY member has drained and
-	// redone its rings for this epoch is it safe to passively release locks
-	// dangling from the dead machine — a dangling lock may guard a record
-	// whose durably-logged updates are still in flight through cross-redo,
-	// and releasing early would let a new writer rebuild the same versions
-	// over a stale base.
-	m.cluster.Coord.MarkRecovered(cfg.Epoch, m.ID)
+	c.Coord.MarkRecovered(cfg.Epoch, m.ID)
+	// Recovery barrier (§5.2): this machine's workers route by cfg only
+	// after EVERY member has drained and redone its rings for it. Until then
+	// a promoted primary's copy may still lack a logged update, and a lock
+	// dangling from the dead machine may guard a record whose durably-logged
+	// updates are in flight through cross-redo; reading the one or releasing
+	// the other would let a new writer rebuild the same versions over a
+	// stale base. Meanwhile a transaction that reaches the dead machine
+	// waits for the new configuration (txn's waitEpochChange).
+	for !c.Coord.EpochRecovered(cfg.Epoch) && c.Coord.Epoch() == cfg.Epoch && !m.stopped() {
+		sim.Spin(0)
+	}
+	m.cfg.Store(cfg)
 	// Each shard whose primary moved here is recovered: the milestone names
 	// the machine that lost it.
 	for s, p := range cfg.Primary {
 		if p == m.ID && old.Primary[s] != m.ID {
-			m.cluster.milestone(obs.MilestoneRecoveryDone, old.Primary[s], m.cluster.Now())
+			c.milestone(obs.MilestoneRecoveryDone, old.Primary[s], c.Now())
 		}
 	}
 }

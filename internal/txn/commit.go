@@ -74,6 +74,10 @@ func (proto drtmrProto) Commit(tx *Txn) error {
 
 	// --- C.3 + C.4: HTM region over local metadata.
 	tx.stage = StageLocalHTM
+	if err := tx.fenced(); err != nil {
+		tx.unlockTargets(PhaseUnlock, locks)
+		return err
+	}
 	if err := proto.localHTMCommit(tx); err != nil {
 		var te *Error
 		if errors.As(err, &te) && te.Reason == AbortHTM {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drtmr/internal/cluster"
@@ -332,6 +333,9 @@ type Worker struct {
 
 	qps     []*rdma.QP
 	nextTxn uint64
+	// commits counts the commit phases this worker's contexts are running,
+	// for the epoch fence of recovery (cluster.Machine.Commits).
+	commits *atomic.Int32
 
 	// img is scratch for record images that are dropped before the worker
 	// can reach a scheduling point (Worker.scratch).
@@ -569,7 +573,7 @@ func (s *Stats) Merge(o *Stats) {
 
 // NewWorker creates worker id on this engine.
 func (e *Engine) NewWorker(id int) *Worker {
-	w := &Worker{E: e, ID: id, rng: sim.NewRand(uint64(id)*0x9E37 + uint64(e.M.ID) + 1)}
+	w := &Worker{E: e, ID: id, rng: sim.NewRand(uint64(id)*0x9E37 + uint64(e.M.ID) + 1), commits: e.M.Commits()}
 	n := e.M.Cluster().Spec.Nodes
 	w.qps = make([]*rdma.QP, n)
 	for i := 0; i < n; i++ {
@@ -813,12 +817,19 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 // waitEpochChange waits for a configuration newer than epoch, the one a
 // transaction that hit a dead machine ran under. Waiting lets virtual time
 // pass, and only then: when the failure plane's clock has not moved since
-// the waiter last looked and no scheduler worker on this cluster is still
-// short of the next tick, the waiter moves its own clock to that tick and
-// reports it. So a cluster whose workers all wait on the dead machine still
-// reaches lease expiry, and a waiter never outruns a working worker. On
-// return the worker's clock is at the failure plane's time.
+// the waiter last looked, no newer configuration is committed yet, and no
+// scheduler worker on this cluster is still short of the next tick, the
+// waiter moves its own clock to that tick and reports it. So a cluster whose
+// workers all wait on the dead machine still reaches lease expiry, a waiter
+// never outruns a working worker, and recovery, which the model does not
+// charge, adds no virtual time either. On return the worker's clock is at
+// the failure plane's time.
 func (w *Worker) waitEpochChange(epoch uint64) {
+	if w.commits.Load() > 0 {
+		// A sibling context is mid-commit, and recovery waits for it: do not
+		// block the worker under it. The caller's backoff parks instead.
+		return
+	}
 	s := w.sched
 	if s != nil {
 		// Other workers' idle jumps must not wait for this one.
@@ -829,7 +840,7 @@ func (w *Worker) waitEpochChange(epoch uint64) {
 	seen := c.Now()
 	for i := 0; i < 1000 && w.E.M.Config().Epoch <= epoch && !w.E.M.Dead(); i++ {
 		sim.Spin(500 * time.Microsecond)
-		if now := c.Now(); now != seen {
+		if now := c.Now(); now != seen || c.Coord.Epoch() > epoch {
 			seen = now
 			continue
 		}

@@ -52,6 +52,10 @@ func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []lockTarget) error 
 	// Steps 5 and 6: apply local updates without HTM, then the common tail —
 	// inserts/deletes, replication, makeup, remote write-back — and release
 	// every lock.
+	if err := tx.fenced(); err != nil {
+		tx.unlockTargets(PhaseFallback, run.held)
+		return err
+	}
 	tx.finish(tail{lockedLocals: true, unlock: PhaseFallback}, run.held)
 	return nil
 }

@@ -76,6 +76,10 @@ func (proto farmProto) Commit(tx *Txn) error {
 	// --- F.3 redo-log append, durable before anything becomes visible, so
 	// nothing after this point may abort the transaction; F.4 install at the
 	// final committable seq under the held locks; F.5 unlock.
+	if err := tx.fenced(); err != nil {
+		tx.unlockTargets(PhaseUnlock, locks)
+		return err
+	}
 	tx.finish(tail{logFirst: true, lockedLocals: true, unlock: PhaseUnlock}, locks)
 	return nil
 }

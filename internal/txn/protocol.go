@@ -98,7 +98,24 @@ func (tx *Txn) Commit() error {
 		tx.stage = StageROValidate
 		return p.ReadOnlyCommit(tx)
 	}
+	tx.w.commits.Add(1)
+	defer tx.w.commits.Add(-1)
+	if err := tx.fenced(); err != nil {
+		return err
+	}
 	return p.Commit(tx)
+}
+
+// fenced aborts a commit once a configuration newer than the one the
+// transaction runs under is committed: its locks on a dead primary no longer
+// exclude the promoted primary's writers, and recovery must not find it
+// half-published (cluster's awaitCommits). Commit checks on entry and each
+// protocol again just before its point of no return.
+func (tx *Txn) fenced() error {
+	if tx.w.E.M.Cluster().Coord.Epoch() != tx.cfg.Epoch {
+		return tx.abort(AbortNodeDead, "configuration changed before commit")
+	}
+	return nil
 }
 
 // writesAt reports whether the write set covers the record at (node, off) —
