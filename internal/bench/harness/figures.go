@@ -101,7 +101,7 @@ var Figures = []Figure{
 	{"17", "Fig 17: TPC-C vs cross-warehouse access probability", fig17.run},
 	{"18", "Fig 18: TPC-C high contention, one warehouse per machine", fig18.run},
 	{"19", "Fig 19: TPC-C vs database size", fig19.run},
-	{"20", "Fig 20: recovery after a machine is killed, on the cluster's virtual clock", FigRecovery},
+	{"20", "Fig 20: recovery after a machine is killed, on the cluster's virtual clock", func(s Scale) Table { return RecoveryTable(Run(RecoveryOptions(s))) }},
 	{"6t", "Table 6: replication's throughput and latency cost", Table6},
 	{"silo", "§7.2: per-machine throughput, Silo vs one DrTM+R machine", figSilo.run},
 	{"coro", "coroutine overlap sweep: SmallBank vs in-flight transactions per worker", figCoro.run},
@@ -563,13 +563,10 @@ func RecoveryOptions(scale Scale) Options {
 	return o
 }
 
-// FigRecovery is Fig 20: kill a machine of a replicated TPC-C cluster and
-// report, in virtual time, when the survivors suspect it, commit the new
-// configuration and finish recovery, and how much throughput comes back.
-func FigRecovery(scale Scale) Table { return RecoveryTable(Run(RecoveryOptions(scale))) }
-
-// RecoveryTable renders a kill run's milestones as microseconds after the
-// kill and its regained throughput as a percentage of the pre-kill rate.
+// RecoveryTable is Fig 20's table: when the survivors of a kill run suspect
+// the dead machine, commit the new configuration and finish recovery, in
+// microseconds after the kill, and the throughput regained as a percentage
+// of the pre-kill rate.
 func RecoveryTable(r Result) Table {
 	t := Table{
 		Title:   "Fig 20: recovery after killing 1 of 3 machines (TPC-C, r=3, 10ms lease), us after the kill in virtual time",

@@ -21,7 +21,6 @@ import (
 	"drtmr/internal/htm"
 	"drtmr/internal/obs"
 	"drtmr/internal/rdma"
-	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
 
@@ -602,11 +601,13 @@ func runDrTMR(o Options) Result {
 		run()
 		if w.E.M.Dead() && remaining > 0 {
 			// The failed instance is revived on its shard's promoted
-			// primary, sharing that machine's NIC, as in the paper.
-			at := recoveredAt(c, w.E.M.ID)
+			// primary, sharing that machine's NIC, as in the paper. Its first
+			// transaction reaches the dead primary and waits there, like any
+			// survivor's, until recovery is done.
+			next, _ := c.Coord.Current().WithoutNode(w.E.M.ID)
 			prev := w
-			w = newWorker(engines[c.Coord.Current().PrimaryOf(cluster.ShardID(node))], o.ThreadsPerNode+tid)
-			w.Clk.AdvanceTo(at)
+			w = newWorker(engines[next.PrimaryOf(cluster.ShardID(node))], o.ThreadsPerNode+tid)
+			w.Clk.AdvanceTo(prev.Clk.Now())
 			if ex != nil {
 				ex.W = w
 			}
@@ -637,28 +638,6 @@ func runDrTMR(o Options) Result {
 	}
 	r.applyHistogram()
 	return r
-}
-
-// recoveredAt waits for the failure plane to record the recovery of dead's
-// shards and returns its instant. Waiting lets virtual time pass, as a
-// worker's wait for a new configuration does: when the cluster's clock has
-// not moved since the last look and no configuration without dead is
-// committed yet, the waiter reports the next tick.
-func recoveredAt(c *cluster.Cluster, dead rdma.NodeID) int64 {
-	epoch := c.Coord.Epoch()
-	for seen := int64(-1); ; {
-		for _, ms := range c.Milestones() {
-			if ms.Kind == obs.MilestoneRecoveryDone && ms.Node == dead {
-				return ms.At
-			}
-		}
-		sim.Spin(500 * time.Microsecond)
-		if now := c.Now(); now != seen || c.Coord.Epoch() > epoch {
-			seen = now
-		} else {
-			c.Report(c.NextTick())
-		}
-	}
 }
 
 // HistoryTxns merges every worker's recorded transactions into one history,

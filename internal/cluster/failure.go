@@ -40,7 +40,6 @@ type failurePlane struct {
 	// only by the report that holds the claim.
 	killAt   int64
 	killNode rdma.NodeID
-	started  atomic.Bool // Start launched the detectors
 
 	mu         sync.Mutex
 	milestones []Milestone
@@ -123,13 +122,10 @@ func (c *Cluster) advance(t int64) {
 	p.next.Store(next)
 }
 
-// awaitDetectors lets every running detector finish its pass of the last
-// detection tick before a kill takes effect, so what a detector last read of
-// the victim depends on virtual time alone, not on when the host ran it.
+// awaitDetectors lets every detector finish its pass of the last detection
+// tick before a kill takes effect, so what a detector last read of the
+// victim depends on virtual time alone, not on when the host ran it.
 func (c *Cluster) awaitDetectors() {
-	if !c.plane.started.Load() {
-		return
-	}
 	d := c.plane.detect.Load()
 	for _, m := range c.Machines {
 		for m.passed.Load() < d && !m.stopped() {
@@ -139,7 +135,8 @@ func (c *Cluster) awaitDetectors() {
 }
 
 // KillAt schedules machine id to fail-stop at virtual instant at (> 0): the
-// report that crosses it kills the machine. Call it before any report.
+// report that crosses it kills the machine. Call it after Start and before
+// any report.
 func (c *Cluster) KillAt(id rdma.NodeID, at int64) {
 	p := &c.plane
 	p.killAt, p.killNode = at, id

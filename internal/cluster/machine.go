@@ -231,9 +231,8 @@ func (m *Machine) Replicates(shard ShardID) bool {
 func (m *Machine) Dead() bool { return m.dead.Load() }
 
 // Commits registers a worker of this machine and returns its count of
-// commit phases running, which the worker keeps. A commit counts itself
-// before it compares its configuration with the coordinator's, and recovery
-// reads the two the other way round (awaitCommits).
+// commit phases running, which the worker keeps: a commit counts itself
+// before it checks the epoch, and recovery reads the two the other way round.
 func (m *Machine) Commits() *atomic.Int32 {
 	n := new(atomic.Int32)
 	m.commitsMu.Lock()
@@ -243,9 +242,8 @@ func (m *Machine) Commits() *atomic.Int32 {
 }
 
 // awaitCommits waits until no worker of any machine is in a commit phase,
-// or until waiter is told to stop. Called once a new configuration is
-// committed, it waits only for commits that began before: later ones abort
-// at their first epoch check without yielding.
+// or until waiter is told to stop. Commits that start after a configuration
+// change abort at their first epoch check, before they can yield.
 func (c *Cluster) awaitCommits(waiter *Machine) {
 	for _, m := range c.Machines {
 		m.commitsMu.Lock()
@@ -401,7 +399,6 @@ func (c *Cluster) Start() {
 		go m.runAux()
 		go m.runDetector(c.Coord.Subscribe())
 	}
-	c.plane.started.Store(true)
 }
 
 // Stop terminates all background threads (for tests and benches).

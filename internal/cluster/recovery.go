@@ -68,25 +68,16 @@ func (m *Machine) applyNewConfig(cfg *Config) {
 		return
 	}
 	c := m.cluster
-	// Epoch fence: a commit that began under an older configuration aborts
-	// before its point of no return (txn's fenced), and redo waits for those
-	// already past it, the dead machine's included (the simulator stops a
-	// killed machine's worker between transactions, not inside one, and its
-	// verbs to live machines land). Otherwise an entry published after the
-	// drain, or one left unpublished ahead of a published one, would hide a
-	// committed update from the promoted primary, and a lock taken on the
-	// dead primary would not exclude the promoted one's writers.
+	// Epoch fence: commits begun under an older configuration abort before
+	// their point of no return (txn's fenced); redo waits for those past it,
+	// the dead machine's too, so none publishes after the drain or leaves an
+	// unpublished entry ahead of a published one.
 	c.awaitCommits(m)
 	m.recoverLogs(cfg)
 	c.Coord.MarkRecovered(cfg.Epoch, m.ID)
-	// Recovery barrier (§5.2): this machine's workers route by cfg only
-	// after EVERY member has drained and redone its rings for it. Until then
-	// a promoted primary's copy may still lack a logged update, and a lock
-	// dangling from the dead machine may guard a record whose durably-logged
-	// updates are in flight through cross-redo; reading the one or releasing
-	// the other would let a new writer rebuild the same versions over a
-	// stale base. Meanwhile a transaction that reaches the dead machine
-	// waits for the new configuration (txn's waitEpochChange).
+	// Recovery barrier (§5.2): workers route by cfg, and release locks
+	// dangling from the dead machine, only once EVERY member has redone its
+	// rings for it; before that a promoted copy may lack a logged update.
 	for !c.Coord.EpochRecovered(cfg.Epoch) && c.Coord.Epoch() == cfg.Epoch && !m.stopped() {
 		sim.Spin(0)
 	}
@@ -98,13 +89,6 @@ func (m *Machine) applyNewConfig(cfg *Config) {
 			c.milestone(obs.MilestoneRecoveryDone, old.Primary[s], c.Now())
 		}
 	}
-}
-
-// RecoveryComplete reports whether the configuration this machine is running
-// under has been fully recovered by all its members. Passive dangling-lock
-// release waits for this fence.
-func (m *Machine) RecoveryComplete() bool {
-	return m.cluster.Coord.EpochRecovered(m.cfg.Load().Epoch)
 }
 
 // recoverLogs drains and redoes this machine's rings: local entries for

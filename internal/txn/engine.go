@@ -333,9 +333,7 @@ type Worker struct {
 
 	qps     []*rdma.QP
 	nextTxn uint64
-	// commits counts the commit phases this worker's contexts are running,
-	// for the epoch fence of recovery (cluster.Machine.Commits).
-	commits *atomic.Int32
+	commits *atomic.Int32 // commit phases running, for recovery's epoch fence
 
 	// img is scratch for record images that are dropped before the worker
 	// can reach a scheduling point (Worker.scratch).
@@ -816,14 +814,11 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 
 // waitEpochChange waits for a configuration newer than epoch, the one a
 // transaction that hit a dead machine ran under. Waiting lets virtual time
-// pass, and only then: when the failure plane's clock has not moved since
-// the waiter last looked, no newer configuration is committed yet, and no
-// scheduler worker on this cluster is still short of the next tick, the
-// waiter moves its own clock to that tick and reports it. So a cluster whose
-// workers all wait on the dead machine still reaches lease expiry, a waiter
-// never outruns a working worker, and recovery, which the model does not
-// charge, adds no virtual time either. On return the worker's clock is at
-// the failure plane's time.
+// pass, and only then: when the failure plane has not moved since the last
+// look, no newer configuration is committed yet (recovery is uncharged) and
+// no scheduler worker is short of the next tick, the waiter moves its clock
+// to that tick and reports it, so an all-waiting cluster still reaches lease
+// expiry. On return the worker's clock is at the failure plane's time.
 func (w *Worker) waitEpochChange(epoch uint64) {
 	if w.commits.Load() > 0 {
 		// A sibling context is mid-commit, and recovery waits for it: do not

@@ -106,11 +106,10 @@ func (tx *Txn) Commit() error {
 	return p.Commit(tx)
 }
 
-// fenced aborts a commit once a configuration newer than the one the
-// transaction runs under is committed: its locks on a dead primary no longer
-// exclude the promoted primary's writers, and recovery must not find it
-// half-published (cluster's awaitCommits). Commit checks on entry and each
-// protocol again just before its point of no return.
+// fenced aborts a commit once a configuration newer than the transaction's
+// is committed: its locks on a dead primary no longer exclude the promoted
+// primary's writers. Commit checks on entry, each protocol again just before
+// its point of no return.
 func (tx *Txn) fenced() error {
 	if tx.w.E.M.Cluster().Coord.Epoch() != tx.cfg.Epoch {
 		return tx.abort(AbortNodeDead, "configuration changed before commit")

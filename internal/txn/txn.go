@@ -624,7 +624,10 @@ func (w *Worker) remoteLookup(qp *rdma.QP, tbl *memstore.Table, key uint64) (loc
 
 // maybeReleaseDangling implements §5.2's passive lock release: a lock whose
 // owner is not a member of the current configuration was left by a failed
-// machine and may be cleared (with RDMA CAS, as all lock operations).
+// machine and may be cleared (with RDMA CAS, as all lock operations). A
+// machine installs a configuration only once every member has redone its
+// rings for it (cluster's recovery barrier), so the dead owner's logged
+// updates to the record have landed by then.
 func (w *Worker) maybeReleaseDangling(cfg *cluster.Config, node rdma.NodeID, off uint64, lockW uint64) {
 	owner, held := memstore.LockOwner(lockW)
 	if !held {
@@ -637,15 +640,6 @@ func (w *Worker) maybeReleaseDangling(cfg *cluster.Config, node rdma.NodeID, off
 	// predate a reconfiguration that re-admitted nothing).
 	cur := w.E.M.Config()
 	if cur.IsMember(rdma.NodeID(owner)) {
-		return
-	}
-	// Recovery fence: the dead owner may have published durable log entries
-	// for the record this lock guards that have not yet been applied (ring
-	// drain / cross-redo are per-machine and asynchronous). Releasing the
-	// lock before every member finished recovery would let a new writer
-	// install versions over the pre-crash state, colliding with the dead
-	// transaction's (committed) updates when they finally land.
-	if !w.E.M.RecoveryComplete() {
 		return
 	}
 	_, _, _ = w.QP(node).CAS(off+memstore.LockOff, lockW, 0)
