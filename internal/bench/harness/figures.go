@@ -550,15 +550,16 @@ func FigContentionTail(scale Scale) Table {
 
 // RecoveryOptions is Fig 20's run: TPC-C with 3-way replication on 3 nodes x
 // 2 threads, the last machine killed about a third of the way into the run,
-// at the paper's 10ms lease (the cluster default).
+// at the paper's 10ms lease (the cluster default). Smoke scale loads one
+// warehouse per node, half the load's cost.
 func RecoveryOptions(scale Scale) Options {
 	o := Options{
 		System: SysDrTMR3, Workload: WLTPCC,
-		Nodes: 3, ThreadsPerNode: 2, WarehousesPerNode: 2,
+		Nodes: 3, ThreadsPerNode: 2, WarehousesPerNode: 1,
 		TxPerWorker: 700, KillAt: 4 * time.Millisecond, KillNode: 2,
 	}
 	if scale == Full {
-		o.TxPerWorker, o.KillAt = 6000, 36*time.Millisecond
+		o.WarehousesPerNode, o.TxPerWorker, o.KillAt = 2, 6000, 36*time.Millisecond
 	}
 	return o
 }
