@@ -407,7 +407,7 @@ func buildCluster(o Options, replicas int) *cluster.Cluster {
 	c := cluster.New(cluster.Spec{
 		Nodes:          o.Nodes,
 		Replicas:       replicas,
-		MemBytes:       memFor(o),
+		MemBytes:       memFor(o, replicas),
 		HTM:            o.HTM,
 		RDMA:           rdma.Config{NICBytesPerSec: rdma.NICBandwidth56G},
 		Lease:          o.Lease,
@@ -454,7 +454,7 @@ func smallbankConfig(o Options) smallbank.Config {
 	}
 }
 
-func memFor(o Options) int {
+func memFor(o Options, replicas int) int {
 	if o.Workload == WLTPCC {
 		// ~3MB per warehouse (stock dominates) x copies + slack.
 		per := 4 << 20
@@ -464,11 +464,7 @@ func memFor(o Options) int {
 		}
 		return need
 	}
-	need := o.SBAccountsPerNode * 2 * 128 * 3
-	if need < 32<<20 {
-		need = 32 << 20
-	}
-	return need
+	return smallbankConfig(o).MemBytes(replicas)
 }
 
 // runDrTMR measures DrTM+R (with or without replication).

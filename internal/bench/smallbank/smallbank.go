@@ -102,6 +102,14 @@ type Config struct {
 	InitialBalance uint64
 }
 
+// MemBytes is the NVRAM a machine needs for this configuration with each
+// record kept on replicas machines: two tables of 128 bytes per account
+// (record and hash slot), three times over for slack, per copy, and at least
+// 32 MiB.
+func (c Config) MemBytes(replicas int) int {
+	return max(c.AccountsPerNode*2*128*3*max(replicas, 1), 32<<20)
+}
+
 // DefaultConfig mirrors the paper's setup at a laptop-friendly scale.
 func DefaultConfig(nodes int) Config {
 	return Config{

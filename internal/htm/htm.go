@@ -23,9 +23,11 @@
 // once, which keeps the engine deadlock-free by construction.
 //
 // The registry owns membership: a line entry's writer and readers say who
-// holds the line, and each shard keeps the entries it drops on a free list.
-// A Txn keeps only its footprint, on arrays inside it, so a small region
-// costs one heap object, its Txn (DESIGN.md says why Txns are not reused).
+// holds the line. Each shard keeps its live entries by value in a short slice
+// it scans, since only a few dozen lines are live at once. A Txn keeps only
+// its footprint, on arrays inside it, and an ended region handed back with
+// Release is reused by a later Begin under the next generation of its status
+// word, so a small region costs no heap object.
 package htm
 
 import (
@@ -120,18 +122,43 @@ type Engine struct {
 	rng   *sim.Rand
 }
 
+// shard holds the registry entries of the lines whose index it is, by value.
+// A dropped entry is swapped past len(lines) and keeps its readers' capacity
+// there for the next line the shard registers.
 type shard struct {
 	mu    sync.Mutex
-	lines map[uint64]*line
-	free  []*line // dropped entries, reused by acquireLine
+	lines []line
 }
 
 // line is the conflict registry for one cacheline. Protected by its shard's
 // mutex, and never used outside it: a *line does not leave the lock, which is
-// what makes reusing one from the free list safe.
+// what makes moving and reusing entries safe.
 type line struct {
+	idx     uint64
 	writer  *Txn
 	readers []*Txn
+}
+
+// find returns the position of lineIdx's entry in s.lines, or -1. Caller
+// holds s.mu.
+func (s *shard) find(lineIdx uint64) int {
+	for i := range s.lines {
+		if s.lines[i].idx == lineIdx {
+			return i
+		}
+	}
+	return -1
+}
+
+// maybeDrop deregisters the entry at i if nobody holds it any more. Caller
+// holds s.mu.
+func (s *shard) maybeDrop(i int) {
+	if ln := &s.lines[i]; ln.writer != nil || len(ln.readers) > 0 {
+		return
+	}
+	last := len(s.lines) - 1
+	s.lines[i], s.lines[last] = s.lines[last], s.lines[i]
+	s.lines = s.lines[:last]
 }
 
 // NewEngine creates an engine over mem. The arena must be cacheline-aligned
@@ -143,11 +170,7 @@ func NewEngine(mem []byte, cfg Config) *Engine {
 	if cfg.MaxReadLines <= 0 {
 		cfg.MaxReadLines = DefaultConfig().MaxReadLines
 	}
-	e := &Engine{mem: mem, cfg: cfg, rng: sim.NewRand(cfg.Seed)}
-	for i := range e.shards {
-		e.shards[i].lines = make(map[uint64]*line)
-	}
-	return e
+	return &Engine{mem: mem, cfg: cfg, rng: sim.NewRand(cfg.Seed)}
 }
 
 // Mem exposes the underlying arena. Direct access bypasses conflict

@@ -2,7 +2,6 @@ package htm
 
 import (
 	"encoding/binary"
-	"runtime"
 
 	"drtmr/internal/sim"
 )
@@ -29,42 +28,21 @@ func (e *Engine) nonTxLine(lineIdx uint64, write bool, fn func()) {
 	for {
 		s := e.shardFor(lineIdx)
 		s.mu.Lock()
-		ln := s.lines[lineIdx]
-		if ln == nil {
-			fn()
-			s.mu.Unlock()
-			return
+		var (
+			buf     [4]victim
+			vs      []victim
+			pending bool
+		)
+		if i := s.find(lineIdx); i >= 0 {
+			vs, pending = s.lines[i].conflicts(nil, write, buf[:0])
 		}
-		var victims []*Txn
-		pending := false
-		if ln.writer != nil {
-			if ln.writer.Active() {
-				victims = append(victims, ln.writer)
-			} else {
-				pending = true
-			}
-		}
-		if write {
-			for _, r := range ln.readers {
-				if r.Active() {
-					victims = append(victims, r)
-				} else {
-					pending = true
-				}
-			}
-		}
-		if len(victims) == 0 && !pending {
+		if len(vs) == 0 && !pending {
 			fn()
 			s.mu.Unlock()
 			return
 		}
 		s.mu.Unlock()
-		for _, v := range victims {
-			v.extAbort(CauseConflict)
-		}
-		if pending && len(victims) == 0 {
-			runtime.Gosched()
-		}
+		abortVictims(e, vs, pending)
 	}
 }
 

@@ -31,8 +31,8 @@ func registration(e *Engine, lineIdx uint64) (writer *Txn, readers []*Txn) {
 	s := e.shardFor(lineIdx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ln := s.lines[lineIdx]; ln != nil {
-		return ln.writer, append([]*Txn(nil), ln.readers...)
+	if i := s.find(lineIdx); i >= 0 {
+		return s.lines[i].writer, append([]*Txn(nil), s.lines[i].readers...)
 	}
 	return nil, nil
 }

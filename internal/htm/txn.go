@@ -12,20 +12,28 @@ import (
 )
 
 // Transaction status values, packed into one atomic word together with the
-// abort cause and XABORT code so that the (state, cause, code) triple is
-// always read and written atomically: bits 0-7 state, 8-15 cause, 16-23 code.
+// abort cause, the XABORT code and the region's generation, so that the
+// (state, cause, code) triple is always read and written atomically and an
+// aborter can name the region it saw: bits 0-7 state, 8-15 cause, 16-23 code,
+// 32-63 generation. Begin moves a reused Txn to the next generation.
 const (
-	statusActive uint32 = iota
+	statusActive uint64 = iota
 	statusAborted
 	statusCommitted
+	statusFree // handed back by Release
 )
 
-func packAborted(cause AbortCause, code uint8) uint32 {
-	return statusAborted | uint32(cause)<<8 | uint32(code)<<16
+const (
+	stateMask = 0xff
+	genMask   = uint64(0xffffffff00000000)
+)
+
+func packAborted(w uint64, cause AbortCause, code uint8) uint64 {
+	return w&genMask | statusAborted | uint64(cause)<<8 | uint64(code)<<16
 }
 
-func unpack(w uint32) (state uint32, cause AbortCause, code uint8) {
-	return w & 0xff, AbortCause(w >> 8 & 0xff), uint8(w >> 16 & 0xff)
+func unpack(w uint64) (state uint64, cause AbortCause, code uint8) {
+	return w & stateMask, AbortCause(w >> 8 & 0xff), uint8(w >> 16 & 0xff)
 }
 
 // Txn is one hardware transaction (the code between XBEGIN and XEND).
@@ -35,7 +43,7 @@ func unpack(w uint32) (state uint32, cause AbortCause, code uint8) {
 // operation mutex.
 type Txn struct {
 	eng    *Engine
-	status atomic.Uint32 // packed (state, cause, code)
+	status atomic.Uint64 // packed (state, cause, code, generation)
 
 	// opMu serializes this transaction's own operations against external
 	// abort cleanup. Cleanup (undo restore + deregistration) runs exactly
@@ -89,16 +97,50 @@ func (t *Txn) traceEnd(cause AbortCause, code uint8) {
 	t.rec.Record(obs.EvHTM, uint8(cause), 0, uint32(code), t.tid, t.tbegin, t.tclk.Now())
 }
 
-// Begin starts a hardware transaction.
+// released holds the Txns of ended regions for Begin to reuse, with no
+// engine: a pool inside an Engine would keep the engine and its arena alive
+// for two garbage collections after its last use.
+var released sync.Pool
+
+// Begin starts a hardware transaction, on a Txn an ended region handed back
+// with Release when there is one.
 func (e *Engine) Begin() *Txn {
 	e.stats.Begins.Add(1)
-	t := &Txn{eng: e}
-	t.readLines, t.writeLines, t.undo = t.readBuf[:0], t.writeBuf[:0], t.undoBuf[:0]
+	t, _ := released.Get().(*Txn)
+	if t == nil {
+		t = new(Txn)
+		t.readLines, t.writeLines, t.undo = t.readBuf[:0], t.writeBuf[:0], t.undoBuf[:0]
+	}
+	// An extAbort that lost to Release may still hold opMu; it re-checks the
+	// status word there, so resetting under opMu keeps it off this region.
+	t.opMu.Lock()
+	t.eng = e
+	t.status.Store(t.status.Load()&genMask + 1<<32)
+	t.cleaned = false
+	t.readLines, t.writeLines, t.undo = t.readLines[:0], t.writeLines[:0], t.undo[:0]
+	t.tended = false
+	t.opMu.Unlock()
 	return t
 }
 
+// Release hands an ended region back for a later Begin, on any engine, to
+// reuse; the owner must not touch t again. Releasing a region that is still
+// active, or one already released, does nothing.
+func (t *Txn) Release() {
+	t.opMu.Lock()
+	defer t.opMu.Unlock()
+	w := t.status.Load()
+	if state := w & stateMask; state == statusActive || state == statusFree {
+		return
+	}
+	t.releaseLocked(true) // a no-op unless an aborter's cleanup lost the TryLock
+	t.status.Store(w&genMask | statusFree)
+	t.eng, t.rec, t.tclk = nil, nil, nil // a pooled Txn pins no engine or worker
+	released.Put(t)
+}
+
 // Active reports whether the transaction can still perform operations.
-func (t *Txn) Active() bool { return t.status.Load()&0xff == statusActive }
+func (t *Txn) Active() bool { return t.status.Load()&stateMask == statusActive }
 
 // abortErr builds the error for the recorded cause.
 func (t *Txn) abortErr() *AbortError {
@@ -111,10 +153,10 @@ func (t *Txn) abortErr() *AbortError {
 // retry loop can make progress. Caller holds opMu.
 func (t *Txn) checkActive() *AbortError {
 	w := t.status.Load()
-	if w&0xff == statusActive {
+	if w&stateMask == statusActive {
 		return nil
 	}
-	if w&0xff == statusAborted {
+	if w&stateMask == statusAborted {
 		t.releaseLocked(true)
 		_, cause, code := unpack(w)
 		t.traceEnd(cause, code)
@@ -125,7 +167,7 @@ func (t *Txn) checkActive() *AbortError {
 // selfAbort is called by the owning goroutine (which holds opMu) to abort
 // and clean up.
 func (t *Txn) selfAbort(cause AbortCause, code uint8) *AbortError {
-	if t.status.CompareAndSwap(statusActive, packAborted(cause, code)) {
+	if w := t.status.Load(); w&stateMask == statusActive && t.status.CompareAndSwap(w, packAborted(w, cause, code)) {
 		t.eng.stats.countAbort(cause)
 	}
 	t.releaseLocked(true)
@@ -134,17 +176,25 @@ func (t *Txn) selfAbort(cause AbortCause, code uint8) *AbortError {
 	return t.abortErr()
 }
 
-// extAbort aborts the transaction from outside (conflicting access). The
-// caller must hold NO shard locks and must not block on the victim: if the
-// victim is mid-operation it will clean itself up on exit. The caller's
-// retry loop observes completion as deregistration from the line registry.
-func (t *Txn) extAbort(cause AbortCause) {
-	if !t.status.CompareAndSwap(statusActive, packAborted(cause, 0)) {
+// extAbort aborts the transaction from outside (conflicting access), if it
+// still is the active region of status word w, which the caller read while
+// the region was registered on one of e's lines. The caller must hold NO
+// shard locks and must not block on the victim: if the victim is
+// mid-operation it will clean itself up on exit. The caller's retry loop
+// observes completion as deregistration from the line registry. Outside opMu
+// only e is read, never t.eng, which Begin rewrites when it reuses t.
+func (t *Txn) extAbort(e *Engine, w uint64, cause AbortCause) {
+	aborted := packAborted(w, cause, 0)
+	if !t.status.CompareAndSwap(w, aborted) {
 		return
 	}
-	t.eng.stats.countAbort(cause)
+	e.stats.countAbort(cause)
 	if t.opMu.TryLock() {
-		t.releaseLocked(true)
+		// The owner may have cleaned up, released t and begun the next
+		// region on it between the CAS and the TryLock.
+		if t.status.Load() == aborted {
+			t.releaseLocked(true)
+		}
 		t.opMu.Unlock()
 	}
 }
@@ -164,18 +214,18 @@ func (t *Txn) releaseLocked(restore bool) {
 			off := lineIdx << sim.CachelineShift
 			copy(t.eng.mem[off:off+sim.CachelineSize], t.undo[i<<sim.CachelineShift:])
 		}
-		if ln := s.lines[lineIdx]; ln != nil && ln.writer == t {
-			ln.writer = nil
-			s.maybeDrop(lineIdx, ln)
+		if j := s.find(lineIdx); j >= 0 && s.lines[j].writer == t {
+			s.lines[j].writer = nil
+			s.maybeDrop(j)
 		}
 		s.mu.Unlock()
 	}
 	for _, lineIdx := range t.readLines {
 		s := t.eng.shardFor(lineIdx)
 		s.mu.Lock()
-		if ln := s.lines[lineIdx]; ln != nil {
-			ln.dropReader(t)
-			s.maybeDrop(lineIdx, ln)
+		if j := s.find(lineIdx); j >= 0 {
+			s.lines[j].dropReader(t)
+			s.maybeDrop(j)
 		}
 		s.mu.Unlock()
 	}
@@ -193,12 +243,47 @@ func (ln *line) dropReader(t *Txn) {
 	}
 }
 
-// maybeDrop deregisters an entry nobody holds any more and keeps it, with
-// its readers capacity, on the shard's free list. Caller holds s.mu.
-func (s *shard) maybeDrop(lineIdx uint64, ln *line) {
-	if ln.writer == nil && len(ln.readers) == 0 {
-		delete(s.lines, lineIdx)
-		s.free = append(s.free, ln)
+// victim is a running region an access must abort, with the status word it
+// was seen in under the shard lock: extAbort aborts that generation only.
+type victim struct {
+	t *Txn
+	w uint64
+}
+
+// conflicts appends to vs the running regions an access by self (nil for a
+// non-transactional one) must abort: the line's writer, and for a write its
+// readers too. pending reports an ended region still registered, which is
+// mid-cleanup. Caller holds the shard lock.
+func (ln *line) conflicts(self *Txn, write bool, vs []victim) (_ []victim, pending bool) {
+	see := func(r *Txn) {
+		if w := r.status.Load(); w&stateMask == statusActive {
+			vs = append(vs, victim{r, w})
+		} else {
+			pending = true
+		}
+	}
+	if ln.writer != nil && ln.writer != self {
+		see(ln.writer)
+	}
+	if write {
+		for _, r := range ln.readers {
+			if r != self {
+				see(r)
+			}
+		}
+	}
+	return vs, pending
+}
+
+// abortVictims aborts what conflicts collected on e's registry, after the
+// shard lock is released (a victim's cleanup takes shard locks), or lets a
+// victim that is mid-cleanup finish.
+func abortVictims(e *Engine, vs []victim, pending bool) {
+	for _, v := range vs {
+		v.t.extAbort(e, v.w, CauseConflict)
+	}
+	if pending && len(vs) == 0 {
+		runtime.Gosched()
 	}
 }
 
@@ -214,41 +299,13 @@ func (t *Txn) acquireLine(lineIdx uint64, asWriter bool) *AbortError {
 		}
 		s := t.eng.shardFor(lineIdx)
 		s.mu.Lock()
-		ln := s.lines[lineIdx]
-		if ln != nil {
-			// Collect victims. We must not abort them while holding the
-			// shard lock (their cleanup needs shard locks), so gather and
-			// release first. A victim that is already aborted but still
-			// registered is mid-cleanup: wait for it to disappear.
-			var victims []*Txn
-			pending := false
-			if ln.writer != nil && ln.writer != t {
-				if ln.writer.Active() {
-					victims = append(victims, ln.writer)
-				} else {
-					pending = true
-				}
-			}
-			if asWriter {
-				for _, r := range ln.readers {
-					if r == t {
-						continue
-					}
-					if r.Active() {
-						victims = append(victims, r)
-					} else {
-						pending = true
-					}
-				}
-			}
-			if len(victims) > 0 || pending {
+		i := s.find(lineIdx)
+		if i >= 0 {
+			ln := &s.lines[i]
+			var buf [4]victim
+			if vs, pending := ln.conflicts(t, asWriter, buf[:0]); len(vs) > 0 || pending {
 				s.mu.Unlock()
-				for _, v := range victims {
-					v.extAbort(CauseConflict)
-				}
-				if pending && len(victims) == 0 {
-					runtime.Gosched() // let the victim finish cleanup
-				}
+				abortVictims(t.eng, vs, pending)
 				continue // registry changed; retry
 			}
 			// A line this region already writes needs nothing more, and
@@ -265,14 +322,12 @@ func (t *Txn) acquireLine(lineIdx uint64, asWriter bool) *AbortError {
 			s.mu.Unlock()
 			return t.selfAbort(CauseCapacity, 0)
 		}
-		if ln == nil {
-			if n := len(s.free); n > 0 {
-				ln, s.free = s.free[n-1], s.free[:n-1]
-			} else {
-				ln = new(line)
-			}
-			s.lines[lineIdx] = ln
+		if i < 0 {
+			i = len(s.lines)
+			s.lines = slices.Grow(s.lines, 1)[:i+1]
+			s.lines[i].idx = lineIdx
 		}
+		ln := &s.lines[i]
 		if asWriter {
 			off := lineIdx << sim.CachelineShift
 			t.writeLines = append(t.writeLines, lineIdx)
@@ -405,9 +460,9 @@ func (t *Txn) Commit() error {
 	if t.Active() && t.eng.spurious() {
 		return t.selfAbort(CauseSpurious, 0)
 	}
-	if !t.status.CompareAndSwap(statusActive, statusCommitted) {
-		w := t.status.Load()
-		if w&0xff == statusAborted {
+	if w := t.status.Load(); w&stateMask != statusActive || !t.status.CompareAndSwap(w, w&genMask|statusCommitted) {
+		w = t.status.Load()
+		if w&stateMask == statusAborted {
 			t.releaseLocked(true)
 			_, cause, code := unpack(w)
 			t.traceEnd(cause, code)

@@ -145,15 +145,17 @@ func (h *HashTable) Lookup(key uint64) (recOff uint64, ok bool) {
 func (h *HashTable) retryHTM(fn func(tx *htm.Txn) error) error {
 	for {
 		tx := h.eng.Begin()
-		if err := fn(tx); err != nil {
-			if _, ok := err.(*htm.AbortError); ok {
-				sim.Spin(0)
-				continue
-			}
+		err := fn(tx)
+		if _, aborted := err.(*htm.AbortError); err != nil && !aborted {
 			tx.Abort(0xFF)
+			tx.Release()
 			return err
 		}
-		if err := tx.Commit(); err == nil {
+		if err == nil {
+			err = tx.Commit()
+		}
+		tx.Release()
+		if err == nil {
 			return nil
 		}
 		sim.Spin(0)

@@ -527,27 +527,34 @@ func (a *Applier) installValue(tbl *memstore.Table, off uint64, r Rec, img *[]by
 		if attempt > 0 {
 			sim.Spin(time.Duration(attempt%64) * 200 * time.Nanosecond)
 		}
-		tx := a.eng.Begin()
-		cur, err := tx.Load64(off + memstore.SeqOff)
-		if err != nil {
-			continue
-		}
-		if cur >= r.Seq {
-			tx.Commit()
-			return nil // already newer (replay / cross-ring race)
-		}
-		inc, err := tx.Load64(off + memstore.IncOff)
-		if err != nil {
-			continue
-		}
-		*img = memstore.BuildRecordImageInto(*img, tbl.Spec.ValueSize, r.Value, inc, r.Seq)
-		// Preserve the lock word (first 8 bytes): backup records are
-		// never locked, but recovery may be mid-promotion.
-		if err := tx.Write(off+8, (*img)[8:]); err != nil {
-			continue
-		}
-		if tx.Commit() == nil {
+		if a.installAttempt(tbl, off, r, img) {
 			return nil
 		}
 	}
+}
+
+// installAttempt is one HTM region of installValue; it reports whether the
+// record now holds r.Seq or newer.
+func (a *Applier) installAttempt(tbl *memstore.Table, off uint64, r Rec, img *[]byte) bool {
+	tx := a.eng.Begin()
+	defer tx.Release()
+	cur, err := tx.Load64(off + memstore.SeqOff)
+	if err != nil {
+		return false
+	}
+	if cur >= r.Seq {
+		tx.Commit()
+		return true // already newer (replay / cross-ring race)
+	}
+	inc, err := tx.Load64(off + memstore.IncOff)
+	if err != nil {
+		return false
+	}
+	*img = memstore.BuildRecordImageInto(*img, tbl.Spec.ValueSize, r.Value, inc, r.Seq)
+	// Preserve the lock word (first 8 bytes): backup records are
+	// never locked, but recovery may be mid-promotion.
+	if err := tx.Write(off+8, (*img)[8:]); err != nil {
+		return false
+	}
+	return tx.Commit() == nil
 }

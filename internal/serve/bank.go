@@ -56,6 +56,7 @@ func OpenBank(cfg smallbank.Config, replicas int) (*drtmr.DB, error) {
 	db, err := drtmr.Open(drtmr.Options{
 		Nodes:       cfg.Nodes,
 		Replicas:    replicas,
+		MemBytes:    cfg.MemBytes(replicas),
 		Partitioner: cfg.Partitioner(),
 	})
 	if err != nil {

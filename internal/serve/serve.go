@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"maps"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,7 +188,7 @@ type Server struct {
 
 	lis     net.Listener
 	httpMu  sync.Mutex
-	httpLis []net.Listener
+	httpSrv []*http.Server
 	wg      sync.WaitGroup // workers + accept loop + readers + http
 	start   time.Time
 
@@ -275,9 +276,11 @@ func (s *Server) Close() {
 		s.lis.Close()
 	}
 	s.httpMu.Lock()
-	for _, l := range s.httpLis {
-		//drtmr:allow lockorder shutdown: Listener.Close unblocks Accept without waiting on any peer; httpMu only orders it against listener registration
-		l.Close()
+	for _, srv := range s.httpSrv {
+		// Close shuts the listener and every connection, kept-alive ones
+		// included: an idle /statusz client must not pin the server.
+		//drtmr:allow lockorder shutdown: Server.Close closes sockets without waiting on any peer; httpMu only orders it against server registration
+		srv.Close()
 	}
 	s.httpMu.Unlock()
 	s.conns.Range(func(k, _ any) bool {

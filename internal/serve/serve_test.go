@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"sync"
@@ -223,6 +225,41 @@ func TestUnknownProcAndBadArgs(t *testing.T) {
 	// The connection must still be usable after rejected requests.
 	if _, err := cl.Call("balance", EncBalanceReq(1)); err != nil {
 		t.Fatalf("healthy call after rejects: %v", err)
+	}
+}
+
+// TestCloseEndsKeptAliveStatusConnections: Close ends an idle kept-alive
+// /statusz connection, which otherwise keeps the HTTP server, and through its
+// handler the whole cluster, reachable after the server is closed.
+func TestCloseEndsKeptAliveStatusConnections(t *testing.T) {
+	cfg := smallbank.Config{AccountsPerNode: 100, Nodes: 1, InitialBalance: 1}
+	s, _ := startBank(t, cfg, Options{}, BankProcs{})
+	httpAddr, err := s.StartHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", httpAddr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := io.WriteString(nc, "GET /statusz HTTP/1.1\r\nHost: drtmr\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("/statusz: %s, close %v; want 200 on a kept-alive connection", resp.Status, resp.Close)
+	}
+	s.Close()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("kept-alive /statusz connection after Close: %v, want EOF", err)
 	}
 }
 

@@ -142,7 +142,8 @@ func (s *Server) statusJSON() []byte {
 }
 
 // StartHTTP serves GET /statusz (the same JSON as the wire status) on addr.
-// Returns the bound address; the listener closes with the server.
+// Returns the bound address; the HTTP server and its connections close with
+// the server.
 func (s *Server) StartHTTP(addr string) (net.Addr, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -160,7 +161,7 @@ func (s *Server) StartHTTP(addr string) (net.Addr, error) {
 		srv.Serve(lis)
 	}()
 	s.httpMu.Lock()
-	s.httpLis = append(s.httpLis, lis)
+	s.httpSrv = append(s.httpSrv, srv)
 	s.httpMu.Unlock()
 	return lis.Addr(), nil
 }

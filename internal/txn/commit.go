@@ -186,6 +186,7 @@ func (proto drtmrProto) localHTMAttempt(tx *Txn) error {
 	w.htmBegin()
 	defer w.htmEnd()
 	htx := w.E.M.Eng.Begin()
+	defer htx.Release()
 	if w.Rec != nil {
 		htx.Trace(w.Rec, &w.Clk, tx.id)
 	}
@@ -477,6 +478,7 @@ func (tx *Txn) makeupAttempt(e *wsEntry) bool {
 	w.htmBegin()
 	defer w.htmEnd()
 	htx := w.E.M.Eng.Begin()
+	defer htx.Release()
 	if w.Rec != nil {
 		htx.Trace(w.Rec, &w.Clk, tx.id)
 	}

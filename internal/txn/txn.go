@@ -3,6 +3,7 @@ package txn
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
@@ -119,6 +120,9 @@ type Txn struct {
 
 	rs []rsEntry
 	ws []wsEntry
+	// rsIdx and wsIdx find entries of rs and ws by record once the set
+	// outgrows footScan entries; both sets are append-only.
+	rsIdx, wsIdx footIndex
 
 	// Conflict identity captured inside the commit HTM region: the region
 	// communicates failures through abort codes only (htx.Abort unwinds), so
@@ -216,22 +220,77 @@ func (tx *Txn) homeOf(table memstore.TableID, key uint64) (cluster.ShardID, rdma
 	return shard, node, node == tx.w.E.M.ID
 }
 
-func (tx *Txn) findWS(table memstore.TableID, key uint64) *wsEntry {
-	for i := range tx.ws {
-		if tx.ws[i].table == table && tx.ws[i].key == key {
-			return &tx.ws[i]
+// footScan is the set size up to which findRS and findWS scan: a
+// StockLevel's few hundred reads would make scanning quadratic, and an
+// index costs an allocation that SmallBank's handful of records never needs.
+const footScan = 16
+
+type recKey struct {
+	table memstore.TableID
+	key   uint64
+}
+
+func (e *rsEntry) rec() recKey { return recKey{e.table, e.key} }
+func (e *wsEntry) rec() recKey { return recKey{e.table, e.key} }
+
+// footIndex finds the first entry naming a record in an append-only set,
+// which is what a scan finds (a Delete then an Insert of one key leaves two
+// ws entries): open addressing over slots holding an entry's position plus
+// one (0: empty), hashed on (table, key). It covers set[:n] and catches up on
+// lookup.
+type footIndex struct {
+	slot  []int32
+	shift uint8
+	n     int
+}
+
+func (k recKey) hash(shift uint8) int {
+	return int((k.key ^ uint64(k.table)<<56) * 0x9E3779B97F4A7C15 >> shift)
+}
+
+// find returns the first entry of set naming k, scanning while the set is
+// short and answering from x past that.
+func find[E any, P interface {
+	*E
+	rec() recKey
+}](x *footIndex, set []E, k recKey) *E {
+	if x.slot == nil && len(set) <= footScan {
+		for i := range set {
+			if P(&set[i]).rec() == k {
+				return &set[i]
+			}
+		}
+		return nil
+	}
+	if 2*len(set) > len(x.slot) {
+		b := bits.Len(uint(4*len(set) - 1))
+		x.slot, x.shift, x.n = make([]int32, 1<<b), uint8(64-b), 0
+	}
+	mask := len(x.slot) - 1
+	for ; x.n < len(set); x.n++ {
+		r := P(&set[x.n]).rec()
+		h := r.hash(x.shift)
+		for x.slot[h] != 0 && P(&set[x.slot[h]-1]).rec() != r {
+			h = (h + 1) & mask
+		}
+		if x.slot[h] == 0 {
+			x.slot[h] = int32(x.n + 1)
+		}
+	}
+	for h := k.hash(x.shift); x.slot[h] != 0; h = (h + 1) & mask {
+		if e := &set[x.slot[h]-1]; P(e).rec() == k {
+			return e
 		}
 	}
 	return nil
 }
 
+func (tx *Txn) findWS(table memstore.TableID, key uint64) *wsEntry {
+	return find(&tx.wsIdx, tx.ws, recKey{table, key})
+}
+
 func (tx *Txn) findRS(table memstore.TableID, key uint64) *rsEntry {
-	for i := range tx.rs {
-		if tx.rs[i].table == table && tx.rs[i].key == key {
-			return &tx.rs[i]
-		}
-	}
-	return nil
+	return find(&tx.rsIdx, tx.rs, recKey{table, key})
 }
 
 // Read returns the record's value, tracking it in the read set. Missing
@@ -501,6 +560,7 @@ func (tx *Txn) localReadAttempt(off uint64, tbl *memstore.Table, buf []byte) (im
 	w.htmBegin()
 	defer w.htmEnd()
 	htx := w.E.M.Eng.Begin()
+	defer htx.Release()
 	if w.Rec != nil {
 		htx.Trace(w.Rec, &w.Clk, tx.id)
 	}
