@@ -18,12 +18,16 @@
 // removes); TPC-C dependent transactions are handled the way DrTM really
 // handled them — with knowledge extracted before execution (the paper used
 // transaction chopping).
+//
+// It runs on DrTM+R's primitives (rdma.Batch doorbells, cluster.LookupRemote
+// and LocCache, baseline.Backoff), so a figure compares the protocols.
 package drtm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"drtmr/internal/baseline"
@@ -40,6 +44,11 @@ type Engine struct {
 	M    *cluster.Machine
 	Part txn.Partitioner
 	Cost txn.CostModel
+	// Sequential prices each doorbell per verb (rdma.Batch.SetSequential), as
+	// txn.Knobs.DisableVerbBatching does for DrTM+R. Set it before NewWorker.
+	Sequential bool
+
+	locs cluster.LocCache
 }
 
 // NewEngine builds DrTM on machine m.
@@ -54,6 +63,7 @@ type Worker struct {
 	Clk sim.Clock
 	rng *sim.Rand
 	qps []*rdma.QP
+	b   *rdma.Batch // the doorbell of every lock, fetch, write-back and unlock
 
 	// Stats counts outcomes: Committed, Retries (aborted attempts) and
 	// Fallbacks.
@@ -68,6 +78,8 @@ func (e *Engine) NewWorker(id int) *Worker {
 	for i := 0; i < n; i++ {
 		w.qps[i] = e.M.Cluster().Net.NewQP(e.M.ID, rdma.NodeID(i), &w.Clk)
 	}
+	w.b = rdma.NewBatch(&w.Clk)
+	w.b.SetSequential(e.Sequential)
 	return w
 }
 
@@ -75,25 +87,27 @@ func (e *Engine) NewWorker(id int) *Worker {
 // records are pre-fetched (and locked); local records go through the big
 // HTM region.
 type bodyCtx struct {
-	w      *Worker
-	htx    *htm.Txn
-	noHTM  bool // fallback mode: plain accesses under locks
-	remote map[baseline.Ref][]byte
-	dirty  map[baseline.Ref][]byte
-	refs   map[refKey]*refState
+	w     *Worker
+	htx   *htm.Txn
+	noHTM bool                       // fallback mode: plain accesses under locks
+	refs  map[baseline.Ref]*refState // keyed by table and key, Write false
+	// all declared records in (node, off) order, the global lock order, and
+	// the remote and the local ones in the same order.
+	all, remote, local []*refState
 }
 
-type refKey struct {
-	table memstore.TableID
-	key   uint64
-}
-
+// refState is one declared record in one attempt.
 type refState struct {
 	ref    baseline.Ref
 	local  bool
 	node   rdma.NodeID
 	off    uint64
+	inc    uint64 // remote: the incarnation its cached location names
 	locked bool
+	// img is a remote record as the growing phase READ it under its lock,
+	// val its value, put what the body wrote (dirty says it did).
+	img, val, put []byte
+	dirty         bool
 }
 
 // ErrAborted is returned when the transaction cannot make progress and the
@@ -102,20 +116,15 @@ var ErrAborted = errors.New("drtm: aborted")
 
 // Get reads a declared record.
 func (c *bodyCtx) Get(table memstore.TableID, key uint64) ([]byte, error) {
-	rk := refKey{table, key}
-	st := c.refs[rk]
+	st := c.refs[baseline.Ref{Table: table, Key: key}]
 	if st == nil {
 		return nil, fmt.Errorf("drtm: undeclared access %d/%d", table, key)
 	}
-	if v, ok := c.dirty[st.ref]; ok {
-		return v, nil
+	if st.dirty {
+		return st.put, nil
 	}
 	if !st.local {
-		v := c.remote[st.ref]
-		if v == nil {
-			return nil, ErrAborted
-		}
-		return v, nil
+		return st.val, nil
 	}
 	tbl := c.w.E.M.Store.Table(table)
 	// Single-pass execution inside one region: no separate per-read HTM
@@ -144,23 +153,20 @@ func (c *bodyCtx) Get(table memstore.TableID, key uint64) ([]byte, error) {
 
 // Put writes a declared record.
 func (c *bodyCtx) Put(table memstore.TableID, key uint64, value []byte) error {
-	rk := refKey{table, key}
-	st := c.refs[rk]
+	st := c.refs[baseline.Ref{Table: table, Key: key}]
 	if st == nil || !st.ref.Write {
 		return fmt.Errorf("drtm: undeclared write %d/%d", table, key)
 	}
 	if !st.local {
-		c.dirty[st.ref] = append([]byte(nil), value...)
+		st.put, st.dirty = append(st.put[:0], value...), true
 		return nil
 	}
 	tbl := c.w.E.M.Store.Table(table)
 	c.w.Clk.Advance(c.w.E.Cost.LocalAccess)
 	inc := c.w.E.M.Eng.Load64NonTx(st.off + memstore.IncOff)
 	if c.noHTM {
-		var seq uint64
-		img := c.w.E.M.Eng.ReadNonTx(st.off, 24, nil)
-		seq = memstore.RecSeq(img) + 1
-		full := memstore.BuildRecordImage(tbl.Spec.ValueSize, value, inc, seq)
+		seq := c.w.E.M.Eng.Load64NonTx(st.off + memstore.SeqOff)
+		full := memstore.BuildRecordImage(tbl.Spec.ValueSize, value, inc, seq+1)
 		c.w.E.M.Eng.WriteNonTx(st.off+8, full[8:])
 		return nil
 	}
@@ -175,12 +181,12 @@ func (c *bodyCtx) Put(table memstore.TableID, key uint64, value []byte) error {
 	return nil
 }
 
-// Run executes a transaction with declared refs: lock remote (2PL growing
-// phase), fetch remote reads, run body in one big HTM region, write back and
-// unlock (shrinking phase).
+// Run executes a transaction with declared refs: lock and fetch the remote
+// records (2PL growing phase), run the body in one big HTM region, write
+// back and unlock (shrinking phase).
 func (w *Worker) Run(refs []baseline.Ref, body func(baseline.Ctx) error) error {
 	for attempt := 0; ; attempt++ {
-		err := w.attempt(refs, body, attempt)
+		err := w.attempt(refs, body)
 		if err == nil {
 			w.Stats.Committed++
 			return nil
@@ -189,211 +195,203 @@ func (w *Worker) Run(refs []baseline.Ref, body func(baseline.Ctx) error) error {
 			return err
 		}
 		w.Stats.Retries++
-		w.backoff(attempt)
+		baseline.Backoff(&w.Clk, w.rng, attempt, w.E.Cost.Backoff)
 	}
 }
 
-func (w *Worker) backoff(attempt int) {
-	maxExp := 1 << uint(min(attempt, 8))
-	w.Clk.Advance(time.Duration(1+w.rng.Intn(maxExp)) * w.E.Cost.Backoff)
-	sim.Spin(0)
-}
+const (
+	bigHTMRetries = 8
+	// fallbackLockPasses bounds the fallback's loop-back lock doorbells.
+	fallbackLockPasses = 64
+)
 
-const bigHTMRetries = 8
-
-func (w *Worker) attempt(refs []baseline.Ref, body func(baseline.Ctx) error, attempt int) error {
+func (w *Worker) attempt(refs []baseline.Ref, body func(baseline.Ctx) error) error {
 	w.Clk.Advance(w.E.Cost.TxnOverhead)
-	ctx := &bodyCtx{
-		w:      w,
-		remote: make(map[baseline.Ref][]byte),
-		dirty:  make(map[baseline.Ref][]byte),
-		refs:   make(map[refKey]*refState, len(refs)),
+	ctx, err := w.place(refs)
+	if err != nil {
+		return err
 	}
+	if err := w.grow(ctx.remote); err != nil {
+		return err
+	}
+	err = w.bigHTMRun(ctx, body)
+	w.shrink(ctx.all, err == nil)
+	return err
+}
+
+// place finds every declared record once (a record declared twice is
+// written if either declaration says so): a local one through the store's
+// index, a remote one through the location cache (§6.3), walking the remote
+// index on a miss.
+func (w *Worker) place(refs []baseline.Ref) (*bodyCtx, error) {
+	ctx := &bodyCtx{w: w, refs: make(map[baseline.Ref]*refState, len(refs))}
 	cfg := w.E.M.Config()
-	// Resolve placements and offsets.
-	var states []*refState
 	for _, r := range refs {
-		rk := refKey{r.Table, r.Key}
-		if prev := ctx.refs[rk]; prev != nil {
+		k := baseline.Ref{Table: r.Table, Key: r.Key}
+		if prev := ctx.refs[k]; prev != nil {
 			prev.ref.Write = prev.ref.Write || r.Write
 			continue
 		}
-		shard := w.E.Part(r.Table, r.Key)
-		node := cfg.PrimaryOf(shard)
+		node := cfg.PrimaryOf(w.E.Part(r.Table, r.Key))
 		st := &refState{ref: r, node: node, local: node == w.E.M.ID}
+		tbl := w.E.M.Store.Table(r.Table)
 		if st.local {
-			off, ok := w.E.M.Store.Table(r.Table).Lookup(r.Key)
+			off, ok := tbl.Lookup(r.Key)
 			if !ok {
-				return fmt.Errorf("drtm: missing local record %d/%d", r.Table, r.Key)
+				return nil, fmt.Errorf("drtm: missing local record %d/%d", r.Table, r.Key)
 			}
 			st.off = off
 		} else {
-			loc, err := w.remoteLookup(st.node, r.Table, r.Key)
-			if err != nil {
-				return err
+			lk := cluster.LocKey{Node: node, Table: r.Table, Key: r.Key}
+			loc, ok := w.E.locs.Get(lk)
+			if !ok {
+				var err error
+				if loc, ok, err = cluster.LookupRemote(w.qps[node], tbl, r.Key, (*rdma.Completion).Wait); err != nil {
+					return nil, ErrAborted
+				} else if !ok {
+					return nil, fmt.Errorf("drtm: missing remote record %d/%d", r.Table, r.Key)
+				}
+				w.E.locs.Put(lk, loc)
 			}
-			st.off = loc
+			st.off, st.inc = loc.Off, loc.Inc
 		}
-		ctx.refs[rk] = st
-		states = append(states, st)
+		ctx.refs[k] = st
+		ctx.all = append(ctx.all, st)
 	}
-	// 2PL growing phase: lock remote records in sorted order.
-	sort.Slice(states, func(i, j int) bool {
-		if states[i].node != states[j].node {
-			return states[i].node < states[j].node
-		}
-		return states[i].off < states[j].off
+	slices.SortFunc(ctx.all, func(a, b *refState) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.off, b.off))
 	})
+	for _, st := range ctx.all {
+		if st.local {
+			ctx.local = append(ctx.local, st)
+		} else {
+			ctx.remote = append(ctx.remote, st)
+		}
+	}
+	return ctx, nil
+}
+
+// lock try-locks every target with one doorbell of RDMA CASes and returns
+// the ones it lost. Behind the CAS to a remote record rides the READ of the
+// record on the same queue pair, which runs it after the CAS: behind a CAS
+// that swapped, it sees the record as it stays until this attempt unlocks.
+// Every CAS has run before the first result is read, so ones posted after a
+// lost CAS may have swapped: the scan marks EVERY won lock before the caller
+// acts on a loss (txn's lockBatch discipline), or the back-out leaks them.
+func (w *Worker) lock(targets []*refState) (missed []*refState) {
 	myWord := memstore.LockWord(uint32(w.E.M.ID))
-	release := func() {
-		for _, st := range states {
-			if st.locked {
-				_, _, _ = w.qps[st.node].CAS(st.off+memstore.LockOff, myWord, 0)
-				st.locked = false
-			}
+	pend := make([]struct{ cas, read *rdma.Pending }, len(targets))
+	for i, st := range targets {
+		pend[i].cas = w.b.PostCAS(w.qps[st.node], st.off+memstore.LockOff, 0, myWord)
+		if !st.local {
+			pend[i].read = w.b.PostRead(w.qps[st.node], st.off, w.E.M.Store.Table(st.ref.Table).RecBytes)
 		}
 	}
-	for _, st := range states {
-		if st.local {
-			continue
+	_ = w.b.Execute() // each verb's error is in its Pending slot
+	for i, st := range targets {
+		cas, read := pend[i].cas, pend[i].read
+		st.locked = cas.Err == nil && cas.Swapped
+		switch {
+		case !st.locked || read != nil && read.Err != nil:
+			missed = append(missed, st)
+		case read != nil:
+			st.img = read.Data
 		}
-		_, ok, err := w.qps[st.node].CAS(st.off+memstore.LockOff, 0, myWord)
-		if err != nil || !ok {
-			release()
+	}
+	return missed
+}
+
+// grow is the 2PL growing phase: one lock doorbell over the remote records.
+// A loss, or a record whose incarnation is not the one its cached location
+// names (freed, maybe reused, since: the entry is dropped so that the retry
+// looks it up afresh), releases every lock won and aborts.
+func (w *Worker) grow(remote []*refState) error {
+	if len(w.lock(remote)) > 0 {
+		w.shrink(remote, false)
+		return ErrAborted
+	}
+	for _, st := range remote {
+		if memstore.RecInc(st.img)&memstore.IncLocMask != st.inc {
+			w.E.locs.Drop(cluster.LocKey{Node: st.node, Table: st.ref.Table, Key: st.ref.Key})
+			w.shrink(remote, false)
 			return ErrAborted
 		}
-		st.locked = true
+		st.val = memstore.GatherValue(st.img, w.E.M.Store.Table(st.ref.Table).Spec.ValueSize)
 	}
-	// Fetch remote records.
-	for _, st := range states {
-		if st.local {
-			continue
-		}
-		tbl := w.E.M.Store.Table(st.ref.Table)
-		img, err := w.qps[st.node].Read(st.off, tbl.RecBytes, nil)
-		if err != nil {
-			release()
-			return ErrAborted
-		}
-		ctx.remote[st.ref] = memstore.GatherValue(img, tbl.Spec.ValueSize)
-	}
-	// Execute the body in one big HTM region (bounded retries, then the
-	// locking fallback: lock local records too via loop-back CAS).
-	commitErr := w.bigHTMRun(ctx, states, body, myWord)
-	if commitErr != nil {
-		release()
-		return commitErr
-	}
-	// Write back remote updates, then unlock (2PL shrinking phase).
-	for _, st := range states {
-		if st.local || !st.ref.Write {
-			continue
-		}
-		v := ctx.dirty[st.ref]
-		if v == nil {
-			continue
-		}
-		tbl := w.E.M.Store.Table(st.ref.Table)
-		var hdr [24]byte
-		h, err := w.qps[st.node].Read(st.off, 24, hdr[:])
-		if err == nil {
-			img := memstore.BuildRecordImage(tbl.Spec.ValueSize, v, memstore.RecInc(h), memstore.RecSeq(h)+1)
-			_ = w.qps[st.node].Write(st.off+8, img[8:])
-		}
-	}
-	release()
 	return nil
 }
 
-// bigHTMRun executes body inside one HTM transaction covering every local
-// record's data lines — the DrTM design point.
-func (w *Worker) bigHTMRun(ctx *bodyCtx, states []*refState, body func(baseline.Ctx) error, myWord uint64) error {
-	nLocal := 0
+// shrink is the 2PL shrinking phase, and the back-out of a failed attempt:
+// one doorbell carries, for every record locked, the WRITE of the body's
+// image when commit is set and the body wrote one, then the unlock CAS
+// behind it on the same queue pair. The image takes its incarnation and
+// sequence number from the header the growing phase READ under the lock.
+func (w *Worker) shrink(states []*refState, commit bool) {
+	myWord := memstore.LockWord(uint32(w.E.M.ID))
 	for _, st := range states {
-		if st.local {
-			nLocal++
+		if !st.locked {
+			continue
 		}
+		if commit && st.dirty {
+			tbl := w.E.M.Store.Table(st.ref.Table)
+			img := memstore.BuildRecordImage(tbl.Spec.ValueSize, st.put, memstore.RecInc(st.img), memstore.RecSeq(st.img)+1)
+			w.b.PostWrite(w.qps[st.node], st.off+8, img[8:])
+		}
+		w.b.PostCAS(w.qps[st.node], st.off+memstore.LockOff, myWord, 0)
+		st.locked = false
 	}
+	_ = w.b.Execute() // DrTM has no recovery to hand a dead machine's verbs to
+}
+
+// bigHTMRun executes body inside one HTM transaction covering every local
+// record's data lines — the DrTM design point. After bigHTMRetries failed
+// regions it locks the local records too and runs the body without HTM; the
+// caller's shrink releases those locks with the rest.
+func (w *Worker) bigHTMRun(ctx *bodyCtx, body func(baseline.Ctx) error) error {
 	for attempt := 0; attempt < bigHTMRetries; attempt++ {
 		// The big region touches each record's data lines once; unlike
 		// DrTM+R there is no commit-phase re-validation pass and no
 		// read/write buffer maintenance (the generality overhead the
 		// paper measures at 2.2-9.8%).
-		w.Clk.Advance(w.E.Cost.HTMRegion + time.Duration(nLocal)*w.E.Cost.PerValidate)
+		w.Clk.Advance(w.E.Cost.HTMRegion + time.Duration(len(ctx.local))*w.E.Cost.PerValidate)
 		ctx.htx = w.E.M.Eng.Begin()
-		ctx.noHTM = false
-		for k := range ctx.dirty {
-			delete(ctx.dirty, k)
-		}
+		ctx.clearPuts()
 		if err := body(ctx); err != nil {
-			if errors.Is(err, ErrAborted) {
-				w.backoff(attempt)
-				continue
+			_ = ctx.htx.Abort(0xFE) // a no-op unless the body left the region running
+			ctx.htx.Release()
+			if !errors.Is(err, ErrAborted) {
+				return err
 			}
-			ctx.htx.Abort(0xFE)
-			return err
+		} else {
+			err := ctx.htx.Commit()
+			ctx.htx.Release()
+			if err == nil {
+				return nil
+			}
 		}
-		if err := ctx.htx.Commit(); err == nil {
-			return nil
-		}
-		w.backoff(attempt)
+		baseline.Backoff(&w.Clk, w.rng, attempt, w.E.Cost.Backoff)
 	}
-	// Fallback: lock LOCAL records via loop-back RDMA CAS, run without HTM.
+	// Fallback: lock the local records by loop-back RDMA CAS, one doorbell
+	// per pass over the ones still missing, and run without HTM.
 	w.Stats.Fallbacks++
-	var localLocked []*refState
-	for _, st := range states {
-		if !st.local {
-			continue
-		}
-		ok := false
-		for a := 0; a < 64; a++ {
-			if _, swapped, err := w.qps[w.E.M.ID].CAS(st.off+memstore.LockOff, 0, myWord); err == nil && swapped {
-				ok = true
-				break
-			}
-			w.backoff(a)
-		}
-		if !ok {
-			for _, l := range localLocked {
-				_, _, _ = w.qps[w.E.M.ID].CAS(l.off+memstore.LockOff, myWord, 0)
-			}
+	todo := ctx.local
+	for pass := 0; len(todo) > 0; pass++ {
+		if pass == fallbackLockPasses {
 			return ErrAborted
 		}
-		localLocked = append(localLocked, st)
+		if pass > 0 {
+			baseline.Backoff(&w.Clk, w.rng, pass, w.E.Cost.Backoff)
+		}
+		todo = w.lock(todo)
 	}
 	ctx.noHTM = true
-	for k := range ctx.dirty {
-		delete(ctx.dirty, k)
-	}
-	err := body(ctx)
-	for _, l := range localLocked {
-		_, _, _ = w.qps[w.E.M.ID].CAS(l.off+memstore.LockOff, myWord, 0)
-	}
-	if err != nil && !errors.Is(err, ErrAborted) {
-		return err
-	}
-	if err != nil {
-		return ErrAborted
-	}
-	return nil
+	ctx.clearPuts()
+	return body(ctx)
 }
 
-func (w *Worker) remoteLookup(node rdma.NodeID, table memstore.TableID, key uint64) (uint64, error) {
-	tbl := w.E.M.Store.Table(table)
-	h := tbl.Hash()
-	bucketOff := memstore.BucketOffFor(h.Base(), h.NumBuckets(), key)
-	var img [64]byte
-	for bucketOff != 0 {
-		b, err := w.qps[node].Read(bucketOff, 64, img[:])
-		if err != nil {
-			return 0, ErrAborted
-		}
-		packed, next, found := memstore.ParseBucket(b, key)
-		if found {
-			off, _ := memstore.SplitLoc(packed)
-			return off, nil
-		}
-		bucketOff = next
+// clearPuts forgets what a failed run of the body wrote to remote records.
+func (c *bodyCtx) clearPuts() {
+	for _, st := range c.remote {
+		st.put, st.dirty = st.put[:0], false
 	}
-	return 0, fmt.Errorf("drtm: missing remote record %d/%d", table, key)
 }

@@ -6,19 +6,22 @@
 //
 // Faithful to Silo's commit protocol: execution buffers writes and records
 // (record, TID) pairs; commit locks the write set in global order, picks a
-// TID greater than every observed TID within the current epoch, validates
-// that read-set records are unchanged and not locked by others, installs,
-// and unlocks. The record metadata word packs [lock bit | epoch | counter].
+// TID in the current epoch greater than every TID it read or overwrites and
+// than the worker's last, validates that read-set records are unchanged and
+// not locked by others, installs, and unlocks. The record metadata word
+// packs [lock bit | epoch | counter].
 package silo
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"drtmr/internal/baseline"
 	"drtmr/internal/memstore"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
@@ -30,8 +33,6 @@ const (
 	epochBase = 33
 )
 
-func tidEpoch(w uint64) uint64   { return (w &^ lockBit) >> epochBase }
-func tidCounter(w uint64) uint64 { return w & (1<<epochBase - 1) }
 func makeTID(epoch, counter uint64) uint64 {
 	return epoch<<epochBase | counter
 }
@@ -56,40 +57,36 @@ type Table struct {
 type DB struct {
 	tables map[memstore.TableID]*Table
 	epoch  atomic.Uint64
-	stop   chan struct{}
-	wg     sync.WaitGroup
 
 	Cost txn.CostModel
 }
 
-// NewDB creates a database with the given table ids and starts the epoch
-// thread (Silo advances the global epoch every ~40ms; the exact period only
-// bounds freshness, not throughput).
+// epochPeriod is the virtual time one epoch spans: Silo's epoch thread
+// advances the global epoch every 40 ms. The period only bounds freshness,
+// not throughput.
+const epochPeriod = 40 * time.Millisecond
+
+// NewDB creates a database with the given table ids.
 func NewDB(tableIDs []memstore.TableID, cost txn.CostModel) *DB {
-	db := &DB{tables: make(map[memstore.TableID]*Table), stop: make(chan struct{}), Cost: cost}
+	db := &DB{tables: make(map[memstore.TableID]*Table), Cost: cost}
 	db.epoch.Store(1)
 	for _, id := range tableIDs {
 		db.tables[id] = &Table{rows: make(map[uint64]*record)}
 	}
-	db.wg.Add(1)
-	go func() {
-		defer db.wg.Done()
-		for {
-			select {
-			case <-db.stop:
-				return
-			case <-time.After(10 * time.Millisecond):
-				db.epoch.Add(1)
-			}
-		}
-	}()
 	return db
 }
 
-// Close stops the epoch thread.
-func (db *DB) Close() {
-	close(db.stop)
-	db.wg.Wait()
+// epochAt returns the global epoch once it has reached the one the virtual
+// instant now falls in: the workers' clocks advance it, where Silo has a
+// thread watching real time. It never moves backwards.
+func (db *DB) epochAt(now int64) uint64 {
+	want := 1 + uint64(now/int64(epochPeriod))
+	for {
+		e := db.epoch.Load()
+		if e >= want || db.epoch.CompareAndSwap(e, want) {
+			return max(e, want)
+		}
+	}
 }
 
 // Insert loads a row (setup path).
@@ -141,6 +138,8 @@ type Worker struct {
 	ID  int
 	Clk sim.Clock
 	rng *sim.Rand
+	// lastTID is the TID this worker last committed under.
+	lastTID uint64
 
 	// Stats counts outcomes: Committed and Retries (aborted attempts).
 	Stats txn.Counters
@@ -193,9 +192,7 @@ func (w *Worker) Run(fn func(tx *Txn) error) error {
 			return err
 		}
 		w.Stats.Retries++
-		maxExp := 1 << uint(min(attempt, 8))
-		w.Clk.Advance(time.Duration(1+w.rng.Intn(maxExp)) * w.DB.Cost.Backoff)
-		sim.Spin(0)
+		baseline.Backoff(&w.Clk, w.rng, attempt, w.DB.Cost.Backoff)
 	}
 }
 
@@ -255,19 +252,17 @@ func (tx *Txn) Insert(table memstore.TableID, key uint64, val []byte) error {
 func (tx *Txn) commit() error {
 	w := tx.w
 	w.Clk.Advance(w.DB.Cost.HTMRegion + time.Duration(len(tx.rs)+len(tx.ws))*w.DB.Cost.PerValidate)
-	// Phase 1: lock the write set in a global order (pointer order is a
-	// valid global order for heap records).
+	// Phase 1: lock the write set in the global (table, key) order.
+	slices.SortStableFunc(tx.ws, func(a, b wsEnt) int {
+		return cmp.Or(cmp.Compare(a.table, b.table), cmp.Compare(a.key, b.key))
+	})
 	locks := make([]*record, 0, len(tx.ws))
 	for i := range tx.ws {
 		if tx.ws[i].rec != nil {
 			locks = append(locks, tx.ws[i].rec)
 		}
 	}
-	sort.Slice(locks, func(i, j int) bool {
-		return fmt.Sprintf("%p", locks[i]) < fmt.Sprintf("%p", locks[j])
-	})
-	locked := 0
-	for _, r := range locks {
+	for i, r := range locks {
 		ok := false
 		for spin := 0; spin < 64; spin++ {
 			cur := r.word.Load()
@@ -278,45 +273,29 @@ func (tx *Txn) commit() error {
 			sim.Spin(0)
 		}
 		if !ok {
-			for _, l := range locks[:locked] {
-				l.word.Store(l.word.Load() &^ lockBit)
-			}
+			unlock(locks[:i])
 			return errAbort
 		}
-		locked++
 	}
-	unlockTo := func(tid uint64) {
-		for _, r := range locks {
-			r.word.Store(tid)
-		}
-	}
-	// Phase 2: compute TID and validate reads.
-	epoch := w.DB.epoch.Load()
-	var maxCtr uint64
+	// Phase 2: compute TID and validate reads. The TID is larger than every
+	// TID read or about to be overwritten and than the worker's last, in the
+	// current epoch (which is never older than an epoch it has seen).
+	tid := makeTID(w.DB.epochAt(w.Clk.Now()), 0)
 	for _, e := range tx.rs {
-		if tidEpoch(e.tid) == epoch && tidCounter(e.tid) > maxCtr {
-			maxCtr = tidCounter(e.tid)
-		}
+		tid = max(tid, e.tid&^lockBit)
 	}
+	for _, r := range locks {
+		tid = max(tid, r.word.Load()&^lockBit)
+	}
+	tid = max(tid, w.lastTID) + 1
 	for _, e := range tx.rs {
 		cur := e.rec.word.Load()
-		lockedByMe := false
-		for _, l := range locks {
-			if l == e.rec {
-				lockedByMe = true
-				break
-			}
-		}
-		if cur&lockBit != 0 && !lockedByMe {
-			unlockAbort(locks, locked)
-			return errAbort
-		}
-		if cur&^lockBit != e.tid&^lockBit {
-			unlockAbort(locks, locked)
+		if cur&^lockBit != e.tid&^lockBit || cur&lockBit != 0 && !slices.Contains(locks, e.rec) {
+			unlock(locks)
 			return errAbort
 		}
 	}
-	tid := makeTID(epoch, maxCtr+1)
+	w.lastTID = tid
 	// Phase 3: install writes and unlock with the new TID.
 	for i := range tx.ws {
 		e := &tx.ws[i]
@@ -328,12 +307,15 @@ func (tx *Txn) commit() error {
 		e.rec.val = append(e.rec.val[:0], e.val...)
 		e.rec.valMu.Unlock()
 	}
-	unlockTo(tid)
+	for _, r := range locks {
+		r.word.Store(tid)
+	}
 	return nil
 }
 
-func unlockAbort(locks []*record, n int) {
-	for _, r := range locks[:n] {
+// unlock clears the lock bit of every record in locks, keeping its TID.
+func unlock(locks []*record) {
+	for _, r := range locks {
 		r.word.Store(r.word.Load() &^ lockBit)
 	}
 }

@@ -20,9 +20,62 @@ func dec(b []byte) uint64 { return binary.LittleEndian.Uint64(b[:8]) }
 
 func newDB(t *testing.T) *DB {
 	t.Helper()
-	db := NewDB([]memstore.TableID{1}, txn.DefaultCosts())
-	t.Cleanup(db.Close)
-	return db
+	return NewDB([]memstore.TableID{1}, txn.DefaultCosts())
+}
+
+func tidEpoch(w uint64) uint64   { return (w &^ lockBit) >> epochBase }
+func tidCounter(w uint64) uint64 { return w & (1<<epochBase - 1) }
+
+// TestBlindWriteNeverReusesATID interleaves two blind writes of one record,
+// by two workers, around a transaction that read the first one's value: the
+// second write must install a TID other than the first's, or the reader
+// validates a value that is gone. The TID is larger than the overwritten
+// record's, not only than what the writer read (nothing, here).
+func TestBlindWriteNeverReusesATID(t *testing.T) {
+	db := newDB(t)
+	if err := db.Insert(1, 5, enc(0)); err != nil {
+		t.Fatal(err)
+	}
+	blind := func(w *Worker, v uint64) {
+		t.Helper()
+		if err := w.Run(func(tx *Txn) error { return tx.Put(1, 5, enc(v)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blind(db.NewWorker(0), 1)
+	reader := &Txn{w: db.NewWorker(2)}
+	v, err := reader.Get(1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := db.row(1, 5).word.Load()
+	blind(db.NewWorker(1), 2)
+	if err := reader.commit(); !errors.Is(err, errAbort) {
+		r := db.row(1, 5)
+		t.Fatalf("stale read of [%d] validated: the record now holds [%d] (word %#x, was %#x)",
+			dec(v), dec(r.val), r.word.Load(), first)
+	}
+}
+
+// TestWorkerTIDsIncrease holds Silo's rule that a worker's TIDs grow even
+// across records that share no history.
+func TestWorkerTIDsIncrease(t *testing.T) {
+	db := newDB(t)
+	w := db.NewWorker(0)
+	var last uint64
+	for k := uint64(0); k < 4; k++ {
+		if err := db.Insert(1, k, enc(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(func(tx *Txn) error { return tx.Put(1, k, enc(1)) }); err != nil {
+			t.Fatal(err)
+		}
+		if tid := db.row(1, k).word.Load(); tid <= last {
+			t.Fatalf("record %d committed under TID %#x, not above the worker's last %#x", k, tid, last)
+		} else {
+			last = tid
+		}
+	}
 }
 
 func TestBasicReadWrite(t *testing.T) {

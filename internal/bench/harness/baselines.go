@@ -120,7 +120,9 @@ func runDrTMBaseline(o Options) Result {
 	wcfg := tpccConfig(o)
 	var engines []*drtm.Engine
 	for _, m := range c.Machines {
-		engines = append(engines, drtm.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts()))
+		e := drtm.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts())
+		e.Sequential = o.DisableVerbBatching
+		engines = append(engines, e)
 	}
 	c.Start()
 	return runMix(o, wcfg, 7, &tpccTxns, func(node, tid int) exec {
@@ -150,7 +152,6 @@ func runSiloBaseline(o Options) Result {
 		tpcc.TableWarehouse, tpcc.TableDistrict, tpcc.TableCustomer, tpcc.TableHistory, tpcc.TableNewOrder,
 		tpcc.TableOrder, tpcc.TableOrderLine, tpcc.TableItem, tpcc.TableStock, tpcc.TableCustLastOrder,
 	}, txn.DefaultCosts())
-	defer db.Close()
 	siloLoad(db, wcfg, o.Seed)
 	return runMix(o, wcfg, 29, &siloTxns, func(_, tid int) exec { return siloExec(db.NewWorker(tid)) })
 }

@@ -91,7 +91,8 @@ type Options struct {
 	// Knobs are the engine's tunables (commit protocol, coroutines per
 	// worker, ablations, contention manager, mutation switches; see
 	// txn.Knobs for each), handed as they are to every engine of a DrTM+R
-	// system. Baseline systems ignore them.
+	// system. Of the baselines only DrTM reads one: DisableVerbBatching
+	// prices its doorbells as DrTM+R's (drtm.Engine.Sequential).
 	txn.Knobs
 
 	// Trace enables per-worker event tracing (DrTM+R systems): each worker

@@ -44,8 +44,8 @@ var Analyzers = []*analysis.Analyzer{
 }
 
 // protocolPackages are the import paths whose code must stay bit-deterministic
-// under seeded replay (virtualtime) — the simulator, the protocol, and the
-// harness that fingerprints them.
+// under seeded replay (virtualtime) — the simulator, the protocol, the
+// comparison systems, and the harness that fingerprints them.
 var protocolPackages = []string{
 	"drtmr/internal/txn",
 	"drtmr/internal/htm",
@@ -55,6 +55,7 @@ var protocolPackages = []string{
 	"drtmr/internal/check",
 	"drtmr/internal/bench",
 	"drtmr/internal/serve",
+	"drtmr/internal/baseline",
 }
 
 // inProtocolPackages matches pkg path (or any of its subpackages).

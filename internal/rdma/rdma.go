@@ -50,15 +50,6 @@ import (
 // NodeID identifies a machine in the cluster.
 type NodeID uint32
 
-// GAddr is a global address in the partitioned global address space: a
-// (machine, offset) pair.
-type GAddr struct {
-	Node NodeID
-	Off  uint64
-}
-
-func (a GAddr) String() string { return fmt.Sprintf("%d:%#x", a.Node, a.Off) }
-
 // ErrNodeDead is returned for verbs against a failed machine.
 var ErrNodeDead = errors.New("rdma: target node is dead")
 

@@ -92,16 +92,3 @@ func (r *Rand) Perm(out []int) {
 		out[i], out[j] = out[j], out[i]
 	}
 }
-
-// LastNameSyllables are the TPC-C customer last-name syllables.
-var LastNameSyllables = [10]string{
-	"BAR", "OUGHT", "ABLE", "PRI", "PRES",
-	"ESE", "ANTI", "CALLY", "ATION", "EING",
-}
-
-// LastName composes the TPC-C customer last name for a number in [0, 999].
-func LastName(num int) string {
-	return LastNameSyllables[(num/100)%10] +
-		LastNameSyllables[(num/10)%10] +
-		LastNameSyllables[num%10]
-}

@@ -25,17 +25,6 @@ const CachelineShift = 6
 // LineOf returns the cacheline index containing byte offset off.
 func LineOf(off uintptr) uint64 { return uint64(off) >> CachelineShift }
 
-// LinesSpanned returns how many cachelines the byte range [off, off+n)
-// touches. n == 0 spans zero lines.
-func LinesSpanned(off, n uintptr) int {
-	if n == 0 {
-		return 0
-	}
-	first := LineOf(off)
-	last := LineOf(off + n - 1)
-	return int(last-first) + 1
-}
-
 // AlignUp rounds n up to the next multiple of CachelineSize.
 func AlignUp(n int) int {
 	return (n + CachelineSize - 1) &^ (CachelineSize - 1)

@@ -10,12 +10,6 @@ func TestCachelineHelpers(t *testing.T) {
 	if LineOf(0) != 0 || LineOf(63) != 0 || LineOf(64) != 1 {
 		t.Fatal("LineOf")
 	}
-	if LinesSpanned(0, 0) != 0 {
-		t.Fatal("zero-length span")
-	}
-	if LinesSpanned(0, 64) != 1 || LinesSpanned(63, 2) != 2 || LinesSpanned(0, 65) != 2 {
-		t.Fatal("LinesSpanned")
-	}
 	if AlignUp(0) != 0 || AlignUp(1) != 64 || AlignUp(64) != 64 || AlignUp(65) != 128 {
 		t.Fatal("AlignUp")
 	}
@@ -126,15 +120,6 @@ func TestPerm(t *testing.T) {
 			t.Fatalf("not a permutation: %v", out)
 		}
 		seen[v] = true
-	}
-}
-
-func TestLastName(t *testing.T) {
-	if LastName(0) != "BARBARBAR" {
-		t.Fatalf("LastName(0) = %q", LastName(0))
-	}
-	if LastName(371) != "PRICALLYOUGHT" {
-		t.Fatalf("LastName(371) = %q", LastName(371))
 	}
 }
 

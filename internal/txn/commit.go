@@ -122,7 +122,7 @@ func (tx *Txn) resolveWriteOffsets() error {
 			}
 			return err
 		}
-		e.off = loc.off
+		e.off = loc.Off
 	}
 	return nil
 }

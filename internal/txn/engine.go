@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -278,7 +277,7 @@ type Engine struct {
 	Replicated bool
 	Knobs
 
-	locCache *locCache
+	locCache cluster.LocCache
 	cm       *contentionManager
 }
 
@@ -313,7 +312,6 @@ func NewEngine(m *cluster.Machine, part Partitioner, costs CostModel) *Engine {
 		Part:       part,
 		Costs:      costs,
 		Replicated: m.Cluster().Spec.Replicas > 1,
-		locCache:   newLocCache(),
 		cm:         newContentionManager(),
 	}
 	e.registerRPC()
@@ -851,61 +849,4 @@ func (w *Worker) waitEpochChange(epoch uint64) {
 		seen = c.Now()
 	}
 	w.Clk.AdvanceTo(c.Now())
-}
-
-// locCache is the RDMA-friendly location cache (§6.3): it maps remote keys
-// to (record offset, incarnation) so repeated accesses skip the bucket walk.
-type locCache struct {
-	shards [64]locShard
-}
-
-type locShard struct {
-	mu sync.Mutex
-	m  map[locKey]locVal
-}
-
-type locKey struct {
-	node  rdma.NodeID
-	table memstore.TableID
-	key   uint64
-}
-
-type locVal struct {
-	off uint64
-	inc uint64
-}
-
-func newLocCache() *locCache {
-	c := &locCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[locKey]locVal)
-	}
-	return c
-}
-
-func (c *locCache) shardFor(k locKey) *locShard {
-	h := k.key*31 + uint64(k.table)*7 + uint64(k.node)
-	return &c.shards[h&63]
-}
-
-func (c *locCache) get(k locKey) (locVal, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	v, ok := s.m[k]
-	s.mu.Unlock()
-	return v, ok
-}
-
-func (c *locCache) put(k locKey, v locVal) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	s.m[k] = v
-	s.mu.Unlock()
-}
-
-func (c *locCache) drop(k locKey) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	delete(s.m, k)
-	s.mu.Unlock()
 }

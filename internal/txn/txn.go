@@ -597,13 +597,13 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 		return rsEntry{}, fmt.Errorf("txn: unknown table %d", table)
 	}
 	qp := tx.w.QP(node)
-	lk := locKey{node: node, table: table, key: key}
+	lk := cluster.LocKey{Node: node, Table: table, Key: key}
 	var (
-		loc    locVal
+		loc    cluster.Loc
 		cached bool
 	)
 	if !tx.w.E.DisableLocCache {
-		loc, cached = tx.w.E.locCache.get(lk)
+		loc, cached = tx.w.E.locCache.Get(lk)
 	}
 	if !cached {
 		var err error
@@ -611,14 +611,14 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 		if err != nil {
 			return rsEntry{}, err
 		}
-		tx.w.E.locCache.put(lk, loc)
+		tx.w.E.locCache.Put(lk, loc)
 	}
 	var img []byte
 	for attempt := 0; attempt < 256; attempt++ {
 		// The record fetch is a full fabric round-trip: issue it async and
 		// yield so other in-flight transactions run while it is outstanding.
 		var comp *rdma.Completion
-		img, comp = qp.ReadAsync(loc.off, tbl.RecBytes, img)
+		img, comp = qp.ReadAsync(loc.Off, tbl.RecBytes, img)
 		if err := tx.w.await(comp); err != nil {
 			return rsEntry{}, tx.abortAt(node, AbortNodeDead, "read %v", err)
 		}
@@ -627,21 +627,21 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 			continue
 		}
 		inc := memstore.RecInc(img)
-		if inc&memstore.IncLocMask != loc.inc {
+		if inc&memstore.IncLocMask != loc.Inc {
 			// Stale cached location: the record was freed (and maybe
 			// reused). Re-resolve through the index.
-			tx.w.E.locCache.drop(lk)
+			tx.w.E.locCache.Drop(lk)
 			nl, err := tx.w.remoteLookup(qp, tbl, key)
 			if err != nil {
 				return rsEntry{}, err
 			}
 			loc = nl
-			tx.w.E.locCache.put(lk, loc)
+			tx.w.E.locCache.Put(lk, loc)
 			continue
 		}
 		if checkLock {
 			if lockW := memstore.RecLock(img); lockW != 0 {
-				tx.w.maybeReleaseDangling(tx.cfg, node, loc.off, lockW)
+				tx.w.maybeReleaseDangling(tx.cfg, node, loc.Off, lockW)
 				tx.w.backoff(attempt)
 				continue
 			}
@@ -653,7 +653,7 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 			continue
 		}
 		return rsEntry{
-			table: table, key: key, off: loc.off, node: node,
+			table: table, key: key, off: loc.Off, node: node,
 			seq: memstore.RecSeq(img), inc: inc,
 			val: memstore.GatherValue(img, tbl.Spec.ValueSize),
 		}, nil
@@ -661,25 +661,18 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 	return rsEntry{}, tx.abortOn(node, table, key, AbortStale, "remote record %d/%d never stabilized", table, key)
 }
 
-// remoteLookup walks the remote hash index with one-sided RDMA READs.
-func (w *Worker) remoteLookup(qp *rdma.QP, tbl *memstore.Table, key uint64) (locVal, error) {
-	h := tbl.Hash()
-	bucketOff := memstore.BucketOffFor(h.Base(), h.NumBuckets(), key)
-	var img [64]byte
-	for bucketOff != 0 {
-		b, comp := qp.ReadAsync(bucketOff, 64, img[:])
-		if err := w.await(comp); err != nil {
-			// Commit-time callers (resolveWriteOffsets) re-stamp Stage.
-			return locVal{}, &Error{Reason: AbortNodeDead, Stage: StageExec, Site: uint16(qp.Remote()), Detail: err.Error()}
-		}
-		packed, next, found := memstore.ParseBucket(b, key)
-		if found {
-			off, inc := memstore.SplitLoc(packed)
-			return locVal{off: off, inc: inc}, nil
-		}
-		bucketOff = next
+// remoteLookup walks the remote hash index (cluster.LookupRemote), each READ
+// awaited as a yield point.
+func (w *Worker) remoteLookup(qp *rdma.QP, tbl *memstore.Table, key uint64) (cluster.Loc, error) {
+	loc, found, err := cluster.LookupRemote(qp, tbl, key, w.await)
+	switch {
+	case err != nil:
+		// Commit-time callers (resolveWriteOffsets) re-stamp Stage.
+		return loc, &Error{Reason: AbortNodeDead, Stage: StageExec, Site: uint16(qp.Remote()), Detail: err.Error()}
+	case !found:
+		return loc, ErrNotFound
 	}
-	return locVal{}, ErrNotFound
+	return loc, nil
 }
 
 // maybeReleaseDangling implements §5.2's passive lock release: a lock whose
