@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,21 +94,93 @@ func TestCoordinatorProposeCAS(t *testing.T) {
 	}
 }
 
+// TestRPCRoundtrip: a call runs the target's handler and returns its reply;
+// the caller pays one SEND, the reply is booked as a SEND from the target;
+// an unknown kind gets an empty reply; a call to or from a dead machine
+// fails at once with ErrNodeDead and charges nothing.
 func TestRPCRoundtrip(t *testing.T) {
-	c := New(testSpec(2, 1))
+	for _, tc := range []struct {
+		name  string
+		kind  uint8
+		kill  int // machine killed before the call, -1 for none
+		reply string
+		err   error
+	}{
+		{"echo", 0x42, -1, "echo:ping", nil},
+		{"unknown kind", 0x43, -1, "", nil},
+		{"killed target", 0x42, 1, "", rdma.ErrNodeDead},
+		{"killed caller", 0x42, 0, "", rdma.ErrNodeDead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(testSpec(2, 1))
+			c.Start()
+			defer c.Stop()
+			c.Machines[1].RegisterHandler(0x42, func(from rdma.NodeID, payload []byte) []byte {
+				return append([]byte("echo:"), payload...)
+			})
+			if tc.kill >= 0 {
+				c.Kill(rdma.NodeID(tc.kill))
+			}
+			var clk sim.Clock
+			qp := c.Net.NewQP(0, 1, &clk)
+			reply, err := c.Machines[0].Call(qp, tc.kind, []byte("ping"))
+			if err != tc.err || string(reply) != tc.reply {
+				t.Fatalf("reply %q, err %v; want %q, %v", reply, err, tc.reply, tc.err)
+			}
+			want, sends := int64(c.Net.Profile().Send), uint64(1)
+			if tc.err != nil {
+				want, sends = 0, 0
+			}
+			if clk.Now() != want {
+				t.Fatalf("caller clock %d, want %d", clk.Now(), want)
+			}
+			if req, rep := c.Net.NIC(1).Snapshot().Sends, c.Net.NIC(0).Snapshot().Sends; req != sends || rep != sends {
+				t.Fatalf("sends: request %d, reply %d; want %d each", req, rep, sends)
+			}
+		})
+	}
+}
+
+// TestRPCConcurrentCallers: eight callers, each with its own clock and QP,
+// call one machine at once; its handler runs on all of them concurrently and
+// every caller gets its own reply.
+func TestRPCConcurrentCallers(t *testing.T) {
+	c := New(testSpec(3, 1))
 	c.Start()
 	defer c.Stop()
 	c.Machines[1].RegisterHandler(0x42, func(from rdma.NodeID, payload []byte) []byte {
-		return append([]byte("echo:"), payload...)
+		return append([]byte(fmt.Sprintf("from %d:", from)), payload...)
 	})
-	var clk sim.Clock
-	qp := c.Net.NewQP(0, 1, &clk)
-	reply, err := c.Machines[0].Call(qp, 0x42, []byte("ping"), time.Second)
-	if err != nil {
-		t.Fatal(err)
+	const callers, calls = 8, 100
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			from := rdma.NodeID(g % 2 * 2) // machines 0 and 2
+			var clk sim.Clock
+			qp := c.Net.NewQP(from, 1, &clk)
+			for i := 0; i < calls; i++ {
+				req := fmt.Sprintf("%d/%d", g, i)
+				reply, err := c.Machines[from].Call(qp, 0x42, []byte(req))
+				if want := fmt.Sprintf("from %d:%s", from, req); err != nil || string(reply) != want {
+					errs <- fmt.Errorf("caller %d call %d: reply %q, err %v; want %q", g, i, reply, err, want)
+					return
+				}
+			}
+			if want := calls * int64(c.Net.Profile().Send); clk.Now() != want {
+				errs <- fmt.Errorf("caller %d: clock %d, want %d", g, clk.Now(), want)
+			}
+		}()
 	}
-	if string(reply) != "echo:ping" {
-		t.Fatalf("reply: %q", reply)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := c.Net.NIC(1).Snapshot().Sends; got != callers*calls {
+		t.Fatalf("target counted %d sends, want %d", got, callers*calls)
 	}
 }
 
@@ -210,39 +284,125 @@ func TestNoLiveMachineIsSuspected(t *testing.T) {
 	}
 }
 
+// TestLogReplicationThroughMachines: machine 0 appends eight rings' worth of
+// entries to each of its two backups. Each ring fills over and over, so the
+// appends go on only as the backups' auxiliary threads apply and truncate,
+// and those run only when a write wakes them: a lost wake-up stalls the
+// appender, and the deadline reports it.
 func TestLogReplicationThroughMachines(t *testing.T) {
-	c := New(testSpec(3, 3))
+	spec := testSpec(3, 3)
+	c := New(spec)
+	const valueSize = 64 // an entry is 16 + 24 + 64 bytes, padded to 128
+	entries := 8 * spec.RingBytes / 128
 	for _, m := range c.Machines {
-		m.Store.CreateTable(1, memstore.TableSpec{Name: "kv", ValueSize: 16, ExpectedRows: 64})
+		m.Store.CreateTable(1, memstore.TableSpec{Name: "kv", ValueSize: valueSize, ExpectedRows: 2 * entries})
 	}
 	c.Start()
 	defer c.Stop()
-	// Machine 0 replicates a shard-0 update to its backups (1 and 2).
-	var clk sim.Clock
-	val := make([]byte, 16)
-	copy(val, "replicated!")
-	entry := oplog.Encode(1, []oplog.Rec{{
-		Kind: oplog.KindInsert, Table: 1, Shard: 0, Key: 77, Seq: 2, Value: val,
-	}})
-	for _, b := range []rdma.NodeID{1, 2} {
-		qp := c.Net.NewQP(0, b, &clk)
-		if err := c.Machines[0].LogWriter(b).Append(qp, entry); err != nil {
-			t.Fatal(err)
-		}
+	backups := []rdma.NodeID{1, 2}
+	value := func(k int) []byte {
+		v := make([]byte, valueSize)
+		copy(v, fmt.Sprintf("value %d", k))
+		return v
 	}
-	// Aux threads should apply within a few polling rounds.
-	ok := false
-	for i := 0; i < 200 && !ok; i++ {
-		ok = true
-		for _, b := range []rdma.NodeID{1, 2} {
-			if _, found := c.Machines[b].Store.Table(1).Lookup(77); !found {
-				ok = false
+	appended := make(chan error, 1)
+	go func() {
+		var clk sim.Clock
+		for k := 0; k < entries; k++ {
+			entry := oplog.Encode(uint64(k+1), []oplog.Rec{{
+				Kind: oplog.KindInsert, Table: 1, Shard: 0, Key: uint64(k), Seq: 2, Value: value(k),
+			}})
+			for _, b := range backups {
+				if err := c.Machines[0].LogWriter(b).Append(c.Net.NewQP(0, b, &clk), entry); err != nil {
+					appended <- err
+					return
+				}
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		appended <- nil
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, b := range backups {
+		a := c.Machines[b].Applier(0)
+		for a.Applied() < uint64(entries) {
+			if time.Now().After(deadline) {
+				t.Fatalf("machine %d applied %d of %d entries", b, a.Applied(), entries)
+			}
+			runtime.Gosched()
+		}
 	}
-	if !ok {
-		t.Fatal("backups never applied the log entry")
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range backups {
+		tbl := c.Machines[b].Store.Table(1)
+		for k := 0; k < entries; k++ {
+			off, ok := tbl.Lookup(uint64(k))
+			if !ok {
+				t.Fatalf("machine %d lacks key %d", b, k)
+			}
+			if got := tbl.ReadValueNonTx(off); string(got) != string(value(k)) {
+				t.Fatalf("machine %d key %d: %q", b, k, got)
+			}
+		}
+	}
+}
+
+// TestRecoverLogsRedoesForeignRecords: a record in machine 0's ring for a
+// shard it does not hold is redone on the shard's primary, machine 1; if
+// machine 1 refuses it (it has no such table) recovery returns an error
+// naming the record and the target, and does not drop it.
+func TestRecoverLogsRedoesForeignRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		table   memstore.TableID
+		refused bool
+	}{
+		{"accepted", 1, false},
+		{"refused", 9, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two copies on three machines: shard 1 lives on machines 1
+			// and 2, so it is foreign to machine 0.
+			c := New(testSpec(3, 2))
+			for _, m := range c.Machines {
+				m.Store.CreateTable(1, memstore.TableSpec{Name: "kv", ValueSize: 16, ExpectedRows: 64})
+			}
+			// Published but not marked committed, as by a coordinator that
+			// died before C.6: recovery must redo it.
+			var clk sim.Clock
+			entry := oplog.Encode(7, []oplog.Rec{{
+				Kind: oplog.KindInsert, Table: tc.table, Shard: 1, Key: 42, Seq: 2, Value: make([]byte, 16),
+			}})
+			w, qp := c.Machines[2].LogWriter(0), c.Net.NewQP(2, 0, &clk)
+			b := qp.Batch()
+			tk, _, err := w.AppendPayload(qp, b, entry)
+			if err == nil {
+				w.Publish(qp, b, tk, entry)
+				err = b.Execute()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.Machines[0].recoverLogs(c.Coord.Current())
+			if !tc.refused {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := c.Machines[1].Store.Table(1).Lookup(42); !ok {
+					t.Fatal("the primary never got the redone record")
+				}
+				return
+			}
+			if !errors.Is(err, errRedoRefused) {
+				t.Fatalf("err %v, want a refused redo", err)
+			}
+			for _, part := range []string{"txn 7", "table 9", "shard 1", "key 42", "node 1"} {
+				if !strings.Contains(err.Error(), part) {
+					t.Fatalf("error %q does not name %q", err, part)
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,13 +66,14 @@ type Machine struct {
 	// charged to any worker's virtual clock).
 	auxClk sim.Clock
 	auxQPs []*rdma.QP
+	// auxWake starts an auxiliary-thread pass (capacity 1, drained before
+	// the pass, so a wake-up that finds it full is not lost): a WRITE landed
+	// in this machine's ring area, or one of its log writers has a
+	// watermark to push.
+	auxWake chan struct{}
 
 	handlersMu sync.RWMutex
 	handlers   map[uint8]Handler
-
-	pendingMu sync.Mutex
-	pending   map[uint64]chan []byte
-	nextReqID atomic.Uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -94,7 +93,11 @@ type Machine struct {
 }
 
 // Handler processes one RPC request on the hosting machine and returns the
-// reply payload. Handlers run on the machine's auxiliary thread.
+// reply payload. It runs on the caller's goroutine (Call), so one machine's
+// handlers run concurrently, once per caller in flight, and must be safe for
+// that: memstore's insert and delete are HTM-protected, and oplog's ApplyRec
+// builds its record image in a buffer of its own. payload is the caller's
+// buffer: read it during the call, do not keep it.
 type Handler func(from rdma.NodeID, payload []byte) []byte
 
 // Cluster wires Spec.Nodes machines to one fabric and one coordinator.
@@ -157,11 +160,15 @@ func New(spec Spec) *Cluster {
 			Arena:    arena,
 			cluster:  c,
 			handlers: make(map[uint8]Handler),
-			pending:  make(map[uint64]chan []byte),
 			stop:     make(chan struct{}),
 			wake:     make(chan struct{}, 1),
+			auxWake:  make(chan struct{}, 1),
 		}
 		m.cfg.Store(initial)
+		m.RegisterHandler(rpcRedo, m.handleRedo)
+		// Ring control words and rings are one range; the record arena
+		// starts where it ends.
+		c.Net.NIC(m.ID).Watch(ringCtlBase, arenaStart, m.auxWake)
 		c.Machines = append(c.Machines, m)
 	}
 	// Log infrastructure: machine s owns a ring at the same offset inside
@@ -179,6 +186,7 @@ func New(spec Spec) *Cluster {
 				MarkOff: ringMarkOff(m.ID),
 			}
 			m.logWriters[p] = oplog.NewWriter(geoOnP)
+			m.logWriters[p].WakeOn(m.auxWake)
 			geoHere := oplog.Geometry{
 				Base:    ringBase + uint64(p)*uint64(spec.RingBytes),
 				Size:    uint64(spec.RingBytes),
@@ -193,9 +201,6 @@ func New(spec Spec) *Cluster {
 	}
 	return c
 }
-
-// Machine returns machine id.
-func (c *Cluster) Machine(id rdma.NodeID) *Machine { return c.Machines[id] }
 
 // Config returns this machine's cached configuration.
 func (m *Machine) Config() *Config { return m.cfg.Load() }
@@ -241,161 +246,80 @@ func (m *Machine) Commits() *atomic.Int32 {
 	return n
 }
 
-// awaitCommits waits until no worker of any machine is in a commit phase,
-// or until waiter is told to stop. Commits that start after a configuration
-// change abort at their first epoch check, before they can yield.
-func (c *Cluster) awaitCommits(waiter *Machine) {
-	for _, m := range c.Machines {
-		m.commitsMu.Lock()
-		counts := append([]*atomic.Int32(nil), m.commits...)
-		m.commitsMu.Unlock()
-		for _, n := range counts {
-			for n.Load() > 0 && !waiter.stopped() {
-				sim.Spin(0)
-			}
-		}
-	}
-}
-
-// RegisterHandler installs the RPC handler for a message kind. Kind 0xFF is
-// reserved for replies.
+// RegisterHandler installs the RPC handler for a message kind.
 func (m *Machine) RegisterHandler(kind uint8, h Handler) {
-	if kind == replyKind {
-		panic("cluster: kind 0xFF is reserved")
-	}
 	m.handlersMu.Lock()
 	m.handlers[kind] = h
 	m.handlersMu.Unlock()
 }
 
-const replyKind = 0xFF
+// rpcHeader is what a request or a reply carries on the wire ahead of its
+// payload: kind u8, request id u64, origin u32. An inline call needs none of
+// it, but a real SEND would carry it, so its bytes are charged.
+const rpcHeader = 13
 
-// Call sends an RPC to dst's auxiliary thread over the caller's QP and waits
-// for the reply. Message cost is charged to the QP's clock; the handler runs
-// on the remote machine.
-func (m *Machine) Call(qp *rdma.QP, kind uint8, payload []byte, timeout time.Duration) ([]byte, error) {
-	reqID := m.nextReqID.Add(1)
-	ch := make(chan []byte, 1)
-	m.pendingMu.Lock()
-	m.pending[reqID] = ch
-	m.pendingMu.Unlock()
-	defer func() {
-		m.pendingMu.Lock()
-		delete(m.pending, reqID)
-		m.pendingMu.Unlock()
-	}()
-	buf := make([]byte, 13+len(payload))
-	buf[0] = kind
-	binary.LittleEndian.PutUint64(buf[1:9], reqID)
-	binary.LittleEndian.PutUint32(buf[9:13], uint32(m.ID))
-	copy(buf[13:], payload)
-	if err := qp.Send(buf); err != nil {
+// Call runs an RPC on qp's target machine and returns the reply. The request
+// is a SEND on qp: the caller's clock pays Profile.Send plus the request's
+// wire time. The target's handler then runs inline, on the caller's
+// goroutine, charged to nobody, and the reply's bytes queue on the target's
+// aux QP back to the caller, on the target's aux clock, which the caller
+// does not wait for (known delta 11). An unknown kind gets an empty reply. A
+// call to or from a dead machine fails at once with rdma.ErrNodeDead, as a
+// one-sided verb does; a call cannot be lost, so it has no deadline.
+func (m *Machine) Call(qp *rdma.QP, kind uint8, payload []byte) ([]byte, error) {
+	if m.Dead() {
+		return nil, rdma.ErrNodeDead
+	}
+	if err := qp.Send(rpcHeader + len(payload)); err != nil {
 		return nil, err
 	}
-	select {
-	case reply := <-ch:
-		return reply, nil
-	//drtmr:allow virtualtime RPC timeout is a liveness backstop that only ever aborts, never commits
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("cluster: rpc kind %d to node %d timed out", kind, qp.Remote())
-	case <-m.stop:
-		return nil, fmt.Errorf("cluster: machine %d stopping", m.ID)
+	t := m.cluster.Machines[qp.Remote()]
+	t.handlersMu.RLock()
+	h := t.handlers[kind]
+	t.handlersMu.RUnlock()
+	var reply []byte
+	if h != nil {
+		reply = h(m.ID, payload)
 	}
+	if err := t.auxQPs[m.ID].Send(rpcHeader + len(reply)); err != nil {
+		return nil, err
+	}
+	return reply, nil
 }
 
-// serveMessages is the auxiliary receive loop: dispatches requests to
-// handlers and routes replies to waiting callers.
-func (m *Machine) serveMessages() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.stop:
-			return
-		default:
-		}
-		msg, err := m.cluster.Net.NIC(m.ID).Recv(time.Millisecond)
-		if err != nil {
-			if err == rdma.ErrNodeDead {
-				return
-			}
-			continue
-		}
-		if len(msg.Payload) < 13 {
-			continue
-		}
-		kind := msg.Payload[0]
-		reqID := binary.LittleEndian.Uint64(msg.Payload[1:9])
-		origin := rdma.NodeID(binary.LittleEndian.Uint32(msg.Payload[9:13]))
-		body := msg.Payload[13:]
-		if kind == replyKind {
-			m.pendingMu.Lock()
-			ch := m.pending[reqID]
-			m.pendingMu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- append([]byte(nil), body...):
-				default:
-				}
-			}
-			continue
-		}
-		m.handlersMu.RLock()
-		h := m.handlers[kind]
-		m.handlersMu.RUnlock()
-		var reply []byte
-		if h != nil {
-			reply = h(origin, body)
-		}
-		out := make([]byte, 13+len(reply))
-		out[0] = replyKind
-		binary.LittleEndian.PutUint64(out[1:9], reqID)
-		binary.LittleEndian.PutUint32(out[9:13], uint32(m.ID))
-		copy(out[13:], reply)
-		// Replies go back on the aux QP to the origin.
-		_ = m.auxQPs[origin].Send(out)
-	}
-}
-
-// runAux drains log rings (truncation threads) and pushes watermarks.
+// runAux is the machine's auxiliary thread (the truncation thread of §5.1).
+// It sleeps until auxWake, then makes a pass: apply and truncate every ring
+// this machine hosts, and push its own watermarks out so peers can truncate.
 func (m *Machine) runAux() {
 	defer m.wg.Done()
 	for {
 		select {
 		case <-m.stop:
 			return
-		default:
+		case <-m.auxWake:
 		}
-		worked := 0
 		for _, a := range m.appliers {
 			// The self-ring is real: a coordinator that backs up a
 			// remote shard logs to itself over a loop-back QP.
-			n, err := a.Poll()
-			if err == nil {
-				worked += n
-			}
+			_, _ = a.Poll()
 		}
-		// Push our watermarks out so peers can truncate.
 		for dst, w := range m.logWriters {
 			if rdma.NodeID(dst) == m.ID || !m.cluster.Net.NIC(rdma.NodeID(dst)).Alive() {
 				continue
 			}
 			_ = w.PushWatermark(m.auxQPs[dst], false)
 		}
-		if worked == 0 {
-			sim.Spin(200 * time.Microsecond)
-		}
 	}
 }
 
-// Start launches every machine's background threads.
+// Start launches every machine's background threads: its auxiliary thread
+// and its failure detector. RPCs need no thread of their own (Call).
 func (c *Cluster) Start() {
 	for _, m := range c.Machines {
 		// The initial epoch needs no log recovery; mark it recovered up
 		// front so the dangling-lock fence opens immediately.
 		c.Coord.MarkRecovered(c.Coord.Epoch(), m.ID)
-		m.RegisterHandler(rpcRedo, m.handleRedo)
-		m.wg.Add(3)
-		go m.serveMessages()
+		m.wg.Add(2)
 		go m.runAux()
 		go m.runDetector(c.Coord.Subscribe())
 	}

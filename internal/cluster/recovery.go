@@ -3,7 +3,8 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
-	"time"
+	"fmt"
+	"sync/atomic"
 
 	"drtmr/internal/memstore"
 	"drtmr/internal/obs"
@@ -73,7 +74,10 @@ func (m *Machine) applyNewConfig(cfg *Config) {
 	// the dead machine's too, so none publishes after the drain or leaves an
 	// unpublished entry ahead of a published one.
 	c.awaitCommits(m)
-	m.recoverLogs(cfg)
+	if err := m.recoverLogs(cfg); err != nil {
+		// A refused redo is a committed write about to be lost.
+		panic(fmt.Sprintf("cluster: machine %d recovering epoch %d: %v", m.ID, cfg.Epoch, err))
+	}
 	c.Coord.MarkRecovered(cfg.Epoch, m.ID)
 	// Recovery barrier (§5.2): workers route by cfg, and release locks
 	// dangling from the dead machine, only once EVERY member has redone its
@@ -91,15 +95,33 @@ func (m *Machine) applyNewConfig(cfg *Config) {
 	}
 }
 
+// awaitCommits waits until no worker of any machine is in a commit phase,
+// or until waiter is told to stop. Commits that start after a configuration
+// change abort at their first epoch check, before they can yield.
+func (c *Cluster) awaitCommits(waiter *Machine) {
+	for _, m := range c.Machines {
+		m.commitsMu.Lock()
+		counts := append([]*atomic.Int32(nil), m.commits...)
+		m.commitsMu.Unlock()
+		for _, n := range counts {
+			for n.Load() > 0 && !waiter.stopped() {
+				sim.Spin(0)
+			}
+		}
+	}
+}
+
 // recoverLogs drains and redoes this machine's rings: local entries for
 // shards it replicates are applied; foreign records are forwarded to their
-// current primaries.
-func (m *Machine) recoverLogs(cfg *Config) {
+// current primaries. It returns the first redo that fails, or the first
+// entry it cannot read; a redo that fails because a machine died is left to
+// the next configuration's recovery, which reads the same rings.
+func (m *Machine) recoverLogs(cfg *Config) error {
 	for _, a := range m.appliers {
 		// Apply everything published (idempotent).
 		_, _ = a.Poll()
 		// Cross-redo: forward foreign records.
-		_ = a.Scan(func(txnID uint64, recs []oplog.Rec) error {
+		err := a.Scan(func(txnID uint64, recs []oplog.Rec) error {
 			for _, r := range recs {
 				shard := ShardID(r.Shard)
 				if m.Replicates(shard) {
@@ -109,12 +131,25 @@ func (m *Machine) recoverLogs(cfg *Config) {
 				if primary == m.ID || !cfg.IsMember(primary) {
 					continue
 				}
-				payload := encodeRedo(r)
-				_, _ = m.Call(m.auxQPs[primary], rpcRedo, payload, 100*time.Millisecond)
+				reply, err := m.Call(m.auxQPs[primary], rpcRedo, encodeRedo(r))
+				if errors.Is(err, rdma.ErrNodeDead) {
+					continue
+				}
+				if err == nil && (len(reply) != 1 || reply[0] != 1) {
+					err = errRedoRefused
+				}
+				if err != nil {
+					return fmt.Errorf("redo of txn %d's record (table %d, shard %d, key %d, seq %d) on node %d: %w",
+						txnID, r.Table, r.Shard, r.Key, r.Seq, primary, err)
+				}
 			}
 			return nil
 		})
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // handleRedo applies a forwarded log record on the shard's current primary
@@ -165,4 +200,5 @@ func decodeRedo(buf []byte) (oplog.Rec, error) {
 var (
 	errShortRedo   = errors.New("cluster: short redo payload")
 	errBadRedoKind = errors.New("cluster: redo record has invalid kind")
+	errRedoRefused = errors.New("refused")
 )

@@ -158,19 +158,29 @@ type Geometry struct {
 type Writer struct {
 	geo Geometry
 
-	mu              sync.Mutex
-	tail            uint64 // logical position; authoritative (only we write this ring)
-	head            uint64 // cached remote head (refresh on pressure)
-	pushedCommitted uint64 // last watermark value pushed to the remote side
-	// committed: txns below this logical position are fully committed. Not
-	// under mu, which an appender waiting for ring space holds until it moves.
-	committed atomic.Uint64
+	mu   sync.Mutex
+	tail uint64 // logical position; authoritative (only we write this ring)
+	head uint64 // cached remote head (refresh on pressure)
+	// committed: txns below this logical position are fully committed;
+	// pushed: the last watermark written to the remote side (written under
+	// mu). Both are read without mu, which an appender waiting for ring space
+	// holds until it moves.
+	committed, pushed atomic.Uint64
+	// wake is signalled when committed runs a push's worth (Size/8) ahead of
+	// pushed (WakeOn).
+	wake chan<- struct{}
 }
 
 // NewWriter creates the writer-side handle.
 func NewWriter(geo Geometry) *Writer {
 	return &Writer{geo: geo}
 }
+
+// WakeOn makes MarkCommitted signal ch, without blocking, whenever the
+// committed watermark is at least Size/8 ahead of the one last pushed: the
+// thread that pushes watermarks (PushWatermark) waits on ch. Call it before
+// the writer is shared.
+func (w *Writer) WakeOn(ch chan<- struct{}) { w.wake = ch }
 
 // Token identifies a reserved entry for the publish step.
 type Token struct {
@@ -262,8 +272,17 @@ func (w *Writer) Append(qp *rdma.QP, entry []byte) error {
 func (w *Writer) MarkCommitted(end uint64) {
 	for {
 		c := w.committed.Load()
-		if end <= c || w.committed.CompareAndSwap(c, end) {
+		if end <= c {
 			return
+		}
+		if w.committed.CompareAndSwap(c, end) {
+			break
+		}
+	}
+	if end-w.pushed.Load() >= w.geo.Size/8 {
+		select {
+		case w.wake <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -273,25 +292,26 @@ func (w *Writer) MarkCommitted(end uint64) {
 // shutdown). An appender holding the writer pushes it itself while it waits
 // for space, so this gives way: the caller goes on draining its own rings.
 func (w *Writer) PushWatermark(qp *rdma.QP, force bool) error {
-	if !w.mu.TryLock() {
+	c, p := w.committed.Load(), w.pushed.Load()
+	if c == p || !force && c-p < w.geo.Size/8 || !w.mu.TryLock() {
 		return nil
 	}
-	c, p := w.committed.Load(), w.pushedCommitted
-	w.mu.Unlock()
-	if c == p {
-		return nil
-	}
-	if !force && c-p < w.geo.Size/8 {
+	defer w.mu.Unlock()
+	return w.push(qp)
+}
+
+// push writes the committed watermark to the remote ring if it is ahead of
+// the one pushed. w.mu is held, so pushes land in order and the remote
+// watermark never moves back.
+func (w *Writer) push(qp *rdma.QP) error {
+	c := w.committed.Load()
+	if c <= w.pushed.Load() {
 		return nil
 	}
 	if err := qp.Write64(w.geo.MarkOff, c); err != nil {
 		return err
 	}
-	w.mu.Lock()
-	if c > w.pushedCommitted {
-		w.pushedCommitted = c
-	}
-	w.mu.Unlock()
+	w.pushed.Store(c)
 	return nil
 }
 
@@ -300,11 +320,8 @@ func (w *Writer) PushWatermark(qp *rdma.QP, force bool) error {
 // the watermark out, since the applier cannot truncate past it.
 func (w *Writer) waitSpace(qp *rdma.QP, need uint64) error {
 	for w.tail+need > w.head+w.geo.Size {
-		if c := w.committed.Load(); c > w.pushedCommitted {
-			if err := qp.Write64(w.geo.MarkOff, c); err != nil {
-				return err
-			}
-			w.pushedCommitted = c
+		if err := w.push(qp); err != nil {
+			return err
 		}
 		h, err := qp.Read64(w.geo.HeadOff)
 		if err != nil {
@@ -341,6 +358,8 @@ type Applier struct {
 	head    uint64 // truncation frontier (logical)
 	applied uint64 // apply frontier (logical), >= head
 	img     []byte // Poll's record-image scratch (installValue)
+	buf     []byte // the entry image peek read last (Decode copies out of it)
+	zeros   []byte // zero's source, grown to the longest span zeroed
 
 	appliedEntries uint64
 }
@@ -368,7 +387,7 @@ func (a *Applier) Poll() (int, error) {
 	// that have been applied but not yet zeroed, which must not be
 	// re-read as fresh.
 	for a.applied < a.head+a.geo.Size {
-		entry, adv, err := a.peek(a.applied)
+		entry, adv, err := a.peek(a.applied, true)
 		if err != nil {
 			return n, err
 		}
@@ -395,19 +414,21 @@ func (a *Applier) truncate() {
 	if mark < limit {
 		limit = mark
 	}
+	start := a.head
 	for a.head < limit {
-		entry, adv, err := a.peek(a.head)
+		_, adv, err := a.peek(a.head, false)
 		if err != nil || adv == 0 {
 			break
 		}
-		_ = entry
 		if a.head+adv > limit {
 			break // entry straddles the watermark; keep it
 		}
 		a.zero(a.head%a.geo.Size, adv)
 		a.head += adv
 	}
-	a.eng.Store64NonTx(a.geo.HeadOff, a.head)
+	if a.head != start {
+		a.eng.Store64NonTx(a.geo.HeadOff, a.head)
+	}
 }
 
 // Scan walks every published, un-truncated entry (recovery redo source).
@@ -416,7 +437,7 @@ func (a *Applier) Scan(fn func(txnID uint64, recs []Rec) error) error {
 	defer a.mu.Unlock()
 	pos := a.head
 	for pos < a.head+a.geo.Size {
-		entry, adv, err := a.peek(pos)
+		entry, adv, err := a.peek(pos, true)
 		if err != nil {
 			return err
 		}
@@ -439,7 +460,9 @@ func (a *Applier) Scan(fn func(txnID uint64, recs []Rec) error) error {
 
 // peek inspects the entry at logical position pos. Returns (nil, 0, nil)
 // when no published entry is there, (nil, skipBytes, nil) for a wrap marker.
-func (a *Applier) peek(pos uint64) (entry []byte, advance uint64, err error) {
+// The entry's image is read only if read is set, into a buffer the next
+// peek reuses.
+func (a *Applier) peek(pos uint64, read bool) (entry []byte, advance uint64, err error) {
 	off := a.geo.Base + pos%a.geo.Size
 	var hdr [8]byte
 	a.eng.ReadNonTx(off, 8, hdr[:])
@@ -453,16 +476,18 @@ func (a *Applier) peek(pos uint64) (entry []byte, advance uint64, err error) {
 	if uint64(l) > a.geo.Size/2 || l%sim.CachelineSize != 0 {
 		return nil, 0, fmt.Errorf("oplog: corrupt length %d at pos %d", l, pos)
 	}
-	buf := a.eng.ReadNonTx(off, int(l), nil)
-	return buf, uint64(l), nil
+	if read {
+		a.buf = a.eng.ReadNonTx(off, int(l), a.buf)
+		entry = a.buf
+	}
+	return entry, uint64(l), nil
 }
 
 func (a *Applier) zero(physOff, n uint64) {
-	if n == 0 {
-		return
+	if uint64(len(a.zeros)) < n {
+		a.zeros = make([]byte, n)
 	}
-	zeros := make([]byte, n)
-	a.eng.WriteNonTx(a.geo.Base+physOff, zeros)
+	a.eng.WriteNonTx(a.geo.Base+physOff, a.zeros[:n])
 }
 
 // apply installs one entry into the backup store inside an HTM transaction

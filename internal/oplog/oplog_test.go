@@ -328,6 +328,50 @@ func TestMarkCommittedWhileAppenderWaits(t *testing.T) {
 	}
 }
 
+// TestMarkCommittedWakesAtPushThreshold: MarkCommitted signals the
+// writer's wake channel once the committed watermark is a push's worth
+// (Size/8) ahead of the one pushed, on every call until a push lands, and
+// not below it.
+func TestMarkCommittedWakesAtPushThreshold(t *testing.T) {
+	const size = 1 << 12
+	f := newRingFixture(t, size)
+	wake := make(chan struct{}, 1)
+	f.writer.WakeOn(wake)
+	woke := func() bool {
+		select {
+		case <-wake:
+			return true
+		default:
+			return false
+		}
+	}
+	const push = size / 8
+	for _, c := range []struct {
+		end    uint64
+		pushed bool // PushWatermark first
+		want   bool
+	}{
+		{push - 64, false, false},
+		{push, false, true},
+		{push + 64, false, true},   // not pushed yet: wakes again
+		{2 * push, true, false},    // pushed at push+64: not a push ahead
+		{2*push + 64, false, true}, // a push ahead of push+64
+	} {
+		if c.pushed {
+			if err := f.writer.PushWatermark(f.qp, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.writer.MarkCommitted(c.end)
+		if got := woke(); got != c.want {
+			t.Fatalf("MarkCommitted(%d): woke %v, want %v", c.end, got, c.want)
+		}
+	}
+	if got := f.engs[1].Load64NonTx(128); got != push+64 {
+		t.Fatalf("remote watermark %d, want %d", got, push+64)
+	}
+}
+
 func TestTornAppendInvisible(t *testing.T) {
 	// A coordinator that dies after writing payload but before the header
 	// leaves nothing visible: simulate by writing only the payload part.

@@ -122,9 +122,11 @@ func (p *Pending) perform() {
 	case verbWrite:
 		nic.stats.Writes.Add(1)
 		nic.eng.WriteNonTx(p.off, p.data)
+		nic.landed(p.off, uint64(len(p.data)))
 	case verbWrite64:
 		nic.stats.Writes.Add(1)
 		nic.eng.Store64NonTx(p.off, p.arg)
+		nic.landed(p.off, 8)
 	case verbCAS:
 		nic.stats.Atomics.Add(1)
 		nic.atomicsMu.Lock()

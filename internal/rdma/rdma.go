@@ -11,8 +11,10 @@
 //     target machine's htm.Engine as a non-transactional access and
 //     therefore unconditionally aborts conflicting hardware transactions
 //     (strong consistency, §2.1).
-//   - Two-sided SEND/RECV messaging, used by DrTM+R only for inserts and
-//     deletes (§4.3) and by the Calvin baseline for everything.
+//   - Two-sided SEND, used by DrTM+R only for inserts and deletes (§4.3)
+//     and by recovery's redo (§5.2). Send prices a message on the sender's
+//     clock and the wire; delivery is the caller's: the cluster layer runs
+//     the receiver's handler inline (cluster.Machine.Call).
 //   - A latency profile plus a per-NIC virtual-time bandwidth queue that
 //     model verb cost and the 56Gbps NIC saturation the replication
 //     experiments hinge on (Figs 11, 15, 16). All durations are charged to
@@ -31,13 +33,17 @@
 //     charges each round-trip at most once.
 //
 // Failure injection: a NIC can be killed (fail-stop). Verbs against a dead
-// NIC return ErrNodeDead after a timeout; the machine's memory is preserved,
-// matching the paper's battery-backed NVRAM failure model.
+// NIC return ErrNodeDead at once and charge nothing; the machine's memory is
+// preserved, matching the paper's battery-backed NVRAM failure model.
+//
+// Write watch: a NIC can watch one range of its machine's memory (Watch).
+// Every one-sided WRITE that lands in it signals a channel, after the write
+// has landed, which is how a polling thread on the target would see it; the
+// cluster layer's log appliers wait on it instead of polling their rings.
 package rdma
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,9 +58,6 @@ type NodeID uint32
 
 // ErrNodeDead is returned for verbs against a failed machine.
 var ErrNodeDead = errors.New("rdma: target node is dead")
-
-// ErrRecvTimeout is returned by Recv when no message arrives in time.
-var ErrRecvTimeout = errors.New("rdma: recv timeout")
 
 // LatencyProfile is the modelled cost of each verb, charged to the issuing
 // worker's virtual clock. The defaults are ConnectX-3-class numbers: an RDMA
@@ -88,18 +91,10 @@ type Config struct {
 	// simulated NIC uses a single queue for both directions, matching the
 	// paper's observation that one ConnectX-3 is the bottleneck.
 	NICBytesPerSec int64
-	// RecvQueueDepth is the per-NIC SEND/RECV queue depth.
-	RecvQueueDepth int
 }
 
 // NICBandwidth56G is the default NIC capacity (bytes/second of virtual time).
 const NICBandwidth56G = int64(7e9)
-
-// Message is one two-sided SEND payload.
-type Message struct {
-	From    NodeID
-	Payload []byte
-}
 
 // Network is the fabric connecting all NICs.
 type Network struct {
@@ -110,19 +105,12 @@ type Network struct {
 // NewNetwork creates a fabric for n machines. Memory is attached per node
 // with Attach.
 func NewNetwork(n int, cfg Config) *Network {
-	if cfg.RecvQueueDepth <= 0 {
-		cfg.RecvQueueDepth = 4096
-	}
 	if cfg.Profile == (LatencyProfile{}) {
 		cfg.Profile = DefaultProfile()
 	}
 	net := &Network{cfg: cfg, nics: make([]*NIC, n)}
 	for i := range net.nics {
-		nic := &NIC{
-			net:   net,
-			node:  NodeID(i),
-			inbox: make(chan Message, cfg.RecvQueueDepth),
-		}
+		nic := &NIC{net: net, node: NodeID(i)}
 		nic.alive.Store(true)
 		net.nics[i] = nic
 	}
@@ -158,7 +146,9 @@ type NIC struct {
 	// exactly as on the paper's hardware.
 	atomicsMu sync.Mutex
 
-	inbox chan Message
+	// A WRITE landing in [watchLo, watchHi) signals watch (Watch).
+	watchLo, watchHi uint64
+	watch            chan<- struct{}
 
 	stats NICStats
 }
@@ -187,9 +177,6 @@ func (nic *NIC) Snapshot() StatsSnapshot {
 	}
 }
 
-// Node returns the NIC's machine ID.
-func (nic *NIC) Node() NodeID { return nic.node }
-
 // Alive reports whether the machine is serving.
 func (nic *NIC) Alive() bool { return nic.alive.Load() }
 
@@ -200,6 +187,23 @@ func (nic *NIC) Kill() { nic.alive.Store(false) }
 // Revive brings a killed machine back (used to model a replacement instance
 // taking over the NIC of a surviving machine).
 func (nic *NIC) Revive() { nic.alive.Store(true) }
+
+// Watch makes every one-sided WRITE that lands in [lo, hi) of this NIC's
+// memory signal wake, without blocking, once the write has landed. Call it
+// before any verb targets the NIC.
+func (nic *NIC) Watch(lo, hi uint64, wake chan<- struct{}) {
+	nic.watchLo, nic.watchHi, nic.watch = lo, hi, wake
+}
+
+// landed signals the watch if a write of n bytes at off touched its range.
+func (nic *NIC) landed(off, n uint64) {
+	if off < nic.watchHi && off+n > nic.watchLo {
+		select {
+		case nic.watch <- struct{}{}:
+		default:
+		}
+	}
+}
 
 // book queues one message of payload bytes (plus 64 B of headers) on both
 // endpoints' wires from virtual instant t, counts it on both NICs and returns
@@ -351,45 +355,16 @@ func (qp *QP) CAS(off uint64, old, new uint64) (prev uint64, swapped bool, err e
 	return p.Prev, p.Swapped, c.Wait()
 }
 
-// Send delivers a two-sided message into the remote NIC's receive queue.
-func (qp *QP) Send(payload []byte) error {
+// Send prices one two-sided message of n payload bytes: the sender's clock
+// pays Profile.Send plus the message's wire time, the bytes queue on both
+// NICs, and the target counts one SEND. What the receiver does with it is
+// the caller's (cluster.Machine.Call runs the handler inline). A dead target
+// fails at once and charges nothing.
+func (qp *QP) Send(n int) error {
 	if !qp.remote.alive.Load() {
 		return ErrNodeDead
 	}
-	qp.clk.AdvanceTo(book(qp.local, qp.remote, qp.clk.Now()+int64(qp.local.net.cfg.Profile.Send), len(payload)))
+	qp.clk.AdvanceTo(book(qp.local, qp.remote, qp.clk.Now()+int64(qp.local.net.cfg.Profile.Send), n))
 	qp.remote.stats.Sends.Add(1)
-	msg := Message{From: qp.local.node, Payload: append([]byte(nil), payload...)}
-	select {
-	case qp.remote.inbox <- msg:
-		return nil
-	//drtmr:allow virtualtime queue-full timeout is a backstop against harness deadlock, not protocol time
-	case <-time.After(time.Second):
-		return fmt.Errorf("rdma: send to node %d: recv queue full", qp.remote.node)
-	}
-}
-
-// Recv blocks for up to timeout waiting for a message on this node's
-// receive queue. A dead node's Recv fails immediately (its poller threads
-// are gone).
-func (nic *NIC) Recv(timeout time.Duration) (Message, error) {
-	if !nic.alive.Load() {
-		return Message{}, ErrNodeDead
-	}
-	select {
-	case m := <-nic.inbox:
-		return m, nil
-	//drtmr:allow virtualtime recv timeout is a backstop against harness deadlock, not protocol time
-	case <-time.After(timeout):
-		return Message{}, ErrRecvTimeout
-	}
-}
-
-// TryRecv polls the receive queue without blocking.
-func (nic *NIC) TryRecv() (Message, bool) {
-	select {
-	case m := <-nic.inbox:
-		return m, true
-	default:
-		return Message{}, false
-	}
+	return nil
 }

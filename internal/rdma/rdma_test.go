@@ -190,22 +190,69 @@ func TestMultiLineWriteIsTornPerLine(t *testing.T) {
 	<-done
 }
 
-func TestSendRecv(t *testing.T) {
-	net, _ := newFabric(t, 2, Config{})
+// TestSendCharges: a SEND costs its sender Profile.Send plus the message's
+// wire time, books its bytes on both NICs and counts one SEND at the target.
+func TestSendCharges(t *testing.T) {
+	net, _ := newFabric(t, 2, Config{NICBytesPerSec: 1e9}) // 1 byte per ns
 	var clk sim.Clock
 	qp := net.NewQP(0, 1, &clk)
-	if err := qp.Send([]byte("insert k=5")); err != nil {
+	if err := qp.Send(100); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := net.NIC(1).Recv(time.Second)
-	if err != nil {
-		t.Fatal(err)
+	wire := int64(100 + 64) // payload plus headers, at 1 ns a byte
+	if want := int64(net.Profile().Send) + wire; clk.Now() != want {
+		t.Fatalf("clock %d, want Send %d + wire %d = %d", clk.Now(), net.Profile().Send, wire, want)
 	}
-	if msg.From != 0 || string(msg.Payload) != "insert k=5" {
-		t.Fatalf("msg: %+v", msg)
+	src, dst := net.NIC(0).Snapshot(), net.NIC(1).Snapshot()
+	if dst.Sends != 1 || src.Sends != 0 {
+		t.Fatalf("sends: target %d, sender %d; want 1, 0", dst.Sends, src.Sends)
 	}
-	if _, ok := net.NIC(1).TryRecv(); ok {
-		t.Fatal("queue should be empty")
+	if src.BytesOut != uint64(wire) || dst.BytesIn != uint64(wire) {
+		t.Fatalf("bytes: out %d, in %d; want %d each", src.BytesOut, dst.BytesIn, wire)
+	}
+}
+
+// TestWatchSignalsLandedWrites: every one-sided WRITE that touches the
+// watched range signals, synchronous or batched, a line or a word; a write
+// beside the range, a READ and a CAS do not.
+func TestWatchSignalsLandedWrites(t *testing.T) {
+	net, _ := newFabric(t, 2, Config{})
+	wake := make(chan struct{}, 1)
+	net.NIC(1).Watch(1024, 2048, wake)
+	var clk sim.Clock
+	qp := net.NewQP(0, 1, &clk)
+	signalled := func() bool {
+		select {
+		case <-wake:
+			return true
+		default:
+			return false
+		}
+	}
+	line := make([]byte, sim.CachelineSize)
+	for _, c := range []struct {
+		name string
+		do   func() error
+		want bool
+	}{
+		{"write below", func() error { return qp.Write(1024-sim.CachelineSize, line) }, false},
+		{"write straddling the start", func() error { return qp.Write(1024-8, line[:16]) }, true},
+		{"write64 inside", func() error { return qp.Write64(1536, 7) }, true},
+		{"batched write inside", func() error {
+			b := qp.Batch()
+			b.PostWrite(qp, 2048-sim.CachelineSize, line)
+			return b.Execute()
+		}, true},
+		{"write at the end", func() error { return qp.Write64(2048, 7) }, false},
+		{"read inside", func() error { _, err := qp.Read64(1536); return err }, false},
+		{"cas inside", func() error { _, _, err := qp.CAS(1536, 7, 8); return err }, false},
+	} {
+		if err := c.do(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := signalled(); got != c.want {
+			t.Fatalf("%s: signalled %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
@@ -223,11 +270,8 @@ func TestDeadNodeFailsVerbs(t *testing.T) {
 	if _, _, err := qp.CAS(0, 0, 1); err != ErrNodeDead {
 		t.Fatalf("cas on dead node: %v", err)
 	}
-	if err := qp.Send(nil); err != ErrNodeDead {
+	if err := qp.Send(0); err != ErrNodeDead {
 		t.Fatalf("send to dead node: %v", err)
-	}
-	if _, err := net.NIC(1).Recv(time.Millisecond); err != ErrNodeDead {
-		t.Fatalf("recv on dead node: %v", err)
 	}
 	net.NIC(1).Revive()
 	if _, err := qp.Read64(0); err != nil {

@@ -109,17 +109,23 @@ func TestServeGateEndToEnd(t *testing.T) {
 }
 
 // TestAdmissionShedsAtOverload floods a tiny watermark: the controller must
-// shed with typed ServerBusy while everything still gets an answer.
+// shed with typed ServerBusy while everything still gets an answer. A few
+// audits park their executor on the host (auditColdFetch), so the backlog
+// reaches the server's queue on any number of CPUs; with only in-memory
+// calls a one-CPU host runs reader and executor in turn and the flood waits
+// in socket buffers, where the watermark cannot see it.
 func TestAdmissionShedsAtOverload(t *testing.T) {
 	cfg := smallbank.Config{AccountsPerNode: 500, Nodes: 2, InitialBalance: 10000}
 	_, addr := startBank(t, cfg,
 		Options{WorkersPerNode: 1, Admission: AdmissionConfig{MaxQueue: 2}}, BankProcs{})
 	res := RunFleet(FleetOptions{
-		Addr:     addr,
-		Users:    64,
-		Calls:    3000,
-		Accounts: cfg.AccountsPerNode * cfg.Nodes,
-		Seed:     11,
+		Addr:      addr,
+		Users:     64,
+		Calls:     3000,
+		Accounts:  cfg.AccountsPerNode * cfg.Nodes,
+		AuditFrac: 0.05,
+		AuditSpan: 4,
+		Seed:      11,
 	})
 	if res.Dropped != 0 {
 		t.Fatalf("%d dropped: %+v", res.Dropped, res)

@@ -2,7 +2,6 @@ package txn
 
 import (
 	"encoding/binary"
-	"time"
 
 	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
@@ -10,10 +9,11 @@ import (
 )
 
 // Insert/delete shipping (§4.3): structural index mutations are not
-// expressible as one-sided verbs, so they travel to the host machine with
-// SEND/RECV and execute there inside HTM transactions (the memstore's
-// insert/delete paths). Replication of the mutation itself rides the
-// coordinator's R.1 log entries, not the RPC.
+// expressible as one-sided verbs, so they travel to the host machine with a
+// SEND and execute there inside HTM transactions (the memstore's
+// insert/delete paths; cluster.Machine.Call runs them inline). Replication
+// of the mutation itself rides the coordinator's R.1 log entries, not the
+// RPC.
 
 // RPC kinds (cluster reserves 0x10 for recovery redo).
 const (
@@ -80,7 +80,7 @@ func (w *Worker) rpcInsert(node rdma.NodeID, table memstore.TableID, shard clust
 	binary.LittleEndian.PutUint64(body[9:17], key)
 	binary.LittleEndian.PutUint16(body[17:19], uint16(len(value)))
 	copy(body[19:], value)
-	reply, err := w.E.M.Call(w.QP(node), rpcInsert, body, time.Second)
+	reply, err := w.E.M.Call(w.QP(node), rpcInsert, body)
 	if err != nil || len(reply) < 9 || reply[0] != 1 {
 		return 0, false
 	}
@@ -92,5 +92,5 @@ func (w *Worker) rpcDelete(node rdma.NodeID, table memstore.TableID, key uint64)
 	body := make([]byte, 9)
 	body[0] = uint8(table)
 	binary.LittleEndian.PutUint64(body[1:9], key)
-	_, _ = w.E.M.Call(w.QP(node), rpcDelete, body, time.Second)
+	_, _ = w.E.M.Call(w.QP(node), rpcDelete, body)
 }
