@@ -328,7 +328,7 @@ func (r Result) String() string {
 // keys ("tTABLE/kKEY:count") so table notes show WHICH records drive the
 // tail, not just reason×stage×site, and by how many retries the hot-key gates
 // admitted (of which how many waited in virtual time). Empty when nothing
-// aborted.
+// aborted. Stage "C.3+4-htm" includes drtmr's local check before C.1.
 func (r Result) AbortSummary(topN int) string {
 	s := r.AbortMatrix.Summary(topN, abortReasonName, txn.StageName)
 	ranked := r.HotKeys()
@@ -355,7 +355,8 @@ func (r Result) AbortSummary(topN int) string {
 func abortReasonName(c uint8) string { return txn.AbortReason(c).String() }
 
 // TraceNames wires the transaction engine's stage/reason/HTM-cause namers
-// into the trace exporter; pass it to obs.WriteTrace for Result.Trace.
+// into the trace exporter; pass it to obs.WriteTrace for Result.Trace. A
+// "C.3+4-htm" span is the commit HTM region or drtmr's check before C.1.
 func TraceNames() obs.TraceNames {
 	return obs.TraceNames{
 		Stage:  txn.StageName,

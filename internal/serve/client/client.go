@@ -31,7 +31,8 @@ type Options struct {
 }
 
 // AbortError is a typed transaction failure from the server, carrying the
-// engine's abort taxonomy across the wire.
+// engine's abort taxonomy across the wire (txn.StageLocalHTM includes the
+// local check drtmr runs before C.1).
 type AbortError struct {
 	Reason txn.AbortReason
 	Stage  uint8

@@ -53,7 +53,8 @@ type ProcStatus struct {
 	P99Us    float64 `json:"p99_us"`
 }
 
-// AbortCell is one reason×stage×site cell of the live abort matrix.
+// AbortCell is one reason×stage×site cell of the live abort matrix (stage
+// "C.3+4-htm" includes the local check drtmr runs before C.1).
 type AbortCell struct {
 	Reason string `json:"reason"`
 	Stage  string `json:"stage"`

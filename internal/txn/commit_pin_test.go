@@ -68,6 +68,14 @@ const notPinned = -1
 // unlock): 28 verbs in 5 doorbells -> 28 in 4, and 2*1500 + 1000 = 4000
 // ns/commit off 844453.
 //
+// Re-derived again when drtmr began checking, before C.1, the local records a
+// transaction both read and writes (C.3's predicate outside the region, so a
+// commit C.3 would reject rings no lock doorbell): each such record costs one
+// PerValidate header check whenever C.1 has a remote target. Only the two
+// drtmr cells with local updates have such records — 2 x 120 = +240 ns per
+// commit: drtmr-locals 19440 -> 19680 ns/commit, drtmr-fallback 168090600 ->
+// 168138600 in total. Verbs, doorbells and every other cell are unchanged.
+//
 // Replicated cells run 40 commits, not 200: past ~80 the 64 KiB log rings
 // wrap and the writer waits on the backups' appliers, which is host timing.
 func TestCommitVirtualNsPinned(t *testing.T) {
@@ -93,10 +101,11 @@ func TestCommitVirtualNsPinned(t *testing.T) {
 			phases: [NumPhases]phasePin{PhaseLock: {8, 1}, PhaseValidate: {8, 0}, PhaseLog: {6, 2}, PhaseWriteBack: {8, 0}, PhaseUnlock: {8, 1}}},
 		{name: "farm-r3", proto: "farm", replicas: 3, iters: 40, totalNs: 40 * 20300,
 			phases: [NumPhases]phasePin{PhaseLock: {8, 1}, PhaseValidate: {8, 0}, PhaseLog: {6, 2}, PhaseWriteBack: {8, 0}, PhaseUnlock: {8, 1}}},
-		// Two local updates on top: drtmr validates and installs them in its
-		// HTM region, farm locks them by loop-back CAS (10 lock verbs) and
-		// validates them from memory at PerValidate each.
-		{name: "drtmr-locals", proto: "drtmr", replicas: 1, iters: 200, locals: true, totalNs: 200 * 19440,
+		// Two local updates on top: drtmr checks them before C.1, then
+		// validates and installs them in its HTM region; farm locks them by
+		// loop-back CAS (10 lock verbs) and validates them from memory at
+		// PerValidate each.
+		{name: "drtmr-locals", proto: "drtmr", replicas: 1, iters: 200, locals: true, totalNs: 200 * 19680,
 			phases: [NumPhases]phasePin{PhaseLock: {8, 1}, PhaseValidate: {8, 0}, PhaseWriteBack: {8, 0}, PhaseUnlock: {8, 1}}},
 		{name: "farm-locals", proto: "farm", replicas: 1, iters: 200, locals: true, totalNs: 200 * 18800,
 			phases: [NumPhases]phasePin{PhaseLock: {10, 1}, PhaseValidate: {8, 0}, PhaseWriteBack: {8, 0}, PhaseUnlock: {10, 1}}},
@@ -105,7 +114,7 @@ func TestCommitVirtualNsPinned(t *testing.T) {
 		// per-node groups with the remote headers behind the CASes, validates
 		// from them, and writes back + unlocks: 28 verbs in 4 doorbells.
 		{name: "drtmr-fallback", proto: "drtmr", replicas: 1, iters: 200, htm: htmNeverCommits, locals: true,
-			totalNs: 168090600, fallbacks: 200,
+			totalNs: 168138600, fallbacks: 200,
 			phases: [NumPhases]phasePin{PhaseLock: {8, 1}, PhaseValidate: {8, 0}, PhaseWriteBack: {8, 0}, PhaseUnlock: {8, 1}, PhaseFallback: {28, 4}}},
 		// Replicated fallback: the R.2 makeup regions race this node's own log
 		// applier (it backs up the remote shards), and a lost race backs off —

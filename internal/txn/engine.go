@@ -100,6 +100,8 @@ const (
 	StageExec uint8 = iota
 	StageLock
 	StageValidate
+	// StageLocalHTM: C.3+C.4's HTM region, and drtmr's C.3 check before C.1
+	// (checkLocalWrites) — its aborts and its phase span.
 	StageLocalHTM
 	StageLog
 	StageWriteBack

@@ -36,6 +36,12 @@ go vet -race ./...
 
 go test -race ./...
 
+# The benchmark (benchmark/, a module of its own, so ./... above skips it):
+# its manifest and declaration tests and a smoke run of every workload with
+# its correctness checks, ~5 s. A change under internal/ that breaks the
+# benchmark's build or checks fails here.
+(cd benchmark && go test ./...)
+
 # Strict-serializability gate: a short torture sweep under -race (the full
 # suite above already ran the full sweep; -short keeps this pass <30s), the
 # mutation self-test (every deliberately broken protocol step must be
