@@ -64,17 +64,21 @@ func MutationSelfTest(seed uint64) []MutationOutcome {
 	cases := []struct {
 		name string
 		mut  txn.Mutations
+		ro   float64 // SBReadOnlyFrac: Balance reads remote accounts too
 	}{
-		{"skip-remote-validate", txn.Mutations{SkipRemoteValidate: true}},
-		{"skip-local-validate", txn.Mutations{SkipLocalValidate: true}},
-		{"ignore-lock-fail", txn.Mutations{IgnoreLockFail: true}},
+		{"skip-remote-validate", txn.Mutations{SkipRemoteValidate: true}, 0},
+		{"skip-local-validate", txn.Mutations{SkipLocalValidate: true}, 0},
+		{"ignore-lock-fail", txn.Mutations{IgnoreLockFail: true}, 0},
+		{"skip-ro-validate", txn.Mutations{SkipROValidate: true}, 0.5},
 	}
 	var out []MutationOutcome
 	for ci, cse := range cases {
 		oc := MutationOutcome{Name: cse.name}
 		for try := 0; try < 8 && !oc.Caught; try++ {
 			s := cellSeed(seed^0xC0FFEE, ci*64+try)
-			cr := RunCell(mutationCell(cse.mut, s))
+			c := mutationCell(cse.mut, s)
+			c.Opts.SBReadOnlyFrac = cse.ro
+			cr := RunCell(c)
 			if !cr.Check.Ok() {
 				oc.Caught = true
 				oc.Seed = s

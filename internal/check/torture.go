@@ -357,6 +357,30 @@ func Cells(o TortureOptions) []Cell {
 			}
 		}
 	}
+	// Remote read-only transactions: no cell above sets SBReadOnlyFrac, so
+	// Balance always reads its home account there. Here half the
+	// transactions are Balance and RemoteProb of those read a remote
+	// account's two records, which the last READ confirms together (§4.5).
+	// Appended after every other cell, so their seeds are unchanged.
+	seed := cellSeed(o.Seed, idx)
+	cells = append(cells, Cell{
+		Name: "read-only frac=0.50 coro=4",
+		Opts: harness.Options{
+			System:            harness.SysDrTMR,
+			Workload:          harness.WLSmallBank,
+			Nodes:             o.Nodes,
+			ThreadsPerNode:    o.ThreadsPerNode,
+			TxPerWorker:       o.TxPerWorker,
+			SBAccountsPerNode: o.AccountsPerNode,
+			SBRemoteProb:      o.RemoteProb,
+			SBReadOnlyFrac:    0.5,
+			Knobs:             txn.Knobs{CoroutinesPerWorker: 4, Mut: o.Mutations},
+			History:           true,
+			Deterministic:     true,
+			Seed:              seed,
+		},
+		CheckOpts: Options{Strict: true},
+	})
 	return cells
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"drtmr/internal/bench/harness"
+	"drtmr/internal/txn"
 )
 
 // TestStaleIncarnationScenario is the targeted stale-incarnation mutation
@@ -156,5 +157,29 @@ func TestTortureFarmCellReplay(t *testing.T) {
 	}
 	if !a.Check.Ok() {
 		t.Fatalf("farm cell violations:\n%v", a.Check.Violations)
+	}
+}
+
+// TestTortureReadOnlyCell: the sweep's last cell is the one with remote
+// read-only transactions. It must verify on the protocol as is, and the same
+// cell with read-only validation switched off (txn.Mutations.SkipROValidate)
+// must be flagged: a Balance that read one record before a writer and the
+// other after it forms a cycle with that writer.
+func TestTortureReadOnlyCell(t *testing.T) {
+	o := TortureOptions{Seed: 3}
+	if testing.Short() {
+		o.TxPerWorker = 60
+	}
+	cells := Cells(o)
+	c := cells[len(cells)-1]
+	if c.Opts.SBReadOnlyFrac == 0 || c.Opts.SBRemoteProb == 0 {
+		t.Fatalf("last cell %q has no remote read-only transactions", c.Name)
+	}
+	if cr := RunCell(c); !cr.Check.Ok() || cr.Committed == 0 {
+		t.Fatalf("%s: committed %d, violations:\n%v", c.Name, cr.Committed, cr.Check.Violations)
+	}
+	c.Opts.Mut = txn.Mutations{SkipROValidate: true}
+	if cr := RunCell(c); cr.Check.Ok() {
+		t.Fatalf("%s with read-only validation skipped passed the checker", c.Name)
 	}
 }

@@ -605,47 +605,82 @@ func (tx *Txn) postWriteBack(b *rdma.Batch) {
 	}
 }
 
-// commitReadOnly validates sequence numbers only (§4.5): no HTM, no locks.
-// The remote read set validates through one doorbell batch of header READs.
+// commitReadOnly is §4.5's commit: no HTM, no locks. The transaction is
+// consistent as of its last read if every other record is unchanged and
+// unlocked at some instant at or after it, so the last read-set entry is not
+// checked where its read checked the lock (every read of a read-only
+// transaction, a local read of any), and remote entries that rode behind it
+// (carried) were confirmed then. The rest are checked here: local ones from
+// memory, remote ones through one doorbell of header READs.
 func (tx *Txn) commitReadOnly() error {
 	w := tx.w
-	b := w.newBatch()
-	// The remote reads' READs, in read-set order. The doorbell below yields,
+	rs := tx.rs
+	if n := len(rs); n > 0 && (tx.readOnly || rs[n-1].local) {
+		rs = rs[:n-1]
+	}
+	// The remote entries' READs, in read-set order. The doorbell below yields,
 	// and a sibling transaction's commit may run meanwhile, so the slots live
 	// in this frame, not on the worker.
-	var slots [8]*rdma.Pending
+	var (
+		b     *rdma.Batch
+		slots [8]*rdma.Pending
+	)
 	pend := slots[:0]
-	for i := range tx.rs {
-		if !tx.rs[i].local {
-			pend = append(pend, b.PostRead(w.QP(tx.rs[i].node), tx.rs[i].off, 24))
+	for i := range rs {
+		if !rs[i].local && !tx.carried {
+			if b == nil {
+				b = w.newBatch()
+			}
+			pend = append(pend, b.PostRead(w.QP(rs[i].node), rs[i].off, 24))
 			w.Stats.ROVerbs++ // every read-only validation READ hits a pure read participant
 		}
 	}
-	_ = tx.execBatch(PhaseROValidate, b)
+	if b != nil {
+		_ = tx.execBatch(PhaseROValidate, b)
+	}
 
 	var hdr [24]byte
-	for i := range tx.rs {
-		r := &tx.rs[i]
-		var inc, cur uint64
-		if r.local {
-			h := w.E.M.Eng.ReadNonTx(r.off, 24, hdr[:])
-			inc, cur = memstore.RecInc(h), memstore.RecSeq(h)
+	for i := range rs {
+		r := &rs[i]
+		var h []byte
+		switch {
+		case r.local:
+			h = w.E.M.Eng.ReadNonTx(r.off, 24, hdr[:])
 			w.Clk.Advance(w.E.Costs.PerValidate)
-		} else {
+		case tx.carried:
+			continue
+		default:
 			p := pend[0]
 			pend = pend[1:]
 			if p.Err != nil {
 				return tx.abortAt(r.node, AbortNodeDead, "ro validate: %v", p.Err)
 			}
-			inc, cur = memstore.RecInc(p.Data), memstore.RecSeq(p.Data)
+			h = p.Data
 		}
-		if inc != r.inc || !tx.seqValidates(r.seq, cur) {
-			site := w.E.M.ID
-			if !r.local {
-				site = r.node
-			}
-			return tx.abortOn(site, r.table, r.key, AbortValidate, "ro: record changed")
+		if err := tx.roConfirm(r, h); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// roConfirm is the read-only protocol's test of read r against its header h,
+// read at or after the transaction's last read: the same incarnation, a
+// sequence number that validates, and no lock. A set lock fails it like a
+// changed version (FaRM's validation does the same): a writer that locked r
+// at C.1 may already have installed its local records at C.4 while r still
+// shows the old version until C.5, so a reader that saw r before C.1 and
+// another of the writer's records after C.4 would commit half of it.
+func (tx *Txn) roConfirm(r *rsEntry, h []byte) error {
+	if tx.w.E.Mut.SkipROValidate {
+		return nil
+	}
+	if lockW := memstore.RecLock(h); lockW != 0 {
+		tx.w.maybeReleaseDangling(tx.cfg, r.node, r.off, lockW)
+		return tx.abortOn(r.node, r.table, r.key, AbortLocked, "ro: record locked by %#x", lockW)
+	}
+	if memstore.RecInc(h) != r.inc || !tx.seqValidates(r.seq, memstore.RecSeq(h)) {
+		return tx.abortOn(r.node, r.table, r.key, AbortValidate, "ro: record changed")
 	}
 	return nil
 }

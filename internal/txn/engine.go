@@ -303,6 +303,10 @@ type Mutations struct {
 	// and the fallback): a record deleted and re-inserted between read and
 	// commit validates on sequence number alone — the stale-incarnation bug.
 	SkipIncCheck bool
+	// SkipROValidate makes the read-only protocol accept every header, at
+	// commit and behind a read's READ alike: a read-only transaction commits
+	// values that never coexisted.
+	SkipROValidate bool
 }
 
 // NewEngine builds the transaction layer for machine m. It registers the

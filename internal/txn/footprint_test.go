@@ -137,11 +137,14 @@ func TestIndexMatchesScanAfterDeleteInsert(t *testing.T) {
 
 // TestLargeReadOnlyTxnPinned: a 400-record read-only transaction over three
 // machines, every tenth record read twice, commits with the verbs and the
-// virtual time it took when findRS scanned the whole read set.
+// virtual time it took when findRS scanned the whole read set, less one
+// local check: record 399, read last and local, is the snapshot and is not
+// re-checked at commit (852 580 - PerValidate 120 ns). Its remote records
+// span two nodes, so no READ carries headers and commit reads all 266.
 func TestLargeReadOnlyTxnPinned(t *testing.T) {
 	const (
 		wantROVerbs = 266
-		wantVirtNs  = 852580
+		wantVirtNs  = 852460
 	)
 	w := newWorld(t, 3, 1, htm.Config{})
 	w.load(t, 400, 7)

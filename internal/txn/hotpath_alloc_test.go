@@ -115,6 +115,23 @@ func TestHotpathAllocFree(t *testing.T) {
 			t.Error(err)
 		}
 	})
+
+	// A read-only commit whose remote records rode behind its last READ
+	// checks its local records from memory into a stack header and rings no
+	// doorbell, so it builds no batch.
+	w3 := newWorld(t, 3, 1, htm.Config{})
+	w3.load(t, 6, 100)
+	ro := w3.engines[0].NewWorker(0).BeginReadOnly()
+	for _, k := range []uint64{0, 1, 4} {
+		if _, err := ro.Read(tblAcct, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireNoAlloc(t, "read-only commit, remote records carried", func() {
+		if err := ro.Commit(); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // gateHandoff is one admission through hot-key gate g, held across a park so

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"drtmr/internal/cluster"
 	"drtmr/internal/htm"
 	"drtmr/internal/memstore"
 	"drtmr/internal/sim"
@@ -227,12 +226,7 @@ func runForcedFallbackBank(t *testing.T, proto string, replicas int) {
 // lockWord reads the lock word of key's record on its primary.
 func (w *world) lockWord(t *testing.T, key uint64) uint64 {
 	t.Helper()
-	shard := cluster.ShardID(key % uint64(w.c.Spec.Nodes))
-	m := w.c.Machines[w.c.Coord.Current().PrimaryOf(shard)]
-	off, ok := m.Store.Table(tblAcct).Lookup(key)
-	if !ok {
-		t.Fatalf("key %d missing on its primary", key)
-	}
+	m, off := w.primary(t, key)
 	return m.Eng.Load64NonTx(off + memstore.LockOff)
 }
 
@@ -484,10 +478,11 @@ func TestProtocolLockBackoutReleasesAll(t *testing.T) {
 // the unlock CASes behind them — whatever its read/write mix. The one
 // exception is a protocol that does not lock what it only reads: farm reads
 // such remote records in a third doorbell, rung once every write lock is held.
-// A read-only transaction rings one under every protocol: its validation
-// READs. In the forced-fallback cell the §6.1 handler validates from the
-// headers its relock fetched: one doorbell per node group, one for the tail,
-// no READ doorbell of its own.
+// A read-only transaction rings one under every protocol, its validation
+// READs, when its remote records span nodes, and none when they sit on one:
+// its last READ carried the others' headers. In the forced-fallback cell the
+// §6.1 handler validates from the headers its relock fetched: one doorbell
+// per node group, one for the tail, no READ doorbell of its own.
 func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 	type access struct {
 		key         uint64 // key%3 is the home node; the worker runs on node 0
@@ -506,6 +501,7 @@ func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 		{name: "ro+rw", acc: []access{{1, true, false}, {2, true, true}}, roRemote: true},
 		{name: "ro+local-write", acc: []access{{1, true, false}, {2, true, false}, {0, true, true}}, roRemote: true},
 		{name: "ro-2-nodes", acc: []access{{1, true, false}, {2, true, false}}, readOnly: true},
+		{name: "ro-1-node", acc: []access{{1, true, false}, {4, true, false}}, readOnly: true},
 	}
 	run := func(tx *Txn, acc []access) error {
 		for _, a := range acc {
@@ -550,6 +546,8 @@ func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 				}
 				want := uint64(2)
 				switch {
+				case sh.name == "ro-1-node":
+					want = 0
 				case sh.readOnly:
 					want = 1
 				case proto == "farm" && sh.roRemote:

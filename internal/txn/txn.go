@@ -124,6 +124,15 @@ type Txn struct {
 	// outgrows footScan entries; both sets are append-only.
 	rsIdx, wsIdx footIndex
 
+	// A read-only transaction is consistent as of its last read (carryTo):
+	// carry[:carryN] are the read-set positions of its remote entries while
+	// they all live on one node and number at most maxCarry (carryN < 0 once
+	// they do not), and carried says the remote entries before the last one
+	// read were confirmed behind that read's READ.
+	carry   [maxCarry]int32
+	carryN  int8
+	carried bool
+
 	// Conflict identity captured inside the commit HTM region: the region
 	// communicates failures through abort codes only (htx.Abort unwinds), so
 	// localCommitBody stamps the conflicting record here before aborting and
@@ -324,6 +333,7 @@ func (tx *Txn) Read(table memstore.TableID, key uint64) ([]byte, error) {
 		return overlay(r.val), nil
 	}
 	shard, node, local := tx.homeOf(table, key)
+	carry, all := tx.carryTo(node)
 	var (
 		e   rsEntry
 		err error
@@ -331,14 +341,49 @@ func (tx *Txn) Read(table memstore.TableID, key uint64) ([]byte, error) {
 	if local {
 		e, err = tx.localRead(table, key)
 	} else {
-		e, err = tx.remoteRead(node, table, key, tx.readOnly)
+		e, err = tx.remoteRead(node, table, key, tx.readOnly, carry)
 	}
 	if err != nil {
 		return nil, err
 	}
 	e.shard, e.node = shard, node
 	tx.rs = append(tx.rs, e)
+	tx.carried = all
+	if !local && tx.carryN >= 0 {
+		if all && tx.carryN < maxCarry {
+			tx.carry[tx.carryN] = int32(len(tx.rs) - 1)
+			tx.carryN++
+		} else {
+			tx.carryN = -1
+		}
+	}
 	return overlay(e.val), nil
+}
+
+// maxCarry is how many earlier headers a read-only READ carries: with the
+// READ itself they fill commitReadOnly's eight slots, and a long read set
+// never posts a quadratic number of headers.
+const maxCarry = 7
+
+// carryTo says what a read-only transaction's next read, of a record on
+// node, confirms of its read set (§4.5 with the last read as the snapshot):
+// if every earlier remote entry lives on node and there are at most
+// maxCarry, their header READs ride behind the record READ on the same queue
+// pair and see each record at or after that read, which makes it the
+// instant all the values coexisted; all reports that and carry lists them.
+// A local read posts no READ, so all holds for it only when there is no
+// earlier remote entry. A read-write transaction carries nothing: its remote
+// reads do not check the lock.
+func (tx *Txn) carryTo(node rdma.NodeID) (carry []int32, all bool) {
+	switch {
+	case !tx.readOnly || tx.carryN < 0:
+		return nil, false
+	case tx.carryN == 0:
+		return nil, true
+	case tx.rs[tx.carry[0]].node == node:
+		return tx.carry[:tx.carryN], true
+	}
+	return nil, false
 }
 
 // ReadStable is a version-consistent read that does NOT enroll the record
@@ -370,7 +415,7 @@ func (tx *Txn) ReadStable(table memstore.TableID, key uint64) ([]byte, error) {
 	if local {
 		e, err = tx.localRead(table, key)
 	} else {
-		e, err = tx.remoteRead(node, table, key, tx.readOnly)
+		e, err = tx.remoteRead(node, table, key, tx.readOnly, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -590,8 +635,10 @@ func (tx *Txn) localReadAttempt(off uint64, tbl *memstore.Table, buf []byte) (im
 // commit-time validation (with the record locked) decides. Uncommittable
 // (odd-seq) records are never returned in replicated mode: seq-equality
 // validation cannot tell "still mid-replication" from "unchanged", so a
-// reader must wait for the makeup flip (Table 4).
-func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, checkLock bool) (rsEntry, error) {
+// reader must wait for the makeup flip (Table 4). carry lists read-set
+// entries on node whose headers ride behind the record READ (carryTo); each
+// is confirmed with roConfirm, and one that fails aborts the read.
+func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, checkLock bool, carry []int32) (rsEntry, error) {
 	tbl := tx.w.E.M.Store.Table(table)
 	if tbl == nil {
 		return rsEntry{}, fmt.Errorf("txn: unknown table %d", table)
@@ -613,14 +660,36 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 		}
 		tx.w.E.locCache.Put(lk, loc)
 	}
-	var img []byte
+	var (
+		img  []byte
+		hdrs [maxCarry]*rdma.Pending
+	)
 	for attempt := 0; attempt < 256; attempt++ {
 		// The record fetch is a full fabric round-trip: issue it async and
 		// yield so other in-flight transactions run while it is outstanding.
 		var comp *rdma.Completion
-		img, comp = qp.ReadAsync(loc.Off, tbl.RecBytes, img)
+		if len(carry) == 0 {
+			img, comp = qp.ReadAsync(loc.Off, tbl.RecBytes, img)
+		} else {
+			b := tx.w.newBatch()
+			rec := b.PostRead(qp, loc.Off, tbl.RecBytes)
+			for i, j := range carry {
+				hdrs[i] = b.PostRead(qp, tx.rs[j].off, 24)
+			}
+			comp = b.ExecuteAsync()
+			img = rec.Data
+			// The headers are the read-only commit's validation, moved onto
+			// this doorbell: counted there, with no doorbell of their own.
+			tx.w.Stats.ROVerbs += uint64(len(carry))
+			tx.w.Stats.Phases[PhaseROValidate].Verbs += uint64(len(carry))
+		}
 		if err := tx.w.await(comp); err != nil {
 			return rsEntry{}, tx.abortAt(node, AbortNodeDead, "read %v", err)
+		}
+		for i, j := range carry {
+			if err := tx.roConfirm(&tx.rs[j], hdrs[i].Data); err != nil {
+				return rsEntry{}, err
+			}
 		}
 		if !memstore.VersionsConsistent(img) {
 			tx.w.backoff(attempt) // torn racing write; retry
