@@ -376,9 +376,8 @@ func TestRecoverLogsRedoesForeignRecords(t *testing.T) {
 			}})
 			w, qp := c.Machines[2].LogWriter(0), c.Net.NewQP(2, 0, &clk)
 			b := qp.Batch()
-			tk, _, err := w.AppendPayload(qp, b, entry)
+			_, err := w.Post(qp, b, entry)
 			if err == nil {
-				w.Publish(qp, b, tk, entry)
 				err = b.Execute()
 			}
 			if err != nil {
@@ -403,6 +402,82 @@ func TestRecoverLogsRedoesForeignRecords(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeadRingInFusedFanOut: R.1 posts one entry to two rings in one
+// doorbell, payload then header on each ring's queue pair, and one target is
+// dead. The live ring holds the whole entry: its applier installs the
+// records its machine replicates, and recovery redoes the rest of the full
+// write set from it. The dead ring's header never lands.
+func TestDeadRingInFusedFanOut(t *testing.T) {
+	// Two copies on three machines: shard 1 lives on machines 1 and 2,
+	// shard 2 on machines 2 and 0.
+	c := New(testSpec(3, 2))
+	for _, m := range c.Machines {
+		m.Store.CreateTable(1, memstore.TableSpec{Name: "kv", ValueSize: 16, ExpectedRows: 64})
+	}
+	recs := []oplog.Rec{
+		{Kind: oplog.KindInsert, Table: 1, Shard: 1, Key: 41, Seq: 2, Value: make([]byte, 16)},
+		{Kind: oplog.KindInsert, Table: 1, Shard: 2, Key: 42, Seq: 2, Value: make([]byte, 16)},
+	}
+	entry := oplog.Encode(7, recs)
+	if len(entry) <= sim.CachelineSize {
+		t.Fatalf("a %d-byte entry has no payload WRITE", len(entry))
+	}
+	c.Kill(2)
+	var clk sim.Clock
+	b := rdma.NewBatch(&clk)
+	var toks []oplog.Token
+	for _, dst := range []rdma.NodeID{1, 2} {
+		tk, err := c.Machines[0].LogWriter(dst).Post(c.Net.NewQP(0, dst, &clk), b, entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks = append(toks, tk)
+	}
+	if err := b.Execute(); !errors.Is(err, rdma.ErrNodeDead) {
+		t.Fatalf("doorbell err %v, want the dead target's", err)
+	}
+	if !toks[0].Landed() || toks[1].Landed() {
+		t.Fatalf("landed: live ring %v, dead ring %v", toks[0].Landed(), toks[1].Landed())
+	}
+	// Machine 0's ring sits at the same offset inside every peer, past the
+	// ring control words; the entry is its first.
+	ring := (uint64(ringCtlBase) + 3*2*sim.CachelineSize + 4095) &^ 4095
+	if l := c.Machines[1].Eng.Load64NonTx(ring); uint32(l) != uint32(len(entry)) {
+		t.Fatalf("live ring's header word %#x, want length %d", l, len(entry))
+	}
+	if img := c.Machines[2].Eng.ReadNonTx(ring, len(entry), nil); string(img) != string(make([]byte, len(entry))) {
+		t.Fatal("the dead ring holds part of the entry")
+	}
+	var scanned []oplog.Rec
+	if err := c.Machines[1].Applier(0).Scan(func(_ uint64, rs []oplog.Rec) error {
+		scanned = append(scanned, rs...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(scanned) != len(recs) || scanned[0].Key != 41 || scanned[1].Key != 42 {
+		t.Fatalf("live ring holds %+v, want the full write set", scanned)
+	}
+	if n, err := c.Machines[1].Applier(0).Poll(); n != 1 || err != nil {
+		t.Fatalf("live applier applied %d entries: %v", n, err)
+	}
+	if _, ok := c.Machines[1].Store.Table(1).Lookup(41); !ok {
+		t.Fatal("the live ring's machine lacks its own shard's record")
+	}
+	// Machine 2 is gone: shard 2's primary moves to machine 0, which gets
+	// key 42 only from the redo of the live ring.
+	next, err := c.Coord.Current().WithoutNode(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Machines[1].recoverLogs(next); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Machines[0].Store.Table(1).Lookup(42); !ok {
+		t.Fatal("recovery did not redo shard 2's record from the live ring")
 	}
 }
 

@@ -27,8 +27,9 @@ import (
 //     it now replicates (the redo path; entries below coordinators'
 //     watermarks were already both applied and truncated).
 //  2. Forward records of *other* shards found in published entries to their
-//     current primaries (coordinator died between publishing rings, see the
-//     oplog package comment) — the cross-redo that closes the partial-
+//     current primaries (a target died during a coordinator's R.1 doorbell,
+//     so some copies of a shard missed an entry that other rings hold; see
+//     the oplog package comment) — the cross-redo that closes the partial-
 //     replication window.
 //  3. Signal recovery-done.
 //

@@ -20,16 +20,18 @@
 // installed only if its sequence number exceeds the backup record's current
 // one, so replays and cross-ring races are harmless.
 //
-// Two-phase append (FaRM-style commit records). A transaction's replication
-// step first writes the payload of its entry into EVERY relevant ring, then
-// publishes the headers. A published entry therefore implies the full write
-// set is durable in at least that ring, and the recovery protocol may REDO
-// the whole transaction from any single published entry; a coordinator that
-// dies before publishing anything leaves the transaction invisible
-// everywhere. To keep redo possible until the transaction has fully
-// committed (C.5/C.6 done), appliers APPLY published entries eagerly but
-// TRUNCATE only up to a watermark the coordinator advances — lazily, batched
-// — once its transactions are complete.
+// One-doorbell append (FaRM-style commit records). A transaction's
+// replication step posts its entry to EVERY relevant ring in one doorbell:
+// per ring, the payload WRITE and then the header WRITE on the same queue
+// pair. A queue pair executes its verbs in post order and a dead target
+// fails every verb posted to it, so a published header implies its own
+// payload landed. Each entry carries the transaction's full write set, so
+// the recovery protocol may REDO the whole transaction from any single
+// published entry; a coordinator that dies before its doorbell leaves the
+// transaction invisible everywhere. To keep redo possible until the
+// transaction has fully committed (C.5/C.6 done), appliers APPLY published
+// entries eagerly but TRUNCATE only up to a watermark the coordinator
+// advances — lazily, batched — once its transactions are complete.
 package oplog
 
 import (
@@ -182,30 +184,38 @@ func NewWriter(geo Geometry) *Writer {
 // the writer is shared.
 func (w *Writer) WakeOn(ch chan<- struct{}) { w.wake = ch }
 
-// Token identifies a reserved entry for the publish step.
+// Token identifies an entry Post put into a batch. Once the batch has
+// executed, Landed tells whether the entry is published.
 type Token struct {
-	pos uint64 // logical start
-	n   uint64
+	pos     uint64 // logical start
+	n       uint64
+	payload *rdma.Pending // nil for a one-line entry
+	hdr     *rdma.Pending
 }
 
 // End returns the logical position just past the entry (for MarkCommitted).
 func (tk Token) End() uint64 { return tk.pos + tk.n }
 
-// AppendPayload reserves space and posts into b everything EXCEPT the first
-// cacheline (which holds the header): the entry stays invisible. Blocks
-// while the ring is full. The payload verb executes when the caller runs
-// b.Execute() — replication fans payloads out to every ring through ONE
-// doorbell batch, so the whole fan-out costs one base write latency. The
-// returned Pending (nil when the entry fits in a single cacheline) reports
-// whether the payload landed; callers must not Publish an entry whose
-// payload failed.
-func (w *Writer) AppendPayload(qp *rdma.QP, b *rdma.Batch, entry []byte) (Token, *rdma.Pending, error) {
+// Landed reports whether every verb of the entry succeeded, once the batch
+// it was posted into has executed: the entry is then published in full.
+func (tk Token) Landed() bool {
+	return tk.hdr.Err == nil && (tk.payload == nil || tk.payload.Err == nil)
+}
+
+// Post reserves space for entry and posts it into b, all on qp: a WRITE of
+// everything past the first cacheline (none for a one-line entry), then the
+// single line-atomic WRITE of the first cacheline, which holds the header.
+// The queue pair executes them in that order, so the header never lands
+// without its payload. Blocks while the ring is full. The verbs execute when
+// the caller rings b; replication posts to every ring into ONE batch, so the
+// whole fan-out costs one base write latency.
+func (w *Writer) Post(qp *rdma.QP, b *rdma.Batch, entry []byte) (Token, error) {
 	if len(entry)%sim.CachelineSize != 0 {
-		return Token{}, nil, fmt.Errorf("oplog: entry not cacheline padded (%d)", len(entry))
+		return Token{}, fmt.Errorf("oplog: entry not cacheline padded (%d)", len(entry))
 	}
 	need := uint64(len(entry))
 	if need > w.geo.Size/2 {
-		return Token{}, nil, fmt.Errorf("oplog: entry of %d bytes exceeds half the ring", need)
+		return Token{}, fmt.Errorf("oplog: entry of %d bytes exceeds half the ring", need)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -216,49 +226,35 @@ func (w *Writer) AppendPayload(qp *rdma.QP, b *rdma.Batch, entry []byte) (Token,
 		var skip [8]byte
 		binary.LittleEndian.PutUint32(skip[0:4], skipLen)
 		if err := w.waitSpace(qp, w.geo.Size-off); err != nil {
-			return Token{}, nil, err
+			return Token{}, err
 		}
 		if err := qp.Write(w.geo.Base+off, skip[:]); err != nil {
-			return Token{}, nil, err
+			return Token{}, err
 		}
 		w.tail += w.geo.Size - off
 	}
 	if err := w.waitSpace(qp, need); err != nil {
-		return Token{}, nil, err
+		return Token{}, err
 	}
 	tk := Token{pos: w.tail, n: need}
 	w.tail += need
-	var pend *rdma.Pending
-	if len(entry) > sim.CachelineSize {
-		off := w.geo.Base + tk.pos%w.geo.Size
-		pend = b.PostWrite(qp, off+sim.CachelineSize, entry[sim.CachelineSize:])
-	}
-	return tk, pend, nil
-}
-
-// Publish posts the entry's first cacheline (containing the header) into b:
-// the single line-atomic write that makes the entry visible to the applier
-// once b.Execute() runs. Headers for many rings share one doorbell batch, so
-// the publish fan-out also costs one base write latency.
-func (w *Writer) Publish(qp *rdma.QP, b *rdma.Batch, tk Token, entry []byte) *rdma.Pending {
 	off := w.geo.Base + tk.pos%w.geo.Size
-	return b.PostWrite(qp, off, entry[:sim.CachelineSize])
+	if len(entry) > sim.CachelineSize {
+		tk.payload = b.PostWrite(qp, off+sim.CachelineSize, entry[sim.CachelineSize:])
+	}
+	tk.hdr = b.PostWrite(qp, off, entry[:sim.CachelineSize])
+	return tk, nil
 }
 
-// Append is the one-shot payload+publish path for callers that do not need
-// the cross-ring batching (single-ring replication, tests). The entry is
-// marked committed immediately, so the applier may truncate it after
-// applying.
+// Append is the one-shot Post for callers that do not share the doorbell
+// with other rings (single-ring replication, tests). The entry is marked
+// committed immediately, so the applier may truncate it after applying.
 func (w *Writer) Append(qp *rdma.QP, entry []byte) error {
 	b := qp.Batch()
-	tk, _, err := w.AppendPayload(qp, b, entry)
+	tk, err := w.Post(qp, b, entry)
 	if err != nil {
 		return err
 	}
-	if err := b.Execute(); err != nil {
-		return err
-	}
-	w.Publish(qp, b, tk, entry)
 	if err := b.Execute(); err != nil {
 		return err
 	}

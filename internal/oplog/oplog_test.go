@@ -264,11 +264,10 @@ func TestMarkCommittedWhileAppenderWaits(t *testing.T) {
 	for i := uint64(1); i <= 2; i++ { // two half-ring entries, published, not committed
 		entry := Encode(i, []Rec{{Kind: KindUpdate, Table: 1, Key: 1, Seq: 2 * i, Value: val("a")}})
 		b := f.qp.Batch()
-		tk, _, err := f.writer.AppendPayload(f.qp, b, entry)
+		tk, err := f.writer.Post(f.qp, b, entry)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.writer.Publish(f.qp, b, tk, entry)
 		if err := b.Execute(); err != nil {
 			t.Fatal(err)
 		}

@@ -398,8 +398,8 @@ type ringToken struct {
 // replicate is R.1: write one log entry carrying the FULL write set to every
 // replica ring — all backups of every written shard, plus the primaries of
 // remote written shards (so a coordinator death after publish can always be
-// redone; see the oplog package comment). Payloads land first, then headers
-// publish (two-phase).
+// redone; see the oplog package comment). Every ring's payload and header
+// ride one doorbell; the rings whose entry landed are returned.
 func (tx *Txn) replicate() []ringToken {
 	w := tx.w
 	recs := tx.logRecords()
@@ -430,44 +430,23 @@ func (tx *Txn) replicate() []ringToken {
 	// queueing, so it must not depend on map iteration.
 	slices.Sort(targets)
 	targets = slices.Compact(targets)
-	// Payload fan-out: every ring's payload write shares one doorbell
-	// batch (one base write latency for the whole fan-out); the header
-	// publishes below share a second. An empty batch — every target dead
-	// or skipped — charges nothing.
-	type pendingAppend struct {
-		node rdma.NodeID
-		tok  oplog.Token
-		pend *rdma.Pending
-	}
-	pb := w.newBatch()
-	var appends []pendingAppend
+	// One doorbell for the whole fan-out (one base write latency): each
+	// ring's header rides its payload's queue pair, behind it, so a header
+	// lands only with its payload. An empty batch — every target dead or
+	// skipped — charges nothing.
+	b := w.newBatch()
+	toks := make([]ringToken, 0, len(targets))
 	for _, node := range targets {
 		tx.countWakeup(node)
-		wr := w.E.M.LogWriter(node)
-		tk, pend, err := wr.AppendPayload(w.QP(node), pb, entry)
+		tk, err := w.E.M.LogWriter(node).Post(w.QP(node), b, entry)
 		if err != nil {
 			continue // dead target: its replacement is covered post-reconfig
 		}
-		appends = append(appends, pendingAppend{node: node, tok: tk, pend: pend})
+		toks = append(toks, ringToken{node: node, tok: tk})
 	}
-	_ = tx.execBatch(PhaseLog, pb)
-
-	hb := w.newBatch()
-	var toks []ringToken
-	for _, a := range appends {
-		if a.pend != nil && a.pend.Err != nil {
-			continue // payload never landed (died mid-batch): do not publish
-		}
-		w.E.M.LogWriter(a.node).Publish(w.QP(a.node), hb, a.tok, entry)
-		toks = append(toks, ringToken{node: a.node, tok: a.tok})
-	}
-	// A second doorbell because a header must not publish a payload that
-	// never landed. It rings only for an entry past one cacheline (two
-	// SmallBank records): AppendPayload posts nothing for a one-line entry
-	// and an empty batch rings nothing. Traced sb-r3 rings ≈0.40 payload
-	// and ≈0.65 header doorbells per transaction (EXPERIMENTS.md).
-	_ = tx.execBatch(PhaseLog, hb)
-	return toks
+	_ = tx.execBatch(PhaseLog, b)
+	// A ring whose verbs failed (its machine died) holds no entry.
+	return slices.DeleteFunc(toks, func(rt ringToken) bool { return !rt.tok.Landed() })
 }
 
 // logRecords builds the full-write-set log payload with final sequence

@@ -5,8 +5,8 @@ package txn
 // an HTM region plus seqlock makeup, it locks ONLY the write set, validates
 // every read with a one-sided header READ under those locks, and makes the
 // transaction durable with doorbell-batched RDMA WRITE appends to the
-// per-server redo logs (Txn.replicate reuses internal/oplog's two-phase
-// batch append) BEFORE any record becomes visible. Consequences:
+// per-server redo logs (Txn.replicate reuses internal/oplog's one-doorbell
+// append) BEFORE any record becomes visible. Consequences:
 //
 //	F.1 lock write set only: RDMA CAS per unique written record, local
 //	    records included via loop-back CAS (HCA atomicity, as §6.2's

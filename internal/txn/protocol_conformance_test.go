@@ -482,7 +482,10 @@ func TestProtocolLockBackoutReleasesAll(t *testing.T) {
 // READs, when its remote records span nodes, and none when they sit on one:
 // its last READ carried the others' headers. In the forced-fallback cell the
 // §6.1 handler validates from the headers its relock fetched: one doorbell
-// per node group, one for the tail, no READ doorbell of its own.
+// per node group, one for the tail, no READ doorbell of its own. Replicated
+// 3-way, R.1 adds ONE doorbell whatever the entry's size: every ring's
+// payload WRITE (none for a one-line entry) and header WRITE ride it, the
+// header behind its payload on the ring's queue pair.
 func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 	type access struct {
 		key         uint64 // key%3 is the home node; the worker runs on node 0
@@ -491,8 +494,9 @@ func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 	shapes := []struct {
 		name     string
 		acc      []access
-		roRemote bool // some remote record is read but not written
-		readOnly bool // run through RunReadOnly
+		roRemote bool   // some remote record is read but not written
+		readOnly bool   // run through RunReadOnly
+		logVerbs uint64 // replicated 3-way when set: R.1's WRITEs to its 3 rings
 	}{
 		{name: "rw-1-node", acc: []access{{1, true, true}}},
 		{name: "rw-2-nodes", acc: []access{{1, true, true}, {2, true, true}, {4, true, true}, {5, true, true}}},
@@ -502,6 +506,10 @@ func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 		{name: "ro+local-write", acc: []access{{1, true, false}, {2, true, false}, {0, true, true}}, roRemote: true},
 		{name: "ro-2-nodes", acc: []access{{1, true, false}, {2, true, false}}, readOnly: true},
 		{name: "ro-1-node", acc: []access{{1, true, false}, {4, true, false}}, readOnly: true},
+		// One record fits the entry in one line: a header WRITE per ring.
+		{name: "r3-one-line", acc: []access{{1, true, true}}, logVerbs: 3},
+		// Two records spill it into a second line: payload + header per ring.
+		{name: "r3-multi-line", acc: []access{{1, true, true}, {2, true, true}}, logVerbs: 6},
 	}
 	run := func(tx *Txn, acc []access) error {
 		for _, a := range acc {
@@ -533,7 +541,11 @@ func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 	forEachProtocol(t, func(t *testing.T, proto string) {
 		for _, sh := range shapes {
 			t.Run(sh.name, func(t *testing.T) {
-				w := newWorld(t, 3, 1, htm.Config{})
+				replicas := 1
+				if sh.logVerbs > 0 {
+					replicas = 3
+				}
+				w := newWorld(t, 3, replicas, htm.Config{})
 				w.setProtocol(proto)
 				w.load(t, 6, 100)
 				wk := w.engines[0].NewWorker(0)
@@ -552,9 +564,14 @@ func TestProtocolConformanceDoorbellBudget(t *testing.T) {
 					want = 1
 				case proto == "farm" && sh.roRemote:
 					want = 3
+				case sh.logVerbs > 0:
+					want = 3
 				}
 				if got := doorbells(&wk.Stats); got != want || wk.Stats.Retries != 0 {
 					t.Errorf("%d commit-phase doorbells (%d retries), want %d: %+v", got, wk.Stats.Retries, want, wk.Stats.Phases)
+				}
+				if log := wk.Stats.Phases[PhaseLog]; log.Verbs != sh.logVerbs || log.Batches != min(sh.logVerbs, 1) {
+					t.Errorf("R.1 posted %d verbs in %d doorbells, want %d in one", log.Verbs, log.Batches, sh.logVerbs)
 				}
 			})
 		}

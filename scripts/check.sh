@@ -97,6 +97,11 @@ go test -race -run 'TestProtocolConformance|TestProtocolLockBackoutReleasesAll|T
 # write-back+unlock batch.
 go test -race -cpu 1,2 -run 'TestBatchPerQPOrder' -count=1 ./internal/rdma/
 go test -race -cpu 1,2 -run 'TestLockRetryDropsHeaderBehindLostCAS|TestProtocolConformanceDoorbellBudget' -count=1 ./internal/txn/
+# R.1 posts each log ring's payload and header in one doorbell, so a backup's
+# applier reads a ring while a single doorbell writes both back to back: the
+# ring tests and the dead ring in the fused fan-out, on the same two host
+# schedules (the budget's replicated shapes ran in the line above).
+go test -race -cpu 1,2 -run 'TestRing|TestMarkCommitted|TestTornAppendInvisible|TestDeadRingInFusedFanOut|TestLogReplicationThroughMachines' -count=1 ./internal/oplog/ ./internal/cluster/
 go test -run '^$' -bench '^BenchmarkFig$/^proto$' -benchtime 1x .
 
 # Smoke-run every benchmark once: the figure benchmarks drive the full
