@@ -273,7 +273,9 @@ func newRecovery(ms []cluster.Milestone, commits [][]int64, ends []int64) *Recov
 
 // CommitBreakdown renders the per-phase commit-latency breakdown: average
 // one-sided verbs, doorbell batches and virtual microseconds per committed
-// transaction. Empty for systems without the instrumented pipeline.
+// transaction, then coroutine overlap and the retry backoffs, in total and
+// by each site that took one. Empty for systems without the instrumented
+// pipeline.
 func (r Result) CommitBreakdown() string {
 	if r.Committed == 0 {
 		return ""
@@ -306,6 +308,15 @@ func (r Result) CommitBreakdown() string {
 			float64(r.Backoffs)/float64(r.Committed),
 			float64(r.BackoffNanos)/float64(r.Committed)/1e3,
 			float64(r.BackoffStallNanos)/float64(r.Committed)/1e3))
+		for site := txn.BackoffSite(0); site < txn.NumBackoffSites; site++ {
+			b := r.BackoffSites[site]
+			if b.Taken == 0 {
+				continue
+			}
+			parts = append(parts, fmt.Sprintf("backoff at %s %.2f taken, %.2fus stalled", site,
+				float64(b.Taken)/float64(r.Committed),
+				float64(b.StallNanos)/float64(r.Committed)/1e3))
+		}
 	}
 	return "commit breakdown per txn: " + strings.Join(parts, "; ")
 }

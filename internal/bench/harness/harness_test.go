@@ -10,6 +10,7 @@ import (
 	"drtmr/internal/bench/smallbank"
 	"drtmr/internal/bench/tpcc"
 	"drtmr/internal/cluster"
+	"drtmr/internal/htm"
 	"drtmr/internal/memstore"
 	"drtmr/internal/obs"
 	"drtmr/internal/rdma"
@@ -178,6 +179,31 @@ func TestAvgLatencyAgreesWithHistogram(t *testing.T) {
 	}
 	if r.AbortMatrix.Total() == 0 && r.AbortRate > 0 {
 		t.Error("aborts happened but the attribution matrix is empty")
+	}
+}
+
+// TestBackoffSitesAddUp: every backoff is attributed to exactly one site,
+// so the per-site counters sum to the totals, and the commit-breakdown note
+// names each site that backed off. A hot set under spurious HTM aborts makes
+// several sites back off.
+func TestBackoffSitesAddUp(t *testing.T) {
+	r := Run(Options{
+		System: SysDrTMR, Workload: WLSmallBank,
+		Nodes: 3, ThreadsPerNode: 2, TxPerWorker: 200,
+		SBRemoteProb: 0.3, SBHotFraction: 0.0005, Deterministic: true, Seed: 3,
+		HTM: htm.Config{SpuriousAbortProb: 0.15, Seed: 3},
+	})
+	var taken, stall uint64
+	note := r.CommitBreakdown()
+	for site, b := range r.BackoffSites {
+		taken += b.Taken
+		stall += b.StallNanos
+		if name := fmt.Sprintf("backoff at %s ", txn.BackoffSite(site)); (b.Taken > 0) != strings.Contains(note, name) {
+			t.Errorf("site %s took %d backoffs; note: %s", txn.BackoffSite(site), b.Taken, note)
+		}
+	}
+	if taken == 0 || taken != r.Backoffs || stall != r.BackoffStallNanos {
+		t.Errorf("sites sum to %d backoffs, %d ns stalled; totals %d, %d", taken, stall, r.Backoffs, r.BackoffStallNanos)
 	}
 }
 

@@ -104,10 +104,13 @@ type Config struct {
 
 // MemBytes is the NVRAM a machine needs for this configuration with each
 // record kept on replicas machines: two tables of 128 bytes per account
-// (record and hash slot), three times over for slack, per copy, and at least
-// 32 MiB.
+// (record and hash slot), three times over for slack, per copy, plus the
+// machine's log rings (one per node) and 4 MiB of headroom. It is no larger
+// than that because every run allocates and clears it afresh: a 32 MiB
+// floor made a SmallBank set-up zero 96 MiB it never used, and how much of
+// that the process had to fault back in from the OS varied from run to run.
 func (c Config) MemBytes(replicas int) int {
-	return max(c.AccountsPerNode*2*128*3*max(replicas, 1), 32<<20)
+	return c.AccountsPerNode*2*128*3*max(replicas, 1) + c.Nodes*cluster.DefaultRingBytes + 4<<20
 }
 
 // DefaultConfig mirrors the paper's setup at a laptop-friendly scale.
@@ -172,7 +175,11 @@ func CreateTables(store *memstore.Store, c Config) {
 }
 
 // LoadCluster creates the tables on every machine and loads every shard's
-// accounts, at the initial balance, on its primary and its backups.
+// accounts, at the initial balance, on its primary and its backups. It runs
+// before the cluster starts, so it writes the records directly
+// (memstore.Table.Load): a load through HTM regions cost most of a run's
+// set-up, and drew the spurious aborts the HTM model injects, which are
+// meant for the measured run.
 func LoadCluster(c *cluster.Cluster, cfg Config) error {
 	for _, m := range c.Machines {
 		CreateTables(m.Store, cfg)
@@ -186,7 +193,7 @@ func LoadCluster(c *cluster.Cluster, cfg Config) error {
 			store := c.Machines[nd].Store
 			for key := lo; key < hi; key++ {
 				for _, id := range []memstore.TableID{TableChecking, TableSavings} {
-					if _, err := store.Table(id).Insert(key, EncBalance(cfg.InitialBalance)); err != nil {
+					if _, err := store.Table(id).Load(key, EncBalance(cfg.InitialBalance)); err != nil {
 						return fmt.Errorf("smallbank load key %d: %w", key, err)
 					}
 				}

@@ -354,7 +354,8 @@ func ApplyStockOrder(b []byte, qty uint64, remote bool) {
 // one order — its ITEM copy (replicated everywhere, loaded with the primary
 // shard), then its warehouses — and every holder of a warehouse loads it from
 // the same point of that stream, so a backup promoted after a failure serves
-// exactly the rows its primary held.
+// exactly the rows its primary held. It runs before the cluster starts, so
+// it writes rows directly (memstore.Table.Load), without HTM regions.
 func LoadCluster(c *cluster.Cluster, wcfg Config, seed uint64) error {
 	for _, m := range c.Machines {
 		CreateTables(m.Store, wcfg)
@@ -365,7 +366,7 @@ func LoadCluster(c *cluster.Cluster, wcfg Config, seed uint64) error {
 		primary := c.Machines[cfg0.PrimaryOf(shard)].Store
 		rng := sim.NewRand(seed + uint64(n) + 1)
 		for i := 1; i <= ItemCount; i++ {
-			if _, err := primary.Table(TableItem).Insert(IKey(i), ItemRow(uint64(100+rng.Intn(9900)))); err != nil {
+			if _, err := primary.Table(TableItem).Load(IKey(i), ItemRow(uint64(100+rng.Intn(9900)))); err != nil {
 				return fmt.Errorf("tpcc load item %d: %w", i, err)
 			}
 		}
@@ -387,24 +388,24 @@ func LoadCluster(c *cluster.Cluster, wcfg Config, seed uint64) error {
 
 // loadWarehouse populates a single warehouse's rows into store.
 func loadWarehouse(store *memstore.Store, w int, rng *sim.Rand) error {
-	if _, err := store.Table(TableWarehouse).Insert(WKey(w), WarehouseRow(uint64(rng.Intn(2000)), 0)); err != nil {
+	if _, err := store.Table(TableWarehouse).Load(WKey(w), WarehouseRow(uint64(rng.Intn(2000)), 0)); err != nil {
 		return fmt.Errorf("tpcc load warehouse %d: %w", w, err)
 	}
 	for d := 1; d <= DistrictsPerWarehouse; d++ {
-		if _, err := store.Table(TableDistrict).Insert(DKey(w, d), DistrictRow(uint64(rng.Intn(2000)), 0, InitialNextOrder)); err != nil {
+		if _, err := store.Table(TableDistrict).Load(DKey(w, d), DistrictRow(uint64(rng.Intn(2000)), 0, InitialNextOrder)); err != nil {
 			return err
 		}
 		for cu := 1; cu <= CustomersPerDistrict; cu++ {
-			if _, err := store.Table(TableCustomer).Insert(CKey(w, d, cu), CustomerRow(-10, uint64(rng.Intn(5000)))); err != nil {
+			if _, err := store.Table(TableCustomer).Load(CKey(w, d, cu), CustomerRow(-10, uint64(rng.Intn(5000)))); err != nil {
 				return err
 			}
-			if _, err := store.Table(TableCustLastOrder).Insert(CKey(w, d, cu), make([]byte, lastOrderSize)); err != nil {
+			if _, err := store.Table(TableCustLastOrder).Load(CKey(w, d, cu), make([]byte, lastOrderSize)); err != nil {
 				return err
 			}
 		}
 	}
 	for i := 1; i <= StockPerWarehouse; i++ {
-		if _, err := store.Table(TableStock).Insert(SKey(w, i), StockRow(uint64(10+rng.Intn(91)))); err != nil {
+		if _, err := store.Table(TableStock).Load(SKey(w, i), StockRow(uint64(10+rng.Intn(91)))); err != nil {
 			return err
 		}
 	}

@@ -109,6 +109,7 @@ type Cell struct {
 type CellResult struct {
 	Cell      Cell
 	Committed uint64
+	Fallbacks uint64 // commits the §6.1 fallback handler ran
 	Check     *Result
 }
 
@@ -147,8 +148,8 @@ func (r *Report) String() string {
 		if !c.Check.Ok() {
 			status = "VIOLATION"
 		}
-		fmt.Fprintf(&b, "%-44s seed=%#-18x committed=%-6d checked=%-6d %s\n",
-			c.Cell.Name, c.Cell.Opts.Seed, c.Committed, c.Check.Txns, status)
+		fmt.Fprintf(&b, "%-44s seed=%#-18x committed=%-6d fallbacks=%-5d checked=%-6d %s\n",
+			c.Cell.Name, c.Cell.Opts.Seed, c.Committed, c.Fallbacks, c.Check.Txns, status)
 		for _, v := range c.Check.Violations {
 			fmt.Fprintf(&b, "    %s\n", v)
 		}
@@ -392,6 +393,7 @@ func RunCell(c Cell) CellResult {
 	return CellResult{
 		Cell:      c,
 		Committed: res.Committed,
+		Fallbacks: res.Fallbacks,
 		Check:     Check(res.HistoryTxns(), c.CheckOpts),
 	}
 }

@@ -67,6 +67,14 @@ func TestTortureSweep(t *testing.T) {
 	if rep.TxnsChecked < want {
 		t.Fatalf("sweep checked only %d transactions, want >= %d", rep.TxnsChecked, want)
 	}
+	// The fallback-pressure cells are the only ones whose histories carry
+	// §6.1 handler commits: each must reach the handler, or a change to the
+	// HTM retry policy could quietly take it out of the check.
+	for _, c := range rep.Cells {
+		if strings.HasSuffix(c.Cell.Name, "fallback=0.15") && c.Fallbacks == 0 {
+			t.Errorf("%s: no commit reached the fallback handler", c.Cell.Name)
+		}
+	}
 }
 
 // TestTortureHotKeyCells drives the seeded hot-key cells directly: with two

@@ -29,12 +29,16 @@ func ringMarkOff(src rdma.NodeID) uint64 {
 	return ringCtlBase + uint64(src)*2*sim.CachelineSize + sim.CachelineSize
 }
 
+// DefaultRingBytes is the size of one log ring. Every machine holds one ring
+// per node at the start of its NVRAM, below the record arena.
+const DefaultRingBytes = 1 << 20
+
 // Spec sizes a simulated cluster.
 type Spec struct {
 	Nodes     int
 	Replicas  int // copies per shard (1 = no replication, 3 = paper's f+1)
-	MemBytes  int // per-machine NVRAM
-	RingBytes int
+	MemBytes  int // per-machine NVRAM, log rings included
+	RingBytes int // each of a machine's Nodes log rings; 0 = DefaultRingBytes
 	HTM       htm.Config
 	RDMA      rdma.Config
 	// Lease is the failure-detection lease on the cluster's virtual clock
@@ -128,7 +132,7 @@ func New(spec Spec) *Cluster {
 		spec.MemBytes = 64 << 20
 	}
 	if spec.RingBytes == 0 {
-		spec.RingBytes = 1 << 20
+		spec.RingBytes = DefaultRingBytes
 	}
 	if spec.Lease == 0 {
 		spec.Lease = 10 * time.Millisecond

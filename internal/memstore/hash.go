@@ -227,6 +227,39 @@ func (h *HashTable) Insert(key uint64, recOff uint64) error {
 	})
 }
 
+// load is Insert written straight into memory, for Table.Load. It makes the
+// choice Insert makes — after a duplicate check of the whole chain, the first
+// free slot in chain order, else a new overflow bucket at the tail — so a
+// loaded table has the layout an inserted one has.
+func (h *HashTable) load(key uint64, recOff uint64) error {
+	mem := h.eng.Mem()
+	ik := key + 1
+	var slot, tail uint64 // the first free slot's offset (0: none yet), the chain's last bucket
+	for off := h.BucketOff(key); off != 0; off = binary.LittleEndian.Uint64(mem[off+bucketNextOff:]) {
+		for s := uint64(0); s < BucketSlots; s++ {
+			so := off + bucketSlot0Off + s*16
+			switch binary.LittleEndian.Uint64(mem[so:]) {
+			case ik:
+				return ErrKeyExists
+			case 0:
+				if slot == 0 {
+					slot = so
+				}
+			}
+		}
+		tail = off
+	}
+	if slot == 0 {
+		nb := h.arena.Alloc(bucketBytes)
+		h.arena.Zero(nb, bucketBytes)
+		binary.LittleEndian.PutUint64(mem[tail+bucketNextOff:], nb)
+		slot = nb + bucketSlot0Off
+	}
+	binary.LittleEndian.PutUint64(mem[slot:], ik)
+	binary.LittleEndian.PutUint64(mem[slot+8:], recOff)
+	return nil
+}
+
 func (h *HashTable) chainHas(tx *htm.Txn, off uint64, ik uint64) (bool, error) {
 	var buf [bucketBytes]byte
 	for off != 0 {

@@ -357,6 +357,47 @@ func TestTableInsertDeleteIncarnation(t *testing.T) {
 	}
 }
 
+// TestTableLoadMatchesInsert: Load builds byte for byte the memory Insert
+// builds — records, main buckets, overflow chains, a refused duplicate's
+// freed block — so a table loaded directly is the table the HTM path would
+// have built, and Insert, Lookup and Delete keep working on it.
+func TestTableLoadMatchesInsert(t *testing.T) {
+	spec := TableSpec{Name: "acct", ValueSize: 16, ExpectedRows: 8, Ordered: true} // 16 buckets: long chains
+	inserted, loaded := newTestStore(1<<20), newTestStore(1<<20)
+	ti, tl := inserted.CreateTable(1, spec), loaded.CreateTable(1, spec)
+	rng := sim.NewRand(7)
+	for i := 0; i < 300; i++ {
+		key := rng.Uint64() % 400 // some repeat: both must refuse them alike
+		val := []byte{byte(key), byte(i)}
+		offI, errI := ti.Insert(key, val)
+		offL, errL := tl.Load(key, val)
+		if offI != offL || errI != errL {
+			t.Fatalf("key %d: Insert (%d, %v), Load (%d, %v)", key, offI, errI, offL, errL)
+		}
+	}
+	if !bytes.Equal(inserted.eng.Mem(), loaded.eng.Mem()) {
+		t.Fatal("Load laid the table out differently from Insert")
+	}
+	if _, err := tl.Load(1, make([]byte, spec.ValueSize+1)); err == nil {
+		t.Fatal("Load took a value larger than the table's")
+	}
+	for key := uint64(0); key < 400; key++ {
+		offI, okI := ti.Lookup(key)
+		offL, okL := tl.Lookup(key)
+		if offI != offL || okI != okL {
+			t.Fatalf("lookup %d: inserted (%d, %v), loaded (%d, %v)", key, offI, okI, offL, okL)
+		}
+		if okL {
+			if err := tl.Delete(key); err != nil {
+				t.Fatalf("delete %d from the loaded table: %v", key, err)
+			}
+			if _, err := tl.Insert(key, []byte("again")); err != nil {
+				t.Fatalf("reinsert %d into the loaded table: %v", key, err)
+			}
+		}
+	}
+}
+
 func TestArenaReuse(t *testing.T) {
 	s := newTestStore(1 << 16)
 	a := s.arena

@@ -132,6 +132,20 @@ func (t *Table) Insert(key uint64, value []byte) (uint64, error) {
 // when optimistic replication is on, and bumps it to 2 once the insert's
 // log entries are durable (§5.1 applied to inserts).
 func (t *Table) InsertWithSeq(key uint64, value []byte, seq uint64) (uint64, error) {
+	return t.insert(key, value, seq, false)
+}
+
+// Load is Insert for loading a table before its machine is shared: it writes
+// the record and its hash slot straight into memory, with no HTM region and
+// no line registry. Only a loader that runs before any worker, applier or
+// remote machine can reach the store may call it (a workload loader between
+// cluster.New and Cluster.Start). The table is laid out exactly as Insert
+// would lay it out.
+func (t *Table) Load(key uint64, value []byte) (uint64, error) {
+	return t.insert(key, value, 0, true)
+}
+
+func (t *Table) insert(key uint64, value []byte, seq uint64, direct bool) (uint64, error) {
 	if len(value) > t.Spec.ValueSize {
 		return 0, fmt.Errorf("memstore: value size %d exceeds table %s's %d",
 			len(value), t.Spec.Name, t.Spec.ValueSize)
@@ -139,11 +153,18 @@ func (t *Table) InsertWithSeq(key uint64, value []byte, seq uint64) (uint64, err
 	off := t.store.arena.Alloc(t.RecBytes)
 	mem := t.store.eng.Mem()
 	prevInc := RecInc(mem[off : off+uint64(headerBytes)])
-	img := BuildRecordImage(t.Spec.ValueSize, value, prevInc+1, seq)
-	// The record is unreachable until the hash insert publishes it, so a
-	// non-transactional bulk write is safe here.
-	t.store.eng.WriteNonTx(off, img)
-	if err := t.hash.Insert(key, PackLoc(off, prevInc+1)); err != nil {
+	bind := t.hash.Insert
+	if direct {
+		end := off + uint64(t.RecBytes)
+		BuildRecordImageInto(mem[off:off:end], t.Spec.ValueSize, value, prevInc+1, seq)
+		bind = t.hash.load
+	} else {
+		img := BuildRecordImage(t.Spec.ValueSize, value, prevInc+1, seq)
+		// The record is unreachable until the hash insert publishes it, so
+		// a non-transactional bulk write is safe here.
+		t.store.eng.WriteNonTx(off, img)
+	}
+	if err := bind(key, PackLoc(off, prevInc+1)); err != nil {
 		t.store.arena.Free(off, t.RecBytes)
 		return 0, err
 	}

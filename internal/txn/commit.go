@@ -13,8 +13,42 @@ import (
 )
 
 // htmRetries bounds commit-phase HTM attempts before the fallback handler
-// (§6.1). The paper reports the fallback firing on <1% of transactions.
+// (§6.1); a capacity abort skips the rest (htmRetryAfter). The paper
+// reports the fallback firing on <1% of transactions.
 const htmRetries = 16
+
+// htmRetry is what a failed HTM region's retry needs, by its abort cause.
+type htmRetry int
+
+const (
+	htmRetryNow     htmRetry = iota // nothing to wait for: retry at once
+	htmRetryBackoff                 // wait for the holder, then retry
+	htmRetryNever                   // the same footprint aborts again
+)
+
+// htmRetryAfter reads RTM's abort status the way §6.1's bounded retry can
+// use it. A spurious abort (an interrupt, a TLB shootdown) has no holder to
+// wait for, so the retry goes at once; a capacity abort repeats on every
+// retry of the same footprint; a conflict, or an explicit abort on a locked
+// or changed record, waits out its holder. An error that is not an HTM
+// abort backs off too. The htm.Txn methods return *htm.AbortError
+// unwrapped, so a type assertion finds it (errors.As would move a target
+// to the heap on every failed attempt).
+func htmRetryAfter(err error) htmRetry {
+	ae, ok := err.(*htm.AbortError)
+	if !ok {
+		return htmRetryBackoff
+	}
+	switch ae.Cause {
+	case htm.CauseSpurious:
+		return htmRetryNow
+	case htm.CauseCapacity:
+		return htmRetryNever
+	case htm.CauseConflict, htm.CauseExplicit:
+		return htmRetryBackoff
+	}
+	return htmRetryBackoff
+}
 
 // drtmrProto is the paper's hybrid HTM+RDMA commit pipeline (Fig 7) behind
 // the CommitProtocol interface — the default protocol. It locks BOTH read
@@ -181,9 +215,10 @@ func (tx *Txn) localReadStale(r *rsEntry, inc, cur uint64) bool {
 }
 
 // localHTMCommit is C.3+C.4: one HTM region validating the local read set
-// and applying the local (update) write set with seq+1. Bounded retries;
-// validation failures abort the transaction, repeated hardware aborts
-// escalate to the fallback handler.
+// and applying the local (update) write set with seq+1. Bounded retries,
+// by abort cause (htmRetryAfter); validation failures abort the
+// transaction, and a capacity abort or repeated hardware aborts escalate to
+// the fallback handler.
 func (proto drtmrProto) localHTMCommit(tx *Txn) error {
 	w := tx.w
 	nLocal := 0
@@ -207,8 +242,7 @@ func (proto drtmrProto) localHTMCommit(tx *Txn) error {
 		if err == nil {
 			return nil
 		}
-		var ae *htm.AbortError
-		if errors.As(err, &ae) && ae.Cause == htm.CauseExplicit {
+		if ae, ok := err.(*htm.AbortError); ok && ae.Cause == htm.CauseExplicit {
 			switch ae.Code {
 			case abortCodeValidate:
 				return tx.abortConflict(AbortValidate, "local validation failed")
@@ -217,7 +251,13 @@ func (proto drtmrProto) localHTMCommit(tx *Txn) error {
 			default: // abortCodeLocked is execution-phase only; retry the region
 			}
 		}
-		w.backoff(attempt)
+		switch htmRetryAfter(err) {
+		case htmRetryNow:
+		case htmRetryBackoff:
+			w.backoff(BackoffCommitRegion, attempt)
+		case htmRetryNever:
+			return tx.abort(AbortHTM, "commit HTM region over capacity")
+		}
 	}
 	return tx.abort(AbortHTM, "commit HTM region exhausted retries")
 }
@@ -488,12 +528,15 @@ func (tx *Txn) makeupLocal() {
 		if !e.local || e.kind == wsDelete || e.off == 0 {
 			continue
 		}
-		for attempt := 0; ; attempt++ {
-			if attempt > 0 {
-				w.backoff(attempt)
-			}
-			if tx.makeupAttempt(e) {
+		// A flip cannot give up: the transaction has committed. A capacity
+		// abort backs off like a conflict.
+		for attempt := 1; ; attempt++ {
+			err := tx.makeupAttempt(e)
+			if err == nil {
 				break
+			}
+			if htmRetryAfter(err) != htmRetryNow {
+				w.backoff(BackoffMakeup, attempt)
 			}
 		}
 	}
@@ -501,8 +544,8 @@ func (tx *Txn) makeupLocal() {
 
 // makeupAttempt is one R.2 seq-flip inside its own HTM region, bracketed
 // with htmBegin/htmEnd for the scheduler's no-yield-in-region assertion.
-// It reports whether the record has settled at its final sequence number.
-func (tx *Txn) makeupAttempt(e *wsEntry) bool {
+// It returns nil once the record has settled at its final sequence number.
+func (tx *Txn) makeupAttempt(e *wsEntry) error {
 	w := tx.w
 	w.htmBegin()
 	defer w.htmEnd()
@@ -513,19 +556,19 @@ func (tx *Txn) makeupAttempt(e *wsEntry) bool {
 	}
 	cur, err := htx.Load64(e.off + memstore.SeqOff)
 	if err != nil {
-		return false
+		return err
 	}
 	if cur >= e.finSeq {
 		htx.Commit() // already advanced (log applier raced us)
-		return true
+		return nil
 	}
 	if err := htx.Store64(e.off+memstore.SeqOff, e.finSeq); err != nil {
-		return false
+		return err
 	}
 	if err := tx.stampVersions(htx, e.off, e.table, e.finSeq); err != nil {
-		return false
+		return err
 	}
-	return htx.Commit() == nil
+	return htx.Commit()
 }
 
 // stampVersions writes low16(seq) into each per-line version slot of the

@@ -12,7 +12,7 @@ import (
 var localKeys2 = []uint64{0, 3}
 
 // htmNeverCommits makes every commit-phase HTM region over two or more local
-// records abort on capacity, so such a commit exhausts htmRetries and takes
+// records abort on capacity, so such a commit runs its region once and takes
 // the §6.1 fallback handler every time — deterministically, unlike a spurious
 // abort probability. Single-record regions (execution-phase reads, R.2 makeup
 // flips) touch one cacheline and still commit.
@@ -84,6 +84,14 @@ const notPinned = -1
 // 1000 ns WRITE base: 20300 -> 19300 ns/commit. drtmr-fallback-r3's PhaseLog
 // goes {6, 2} -> {6, 1}; every other cell is unchanged.
 //
+// Re-derived for drtmr-fallback when the commit region's retries began to
+// follow the abort cause (htmRetryAfter): a capacity abort goes straight to
+// the handler, since the same footprint aborts on every retry. The cell's
+// commit ran 16 capacity-aborted regions (400 + 4 x 120 = 880 ns each) and
+// 16 randomized backoffs (~800 us of the 840 693 ns/commit); it now runs one
+// region and no backoff: 168138600 -> 5536000 in total, 27680 ns/commit.
+// Verbs, doorbells and every other cell are unchanged.
+//
 // Replicated cells run 40 commits, not 200: past ~80 the 64 KiB log rings
 // wrap and the writer waits on the backups' appliers, which is host timing.
 func TestCommitVirtualNsPinned(t *testing.T) {
@@ -117,12 +125,12 @@ func TestCommitVirtualNsPinned(t *testing.T) {
 			phases: [NumPhases]phasePin{PhaseLock: {8, 1}, PhaseValidate: {8, 0}, PhaseWriteBack: {8, 0}, PhaseUnlock: {8, 1}}},
 		{name: "farm-locals", proto: "farm", replicas: 1, iters: 200, locals: true, totalNs: 200 * 18800,
 			phases: [NumPhases]phasePin{PhaseLock: {10, 1}, PhaseValidate: {8, 0}, PhaseWriteBack: {8, 0}, PhaseUnlock: {10, 1}}},
-		// Forced fallback: C.1+C.2 run as usual, 16 HTM attempts back off and
-		// fail, then the handler releases (C.6-charged), relocks in three
+		// Forced fallback: C.1+C.2 run as usual, the one HTM attempt aborts on
+		// capacity, then the handler releases (C.6-charged), relocks in three
 		// per-node groups with the remote headers behind the CASes, validates
 		// from them, and writes back + unlocks: 28 verbs in 4 doorbells.
 		{name: "drtmr-fallback", proto: "drtmr", replicas: 1, iters: 200, htm: htmNeverCommits, locals: true,
-			totalNs: 168138600, fallbacks: 200,
+			totalNs: 5536000, fallbacks: 200,
 			phases: [NumPhases]phasePin{PhaseLock: {8, 1}, PhaseValidate: {8, 0}, PhaseWriteBack: {8, 0}, PhaseUnlock: {8, 1}, PhaseFallback: {28, 4}}},
 		// Replicated fallback: the R.2 makeup regions race this node's own log
 		// applier (it backs up the remote shards), and a lost race backs off —

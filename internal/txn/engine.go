@@ -45,8 +45,9 @@ const (
 	AbortLockFailed
 	// AbortValidate: read validation failed (C.2, C.3, or read-only).
 	AbortValidate
-	// AbortHTM: the commit-phase HTM region kept aborting and the bounded
-	// retries ran out before the fallback handler succeeded.
+	// AbortHTM: the commit-phase HTM region overflowed its capacity, or
+	// kept aborting until the bounded retries ran out, before the fallback
+	// handler succeeded.
 	AbortHTM
 	// AbortLocked: execution phase found a record locked for too long.
 	AbortLocked
@@ -421,6 +422,31 @@ type PhaseStat struct {
 	Nanos   uint64 // virtual ns spent executing this phase's batches
 }
 
+// BackoffSite names the step whose retry a backoff delays: Worker.backoff
+// takes one, and Stats.BackoffSites splits the backoff counters by it.
+type BackoffSite int
+
+const (
+	BackoffRetry        BackoffSite = iota // runLoop: the retry of an aborted transaction
+	BackoffCommitRegion                    // C.3+C.4: the commit HTM region
+	BackoffLocalRead                       // a local read's HTM region, or an uncommittable local record
+	BackoffRemoteRead                      // a torn, locked or uncommittable remote record
+	BackoffFallbackLock                    // §6.1: the handler's relock of the targets it missed
+	BackoffMakeup                          // R.2: a local record's flip to committable
+	NumBackoffSites
+)
+
+var backoffSiteNames = [NumBackoffSites]string{"retry", "commit-region", "local-read", "remote-read", "fallback-lock", "makeup"}
+
+func (s BackoffSite) String() string { return backoffSiteNames[s] }
+
+// BackoffStat counts one site's backoffs and the virtual time they advanced
+// the worker clock by (its share of Counters.BackoffStallNanos).
+type BackoffStat struct {
+	Taken      uint64
+	StallNanos uint64
+}
+
 // Counters are the scalar counters of Stats. This is the one place a counter
 // is declared: harness.Result embeds Stats and serve.Status embeds Counters
 // (the JSON names are /statusz's), so a field added here reaches every table
@@ -485,6 +511,10 @@ type Stats struct {
 	Counters
 	Aborts [NumAbortReasons]uint64 // indexed by AbortReason
 	Phases [NumPhases]PhaseStat
+
+	// BackoffSites splits Backoffs and BackoffStallNanos by the step that
+	// backed off.
+	BackoffSites [NumBackoffSites]BackoffStat
 
 	// AbortMatrix attributes every abort along reason × stage × site — the
 	// structured replacement for the flat Aborts view ("1100 C.1-lock
@@ -562,6 +592,10 @@ func (s *Stats) Merge(o *Stats) {
 		s.Phases[i].Verbs += p.Verbs
 		s.Phases[i].Batches += p.Batches
 		s.Phases[i].Nanos += p.Nanos
+	}
+	for i, b := range o.BackoffSites {
+		s.BackoffSites[i].Taken += b.Taken
+		s.BackoffSites[i].StallNanos += b.StallNanos
 	}
 	s.AbortMatrix.Merge(&o.AbortMatrix)
 	s.QueueWait.Merge(&o.QueueWait)
@@ -688,14 +722,18 @@ func (w *Worker) moveVerbs(phase, own CommitPhase, n int) {
 // waiter that only yielded retried a thousand times per step of a holder the
 // host kept off the CPU, and charged itself 100-400 ms for a 5 us hold in
 // one serve run in ten. Spun, its wait is at most the host time the holder lost.
-func (w *Worker) backoff(attempt int) {
+// site is the step that backs off, for Stats.BackoffSites.
+func (w *Worker) backoff(site BackoffSite, attempt int) {
 	maxExp := 1 << uint(min(attempt, DefaultBackoffMaxExp))
 	d := time.Duration(1+w.rng.Intn(maxExp)) * w.E.Costs.Backoff
 	deadline := w.Clk.Now() + int64(d)
 	w.yield(deadline) // let another in-flight transaction (maybe the lock holder) run
+	stall := uint64(w.Clk.WaitUntil(deadline))
 	w.Stats.Backoffs++
 	w.Stats.BackoffNanos += uint64(d)
-	w.Stats.BackoffStallNanos += uint64(w.Clk.WaitUntil(deadline))
+	w.Stats.BackoffStallNanos += stall
+	w.Stats.BackoffSites[site].Taken++
+	w.Stats.BackoffSites[site].StallNanos += stall
 	w.E.M.Cluster().Report(w.Clk.Now())
 	if w.sched == nil && w.gate == nil {
 		sim.Spin(d)
@@ -748,7 +786,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 				if w.E.M.Dead() {
 					return qerr
 				}
-				w.backoff(attempt)
+				w.backoff(BackoffRetry, attempt)
 				continue
 			}
 		}
@@ -812,7 +850,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 			// Wait for the configuration to change before retrying.
 			w.waitEpochChange(tx.cfg.Epoch)
 		}
-		w.backoff(attempt)
+		w.backoff(BackoffRetry, attempt)
 	}
 }
 

@@ -77,7 +77,7 @@ func (tx *Txn) lockInOrder(targets []lockTarget, run *lockRun) bool {
 				return false
 			}
 			if attempt > 0 {
-				tx.w.backoff(attempt)
+				tx.w.backoff(BackoffFallbackLock, attempt)
 			}
 			tx.lockBatch(PhaseFallback, PhaseFallback, todo, run)
 			if run.err != nil {

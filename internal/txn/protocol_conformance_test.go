@@ -119,9 +119,9 @@ func runProtocolBank(t *testing.T, proto string, replicas int) {
 // TestProtocolConformanceForcedFallback is the bank invariant with an HTM
 // that can never commit a region over two records (htmNeverCommits), and
 // transactions that each update two local records and one remote one. Under
-// drtmr every such commit exhausts htmRetries and goes through the §6.1
-// fallback handler — deterministically, where SpuriousAbortProb 0.02 over 16
-// retries never reaches it — so the handler's whole pipeline (release,
+// drtmr every such commit's region aborts on capacity and goes straight to
+// the §6.1 fallback handler — deterministically, where SpuriousAbortProb 0.02
+// over 16 retries never reaches it — so the handler's whole pipeline (release,
 // sorted relock through loop-back CAS, validation, locked install, tail) is
 // what conserves the money here, plain and replicated. A protocol without a
 // commit HTM region (farm) simply must not care. Afterwards no record may be

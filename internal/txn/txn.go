@@ -557,7 +557,9 @@ func (tx *Txn) ReadForUpdate(table memstore.TableID, key uint64) ([]byte, error)
 // localRead performs a consistent read of a local record inside a small HTM
 // region (Fig 5): check the lock word first — a locked record means a
 // remote transaction is about to update it, so manually abort and retry
-// with randomized backoff (§4.3) — then snapshot the record.
+// with randomized backoff (§4.3) — then snapshot the record. A spurious
+// abort retries at once (htmRetryAfter); a capacity abort, which a read has
+// no fallback for, backs off like a conflict.
 func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 	tbl := tx.w.E.M.Store.Table(table)
 	if tbl == nil {
@@ -571,15 +573,15 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 		tx.w.Clk.Advance(tx.w.E.Costs.LocalAccess)
 		// The snapshot lands in the worker's scratch: GatherValue copies the
 		// value out before anything here can yield to a sibling transaction.
-		img, lockW, ok := tx.localReadAttempt(off, tbl, tx.w.scratch(tbl.RecBytes))
-		if ok {
+		img, lockW, err := tx.localReadAttempt(off, tbl, tx.w.scratch(tbl.RecBytes))
+		if err == nil {
 			seq := memstore.RecSeq(img)
 			if tx.w.E.Replicated && !memstore.SeqIsCommittable(seq) {
 				// Uncommittable (Table 4): a local committer is between its
 				// HTM region and replication makeup. Its value exists here
 				// but its remote writes may not have landed — serializing on
 				// it would observe half a transaction. Wait for the flip.
-				tx.w.backoff(attempt)
+				tx.w.backoff(BackoffLocalRead, attempt)
 				continue
 			}
 			return rsEntry{
@@ -591,7 +593,9 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 		if lockW != 0 {
 			tx.w.maybeReleaseDangling(tx.cfg, tx.w.E.M.ID, off, lockW)
 		}
-		tx.w.backoff(attempt)
+		if htmRetryAfter(err) != htmRetryNow {
+			tx.w.backoff(BackoffLocalRead, attempt)
+		}
 	}
 	return rsEntry{}, tx.abortOn(tx.w.E.M.ID, table, key, AbortLocked, "local record %d/%d stayed locked", table, key)
 }
@@ -599,8 +603,9 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 // localReadAttempt is one HTM-protected snapshot attempt (Fig 5). The whole
 // region is bracketed with htmBegin/htmEnd so the coroutine scheduler can
 // assert that no yield point is ever reached while the region is open.
-// lockW is non-zero when the attempt manually aborted on a locked record.
-func (tx *Txn) localReadAttempt(off uint64, tbl *memstore.Table, buf []byte) (img []byte, lockW uint64, ok bool) {
+// err is the region's abort; lockW is non-zero when the attempt manually
+// aborted on a locked record.
+func (tx *Txn) localReadAttempt(off uint64, tbl *memstore.Table, buf []byte) (img []byte, lockW uint64, err error) {
 	w := tx.w
 	w.htmBegin()
 	defer w.htmEnd()
@@ -609,22 +614,18 @@ func (tx *Txn) localReadAttempt(off uint64, tbl *memstore.Table, buf []byte) (im
 	if w.Rec != nil {
 		htx.Trace(w.Rec, &w.Clk, tx.id)
 	}
-	lockW, err := htx.Load64(off + memstore.LockOff)
+	lockW, err = htx.Load64(off + memstore.LockOff)
 	if err != nil {
-		return buf, 0, false
+		return buf, 0, err
 	}
 	if lockW != 0 {
-		htx.Abort(abortCodeLocked)
-		return buf, lockW, false
+		return buf, lockW, htx.Abort(abortCodeLocked)
 	}
 	img, err = htx.Read(off, tbl.RecBytes, buf)
 	if err != nil {
-		return img, 0, false
+		return img, 0, err
 	}
-	if err := htx.Commit(); err != nil {
-		return img, 0, false
-	}
-	return img, 0, true
+	return img, 0, htx.Commit()
 }
 
 // remoteRead performs a lock-free consistent read of a remote record with
@@ -692,7 +693,7 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 			}
 		}
 		if !memstore.VersionsConsistent(img) {
-			tx.w.backoff(attempt) // torn racing write; retry
+			tx.w.backoff(BackoffRemoteRead, attempt) // torn racing write; retry
 			continue
 		}
 		inc := memstore.RecInc(img)
@@ -711,14 +712,14 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 		if checkLock {
 			if lockW := memstore.RecLock(img); lockW != 0 {
 				tx.w.maybeReleaseDangling(tx.cfg, node, loc.Off, lockW)
-				tx.w.backoff(attempt)
+				tx.w.backoff(BackoffRemoteRead, attempt)
 				continue
 			}
 		}
 		if tx.w.E.Replicated && !memstore.SeqIsCommittable(memstore.RecSeq(img)) {
 			// Uncommittable record mid-replication: wait for the makeup flip
 			// rather than serialize on an un-replicated half-commit.
-			tx.w.backoff(attempt)
+			tx.w.backoff(BackoffRemoteRead, attempt)
 			continue
 		}
 		return rsEntry{
