@@ -64,23 +64,6 @@ func runSB(engines []*txn.Engine, cfg smallbank.Config, perWorker int) float64 {
 	return float64(committed) / (float64(maxV) / 1e9)
 }
 
-// BenchmarkAblationLocationCache measures §6.3's host-transparent location
-// cache: without it, every remote access walks the remote hash index with
-// extra RDMA READs.
-func BenchmarkAblationLocationCache(b *testing.B) {
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		_, engines, cfg := ablationWorld(b, 1, 0.5, rdma.NICBandwidth56G)
-		with = runSB(engines, cfg, 150)
-		for _, e := range engines {
-			e.DisableLocCache = true
-		}
-		without = runSB(engines, cfg, 150)
-	}
-	b.ReportMetric(with, "cache-on_txns/s")
-	b.ReportMetric(without, "cache-off_txns/s")
-}
-
 // BenchmarkAblationReadOnlyProtocol measures §4.5's dedicated read-only
 // path against running the same balance queries through the read-write
 // commit (which locks remote read sets with RDMA CAS).

@@ -158,7 +158,7 @@ type Worker struct {
 	Clk  sim.Clock
 
 	// Stats counts outcomes: Committed only, Calvin never aborts.
-	Stats txn.Counters
+	Stats txn.Stats
 }
 
 // NewWorker creates a worker on node.

@@ -19,8 +19,11 @@
 // handled them — with knowledge extracted before execution (the paper used
 // transaction chopping).
 //
-// It runs on DrTM+R's primitives (rdma.Batch doorbells, cluster.LookupRemote
-// and LocCache, baseline.Backoff), so a figure compares the protocols.
+// Its engine and worker ARE DrTM+R's (txn.Engine, txn.Worker) with DrTM's
+// protocol on top: queue pairs, doorbells and their per-phase counters
+// (Stats.Phases), the location cache (Worker.Locate), the one lock stage
+// (Worker.LockBatch) and backoff are shared, so a figure compares the
+// protocols and not two implementations of the primitives.
 package drtm
 
 import (
@@ -35,52 +38,28 @@ import (
 	"drtmr/internal/htm"
 	"drtmr/internal/memstore"
 	"drtmr/internal/rdma"
-	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
 
-// Engine is the per-machine DrTM instance.
+// Engine is the per-machine DrTM instance. Of txn.Knobs only
+// DisableVerbBatching applies to it.
 type Engine struct {
-	M    *cluster.Machine
-	Part txn.Partitioner
-	Cost txn.CostModel
-	// Sequential prices each doorbell per verb (rdma.Batch.SetSequential), as
-	// txn.Knobs.DisableVerbBatching does for DrTM+R. Set it before NewWorker.
-	Sequential bool
-
-	locs cluster.LocCache
+	*txn.Engine
 }
 
 // NewEngine builds DrTM on machine m.
 func NewEngine(m *cluster.Machine, part txn.Partitioner, cost txn.CostModel) *Engine {
-	return &Engine{M: m, Part: part, Cost: cost}
+	return &Engine{txn.NewEngine(m, part, cost)}
 }
 
 // Worker is one DrTM worker thread.
 type Worker struct {
-	E   *Engine
-	ID  int
-	Clk sim.Clock
-	rng *sim.Rand
-	qps []*rdma.QP
-	b   *rdma.Batch // the doorbell of every lock, fetch, write-back and unlock
-
-	// Stats counts outcomes: Committed, Retries (aborted attempts) and
-	// Fallbacks.
-	Stats txn.Counters
+	*txn.Worker
 }
 
 // NewWorker creates worker id.
 func (e *Engine) NewWorker(id int) *Worker {
-	w := &Worker{E: e, ID: id, rng: sim.NewRand(uint64(id)*977 + uint64(e.M.ID) + 5)}
-	n := e.M.Cluster().Spec.Nodes
-	w.qps = make([]*rdma.QP, n)
-	for i := 0; i < n; i++ {
-		w.qps[i] = e.M.Cluster().Net.NewQP(e.M.ID, rdma.NodeID(i), &w.Clk)
-	}
-	w.b = rdma.NewBatch(&w.Clk)
-	w.b.SetSequential(e.Sequential)
-	return w
+	return &Worker{e.Engine.NewWorker(id)}
 }
 
 // bodyCtx is the baseline.Ctx handed to the transaction body: all remote
@@ -91,23 +70,26 @@ type bodyCtx struct {
 	htx   *htm.Txn
 	noHTM bool                       // fallback mode: plain accesses under locks
 	refs  map[baseline.Ref]*refState // keyed by table and key, Write false
-	// all declared records in (node, off) order, the global lock order, and
-	// the remote and the local ones in the same order.
-	all, remote, local []*refState
+	// the remote and the local declared records, each in (node, off) order,
+	// the global lock order.
+	remote, local []*refState
+	// run holds the attempt's locks: the remote records' (Fetched[i] is
+	// remote[i] as the growing phase READ it), then the fallback's.
+	run txn.LockRun
 }
 
 // refState is one declared record in one attempt.
 type refState struct {
-	ref    baseline.Ref
-	local  bool
-	node   rdma.NodeID
-	off    uint64
-	inc    uint64 // remote: the incarnation its cached location names
-	locked bool
-	// img is a remote record as the growing phase READ it under its lock,
-	// val its value, put what the body wrote (dirty says it did).
-	img, val, put []byte
-	dirty         bool
+	ref   baseline.Ref
+	tbl   *memstore.Table
+	local bool
+	node  rdma.NodeID
+	off   uint64
+	inc   uint64 // remote: the incarnation its cached location names
+	// val is a remote record's value as the growing phase READ it under its
+	// lock, put what the body wrote (dirty says it did).
+	val, put []byte
+	dirty    bool
 }
 
 // ErrAborted is returned when the transaction cannot make progress and the
@@ -126,13 +108,12 @@ func (c *bodyCtx) Get(table memstore.TableID, key uint64) ([]byte, error) {
 	if !st.local {
 		return st.val, nil
 	}
-	tbl := c.w.E.M.Store.Table(table)
 	// Single-pass execution inside one region: no separate per-read HTM
 	// begin/commit and no read-set buffer maintenance.
-	c.w.Clk.Advance(c.w.E.Cost.LocalAccess * 3 / 4)
+	c.w.Clk.Advance(c.w.E.Costs.LocalAccess * 3 / 4)
 	if c.noHTM {
-		img := c.w.E.M.Eng.ReadNonTx(st.off, tbl.RecBytes, nil)
-		return memstore.GatherValue(img, tbl.Spec.ValueSize), nil
+		img := c.w.E.M.Eng.ReadNonTx(st.off, st.tbl.RecBytes, nil)
+		return memstore.GatherValue(img, st.tbl.Spec.ValueSize), nil
 	}
 	// Inside the big HTM region: check the lock word first (a remote
 	// transaction may hold the record), then read the record data.
@@ -144,11 +125,11 @@ func (c *bodyCtx) Get(table memstore.TableID, key uint64) ([]byte, error) {
 		c.htx.Abort(0x21)
 		return nil, ErrAborted
 	}
-	img, err := c.htx.Read(st.off, tbl.RecBytes, nil)
+	img, err := c.htx.Read(st.off, st.tbl.RecBytes, nil)
 	if err != nil {
 		return nil, ErrAborted
 	}
-	return memstore.GatherValue(img, tbl.Spec.ValueSize), nil
+	return memstore.GatherValue(img, st.tbl.Spec.ValueSize), nil
 }
 
 // Put writes a declared record.
@@ -161,12 +142,11 @@ func (c *bodyCtx) Put(table memstore.TableID, key uint64, value []byte) error {
 		st.put, st.dirty = append(st.put[:0], value...), true
 		return nil
 	}
-	tbl := c.w.E.M.Store.Table(table)
-	c.w.Clk.Advance(c.w.E.Cost.LocalAccess)
+	c.w.Clk.Advance(c.w.E.Costs.LocalAccess)
 	inc := c.w.E.M.Eng.Load64NonTx(st.off + memstore.IncOff)
 	if c.noHTM {
 		seq := c.w.E.M.Eng.Load64NonTx(st.off + memstore.SeqOff)
-		full := memstore.BuildRecordImage(tbl.Spec.ValueSize, value, inc, seq+1)
+		full := memstore.BuildRecordImage(st.tbl.Spec.ValueSize, value, inc, seq+1)
 		c.w.E.M.Eng.WriteNonTx(st.off+8, full[8:])
 		return nil
 	}
@@ -174,7 +154,7 @@ func (c *bodyCtx) Put(table memstore.TableID, key uint64, value []byte) error {
 	if err != nil {
 		return ErrAborted
 	}
-	full := memstore.BuildRecordImage(tbl.Spec.ValueSize, value, inc, seq+1)
+	full := memstore.BuildRecordImage(st.tbl.Spec.ValueSize, value, inc, seq+1)
 	if err := c.htx.Write(st.off+8, full[8:]); err != nil {
 		return ErrAborted
 	}
@@ -195,7 +175,7 @@ func (w *Worker) Run(refs []baseline.Ref, body func(baseline.Ctx) error) error {
 			return err
 		}
 		w.Stats.Retries++
-		baseline.Backoff(&w.Clk, w.rng, attempt, w.E.Cost.Backoff)
+		w.Backoff(txn.BackoffRetry, attempt)
 	}
 }
 
@@ -206,16 +186,15 @@ const (
 )
 
 func (w *Worker) attempt(refs []baseline.Ref, body func(baseline.Ctx) error) error {
-	w.Clk.Advance(w.E.Cost.TxnOverhead)
+	w.Clk.Advance(w.E.Costs.TxnOverhead)
 	ctx, err := w.place(refs)
 	if err != nil {
 		return err
 	}
-	if err := w.grow(ctx.remote); err != nil {
-		return err
+	if err = w.grow(ctx); err == nil {
+		err = w.bigHTMRun(ctx, body)
 	}
-	err = w.bigHTMRun(ctx, body)
-	w.shrink(ctx.all, err == nil)
+	w.shrink(ctx, err == nil)
 	return err
 }
 
@@ -226,6 +205,7 @@ func (w *Worker) attempt(refs []baseline.Ref, body func(baseline.Ctx) error) err
 func (w *Worker) place(refs []baseline.Ref) (*bodyCtx, error) {
 	ctx := &bodyCtx{w: w, refs: make(map[baseline.Ref]*refState, len(refs))}
 	cfg := w.E.M.Config()
+	var all []*refState
 	for _, r := range refs {
 		k := baseline.Ref{Table: r.Table, Key: r.Key}
 		if prev := ctx.refs[k]; prev != nil {
@@ -233,35 +213,30 @@ func (w *Worker) place(refs []baseline.Ref) (*bodyCtx, error) {
 			continue
 		}
 		node := cfg.PrimaryOf(w.E.Part(r.Table, r.Key))
-		st := &refState{ref: r, node: node, local: node == w.E.M.ID}
-		tbl := w.E.M.Store.Table(r.Table)
+		st := &refState{ref: r, tbl: w.E.M.Store.Table(r.Table), node: node, local: node == w.E.M.ID}
 		if st.local {
-			off, ok := tbl.Lookup(r.Key)
+			off, ok := st.tbl.Lookup(r.Key)
 			if !ok {
 				return nil, fmt.Errorf("drtm: missing local record %d/%d", r.Table, r.Key)
 			}
 			st.off = off
 		} else {
-			lk := cluster.LocKey{Node: node, Table: r.Table, Key: r.Key}
-			loc, ok := w.E.locs.Get(lk)
-			if !ok {
-				var err error
-				if loc, ok, err = cluster.LookupRemote(w.qps[node], tbl, r.Key, (*rdma.Completion).Wait); err != nil {
-					return nil, ErrAborted
-				} else if !ok {
-					return nil, fmt.Errorf("drtm: missing remote record %d/%d", r.Table, r.Key)
-				}
-				w.E.locs.Put(lk, loc)
+			loc, err := w.Locate(node, st.tbl, r.Key, false)
+			switch {
+			case errors.Is(err, txn.ErrNotFound):
+				return nil, fmt.Errorf("drtm: missing remote record %d/%d", r.Table, r.Key)
+			case err != nil:
+				return nil, ErrAborted
 			}
 			st.off, st.inc = loc.Off, loc.Inc
 		}
 		ctx.refs[k] = st
-		ctx.all = append(ctx.all, st)
+		all = append(all, st)
 	}
-	slices.SortFunc(ctx.all, func(a, b *refState) int {
+	slices.SortFunc(all, func(a, b *refState) int {
 		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.off, b.off))
 	})
-	for _, st := range ctx.all {
+	for _, st := range all {
 		if st.local {
 			ctx.local = append(ctx.local, st)
 		} else {
@@ -271,76 +246,55 @@ func (w *Worker) place(refs []baseline.Ref) (*bodyCtx, error) {
 	return ctx, nil
 }
 
-// lock try-locks every target with one doorbell of RDMA CASes and returns
-// the ones it lost. Behind the CAS to a remote record rides the READ of the
-// record on the same queue pair, which runs it after the CAS: behind a CAS
-// that swapped, it sees the record as it stays until this attempt unlocks.
-// Every CAS has run before the first result is read, so ones posted after a
-// lost CAS may have swapped: the scan marks EVERY won lock before the caller
-// acts on a loss (txn's lockBatch discipline), or the back-out leaks them.
-func (w *Worker) lock(targets []*refState) (missed []*refState) {
-	myWord := memstore.LockWord(uint32(w.E.M.ID))
-	pend := make([]struct{ cas, read *rdma.Pending }, len(targets))
-	for i, st := range targets {
-		pend[i].cas = w.b.PostCAS(w.qps[st.node], st.off+memstore.LockOff, 0, myWord)
-		if !st.local {
-			pend[i].read = w.b.PostRead(w.qps[st.node], st.off, w.E.M.Store.Table(st.ref.Table).RecBytes)
-		}
+// grow is the 2PL growing phase: one lock doorbell over the remote records,
+// each whole record READ behind its CAS. A loss, or a record whose
+// incarnation is not the one its cached location names (freed, maybe reused,
+// since: the location is looked up afresh for the retry), aborts; the
+// caller's shrink releases every lock won.
+func (w *Worker) grow(ctx *bodyCtx) error {
+	targets := make([]txn.LockTarget, len(ctx.remote))
+	for i, st := range ctx.remote {
+		targets[i] = txn.LockTarget{Node: st.node, Off: st.off, Fetch: st.tbl.RecBytes}
 	}
-	_ = w.b.Execute() // each verb's error is in its Pending slot
-	for i, st := range targets {
-		cas, read := pend[i].cas, pend[i].read
-		st.locked = cas.Err == nil && cas.Swapped
-		switch {
-		case !st.locked || read != nil && read.Err != nil:
-			missed = append(missed, st)
-		case read != nil:
-			st.img = read.Data
-		}
-	}
-	return missed
-}
-
-// grow is the 2PL growing phase: one lock doorbell over the remote records.
-// A loss, or a record whose incarnation is not the one its cached location
-// names (freed, maybe reused, since: the entry is dropped so that the retry
-// looks it up afresh), releases every lock won and aborts.
-func (w *Worker) grow(remote []*refState) error {
-	if len(w.lock(remote)) > 0 {
-		w.shrink(remote, false)
+	run := &ctx.run
+	w.LockBatch(txn.PhaseLock, txn.PhaseLock, 0, w.E.M.Config(), targets, run)
+	if len(run.Missed) > 0 || run.Err != nil {
 		return ErrAborted
 	}
-	for _, st := range remote {
-		if memstore.RecInc(st.img)&memstore.IncLocMask != st.inc {
-			w.E.locs.Drop(cluster.LocKey{Node: st.node, Table: st.ref.Table, Key: st.ref.Key})
-			w.shrink(remote, false)
+	for i, st := range ctx.remote {
+		read := run.Fetched[i]
+		if read.Err != nil {
 			return ErrAborted
 		}
-		st.val = memstore.GatherValue(st.img, w.E.M.Store.Table(st.ref.Table).Spec.ValueSize)
+		if memstore.RecInc(read.Data)&memstore.IncLocMask != st.inc {
+			_, _ = w.Locate(st.node, st.tbl, st.ref.Key, true) // a failure is the retry's to report
+			return ErrAborted
+		}
+		st.val = memstore.GatherValue(read.Data, st.tbl.Spec.ValueSize)
 	}
 	return nil
 }
 
 // shrink is the 2PL shrinking phase, and the back-out of a failed attempt:
-// one doorbell carries, for every record locked, the WRITE of the body's
-// image when commit is set and the body wrote one, then the unlock CAS
-// behind it on the same queue pair. The image takes its incarnation and
-// sequence number from the header the growing phase READ under the lock.
-func (w *Worker) shrink(states []*refState, commit bool) {
-	myWord := memstore.LockWord(uint32(w.E.M.ID))
-	for _, st := range states {
-		if !st.locked {
-			continue
-		}
+// one doorbell carries, when commit is set, the WRITE of every image the body
+// wrote to a remote record (counted to C.5, as DrTM+R's write-back), then the
+// unlock CAS of every lock the attempt holds — a queue pair executes in post
+// order, so an image has landed when its lock word clears. The image takes
+// its incarnation and sequence number from the header the growing phase READ
+// under the lock.
+func (w *Worker) shrink(ctx *bodyCtx, commit bool) {
+	b := w.NewBatch()
+	for i, st := range ctx.remote {
 		if commit && st.dirty {
-			tbl := w.E.M.Store.Table(st.ref.Table)
-			img := memstore.BuildRecordImage(tbl.Spec.ValueSize, st.put, memstore.RecInc(st.img), memstore.RecSeq(st.img)+1)
-			w.b.PostWrite(w.qps[st.node], st.off+8, img[8:])
+			hdr := ctx.run.Fetched[i].Data
+			img := memstore.BuildRecordImage(st.tbl.Spec.ValueSize, st.put, memstore.RecInc(hdr), memstore.RecSeq(hdr)+1)
+			b.PostWrite(w.QP(st.node), st.off+8, img[8:])
 		}
-		w.b.PostCAS(w.qps[st.node], st.off+memstore.LockOff, myWord, 0)
-		st.locked = false
 	}
-	_ = w.b.Execute() // DrTM has no recovery to hand a dead machine's verbs to
+	writes := b.Len()
+	w.PostUnlocks(b, ctx.run.Held)
+	_ = w.ExecBatch(txn.PhaseUnlock, 0, b) // DrTM has no recovery to hand a dead machine's verbs to
+	w.MoveVerbs(txn.PhaseUnlock, txn.PhaseWriteBack, writes)
 }
 
 // bigHTMRun executes body inside one HTM transaction covering every local
@@ -353,7 +307,7 @@ func (w *Worker) bigHTMRun(ctx *bodyCtx, body func(baseline.Ctx) error) error {
 		// DrTM+R there is no commit-phase re-validation pass and no
 		// read/write buffer maintenance (the generality overhead the
 		// paper measures at 2.2-9.8%).
-		w.Clk.Advance(w.E.Cost.HTMRegion + time.Duration(len(ctx.local))*w.E.Cost.PerValidate)
+		w.Clk.Advance(w.E.Costs.HTMRegion + time.Duration(len(ctx.local))*w.E.Costs.PerValidate)
 		ctx.htx = w.E.M.Eng.Begin()
 		ctx.clearPuts()
 		if err := body(ctx); err != nil {
@@ -369,20 +323,27 @@ func (w *Worker) bigHTMRun(ctx *bodyCtx, body func(baseline.Ctx) error) error {
 				return nil
 			}
 		}
-		baseline.Backoff(&w.Clk, w.rng, attempt, w.E.Cost.Backoff)
+		w.Backoff(txn.BackoffCommitRegion, attempt)
 	}
 	// Fallback: lock the local records by loop-back RDMA CAS, one doorbell
 	// per pass over the ones still missing, and run without HTM.
 	w.Stats.Fallbacks++
-	todo := ctx.local
+	todo := make([]txn.LockTarget, len(ctx.local))
+	for i, st := range ctx.local {
+		todo[i] = txn.LockTarget{Node: st.node, Off: st.off}
+	}
 	for pass := 0; len(todo) > 0; pass++ {
 		if pass == fallbackLockPasses {
 			return ErrAborted
 		}
 		if pass > 0 {
-			baseline.Backoff(&w.Clk, w.rng, pass, w.E.Cost.Backoff)
+			w.Backoff(txn.BackoffFallbackLock, pass)
 		}
-		todo = w.lock(todo)
+		w.LockBatch(txn.PhaseFallback, txn.PhaseFallback, 0, w.E.M.Config(), todo, &ctx.run)
+		if ctx.run.Err != nil {
+			return ErrAborted
+		}
+		todo = ctx.run.Missed
 	}
 	ctx.noHTM = true
 	ctx.clearPuts()

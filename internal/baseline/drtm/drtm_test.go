@@ -330,15 +330,16 @@ func runRemoteScript(t *testing.T, w *Worker, each func(i int)) {
 	}
 }
 
-// traceDoorbells records every doorbell w rings: each event its batch and
-// its queue pairs record is one.
-func traceDoorbells(w *Worker) *obs.Recorder {
-	r := obs.NewRecorder(0, w.ID, 1<<12)
-	w.b.SetRecorder(r)
-	for _, qp := range w.qps {
-		qp.SetRecorder(r)
+// doorbells counts the doorbells rec holds: each is one EvDoorbell event, of
+// a batch or of a queue pair's lone verb.
+func doorbells(rec *obs.Recorder) int {
+	n := 0
+	for _, e := range rec.Events() {
+		if e.Kind == obs.EvDoorbell {
+			n++
+		}
 	}
-	return r
+	return n
 }
 
 // TestRemoteRecordPinned holds DrTM's remote-record path to exact commits,
@@ -361,15 +362,15 @@ func traceDoorbells(w *Worker) *obs.Recorder {
 func TestRemoteRecordPinned(t *testing.T) {
 	c, engines := newWorld(t, 2)
 	w := engines[0].NewWorker(0)
-	rec := traceDoorbells(w)
-	rung := rec.Len()
+	rec := w.EnableTrace(1 << 12)
+	rung := 0
 	runRemoteScript(t, w, func(i int) {
 		// Every location is cached by the second pass: a transaction is
 		// its growing doorbell and its shrinking one.
-		if n := rec.Len() - rung; i >= len(remoteScript) && n != 2 {
+		if n := doorbells(rec) - rung; i >= len(remoteScript) && n != 2 {
 			t.Errorf("transaction %d rang %d doorbells, want 2", i, n)
 		}
-		rung = rec.Len()
+		rung = doorbells(rec)
 	})
 	var verbs rdma.StatsSnapshot
 	for n := 0; n < 2; n++ {
@@ -378,10 +379,20 @@ func TestRemoteRecordPinned(t *testing.T) {
 		verbs.Writes += s.Writes
 		verbs.Atomics += s.Atomics
 	}
-	got := [6]uint64{w.Stats.Committed, uint64(w.Clk.Now()), uint64(rec.Len()), verbs.Reads, verbs.Writes, verbs.Atomics}
+	got := [6]uint64{w.Stats.Committed, uint64(w.Clk.Now()), uint64(doorbells(rec)), verbs.Reads, verbs.Writes, verbs.Atomics}
 	want := [6]uint64{12, 90528, 32, 32, 16, 48}
 	if got != want {
 		t.Errorf("commits / virtual ns / doorbells / reads / writes / atomics = %v, pinned %v", got, want)
+	}
+	// The 12 growing doorbells carry 24 CASes and 24 record READs, the 12
+	// shrinking ones 16 WRITEs, counted to C.5, and 24 unlock CASes; each
+	// doorbell costs its 2000 ns CAS.
+	var phases [txn.NumPhases]txn.PhaseStat
+	phases[txn.PhaseLock] = txn.PhaseStat{Verbs: 48, Batches: 12, Nanos: 24000}
+	phases[txn.PhaseWriteBack] = txn.PhaseStat{Verbs: 16}
+	phases[txn.PhaseUnlock] = txn.PhaseStat{Verbs: 24, Batches: 12, Nanos: 24000}
+	if w.Stats.Phases != phases {
+		t.Errorf("phases %v, pinned %v", w.Stats.Phases, phases)
 	}
 	if w.Stats.Retries != 0 || w.Stats.Fallbacks != 0 {
 		t.Errorf("%d retries, %d fallbacks on a single worker", w.Stats.Retries, w.Stats.Fallbacks)

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"drtmr/internal/baseline"
 	"drtmr/internal/memstore"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
@@ -142,7 +141,7 @@ type Worker struct {
 	lastTID uint64
 
 	// Stats counts outcomes: Committed and Retries (aborted attempts).
-	Stats txn.Counters
+	Stats txn.Stats
 }
 
 // NewWorker creates worker id.
@@ -192,8 +191,19 @@ func (w *Worker) Run(fn func(tx *Txn) error) error {
 			return err
 		}
 		w.Stats.Retries++
-		baseline.Backoff(&w.Clk, w.rng, attempt, w.DB.Cost.Backoff)
+		w.backoff(attempt)
 	}
+}
+
+// backoff is the retry delay, drawn as txn's is:
+// d = (1 + rng.Intn(2^min(attempt, txn.DefaultBackoffMaxExp))) × Cost.Backoff.
+// The host waits d too, as a txn worker without a scheduler does: a waiter
+// that only yielded would retry many times per step of a holder the host
+// keeps off the CPU, each retry charged in virtual time.
+func (w *Worker) backoff(attempt int) {
+	d := time.Duration(1+w.rng.Intn(1<<min(attempt, txn.DefaultBackoffMaxExp))) * w.DB.Cost.Backoff
+	w.Clk.Advance(d)
+	sim.Spin(d)
 }
 
 // Get returns a stable snapshot of the record (Silo's optimistic read: word,

@@ -49,9 +49,9 @@ type exec struct {
 	// st is the worker's own machine's store, where reconnaissance reads go
 	// (nil: the system's rows do none).
 	st *memstore.Store
-	// The worker's virtual clock and its Committed, Retries and Fallbacks.
+	// The worker's virtual clock and its counters.
 	clk   *sim.Clock
-	stats *txn.Counters
+	stats *txn.Stats
 }
 
 // drtmExec: DrTM ships a transaction's index mutations to the (local) host
@@ -62,7 +62,7 @@ func drtmExec(w *drtm.Worker, st *memstore.Store) exec {
 			if err := w.Run(refs, body); err != nil || muts == nil {
 				return err
 			}
-			w.Clk.Advance(w.E.Cost.LocalAccess)
+			w.Clk.Advance(w.E.Costs.LocalAccess)
 			for _, m := range muts() {
 				m.apply(st)
 			}
@@ -121,7 +121,7 @@ func runDrTMBaseline(o Options) Result {
 	var engines []*drtm.Engine
 	for _, m := range c.Machines {
 		e := drtm.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts())
-		e.Sequential = o.DisableVerbBatching
+		e.DisableVerbBatching = o.DisableVerbBatching
 		engines = append(engines, e)
 	}
 	c.Start()
@@ -193,7 +193,7 @@ func runMix(o Options, wcfg tpcc.Config, seedSalt uint64, txns *tpccTable, worke
 				newOrders++
 			}
 		}
-		return worked{stats: &txn.Stats{Counters: *ex.stats}, newOrders: newOrders, clock: ex.clk.Now()}
+		return worked{stats: ex.stats, newOrders: newOrders, clock: ex.clk.Now()}
 	})
 }
 

@@ -92,7 +92,7 @@ type Options struct {
 	// worker, ablations, contention manager, mutation switches; see
 	// txn.Knobs for each), handed as they are to every engine of a DrTM+R
 	// system. Of the baselines only DrTM reads one: DisableVerbBatching
-	// prices its doorbells as DrTM+R's (drtm.Engine.Sequential).
+	// prices its doorbells as DrTM+R's.
 	txn.Knobs
 
 	// Trace enables per-worker event tracing (DrTM+R systems): each worker

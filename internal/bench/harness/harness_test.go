@@ -78,6 +78,30 @@ func TestBaselineVirtualNsPinned(t *testing.T) {
 	}
 }
 
+// TestBaselinePhasesReachResult runs the baselines on two machines with every
+// new-order supplied from the other warehouse, so DrTM's growing and
+// shrinking phases ring doorbells: their counters reach the Result and its
+// commit breakdown. Calvin and Silo count no commit phase.
+func TestBaselinePhasesReachResult(t *testing.T) {
+	for _, sys := range []System{SysDrTM, SysCalvin, SysSilo} {
+		r := Run(Options{System: sys, Nodes: 2, ThreadsPerNode: 1, TxPerWorker: 40, WarehousesPerNode: 1, CrossWarehouseNO: 1})
+		if sys != SysDrTM {
+			if r.Phases != [txn.NumPhases]txn.PhaseStat{} {
+				t.Errorf("%v: phases %v, want none", sys, r.Phases)
+			}
+			continue
+		}
+		for _, p := range []txn.CommitPhase{txn.PhaseLock, txn.PhaseUnlock} {
+			if r.Phases[p].Batches == 0 {
+				t.Errorf("%v: no %v doorbell in %d commits", sys, p, r.Committed)
+			}
+			if bd := r.CommitBreakdown(); !strings.Contains(bd, p.String()) {
+				t.Errorf("%v: commit breakdown %q does not name %v", sys, bd, p)
+			}
+		}
+	}
+}
+
 // TestLoadClusterBackupsMatchPrimary holds the loaders to what a failover
 // assumes: every row of every partitioned table reads the same on every
 // machine that holds the shard, so a promoted backup serves the rows its

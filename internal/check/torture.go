@@ -1,6 +1,7 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -174,199 +175,12 @@ func cellSeed(seed uint64, idx int) uint64 {
 func Cells(o TortureOptions) []Cell {
 	o = o.defaults()
 	var cells []Cell
-	idx := 0
-	for _, co := range o.Coroutines {
-		for _, batch := range o.Batching {
-			for _, fb := range o.FallbackProb {
-				seed := cellSeed(o.Seed, idx)
-				idx++
-				cells = append(cells, Cell{
-					Name: fmt.Sprintf("drtmr coro=%d batch=%v fallback=%.2f", co, batch, fb),
-					Opts: harness.Options{
-						System:            harness.SysDrTMR,
-						Workload:          harness.WLSmallBank,
-						Nodes:             o.Nodes,
-						ThreadsPerNode:    o.ThreadsPerNode,
-						TxPerWorker:       o.TxPerWorker,
-						SBAccountsPerNode: o.AccountsPerNode,
-						SBRemoteProb:      o.RemoteProb,
-						Knobs:             txn.Knobs{CoroutinesPerWorker: co, DisableVerbBatching: !batch, Mut: o.Mutations},
-						History:           true,
-						Deterministic:     true,
-						Seed:              seed,
-						HTM:               htm.Config{SpuriousAbortProb: fb, Seed: seed ^ 0xA5A5},
-					},
-					CheckOpts: Options{Strict: true},
-				})
-			}
-		}
-	}
-	// Hot-key cells: two accounts per node funnel nearly every transaction
-	// through the same records, driving the contention manager's FIFO queue
-	// and commutative-delta commit paths (on) and the pure-OCC retry storm
-	// they replace (off). Both must stay strictly serializable. Half the
-	// transaction budget: the off cell retries each conflict many times.
-	for _, mode := range []txn.ContentionMode{txn.ContentionOn, txn.ContentionOff} {
-		seed := cellSeed(o.Seed, idx)
-		idx++
-		cells = append(cells, Cell{
-			Name: fmt.Sprintf("drtmr hot-key contention=%s", mode),
-			Opts: harness.Options{
-				System:            harness.SysDrTMR,
-				Workload:          harness.WLSmallBank,
-				Nodes:             o.Nodes,
-				ThreadsPerNode:    o.ThreadsPerNode,
-				TxPerWorker:       o.TxPerWorker / 2,
-				SBAccountsPerNode: 2,
-				SBRemoteProb:      o.RemoteProb,
-				Knobs:             txn.Knobs{CoroutinesPerWorker: 4, ContentionMode: mode, Mut: o.Mutations},
-				History:           true,
-				Deterministic:     true,
-				Seed:              seed,
-			},
-			CheckOpts: Options{Strict: true},
-		})
-	}
-	if o.Kill {
-		for _, co := range o.Coroutines {
-			seed := cellSeed(o.Seed, idx)
-			idx++
-			cells = append(cells, Cell{
-				Name: fmt.Sprintf("drtmr/r=3 coro=%d KILL node %d", co, o.Nodes-1),
-				Opts: harness.Options{
-					System:            harness.SysDrTMR3,
-					Workload:          harness.WLSmallBank,
-					Nodes:             o.Nodes,
-					ThreadsPerNode:    o.ThreadsPerNode,
-					TxPerWorker:       o.KillTxPerWorker,
-					SBAccountsPerNode: o.AccountsPerNode,
-					SBRemoteProb:      o.RemoteProb,
-					Knobs:             txn.Knobs{CoroutinesPerWorker: co, Mut: o.Mutations},
-					History:           true,
-					Seed:              seed,
-					KillAt:            killAt,
-					KillNode:          o.Nodes - 1,
-					Lease:             killLease,
-					HeartbeatEvery:    killHeartbeat,
-				},
-				// Kill histories are incomplete by design: the dead
-				// machine's in-flight effects are only partially
-				// observable, and a promoted backup's record copies carry
-				// different incarnations than the dead primary's, so the
-				// strict checks would false-flag.
-				CheckOpts: Options{Strict: false, Replicated: true},
-			})
-		}
-	}
-	// Extra commit protocols sweep a reduced matrix after every drtmr cell
-	// (idx keeps counting, so drtmr cell seeds are unchanged by this block).
-	// The coroutine × batching grid runs at zero HTM pressure — a protocol
-	// like farm has no HTM commit region, so fallback pressure only matters
-	// as background noise, covered by one dedicated cell.
-	for _, proto := range o.Protocols {
-		for _, co := range o.Coroutines {
-			for _, batch := range o.Batching {
-				seed := cellSeed(o.Seed, idx)
-				idx++
-				cells = append(cells, Cell{
-					Name: fmt.Sprintf("%s coro=%d batch=%v", proto, co, batch),
-					Opts: harness.Options{
-						System:            harness.SysDrTMR,
-						Workload:          harness.WLSmallBank,
-						Knobs:             txn.Knobs{Protocol: proto, CoroutinesPerWorker: co, DisableVerbBatching: !batch, Mut: o.Mutations},
-						Nodes:             o.Nodes,
-						ThreadsPerNode:    o.ThreadsPerNode,
-						TxPerWorker:       o.TxPerWorker,
-						SBAccountsPerNode: o.AccountsPerNode,
-						SBRemoteProb:      o.RemoteProb,
-						History:           true,
-						Deterministic:     true,
-						Seed:              seed,
-					},
-					CheckOpts: Options{Strict: true},
-				})
-			}
-		}
-		// HTM spurious aborts as background noise (execution-phase regions).
-		{
-			seed := cellSeed(o.Seed, idx)
-			idx++
-			cells = append(cells, Cell{
-				Name: fmt.Sprintf("%s coro=4 batch=true htm-noise=0.15", proto),
-				Opts: harness.Options{
-					System:            harness.SysDrTMR,
-					Workload:          harness.WLSmallBank,
-					Knobs:             txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4, Mut: o.Mutations},
-					Nodes:             o.Nodes,
-					ThreadsPerNode:    o.ThreadsPerNode,
-					TxPerWorker:       o.TxPerWorker,
-					SBAccountsPerNode: o.AccountsPerNode,
-					SBRemoteProb:      o.RemoteProb,
-					History:           true,
-					Deterministic:     true,
-					Seed:              seed,
-					HTM:               htm.Config{SpuriousAbortProb: 0.15, Seed: seed ^ 0xA5A5},
-				},
-				CheckOpts: Options{Strict: true},
-			})
-		}
-		for _, mode := range []txn.ContentionMode{txn.ContentionOn, txn.ContentionOff} {
-			seed := cellSeed(o.Seed, idx)
-			idx++
-			cells = append(cells, Cell{
-				Name: fmt.Sprintf("%s hot-key contention=%s", proto, mode),
-				Opts: harness.Options{
-					System:            harness.SysDrTMR,
-					Workload:          harness.WLSmallBank,
-					Knobs:             txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4, ContentionMode: mode, Mut: o.Mutations},
-					Nodes:             o.Nodes,
-					ThreadsPerNode:    o.ThreadsPerNode,
-					TxPerWorker:       o.TxPerWorker / 2,
-					SBAccountsPerNode: 2,
-					SBRemoteProb:      o.RemoteProb,
-					History:           true,
-					Deterministic:     true,
-					Seed:              seed,
-				},
-				CheckOpts: Options{Strict: true},
-			})
-		}
-		if o.Kill {
-			for _, co := range o.Coroutines {
-				seed := cellSeed(o.Seed, idx)
-				idx++
-				cells = append(cells, Cell{
-					Name: fmt.Sprintf("%s/r=3 coro=%d KILL node %d", proto, co, o.Nodes-1),
-					Opts: harness.Options{
-						System:            harness.SysDrTMR3,
-						Workload:          harness.WLSmallBank,
-						Knobs:             txn.Knobs{Protocol: proto, CoroutinesPerWorker: co, Mut: o.Mutations},
-						Nodes:             o.Nodes,
-						ThreadsPerNode:    o.ThreadsPerNode,
-						TxPerWorker:       o.KillTxPerWorker,
-						SBAccountsPerNode: o.AccountsPerNode,
-						SBRemoteProb:      o.RemoteProb,
-						History:           true,
-						Seed:              seed,
-						KillAt:            killAt,
-						KillNode:          o.Nodes - 1,
-						Lease:             killLease,
-						HeartbeatEvery:    killHeartbeat,
-					},
-					CheckOpts: Options{Strict: false, Replicated: true},
-				})
-			}
-		}
-	}
-	// Remote read-only transactions: no cell above sets SBReadOnlyFrac, so
-	// Balance always reads its home account there. Here half the
-	// transactions are Balance and RemoteProb of those read a remote
-	// account's two records, which the last READ confirms together (§4.5).
-	// Appended after every other cell, so their seeds are unchanged.
-	seed := cellSeed(o.Seed, idx)
-	cells = append(cells, Cell{
-		Name: "read-only frac=0.50 coro=4",
-		Opts: harness.Options{
+	// add appends a cell: a deterministic, strictly checked SmallBank run of
+	// the default protocol at the sweep's sizes, with the next seed, which
+	// set then changes. A cell's seed is its index, so a cell appended
+	// after all others leaves every earlier seed unchanged.
+	add := func(name string, set func(c *Cell)) {
+		c := Cell{Name: name, Opts: harness.Options{
 			System:            harness.SysDrTMR,
 			Workload:          harness.WLSmallBank,
 			Nodes:             o.Nodes,
@@ -374,13 +188,90 @@ func Cells(o TortureOptions) []Cell {
 			TxPerWorker:       o.TxPerWorker,
 			SBAccountsPerNode: o.AccountsPerNode,
 			SBRemoteProb:      o.RemoteProb,
-			SBReadOnlyFrac:    0.5,
-			Knobs:             txn.Knobs{CoroutinesPerWorker: 4, Mut: o.Mutations},
+			Knobs:             txn.Knobs{Mut: o.Mutations},
 			History:           true,
 			Deterministic:     true,
-			Seed:              seed,
-		},
-		CheckOpts: Options{Strict: true},
+			Seed:              cellSeed(o.Seed, len(cells)),
+		}, CheckOpts: Options{Strict: true}}
+		set(&c)
+		cells = append(cells, c)
+	}
+	// hot adds the hot-key cells of proto ("" is drtmr): two accounts per
+	// node funnel nearly every transaction through the same records,
+	// driving the contention manager's FIFO queue and commutative-delta
+	// commit paths (on) and the pure-OCC retry storm they replace (off).
+	// Both must stay strictly serializable. Half the transaction budget:
+	// the off cell retries each conflict many times.
+	hot := func(proto string) {
+		for _, mode := range []txn.ContentionMode{txn.ContentionOn, txn.ContentionOff} {
+			add(fmt.Sprintf("%s hot-key contention=%s", cmp.Or(proto, "drtmr"), mode), func(c *Cell) {
+				c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4, ContentionMode: mode, Mut: o.Mutations}
+				c.Opts.TxPerWorker /= 2
+				c.Opts.SBAccountsPerNode = 2
+			})
+		}
+	}
+	// kill adds, under Kill, proto's replicated cells that kill a machine
+	// mid-run. Kill histories are incomplete by design: the dead machine's
+	// in-flight effects are only partially observable, and a promoted
+	// backup's record copies carry different incarnations than the dead
+	// primary's, so the strict checks would false-flag.
+	kill := func(proto string) {
+		if !o.Kill {
+			return
+		}
+		for _, co := range o.Coroutines {
+			add(fmt.Sprintf("%s/r=3 coro=%d KILL node %d", cmp.Or(proto, "drtmr"), co, o.Nodes-1), func(c *Cell) {
+				c.Opts.System, c.Opts.Deterministic = harness.SysDrTMR3, false
+				c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: co, Mut: o.Mutations}
+				c.Opts.TxPerWorker = o.KillTxPerWorker
+				c.Opts.KillAt, c.Opts.KillNode = killAt, o.Nodes-1
+				c.Opts.Lease, c.Opts.HeartbeatEvery = killLease, killHeartbeat
+				c.CheckOpts = Options{Replicated: true}
+			})
+		}
+	}
+
+	for _, co := range o.Coroutines {
+		for _, batch := range o.Batching {
+			for _, fb := range o.FallbackProb {
+				add(fmt.Sprintf("drtmr coro=%d batch=%v fallback=%.2f", co, batch, fb), func(c *Cell) {
+					c.Opts.Knobs = txn.Knobs{CoroutinesPerWorker: co, DisableVerbBatching: !batch, Mut: o.Mutations}
+					c.Opts.HTM = htm.Config{SpuriousAbortProb: fb, Seed: c.Opts.Seed ^ 0xA5A5}
+				})
+			}
+		}
+	}
+	hot("")
+	kill("")
+	// Extra commit protocols sweep a reduced matrix after every drtmr cell,
+	// so drtmr cell seeds are unchanged by it. The coroutine × batching grid
+	// runs at zero HTM pressure — a protocol like farm has no HTM commit
+	// region, so fallback pressure only matters as background noise,
+	// covered by one dedicated cell.
+	for _, proto := range o.Protocols {
+		for _, co := range o.Coroutines {
+			for _, batch := range o.Batching {
+				add(fmt.Sprintf("%s coro=%d batch=%v", proto, co, batch), func(c *Cell) {
+					c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: co, DisableVerbBatching: !batch, Mut: o.Mutations}
+				})
+			}
+		}
+		// HTM spurious aborts as background noise (execution-phase regions).
+		add(fmt.Sprintf("%s coro=4 batch=true htm-noise=0.15", proto), func(c *Cell) {
+			c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4, Mut: o.Mutations}
+			c.Opts.HTM = htm.Config{SpuriousAbortProb: 0.15, Seed: c.Opts.Seed ^ 0xA5A5}
+		})
+		hot(proto)
+		kill(proto)
+	}
+	// Remote read-only transactions: no cell above sets SBReadOnlyFrac, so
+	// Balance always reads its home account there. Here half the
+	// transactions are Balance and RemoteProb of those read a remote
+	// account's two records, which the last READ confirms together (§4.5).
+	add("read-only frac=0.50 coro=4", func(c *Cell) {
+		c.Opts.SBReadOnlyFrac = 0.5
+		c.Opts.Knobs.CoroutinesPerWorker = 4
 	})
 	return cells
 }

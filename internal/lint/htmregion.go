@@ -12,7 +12,7 @@ import (
 // HTMRegion forbids operations that abort (or would be unsound inside) a
 // hardware transaction between htmBegin/htmEnd brackets: anything that can
 // block, yield, or trap — channel operations, mutex operations, coroutine
-// yield points (yield/await/backoff), I/O and syscalls — plus heap growth
+// yield points (yield/await/Backoff), I/O and syscalls — plus heap growth
 // that escapes into shared state (append / map writes to non-locals), which
 // inflates the HTM working set the protocol works hard to keep small (§3.3).
 // The runtime already panics when a coroutine yields inside a region
@@ -34,7 +34,7 @@ var HTMRegion = &analysis.Analyzer{
 var yieldNames = map[string]bool{
 	"yield":   true,
 	"await":   true,
-	"backoff": true,
+	"Backoff": true,
 	"gate":    true,
 	"Yield":   true,
 	"Gosched": true,

@@ -146,7 +146,7 @@ func (p *Pending) perform() {
 // posted to it, not a prefix. The commit pipeline depends on it twice: a READ
 // posted behind a lock CAS sees the record as the CAS left it, and a record's
 // write-back WRITE has landed when the unlock CAS posted behind it clears the
-// lock word (internal/txn lockBatch, finish). Nothing is promised between
+// lock word (internal/txn Worker.LockBatch, finish). Nothing is promised between
 // different QPs of one batch. TestBatchPerQPOrder holds the contract.
 type Batch struct {
 	clk *sim.Clock

@@ -21,7 +21,7 @@ type Status struct {
 	// requests, so they can trail the wire counters slightly: every scalar
 	// counter txn.Stats declares (executors run one transaction at a time,
 	// so the coroutine counters read 0 and backoff_stall_ns equals
-	// backoff_ns; see txn.Worker.backoff), plus the abort total.
+	// backoff_ns; see txn.Worker.Backoff), plus the abort total.
 	txn.Counters
 	Aborts uint64 `json:"aborts"`
 

@@ -97,11 +97,11 @@ func (proto drtmrProto) Commit(tx *Txn) error {
 	// record the transaction merely read (C.2's validation READ is counted
 	// at its own site).
 	for _, lt := range locks {
-		if !tx.writesAt(lt.node, lt.off) {
+		if !tx.writesAt(lt.Node, lt.Off) {
 			w.Stats.ROVerbs += 2
 		}
 	}
-	var run lockRun
+	var run LockRun
 	if err := tx.lockRemote(locks, &run); err != nil {
 		return err
 	}
@@ -254,7 +254,7 @@ func (proto drtmrProto) localHTMCommit(tx *Txn) error {
 		switch htmRetryAfter(err) {
 		case htmRetryNow:
 		case htmRetryBackoff:
-			w.backoff(BackoffCommitRegion, attempt)
+			w.Backoff(BackoffCommitRegion, attempt)
 		case htmRetryNever:
 			return tx.abort(AbortHTM, "commit HTM region over capacity")
 		}
@@ -474,7 +474,7 @@ func (tx *Txn) replicate() []ringToken {
 	// ring's header rides its payload's queue pair, behind it, so a header
 	// lands only with its payload. An empty batch — every target dead or
 	// skipped — charges nothing.
-	b := w.newBatch()
+	b := w.NewBatch()
 	toks := make([]ringToken, 0, len(targets))
 	for _, node := range targets {
 		tx.countWakeup(node)
@@ -484,7 +484,7 @@ func (tx *Txn) replicate() []ringToken {
 		}
 		toks = append(toks, ringToken{node: node, tok: tk})
 	}
-	_ = tx.execBatch(PhaseLog, b)
+	_ = w.ExecBatch(PhaseLog, tx.id, b)
 	// A ring whose verbs failed (its machine died) holds no entry.
 	return slices.DeleteFunc(toks, func(rt ringToken) bool { return !rt.tok.Landed() })
 }
@@ -536,7 +536,7 @@ func (tx *Txn) makeupLocal() {
 				break
 			}
 			if htmRetryAfter(err) != htmRetryNow {
-				w.backoff(BackoffMakeup, attempt)
+				w.Backoff(BackoffMakeup, attempt)
 			}
 		}
 	}
@@ -651,14 +651,14 @@ func (tx *Txn) commitReadOnly() error {
 	for i := range rs {
 		if !rs[i].local && !tx.carried {
 			if b == nil {
-				b = w.newBatch()
+				b = w.NewBatch()
 			}
 			pend = append(pend, b.PostRead(w.QP(rs[i].node), rs[i].off, 24))
 			w.Stats.ROVerbs++ // every read-only validation READ hits a pure read participant
 		}
 	}
 	if b != nil {
-		_ = tx.execBatch(PhaseROValidate, b)
+		_ = w.ExecBatch(PhaseROValidate, tx.id, b)
 	}
 
 	var hdr [24]byte

@@ -21,7 +21,7 @@ func TestBackoffMaxExpCapped(t *testing.T) {
 		for _, attempt := range []int{0, 1, exp, exp + 1, 1000, 1 << 20} {
 			for i := 0; i < 32; i++ {
 				before := wk.Clk.Now()
-				wk.backoff(BackoffRetry, attempt)
+				wk.Backoff(BackoffRetry, attempt)
 				d := wk.Clk.Now() - before
 				if d <= 0 {
 					t.Fatalf("attempt %d: backoff advanced %dns, want > 0", attempt, d)

@@ -246,9 +246,6 @@ type Knobs struct {
 	// round-trips (the pre-batching sequential accounting), so experiments
 	// can measure exactly what batching buys.
 	DisableVerbBatching bool
-	// DisableLocCache turns off the location cache (§6.3) — ablation knob:
-	// every remote access walks the remote hash index with RDMA READs.
-	DisableLocCache bool
 	// ContentionMode selects the hot-record strategy (contention.go): the
 	// zero value enables the hot-key FIFO gates and the commutative-delta
 	// write path; ContentionOff is the pure-OCC-retry ablation.
@@ -422,7 +419,7 @@ type PhaseStat struct {
 	Nanos   uint64 // virtual ns spent executing this phase's batches
 }
 
-// BackoffSite names the step whose retry a backoff delays: Worker.backoff
+// BackoffSite names the step whose retry a backoff delays: Worker.Backoff
 // takes one, and Stats.BackoffSites splits the backoff counters by it.
 type BackoffSite int
 
@@ -488,7 +485,7 @@ type Counters struct {
 	// for, BackoffStallNanos the part the worker clock was actually advanced
 	// by: equal on a worker running one transaction at a time, and under the
 	// coroutine scheduler smaller by whatever sibling contexts' work covered
-	// while the backed-off one was parked (see Worker.backoff).
+	// while the backed-off one was parked (see Worker.Backoff).
 	Backoffs          uint64 `json:"backoffs"`
 	BackoffNanos      uint64 `json:"backoff_ns"`
 	BackoffStallNanos uint64 `json:"backoff_stall_ns"`
@@ -660,10 +657,10 @@ func (w *Worker) scratch(n int) []byte {
 	return w.img[:n]
 }
 
-// newBatch creates a doorbell batch on this worker's clock, honoring the
+// NewBatch creates a doorbell batch on this worker's clock, honoring the
 // engine's sequential-accounting ablation knob and the worker's trace
 // recorder.
-func (w *Worker) newBatch() *rdma.Batch {
+func (w *Worker) NewBatch() *rdma.Batch {
 	b := rdma.NewBatch(&w.Clk)
 	if w.E.DisableVerbBatching {
 		b.SetSequential(true)
@@ -674,16 +671,15 @@ func (w *Worker) newBatch() *rdma.Batch {
 	return b
 }
 
-// execBatch rings the doorbell on b and charges its verbs, doorbell and
+// ExecBatch rings the doorbell on b and charges its verbs, doorbell and
 // virtual latency to the given commit phase's counters. Empty batches cost
 // (and count) nothing. Under the coroutine scheduler the doorbell is a
 // yield point: other in-flight transactions run during the round-trip and
 // Nanos records elapsed virtual time at this doorbell (identical to the
-// synchronous charge when nothing overlaps). A Txn method (not Worker) so
-// the phase trace event can carry the transaction id — under coroutine
-// interleaving the worker has no well-defined "current transaction".
-func (tx *Txn) execBatch(phase CommitPhase, b *rdma.Batch) error {
-	w := tx.w
+// synchronous charge when nothing overlaps). id is the transaction the phase
+// trace event names — under coroutine interleaving the worker has no
+// well-defined "current transaction".
+func (w *Worker) ExecBatch(phase CommitPhase, id uint64, b *rdma.Batch) error {
 	n := b.Len()
 	if n == 0 {
 		return nil
@@ -695,20 +691,20 @@ func (tx *Txn) execBatch(phase CommitPhase, b *rdma.Batch) error {
 	ps.Verbs += uint64(n)
 	ps.Nanos += uint64(w.Clk.Now() - start)
 	if w.Rec != nil {
-		w.Rec.Record(obs.EvPhase, phaseStage(phase), 0, uint32(n), tx.id, start, w.Clk.Now())
+		w.Rec.Record(obs.EvPhase, phaseStage(phase), 0, uint32(n), id, start, w.Clk.Now())
 	}
 	return err
 }
 
-// moveVerbs counts n verbs that rode phase's doorbell to their own stage's
+// MoveVerbs counts n verbs that rode phase's doorbell to their own stage's
 // phase: a fused doorbell's Batches, Nanos and trace span belong to the CAS
 // that sets its base latency, each verb to the stage Fig 7 draws it in.
-func (w *Worker) moveVerbs(phase, own CommitPhase, n int) {
+func (w *Worker) MoveVerbs(phase, own CommitPhase, n int) {
 	w.Stats.Phases[phase].Verbs -= uint64(n)
 	w.Stats.Phases[own].Verbs += uint64(n)
 }
 
-// backoff is §4.3's randomized exponential retry delay: d drawn from
+// Backoff is §4.3's randomized exponential retry delay: d drawn from
 // [1, 2^min(attempt, DefaultBackoffMaxExp)] * Costs.Backoff. Under the coroutine
 // scheduler it is a timed park (sched.go), not a charge to the clock: the
 // delay belongs to this transaction, and the worker's clock is shared by all
@@ -723,7 +719,7 @@ func (w *Worker) moveVerbs(phase, own CommitPhase, n int) {
 // host kept off the CPU, and charged itself 100-400 ms for a 5 us hold in
 // one serve run in ten. Spun, its wait is at most the host time the holder lost.
 // site is the step that backs off, for Stats.BackoffSites.
-func (w *Worker) backoff(site BackoffSite, attempt int) {
+func (w *Worker) Backoff(site BackoffSite, attempt int) {
 	maxExp := 1 << uint(min(attempt, DefaultBackoffMaxExp))
 	d := time.Duration(1+w.rng.Intn(maxExp)) * w.E.Costs.Backoff
 	deadline := w.Clk.Now() + int64(d)
@@ -786,7 +782,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 				if w.E.M.Dead() {
 					return qerr
 				}
-				w.backoff(BackoffRetry, attempt)
+				w.Backoff(BackoffRetry, attempt)
 				continue
 			}
 		}
@@ -850,7 +846,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 			// Wait for the configuration to change before retrying.
 			w.waitEpochChange(tx.cfg.Epoch)
 		}
-		w.backoff(BackoffRetry, attempt)
+		w.Backoff(BackoffRetry, attempt)
 	}
 }
 

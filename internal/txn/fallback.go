@@ -26,7 +26,7 @@ const fallbackLockAttempts = 32
 // first); the HTM region has NOT applied any local update. It is the stage
 // library run with every record in scope and everything charged to
 // PhaseFallback.
-func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []lockTarget) error {
+func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []LockTarget) error {
 	// Step 1: release owned remote locks.
 	tx.unlockTargets(PhaseUnlock, remoteLocks)
 
@@ -37,15 +37,15 @@ func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []lockTarget) error 
 	}
 
 	// Step 3: lock everything (loop-back RDMA CAS for local records).
-	var run lockRun
+	var run LockRun
 	if !tx.lockInOrder(targets, &run) {
-		tx.unlockTargets(PhaseFallback, run.held)
+		tx.unlockTargets(PhaseFallback, run.Held)
 		return tx.abort(AbortLockFailed, "fallback lock failed")
 	}
 
 	// Step 4: validate the whole read set under locks.
 	if err := tx.validate(validation{phase: PhaseFallback, locals: true, lockedRS: true, uncounted: true}, &run); err != nil {
-		tx.unlockTargets(PhaseFallback, run.held)
+		tx.unlockTargets(PhaseFallback, run.Held)
 		return err
 	}
 
@@ -53,23 +53,23 @@ func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []lockTarget) error 
 	// inserts/deletes, replication, makeup, remote write-back — and release
 	// every lock.
 	if err := tx.fenced(); err != nil {
-		tx.unlockTargets(PhaseFallback, run.held)
+		tx.unlockTargets(PhaseFallback, run.Held)
 		return err
 	}
-	tx.finish(tail{lockedLocals: true, unlock: PhaseFallback}, run.held)
+	tx.finish(tail{lockedLocals: true, unlock: PhaseFallback}, run.Held)
 	return nil
 }
 
 // lockInOrder is the blocking lock stage: targets are globally sorted;
-// consecutive targets on the same node form one lockBatch, and node groups
+// consecutive targets on the same node form one LockBatch, and node groups
 // are acquired strictly in sorted order — so the deadlock-freedom argument of
 // sorted acquisition is preserved while each group costs one CAS round-trip.
 // Targets a group's batch misses retry (after the passive dangling-lock
 // release and a backoff) in ever-smaller batches. It reports whether every
-// target was acquired; either way run.held is what the caller must release.
-func (tx *Txn) lockInOrder(targets []lockTarget, run *lockRun) bool {
+// target was acquired; either way run.Held is what the caller must release.
+func (tx *Txn) lockInOrder(targets []LockTarget, run *LockRun) bool {
 	for lo, hi := 0, 0; lo < len(targets); lo = hi {
-		for hi = lo; hi < len(targets) && targets[hi].node == targets[lo].node; hi++ {
+		for hi = lo; hi < len(targets) && targets[hi].Node == targets[lo].Node; hi++ {
 		}
 		todo := targets[lo:hi]
 		for attempt := 0; len(todo) > 0; attempt++ {
@@ -77,13 +77,13 @@ func (tx *Txn) lockInOrder(targets []lockTarget, run *lockRun) bool {
 				return false
 			}
 			if attempt > 0 {
-				tx.w.backoff(BackoffFallbackLock, attempt)
+				tx.w.Backoff(BackoffFallbackLock, attempt)
 			}
-			tx.lockBatch(PhaseFallback, PhaseFallback, todo, run)
-			if run.err != nil {
+			tx.w.LockBatch(PhaseFallback, PhaseFallback, tx.id, tx.cfg, todo, run)
+			if run.Err != nil {
 				return false
 			}
-			todo = run.missed
+			todo = run.Missed
 		}
 	}
 	return true

@@ -60,7 +60,7 @@ func (proto farmProto) Commit(tx *Txn) error {
 	if err != nil {
 		return err
 	}
-	var run lockRun
+	var run LockRun
 	if err := tx.lockRemote(locks, &run); err != nil {
 		return err
 	}

@@ -164,7 +164,7 @@ func TestCoroutineHandoffAllocFree(t *testing.T) {
 	w := newWorld(t, 1, 1, htm.Config{})
 	wk := w.engines[0].NewWorker(0)
 	g := &keyGate{}
-	b := wk.newBatch()
+	b := wk.NewBatch()
 	doorbell := func() *rdma.Completion {
 		b.PostRead64(wk.QP(0), 0)
 		return b.ExecuteAsync()

@@ -32,7 +32,7 @@ import (
 //   - Every park states its WAKE CONDITION, and the dispatcher resumes a
 //     context only when it can make progress. A park is either
 //     TIMED — a virtual instant on this worker's clock: Completion.End() for
-//     a doorbell (Worker.await), now+d for a retry backoff (Worker.backoff)
+//     a doorbell (Worker.await), now+d for a retry backoff (Worker.Backoff)
 //     — or GATED — ticket t on a hot-key keyGate (Worker.acquireGate).
 //     Lock words held across a park are fine — they are real protocol state,
 //     exactly as when two independent worker threads contend. HTM regions

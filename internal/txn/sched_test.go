@@ -252,7 +252,7 @@ func TestDanglingCoroutineLockReleased(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		var run lockRun
+		var run LockRun
 		if err := tx.lockRemote(locks, &run); err != nil {
 			t.Error(err)
 			return
@@ -327,9 +327,9 @@ func TestBackoffChargesExactlyWithoutScheduler(t *testing.T) {
 	for _, viaSched := range []bool{false, true} {
 		wk := backoffWorld(t, 1, d).engines[0].NewWorker(0)
 		if viaSched {
-			wk.RunCoroutines(1, func(int) { wk.backoff(BackoffRetry, 0) })
+			wk.RunCoroutines(1, func(int) { wk.Backoff(BackoffRetry, 0) })
 		} else {
-			wk.backoff(BackoffRetry, 0)
+			wk.Backoff(BackoffRetry, 0)
 		}
 		st := wk.Stats
 		if wk.Clk.Now() != int64(d) || st.Backoffs != 1 || st.BackoffNanos != uint64(d) || st.BackoffStallNanos != uint64(d) {
@@ -353,7 +353,7 @@ func TestBackoffCannotOutpollAHolderOffTheCPU(t *testing.T) {
 	}()
 	start := time.Now()
 	for attempt := 0; !released.Load(); attempt++ {
-		wk.backoff(BackoffRetry, attempt)
+		wk.Backoff(BackoffRetry, attempt)
 	}
 	wall := time.Since(start)
 	if virt := time.Duration(wk.Clk.Now()); virt > wall+time.Millisecond {
@@ -376,7 +376,7 @@ func TestBackoffDoesNotStallSiblings(t *testing.T) {
 		wk.RunCoroutines(4, func(slot int) {
 			if slot == 0 {
 				if backoff {
-					wk.backoff(BackoffRetry, 0)
+					wk.Backoff(BackoffRetry, 0)
 				}
 				return
 			}
@@ -412,7 +412,7 @@ func TestAllBackedOffJumpsToEarliestDeadline(t *testing.T) {
 	var woke [4]int64
 	wk.RunCoroutines(4, func(slot int) {
 		wk.Clk.Advance(time.Microsecond) // this context's own work before it aborts
-		wk.backoff(BackoffRetry, 0)
+		wk.Backoff(BackoffRetry, 0)
 		woke[slot] = wk.Clk.Now()
 	})
 	for slot, at := range woke {
@@ -472,7 +472,7 @@ func TestGatedWaitersBehindSleepingHolder(t *testing.T) {
 			if !g.tryEnter(g.enqueue()) {
 				t.Error("setup: idle gate did not admit the holder")
 			}
-			wk.backoff(BackoffRetry, 0)
+			wk.Backoff(BackoffRetry, 0)
 			g.release()
 			return
 		}
@@ -554,7 +554,7 @@ func TestIdleJumpWaitsForSlowerWorker(t *testing.T) {
 				close(started)
 				<-joined
 			}
-			fast.backoff(BackoffRetry, 0)
+			fast.Backoff(BackoffRetry, 0)
 		})
 	}()
 	go func() {
@@ -609,7 +609,7 @@ func TestIdleWorkersDoNotWaitOnEachOther(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk.RunCoroutines(2, func(int) { wk.backoff(BackoffRetry, 0) })
+			wk.RunCoroutines(2, func(int) { wk.Backoff(BackoffRetry, 0) })
 		}()
 	}
 	wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
 	"drtmr/internal/rdma"
 )
@@ -18,11 +19,13 @@ import (
 // need no parameters — replicate (R.1), makeupLocal (R.2), postWriteBack
 // (C.5), applyInsertsDeletes — live in commit.go.
 
-// lockTarget is one record to lock, addressed by the machine that hosts it
-// (this machine's own records are locked through loop-back RDMA CAS).
-type lockTarget struct {
-	node rdma.NodeID
-	off  uint64
+// LockTarget is one record to lock, addressed by the machine that hosts it
+// (this machine's own records are locked through loop-back RDMA CAS), and
+// Fetch, how many bytes of it to READ behind the lock CAS (0: none).
+type LockTarget struct {
+	Node  rdma.NodeID
+	Off   uint64
+	Fetch int
 }
 
 // lockScope selects which of a transaction's records a pipeline locks.
@@ -48,15 +51,16 @@ const (
 // ones were resolved by resolveWriteOffsets and are skipped if still
 // unresolved (a delete of a missing record). rsEntry.node and wsEntry.node
 // name this machine for local records, so they address loop-back CASes as is.
-func (tx *Txn) lockSet(scope lockScope) ([]lockTarget, error) {
+// Each unique target's Fetch is fetchLen's.
+func (tx *Txn) lockSet(scope lockScope) ([]LockTarget, error) {
 	// Allocated on the first target: an all-local transaction has nothing to
 	// lock under scopeRemote, and that is the common case.
-	var out []lockTarget
+	var out []LockTarget
 	add := func(node rdma.NodeID, off uint64) {
 		if out == nil {
-			out = make([]lockTarget, 0, len(tx.rs)+len(tx.ws))
+			out = make([]LockTarget, 0, len(tx.rs)+len(tx.ws))
 		}
-		out = append(out, lockTarget{node: node, off: off})
+		out = append(out, LockTarget{Node: node, Off: off})
 	}
 	if scope != scopeWrites {
 		for i := range tx.rs {
@@ -88,26 +92,30 @@ func (tx *Txn) lockSet(scope lockScope) ([]lockTarget, error) {
 	// shortens convoys under contention, and is what makes the fallback's
 	// group-by-group blocking acquisition deadlock-free. A record both read
 	// and written appears twice; sorting makes the copies adjacent.
-	slices.SortFunc(out, func(a, b lockTarget) int {
-		if c := cmp.Compare(a.node, b.node); c != 0 {
+	slices.SortFunc(out, func(a, b LockTarget) int {
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.off, b.off)
+		return cmp.Compare(a.Off, b.Off)
 	})
-	return slices.Compact(out), nil
+	out = slices.Compact(out)
+	for i := range out {
+		out[i].Fetch = tx.fetchLen(out[i].Node, out[i].Off)
+	}
+	return out, nil
 }
 
-// lockRun is one commit attempt's lock acquisition: the back-out set, and
-// what the last lockBatch left unacquired.
-type lockRun struct {
-	held []lockTarget // every CAS won so far — what a back-out (or the final unlock) must release
-	// fetched[i] is the READ behind the CAS that won held[i] (nil: none needed).
+// LockRun is one commit attempt's lock acquisition: the back-out set, and
+// what the last LockBatch left unacquired.
+type LockRun struct {
+	Held []LockTarget // every CAS won so far — what a back-out (or the final unlock) must release
+	// Fetched[i] is the READ behind the CAS that won Held[i] (nil: none needed).
 	// One behind a CAS that lost is dropped: the holder may yet rewrite the record.
-	fetched []*rdma.Pending
-	missed  []lockTarget // targets the last batch lost to another holder
-	holder  uint64       // the lock word that beat missed[0]
-	err     error        // the last batch's last verb error: the target machine is dead
-	errAt   rdma.NodeID
+	Fetched []*rdma.Pending
+	Missed  []LockTarget // targets the last batch lost to another holder
+	Holder  uint64       // the lock word that beat Missed[0]
+	Err     error        // the last batch's last verb error: the target machine is dead
+	ErrAt   rdma.NodeID
 }
 
 // fetchLen is how many bytes of the remote record at (node, off) the validate
@@ -134,89 +142,89 @@ func (tx *Txn) baseLen(e *wsEntry) int {
 	return 24
 }
 
-// lockBatch try-locks every target with one doorbell batch of RDMA CASes
-// charged to phase, and sorts the results into run. Behind each CAS to a
-// remote target rides the READ validate needs of that record (fetchLen, its
-// verb counted to fetchPhase): a queue pair executes in post order, so behind
-// a CAS that swapped it sees the record as it stays until this transaction
-// unlocks, and behind one that lost it is one wasted 88-byte message.
-// Try-lock semantics keep the batch deadlock-free: no verb ever waits. The
-// trade-off against a sequential loop is that all CASes post before any
-// result is seen, so under contention the batch may briefly take (then
-// release) locks a sequential early-exit would never have touched — accepted
-// for one round-trip of latency per batch.
+// LockBatch try-locks every target with one doorbell batch of RDMA CASes
+// charged to phase, and sorts the results into run. Behind each CAS rides the
+// READ of the target's first Fetch bytes (its verb counted to fetchPhase): a
+// queue pair executes in post order, so behind a CAS that swapped it sees the
+// record as it stays until the holder unlocks, and behind one that lost it is
+// one wasted message. Try-lock semantics keep the batch deadlock-free: no
+// verb ever waits. The trade-off against a sequential loop is that all CASes
+// post before any result is seen, so under contention the batch may briefly
+// take (then release) locks a sequential early-exit would never have touched
+// — accepted for one round-trip of latency per batch. id is the transaction
+// the doorbell's trace span names; cfg is the configuration it runs under.
 //
 // This is the ONLY function that posts lock-acquire CASes and the only scan
-// over their results. The discipline the scan must keep
-// (TestProtocolLockBackoutReleasesAll holds it): the batch has already
-// executed when the first result is read, so CASes posted after a failed verb
-// may still have swapped — the scan runs to completion and records EVERY won
-// lock in run.held before the caller acts on any failure. Exiting early leaks
-// the locks won later in the batch past the back-out set, permanently if
-// their would-be holder is alive (commit c08a886 and its two re-occurrences,
-// when this loop existed three times). A target lost to a lock whose owner
-// left the configuration is passively released (§5.2) so that the caller's
-// retry can win it.
-func (tx *Txn) lockBatch(phase, fetchPhase CommitPhase, targets []lockTarget, run *lockRun) {
-	w := tx.w
+// over their results — C.1, F.1, the §6.1 fallback and the DrTM baseline's
+// growing phase and fallback all lock through it. The discipline the scan
+// must keep (TestProtocolLockBackoutReleasesAll holds it): the batch has
+// already executed when the first result is read, so CASes posted after a
+// failed verb may still have swapped — the scan runs to completion and
+// records EVERY won lock in run.Held before the caller acts on any failure.
+// Exiting early leaks the locks won later in the batch past the back-out
+// set, permanently if their would-be holder is alive (commit c08a886 and its
+// two re-occurrences, when this loop existed three times). A target lost to
+// a lock whose owner left the configuration is passively released (§5.2) so
+// that the caller's retry can win it.
+func (w *Worker) LockBatch(phase, fetchPhase CommitPhase, id uint64, cfg *cluster.Config, targets []LockTarget, run *LockRun) {
 	myWord := memstore.LockWord(uint32(w.E.M.ID))
-	b := w.newBatch()
+	b := w.NewBatch()
 	pend := make([]struct{ cas, read *rdma.Pending }, len(targets))
 	for i, lt := range targets {
-		pend[i].cas = b.PostCAS(w.QP(lt.node), lt.off+memstore.LockOff, 0, myWord)
-		if n := tx.fetchLen(lt.node, lt.off); n > 0 {
-			pend[i].read = b.PostRead(w.QP(lt.node), lt.off, n)
+		pend[i].cas = b.PostCAS(w.QP(lt.Node), lt.Off+memstore.LockOff, 0, myWord)
+		if lt.Fetch > 0 {
+			pend[i].read = b.PostRead(w.QP(lt.Node), lt.Off, lt.Fetch)
 		}
 	}
 	reads := b.Len() - len(targets)
-	_ = tx.execBatch(phase, b)
-	w.moveVerbs(phase, fetchPhase, reads)
+	_ = w.ExecBatch(phase, id, b)
+	w.MoveVerbs(phase, fetchPhase, reads)
 
-	// targets may alias run.missed (a retry): detach before refilling it.
-	run.missed, run.err = nil, nil
-	run.held = slices.Grow(run.held, len(targets)) // one allocation: a retry's targets fit the first pass's
-	run.fetched = slices.Grow(run.fetched, len(targets))
+	// targets may alias run.Missed (a retry): detach before refilling it.
+	run.Missed, run.Err = nil, nil
+	run.Held = slices.Grow(run.Held, len(targets)) // one allocation: a retry's targets fit the first pass's
+	run.Fetched = slices.Grow(run.Fetched, len(targets))
 	for i, p := range pend {
 		switch {
 		case p.cas.Err != nil:
-			run.err, run.errAt = p.cas.Err, targets[i].node
+			run.Err, run.ErrAt = p.cas.Err, targets[i].Node
 		case p.cas.Swapped:
-			run.held = append(run.held, targets[i])
-			run.fetched = append(run.fetched, p.read)
+			run.Held = append(run.Held, targets[i])
+			run.Fetched = append(run.Fetched, p.read)
 		default:
-			if len(run.missed) == 0 {
-				run.holder = p.cas.Prev
+			if len(run.Missed) == 0 {
+				run.Holder = p.cas.Prev
 			}
-			w.maybeReleaseDangling(tx.cfg, targets[i].node, targets[i].off, p.cas.Prev)
-			run.missed = append(run.missed, targets[i])
+			w.maybeReleaseDangling(cfg, targets[i].Node, targets[i].Off, p.cas.Prev)
+			run.Missed = append(run.Missed, targets[i])
 		}
 	}
 }
 
 // header returns the READ the lock stage fetched behind the CAS that won the
 // remote record at (node, off), or nil if this attempt does not hold its lock.
-func (run *lockRun) header(node rdma.NodeID, off uint64) *rdma.Pending {
-	for i, lt := range run.held {
-		if lt.node == node && lt.off == off {
-			return run.fetched[i]
+func (run *LockRun) header(node rdma.NodeID, off uint64) *rdma.Pending {
+	for i, lt := range run.Held {
+		if lt.Node == node && lt.Off == off {
+			return run.Fetched[i]
 		}
 	}
 	return nil
 }
 
-// lockRemote is the non-blocking lock stage (C.1, F.1): one lockBatch over
+// lockRemote is the non-blocking lock stage (C.1, F.1): one LockBatch over
 // the whole set, then one retry batch over whatever it missed — a dangling
 // lock from a dead machine was passively released by the first pass (§5.2).
 // Any remaining failure releases the acquired subset and aborts.
-func (tx *Txn) lockRemote(locks []lockTarget, run *lockRun) error {
+func (tx *Txn) lockRemote(locks []LockTarget, run *LockRun) error {
 	todo := locks
 	for pass := 0; pass < 2 && len(todo) > 0; pass++ {
-		tx.lockBatch(PhaseLock, PhaseValidate, todo, run)
-		if run.err != nil {
-			tx.unlockTargets(PhaseLock, run.held)
-			return tx.abortAt(run.errAt, AbortNodeDead, "lock: %v", run.err)
+		tx.w.LockBatch(PhaseLock, PhaseValidate, tx.id, tx.cfg, todo, run)
+		if run.Err != nil {
+			tx.unlockTargets(PhaseLock, run.Held)
+			return tx.abortAt(run.ErrAt, AbortNodeDead, "lock: %v", run.Err)
 		}
-		todo = run.missed
+		todo = run.Missed
 	}
 	if len(todo) == 0 {
 		return nil
@@ -228,31 +236,31 @@ func (tx *Txn) lockRemote(locks []lockTarget, run *lockRun) error {
 		// committers write back the same record concurrently.
 		return nil
 	}
-	tx.unlockTargets(PhaseLock, run.held)
+	tx.unlockTargets(PhaseLock, run.Held)
 	lt := todo[0]
-	if tbl, key, ok := tx.keyAt(lt.node, lt.off); ok {
-		return tx.abortOn(lt.node, tbl, key, AbortLockFailed, "record %d:%#x held by %#x", lt.node, lt.off, run.holder)
+	if tbl, key, ok := tx.keyAt(lt.Node, lt.Off); ok {
+		return tx.abortOn(lt.Node, tbl, key, AbortLockFailed, "record %d:%#x held by %#x", lt.Node, lt.Off, run.Holder)
 	}
-	return tx.abortAt(lt.node, AbortLockFailed, "record %d:%#x held by %#x", lt.node, lt.off, run.holder)
+	return tx.abortAt(lt.Node, AbortLockFailed, "record %d:%#x held by %#x", lt.Node, lt.Off, run.Holder)
 }
 
 // unlockTargets releases the given locks with one doorbell batch of CASes,
 // charged to phase — the abort back-outs: C.1 for a failed lock batch, C.6 or
 // the fallback phase after a failed validation. A commit unlocks in finish.
-func (tx *Txn) unlockTargets(phase CommitPhase, locks []lockTarget) {
+func (tx *Txn) unlockTargets(phase CommitPhase, locks []LockTarget) {
 	if len(locks) == 0 {
 		return
 	}
-	b := tx.w.newBatch()
-	tx.postUnlocks(b, locks)
-	_ = tx.execBatch(phase, b)
+	b := tx.w.NewBatch()
+	tx.w.PostUnlocks(b, locks)
+	_ = tx.w.ExecBatch(phase, tx.id, b)
 }
 
-// postUnlocks posts one lock-release CAS per target.
-func (tx *Txn) postUnlocks(b *rdma.Batch, locks []lockTarget) {
-	myWord := memstore.LockWord(uint32(tx.w.E.M.ID))
+// PostUnlocks posts one lock-release CAS per target.
+func (w *Worker) PostUnlocks(b *rdma.Batch, locks []LockTarget) {
+	myWord := memstore.LockWord(uint32(w.E.M.ID))
 	for _, lt := range locks {
-		b.PostCAS(tx.w.QP(lt.node), lt.off+memstore.LockOff, myWord, 0)
+		b.PostCAS(w.QP(lt.Node), lt.Off+memstore.LockOff, myWord, 0)
 	}
 }
 
@@ -295,7 +303,7 @@ func (tx *Txn) seqValidates(seen, cur uint64) bool {
 // describes. Local records read memory directly. The incarnation is cached on
 // the write-set entry so C.5 never re-reads it, and deltas are folded here,
 // where the current value can no longer move.
-func (tx *Txn) validate(v validation, run *lockRun) error {
+func (tx *Txn) validate(v validation, run *LockRun) error {
 	w := tx.w
 	mut := &w.E.Mut
 	myWord := memstore.LockWord(uint32(w.E.M.ID))
@@ -310,7 +318,7 @@ func (tx *Txn) validate(v validation, run *lockRun) error {
 		}
 		if pend[slot] = run.header(node, off); pend[slot] == nil {
 			if b == nil {
-				b = w.newBatch()
+				b = w.NewBatch()
 			}
 			pend[slot] = b.PostRead(w.QP(node), off, n)
 		}
@@ -328,7 +336,7 @@ func (tx *Txn) validate(v validation, run *lockRun) error {
 		post(len(tx.rs)+i, e.node, e.off, tx.baseLen(e))
 	}
 	if b != nil {
-		_ = tx.execBatch(v.phase, b)
+		_ = w.ExecBatch(v.phase, tx.id, b)
 	}
 
 	var hdr [24]byte
@@ -468,7 +476,7 @@ type tail struct {
 // truncation watermark. Nothing here may abort the transaction — it is
 // committed (or, with logFirst, about to be durably logged); failed machines
 // are only degraded around.
-func (tx *Txn) finish(t tail, held []lockTarget) {
+func (tx *Txn) finish(t tail, held []LockTarget) {
 	w := tx.w
 	var toks []ringToken
 	if w.E.Replicated && t.logFirst {
@@ -492,16 +500,16 @@ func (tx *Txn) finish(t tail, held []lockTarget) {
 		toks = tx.replicate()
 		tx.makeupLocal()
 	}
-	b := w.newBatch()
+	b := w.NewBatch()
 	tx.postWriteBack(b)
 	writes := b.Len()
-	tx.postUnlocks(b, held)
+	w.PostUnlocks(b, held)
 	phase := t.unlock
 	if len(held) == 0 {
 		phase = PhaseWriteBack // a remote insert's seq flip, nothing to unlock
 	}
-	_ = tx.execBatch(phase, b)
-	w.moveVerbs(phase, PhaseWriteBack, writes)
+	_ = w.ExecBatch(phase, tx.id, b)
+	w.MoveVerbs(phase, PhaseWriteBack, writes)
 	// Truncation watermark: these log entries' transactions are complete.
 	for _, tk := range toks {
 		w.E.M.LogWriter(tk.node).MarkCommitted(tk.tok.End())

@@ -581,7 +581,7 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 				// HTM region and replication makeup. Its value exists here
 				// but its remote writes may not have landed — serializing on
 				// it would observe half a transaction. Wait for the flip.
-				tx.w.backoff(BackoffLocalRead, attempt)
+				tx.w.Backoff(BackoffLocalRead, attempt)
 				continue
 			}
 			return rsEntry{
@@ -594,7 +594,7 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 			tx.w.maybeReleaseDangling(tx.cfg, tx.w.E.M.ID, off, lockW)
 		}
 		if htmRetryAfter(err) != htmRetryNow {
-			tx.w.backoff(BackoffLocalRead, attempt)
+			tx.w.Backoff(BackoffLocalRead, attempt)
 		}
 	}
 	return rsEntry{}, tx.abortOn(tx.w.E.M.ID, table, key, AbortLocked, "local record %d/%d stayed locked", table, key)
@@ -645,21 +645,9 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 		return rsEntry{}, fmt.Errorf("txn: unknown table %d", table)
 	}
 	qp := tx.w.QP(node)
-	lk := cluster.LocKey{Node: node, Table: table, Key: key}
-	var (
-		loc    cluster.Loc
-		cached bool
-	)
-	if !tx.w.E.DisableLocCache {
-		loc, cached = tx.w.E.locCache.Get(lk)
-	}
-	if !cached {
-		var err error
-		loc, err = tx.w.remoteLookup(qp, tbl, key)
-		if err != nil {
-			return rsEntry{}, err
-		}
-		tx.w.E.locCache.Put(lk, loc)
+	loc, err := tx.w.Locate(node, tbl, key, false)
+	if err != nil {
+		return rsEntry{}, err
 	}
 	var (
 		img  []byte
@@ -672,7 +660,7 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 		if len(carry) == 0 {
 			img, comp = qp.ReadAsync(loc.Off, tbl.RecBytes, img)
 		} else {
-			b := tx.w.newBatch()
+			b := tx.w.NewBatch()
 			rec := b.PostRead(qp, loc.Off, tbl.RecBytes)
 			for i, j := range carry {
 				hdrs[i] = b.PostRead(qp, tx.rs[j].off, 24)
@@ -693,33 +681,29 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 			}
 		}
 		if !memstore.VersionsConsistent(img) {
-			tx.w.backoff(BackoffRemoteRead, attempt) // torn racing write; retry
+			tx.w.Backoff(BackoffRemoteRead, attempt) // torn racing write; retry
 			continue
 		}
 		inc := memstore.RecInc(img)
 		if inc&memstore.IncLocMask != loc.Inc {
 			// Stale cached location: the record was freed (and maybe
 			// reused). Re-resolve through the index.
-			tx.w.E.locCache.Drop(lk)
-			nl, err := tx.w.remoteLookup(qp, tbl, key)
-			if err != nil {
+			if loc, err = tx.w.Locate(node, tbl, key, true); err != nil {
 				return rsEntry{}, err
 			}
-			loc = nl
-			tx.w.E.locCache.Put(lk, loc)
 			continue
 		}
 		if checkLock {
 			if lockW := memstore.RecLock(img); lockW != 0 {
 				tx.w.maybeReleaseDangling(tx.cfg, node, loc.Off, lockW)
-				tx.w.backoff(BackoffRemoteRead, attempt)
+				tx.w.Backoff(BackoffRemoteRead, attempt)
 				continue
 			}
 		}
 		if tx.w.E.Replicated && !memstore.SeqIsCommittable(memstore.RecSeq(img)) {
 			// Uncommittable record mid-replication: wait for the makeup flip
 			// rather than serialize on an un-replicated half-commit.
-			tx.w.backoff(BackoffRemoteRead, attempt)
+			tx.w.Backoff(BackoffRemoteRead, attempt)
 			continue
 		}
 		return rsEntry{
@@ -729,6 +713,24 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 		}, nil
 	}
 	return rsEntry{}, tx.abortOn(node, table, key, AbortStale, "remote record %d/%d never stabilized", table, key)
+}
+
+// Locate returns where key's record of tbl lives on node: the location
+// cache's entry (§6.3), or — on a miss, or when stale says the entry names a
+// freed record — the one a walk of node's hash index finds, which replaces
+// it.
+func (w *Worker) Locate(node rdma.NodeID, tbl *memstore.Table, key uint64, stale bool) (cluster.Loc, error) {
+	lk := cluster.LocKey{Node: node, Table: tbl.ID, Key: key}
+	if stale {
+		w.E.locCache.Drop(lk)
+	} else if loc, ok := w.E.locCache.Get(lk); ok {
+		return loc, nil
+	}
+	loc, err := w.remoteLookup(w.QP(node), tbl, key)
+	if err == nil {
+		w.E.locCache.Put(lk, loc)
+	}
+	return loc, err
 }
 
 // remoteLookup walks the remote hash index (cluster.LookupRemote), each READ

@@ -670,7 +670,7 @@ func TestLockRetryDropsHeaderBehindLostCAS(t *testing.T) {
 			// unlock — at T1's first scheduling point after a CAS of T1's has
 			// reached node 1 and lost. T1's next pass is the retry.
 			atomics := func() uint64 { return w.c.Net.NIC(1).Snapshot().Atomics }
-			var locks2 []lockTarget
+			var locks2 []LockTarget
 			var lostAt uint64 // node 1's atomics count once T2 holds the lock; 0 before
 			done := false
 			step := func() {
@@ -684,7 +684,7 @@ func TestLockRetryDropsHeaderBehindLostCAS(t *testing.T) {
 						t.Fatal(err)
 					}
 					locks2, _ = t2.lockSet(scopeRemote)
-					var run2 lockRun
+					var run2 LockRun
 					if err := t2.lockRemote(locks2, &run2); err != nil {
 						t.Fatal(err)
 					}
