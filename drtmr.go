@@ -59,7 +59,10 @@ type NodeID = rdma.NodeID
 // across the initial shards.
 type Partitioner = txn.Partitioner
 
-// Tx is an in-flight transaction.
+// Tx is an in-flight transaction. A value its Read, ReadStable or
+// ReadForUpdate returns belongs to the caller: it is a fresh copy, which the
+// caller may modify and pass to Write, and it stays valid after the
+// transaction, committed or aborted, has ended.
 type Tx = txn.Txn
 
 // ErrNotFound is returned by Tx.Read for missing keys.

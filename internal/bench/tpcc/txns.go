@@ -251,9 +251,8 @@ func (e *Executor) NewOrder(p NewOrderParams) error {
 			if err != nil {
 				return err
 			}
-			s2 := append([]byte(nil), srow...)
-			ApplyStockOrder(s2, uint64(it.Qty), it.SupplyW != p.W)
-			if err := tx.Write(TableStock, SKey(it.SupplyW, it.Item), s2); err != nil {
+			ApplyStockOrder(srow, uint64(it.Qty), it.SupplyW != p.W)
+			if err := tx.Write(TableStock, SKey(it.SupplyW, it.Item), srow); err != nil {
 				return err
 			}
 			amounts[i] = price * uint64(it.Qty)
@@ -270,9 +269,8 @@ func (e *Executor) NewOrder(p NewOrderParams) error {
 			return err
 		}
 		oid := DistrictNextOID(drow)
-		d2 := append([]byte(nil), drow...)
-		SetDistrictNextOID(d2, oid+1)
-		if err := tx.Write(TableDistrict, DKey(p.W, p.D), d2); err != nil {
+		SetDistrictNextOID(drow, oid+1)
+		if err := tx.Write(TableDistrict, DKey(p.W, p.D), drow); err != nil {
 			return err
 		}
 		okey := OKey(p.W, p.D, int(oid))
@@ -399,9 +397,8 @@ func (e *Executor) Delivery() error {
 				}
 				return err
 			}
-			o2 := append([]byte(nil), orow...)
-			SetOrderCarrier(o2, carrier)
-			if err := tx.Write(TableOrder, key, o2); err != nil {
+			SetOrderCarrier(orow, carrier)
+			if err := tx.Write(TableOrder, key, orow); err != nil {
 				return err
 			}
 			cid := OrderCustomer(orow)
@@ -418,9 +415,8 @@ func (e *Executor) Delivery() error {
 					return err
 				}
 				total += OrderLineAmount(ol)
-				ol2 := append([]byte(nil), ol...)
-				SetOrderLineDelivery(ol2, 1)
-				if err := tx.Write(TableOrderLine, olk, ol2); err != nil {
+				SetOrderLineDelivery(ol, 1)
+				if err := tx.Write(TableOrderLine, olk, ol); err != nil {
 					return err
 				}
 			}
@@ -428,9 +424,8 @@ func (e *Executor) Delivery() error {
 			if err != nil {
 				return err
 			}
-			c2 := append([]byte(nil), crow...)
-			CustomerAddDelivery(c2, total)
-			return tx.Write(TableCustomer, CKey(w, d, int(cid)), c2)
+			CustomerAddDelivery(crow, total)
+			return tx.Write(TableCustomer, CKey(w, d, int(cid)), crow)
 		})
 		if err != nil {
 			return err

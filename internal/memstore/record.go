@@ -88,26 +88,28 @@ func ScatterValue(rec []byte, value []byte) {
 	}
 }
 
-// GatherValue extracts valueSize bytes of user data from a record image.
-func GatherValue(rec []byte, valueSize int) []byte {
-	out := make([]byte, 0, valueSize)
-	take := valueSize
-	n := line0Data
-	if n > take {
-		n = take
+// GatherValue extracts valueSize bytes of user data from a record image into
+// a fresh buffer.
+func GatherValue(rec []byte, valueSize int) []byte { return GatherValueInto(nil, rec, valueSize) }
+
+// GatherValueInto is GatherValue on dst's storage when it has room for
+// valueSize bytes, which a caller that owns a value buffer (a transaction's
+// slab) uses to copy a record's value without an allocation of its own. dst
+// may be rec itself: every piece moves toward the front, so gathering in
+// place reads each byte before it is overwritten.
+func GatherValueInto(dst, rec []byte, valueSize int) []byte {
+	out := dst[:0]
+	if cap(out) < valueSize {
+		out = make([]byte, 0, valueSize)
 	}
+	take := valueSize
+	n := min(line0Data, take)
 	out = append(out, rec[headerBytes:headerBytes+n]...)
 	take -= n
-	line := 1
-	for take > 0 {
-		base := line * sim.CachelineSize
-		n = lineKData
-		if n > take {
-			n = take
-		}
+	for base := sim.CachelineSize; take > 0; base += sim.CachelineSize {
+		n = min(lineKData, take)
 		out = append(out, rec[base+versionBytes:base+versionBytes+n]...)
 		take -= n
-		line++
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"drtmr/internal/htm"
+	"drtmr/internal/sim"
 )
 
 // Errors returned by the store layer.
@@ -145,6 +146,10 @@ func (t *Table) Load(key uint64, value []byte) (uint64, error) {
 	return t.insert(key, value, 0, true)
 }
 
+// stackImage is the largest record image insert builds on the stack: eight
+// cachelines, a value of up to 474 bytes.
+const stackImage = 8 * sim.CachelineSize
+
 func (t *Table) insert(key uint64, value []byte, seq uint64, direct bool) (uint64, error) {
 	if len(value) > t.Spec.ValueSize {
 		return 0, fmt.Errorf("memstore: value size %d exceeds table %s's %d",
@@ -159,9 +164,11 @@ func (t *Table) insert(key uint64, value []byte, seq uint64, direct bool) (uint6
 		BuildRecordImageInto(mem[off:off:end], t.Spec.ValueSize, value, prevInc+1, seq)
 		bind = t.hash.load
 	} else {
-		img := BuildRecordImage(t.Spec.ValueSize, value, prevInc+1, seq)
-		// The record is unreachable until the hash insert publishes it, so
-		// a non-transactional bulk write is safe here.
+		// The image is built on the stack (a record past stackImage's lines
+		// takes a heap buffer). The record is unreachable until the hash
+		// insert publishes it, so a non-transactional bulk write is safe here.
+		var stk [stackImage]byte
+		img := BuildRecordImageInto(stk[:0], t.Spec.ValueSize, value, prevInc+1, seq)
 		t.store.eng.WriteNonTx(off, img)
 	}
 	if err := bind(key, PackLoc(off, prevInc+1)); err != nil {

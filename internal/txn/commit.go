@@ -228,8 +228,12 @@ func (proto drtmrProto) localHTMCommit(tx *Txn) error {
 		}
 	}
 	for i := range tx.ws {
-		if tx.ws[i].local && tx.ws[i].inPlace() {
+		if e := &tx.ws[i]; e.local && e.inPlace() {
 			nLocal++
+			if e.kind == wsDelta {
+				// The fold inside the region fills a buffer carved here.
+				tx.deltaBuf(e, w.E.M.Store.Table(e.table).Spec.ValueSize)
+			}
 		}
 	}
 	if nLocal == 0 {
@@ -362,7 +366,8 @@ func (proto drtmrProto) localCommitBody(tx *Txn, htx *htm.Txn) error {
 			if err != nil {
 				return err
 			}
-			e.materializeFrom(memstore.GatherValue(curImg, tbl.Spec.ValueSize))
+			e.buf = memstore.GatherValueInto(e.buf, curImg, tbl.Spec.ValueSize)
+			e.materialize()
 		}
 		img := memstore.BuildRecordImageInto(w.scratch(tbl.RecBytes), tbl.Spec.ValueSize, e.buf, inc, newSeq)
 		if err := htx.Write(e.off+8, img[8:]); err != nil {
@@ -607,14 +612,14 @@ func (tx *Txn) postWriteBack(b *rdma.Batch) {
 			// buf was materialized under the lock, so the install is a
 			// plain image.
 			tbl := w.E.M.Store.Table(e.table)
-			img := memstore.BuildRecordImage(tbl.Spec.ValueSize, e.buf, e.inc, e.finSeq)
+			img := memstore.BuildRecordImageInto(tx.carve(tbl.RecBytes), tbl.Spec.ValueSize, e.buf, e.inc, e.finSeq)
 			b.PostWrite(w.QP(e.node), e.off+8, img[8:])
 		case wsInsert:
 			if !w.E.Replicated {
 				continue
 			}
 			tbl := w.E.M.Store.Table(e.table)
-			img := memstore.BuildRecordImage(tbl.Spec.ValueSize, e.buf, 0, e.finSeq)
+			img := memstore.BuildRecordImageInto(tx.carve(tbl.RecBytes), tbl.Spec.ValueSize, e.buf, 0, e.finSeq)
 			// Write seq + data + versions; inc is unknown here (the
 			// host assigned it), so skip the first 24 header bytes and
 			// write the seq word separately.

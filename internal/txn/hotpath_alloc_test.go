@@ -3,6 +3,7 @@ package txn
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"drtmr/internal/htm"
 	"drtmr/internal/obs"
@@ -94,7 +95,7 @@ func TestHotpathAllocFree(t *testing.T) {
 	})
 
 	w := newWorld(t, 1, 1, htm.Config{})
-	w.load(t, 1, 100)
+	w.load(t, 20, 100)
 	ht := w.c.Machines[0].Store.Table(tblAcct).Hash()
 	requireNoAlloc(t, "memstore.HashTable Insert+Delete", func() {
 		if err := ht.Insert(1<<20, 4096); err != nil {
@@ -105,16 +106,59 @@ func TestHotpathAllocFree(t *testing.T) {
 		}
 	})
 
-	// A local read costs the value the read set keeps and the copy Read
-	// returns: the record snapshot is the worker's scratch and the HTM region
-	// is handed back.
+	// A record image inserted off the direct load path is built on the stack.
+	tbl := w.c.Machines[0].Store.Table(tblAcct)
+	val := encBal(7)
+	requireNoAlloc(t, "memstore.Table InsertWithSeq+Delete", func() {
+		if _, err := tbl.InsertWithSeq(1<<20, val, 1); err != nil {
+			t.Error(err)
+		}
+		if err := tbl.Delete(1 << 20); err != nil {
+			t.Error(err)
+		}
+	})
+
+	// A local read's record snapshot is the worker's scratch and its HTM
+	// region is handed back; the value the read set keeps and the copy Read
+	// returns are carved from the transaction's slab, whose chunks double, so
+	// a read allocates nothing once amortized.
 	tx := w.engines[0].NewWorker(0).Begin()
-	requireAllocs(t, "local Txn.Read", 2, func() {
+	requireNoAlloc(t, "local Txn.Read", func() {
 		tx.rs = tx.rs[:0]
 		if _, err := tx.Read(tblAcct, 0); err != nil {
 			t.Error(err)
 		}
 	})
+
+	// A NewOrder-shaped execution — 20 reads, 10 writes of records it read
+	// and 13 inserts — allocates nothing but the slab's chunks, its sets
+	// reused here: 40 carves of 16 bytes for the reads, none for the writes
+	// (each takes its record's read-set copy) and 13 for the inserts, 848
+	// bytes in chunks of 16, 16, 32, 64, 128, 256 and 512.
+	requireAllocs(t, "NewOrder-shaped Txn execution", 7, func() {
+		tx.rs, tx.ws, tx.slab, tx.carved = tx.rs[:0], tx.ws[:0], nil, 0
+		for k := uint64(0); k < 20; k++ {
+			if _, err := tx.Read(tblAcct, k); err != nil {
+				t.Error(err)
+			}
+		}
+		for k := uint64(0); k < 10; k++ {
+			if err := tx.Write(tblAcct, k, val); err != nil {
+				t.Error(err)
+			}
+		}
+		for k := uint64(0); k < 13; k++ {
+			if err := tx.Insert(tblAcct, 1000+k, val); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+
+	// Begin allocates the Txn itself, whose fields pack into 208 bytes, one
+	// allocation size class.
+	if size := unsafe.Sizeof(Txn{}); size > 208 {
+		t.Errorf("Txn is %d bytes, want at most 208", size)
+	}
 
 	// A read-only commit whose remote records rode behind its last READ
 	// checks its local records from memory into a stack header and rings no

@@ -387,7 +387,8 @@ func (tx *Txn) validate(v validation, run *LockRun) error {
 			if e.kind == wsDelta {
 				// The sequence check just passed under the lock, so the
 				// execution-phase copy is the current value: fold over it.
-				e.materializeFrom(r.val)
+				e.buf = tx.fill(e.buf, r.val)
+				e.materialize()
 			}
 		}
 	}
@@ -422,7 +423,9 @@ func (tx *Txn) validate(v validation, run *LockRun) error {
 			if !memstore.VersionsConsistent(h) {
 				return tx.abortOn(e.node, e.table, e.key, AbortValidate, "delta base torn")
 			}
-			e.materializeFrom(memstore.GatherValue(h, tbl.Spec.ValueSize))
+			tx.deltaBuf(e, tbl.Spec.ValueSize)
+			e.buf = memstore.GatherValueInto(e.buf, h, tbl.Spec.ValueSize)
+			e.materialize()
 		}
 	}
 	return nil

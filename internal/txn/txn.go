@@ -62,7 +62,10 @@ type rsEntry struct {
 	seq   uint64
 	inc   uint64
 	local bool
-	val   []byte // cached for repeated reads
+	// val is the value read, cached for repeated reads. Once the record has
+	// a buffered update, Read answers from the write set instead, so Write
+	// takes val's storage for the new value and leaves val nil.
+	val []byte
 }
 
 // wsEntry is one write-set record with its buffered new value (§4.3: all
@@ -95,12 +98,12 @@ type wsEntry struct {
 // table's structure (insert, delete).
 func (e *wsEntry) inPlace() bool { return e.kind == wsUpdate || e.kind == wsDelta }
 
-// materializeFrom builds a wsDelta entry's final image by folding its
-// pending deltas over the record's current value. Callers must hold the
-// commit critical section for the record (C.1 lock, C.4 HTM region, or the
-// fallback's sorted locks) so cur cannot move before install.
-func (e *wsEntry) materializeFrom(cur []byte) {
-	e.buf = append(e.buf[:0], cur...)
+// materialize makes a wsDelta entry's buf, which the caller has just filled
+// with the record's current value, its final image by folding the pending
+// deltas over it. Callers must hold the commit critical section for the
+// record (C.1 lock, C.4 HTM region, or the fallback's sorted locks) so the
+// value cannot move before install.
+func (e *wsEntry) materialize() {
 	for _, d := range e.deltas {
 		applyDeltaTo(e.buf, d.off, d.add)
 	}
@@ -109,14 +112,13 @@ func (e *wsEntry) materializeFrom(cur []byte) {
 // Txn is one user transaction. It is created by Worker.Begin /
 // BeginReadOnly and driven by user code during the execution phase; Commit
 // runs the hybrid commit protocol.
+//
+// The fields are ordered so that the struct packs into 208 bytes, one
+// allocation size class: Begin allocates one per transaction.
 type Txn struct {
-	w        *Worker
-	id       uint64
-	cfg      *cluster.Config
-	readOnly bool
-	// stage is the lifecycle position (StageExec .. StageFallback) used to
-	// attribute aborts; the commit pipeline updates it as it advances.
-	stage uint8
+	w   *Worker
+	id  uint64
+	cfg *cluster.Config
 
 	rs []rsEntry
 	ws []wsEntry
@@ -124,22 +126,84 @@ type Txn struct {
 	// outgrows footScan entries; both sets are append-only.
 	rsIdx, wsIdx footIndex
 
-	// A read-only transaction is consistent as of its last read (carryTo):
-	// carry[:carryN] are the read-set positions of its remote entries while
-	// they all live on one node and number at most maxCarry (carryN < 0 once
-	// they do not), and carried says the remote entries before the last one
-	// read were confirmed behind that read's READ.
-	carry   [maxCarry]int32
-	carryN  int8
-	carried bool
+	// slab is the chunk carve cuts values from.
+	slab []byte
 
 	// Conflict identity captured inside the commit HTM region: the region
 	// communicates failures through abort codes only (htx.Abort unwinds), so
 	// localCommitBody stamps the conflicting record here before aborting and
 	// localHTMCommit attaches it to the txn.Error it builds outside.
-	confTable memstore.TableID
 	confKey   uint64
+	confTable memstore.TableID
 	confSet   bool
+
+	readOnly bool
+	// stage is the lifecycle position (StageExec .. StageFallback) used to
+	// attribute aborts; the commit pipeline updates it as it advances.
+	stage uint8
+
+	// A read-only transaction is consistent as of its last read (carryTo):
+	// carry[:carryN] are the read-set positions of its remote entries while
+	// they all live on one node and number at most maxCarry (carryN < 0 once
+	// they do not), and carried says the remote entries before the last one
+	// read were confirmed behind that read's READ.
+	carryN  int8
+	carried bool
+	carry   [maxCarry]int32
+
+	// carved counts the bytes carve has handed out, which sizes the next
+	// chunk of the slab.
+	carved int32
+}
+
+// carve returns n bytes cut from the transaction's value slab: every value
+// the transaction keeps or returns — read-set snapshots, the copies Read
+// returns, buffered writes and inserts, materialized deltas, write-back
+// images — lives there. Each carve is capped, so a holder's append
+// reallocates instead of running into the next value. The slab grows
+// geometrically from its first request: a request the current chunk has no
+// room for starts a chunk as large as everything carved before it, so a
+// transaction pays one allocation per doubling instead of one per value, and
+// one of a few small values allocates about the bytes a copy per value
+// would. A slab is never reused, by a pool or by the worker's next
+// transaction: a value stays valid for as long as anyone holds it, after
+// Commit and after the transaction's own retry, and sibling coroutines never
+// share one, because each transaction has its own.
+func (tx *Txn) carve(n int) []byte {
+	used := len(tx.slab)
+	if cap(tx.slab)-used < n {
+		tx.slab = make([]byte, 0, max(n, int(tx.carved)))
+		used = 0
+	}
+	tx.slab = tx.slab[:used+n]
+	tx.carved += int32(n)
+	return tx.slab[used : used+n : used+n]
+}
+
+// shrink gives the slab back all of b, the latest carve, past its first n
+// bytes.
+func (tx *Txn) shrink(b []byte, n int) []byte {
+	tx.slab = tx.slab[:len(tx.slab)-len(b)+n]
+	tx.carved -= int32(len(b) - n)
+	return b[:n:n]
+}
+
+// fill copies v into dst when dst has room for it, else into a fresh carve.
+func (tx *Txn) fill(dst, v []byte) []byte {
+	if cap(dst) < len(v) {
+		dst = tx.carve(len(v))
+	}
+	dst = dst[:len(v)]
+	copy(dst, v)
+	return dst
+}
+
+// deltaBuf gives a wsDelta entry a buf that can take the record's value of n
+// bytes without an allocation of its own.
+func (tx *Txn) deltaBuf(e *wsEntry, n int) {
+	if cap(e.buf) < n {
+		e.buf = tx.carve(n)
+	}
 }
 
 // setConflict records the conflicting record for post-HTM abort attribution.
@@ -230,9 +294,12 @@ func (tx *Txn) homeOf(table memstore.TableID, key uint64) (cluster.ShardID, rdma
 }
 
 // footScan is the set size up to which findRS and findWS scan: a
-// StockLevel's few hundred reads would make scanning quadratic, and an
-// index costs an allocation that SmallBank's handful of records never needs.
-const footScan = 16
+// StockLevel's few hundred reads would make scanning quadratic, while an
+// index costs an allocation and a table insert per entry, which NewOrder's
+// 20–40-entry sets and SmallBank's handful of records pay more for than
+// they save (a TPC-C profile read findRS + findWS at 0.37 s with 64 against
+// 0.60 s with 16 or 32).
+const footScan = 64
 
 type recKey struct {
 	table memstore.TableID
@@ -250,7 +317,7 @@ func (e *wsEntry) rec() recKey { return recKey{e.table, e.key} }
 type footIndex struct {
 	slot  []int32
 	shift uint8
-	n     int
+	n     int32
 }
 
 func (k recKey) hash(shift uint8) int {
@@ -276,14 +343,14 @@ func find[E any, P interface {
 		x.slot, x.shift, x.n = make([]int32, 1<<b), uint8(64-b), 0
 	}
 	mask := len(x.slot) - 1
-	for ; x.n < len(set); x.n++ {
+	for ; int(x.n) < len(set); x.n++ {
 		r := P(&set[x.n]).rec()
 		h := r.hash(x.shift)
 		for x.slot[h] != 0 && P(&set[x.slot[h]-1]).rec() != r {
 			h = (h + 1) & mask
 		}
 		if x.slot[h] == 0 {
-			x.slot[h] = int32(x.n + 1)
+			x.slot[h] = x.n + 1
 		}
 	}
 	for h := k.hash(x.shift); x.slot[h] != 0; h = (h + 1) & mask {
@@ -304,6 +371,9 @@ func (tx *Txn) findRS(table memstore.TableID, key uint64) *rsEntry {
 
 // Read returns the record's value, tracking it in the read set. Missing
 // keys return ErrNotFound. Reads see the transaction's own buffered writes.
+// The returned slice belongs to the caller: it is a fresh copy that may be
+// modified and passed to Write, that no later Read of the transaction
+// observes, and that stays valid after the transaction ends.
 func (tx *Txn) Read(table memstore.TableID, key uint64) ([]byte, error) {
 	// A pending wsDelta has no value of its own: fall through to a protocol
 	// read (which tracks the record in the read set, giving up the delta's
@@ -317,11 +387,11 @@ func (tx *Txn) Read(table memstore.TableID, key uint64) ([]byte, error) {
 		case wsDelta:
 			dw = w
 		default:
-			return append([]byte(nil), w.buf...), nil
+			return tx.fill(nil, w.buf), nil
 		}
 	}
 	overlay := func(val []byte) []byte {
-		out := append([]byte(nil), val...)
+		out := tx.fill(nil, val)
 		if dw != nil {
 			for _, d := range dw.deltas {
 				applyDeltaTo(out, d.off, d.add)
@@ -397,7 +467,8 @@ func (tx *Txn) carryTo(node rdma.NodeID) (carry []int32, all bool) {
 // caller asserts the fields it uses are immutable; a mutable field read
 // through ReadStable can legitimately be stale by commit time. With
 // ContentionOff it degrades to a plain tracked Read, so the ablation
-// measures exactly this false sharing.
+// measures exactly this false sharing. The returned slice belongs to the
+// caller, as Read's does.
 func (tx *Txn) ReadStable(table memstore.TableID, key uint64) ([]byte, error) {
 	if !tx.w.E.contentionOn() {
 		return tx.Read(table, key)
@@ -434,7 +505,7 @@ func (tx *Txn) Write(table memstore.TableID, key uint64, value []byte) error {
 		if w.kind == wsDelete {
 			return fmt.Errorf("txn: write after delete of key %d", key)
 		}
-		w.buf = append(w.buf[:0], value...)
+		w.buf = tx.fill(w.buf, value)
 		if w.kind == wsDelta {
 			// An absolute write supersedes the pending deltas: the entry
 			// becomes a plain (blind) update carrying this value.
@@ -447,11 +518,13 @@ func (tx *Txn) Write(table memstore.TableID, key uint64, value []byte) error {
 	e := wsEntry{
 		kind: wsUpdate, table: table, key: key,
 		shard: shard, node: node, local: local,
-		buf: append([]byte(nil), value...),
 	}
+	var reuse []byte
 	if r := tx.findRS(table, key); r != nil {
 		e.off = r.off
+		reuse, r.val = r.val, nil
 	}
+	e.buf = tx.fill(reuse, value)
 	tx.ws = append(tx.ws, e)
 	return nil
 }
@@ -525,7 +598,7 @@ func (tx *Txn) Insert(table memstore.TableID, key uint64, value []byte) error {
 	tx.ws = append(tx.ws, wsEntry{
 		kind: wsInsert, table: table, key: key,
 		shard: shard, node: node, local: local,
-		buf: append([]byte(nil), value...),
+		buf: tx.fill(nil, value),
 	})
 	return nil
 }
@@ -545,7 +618,8 @@ func (tx *Txn) Delete(table memstore.TableID, key uint64) error {
 
 // ReadForUpdate is Read that also marks the record for update with the same
 // value (callers overwrite via Write); it simply combines the two common
-// calls.
+// calls. The returned slice belongs to the caller, as Read's does: the write
+// buffered here is a copy of it.
 func (tx *Txn) ReadForUpdate(table memstore.TableID, key uint64) ([]byte, error) {
 	v, err := tx.Read(table, key)
 	if err != nil {
@@ -571,8 +645,8 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 	}
 	for attempt := 0; attempt < 256; attempt++ {
 		tx.w.Clk.Advance(tx.w.E.Costs.LocalAccess)
-		// The snapshot lands in the worker's scratch: GatherValue copies the
-		// value out before anything here can yield to a sibling transaction.
+		// The snapshot lands in the worker's scratch: its value is copied out
+		// before anything here can yield to a sibling transaction.
 		img, lockW, err := tx.localReadAttempt(off, tbl, tx.w.scratch(tbl.RecBytes))
 		if err == nil {
 			seq := memstore.RecSeq(img)
@@ -587,7 +661,7 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 			return rsEntry{
 				table: table, key: key, off: off, local: true,
 				seq: seq, inc: memstore.RecInc(img),
-				val: memstore.GatherValue(img, tbl.Spec.ValueSize),
+				val: memstore.GatherValueInto(tx.carve(tbl.Spec.ValueSize), img, tbl.Spec.ValueSize),
 			}, nil
 		}
 		if lockW != 0 {
@@ -649,10 +723,12 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 	if err != nil {
 		return rsEntry{}, err
 	}
-	var (
-		img  []byte
-		hdrs [maxCarry]*rdma.Pending
-	)
+	// The record lands in a carve, not the worker's scratch: the READ is
+	// awaited, and a sibling may run meanwhile. Its value is then gathered
+	// in place, to the front of the same carve, and the rest given back:
+	// nothing else of this transaction carves until the read returns.
+	img := tx.carve(tbl.RecBytes)
+	var hdrs [maxCarry]*rdma.Pending
 	for attempt := 0; attempt < 256; attempt++ {
 		// The record fetch is a full fabric round-trip: issue it async and
 		// yield so other in-flight transactions run while it is outstanding.
@@ -662,6 +738,7 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 		} else {
 			b := tx.w.NewBatch()
 			rec := b.PostRead(qp, loc.Off, tbl.RecBytes)
+			rec.Data = img
 			for i, j := range carry {
 				hdrs[i] = b.PostRead(qp, tx.rs[j].off, 24)
 			}
@@ -706,10 +783,12 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 			tx.w.Backoff(BackoffRemoteRead, attempt)
 			continue
 		}
+		seq := memstore.RecSeq(img)
+		memstore.GatherValueInto(img, img, tbl.Spec.ValueSize)
 		return rsEntry{
 			table: table, key: key, off: loc.Off, node: node,
-			seq: memstore.RecSeq(img), inc: inc,
-			val: memstore.GatherValue(img, tbl.Spec.ValueSize),
+			seq: seq, inc: inc,
+			val: tx.shrink(img, tbl.Spec.ValueSize),
 		}, nil
 	}
 	return rsEntry{}, tx.abortOn(node, table, key, AbortStale, "remote record %d/%d never stabilized", table, key)

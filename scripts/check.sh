@@ -79,6 +79,11 @@ go test -run '^$' -bench '^BenchmarkFig$/^tail$' -benchtime 1x .
 # across goroutines (sim.Frontier, TestIdle*).
 go test -race -cpu 1,2 -run 'TestFrontier' -count=1 ./internal/sim/
 go test -race -cpu 1,2 -run 'TestBackoff|TestAllBackedOff|TestIdle|TestGatedWaiters|TestGateTimeout|TestCoroutine|TestHotKeyQueueConservation|TestKeyGateFIFO' -count=1 ./internal/txn/
+# Value ownership: every value a transaction keeps or returns is carved from
+# its own slab, never recycled. Sibling coroutines and workers run
+# transactions while a value is held, so a slab shared between transactions
+# shows up here as a changed value or as a race.
+go test -race -count=5 -cpu 1,2 -run ReadValueOwnership ./internal/txn/
 
 # Commit-protocol gate: the conformance suite runs the shared correctness
 # battery (bank invariant, uncommittable-read block, dangling-lock release,
