@@ -23,6 +23,13 @@
 // restriction the paper's Table 1 lists), so the driver passes declared
 // refs. Logging/replication is disabled, as in the released code the paper
 // benchmarked.
+//
+// Its workers are DrTM+R's (txn.Worker), one txn.Engine per machine: the
+// engine's partitioner places records and its cost model prices local
+// accesses, and the clock, counters, retry loop and deterministic gate are
+// the ones every other system runs on. A worker waiting for its locks polls
+// through Worker.Cede and resumes at the instant the last holder released
+// them, so the wait lasts the holders' virtual hold, not the host's polls.
 package calvin
 
 import (
@@ -31,79 +38,63 @@ import (
 	"time"
 
 	"drtmr/internal/baseline"
-	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
 	"drtmr/internal/rdma"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
 
-// System is the cluster-wide Calvin deployment (sequencer + per-machine
-// lock managers).
-type System struct {
-	c    *cluster.Cluster
-	part txn.Partitioner
-	cost txn.CostModel
-
-	seqMu sync.Mutex
-	seqNo uint64
-	lms   []*lockManager
-
-	// Messaging latency: Calvin runs on IPoIB.
-	msgLatency time.Duration
+// Calvin's own costs; a local record access is priced by the engine.
+const (
+	// msgLatency is one message: Calvin runs on IPoIB.
+	msgLatency = 40 * time.Microsecond
 	// schedCost models the sequencer/scheduler CPU per transaction per
 	// participant (batching, epoch management, dispatch).
-	schedCost time.Duration
+	schedCost = 4 * time.Microsecond
 	// lmService is the single-threaded lock manager service time per
 	// lock operation — Calvin's well-known scalability bottleneck,
 	// modelled as a virtual-time resource per machine.
-	lmService time.Duration
+	lmService = 700 * time.Nanosecond
+)
+
+// System is the cluster-wide Calvin deployment (sequencer + per-machine
+// lock managers).
+type System struct {
+	seqMu sync.Mutex
+	seqNo uint64
+	lms   []*lockManager
 }
 
-// New builds Calvin over an existing cluster's machines and stores (the
-// harness gives Calvin its own cluster instance so the systems do not
-// interfere).
-func New(c *cluster.Cluster, part txn.Partitioner, cost txn.CostModel) *System {
-	s := &System{
-		c:          c,
-		part:       part,
-		cost:       cost,
-		msgLatency: 40 * time.Microsecond,
-		schedCost:  4 * time.Microsecond,
-		lmService:  700 * time.Nanosecond,
-	}
-	for range c.Machines {
-		s.lms = append(s.lms, newLockManager())
+// New builds Calvin's sequencer and a lock manager for each of a cluster's
+// nodes machines.
+func New(nodes int) *System {
+	s := &System{}
+	for range nodes {
+		s.lms = append(s.lms, &lockManager{locks: make(map[baseline.Ref]*lockQueue)})
 	}
 	return s
 }
 
 // lockManager is a deterministic per-machine lock table: requests enqueue in
-// sequence order and are granted FIFO.
+// sequence order and are granted FIFO. A lock is named by its record's table
+// and key (a baseline.Ref with Write false).
 type lockManager struct {
 	mu    sync.Mutex
-	locks map[lockKey]*lockQueue
+	locks map[baseline.Ref]*lockQueue
 	// service models the single lock-manager thread in virtual time.
 	service sim.Resource
 }
 
-type lockKey struct {
-	table memstore.TableID
-	key   uint64
-}
-
 type lockQueue struct {
 	holders []uint64 // sequence numbers waiting/holding, FIFO
-}
-
-func newLockManager() *lockManager {
-	return &lockManager{locks: make(map[lockKey]*lockQueue)}
+	// released is the virtual instant its last holder released it.
+	released int64
 }
 
 // enqueue registers seq for every local ref, FIFO. The sequencer calls this
 // under its global critical section, so arrival order IS sequence order —
 // the deterministic property that makes grant-in-queue-order deadlock-free.
-func (lm *lockManager) enqueue(seq uint64, refs []lockKey) {
+func (lm *lockManager) enqueue(seq uint64, refs []baseline.Ref) {
 	lm.mu.Lock()
 	for _, rk := range refs {
 		q := lm.locks[rk]
@@ -116,21 +107,23 @@ func (lm *lockManager) enqueue(seq uint64, refs []lockKey) {
 	lm.mu.Unlock()
 }
 
-// granted reports whether seq holds all its locks (is at each queue head).
-func (lm *lockManager) granted(seq uint64, refs []lockKey) bool {
+// granted reports whether seq holds all its locks (is at each queue head)
+// and, if it does, the latest instant an earlier holder released one.
+func (lm *lockManager) granted(seq uint64, refs []baseline.Ref) (released int64, ok bool) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	for _, rk := range refs {
 		q := lm.locks[rk]
 		if q == nil || len(q.holders) == 0 || q.holders[0] != seq {
-			return false
+			return 0, false
 		}
+		released = max(released, q.released)
 	}
-	return true
+	return released, true
 }
 
-// release drops seq's locks.
-func (lm *lockManager) release(seq uint64, refs []lockKey) {
+// release drops seq's locks at virtual instant at.
+func (lm *lockManager) release(seq uint64, refs []baseline.Ref, at int64) {
 	lm.mu.Lock()
 	for _, rk := range refs {
 		q := lm.locks[rk]
@@ -143,6 +136,7 @@ func (lm *lockManager) release(seq uint64, refs []lockKey) {
 				break
 			}
 		}
+		q.released = at
 		if len(q.holders) == 0 {
 			delete(lm.locks, rk)
 		}
@@ -152,31 +146,35 @@ func (lm *lockManager) release(seq uint64, refs []lockKey) {
 
 // Worker is one Calvin worker thread on a machine.
 type Worker struct {
-	S    *System
-	Node rdma.NodeID
-	ID   int
-	Clk  sim.Clock
-
-	// Stats counts outcomes: Committed only, Calvin never aborts.
-	Stats txn.Stats
+	*txn.Worker
+	S *System
 }
 
-// NewWorker creates a worker on node.
-func (s *System) NewWorker(node rdma.NodeID, id int) *Worker {
-	return &Worker{S: s, Node: node, ID: id}
+// NewWorker creates worker id on e's machine.
+func (s *System) NewWorker(e *txn.Engine, id int) *Worker {
+	return &Worker{Worker: e.NewWorker(id), S: s}
+}
+
+// record is one declared record of a transaction: where it lives, and its
+// offset and value once the locks are held.
+type record struct {
+	ref  baseline.Ref
+	node rdma.NodeID
+	tbl  *memstore.Table
+	off  uint64
+	val  []byte
 }
 
 // bodyCtx is the baseline.Ctx of an executing transaction (all locks held).
 type bodyCtx struct {
-	values map[baseline.Ref][]byte
+	recs map[baseline.Ref]*record // by table and key, Write false
+	all  []*record                // the same, in declaration order
 }
 
 // Get returns a declared record's value.
 func (c *bodyCtx) Get(table memstore.TableID, key uint64) ([]byte, error) {
-	for r, v := range c.values {
-		if r.Table == table && r.Key == key {
-			return v, nil
-		}
+	if r := c.recs[baseline.Ref{Table: table, Key: key}]; r != nil {
+		return r.val, nil
 	}
 	return nil, fmt.Errorf("calvin: undeclared access %d/%d", table, key)
 }
@@ -184,135 +182,141 @@ func (c *bodyCtx) Get(table memstore.TableID, key uint64) ([]byte, error) {
 // Put replaces a declared record's value (applied locally at the owning
 // partition after the body runs).
 func (c *bodyCtx) Put(table memstore.TableID, key uint64, value []byte) error {
-	for r := range c.values {
-		if r.Table == table && r.Key == key {
-			if !r.Write {
-				return fmt.Errorf("calvin: undeclared write %d/%d", table, key)
-			}
-			c.values[r] = append([]byte(nil), value...)
-			return nil
-		}
+	r := c.recs[baseline.Ref{Table: table, Key: key}]
+	if r == nil || !r.ref.Write {
+		return fmt.Errorf("calvin: undeclared write %d/%d", table, key)
 	}
-	return fmt.Errorf("calvin: undeclared write %d/%d", table, key)
+	r.val = append([]byte(nil), value...)
+	return nil
 }
 
-// Run executes one deterministic transaction with declared refs.
+// Run executes one deterministic transaction with declared refs. Calvin
+// never aborts: a body's error is returned as it is.
 func (w *Worker) Run(refs []baseline.Ref, body func(baseline.Ctx) error) error {
-	s := w.S
-	cfg := s.c.Coord.Current()
+	return w.Retry(func() error { return w.run(refs, body) }, nil)
+}
 
-	// Participants and per-machine lock keys.
-	perNode := make(map[rdma.NodeID][]lockKey)
-	nodeOf := make(map[lockKey]rdma.NodeID)
-	for _, r := range refs {
-		rk := lockKey{r.Table, r.Key}
-		if _, dup := nodeOf[rk]; dup {
-			continue
-		}
-		node := cfg.PrimaryOf(s.part(r.Table, r.Key))
-		nodeOf[rk] = node
-		perNode[node] = append(perNode[node], rk)
-	}
-	// Sequencer dissemination: one message per remote participant plus
-	// scheduler CPU per participant.
-	for node := range perNode {
-		w.Clk.Advance(s.schedCost)
-		if node != w.Node {
-			w.Clk.Advance(s.msgLatency)
-		}
-	}
+// run is the one attempt: sequence, await the grants, execute, release.
+func (w *Worker) run(refs []baseline.Ref, body func(baseline.Ctx) error) error {
+	s := w.S
+	ctx, keys := w.place(refs)
 	// Global sequencing point: the sequence number is assigned and the
 	// transaction enqueued at EVERY participant's lock manager atomically,
 	// so queues are in global sequence order (Calvin's determinism). The
 	// lock-manager service time is charged against each machine's single
-	// lock-manager thread in virtual time.
+	// lock-manager thread in virtual time, participants in node order.
 	s.seqMu.Lock()
 	s.seqNo++
 	seq := s.seqNo
-	for node, keys := range perNode {
+	for node, ks := range keys {
+		if len(ks) == 0 {
+			continue
+		}
 		lm := s.lms[node]
-		end := lm.service.Use(w.Clk.Now(), time.Duration(len(keys))*s.lmService)
-		w.Clk.AdvanceTo(end)
-		lm.enqueue(seq, keys)
+		w.Clk.AdvanceTo(lm.service.Use(w.Clk.Now(), time.Duration(len(ks))*lmService))
+		lm.enqueue(seq, ks)
 	}
 	s.seqMu.Unlock()
-	// Wait for grants everywhere (deterministic order ⇒ no deadlock).
-	for node, keys := range perNode {
-		for !s.lms[node].granted(seq, keys) {
-			w.Clk.Advance(500 * time.Nanosecond)
-			sim.Spin(0)
-		}
+	w.awaitGrants(seq, keys)
+	err := w.execute(ctx, body)
+	for node, ks := range keys {
+		s.lms[node].release(seq, ks, w.Clk.Now())
 	}
-	// Collect values: local reads directly; remote reads via an IPoIB
-	// round trip per participant (Calvin pushes reads to peers).
-	ctx := &bodyCtx{values: make(map[baseline.Ref][]byte)}
-	for _, r := range refs {
-		rk := lockKey{r.Table, r.Key}
-		node := nodeOf[rk]
-		tbl := s.c.Machines[node].Store.Table(r.Table)
-		off, ok := tbl.Lookup(r.Key)
-		if !ok {
-			s.releaseAll(seq, perNode)
-			return fmt.Errorf("calvin: missing record %d/%d", r.Table, r.Key)
-		}
-		if node == w.Node {
-			w.Clk.Advance(s.cost.LocalAccess)
-		} else {
-			w.Clk.Advance(s.msgLatency) // read result shipped over IPoIB
-		}
-		img := s.c.Machines[node].Eng.ReadNonTx(off, tbl.RecBytes, nil)
-		ctx.values[r] = memstore.GatherValue(img, tbl.Spec.ValueSize)
-	}
-	// Execute.
-	if err := body(ctx); err != nil {
-		s.releaseAll(seq, perNode)
-		return err
-	}
-	// Apply writes at their partitions (remote writes ride messages).
-	for _, r := range refs {
-		if !r.Write {
-			continue
-		}
-		rk := lockKey{r.Table, r.Key}
-		node := nodeOf[rk]
-		tbl := s.c.Machines[node].Store.Table(r.Table)
-		off, ok := tbl.Lookup(r.Key)
-		if !ok {
-			continue
-		}
-		if node != w.Node {
-			w.Clk.Advance(s.msgLatency)
-		} else {
-			w.Clk.Advance(s.cost.LocalAccess)
-		}
-		eng := s.c.Machines[node].Eng
-		inc := eng.Load64NonTx(off + memstore.IncOff)
-		cur := eng.Load64NonTx(off + memstore.SeqOff)
-		img := memstore.BuildRecordImage(tbl.Spec.ValueSize, ctx.values[r], inc, cur+1)
-		eng.WriteNonTx(off+8, img[8:])
-	}
-	s.releaseAll(seq, perNode)
-	w.Stats.Committed++
-	return nil
+	return err
 }
 
-func (s *System) releaseAll(seq uint64, perNode map[rdma.NodeID][]lockKey) {
-	for node, keys := range perNode {
-		s.lms[node].release(seq, keys)
+// place finds every declared record's machine once (a record declared twice
+// is written if either declaration says so) and lists the lock keys of each
+// machine, indexed by node. It charges the sequencer's dissemination: the
+// scheduler's CPU per participant and a message per remote one.
+func (w *Worker) place(refs []baseline.Ref) (*bodyCtx, [][]baseline.Ref) {
+	cfg := w.E.M.Config()
+	ctx := &bodyCtx{recs: make(map[baseline.Ref]*record, len(refs))}
+	keys := make([][]baseline.Ref, len(w.S.lms))
+	for _, ref := range refs {
+		rk := baseline.Ref{Table: ref.Table, Key: ref.Key}
+		if prev := ctx.recs[rk]; prev != nil {
+			prev.ref.Write = prev.ref.Write || ref.Write
+			continue
+		}
+		r := &record{ref: ref, node: cfg.PrimaryOf(w.E.Part(ref.Table, ref.Key))}
+		ctx.recs[rk] = r
+		ctx.all = append(ctx.all, r)
+		if len(keys[r.node]) == 0 {
+			w.Clk.Advance(schedCost)
+			if r.node != w.E.M.ID {
+				w.Clk.Advance(msgLatency)
+			}
+		}
+		keys[r.node] = append(keys[r.node], rk)
 	}
+	return ctx, keys
+}
+
+// awaitGrants parks until seq heads every queue it joined, polling through
+// Cede, and moves the clock to the latest instant an earlier holder released
+// one of its locks.
+func (w *Worker) awaitGrants(seq uint64, keys [][]baseline.Ref) {
+	for node, ks := range keys {
+		released, ok := w.S.lms[node].granted(seq, ks)
+		for ; !ok; released, ok = w.S.lms[node].granted(seq, ks) {
+			w.Cede()
+		}
+		w.Clk.AdvanceTo(released)
+	}
+}
+
+// access charges one record access from this worker: a local one at the
+// engine's price, a remote one as an IPoIB message (Calvin pushes reads to
+// peers, and remote writes ride messages).
+func (w *Worker) access(node rdma.NodeID) {
+	if node == w.E.M.ID {
+		w.Clk.Advance(w.E.Costs.LocalAccess)
+	} else {
+		w.Clk.Advance(msgLatency)
+	}
+}
+
+// execute runs body with every lock held: it collects the declared records'
+// values, runs the body and applies the writes at their partitions.
+func (w *Worker) execute(ctx *bodyCtx, body func(baseline.Ctx) error) error {
+	machines := w.E.M.Cluster().Machines
+	for _, r := range ctx.all {
+		r.tbl = machines[r.node].Store.Table(r.ref.Table)
+		var ok bool
+		if r.off, ok = r.tbl.Lookup(r.ref.Key); !ok {
+			return fmt.Errorf("calvin: missing record %d/%d", r.ref.Table, r.ref.Key)
+		}
+		w.access(r.node)
+		img := machines[r.node].Eng.ReadNonTx(r.off, r.tbl.RecBytes, nil)
+		r.val = memstore.GatherValue(img, r.tbl.Spec.ValueSize)
+	}
+	if err := body(ctx); err != nil {
+		return err
+	}
+	for _, r := range ctx.all {
+		if !r.ref.Write {
+			continue
+		}
+		w.access(r.node)
+		eng := machines[r.node].Eng
+		inc := eng.Load64NonTx(r.off + memstore.IncOff)
+		cur := eng.Load64NonTx(r.off + memstore.SeqOff)
+		img := memstore.BuildRecordImage(r.tbl.Spec.ValueSize, r.val, inc, cur+1)
+		eng.WriteNonTx(r.off+8, img[8:])
+	}
+	return nil
 }
 
 // Insert adds a record deterministically (loader-style; Calvin handles
 // inserts through its scheduler, modelled here as a locked single-record
 // transaction).
 func (w *Worker) Insert(table memstore.TableID, key uint64, value []byte) error {
-	s := w.S
-	cfg := s.c.Coord.Current()
-	node := cfg.PrimaryOf(s.part(table, key))
-	if node != w.Node {
-		w.Clk.Advance(s.msgLatency)
+	node := w.E.M.Config().PrimaryOf(w.E.Part(table, key))
+	if node != w.E.M.ID {
+		w.Clk.Advance(msgLatency)
 	}
-	w.Clk.Advance(s.schedCost + s.cost.LocalAccess)
-	_, err := s.c.Machines[node].Store.Table(table).Insert(key, value)
+	w.Clk.Advance(schedCost + w.E.Costs.LocalAccess)
+	_, err := w.E.M.Cluster().Machines[node].Store.Table(table).Insert(key, value)
 	return err
 }

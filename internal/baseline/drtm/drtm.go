@@ -22,8 +22,9 @@
 // Its engine and worker ARE DrTM+R's (txn.Engine, txn.Worker) with DrTM's
 // protocol on top: queue pairs, doorbells and their per-phase counters
 // (Stats.Phases), the location cache (Worker.Locate), the one lock stage
-// (Worker.LockBatch) and backoff are shared, so a figure compares the
-// protocols and not two implementations of the primitives.
+// (Worker.LockBatch), the retry loop (Worker.Retry) and backoff are shared,
+// so a figure compares the protocols and not two implementations of the
+// primitives.
 package drtm
 
 import (
@@ -165,18 +166,7 @@ func (c *bodyCtx) Put(table memstore.TableID, key uint64, value []byte) error {
 // records (2PL growing phase), run the body in one big HTM region, write
 // back and unlock (shrinking phase).
 func (w *Worker) Run(refs []baseline.Ref, body func(baseline.Ctx) error) error {
-	for attempt := 0; ; attempt++ {
-		err := w.attempt(refs, body)
-		if err == nil {
-			w.Stats.Committed++
-			return nil
-		}
-		if !errors.Is(err, ErrAborted) {
-			return err
-		}
-		w.Stats.Retries++
-		w.Backoff(txn.BackoffRetry, attempt)
-	}
+	return w.Retry(func() error { return w.attempt(refs, body) }, ErrAborted)
 }
 
 const (

@@ -10,6 +10,11 @@
 // than the worker's last, validates that read-set records are unchanged and
 // not locked by others, installs, and unlocks. The record metadata word
 // packs [lock bit | epoch | counter].
+//
+// Its worker is DrTM+R's (txn.Worker) on a bare one-machine cluster, whose
+// store Silo leaves empty: the clock, cost model, counters, backoff with its
+// sites, the retry loop and the deterministic gate are the ones every other
+// system runs on, and the TID words and tables are Silo's own.
 package silo
 
 import (
@@ -22,7 +27,6 @@ import (
 	"time"
 
 	"drtmr/internal/memstore"
-	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
 
@@ -46,18 +50,11 @@ type record struct {
 	val   []byte
 }
 
-// Table is an unordered key-value table.
-type Table struct {
-	mu   sync.RWMutex
-	rows map[uint64]*record
-}
-
-// DB is a single-machine Silo database.
+// DB is a single-machine Silo database: each table an unordered map from key
+// to *record.
 type DB struct {
-	tables map[memstore.TableID]*Table
+	tables map[memstore.TableID]*sync.Map
 	epoch  atomic.Uint64
-
-	Cost txn.CostModel
 }
 
 // epochPeriod is the virtual time one epoch spans: Silo's epoch thread
@@ -66,11 +63,11 @@ type DB struct {
 const epochPeriod = 40 * time.Millisecond
 
 // NewDB creates a database with the given table ids.
-func NewDB(tableIDs []memstore.TableID, cost txn.CostModel) *DB {
-	db := &DB{tables: make(map[memstore.TableID]*Table), Cost: cost}
+func NewDB(tableIDs []memstore.TableID) *DB {
+	db := &DB{tables: make(map[memstore.TableID]*sync.Map)}
 	db.epoch.Store(1)
 	for _, id := range tableIDs {
-		db.tables[id] = &Table{rows: make(map[uint64]*record)}
+		db.tables[id] = new(sync.Map)
 	}
 	return db
 }
@@ -90,67 +87,45 @@ func (db *DB) epochAt(now int64) uint64 {
 
 // Insert loads a row (setup path).
 func (db *DB) Insert(table memstore.TableID, key uint64, val []byte) error {
-	t := db.tables[table]
-	if t == nil {
+	if db.tables[table] == nil {
 		return fmt.Errorf("silo: unknown table %d", table)
 	}
-	r := &record{val: append([]byte(nil), val...)}
-	r.word.Store(makeTID(1, 0))
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.rows[key]; dup {
+	if _, fresh := db.insertRow(table, key, val, makeTID(1, 0)); !fresh {
 		return errors.New("silo: duplicate key")
 	}
-	t.rows[key] = r
 	return nil
 }
 
 func (db *DB) row(table memstore.TableID, key uint64) *record {
-	t := db.tables[table]
-	if t == nil {
-		return nil
+	if t := db.tables[table]; t != nil {
+		if r, ok := t.Load(key); ok {
+			return r.(*record)
+		}
 	}
-	t.mu.RLock()
-	r := t.rows[key]
-	t.mu.RUnlock()
-	return r
+	return nil
 }
 
-// insertRow adds a row transactionally (used by Txn.Insert at commit).
-func (db *DB) insertRow(table memstore.TableID, key uint64, val []byte, tid uint64) *record {
-	t := db.tables[table]
+// insertRow adds a row under TID tid unless the key has one, and returns the
+// key's row and whether it is the new one.
+func (db *DB) insertRow(table memstore.TableID, key uint64, val []byte, tid uint64) (*record, bool) {
 	r := &record{val: append([]byte(nil), val...)}
 	r.word.Store(tid)
-	t.mu.Lock()
-	if existing, dup := t.rows[key]; dup {
-		t.mu.Unlock()
-		return existing
-	}
-	t.rows[key] = r
-	t.mu.Unlock()
-	return r
+	got, dup := db.tables[table].LoadOrStore(key, r)
+	return got.(*record), !dup
 }
 
 // Worker is one Silo worker thread.
 type Worker struct {
-	DB  *DB
-	ID  int
-	Clk sim.Clock
-	rng *sim.Rand
+	*txn.Worker
+	DB *DB
 	// lastTID is the TID this worker last committed under.
 	lastTID uint64
-
-	// Stats counts outcomes: Committed and Retries (aborted attempts).
-	Stats txn.Stats
 }
 
-// NewWorker creates worker id.
-func (db *DB) NewWorker(id int) *Worker {
-	return &Worker{DB: db, ID: id, rng: sim.NewRand(uint64(id) + 101)}
+// NewWorker creates worker id on e, whose machine holds none of Silo's rows.
+func (db *DB) NewWorker(e *txn.Engine, id int) *Worker {
+	return &Worker{Worker: e.NewWorker(id), DB: db}
 }
-
-// ErrNotFound mirrors the txn package's error.
-var ErrNotFound = errors.New("silo: key not found")
 
 var errAbort = errors.New("silo: abort")
 
@@ -176,34 +151,14 @@ type wsEnt struct {
 
 // Run executes fn with automatic retry.
 func (w *Worker) Run(fn func(tx *Txn) error) error {
-	for attempt := 0; ; attempt++ {
+	return w.Retry(func() error {
 		tx := &Txn{w: w}
-		w.Clk.Advance(w.DB.Cost.TxnOverhead)
-		err := fn(tx)
-		if err == nil {
-			err = tx.commit()
-		}
-		if err == nil {
-			w.Stats.Committed++
-			return nil
-		}
-		if !errors.Is(err, errAbort) {
+		w.Clk.Advance(w.E.Costs.TxnOverhead)
+		if err := fn(tx); err != nil {
 			return err
 		}
-		w.Stats.Retries++
-		w.backoff(attempt)
-	}
-}
-
-// backoff is the retry delay, drawn as txn's is:
-// d = (1 + rng.Intn(2^min(attempt, txn.DefaultBackoffMaxExp))) × Cost.Backoff.
-// The host waits d too, as a txn worker without a scheduler does: a waiter
-// that only yielded would retry many times per step of a holder the host
-// keeps off the CPU, each retry charged in virtual time.
-func (w *Worker) backoff(attempt int) {
-	d := time.Duration(1+w.rng.Intn(1<<min(attempt, txn.DefaultBackoffMaxExp))) * w.DB.Cost.Backoff
-	w.Clk.Advance(d)
-	sim.Spin(d)
+		return tx.commit()
+	}, errAbort)
 }
 
 // Get returns a stable snapshot of the record (Silo's optimistic read: word,
@@ -217,13 +172,13 @@ func (tx *Txn) Get(table memstore.TableID, key uint64) ([]byte, error) {
 	}
 	r := tx.w.DB.row(table, key)
 	if r == nil {
-		return nil, ErrNotFound
+		return nil, txn.ErrNotFound
 	}
-	tx.w.Clk.Advance(tx.w.DB.Cost.LocalAccess)
-	for spin := 0; ; spin++ {
+	tx.w.Clk.Advance(tx.w.E.Costs.LocalAccess)
+	for attempt := 0; ; attempt++ {
 		w1 := r.word.Load()
 		if w1&lockBit != 0 {
-			sim.Spin(0)
+			tx.w.Backoff(txn.BackoffLocalRead, attempt)
 			continue
 		}
 		r.valMu.Lock()
@@ -246,7 +201,7 @@ func (tx *Txn) Put(table memstore.TableID, key uint64, val []byte) error {
 	}
 	r := tx.w.DB.row(table, key)
 	if r == nil {
-		return ErrNotFound
+		return txn.ErrNotFound
 	}
 	tx.ws = append(tx.ws, wsEnt{table: table, key: key, rec: r, val: append([]byte(nil), val...)})
 	return nil
@@ -258,10 +213,14 @@ func (tx *Txn) Insert(table memstore.TableID, key uint64, val []byte) error {
 	return nil
 }
 
+// commitLockTries bounds the backoffs of one write-set lock before the
+// commit gives up and the transaction retries.
+const commitLockTries = 64
+
 // commit is Silo's three-phase commit.
 func (tx *Txn) commit() error {
 	w := tx.w
-	w.Clk.Advance(w.DB.Cost.HTMRegion + time.Duration(len(tx.rs)+len(tx.ws))*w.DB.Cost.PerValidate)
+	w.Clk.Advance(w.E.Costs.HTMRegion + time.Duration(len(tx.rs)+len(tx.ws))*w.E.Costs.PerValidate)
 	// Phase 1: lock the write set in the global (table, key) order.
 	slices.SortStableFunc(tx.ws, func(a, b wsEnt) int {
 		return cmp.Or(cmp.Compare(a.table, b.table), cmp.Compare(a.key, b.key))
@@ -273,18 +232,16 @@ func (tx *Txn) commit() error {
 		}
 	}
 	for i, r := range locks {
-		ok := false
-		for spin := 0; spin < 64; spin++ {
+		for attempt := 0; ; attempt++ {
 			cur := r.word.Load()
 			if cur&lockBit == 0 && r.word.CompareAndSwap(cur, cur|lockBit) {
-				ok = true
 				break
 			}
-			sim.Spin(0)
-		}
-		if !ok {
-			unlock(locks[:i])
-			return errAbort
+			if attempt == commitLockTries {
+				unlock(locks[:i])
+				return errAbort
+			}
+			w.Backoff(txn.BackoffCommitLock, attempt)
 		}
 	}
 	// Phase 2: compute TID and validate reads. The TID is larger than every
@@ -310,7 +267,7 @@ func (tx *Txn) commit() error {
 	for i := range tx.ws {
 		e := &tx.ws[i]
 		if e.insert {
-			e.rec = w.DB.insertRow(e.table, e.key, e.val, tid)
+			e.rec, _ = w.DB.insertRow(e.table, e.key, e.val, tid)
 			continue
 		}
 		e.rec.valMu.Lock()

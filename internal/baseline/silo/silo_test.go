@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
 	"drtmr/internal/txn"
 )
@@ -18,9 +19,12 @@ func enc(v uint64) []byte {
 
 func dec(b []byte) uint64 { return binary.LittleEndian.Uint64(b[:8]) }
 
-func newDB(t *testing.T) *DB {
+// newDB opens a one-table database and the engine of the bare one-machine
+// cluster its workers run on.
+func newDB(t *testing.T) (*DB, *txn.Engine) {
 	t.Helper()
-	return NewDB([]memstore.TableID{1}, txn.DefaultCosts())
+	c := cluster.New(cluster.Spec{Nodes: 1, MemBytes: 2 << 20})
+	return NewDB([]memstore.TableID{1}), txn.NewEngine(c.Machines[0], nil, txn.DefaultCosts())
 }
 
 func tidEpoch(w uint64) uint64   { return (w &^ lockBit) >> epochBase }
@@ -32,7 +36,7 @@ func tidCounter(w uint64) uint64 { return w & (1<<epochBase - 1) }
 // validates a value that is gone. The TID is larger than the overwritten
 // record's, not only than what the writer read (nothing, here).
 func TestBlindWriteNeverReusesATID(t *testing.T) {
-	db := newDB(t)
+	db, e := newDB(t)
 	if err := db.Insert(1, 5, enc(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +46,14 @@ func TestBlindWriteNeverReusesATID(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blind(db.NewWorker(0), 1)
-	reader := &Txn{w: db.NewWorker(2)}
+	blind(db.NewWorker(e, 0), 1)
+	reader := &Txn{w: db.NewWorker(e, 2)}
 	v, err := reader.Get(1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := db.row(1, 5).word.Load()
-	blind(db.NewWorker(1), 2)
+	blind(db.NewWorker(e, 1), 2)
 	if err := reader.commit(); !errors.Is(err, errAbort) {
 		r := db.row(1, 5)
 		t.Fatalf("stale read of [%d] validated: the record now holds [%d] (word %#x, was %#x)",
@@ -60,8 +64,8 @@ func TestBlindWriteNeverReusesATID(t *testing.T) {
 // TestWorkerTIDsIncrease holds Silo's rule that a worker's TIDs grow even
 // across records that share no history.
 func TestWorkerTIDsIncrease(t *testing.T) {
-	db := newDB(t)
-	w := db.NewWorker(0)
+	db, e := newDB(t)
+	w := db.NewWorker(e, 0)
 	var last uint64
 	for k := uint64(0); k < 4; k++ {
 		if err := db.Insert(1, k, enc(0)); err != nil {
@@ -79,14 +83,14 @@ func TestWorkerTIDsIncrease(t *testing.T) {
 }
 
 func TestBasicReadWrite(t *testing.T) {
-	db := newDB(t)
+	db, e := newDB(t)
 	if err := db.Insert(1, 5, enc(100)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Insert(1, 5, enc(1)); err == nil {
 		t.Fatal("duplicate insert accepted")
 	}
-	w := db.NewWorker(0)
+	w := db.NewWorker(e, 0)
 	if err := w.Run(func(tx *Txn) error {
 		v, err := tx.Get(1, 5)
 		if err != nil {
@@ -108,14 +112,14 @@ func TestBasicReadWrite(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.NewWorker(1).DB.row(1, 9), error(nil); err != nil {
+	if _, err := db.NewWorker(e, 1).DB.row(1, 9), error(nil); err != nil {
 		t.Fatal(err)
 	}
 	err := w.Run(func(tx *Txn) error {
 		_, err := tx.Get(1, 999)
 		return err
 	})
-	if !errors.Is(err, ErrNotFound) {
+	if !errors.Is(err, txn.ErrNotFound) {
 		t.Fatalf("missing key: %v", err)
 	}
 	if w.Stats.Committed != 2 {
@@ -124,8 +128,8 @@ func TestBasicReadWrite(t *testing.T) {
 }
 
 func TestTxnInsertVisible(t *testing.T) {
-	db := newDB(t)
-	w := db.NewWorker(0)
+	db, e := newDB(t)
+	w := db.NewWorker(e, 0)
 	if err := w.Run(func(tx *Txn) error {
 		return tx.Insert(1, 77, enc(9))
 	}); err != nil {
@@ -148,7 +152,7 @@ func TestTxnInsertVisible(t *testing.T) {
 // TestConcurrentTransfersConserve is Silo's serializability smoke test: the
 // OCC validation must serialize conflicting read-modify-writes.
 func TestConcurrentTransfersConserve(t *testing.T) {
-	db := newDB(t)
+	db, e := newDB(t)
 	const accounts = 8
 	for k := uint64(0); k < accounts; k++ {
 		if err := db.Insert(1, k, enc(1000)); err != nil {
@@ -160,7 +164,7 @@ func TestConcurrentTransfersConserve(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			w := db.NewWorker(id)
+			w := db.NewWorker(e, id)
 			for i := 0; i < 200; i++ {
 				from := uint64((id + i) % accounts)
 				to := uint64((id*3 + i*5 + 1) % accounts)
@@ -192,7 +196,7 @@ func TestConcurrentTransfersConserve(t *testing.T) {
 	}
 	wg.Wait()
 	var total uint64
-	w := db.NewWorker(99)
+	w := db.NewWorker(e, 99)
 	if err := w.Run(func(tx *Txn) error {
 		total = 0
 		for k := uint64(0); k < accounts; k++ {

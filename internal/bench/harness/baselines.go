@@ -8,8 +8,8 @@ import (
 	"drtmr/internal/baseline/drtm"
 	"drtmr/internal/baseline/silo"
 	"drtmr/internal/bench/tpcc"
+	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
-	"drtmr/internal/rdma"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
@@ -40,31 +40,28 @@ func (m mutation) apply(st *memstore.Store) {
 	_, _ = st.Table(m.table).Insert(m.key, m.row)
 }
 
-// exec is one worker of one comparison system.
+// exec is one worker of one comparison system. Every system runs on
+// DrTM+R's worker, whose clock and counters runMix reports, and whose own
+// machine's store is where reconnaissance reads go (Silo's rows do none).
 type exec struct {
+	w *txn.Worker
 	// run commits body over the declared refs, then makes the changes muts
 	// lists (nil: none) — the rows the committed body decided on — at the
 	// system's own price.
 	run func(refs []baseline.Ref, body func(baseline.Ctx) error, muts func() []mutation) error
-	// st is the worker's own machine's store, where reconnaissance reads go
-	// (nil: the system's rows do none).
-	st *memstore.Store
-	// The worker's virtual clock and its counters.
-	clk   *sim.Clock
-	stats *txn.Stats
 }
 
 // drtmExec: DrTM ships a transaction's index mutations to the (local) host
 // in one message, like DrTM+R.
-func drtmExec(w *drtm.Worker, st *memstore.Store) exec {
-	return exec{st: st, clk: &w.Clk, stats: &w.Stats,
+func drtmExec(w *drtm.Worker) exec {
+	return exec{w: w.Worker,
 		run: func(refs []baseline.Ref, body func(baseline.Ctx) error, muts func() []mutation) error {
 			if err := w.Run(refs, body); err != nil || muts == nil {
 				return err
 			}
 			w.Clk.Advance(w.E.Costs.LocalAccess)
 			for _, m := range muts() {
-				m.apply(st)
+				m.apply(w.E.M.Store)
 			}
 			return nil
 		}}
@@ -73,8 +70,8 @@ func drtmExec(w *drtm.Worker, st *memstore.Store) exec {
 // calvinExec: Calvin schedules every inserted row as a locked single-record
 // transaction; a delete rides the plan of the transaction that already holds
 // the order and pays the store access only.
-func calvinExec(w *calvin.Worker, st *memstore.Store) exec {
-	return exec{st: st, clk: &w.Clk, stats: &w.Stats,
+func calvinExec(w *calvin.Worker) exec {
+	return exec{w: w.Worker,
 		run: func(refs []baseline.Ref, body func(baseline.Ctx) error, muts func() []mutation) error {
 			if err := w.Run(refs, body); err != nil || muts == nil {
 				return err
@@ -84,8 +81,8 @@ func calvinExec(w *calvin.Worker, st *memstore.Store) exec {
 					_ = w.Insert(m.table, m.key, m.row) // as mutation.apply: nothing to report
 					continue
 				}
-				w.Clk.Advance(txn.DefaultCosts().LocalAccess)
-				m.apply(st)
+				w.Clk.Advance(w.E.Costs.LocalAccess)
+				m.apply(w.E.M.Store)
 			}
 			return nil
 		}}
@@ -94,7 +91,7 @@ func calvinExec(w *calvin.Worker, st *memstore.Store) exec {
 // siloExec: Silo needs no declared set (refs are ignored) and inserts inside
 // the transaction, as part of its write set.
 func siloExec(w *silo.Worker) exec {
-	return exec{clk: &w.Clk, stats: &w.Stats,
+	return exec{w: w.Worker,
 		run: func(_ []baseline.Ref, body func(baseline.Ctx) error, muts func() []mutation) error {
 			return w.Run(func(tx *silo.Txn) error {
 				if err := body(tx); err != nil || muts == nil {
@@ -126,7 +123,7 @@ func runDrTMBaseline(o Options) Result {
 	}
 	c.Start()
 	return runMix(o, wcfg, 7, &tpccTxns, func(node, tid int) exec {
-		return drtmExec(engines[node].NewWorker(tid), c.Machines[node].Store)
+		return drtmExec(engines[node].NewWorker(tid))
 	})
 }
 
@@ -134,26 +131,31 @@ func runCalvinBaseline(o Options) Result {
 	c := buildCluster(o, 1)
 	defer c.Stop()
 	wcfg := tpccConfig(o)
-	// Calvin's partitioner cannot be machine-relative (one global plan), so
-	// ITEM — which real Calvin replicates too — is routed to machine 0's
-	// copy and, being read-only, charged as a local access.
-	sys := calvin.New(c, wcfg.Partitioner(0), txn.DefaultCosts())
+	// ITEM, which real Calvin replicates too, is read on the worker's own
+	// machine, as DrTM's and DrTM+R's do.
+	var engines []*txn.Engine
+	for _, m := range c.Machines {
+		engines = append(engines, txn.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts()))
+	}
+	sys := calvin.New(len(c.Machines))
 	c.Start()
 	return runMix(o, wcfg, 13, &tpccTxns, func(node, tid int) exec {
-		return calvinExec(sys.NewWorker(rdma.NodeID(node), tid), c.Machines[node].Store)
+		return calvinExec(sys.NewWorker(engines[node], tid))
 	})
 }
 
 // runSiloBaseline runs on one machine whatever o.Nodes says, with no remote
-// warehouse to draw.
+// warehouse to draw: machine 0 of a bare cluster, whose store holds none of
+// Silo's rows.
 func runSiloBaseline(o Options) Result {
 	wcfg := tpcc.Config{Nodes: 1, WarehousesPerNode: o.WarehousesPerNode}
 	db := silo.NewDB([]memstore.TableID{
 		tpcc.TableWarehouse, tpcc.TableDistrict, tpcc.TableCustomer, tpcc.TableHistory, tpcc.TableNewOrder,
 		tpcc.TableOrder, tpcc.TableOrderLine, tpcc.TableItem, tpcc.TableStock, tpcc.TableCustLastOrder,
-	}, txn.DefaultCosts())
+	})
 	siloLoad(db, wcfg, o.Seed)
-	return runMix(o, wcfg, 29, &siloTxns, func(_, tid int) exec { return siloExec(db.NewWorker(tid)) })
+	e := txn.NewEngine(cluster.New(cluster.Spec{Nodes: 1, MemBytes: 2 << 20}).Machines[0], nil, txn.DefaultCosts())
+	return runMix(o, wcfg, 29, &siloTxns, func(_, tid int) exec { return siloExec(db.NewWorker(e, tid)) })
 }
 
 func siloLoad(db *silo.DB, wcfg tpcc.Config, seed uint64) {
@@ -180,9 +182,17 @@ func siloLoad(db *silo.DB, wcfg tpcc.Config, seed uint64) {
 // by worker; wcfg.Nodes × o.ThreadsPerNode of them) draws the standard mix
 // from its own generator and runs each draw through its row of txns.
 // seedSalt offsets the generator seeds, so no two systems replay one stream.
+// Under Options.Deterministic every worker steps the schedule gate, as
+// DrTM+R's do.
 func runMix(o Options, wcfg tpcc.Config, seedSalt uint64, txns *tpccTable, worker func(node, tid int) exec) Result {
+	gate := newStepGate(o, wcfg.Nodes*o.ThreadsPerNode)
 	return runWorkers(o, wcfg.Nodes, func(node, tid int) worked {
 		ex := worker(node, tid)
+		if gate != nil {
+			gid := node*o.ThreadsPerNode + tid
+			ex.w.SetGate(gate.stepFn(gid))
+			defer gate.finish(gid)
+		}
 		whs := wcfg.WarehousesOf(node)
 		in := draw{home: whs[tid%len(whs)]}
 		in.g = tpcc.NewGen(wcfg, in.home, o.Seed+uint64(node*100+tid)+seedSalt)
@@ -193,7 +203,7 @@ func runMix(o Options, wcfg tpcc.Config, seedSalt uint64, txns *tpccTable, worke
 				newOrders++
 			}
 		}
-		return worked{stats: ex.stats, newOrders: newOrders, clock: ex.clk.Now()}
+		return worked{stats: &ex.w.Stats, newOrders: newOrders, clock: ex.w.Clk.Now()}
 	})
 }
 
@@ -354,7 +364,7 @@ func orderStatus(ex exec, in draw) error {
 	d, cu := 1+in.i%tpcc.DistrictsPerWarehouse, 1+in.i%tpcc.CustomersPerDistrict
 	ckey := tpcc.CKey(in.home, d, cu)
 	refs := []baseline.Ref{{Table: tpcc.TableCustomer, Key: ckey}}
-	if oid, cnt, ok := lastOrder(ex.st, in.home, d, cu); ok {
+	if oid, cnt, ok := lastOrder(ex.w.E.M.Store, in.home, d, cu); ok {
 		refs = append(refs, baseline.Ref{Table: tpcc.TableOrder, Key: tpcc.OKey(in.home, d, int(oid))})
 		for l := 1; l <= int(cnt); l++ {
 			refs = append(refs, baseline.Ref{Table: tpcc.TableOrderLine, Key: tpcc.OLKey(in.home, d, int(oid), l)})
@@ -385,7 +395,7 @@ func lastOrder(st *memstore.Store, w, d, cu int) (oid, cnt uint64, ok bool) {
 // execution allows.
 func delivery(ex exec, in draw) error {
 	for d := 1; d <= tpcc.DistrictsPerWarehouse; d++ {
-		okey, cid, cnt, ok := oldestNewOrder(ex.st, in.home, d)
+		okey, cid, cnt, ok := oldestNewOrder(ex.w.E.M.Store, in.home, d)
 		if !ok {
 			continue
 		}
@@ -435,13 +445,13 @@ func oldestNewOrder(st *memstore.Store, w, d int) (key uint64, cid, cnt uint64, 
 func stockLevel(ex exec, in draw) error {
 	d := 1 + in.i%tpcc.DistrictsPerWarehouse
 	dkey := tpcc.DKey(in.home, d)
-	off, ok := ex.st.Table(tpcc.TableDistrict).Lookup(dkey)
+	off, ok := ex.w.E.M.Store.Table(tpcc.TableDistrict).Lookup(dkey)
 	if !ok {
 		return nil
 	}
-	next := int(tpcc.DistrictNextOID(ex.st.Table(tpcc.TableDistrict).ReadValueNonTx(off)))
+	next := int(tpcc.DistrictNextOID(ex.w.E.M.Store.Table(tpcc.TableDistrict).ReadValueNonTx(off)))
 	refs := []baseline.Ref{{Table: tpcc.TableDistrict, Key: dkey}}
-	ex.st.Table(tpcc.TableOrderLine).Ordered().Scan(
+	ex.w.E.M.Store.Table(tpcc.TableOrderLine).Ordered().Scan(
 		tpcc.OLKey(in.home, d, max(next-20, 1), 0), tpcc.OLKey(in.home, d, next, 15),
 		func(key, _ uint64) bool {
 			refs = append(refs, baseline.Ref{Table: tpcc.TableOrderLine, Key: key})

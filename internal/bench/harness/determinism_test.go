@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"testing"
 
 	"drtmr/internal/txn"
@@ -47,5 +48,36 @@ func TestDeterministicReplay(t *testing.T) {
 				t.Fatal("different seed produced an identical fingerprint; the fingerprint is too weak")
 			}
 		})
+	}
+}
+
+// TestBaselinesReplay holds the comparison systems to the schedule gate:
+// each runs gated on 2 machines × 2 threads with one warehouse per machine,
+// so a machine's threads share their warehouse, and half the new-orders and
+// payments cross machines, so DrTM rings doorbells mid-transaction and
+// Calvin's plans span both lock managers. Silo runs on one machine whatever
+// Nodes says. A run is a pure function of its Options: the digits repeat on
+// any host, at any GOMAXPROCS.
+func TestBaselinesReplay(t *testing.T) {
+	for _, pin := range []struct {
+		sys                           System
+		committed, retries, newOrders uint64
+		virtualNs, workerVirtualNs    int64
+	}{
+		{SysDrTM, 1060, 0, 356, 3576486, 13771451},
+		{SysCalvin, 998, 0, 365, 70298900, 266091000},
+		{SysSilo, 400, 0, 171, 1629360, 3140180},
+	} {
+		r := Run(Options{
+			System: pin.sys, Nodes: 2, ThreadsPerNode: 2, TxPerWorker: 200, WarehousesPerNode: 1,
+			CrossWarehouseNO: 0.5, CrossWarehousePay: 0.5, Deterministic: true, Seed: 5,
+		})
+		ns, wns := int64(math.Round(r.VirtualSec*1e9)), int64(math.Round(r.WorkerVirtualSec*1e9))
+		if r.Committed != pin.committed || r.Retries != pin.retries || r.NewOrders != pin.newOrders ||
+			ns != pin.virtualNs || wns != pin.workerVirtualNs {
+			t.Errorf("%v: %d commits / %d retries / %d new-orders / %d / %d virtual ns, pinned %d / %d / %d / %d / %d",
+				pin.sys, r.Committed, r.Retries, r.NewOrders, ns, wns,
+				pin.committed, pin.retries, pin.newOrders, pin.virtualNs, pin.workerVirtualNs)
+		}
 	}
 }

@@ -37,9 +37,14 @@ type stepGate struct {
 	release []chan struct{} // by id; buffer 1: a worker that draws itself sends before it receives
 }
 
-func newStepGate(seed uint64, expect int) *stepGate {
+// newStepGate is the gate of a run of expect workers, seeded from o.Seed:
+// nil unless o.Deterministic.
+func newStepGate(o Options, expect int) *stepGate {
+	if !o.Deterministic {
+		return nil
+	}
 	g := &stepGate{
-		rng:     sim.NewRand(seed | 1),
+		rng:     sim.NewRand((o.Seed ^ 0x9E3779B97F4A7C15) | 1),
 		arrived: make([]bool, expect),
 		missing: expect,
 		parked:  make([]bool, expect),

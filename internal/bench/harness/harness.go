@@ -504,7 +504,6 @@ func runDrTMR(o Options) Result {
 	c.Start()
 
 	kill := o.KillAt > 0
-	var gate *stepGate
 	if o.Deterministic {
 		if replicas != 1 {
 			panic("harness: Deterministic requires an unreplicated system")
@@ -512,8 +511,8 @@ func runDrTMR(o Options) Result {
 		if kill {
 			panic("harness: Deterministic requires no kill injection")
 		}
-		gate = newStepGate(o.Seed^0x9E3779B97F4A7C15, o.Nodes*o.ThreadsPerNode)
 	}
+	gate := newStepGate(o, o.Nodes*o.ThreadsPerNode)
 	var ticks *obs.TickSource
 	if o.History {
 		ticks = obs.NewTickSource()

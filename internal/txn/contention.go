@@ -242,7 +242,7 @@ func (w *Worker) acquireGate(g *keyGate, hk HotKey) (ok bool, qerr *Error) {
 		admitted = admitted || w.yieldGated(g, t)
 	} else {
 		for poll := 0; !admitted && poll < gateMaxPolls && !w.E.M.Dead(); poll++ {
-			w.cede() // the holder is another worker
+			w.Cede() // the holder is another worker
 			admitted = g.tryEnter(t)
 		}
 	}

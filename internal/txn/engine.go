@@ -424,16 +424,17 @@ type PhaseStat struct {
 type BackoffSite int
 
 const (
-	BackoffRetry        BackoffSite = iota // runLoop: the retry of an aborted transaction
+	BackoffRetry        BackoffSite = iota // runLoop, Retry: the retry of an aborted transaction
 	BackoffCommitRegion                    // C.3+C.4: the commit HTM region
-	BackoffLocalRead                       // a local read's HTM region, or an uncommittable local record
+	BackoffLocalRead                       // a local read's HTM region, or an uncommittable (Silo: locked) local record
 	BackoffRemoteRead                      // a torn, locked or uncommittable remote record
 	BackoffFallbackLock                    // §6.1: the handler's relock of the targets it missed
 	BackoffMakeup                          // R.2: a local record's flip to committable
+	BackoffCommitLock                      // Silo: its commit's lock of a write-set record another worker holds
 	NumBackoffSites
 )
 
-var backoffSiteNames = [NumBackoffSites]string{"retry", "commit-region", "local-read", "remote-read", "fallback-lock", "makeup"}
+var backoffSiteNames = [NumBackoffSites]string{"retry", "commit-region", "local-read", "remote-read", "fallback-lock", "makeup", "commit-lock"}
 
 func (s BackoffSite) String() string { return backoffSiteNames[s] }
 
@@ -735,7 +736,30 @@ func (w *Worker) Backoff(site BackoffSite, attempt int) {
 		sim.Spin(d)
 		return
 	}
-	w.cede()
+	w.Cede()
+}
+
+// Retry is the retry loop of a system that runs its own protocol on this
+// worker (the comparison systems): attempt runs until it returns nil, a
+// commit, or an error that is not aborted, which Retry returns. Each attempt
+// starts at a scheduling point, as runLoop's do; each abort counts a retry
+// and backs off at BackoffRetry.
+func (w *Worker) Retry(attempt func() error, aborted error) error {
+	for i := 0; ; i++ {
+		if w.gate != nil {
+			w.gate()
+		}
+		err := attempt()
+		if err == nil {
+			w.Stats.Committed++
+			return nil
+		}
+		if !errors.Is(err, aborted) {
+			return err
+		}
+		w.Stats.Retries++
+		w.Backoff(BackoffRetry, i)
+	}
 }
 
 // Run executes fn as a transaction with automatic retry on aborts. fn may be

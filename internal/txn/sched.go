@@ -274,14 +274,15 @@ func (w *Worker) pollGate(c *coro) bool {
 		return true
 	}
 	c.polls++
-	w.cede()
+	w.Cede()
 	return false
 }
 
-// cede is a scheduling point for everything outside this worker: in
+// Cede is a scheduling point for everything outside this worker: in
 // deterministic mode it hands the schedule to another worker, and it yields
-// the OS thread so contenders interleave on an oversubscribed host.
-func (w *Worker) cede() {
+// the OS thread so contenders interleave on an oversubscribed host. A wait on
+// another worker polls through it.
+func (w *Worker) Cede() {
 	if w.gate != nil {
 		w.gate()
 	}

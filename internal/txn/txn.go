@@ -603,10 +603,16 @@ func (tx *Txn) Insert(table memstore.TableID, key uint64, value []byte) error {
 	return nil
 }
 
-// Delete removes a record at commit.
+// Delete removes a record at commit. It supersedes whatever the transaction
+// buffered for the key before: the entry becomes the delete, so a later Read
+// finds nothing.
 func (tx *Txn) Delete(table memstore.TableID, key uint64) error {
 	if tx.readOnly {
 		return fmt.Errorf("txn: delete in read-only transaction")
+	}
+	if w := tx.findWS(table, key); w != nil {
+		w.kind, w.buf, w.deltas = wsDelete, nil, nil
+		return nil
 	}
 	shard, node, local := tx.homeOf(table, key)
 	tx.ws = append(tx.ws, wsEntry{

@@ -240,6 +240,46 @@ func TestReadYourOwnWrites(t *testing.T) {
 	}
 }
 
+// TestReadAfterWriteThenDelete: a Delete after a Write or an Add of the same
+// key in one transaction wins, local key or remote: a later Read of the key
+// finds nothing, and the commit deletes the record.
+func TestReadAfterWriteThenDelete(t *testing.T) {
+	forEachProtocol(t, func(t *testing.T, proto string) {
+		w := newWorld(t, 2, 1, htm.Config{})
+		w.setProtocol(proto)
+		w.load(t, 4, 100)
+		wk := w.engines[0].NewWorker(0)
+		write := func(tx *Txn, key uint64) error { return tx.Write(tblAcct, key, encBal(7)) }
+		add := func(tx *Txn, key uint64) error { return tx.Add(tblAcct, key, 0, 7) }
+		for _, tc := range []struct {
+			name  string
+			key   uint64 // even keys live on machine 0, the worker's
+			first func(tx *Txn, key uint64) error
+		}{
+			{"write local", 0, write}, {"add local", 2, add},
+			{"write remote", 1, write}, {"add remote", 3, add},
+		} {
+			if err := wk.Run(func(tx *Txn) error {
+				if err := tc.first(tx, tc.key); err != nil {
+					return err
+				}
+				if err := tx.Delete(tblAcct, tc.key); err != nil {
+					return err
+				}
+				if v, err := tx.Read(tblAcct, tc.key); !errors.Is(err, ErrNotFound) {
+					t.Errorf("%s: read after delete returned %x, %v", tc.name, v, err)
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if _, ok := w.c.Machines[tc.key%2].Store.Table(tblAcct).Lookup(tc.key); ok {
+				t.Errorf("%s: key %d survived its commit", tc.name, tc.key)
+			}
+		}
+	})
+}
+
 func TestInsertDeleteAcrossMachines(t *testing.T) {
 	w := newWorld(t, 2, 1, htm.Config{})
 	w.load(t, 2, 1)

@@ -79,6 +79,10 @@ go test -run '^$' -bench '^BenchmarkFig$/^tail$' -benchtime 1x .
 # across goroutines (sim.Frontier, TestIdle*).
 go test -race -cpu 1,2 -run 'TestFrontier' -count=1 ./internal/sim/
 go test -race -cpu 1,2 -run 'TestBackoff|TestAllBackedOff|TestIdle|TestGatedWaiters|TestGateTimeout|TestCoroutine|TestHotKeyQueueConservation|TestKeyGateFIFO' -count=1 ./internal/txn/
+# The comparison systems under the schedule gate: DrTM, Calvin and Silo run
+# on DrTM+R's worker, so a gated run of each repeats to the digit on a 1-CPU
+# and a 2-CPU host schedule.
+go test -count=3 -cpu 1,2 -run 'BaselinesReplay' ./internal/bench/harness/
 # Value ownership: every value a transaction keeps or returns is carved from
 # its own slab, never recycled. Sibling coroutines and workers run
 # transactions while a value is held, so a slab shared between transactions
