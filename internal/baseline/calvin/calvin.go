@@ -122,7 +122,9 @@ func (lm *lockManager) granted(seq uint64, refs []baseline.Ref) (released int64,
 	return released, true
 }
 
-// release drops seq's locks at virtual instant at.
+// release drops seq's locks at virtual instant at. A queue it empties stays,
+// with that instant: the next holder in sequence order runs after it however
+// far its own clock is behind.
 func (lm *lockManager) release(seq uint64, refs []baseline.Ref, at int64) {
 	lm.mu.Lock()
 	for _, rk := range refs {
@@ -137,9 +139,6 @@ func (lm *lockManager) release(seq uint64, refs []baseline.Ref, at int64) {
 			}
 		}
 		q.released = at
-		if len(q.holders) == 0 {
-			delete(lm.locks, rk)
-		}
 	}
 	lm.mu.Unlock()
 }

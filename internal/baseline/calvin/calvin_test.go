@@ -208,3 +208,23 @@ func TestWaiterResumesAtRelease(t *testing.T) {
 		})
 	}
 }
+
+// TestNextHolderResumesAfterEmptiedQueue: a holder that empties a lock's
+// queue leaves its release instant behind, so the transaction next in
+// sequence order, enqueued only afterwards and with a clock that is behind,
+// still resumes at or after that release.
+func TestNextHolderResumesAfterEmptiedQueue(t *testing.T) {
+	const us = int64(time.Microsecond)
+	wd := newWorld(t, 1)
+	w := wd.worker(0, 1)
+	w.Clk.AdvanceTo(10 * us)
+	keys := [][]baseline.Ref{{{Table: tbl, Key: 3}}}
+	lm := wd.sys.lms[0]
+	lm.enqueue(1, keys[0])
+	lm.release(1, keys[0], 95*us) // the queue is empty again
+	lm.enqueue(2, keys[0])
+	w.awaitGrants(2, keys)
+	if got := w.Clk.Now(); got < 95*us {
+		t.Fatalf("next holder resumed at %d ns, before the release at %d ns it follows", got, 95*us)
+	}
+}

@@ -273,7 +273,7 @@ func (w *Worker) grow(ctx *bodyCtx) error {
 // its incarnation and sequence number from the header the growing phase READ
 // under the lock.
 func (w *Worker) shrink(ctx *bodyCtx, commit bool) {
-	b := w.NewBatch()
+	b := ctx.run.Batch(w.Worker) // the attempt's: Fetched's slots stay valid
 	for i, st := range ctx.remote {
 		if commit && st.dirty {
 			hdr := ctx.run.Fetched[i].Data

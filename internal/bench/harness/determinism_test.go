@@ -65,7 +65,11 @@ func TestBaselinesReplay(t *testing.T) {
 		virtualNs, workerVirtualNs    int64
 	}{
 		{SysDrTM, 1060, 0, 356, 3576486, 13771451},
-		{SysCalvin, 998, 0, 365, 70298900, 266091000},
+		// Calvin's lock queues keep their last release instant when they
+		// empty: the same commits, retries and new-orders, and the clock of a
+		// transaction next in sequence order on an emptied queue moves to
+		// that release, so virtual time grows from 70298900 / 266091000 ns.
+		{SysCalvin, 998, 0, 365, 120938900, 457365000},
 		{SysSilo, 400, 0, 171, 1629360, 3140180},
 	} {
 		r := Run(Options{

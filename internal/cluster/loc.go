@@ -23,10 +23,10 @@ type Loc struct {
 
 // LookupRemote walks tbl's hash index on qp's target with one-sided RDMA
 // READs, one bucket at a time, and reports where key lives. wait settles each
-// READ: (*rdma.Completion).Wait charges the round trip to the worker, a
+// READ: rdma.Completion.Wait charges the round trip to the worker, a
 // coroutine scheduler's await runs other transactions during it. err is the
 // first verb error; found is false when no bucket holds key.
-func LookupRemote(qp *rdma.QP, tbl *memstore.Table, key uint64, wait func(*rdma.Completion) error) (loc Loc, found bool, err error) {
+func LookupRemote(qp *rdma.QP, tbl *memstore.Table, key uint64, wait func(rdma.Completion) error) (loc Loc, found bool, err error) {
 	h := tbl.Hash()
 	bucketOff := memstore.BucketOffFor(h.Base(), h.NumBuckets(), key)
 	var img [64]byte

@@ -43,8 +43,9 @@ const (
 )
 
 // Pending is the completion slot of one posted verb. Result fields are valid
-// after Execute returns: Data for PostRead, Val for PostRead64, Prev/Swapped
-// for PostCAS. Err is ErrNodeDead if the target died before execution.
+// after Execute returns, until Reset: Data for PostRead, Val for PostRead64,
+// Prev/Swapped for PostCAS. Err is ErrNodeDead if the target died before
+// execution.
 type Pending struct {
 	verb batchVerb
 	qp   *QP
@@ -148,11 +149,17 @@ func (p *Pending) perform() {
 // write-back WRITE has landed when the unlock CAS posted behind it clears the
 // lock word (internal/txn Worker.LockBatch, finish). Nothing is promised between
 // different QPs of one batch. TestBatchPerQPOrder holds the contract.
+//
+// Slot lifetime: the Pending a Post returns, and the buffer a READ without
+// one of its caller's lands in, stay valid across the batch's later doorbells
+// until its next Reset, which hands them all back for later posts to reuse.
 type Batch struct {
-	clk *sim.Clock
-	ops []*Pending
-	seq bool
-	rec *obs.Recorder // nil = tracing off (the fast path)
+	clk   *sim.Clock
+	ops   []*Pending // posted since the last doorbell, in post order
+	slots []Pending  // handed out since the last Reset (take)
+	data  []byte     // READ landing buffers handed out since the last Reset
+	seq   bool
+	rec   *obs.Recorder // nil = tracing off (the fast path)
 }
 
 // SetRecorder attaches a trace recorder: each executed doorbell emits one
@@ -161,8 +168,8 @@ type Batch struct {
 func (b *Batch) SetRecorder(r *obs.Recorder) { b.rec = r }
 
 // recordDoorbell emits the doorbell trace event for the n verbs just
-// executed; must run before Reset. Site is the single target node, or
-// obs.SiteMulti when the batch fanned out to several.
+// executed. Site is the single target node, or obs.SiteMulti when the batch
+// fanned out to several.
 func (b *Batch) recordDoorbell(n int, start, end int64) {
 	site := obs.SiteMulti
 	for i, p := range b.ops {
@@ -192,38 +199,53 @@ func (b *Batch) SetSequential(on bool) { b.seq = on }
 // Len returns the number of posted, not-yet-executed verbs.
 func (b *Batch) Len() int { return len(b.ops) }
 
-// Reset forgets all posted verbs so the batch can be reused. Pending slots
-// handed out earlier remain valid.
-func (b *Batch) Reset() { b.ops = b.ops[:0] }
+// Reset forgets the posted, not-yet-executed verbs and hands back every slot
+// and READ buffer: later posts reuse them.
+func (b *Batch) Reset() { b.ops, b.slots, b.data = b.ops[:0], b.slots[:0], b.data[:0] }
 
-func (b *Batch) post(p *Pending) *Pending {
+func (b *Batch) post(v Pending) *Pending {
+	p := &take(&b.slots, 1, 16, 256)[0]
+	*p = v // every field: a reused slot keeps no earlier caller's READ buffer
 	b.ops = append(b.ops, p)
 	return p
 }
 
-// PostRead posts a one-sided READ of n bytes at the remote offset.
+// take cuts n elements, capped, from *chunk. A chunk without room is
+// replaced, by one twice as large up to hi elements, never grown in place:
+// what it handed out stays where it is. Reset keeps the latest chunk.
+func take[T any](chunk *[]T, n, lo, hi int) []T {
+	used := len(*chunk)
+	if cap(*chunk)-used < n {
+		*chunk, used = make([]T, 0, max(n, min(max(2*cap(*chunk), lo), hi))), 0
+	}
+	*chunk = (*chunk)[:used+n]
+	return (*chunk)[used : used+n : used+n]
+}
+
+// PostRead posts a one-sided READ of n bytes at the remote offset, landing in
+// a buffer of the batch's unless the caller sets Data before the doorbell.
 func (b *Batch) PostRead(qp *QP, off uint64, n int) *Pending {
-	return b.post(&Pending{verb: verbRead, qp: qp, off: off, n: n})
+	return b.post(Pending{verb: verbRead, qp: qp, off: off, n: n})
 }
 
 // PostRead64 posts a one-word READ (must not straddle a cacheline).
 func (b *Batch) PostRead64(qp *QP, off uint64) *Pending {
-	return b.post(&Pending{verb: verbRead64, qp: qp, off: off})
+	return b.post(Pending{verb: verbRead64, qp: qp, off: off})
 }
 
 // PostWrite posts a one-sided WRITE. data must stay unmodified until Execute.
 func (b *Batch) PostWrite(qp *QP, off uint64, data []byte) *Pending {
-	return b.post(&Pending{verb: verbWrite, qp: qp, off: off, data: data})
+	return b.post(Pending{verb: verbWrite, qp: qp, off: off, data: data})
 }
 
 // PostWrite64 posts a one-word WRITE.
 func (b *Batch) PostWrite64(qp *QP, off uint64, v uint64) *Pending {
-	return b.post(&Pending{verb: verbWrite64, qp: qp, off: off, arg: v})
+	return b.post(Pending{verb: verbWrite64, qp: qp, off: off, arg: v})
 }
 
 // PostCAS posts an RDMA compare-and-swap (IBV_ATOMIC_HCA atomicity).
 func (b *Batch) PostCAS(qp *QP, off uint64, old, new uint64) *Pending {
-	return b.post(&Pending{verb: verbCAS, qp: qp, off: off, old: old, arg: new})
+	return b.post(Pending{verb: verbCAS, qp: qp, off: off, old: old, arg: new})
 }
 
 // Execute rings the doorbell: every posted verb runs against its target in
@@ -231,7 +253,7 @@ func (b *Batch) PostCAS(qp *QP, off uint64, old, new uint64) *Pending {
 // plus one base latency (the slowest posted verb kind). Per-verb outcomes
 // land in the Pending slots; the returned error is the first per-verb error
 // (callers that need to know WHICH verbs failed inspect the slots). An empty
-// batch charges nothing. The batch is reset for reuse.
+// batch charges nothing. The slots stay valid until Reset.
 //
 // Execute is ExecuteAsync followed by an immediate Wait.
 func (b *Batch) Execute() error {
@@ -246,10 +268,10 @@ func (b *Batch) Execute() error {
 // (max(per-target queueing) + one base latency, or the per-verb sum under
 // SetSequential). The worker's clock is settled by Completion.Wait, so a
 // coroutine scheduler can run other transactions during the round-trip.
-// The batch is reset for reuse.
-func (b *Batch) ExecuteAsync() *Completion {
+// The slots stay valid until Reset.
+func (b *Batch) ExecuteAsync() Completion {
 	now := b.clk.Now()
-	c := &Completion{clk: b.clk, end: now}
+	c := Completion{clk: b.clk, end: now}
 	if len(b.ops) == 0 {
 		return c
 	}
@@ -262,6 +284,9 @@ func (b *Batch) ExecuteAsync() *Completion {
 			}
 			continue
 		}
+		if p.verb == verbRead && cap(p.Data) < p.n {
+			p.Data = take(&b.data, p.n, 256, 4096)
+		}
 		t, vb := now, int64(p.base(p.qp.local.net.cfg.Profile))
 		if b.seq {
 			t, vb = c.end+vb, 0 // sequential: a cursor pays each verb's latency before its bytes queue
@@ -273,6 +298,6 @@ func (b *Batch) ExecuteAsync() *Completion {
 	if b.rec != nil {
 		b.recordDoorbell(len(b.ops), now, c.end)
 	}
-	b.Reset()
+	b.ops = b.ops[:0]
 	return c
 }

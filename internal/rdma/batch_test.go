@@ -79,7 +79,7 @@ func syncLike(qp *QP, v Pending, async bool) *Pending {
 	case verbRead:
 		buf := make([]byte, 512) // the caller's own buffer: reused, and not handed back by a dead target
 		if async {
-			var c *Completion
+			var c Completion
 			p.Data, c = qp.ReadAsync(v.off, v.n, buf)
 			p.Err = c.Wait()
 		} else {

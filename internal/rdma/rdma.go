@@ -242,20 +242,17 @@ type Completion struct {
 
 // End returns the virtual completion time of the slowest verb in the
 // completion.
-func (c *Completion) End() int64 { return c.end }
+func (c Completion) End() int64 { return c.end }
 
 // Err returns the first per-verb error without settling the latency charge.
-func (c *Completion) Err() error { return c.err }
+func (c Completion) Err() error { return c.err }
 
 // Wait advances the issuing worker's clock to max(now, completion time) and
 // returns the first per-verb error. A worker that ran other coroutines'
 // transactions while the verbs were in flight pays only the portion of the
 // round-trip not already covered — overlapped round-trips are charged once.
-// Wait is idempotent; waiting on a nil Completion is a no-op.
-func (c *Completion) Wait() error {
-	if c == nil {
-		return nil
-	}
+// Wait is idempotent.
+func (c Completion) Wait() error {
 	c.clk.WaitUntil(c.end)
 	return c.err
 }
@@ -318,10 +315,9 @@ func (qp *QP) Read(off uint64, n int, buf []byte) ([]byte, error) {
 // Wait to settle the latency charge. ReadAsync followed by an immediate
 // Wait IS Read. On a dead target the data is nil, nothing is charged and the
 // Completion reports ErrNodeDead.
-func (qp *QP) ReadAsync(off uint64, n int, buf []byte) ([]byte, *Completion) {
+func (qp *QP) ReadAsync(off uint64, n int, buf []byte) ([]byte, Completion) {
 	p := Pending{verb: verbRead, qp: qp, off: off, n: n, Data: buf}
-	c := qp.ring(&p)
-	return p.Data, &c
+	return p.Data, qp.ring(&p)
 }
 
 // Write performs a one-sided RDMA WRITE, atomic per cacheline: a write

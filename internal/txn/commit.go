@@ -33,7 +33,8 @@ const (
 // or changed record, waits out its holder. An error that is not an HTM
 // abort backs off too. The htm.Txn methods return *htm.AbortError
 // unwrapped, so a type assertion finds it (errors.As would move a target
-// to the heap on every failed attempt).
+// to the heap on every failed attempt; asError is the same rule for
+// *Error).
 func htmRetryAfter(err error) htmRetry {
 	ae, ok := err.(*htm.AbortError)
 	if !ok {
@@ -96,19 +97,15 @@ func (proto drtmrProto) Commit(tx *Txn) error {
 	// not cover costs this protocol a C.1 lock CAS and a C.6 unlock CAS on a
 	// record the transaction merely read (C.2's validation READ is counted
 	// at its own site).
-	for _, lt := range locks {
-		if !tx.writesAt(lt.Node, lt.Off) {
-			w.Stats.ROVerbs += 2
-		}
-	}
-	var run LockRun
-	if err := tx.lockRemote(locks, &run); err != nil {
+	w.Stats.ROVerbs += 2 * uint64(len(locks)-tx.at.written)
+	run := tx.lockRun()
+	if err := tx.lockRemote(locks, run); err != nil {
 		return err
 	}
 
 	// --- C.2: validate remote reads, take base seqs of remote writes (C.1 fetched them).
 	tx.stage = StageValidate
-	if err := tx.validate(validation{phase: PhaseValidate, lockedRS: true}, &run); err != nil {
+	if err := tx.validate(validation{phase: PhaseValidate, lockedRS: true}, run); err != nil {
 		tx.unlockTargets(PhaseUnlock, locks)
 		return err
 	}
@@ -120,8 +117,7 @@ func (proto drtmrProto) Commit(tx *Txn) error {
 		return err
 	}
 	if err := proto.localHTMCommit(tx); err != nil {
-		var te *Error
-		if errors.As(err, &te) && te.Reason == AbortHTM {
+		if te, ok := asError(err); ok && te.Reason == AbortHTM {
 			// Fallback handler (§6.1): locking protocol without HTM.
 			// It owns the rest of the pipeline, including unlock.
 			w.Stats.Fallbacks++
@@ -157,8 +153,7 @@ func (tx *Txn) resolveWriteOffsets() error {
 			if errors.Is(err, ErrNotFound) && e.kind == wsDelete {
 				continue // deleting a missing record is a no-op
 			}
-			var te *Error
-			if errors.As(err, &te) {
+			if te, ok := asError(err); ok {
 				te.Stage = tx.stage // commit-time lookup, not execution
 			}
 			return err
@@ -241,7 +236,7 @@ func (proto drtmrProto) localHTMCommit(tx *Txn) error {
 	}
 	for attempt := 0; attempt < htmRetries; attempt++ {
 		w.Clk.Advance(w.E.Costs.HTMRegion + time.Duration(nLocal)*w.E.Costs.PerValidate)
-		tx.confSet = false
+		tx.attempt().confSet = false
 		err := proto.localHTMAttempt(tx)
 		if err == nil {
 			return nil
@@ -269,10 +264,11 @@ func (proto drtmrProto) localHTMCommit(tx *Txn) error {
 // abortConflict is abort keyed with the conflict identity the HTM region
 // stamped (setConflict) before its explicit abort, when it stamped one.
 func (tx *Txn) abortConflict(r AbortReason, format string, args ...any) error {
-	if !tx.confSet {
+	a := tx.attempt()
+	if !a.confSet {
 		return tx.abort(r, format, args...)
 	}
-	return tx.abortOn(tx.w.E.M.ID, tx.confTable, tx.confKey, r, format, args...)
+	return tx.abortOn(tx.w.E.M.ID, a.confTable, a.confKey, r, format, args...)
 }
 
 // localHTMAttempt is one C.3+C.4 HTM region attempt, bracketed with
@@ -444,19 +440,21 @@ type ringToken struct {
 // replica ring — all backups of every written shard, plus the primaries of
 // remote written shards (so a coordinator death after publish can always be
 // redone; see the oplog package comment). Every ring's payload and header
-// ride one doorbell; the rings whose entry landed are returned.
+// ride one doorbell; the rings whose entry landed are returned, in the
+// attempt's scratch.
 func (tx *Txn) replicate() []ringToken {
 	w := tx.w
-	recs := tx.logRecords()
-	if len(recs) == 0 {
+	a := tx.attempt()
+	a.recs = tx.logRecords(a.recs[:0])
+	if len(a.recs) == 0 {
 		return nil
 	}
-	entry := oplog.Encode(tx.id, recs)
+	entry := oplog.Encode(tx.id, a.recs)
 
 	// Target set from the FRESH configuration: if a backup died, its
 	// replacement placement is what matters now.
 	cfg := w.E.M.Config()
-	var targets []rdma.NodeID
+	targets := a.nodes[:0]
 	for i := range tx.ws {
 		e := &tx.ws[i]
 		if int(e.shard) >= cfg.NumShards() {
@@ -475,12 +473,13 @@ func (tx *Txn) replicate() []ringToken {
 	// queueing, so it must not depend on map iteration.
 	slices.Sort(targets)
 	targets = slices.Compact(targets)
+	a.nodes = targets
 	// One doorbell for the whole fan-out (one base write latency): each
 	// ring's header rides its payload's queue pair, behind it, so a header
 	// lands only with its payload. An empty batch — every target dead or
 	// skipped — charges nothing.
-	b := w.NewBatch()
-	toks := make([]ringToken, 0, len(targets))
+	b := tx.batch()
+	toks := a.toks[:0]
 	for _, node := range targets {
 		tx.countWakeup(node)
 		tk, err := w.E.M.LogWriter(node).Post(w.QP(node), b, entry)
@@ -489,15 +488,15 @@ func (tx *Txn) replicate() []ringToken {
 		}
 		toks = append(toks, ringToken{node: node, tok: tk})
 	}
+	a.toks = toks
 	_ = w.ExecBatch(PhaseLog, tx.id, b)
 	// A ring whose verbs failed (its machine died) holds no entry.
 	return slices.DeleteFunc(toks, func(rt ringToken) bool { return !rt.tok.Landed() })
 }
 
-// logRecords builds the full-write-set log payload with final sequence
-// numbers (Table 4: backups install SN_new+2 directly).
-func (tx *Txn) logRecords() []oplog.Rec {
-	var recs []oplog.Rec
+// logRecords appends the full-write-set log payload, with final sequence
+// numbers (Table 4: backups install SN_new+2 directly), to recs.
+func (tx *Txn) logRecords(recs []oplog.Rec) []oplog.Rec {
 	for i := range tx.ws {
 		e := &tx.ws[i]
 		var kind uint8
@@ -645,24 +644,20 @@ func (tx *Txn) commitReadOnly() error {
 	if n := len(rs); n > 0 && (tx.readOnly || rs[n-1].local) {
 		rs = rs[:n-1]
 	}
-	// The remote entries' READs, in read-set order. The doorbell below yields,
-	// and a sibling transaction's commit may run meanwhile, so the slots live
-	// in this frame, not on the worker.
-	var (
-		b     *rdma.Batch
-		slots [8]*rdma.Pending
-	)
-	pend := slots[:0]
-	for i := range rs {
-		if !rs[i].local && !tx.carried {
-			if b == nil {
-				b = w.NewBatch()
+	// The remote entries' READs, in read-set order, in the attempt's scratch:
+	// the doorbell below yields, and a sibling transaction's commit may run
+	// meanwhile with scratch of its own.
+	var pend []*rdma.Pending
+	if !tx.carried {
+		a, b := tx.attempt(), tx.batch()
+		pend = a.slots[:0]
+		for i := range rs {
+			if !rs[i].local {
+				pend = append(pend, b.PostRead(w.QP(rs[i].node), rs[i].off, 24))
+				w.Stats.ROVerbs++ // every read-only validation READ hits a pure read participant
 			}
-			pend = append(pend, b.PostRead(w.QP(rs[i].node), rs[i].off, 24))
-			w.Stats.ROVerbs++ // every read-only validation READ hits a pure read participant
 		}
-	}
-	if b != nil {
+		a.slots = pend
 		_ = w.ExecBatch(PhaseROValidate, tx.id, b)
 	}
 

@@ -195,6 +195,17 @@ func (e *Error) Error() string {
 	return "txn: abort (" + e.Reason.String() + "): " + e.Detail
 }
 
+// asError finds the first *Error in err's chain of wraps, without errors.As's
+// target, which would move to the heap on every abort.
+func asError(err error) (*Error, bool) {
+	for ; err != nil; err = errors.Unwrap(err) {
+		if te, ok := err.(*Error); ok {
+			return te, true
+		}
+	}
+	return nil, false
+}
+
 // ErrNotFound is returned by Read for missing keys (a user-level outcome,
 // not an abort).
 var ErrNotFound = errors.New("txn: key not found")
@@ -340,6 +351,9 @@ type Worker struct {
 	// img is scratch for record images that are dropped before the worker
 	// can reach a scheduling point (Worker.scratch).
 	img []byte
+	// spare holds the attempt scratch of ended attempts, for the next ones
+	// (Txn.attempt).
+	spare []*attempt
 
 	// Coroutine scheduler state (sched.go). cur is the running coroutine
 	// (nil when the worker runs a single transaction the classic way);
@@ -658,20 +672,6 @@ func (w *Worker) scratch(n int) []byte {
 	return w.img[:n]
 }
 
-// NewBatch creates a doorbell batch on this worker's clock, honoring the
-// engine's sequential-accounting ablation knob and the worker's trace
-// recorder.
-func (w *Worker) NewBatch() *rdma.Batch {
-	b := rdma.NewBatch(&w.Clk)
-	if w.E.DisableVerbBatching {
-		b.SetSequential(true)
-	}
-	if w.Rec != nil {
-		b.SetRecorder(w.Rec)
-	}
-	return b
-}
-
 // ExecBatch rings the doorbell on b and charges its verbs, doorbell and
 // virtual latency to the given commit phase's counters. Empty batches cost
 // (and count) nothing. Under the coroutine scheduler the doorbell is a
@@ -826,6 +826,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		if err == nil {
 			err = tx.Commit()
 		}
+		tx.endAttempt()
 		if held != nil {
 			held.release()
 		}
@@ -843,8 +844,8 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 			}
 			return nil
 		}
-		var te *Error
-		if !errors.As(err, &te) {
+		te, ok := asError(err)
+		if !ok {
 			return err // user error: not retried
 		}
 		w.Stats.Aborts[te.Reason]++

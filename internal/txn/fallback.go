@@ -37,14 +37,14 @@ func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []LockTarget) error 
 	}
 
 	// Step 3: lock everything (loop-back RDMA CAS for local records).
-	var run LockRun
-	if !tx.lockInOrder(targets, &run) {
+	run := tx.lockRun()
+	if !tx.lockInOrder(targets, run) {
 		tx.unlockTargets(PhaseFallback, run.Held)
 		return tx.abort(AbortLockFailed, "fallback lock failed")
 	}
 
 	// Step 4: validate the whole read set under locks.
-	if err := tx.validate(validation{phase: PhaseFallback, locals: true, lockedRS: true, uncounted: true}, &run); err != nil {
+	if err := tx.validate(validation{phase: PhaseFallback, locals: true, lockedRS: true, uncounted: true}, run); err != nil {
 		tx.unlockTargets(PhaseFallback, run.Held)
 		return err
 	}

@@ -60,15 +60,15 @@ func (proto farmProto) Commit(tx *Txn) error {
 	if err != nil {
 		return err
 	}
-	var run LockRun
-	if err := tx.lockRemote(locks, &run); err != nil {
+	run := tx.lockRun()
+	if err := tx.lockRemote(locks, run); err != nil {
 		return err
 	}
 
 	// --- F.2: validate reads (their lock words too: the read set is not
 	// locked), take write bases (F.1 fetched those headers), all under the locks.
 	tx.stage = StageValidate
-	if err := tx.validate(validation{phase: PhaseValidate, locals: true}, &run); err != nil {
+	if err := tx.validate(validation{phase: PhaseValidate, locals: true}, run); err != nil {
 		tx.unlockTargets(PhaseUnlock, locks)
 		return err
 	}

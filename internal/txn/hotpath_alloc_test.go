@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"drtmr/internal/htm"
+	"drtmr/internal/memstore"
 	"drtmr/internal/obs"
 	"drtmr/internal/rdma"
 	"drtmr/internal/sim"
@@ -176,6 +177,58 @@ func TestHotpathAllocFree(t *testing.T) {
 			t.Error(err)
 		}
 	})
+
+	// A doorbell allocates nothing once warm: its slots and the buffers its
+	// READs land in are the batch's, handed back by Reset when the attempt
+	// ends, and its Completion is a value. So is a lone READ's.
+	wk := w3.engines[0].NewWorker(1)
+	off1, _ := w3.c.Machines[1].Store.Table(tblAcct).Lookup(1)
+	off2, _ := w3.c.Machines[2].Store.Table(tblAcct).Lookup(2)
+	b := new(LockRun).Batch(wk)
+	requireNoAlloc(t, "warm 5-verb doorbell", func() {
+		b.PostCAS(wk.QP(1), off1+memstore.LockOff, 0, 0)
+		b.PostRead(wk.QP(1), off1, 24)
+		b.PostCAS(wk.QP(2), off2+memstore.LockOff, 0, 0)
+		b.PostRead(wk.QP(2), off2, 64)
+		b.PostRead64(wk.QP(2), off2+memstore.SeqOff)
+		if err := wk.await(b.ExecuteAsync()); err != nil {
+			t.Error(err)
+		}
+		b.Reset()
+	})
+	requireNoAlloc(t, "ReadAsync+await", func() {
+		var hdr [24]byte
+		_, c := wk.QP(1).ReadAsync(off1, len(hdr), hdr[:])
+		if err := wk.await(c); err != nil {
+			t.Error(err)
+		}
+	})
+
+	// A commit of two remote records takes the attempt scratch an earlier one
+	// gave back: C.1's CASes and the header READs behind them, the write-back
+	// WRITEs and the unlock CASes post into its batch, and lockSet's targets
+	// and the lock stage's bookkeeping fill its slices. What it allocates is
+	// the Txn, the read and write sets' growth (to 1, then 2 entries each:
+	// 4) and the slab's chunks (4): the chunk each remote record's 64-byte
+	// READ opens, and the one each 64-byte write-back image opens.
+	commit := func() {
+		tx := wk.Begin()
+		for _, k := range []uint64{1, 2} {
+			v, err := tx.Read(tblAcct, k)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := tx.Write(tblAcct, k, v); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+		}
+	}
+	commit()
+	requireAllocs(t, "two-remote-record commit", 9, commit)
 }
 
 // gateHandoff is one admission through hot-key gate g, held across a park so
@@ -200,7 +253,8 @@ func gateHandoff(wk *Worker, g *keyGate) bool {
 // a timed park that is due, one that is not, and a doorbell awaited with the
 // gate held — every sibling is queued behind it, so the dispatch pass finds
 // nothing due and asks whether the idle jump would pass another worker. The
-// doorbell's own Pending and Completion are the only allocations allowed.
+// doorbell's own allocations (its batch, never Reset here, takes a fresh chunk
+// of slots now and then) are the only ones allowed.
 func TestCoroutineHandoffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -208,8 +262,8 @@ func TestCoroutineHandoffAllocFree(t *testing.T) {
 	w := newWorld(t, 1, 1, htm.Config{})
 	wk := w.engines[0].NewWorker(0)
 	g := &keyGate{}
-	b := wk.NewBatch()
-	doorbell := func() *rdma.Completion {
+	b := new(LockRun).Batch(wk)
+	doorbell := func() rdma.Completion {
 		b.PostRead64(wk.QP(0), 0)
 		return b.ExecuteAsync()
 	}

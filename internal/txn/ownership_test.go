@@ -115,3 +115,145 @@ func ownershipRounds(t *testing.T, wk *Worker, rng *testRand, accounts uint64, r
 		prev, prevWant = held, heldWant
 	}
 }
+
+// TestCarriedValueOwnership: a value read through the read-only carry path
+// (the second remote record of a read-only transaction on one node, whose
+// record READ rides one doorbell with the first record's header READ, into a
+// carve of the transaction's) belongs to the caller as well, and so does the
+// read set's copy the READ landed in. Both keep their bytes while the same
+// worker runs further transactions, which reuse the attempt scratch they
+// came through:
+// read-only commits whose validation READ takes the slot that carried it, and
+// read-write commits that change the record it was read from. One worker
+// alone reuses the scratch of each transaction in the next; two workers per
+// machine with four coroutines each also interleave the attempts.
+func TestCarriedValueOwnership(t *testing.T) {
+	const (
+		nodes    = 3
+		accounts = 24
+		initial  = 1000
+		rounds   = 30
+	)
+	for _, c := range []struct {
+		name           string
+		workers, coros int
+	}{{"one worker", 1, 0}, {"coroutines", 2, 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld(t, nodes, 1, htm.Config{})
+			w.load(t, accounts, initial)
+			var wg sync.WaitGroup
+			for n := 0; n < nodes; n++ {
+				for id := 0; id < c.workers; id++ {
+					wg.Add(1)
+					go func(node, id int) {
+						defer wg.Done()
+						wk := w.engines[node].NewWorker(id)
+						run := func(slot int) {
+							carriedRounds(t, wk, newTestRand(uint64(node*100+id*10+slot+1)), accounts, rounds)
+						}
+						if c.coros == 0 {
+							run(0)
+						} else {
+							wk.RunCoroutines(c.coros, run)
+						}
+						if wk.Stats.Phases[PhaseROValidate].Verbs == 0 {
+							t.Errorf("worker %d/%d carried no header: the carry path did not run", node, id)
+						}
+					}(n, id)
+				}
+			}
+			wg.Wait()
+			if total := w.totalOnPrimaries(accounts); total != accounts*initial {
+				t.Fatalf("value not conserved: %d != %d", total, accounts*initial)
+			}
+		})
+	}
+}
+
+// carriedRounds is one context's share of TestCarriedValueOwnership: each
+// round reads two records of one remote node read-only, keeps the carried
+// value, then runs a read-only transaction over records of both remote nodes
+// (not carried: its commit posts a validation READ) and moves a unit between
+// the two records, checking every value kept so far after each.
+func carriedRounds(t *testing.T, wk *Worker, rng *testRand, accounts uint64, rounds int) {
+	me := uint64(wk.E.M.ID)
+	// key returns a random account on node (me+hop)%3.
+	key := func(hop uint64) uint64 {
+		return (rng.next()%(accounts/3))*3 + (me+hop)%3
+	}
+	type kept struct {
+		what      string
+		got, want []byte
+	}
+	var held []kept
+	check := func(when string) bool {
+		for _, h := range held {
+			if !bytes.Equal(h.got, h.want) {
+				t.Errorf("%s changed %s: %x, want %x", h.what, when, h.got, h.want)
+				return false
+			}
+		}
+		return true
+	}
+	for r := 0; r < rounds; r++ {
+		a, b, c := key(1), key(1), key(2)
+		if a == b {
+			b = (a + 3) % accounts
+		}
+		err := wk.RunReadOnly(func(tx *Txn) error {
+			if _, err := tx.Read(tblAcct, a); err != nil {
+				return err
+			}
+			v, err := tx.Read(tblAcct, b)
+			if err != nil {
+				return err
+			}
+			rs := tx.findRS(tblAcct, b)
+			held = append(held, kept{"a carried value", v, bytes.Clone(v)}, kept{"the read set's copy of a carried record", rs.val, bytes.Clone(rs.val)})
+			return nil
+		})
+		if err != nil {
+			t.Errorf("carried read: %v", err)
+			return
+		}
+		if !check("after its Commit") {
+			return
+		}
+		err = wk.RunReadOnly(func(tx *Txn) error {
+			for _, k := range []uint64{a, c} {
+				if _, err := tx.Read(tblAcct, k); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("read-only transaction: %v", err)
+			return
+		}
+		if !check("after a read-only commit's validation READ") {
+			return
+		}
+		err = wk.Run(func(tx *Txn) error {
+			va, err := tx.Read(tblAcct, a)
+			if err != nil {
+				return err
+			}
+			vb, err := tx.Read(tblAcct, b)
+			if err != nil {
+				return err
+			}
+			if err := tx.Write(tblAcct, a, encBal(decBal(va)-1)); err != nil {
+				return err
+			}
+			return tx.Write(tblAcct, b, encBal(decBal(vb)+1))
+		})
+		if err != nil {
+			t.Errorf("transfer: %v", err)
+			return
+		}
+		if !check("after a commit that changed its record") {
+			return
+		}
+	}
+}

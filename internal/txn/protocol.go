@@ -91,8 +91,10 @@ func (w *Worker) protocol() CommitProtocol {
 
 // Commit dispatches to the worker's commit protocol. Read-only transactions
 // (and read-write ones that wrote nothing) take the protocol's read-only
-// path; everything else runs the full pipeline.
+// path; everything else runs the full pipeline. The attempt ends here,
+// committed or aborted, and its scratch goes back to the worker.
 func (tx *Txn) Commit() error {
+	defer tx.endAttempt()
 	p := tx.w.protocol()
 	if tx.readOnly || len(tx.ws) == 0 {
 		tx.stage = StageROValidate
@@ -115,13 +117,6 @@ func (tx *Txn) fenced() error {
 		return tx.abort(AbortNodeDead, "configuration changed before commit")
 	}
 	return nil
-}
-
-// writesAt reports whether the write set covers the record at (node, off) —
-// the read-only-participant test for lock targets (Stats.ROVerbs).
-func (tx *Txn) writesAt(node rdma.NodeID, off uint64) bool {
-	_, e := tx.entriesAt(node, off)
-	return e != nil
 }
 
 // countWakeup records a remote-CPU delivery (RPC or redo-log append) bound

@@ -343,7 +343,7 @@ func (w *Worker) park(c *coro) {
 // other in-flight transactions run during the fabric round-trip, then
 // charges only the uncovered remainder; without a scheduler it degenerates
 // to Completion.Wait — the exact synchronous accounting.
-func (w *Worker) await(c *rdma.Completion) error {
+func (w *Worker) await(c rdma.Completion) error {
 	if w.gate != nil {
 		w.gate() // deterministic mode: doorbells are worker-switch points too
 	}

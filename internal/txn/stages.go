@@ -6,6 +6,7 @@ import (
 
 	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
+	"drtmr/internal/oplog"
 	"drtmr/internal/rdma"
 )
 
@@ -51,24 +52,24 @@ const (
 // ones were resolved by resolveWriteOffsets and are skipped if still
 // unresolved (a delete of a missing record). rsEntry.node and wsEntry.node
 // name this machine for local records, so they address loop-back CASes as is.
-// Each unique target's Fetch is fetchLen's.
+// Each target's Fetch is what the validate stage reads of the remote record
+// once it is locked, as the entry naming it says: a read-set record's header
+// (under every scope, farm's writes-only one too), a blind in-place write's
+// base, nothing where only a delete names the record. The targets live in
+// the attempt's scratch, the count of those a write-set entry names too.
 func (tx *Txn) lockSet(scope lockScope) ([]LockTarget, error) {
-	// Allocated on the first target: an all-local transaction has nothing to
-	// lock under scopeRemote, and that is the common case.
-	var out []LockTarget
-	add := func(node rdma.NodeID, off uint64) {
-		if out == nil {
-			out = make([]LockTarget, 0, len(tx.rs)+len(tx.ws))
-		}
-		out = append(out, LockTarget{Node: node, Off: off})
-	}
+	a := tx.attempt()
+	out := a.locks[:0]
 	if scope != scopeWrites {
 		for i := range tx.rs {
-			if r := &tx.rs[i]; !r.local || scope == scopeAll {
-				add(r.node, r.off)
+			if r := &tx.rs[i]; !r.local {
+				out = append(out, LockTarget{Node: r.node, Off: r.off, Fetch: 24})
+			} else if scope == scopeAll {
+				out = append(out, LockTarget{Node: r.node, Off: r.off})
 			}
 		}
 	}
+	written := len(out)
 	for i := range tx.ws {
 		e := &tx.ws[i]
 		if e.kind == wsInsert || (e.local && scope == scopeRemote) {
@@ -84,29 +85,39 @@ func (tx *Txn) lockSet(scope lockScope) ([]LockTarget, error) {
 			}
 			e.off = off
 		}
-		if e.off != 0 {
-			add(e.node, e.off)
+		if e.off == 0 {
+			continue
 		}
+		lt := LockTarget{Node: e.node, Off: e.off}
+		switch {
+		case e.local:
+		case e.read:
+			lt.Fetch = 24
+		case e.inPlace():
+			lt.Fetch = tx.baseLen(e)
+		}
+		out = append(out, lt)
 	}
+	a.written = len(out) - written
 	// Sorted acquisition keeps lock patterns comparable across retries,
 	// shortens convoys under contention, and is what makes the fallback's
 	// group-by-group blocking acquisition deadlock-free. A record both read
-	// and written appears twice; sorting makes the copies adjacent.
+	// and written appears twice, with one Fetch; sorting makes the copies
+	// adjacent.
 	slices.SortFunc(out, func(a, b LockTarget) int {
 		if c := cmp.Compare(a.Node, b.Node); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Off, b.Off)
 	})
-	out = slices.Compact(out)
-	for i := range out {
-		out[i].Fetch = tx.fetchLen(out[i].Node, out[i].Off)
-	}
+	out = slices.CompactFunc(out, func(a, b LockTarget) bool { return a.Node == b.Node && a.Off == b.Off })
+	a.locks = out
 	return out, nil
 }
 
-// LockRun is one commit attempt's lock acquisition: the back-out set, and
-// what the last LockBatch left unacquired.
+// LockRun is one commit attempt's lock acquisition: the back-out set, what
+// the last LockBatch left unacquired, and the doorbell every stage of the
+// attempt posts into (Batch).
 type LockRun struct {
 	Held []LockTarget // every CAS won so far — what a back-out (or the final unlock) must release
 	// Fetched[i] is the READ behind the CAS that won Held[i] (nil: none needed).
@@ -116,21 +127,31 @@ type LockRun struct {
 	Holder  uint64       // the lock word that beat Missed[0]
 	Err     error        // the last batch's last verb error: the target machine is dead
 	ErrAt   rdma.NodeID
+
+	b     *rdma.Batch
+	pend  []*rdma.Pending // LockBatch's lock CAS and the READ behind it, by target
+	spare []LockTarget    // the buffer the next LockBatch refills Missed into
 }
 
-// fetchLen is how many bytes of the remote record at (node, off) the validate
-// stage reads once it is locked: a read-set record's header, a blind in-place
-// write's base, nothing where only a delete names the record.
-func (tx *Txn) fetchLen(node rdma.NodeID, off uint64) int {
-	switch r, e := tx.entriesAt(node, off); {
-	case node == tx.w.E.M.ID:
-		return 0 // loop-back target: validate reads local records from memory
-	case r != nil:
-		return 24
-	case e != nil && e.inPlace():
-		return tx.baseLen(e)
+// Batch is the attempt's doorbell, set up for w. Its slots stay valid across
+// the attempt's later doorbells — validate reads Fetched after ringing its
+// own, DrTM's shrinking phase after its fallback's locks — until Reset.
+func (run *LockRun) Batch(w *Worker) *rdma.Batch {
+	if run.b == nil {
+		run.b = rdma.NewBatch(&w.Clk)
 	}
-	return 0
+	run.b.SetSequential(w.E.DisableVerbBatching)
+	run.b.SetRecorder(w.Rec)
+	return run.b
+}
+
+// Reset ends the attempt: run is emptied and every slot and READ buffer its
+// doorbell handed out goes back to it, for the next attempt to reuse.
+func (run *LockRun) Reset() {
+	run.Held, run.Fetched, run.Missed, run.Err = run.Held[:0], run.Fetched[:0], run.Missed[:0], nil
+	if run.b != nil {
+		run.b.Reset()
+	}
 }
 
 // baseLen is what an in-place write's base fetch covers: the header, or the
@@ -140,6 +161,64 @@ func (tx *Txn) baseLen(e *wsEntry) int {
 		return tx.w.E.M.Store.Table(e.table).RecBytes
 	}
 	return 24
+}
+
+// attempt is the doorbell and commit scratch of one transaction attempt
+// (DESIGN.md "Verbs a transaction posts"): every stage posts into run's
+// batch, and the stages' slices keep their capacity from one attempt to the
+// next. A transaction takes one from its worker when a stage first needs it
+// and gives it back when the attempt ends, so siblings never share one.
+type attempt struct {
+	run     LockRun
+	locks   []LockTarget    // lockSet's targets
+	written int             // how many of them a write-set entry names
+	slots   []*rdma.Pending // validate's READs by read-set, then write-set position; commitReadOnly's
+	nodes   []rdma.NodeID   // replicate's targets
+	toks    []ringToken     // replicate's ring entries
+	recs    []oplog.Rec     // logRecords' payload
+
+	// Conflict identity captured inside the commit HTM region: the region
+	// communicates failures through abort codes only (htx.Abort unwinds), so
+	// localCommitBody stamps the conflicting record here before aborting and
+	// localHTMCommit attaches it to the txn.Error it builds outside.
+	confKey   uint64
+	confTable memstore.TableID
+	confSet   bool
+}
+
+// attempt returns the transaction's attempt scratch, taken from its worker
+// on first use.
+func (tx *Txn) attempt() *attempt {
+	if w := tx.w; tx.at == nil {
+		if n := len(w.spare); n > 0 {
+			tx.at, w.spare = w.spare[n-1], w.spare[:n-1]
+		} else {
+			tx.at = &attempt{}
+		}
+		tx.at.run.Batch(w)
+	}
+	return tx.at
+}
+
+// endAttempt gives the attempt scratch back to the worker once the attempt
+// has ended, committed or aborted. A second call does nothing.
+func (tx *Txn) endAttempt() {
+	if tx.at != nil {
+		tx.at.run.Reset()
+		tx.w.spare = append(tx.w.spare, tx.at)
+		tx.at = nil
+	}
+}
+
+// batch is the attempt's doorbell.
+func (tx *Txn) batch() *rdma.Batch { return tx.attempt().run.b }
+
+// lockRun is the attempt's LockRun, emptied for a new lock set; the slots
+// of its earlier doorbells stay valid.
+func (tx *Txn) lockRun() *LockRun {
+	run := &tx.attempt().run
+	run.Held, run.Fetched, run.Missed, run.Err = run.Held[:0], run.Fetched[:0], run.Missed[:0], nil
+	return run
 }
 
 // LockBatch try-locks every target with one doorbell batch of RDMA CASes
@@ -168,35 +247,37 @@ func (tx *Txn) baseLen(e *wsEntry) int {
 // that the caller's retry can win it.
 func (w *Worker) LockBatch(phase, fetchPhase CommitPhase, id uint64, cfg *cluster.Config, targets []LockTarget, run *LockRun) {
 	myWord := memstore.LockWord(uint32(w.E.M.ID))
-	b := w.NewBatch()
-	pend := make([]struct{ cas, read *rdma.Pending }, len(targets))
-	for i, lt := range targets {
-		pend[i].cas = b.PostCAS(w.QP(lt.Node), lt.Off+memstore.LockOff, 0, myWord)
+	b := run.Batch(w)
+	run.pend = run.pend[:0]
+	for _, lt := range targets {
+		var read *rdma.Pending
+		cas := b.PostCAS(w.QP(lt.Node), lt.Off+memstore.LockOff, 0, myWord)
 		if lt.Fetch > 0 {
-			pend[i].read = b.PostRead(w.QP(lt.Node), lt.Off, lt.Fetch)
+			read = b.PostRead(w.QP(lt.Node), lt.Off, lt.Fetch)
 		}
+		run.pend = append(run.pend, cas, read)
 	}
 	reads := b.Len() - len(targets)
 	_ = w.ExecBatch(phase, id, b)
 	w.MoveVerbs(phase, fetchPhase, reads)
 
-	// targets may alias run.Missed (a retry): detach before refilling it.
-	run.Missed, run.Err = nil, nil
-	run.Held = slices.Grow(run.Held, len(targets)) // one allocation: a retry's targets fit the first pass's
+	// targets may alias run.Missed (a retry): refill the other buffer.
+	run.Missed, run.spare, run.Err = run.spare[:0], run.Missed, nil
+	run.Held = slices.Grow(run.Held, len(targets))
 	run.Fetched = slices.Grow(run.Fetched, len(targets))
-	for i, p := range pend {
-		switch {
-		case p.cas.Err != nil:
-			run.Err, run.ErrAt = p.cas.Err, targets[i].Node
-		case p.cas.Swapped:
-			run.Held = append(run.Held, targets[i])
-			run.Fetched = append(run.Fetched, p.read)
+	for i, lt := range targets {
+		switch cas := run.pend[2*i]; {
+		case cas.Err != nil:
+			run.Err, run.ErrAt = cas.Err, lt.Node
+		case cas.Swapped:
+			run.Held = append(run.Held, lt)
+			run.Fetched = append(run.Fetched, run.pend[2*i+1])
 		default:
 			if len(run.Missed) == 0 {
-				run.Holder = p.cas.Prev
+				run.Holder = cas.Prev
 			}
-			w.maybeReleaseDangling(cfg, targets[i].Node, targets[i].Off, p.cas.Prev)
-			run.Missed = append(run.Missed, targets[i])
+			w.maybeReleaseDangling(cfg, lt.Node, lt.Off, cas.Prev)
+			run.Missed = append(run.Missed, lt)
 		}
 	}
 }
@@ -251,7 +332,7 @@ func (tx *Txn) unlockTargets(phase CommitPhase, locks []LockTarget) {
 	if len(locks) == 0 {
 		return
 	}
-	b := tx.w.NewBatch()
+	b := tx.batch()
 	tx.w.PostUnlocks(b, locks)
 	_ = tx.w.ExecBatch(phase, tx.id, b)
 }
@@ -308,18 +389,17 @@ func (tx *Txn) validate(v validation, run *LockRun) error {
 	mut := &w.E.Mut
 	myWord := memstore.LockWord(uint32(w.E.M.ID))
 
-	// One slot per read-set entry, then one per write-set entry, allocated on
-	// the first remote record; the batch on the first READ not fetched already.
+	// One slot per read-set entry, then one per write-set entry, sized on
+	// the first remote record.
 	var pend []*rdma.Pending
-	var b *rdma.Batch
+	b := tx.batch()
 	post := func(slot int, node rdma.NodeID, off uint64, n int) {
 		if pend == nil {
-			pend = make([]*rdma.Pending, len(tx.rs)+len(tx.ws))
+			a := tx.attempt()
+			a.slots = slices.Grow(a.slots[:0], len(tx.rs)+len(tx.ws))[:len(tx.rs)+len(tx.ws)]
+			pend = a.slots
 		}
 		if pend[slot] = run.header(node, off); pend[slot] == nil {
-			if b == nil {
-				b = w.NewBatch()
-			}
 			pend[slot] = b.PostRead(w.QP(node), off, n)
 		}
 	}
@@ -330,14 +410,12 @@ func (tx *Txn) validate(v validation, run *LockRun) error {
 	}
 	for i := range tx.ws {
 		e := &tx.ws[i]
-		if e.local || !e.inPlace() || e.off == 0 || tx.findRS(e.table, e.key) != nil {
+		if e.local || !e.inPlace() || e.off == 0 || e.read {
 			continue // not fetched remotely, or the base comes from the read-set header
 		}
 		post(len(tx.rs)+i, e.node, e.off, tx.baseLen(e))
 	}
-	if b != nil {
-		_ = w.ExecBatch(v.phase, tx.id, b)
-	}
+	_ = w.ExecBatch(v.phase, tx.id, b)
 
 	var hdr [24]byte
 	for i := range tx.rs {
@@ -396,7 +474,7 @@ func (tx *Txn) validate(v validation, run *LockRun) error {
 	// move under us), through a batch for remote records.
 	for i := range tx.ws {
 		e := &tx.ws[i]
-		if !e.inPlace() || e.off == 0 || (e.local && !v.locals) || tx.findRS(e.table, e.key) != nil {
+		if !e.inPlace() || e.off == 0 || (e.local && !v.locals) || e.read {
 			continue
 		}
 		tbl := w.E.M.Store.Table(e.table)
@@ -503,7 +581,7 @@ func (tx *Txn) finish(t tail, held []LockTarget) {
 		toks = tx.replicate()
 		tx.makeupLocal()
 	}
-	b := w.NewBatch()
+	b := tx.batch()
 	tx.postWriteBack(b)
 	writes := b.Len()
 	w.PostUnlocks(b, held)

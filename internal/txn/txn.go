@@ -78,7 +78,10 @@ type wsEntry struct {
 	node  rdma.NodeID
 	off   uint64 // 0 until resolved (inserts: after RPC/apply)
 	local bool
-	buf   []byte
+	// read says the read set holds the record too: its header, not a base
+	// of the write's own, is what the validate stage fetches.
+	read bool
+	buf  []byte
 	// baseSeq is the record's sequence number observed when locking /
 	// inside the commit HTM region; newSeq = baseSeq + 1 (+1 again after
 	// replication).
@@ -129,13 +132,9 @@ type Txn struct {
 	// slab is the chunk carve cuts values from.
 	slab []byte
 
-	// Conflict identity captured inside the commit HTM region: the region
-	// communicates failures through abort codes only (htx.Abort unwinds), so
-	// localCommitBody stamps the conflicting record here before aborting and
-	// localHTMCommit attaches it to the txn.Error it builds outside.
-	confKey   uint64
-	confTable memstore.TableID
-	confSet   bool
+	// at is the attempt's doorbell and commit scratch (nil until a stage
+	// needs it, and again once the attempt has ended).
+	at *attempt
 
 	readOnly bool
 	// stage is the lifecycle position (StageExec .. StageFallback) used to
@@ -208,7 +207,8 @@ func (tx *Txn) deltaBuf(e *wsEntry, n int) {
 
 // setConflict records the conflicting record for post-HTM abort attribution.
 func (tx *Txn) setConflict(table memstore.TableID, key uint64) {
-	tx.confTable, tx.confKey, tx.confSet = table, key, true
+	a := tx.attempt()
+	a.confTable, a.confKey, a.confSet = table, key, true
 }
 
 // Begin starts a read-write transaction. The configuration is snapshotted
@@ -254,33 +254,19 @@ func (tx *Txn) abortOn(node rdma.NodeID, table memstore.TableID, key uint64, r A
 	return e
 }
 
-// entriesAt finds the read-set and the write-set entry naming the record at
-// (node, off): how offset-level steps (a lock CAS, the READ behind it) get back
-// to what the transaction knows. Unresolved entries (off 0) never match.
-func (tx *Txn) entriesAt(node rdma.NodeID, off uint64) (r *rsEntry, e *wsEntry) {
+// keyAt is the (table, key) of the record at (node, off), read set first, to
+// key aborts raised by offset-level operations (C.1 lock CASes). Unresolved
+// entries (off 0) never match.
+func (tx *Txn) keyAt(node rdma.NodeID, off uint64) (memstore.TableID, uint64, bool) {
 	for i := range tx.rs {
-		if c := &tx.rs[i]; c.node == node && c.off == off && off != 0 {
-			r = c
-			break
+		if r := &tx.rs[i]; r.node == node && r.off == off && off != 0 {
+			return r.table, r.key, true
 		}
 	}
 	for i := range tx.ws {
-		if c := &tx.ws[i]; c.node == node && c.off == off && off != 0 {
-			e = c
-			break
+		if e := &tx.ws[i]; e.node == node && e.off == off && off != 0 {
+			return e.table, e.key, true
 		}
-	}
-	return r, e
-}
-
-// keyAt is the (table, key) of the record at (node, off), to key aborts raised
-// by offset-level operations (C.1 lock CASes).
-func (tx *Txn) keyAt(node rdma.NodeID, off uint64) (memstore.TableID, uint64, bool) {
-	switch r, e := tx.entriesAt(node, off); {
-	case r != nil:
-		return r.table, r.key, true
-	case e != nil:
-		return e.table, e.key, true
 	}
 	return 0, 0, false
 }
@@ -418,6 +404,9 @@ func (tx *Txn) Read(table memstore.TableID, key uint64) ([]byte, error) {
 	}
 	e.shard, e.node = shard, node
 	tx.rs = append(tx.rs, e)
+	if dw != nil {
+		dw.read = true
+	}
 	tx.carried = all
 	if !local && tx.carryN >= 0 {
 		if all && tx.carryN < maxCarry {
@@ -521,7 +510,7 @@ func (tx *Txn) Write(table memstore.TableID, key uint64, value []byte) error {
 	}
 	var reuse []byte
 	if r := tx.findRS(table, key); r != nil {
-		e.off = r.off
+		e.off, e.read = r.off, true
 		reuse, r.val = r.val, nil
 	}
 	e.buf = tx.fill(reuse, value)
@@ -579,7 +568,7 @@ func (tx *Txn) Add(table memstore.TableID, key uint64, fieldOff int, delta uint6
 		deltas: []fieldDelta{{off: uint32(fieldOff), add: delta}},
 	}
 	if r := tx.findRS(table, key); r != nil {
-		e.off = r.off
+		e.off, e.read = r.off, true
 	}
 	tx.ws = append(tx.ws, e)
 	return nil
@@ -618,6 +607,7 @@ func (tx *Txn) Delete(table memstore.TableID, key uint64) error {
 	tx.ws = append(tx.ws, wsEntry{
 		kind: wsDelete, table: table, key: key,
 		shard: shard, node: node, local: local,
+		read: tx.findRS(table, key) != nil,
 	})
 	return nil
 }
@@ -738,11 +728,11 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 	for attempt := 0; attempt < 256; attempt++ {
 		// The record fetch is a full fabric round-trip: issue it async and
 		// yield so other in-flight transactions run while it is outstanding.
-		var comp *rdma.Completion
+		var comp rdma.Completion
 		if len(carry) == 0 {
 			img, comp = qp.ReadAsync(loc.Off, tbl.RecBytes, img)
 		} else {
-			b := tx.w.NewBatch()
+			b := tx.batch()
 			rec := b.PostRead(qp, loc.Off, tbl.RecBytes)
 			rec.Data = img
 			for i, j := range carry {

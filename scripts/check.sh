@@ -86,8 +86,11 @@ go test -count=3 -cpu 1,2 -run 'BaselinesReplay' ./internal/bench/harness/
 # Value ownership: every value a transaction keeps or returns is carved from
 # its own slab, never recycled. Sibling coroutines and workers run
 # transactions while a value is held, so a slab shared between transactions
-# shows up here as a changed value or as a race.
-go test -race -count=5 -cpu 1,2 -run ReadValueOwnership ./internal/txn/
+# shows up here as a changed value or as a race. Verb slots and READ buffers
+# are recycled, from one attempt's doorbell to the next: a value read through
+# the read-only carry path must keep its bytes while later attempts reuse the
+# slot it came through.
+go test -race -count=5 -cpu 1,2 -run 'ReadValueOwnership|CarriedValueOwnership' ./internal/txn/
 
 # Commit-protocol gate: the conformance suite runs the shared correctness
 # battery (bank invariant, uncommittable-read block, dangling-lock release,
