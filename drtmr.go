@@ -62,7 +62,8 @@ type Partitioner = txn.Partitioner
 // Tx is an in-flight transaction. A value its Read, ReadStable or
 // ReadForUpdate returns belongs to the caller: it is a fresh copy, which the
 // caller may modify and pass to Write, and it stays valid after the
-// transaction, committed or aborted, has ended.
+// transaction, committed or aborted, has ended. The *Tx itself does not: it
+// is the function's only while Update or View runs it, and is then reused.
 type Tx = txn.Txn
 
 // ErrNotFound is returned by Tx.Read for missing keys.

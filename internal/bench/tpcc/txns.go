@@ -3,6 +3,7 @@ package tpcc
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
@@ -132,13 +133,12 @@ func (g *Gen) GenNewOrder() NewOrderParams {
 		C: g.customer(),
 	}
 	n := 5 + g.rng.Intn(11)
-	seen := map[int]bool{}
+	p.Items = make([]NewOrderItem, 0, n)
 	for len(p.Items) < n {
 		it := g.item()
-		if seen[it] {
+		if slices.ContainsFunc(p.Items, func(x NewOrderItem) bool { return x.Item == it }) {
 			continue
 		}
-		seen[it] = true
 		supply := g.home
 		if g.rng.Bool(g.cfg.RemoteNewOrderProb) {
 			supply = g.otherWarehouse()

@@ -121,7 +121,9 @@ func (m *Machine) recoverLogs(cfg *Config) error {
 	for _, a := range m.appliers {
 		// Apply everything published (idempotent).
 		_, _ = a.Poll()
-		// Cross-redo: forward foreign records.
+		// Cross-redo: forward foreign records. A record's value aliases the
+		// applier's entry buffer until the callback returns; encodeRedo
+		// copies it into the request.
 		err := a.Scan(func(txnID uint64, recs []oplog.Rec) error {
 			for _, r := range recs {
 				shard := ShardID(r.Shard)

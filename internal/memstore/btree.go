@@ -117,11 +117,18 @@ func (t *BTree) Min() (key, val uint64, ok bool) {
 func (t *BTree) MinGE(lo uint64) (key, val uint64, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.root.scan(lo, ^uint64(0), func(k, v uint64) bool {
-		key, val, ok = k, v, true
-		return false
-	})
-	return key, val, ok
+	n := t.root
+	for in, inner := n.(*btinner); inner; in, inner = n.(*btinner) {
+		n = in.kids[in.childFor(lo)]
+	}
+	l := n.(*btleaf)
+	i, _ := l.find(lo)
+	for ; l != nil; l, i = l.next, 0 {
+		if i < len(l.keys) {
+			return l.keys[i], l.vals[i], true
+		}
+	}
+	return 0, 0, false
 }
 
 // --- leaf ---

@@ -426,3 +426,33 @@ func TestArenaExhaustionPanics(t *testing.T) {
 		s.arena.Alloc(1024)
 	}
 }
+
+// TestBTreeMinGE: MinGE finds what a scan from lo finds first — across leaf
+// boundaries, past emptied leaves, past the last key and in an empty tree —
+// and, being TPC-C Delivery's probe, allocates nothing.
+func TestBTreeMinGE(t *testing.T) {
+	bt := NewBTree()
+	if _, _, ok := bt.MinGE(0); ok {
+		t.Fatal("MinGE found a key in an empty tree")
+	}
+	for k := uint64(0); k < 3000; k += 3 {
+		bt.Put(k, k+1)
+	}
+	for k := uint64(300); k < 2400; k += 3 {
+		bt.Delete(k) // whole leaves emptied
+	}
+	for lo := uint64(0); lo < 3100; lo++ {
+		var wk, wv uint64
+		var wok bool
+		bt.Scan(lo, ^uint64(0), func(k, v uint64) bool {
+			wk, wv, wok = k, v, true
+			return false
+		})
+		if k, v, ok := bt.MinGE(lo); k != wk || v != wv || ok != wok {
+			t.Fatalf("MinGE(%d) = %d, %d, %v; a scan finds %d, %d, %v", lo, k, v, ok, wk, wv, wok)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() { bt.MinGE(1000) }); allocs != 0 {
+		t.Errorf("MinGE allocates %v times per call, want 0", allocs)
+	}
+}

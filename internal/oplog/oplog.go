@@ -38,6 +38,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,14 +78,22 @@ type Rec struct {
 
 // Encode serializes a batch of recs into a ring entry image (header
 // included), padded to whole cachelines.
-func Encode(txnID uint64, recs []Rec) []byte {
+func Encode(txnID uint64, recs []Rec) []byte { return AppendEncode(nil, txnID, recs) }
+
+// AppendEncode appends Encode's image of recs to dst, so a writer that keeps
+// its buffer encodes every entry without an allocation once the buffer has
+// grown to its longest entry.
+func AppendEncode(dst []byte, txnID uint64, recs []Rec) []byte {
 	size := hdrBytes
 	for _, r := range recs {
 		size += recHdr + len(r.Value)
 		size = (size + 7) &^ 7
 	}
 	size = sim.AlignUp(size)
-	buf := make([]byte, size)
+	base := len(dst)
+	dst = slices.Grow(dst, size)[:base+size]
+	buf := dst[base:]
+	clear(buf)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(size))
 	binary.LittleEndian.PutUint16(buf[4:6], magic)
 	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(recs)))
@@ -101,38 +110,39 @@ func Encode(txnID uint64, recs []Rec) []byte {
 		pos += recHdr + len(r.Value)
 		pos = (pos + 7) &^ 7
 	}
-	return buf
+	return dst
 }
 
 // Decode parses an entry image (without trusting anything beyond its
-// declared geometry; corrupt entries return an error).
-func Decode(buf []byte) (txnID uint64, recs []Rec, err error) {
+// declared geometry; corrupt entries return an error) and appends its records
+// to recs. A record's Value aliases buf: it is valid for as long as buf holds
+// the entry, and a caller that keeps a value past that copies it.
+func Decode(buf []byte, recs []Rec) (txnID uint64, _ []Rec, err error) {
 	if len(buf) < hdrBytes {
-		return 0, nil, errors.New("oplog: short entry")
+		return 0, recs, errors.New("oplog: short entry")
 	}
 	if binary.LittleEndian.Uint16(buf[4:6]) != magic {
-		return 0, nil, errors.New("oplog: bad magic")
+		return 0, recs, errors.New("oplog: bad magic")
 	}
 	n := int(binary.LittleEndian.Uint16(buf[6:8]))
 	txnID = binary.LittleEndian.Uint64(buf[8:16])
 	pos := hdrBytes
 	for i := 0; i < n; i++ {
 		if pos+recHdr > len(buf) {
-			return 0, nil, errors.New("oplog: truncated record header")
+			return 0, recs, errors.New("oplog: truncated record header")
 		}
-		r := Rec{
+		vl := int(binary.LittleEndian.Uint32(buf[pos+4 : pos+8]))
+		if pos+recHdr+vl > len(buf) {
+			return 0, recs, errors.New("oplog: truncated value")
+		}
+		recs = append(recs, Rec{
 			Kind:  buf[pos],
 			Table: memstore.TableID(buf[pos+1]),
 			Shard: binary.LittleEndian.Uint16(buf[pos+2 : pos+4]),
 			Key:   binary.LittleEndian.Uint64(buf[pos+8 : pos+16]),
 			Seq:   binary.LittleEndian.Uint64(buf[pos+16 : pos+24]),
-		}
-		vl := int(binary.LittleEndian.Uint32(buf[pos+4 : pos+8]))
-		if pos+recHdr+vl > len(buf) {
-			return 0, nil, errors.New("oplog: truncated value")
-		}
-		r.Value = append([]byte(nil), buf[pos+recHdr:pos+recHdr+vl]...)
-		recs = append(recs, r)
+			Value: buf[pos+recHdr : pos+recHdr+vl : pos+recHdr+vl],
+		})
 		pos += recHdr + vl
 		pos = (pos + 7) &^ 7
 	}
@@ -354,7 +364,8 @@ type Applier struct {
 	head    uint64 // truncation frontier (logical)
 	applied uint64 // apply frontier (logical), >= head
 	img     []byte // Poll's record-image scratch (installValue)
-	buf     []byte // the entry image peek read last (Decode copies out of it)
+	buf     []byte // the entry image peek read last
+	recs    []Rec  // buf's records, decoded in place (their values alias buf)
 	zeros   []byte // zero's source, grown to the longest span zeroed
 
 	appliedEntries uint64
@@ -427,7 +438,9 @@ func (a *Applier) truncate() {
 	}
 }
 
-// Scan walks every published, un-truncated entry (recovery redo source).
+// Scan walks every published, un-truncated entry (recovery redo source). The
+// records fn is handed, and their values, alias the applier's entry buffer:
+// they are valid until fn returns, and fn copies whatever it keeps.
 func (a *Applier) Scan(fn func(txnID uint64, recs []Rec) error) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -441,7 +454,8 @@ func (a *Applier) Scan(fn func(txnID uint64, recs []Rec) error) error {
 			return nil
 		}
 		if entry != nil {
-			txnID, recs, err := Decode(entry)
+			txnID, recs, err := Decode(entry, a.recs[:0])
+			a.recs = recs
 			if err != nil {
 				return err
 			}
@@ -489,9 +503,11 @@ func (a *Applier) zero(physOff, n uint64) {
 // apply installs one entry into the backup store inside an HTM transaction
 // (mutations on the backup machine are local, §4.3), honoring sequence
 // monotonicity for idempotence and skipping shards this machine does not
-// replicate.
+// replicate. The records are decoded in place: each value aliases entry, the
+// buffer peek reuses, and applyRec is done with it before the next peek.
 func (a *Applier) apply(entry []byte) error {
-	_, recs, err := Decode(entry)
+	_, recs, err := Decode(entry, a.recs[:0])
+	a.recs = recs
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	if len(buf)%sim.CachelineSize != 0 {
 		t.Fatalf("entry not padded: %d", len(buf))
 	}
-	txnID, got, err := Decode(buf)
+	txnID, got, err := Decode(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 				Key: k, Seq: uint64(i * 2), Value: blob,
 			})
 		}
-		got, dec, err := Decode(Encode(txnID, recs))
+		got, dec, err := Decode(Encode(txnID, recs), nil)
 		if err != nil || got != txnID || len(dec) != len(recs) {
 			return false
 		}
@@ -70,12 +70,12 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	if _, _, err := Decode(make([]byte, 4)); err == nil {
+	if _, _, err := Decode(make([]byte, 4), nil); err == nil {
 		t.Fatal("short entry accepted")
 	}
 	buf := Encode(1, []Rec{{Kind: KindUpdate, Table: 1, Key: 1, Seq: 2, Value: []byte("x")}})
 	buf[5] ^= 0xFF // clobber magic
-	if _, _, err := Decode(buf); err == nil {
+	if _, _, err := Decode(buf, nil); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -382,5 +382,108 @@ func TestTornAppendInvisible(t *testing.T) {
 	n, err := f.applier.Poll()
 	if err != nil || n != 0 {
 		t.Fatalf("half-written entry applied: %d %v", n, err)
+	}
+}
+
+// TestApplyAllocFree: once warm, a backup applies an entry of several
+// records — two updates, an insert and a delete of the inserted key — without
+// an allocation. Its image lands in the buffer peek reuses, the records are
+// decoded in place into the applier's slice, and each value is installed
+// straight from the image. The writer side, posting into a batch it keeps
+// from an encode buffer it keeps, allocates nothing either.
+func TestApplyAllocFree(t *testing.T) {
+	f := newRingFixture(t, 1<<16)
+	b := f.qp.Batch()
+	var entry []byte
+	seq := uint64(0)
+	cycle := func() {
+		seq += 2
+		entry = AppendEncode(entry[:0], seq, []Rec{
+			{Kind: KindUpdate, Table: 1, Key: 1, Seq: seq, Value: val("one")},
+			{Kind: KindUpdate, Table: 1, Key: 2, Seq: seq, Value: val("two")},
+			{Kind: KindInsert, Table: 1, Key: 3, Seq: seq, Value: val("three")},
+			{Kind: KindDelete, Table: 1, Key: 3, Seq: seq},
+		})
+		tk, err := f.writer.Post(f.qp, b, entry)
+		if err == nil {
+			err = b.Execute()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.writer.MarkCommitted(tk.End())
+		if err := f.writer.PushWatermark(f.qp, true); err != nil {
+			t.Fatal(err)
+		}
+		b.Reset()
+		if n, err := f.applier.Poll(); err != nil || n != 1 {
+			t.Fatalf("poll: %d %v", n, err)
+		}
+	}
+	cycle()
+	if raceEnabled {
+		for range 300 {
+			cycle() // the ring wraps, uncounted
+		}
+	} else if allocs := testing.AllocsPerRun(300, cycle); allocs != 0 {
+		t.Errorf("append and apply of a 4-record entry allocate %v times, want 0", allocs)
+	}
+	tbl := f.stores[1].Table(1)
+	for k, want := range map[uint64][]byte{1: val("one"), 2: val("two")} {
+		off, ok := tbl.Lookup(k)
+		if !ok || !bytes.Equal(tbl.ReadValueNonTx(off), want) {
+			t.Fatalf("record %d after the cycles: %v", k, ok)
+		}
+		if img := f.engs[1].ReadNonTx(off, tbl.RecBytes, nil); memstore.RecSeq(img) != seq {
+			t.Fatalf("record %d at seq %d, want %d", k, memstore.RecSeq(img), seq)
+		}
+	}
+	if _, ok := tbl.Lookup(3); ok {
+		t.Fatal("the inserted-then-deleted record is still there")
+	}
+}
+
+// TestScanSeesEachRecordsValue: recovery's Scan hands its callback records
+// whose values alias the entry buffer, and every record still reads its own
+// value there — not a neighbour's, nor one of an earlier entry's — across
+// entries of different lengths.
+func TestScanSeesEachRecordsValue(t *testing.T) {
+	f := newRingFixture(t, 1<<16)
+	want := map[uint64][]byte{}
+	for e := uint64(1); e <= 4; e++ {
+		var recs []Rec
+		for i := uint64(0); i < e; i++ {
+			k := e*10 + i
+			want[k] = bytes.Repeat([]byte{byte(k)}, int(8*(i+1)))
+			recs = append(recs, Rec{Kind: KindUpdate, Table: 1, Key: k, Seq: 2, Value: want[k]})
+		}
+		// Post without marking the entry committed: the applier may apply
+		// but not truncate it, so Scan still walks it.
+		b := f.qp.Batch()
+		if _, err := f.writer.Post(f.qp, b, Encode(e, recs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Execute(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.applier.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	err := f.applier.Scan(func(txnID uint64, recs []Rec) error {
+		if len(recs) != int(txnID) {
+			t.Errorf("entry %d has %d records", txnID, len(recs))
+		}
+		for _, r := range recs {
+			if !bytes.Equal(r.Value, want[r.Key]) {
+				t.Errorf("entry %d record %d reads %x, want %x", txnID, r.Key, r.Value, want[r.Key])
+			}
+			seen++
+		}
+		return nil
+	})
+	if err != nil || seen != len(want) {
+		t.Fatalf("scan: %d of %d records, %v", seen, len(want), err)
 	}
 }

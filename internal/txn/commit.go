@@ -440,8 +440,9 @@ type ringToken struct {
 // replica ring — all backups of every written shard, plus the primaries of
 // remote written shards (so a coordinator death after publish can always be
 // redone; see the oplog package comment). Every ring's payload and header
-// ride one doorbell; the rings whose entry landed are returned, in the
-// attempt's scratch.
+// ride one doorbell; the entry is encoded into the attempt's scratch, which
+// keeps it until the attempt ends and the batch's WRITEs that carry it are
+// reset. The rings whose entry landed are returned, in the same scratch.
 func (tx *Txn) replicate() []ringToken {
 	w := tx.w
 	a := tx.attempt()
@@ -449,7 +450,8 @@ func (tx *Txn) replicate() []ringToken {
 	if len(a.recs) == 0 {
 		return nil
 	}
-	entry := oplog.Encode(tx.id, a.recs)
+	a.entry = oplog.AppendEncode(a.entry[:0], tx.id, a.recs)
+	entry := a.entry
 
 	// Target set from the FRESH configuration: if a backup died, its
 	// replacement placement is what matters now.

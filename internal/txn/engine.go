@@ -352,8 +352,10 @@ type Worker struct {
 	// can reach a scheduling point (Worker.scratch).
 	img []byte
 	// spare holds the attempt scratch of ended attempts, for the next ones
-	// (Txn.attempt).
+	// (Txn.attempt), and txns the transactions runLoop is done with, for the
+	// next Begin (recycle).
 	spare []*attempt
+	txns  []*Txn
 
 	// Coroutine scheduler state (sched.go). cur is the running coroutine
 	// (nil when the worker runs a single transaction the classic way);
@@ -765,6 +767,10 @@ func (w *Worker) Retry(attempt func() error, aborted error) error {
 // Run executes fn as a transaction with automatic retry on aborts. fn may be
 // re-executed; it must be idempotent up to its writes (standard OCC
 // contract). Returns the first non-abort error, or nil once committed.
+//
+// The *Txn fn is given belongs to fn only while fn runs: once the attempt
+// has ended the worker hands it to a later transaction, so fn must not keep
+// it. The values it returned are fn's to keep: they outlive it.
 func (w *Worker) Run(fn func(tx *Txn) error) error {
 	return w.runLoop(fn, (*Worker).Begin)
 }
@@ -842,8 +848,11 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 			if w.Rec != nil {
 				w.Rec.Record(obs.EvTxnCommit, 0, 0, uint32(attempt), tx.id, start, w.Clk.Now())
 			}
+			w.recycle(tx)
 			return nil
 		}
+		id, epoch := tx.id, tx.cfg.Epoch
+		w.recycle(tx)
 		te, ok := asError(err)
 		if !ok {
 			return err // user error: not retried
@@ -852,7 +861,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		w.Stats.AbortMatrix.Record(uint8(te.Reason), te.Stage, int(te.Site))
 		w.Stats.Retries++
 		if w.Rec != nil {
-			w.Rec.Record(obs.EvTxnAbort, te.Stage, te.Site, uint32(te.Reason), tx.id, start, w.Clk.Now())
+			w.Rec.Record(obs.EvTxnAbort, te.Stage, te.Site, uint32(te.Reason), id, start, w.Clk.Now())
 		}
 		if te.HasKey {
 			if g := w.noteAbortKey(te); g != nil {
@@ -869,7 +878,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		}
 		if te.Reason == AbortNodeDead {
 			// Wait for the configuration to change before retrying.
-			w.waitEpochChange(tx.cfg.Epoch)
+			w.waitEpochChange(epoch)
 		}
 		w.Backoff(BackoffRetry, attempt)
 	}

@@ -229,6 +229,32 @@ func TestHotpathAllocFree(t *testing.T) {
 	}
 	commit()
 	requireAllocs(t, "two-remote-record commit", 9, commit)
+
+	// Through Run, the Txn and its sets are the ones the worker's last Run
+	// gave back, with their capacity, and Add's deltas take the capacity
+	// their write-set slot kept: a warm two-remote-record Run, one record
+	// written and one added to, allocates only its slab's chunks (4).
+	run := func() {
+		err := wk.Run(func(tx *Txn) error {
+			v, err := tx.Read(tblAcct, 1)
+			if err != nil {
+				return err
+			}
+			if err := tx.Write(tblAcct, 1, v); err != nil {
+				return err
+			}
+			if err := tx.Add(tblAcct, 2, 0, 0); err != nil {
+				return err
+			}
+			_, err = tx.Read(tblAcct, 2)
+			return err
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	run()
+	requireAllocs(t, "two-remote-record Run", 4, run)
 }
 
 // gateHandoff is one admission through hot-key gate g, held across a park so

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -256,4 +257,123 @@ func carriedRounds(t *testing.T, wk *Worker, rng *testRand, accounts uint64, rou
 			return
 		}
 	}
+}
+
+// TestRecycledTxnValueOwnership: runLoop gives a finished transaction's Txn
+// back to its worker, and the worker's next Begin takes it, with its sets'
+// capacity but a slab of its own. Every value an earlier Run returned — a
+// Read's copy, the read set's copy, a Read of a record with a pending Add —
+// keeps its bytes while the worker runs later transactions on the same Txn.
+// Each transfer stamps the record it writes with its context and round, so
+// a later carve over a held value would change its bytes. The transfers
+// replicate (R.1 encodes each entry into the attempt's scratch, the backups
+// decode in place), and the backups end byte for byte equal to their
+// primaries. One worker alone reuses one Txn round after round; two workers
+// per machine with four coroutines each also interleave the Txns.
+func TestRecycledTxnValueOwnership(t *testing.T) {
+	const (
+		nodes    = 3
+		accounts = 24
+		initial  = 1000
+		rounds   = 30
+	)
+	for _, c := range []struct {
+		name           string
+		workers, coros int
+	}{{"one worker", 1, 0}, {"coroutines", 2, 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld(t, nodes, 2, htm.Config{})
+			w.load(t, accounts, initial)
+			var wg sync.WaitGroup
+			for n := 0; n < nodes; n++ {
+				for id := 0; id < c.workers; id++ {
+					wg.Add(1)
+					go func(node, id int) {
+						defer wg.Done()
+						wk := w.engines[node].NewWorker(id)
+						reused := 0
+						run := func(slot int) {
+							stamp := uint64(node<<24 | id<<16 | slot<<8)
+							reused += recycledRounds(t, wk, newTestRand(stamp+1), stamp, accounts, rounds)
+						}
+						if c.coros == 0 {
+							run(0)
+						} else {
+							wk.RunCoroutines(c.coros, run)
+						}
+						if reused == 0 {
+							t.Errorf("worker %d/%d never reused a Txn", node, id)
+						}
+					}(n, id)
+				}
+			}
+			wg.Wait()
+			if total := w.totalOnPrimaries(accounts); total != accounts*initial {
+				t.Fatalf("value not conserved: %d != %d", total, accounts*initial)
+			}
+			w.awaitBackupsMatch(t, accounts)
+		})
+	}
+}
+
+// recycledRounds is one context's share of TestRecycledTxnValueOwnership:
+// each round moves a unit from a to b, a by Read and Write, b by Add, keeps
+// the values the transaction returned and checks every value kept so far.
+// It returns how many rounds ran on the Txn the round before ran on.
+func recycledRounds(t *testing.T, wk *Worker, rng *testRand, stamp, accounts uint64, rounds int) (reused int) {
+	type kept struct {
+		what      string
+		got, want []byte
+	}
+	var held []kept
+	var last *Txn
+	for r := 0; r < rounds; r++ {
+		a, b := rng.next()%accounts, rng.next()%accounts
+		if a == b {
+			b = (a + 1) % accounts
+		}
+		var cur []kept
+		var used *Txn
+		err := wk.Run(func(tx *Txn) error {
+			used, cur = tx, cur[:0]
+			va, err := tx.Read(tblAcct, a)
+			if err != nil {
+				return err
+			}
+			nv := encBal(decBal(va) - 1)
+			binary.LittleEndian.PutUint64(nv[8:], stamp|uint64(r))
+			if err := tx.Write(tblAcct, a, nv); err != nil {
+				return err
+			}
+			if err := tx.Add(tblAcct, b, 0, 1); err != nil {
+				return err
+			}
+			vb, err := tx.Read(tblAcct, b)
+			if err != nil {
+				return err
+			}
+			rs := tx.findRS(tblAcct, b)
+			cur = append(cur,
+				kept{"a Read's value", va, bytes.Clone(va)},
+				kept{"a Read's value over a pending Add", vb, bytes.Clone(vb)},
+				kept{"the read set's copy", rs.val, bytes.Clone(rs.val)})
+			return nil
+		})
+		if err != nil {
+			t.Errorf("transfer: %v", err)
+			return reused
+		}
+		if used == last {
+			reused++
+		}
+		last = used
+		held = append(held, cur...)
+		for _, h := range held {
+			if !bytes.Equal(h.got, h.want) {
+				t.Errorf("%s changed after a later Run on its worker: %x, want %x", h.what, h.got, h.want)
+				return reused
+			}
+		}
+	}
+	return reused
 }

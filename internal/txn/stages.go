@@ -176,6 +176,7 @@ type attempt struct {
 	nodes   []rdma.NodeID   // replicate's targets
 	toks    []ringToken     // replicate's ring entries
 	recs    []oplog.Rec     // logRecords' payload
+	entry   []byte          // replicate's log entry, encoded from recs
 
 	// Conflict identity captured inside the commit HTM region: the region
 	// communicates failures through abort codes only (htx.Abort unwinds), so
@@ -205,6 +206,7 @@ func (tx *Txn) attempt() *attempt {
 func (tx *Txn) endAttempt() {
 	if tx.at != nil {
 		tx.at.run.Reset()
+		clear(tx.at.recs) // their values are the transaction's, not the scratch's
 		tx.w.spare = append(tx.w.spare, tx.at)
 		tx.at = nil
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"drtmr/internal/cluster"
 	"drtmr/internal/memstore"
@@ -116,8 +117,10 @@ func (e *wsEntry) materialize() {
 // BeginReadOnly and driven by user code during the execution phase; Commit
 // runs the hybrid commit protocol.
 //
-// The fields are ordered so that the struct packs into 208 bytes, one
-// allocation size class: Begin allocates one per transaction.
+// A Txn is bookkeeping, recycled: Begin takes one its worker's runLoop gave
+// back (recycle), with the capacity of its sets and their indexes, or
+// allocates one. The fields are ordered so that the struct packs into 208
+// bytes, one allocation size class.
 type Txn struct {
 	w   *Worker
 	id  uint64
@@ -219,11 +222,43 @@ func (w *Worker) Begin() *Txn {
 	w.nextTxn++
 	w.Clk.Advance(w.E.Costs.TxnOverhead)
 	w.E.M.Cluster().Report(w.Clk.Now())
-	return &Txn{
-		w:   w,
-		id:  uint64(w.E.M.ID)<<56 | uint64(w.ID)<<40 | w.nextTxn,
-		cfg: w.E.M.Config(),
+	var tx *Txn
+	if n := len(w.txns); n > 0 {
+		tx, w.txns = w.txns[n-1], w.txns[:n-1]
+	} else {
+		tx = new(Txn)
 	}
+	tx.w, tx.id, tx.cfg = w, uint64(w.E.M.ID)<<56|uint64(w.ID)<<40|w.nextTxn, w.E.M.Config()
+	return tx
+}
+
+// recycle gives tx back to its worker for a later Begin, once nothing reads
+// it any more. It keeps the capacity of the sets, of their indexes and of
+// each write-set slot's deltas, and drops every value reference: values live
+// in the slab they were carved from, and the next transaction on tx starts a
+// slab of its own, so a value outlives the Txn it came from.
+func (w *Worker) recycle(tx *Txn) {
+	clear(tx.rs)
+	for i := range tx.ws {
+		tx.ws[i] = wsEntry{deltas: tx.ws[i].deltas[:0]}
+	}
+	*tx = Txn{
+		rs: tx.rs[:0], ws: tx.ws[:0],
+		rsIdx: footIndex{slot: tx.rsIdx.slot[:0]}, wsIdx: footIndex{slot: tx.wsIdx.slot[:0]},
+	}
+	w.txns = append(w.txns, tx)
+}
+
+// appendWS appends e to the write set and returns it. The slot it takes keeps
+// the deltas capacity an earlier transaction's entry left there, so Add
+// allocates no deltas once the worker is warm.
+func (tx *Txn) appendWS(e wsEntry) *wsEntry {
+	n := len(tx.ws)
+	if n < cap(tx.ws) {
+		e.deltas = tx.ws[:n+1][n].deltas[:0]
+	}
+	tx.ws = append(tx.ws, e)
+	return &tx.ws[n]
 }
 
 // BeginReadOnly starts a read-only transaction (§4.5's protocol: no HTM and
@@ -299,7 +334,8 @@ func (e *wsEntry) rec() recKey { return recKey{e.table, e.key} }
 // which is what a scan finds (a Delete then an Insert of one key leaves two
 // ws entries): open addressing over slots holding an entry's position plus
 // one (0: empty), hashed on (table, key). It covers set[:n] and catches up on
-// lookup.
+// lookup. An empty slot table (a recycled Txn keeps its capacity) means the
+// set is still scanned.
 type footIndex struct {
 	slot  []int32
 	shift uint8
@@ -316,7 +352,7 @@ func find[E any, P interface {
 	*E
 	rec() recKey
 }](x *footIndex, set []E, k recKey) *E {
-	if x.slot == nil && len(set) <= footScan {
+	if len(x.slot) == 0 && len(set) <= footScan {
 		for i := range set {
 			if P(&set[i]).rec() == k {
 				return &set[i]
@@ -326,7 +362,9 @@ func find[E any, P interface {
 	}
 	if 2*len(set) > len(x.slot) {
 		b := bits.Len(uint(4*len(set) - 1))
-		x.slot, x.shift, x.n = make([]int32, 1<<b), uint8(64-b), 0
+		x.slot = slices.Grow(x.slot[:0], 1<<b)[:1<<b]
+		clear(x.slot)
+		x.shift, x.n = uint8(64-b), 0
 	}
 	mask := len(x.slot) - 1
 	for ; int(x.n) < len(set); x.n++ {
@@ -499,7 +537,7 @@ func (tx *Txn) Write(table memstore.TableID, key uint64, value []byte) error {
 			// An absolute write supersedes the pending deltas: the entry
 			// becomes a plain (blind) update carrying this value.
 			w.kind = wsUpdate
-			w.deltas = nil
+			w.deltas = w.deltas[:0]
 		}
 		return nil
 	}
@@ -514,7 +552,7 @@ func (tx *Txn) Write(table memstore.TableID, key uint64, value []byte) error {
 		reuse, r.val = r.val, nil
 	}
 	e.buf = tx.fill(reuse, value)
-	tx.ws = append(tx.ws, e)
+	tx.appendWS(e)
 	return nil
 }
 
@@ -565,12 +603,12 @@ func (tx *Txn) Add(table memstore.TableID, key uint64, fieldOff int, delta uint6
 	e := wsEntry{
 		kind: wsDelta, table: table, key: key,
 		shard: shard, node: node, local: local,
-		deltas: []fieldDelta{{off: uint32(fieldOff), add: delta}},
 	}
 	if r := tx.findRS(table, key); r != nil {
 		e.off, e.read = r.off, true
 	}
-	tx.ws = append(tx.ws, e)
+	w := tx.appendWS(e)
+	w.deltas = append(w.deltas, fieldDelta{off: uint32(fieldOff), add: delta})
 	return nil
 }
 
@@ -584,7 +622,7 @@ func (tx *Txn) Insert(table memstore.TableID, key uint64, value []byte) error {
 		return fmt.Errorf("txn: duplicate insert of key %d", key)
 	}
 	shard, node, local := tx.homeOf(table, key)
-	tx.ws = append(tx.ws, wsEntry{
+	tx.appendWS(wsEntry{
 		kind: wsInsert, table: table, key: key,
 		shard: shard, node: node, local: local,
 		buf: tx.fill(nil, value),
@@ -600,11 +638,11 @@ func (tx *Txn) Delete(table memstore.TableID, key uint64) error {
 		return fmt.Errorf("txn: delete in read-only transaction")
 	}
 	if w := tx.findWS(table, key); w != nil {
-		w.kind, w.buf, w.deltas = wsDelete, nil, nil
+		w.kind, w.buf, w.deltas = wsDelete, nil, w.deltas[:0]
 		return nil
 	}
 	shard, node, local := tx.homeOf(table, key)
-	tx.ws = append(tx.ws, wsEntry{
+	tx.appendWS(wsEntry{
 		kind: wsDelete, table: table, key: key,
 		shard: shard, node: node, local: local,
 		read: tx.findRS(table, key) != nil,

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"runtime"
@@ -437,24 +438,26 @@ func TestReplicationConsistency(t *testing.T) {
 	if total := w.totalOnPrimaries(accounts); total != accounts*initial {
 		t.Fatalf("primary value not conserved: %d", total)
 	}
-	// Let appliers drain, then compare replicas.
+	w.awaitBackupsMatch(t, accounts)
+}
+
+// awaitBackupsMatch lets the appliers drain, then checks that every backup
+// holds each of accounts 0..n-1 with its primary's value, byte for byte.
+func (w *world) awaitBackupsMatch(t *testing.T, n uint64) {
+	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
 	cfg := w.c.Coord.Current()
 	for {
 		mismatches := 0
-		for key := uint64(0); key < accounts; key++ {
-			shard := cluster.ShardID(key % nodes)
+		for key := uint64(0); key < n; key++ {
+			shard := cluster.ShardID(key % uint64(w.c.Spec.Nodes))
 			p := w.c.Machines[cfg.PrimaryOf(shard)]
 			pOff, _ := p.Store.Table(tblAcct).Lookup(key)
-			pv := decBal(p.Store.Table(tblAcct).ReadValueNonTx(pOff))
+			pv := p.Store.Table(tblAcct).ReadValueNonTx(pOff)
 			for _, b := range cfg.BackupsOf(shard) {
 				bm := w.c.Machines[b]
 				bOff, ok := bm.Store.Table(tblAcct).Lookup(key)
-				if !ok {
-					mismatches++
-					continue
-				}
-				if decBal(bm.Store.Table(tblAcct).ReadValueNonTx(bOff)) != pv {
+				if !ok || !bytes.Equal(bm.Store.Table(tblAcct).ReadValueNonTx(bOff), pv) {
 					mismatches++
 				}
 			}

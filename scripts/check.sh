@@ -89,8 +89,10 @@ go test -count=3 -cpu 1,2 -run 'BaselinesReplay' ./internal/bench/harness/
 # shows up here as a changed value or as a race. Verb slots and READ buffers
 # are recycled, from one attempt's doorbell to the next: a value read through
 # the read-only carry path must keep its bytes while later attempts reuse the
-# slot it came through.
-go test -race -count=5 -cpu 1,2 -run 'ReadValueOwnership|CarriedValueOwnership' ./internal/txn/
+# slot it came through. So is the Txn, with its sets, from one Run to the
+# next: a value must keep its bytes while later Runs reuse the Txn it came
+# from.
+go test -race -count=5 -cpu 1,2 -run 'ReadValueOwnership|CarriedValueOwnership|RecycledTxnValueOwnership' ./internal/txn/
 
 # Commit-protocol gate: the conformance suite runs the shared correctness
 # battery (bank invariant, uncommittable-read block, dangling-lock release,
@@ -113,7 +115,7 @@ go test -race -cpu 1,2 -run 'TestLockRetryDropsHeaderBehindLostCAS|TestProtocolC
 # applier reads a ring while a single doorbell writes both back to back: the
 # ring tests and the dead ring in the fused fan-out, on the same two host
 # schedules (the budget's replicated shapes ran in the line above).
-go test -race -cpu 1,2 -run 'TestRing|TestMarkCommitted|TestTornAppendInvisible|TestDeadRingInFusedFanOut|TestLogReplicationThroughMachines' -count=1 ./internal/oplog/ ./internal/cluster/
+go test -race -cpu 1,2 -run 'TestRing|TestMarkCommitted|TestTornAppendInvisible|TestApplyAllocFree|TestDeadRingInFusedFanOut|TestLogReplicationThroughMachines' -count=1 ./internal/oplog/ ./internal/cluster/
 go test -run '^$' -bench '^BenchmarkFig$/^proto$' -benchtime 1x .
 
 # Smoke-run every benchmark once: the figure benchmarks drive the full
