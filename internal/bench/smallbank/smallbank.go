@@ -103,14 +103,16 @@ type Config struct {
 }
 
 // MemBytes is the NVRAM a machine needs for this configuration with each
-// record kept on replicas machines: two tables of 128 bytes per account
-// (record and hash slot), three times over for slack, per copy, plus the
-// machine's log rings (one per node) and 4 MiB of headroom. It is no larger
-// than that because every run allocates and clears it afresh: a 32 MiB
+// record kept on replicas machines: two tables of 192 bytes per account
+// (record and hash slot, about 120 bytes loaded, half again for slack), per
+// copy, plus the machine's log rings (one per node) and 1 MiB of headroom.
+// It is no larger than that because every run allocates and clears it
+// afresh, and faulting it back in from the OS is most of a set-up: a 32 MiB
 // floor made a SmallBank set-up zero 96 MiB it never used, and how much of
-// that the process had to fault back in from the OS varied from run to run.
+// it the runtime had handed back to the OS varied with what the run before
+// had allocated.
 func (c Config) MemBytes(replicas int) int {
-	return c.AccountsPerNode*2*128*3*max(replicas, 1) + c.Nodes*cluster.DefaultRingBytes + 4<<20
+	return c.AccountsPerNode*2*192*max(replicas, 1) + c.Nodes*cluster.DefaultRingBytes + 1<<20
 }
 
 // DefaultConfig mirrors the paper's setup at a laptop-friendly scale.

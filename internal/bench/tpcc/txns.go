@@ -124,6 +124,8 @@ type NewOrderItem struct {
 	Qty     int
 }
 
+const maxOrderLines = 15 // the most items a new-order has
+
 // GenNewOrder draws a new-order (5-15 items; each supplies remotely with
 // RemoteNewOrderProb — the knob Fig 17 sweeps).
 func (g *Gen) GenNewOrder() NewOrderParams {
@@ -132,7 +134,7 @@ func (g *Gen) GenNewOrder() NewOrderParams {
 		D: 1 + g.rng.Intn(DistrictsPerWarehouse),
 		C: g.customer(),
 	}
-	n := 5 + g.rng.Intn(11)
+	n := 5 + g.rng.Intn(maxOrderLines-4)
 	p.Items = make([]NewOrderItem, 0, n)
 	for len(p.Items) < n {
 		it := g.item()
@@ -240,7 +242,7 @@ func (e *Executor) NewOrder(p NewOrderParams) error {
 			return err
 		}
 		var total uint64
-		amounts := make([]uint64, len(p.Items))
+		var amounts [maxOrderLines]uint64
 		for i, it := range p.Items {
 			irow, err := tx.Read(TableItem, IKey(it.Item))
 			if err != nil {

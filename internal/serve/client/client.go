@@ -5,6 +5,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -77,10 +78,14 @@ func IsDeadline(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// pconn is one pooled connection with its reusable read buffer.
+// pconn is one pooled connection. It reads through a bufio.Reader and
+// keeps its buffers from call to call: out holds the frame being sent, in
+// the reply frame read.
 type pconn struct {
 	nc  net.Conn
-	buf []byte
+	br  *bufio.Reader
+	out []byte
+	in  []byte
 }
 
 // Client is a pooled connection to one drtmr-serve instance. Safe for
@@ -148,7 +153,7 @@ func (c *Client) acquire() (*pconn, error) {
 				c.mu.Unlock()
 				return nil, err
 			}
-			return &pconn{nc: nc}, nil
+			return &pconn{nc: nc, br: bufio.NewReader(nc)}, nil
 		}
 		c.cond.Wait()
 	}
@@ -170,10 +175,19 @@ func (c *Client) release(p *pconn, healthy bool) {
 	c.cond.Signal()
 }
 
-// roundTrip sends one framed payload and reads the matching reply frame.
-func (c *Client) roundTrip(payload []byte, deadline time.Duration) (wire.Msg, error) {
+// roundTrip encodes one payload with enc into a pooled connection's frame
+// buffer, sends the frame in one Write and reads the matching reply frame.
+// The returned Msg's Payload is the caller's.
+func (c *Client) roundTrip(deadline time.Duration, enc func(dst []byte) ([]byte, error)) (wire.Msg, error) {
 	p, err := c.acquire()
 	if err != nil {
+		return wire.Msg{}, err
+	}
+	if p.out, err = enc(wire.BeginFrame(p.out[:0])); err == nil {
+		err = wire.EndFrame(p.out)
+	}
+	if err != nil {
+		c.release(p, true)
 		return wire.Msg{}, err
 	}
 	if deadline > 0 {
@@ -186,16 +200,16 @@ func (c *Client) roundTrip(payload []byte, deadline time.Duration) (wire.Msg, er
 		//drtmr:allow virtualtime socket deadlines on a real network client are wall time
 		p.nc.SetDeadline(time.Time{})
 	}
-	if err := wire.WriteFrame(p.nc, payload); err != nil {
+	if _, err := p.nc.Write(p.out); err != nil {
 		c.release(p, false)
 		return wire.Msg{}, err
 	}
-	reply, err := wire.ReadFrame(p.nc, p.buf)
+	reply, err := wire.ReadFrame(p.br, p.in)
 	if err != nil {
 		c.release(p, false)
 		return wire.Msg{}, err
 	}
-	p.buf = reply[:cap(reply)]
+	p.in = reply[:cap(reply)]
 	m, err := wire.Decode(reply)
 	if err != nil {
 		c.release(p, false)
@@ -224,11 +238,9 @@ func (c *Client) CallDeadline(proc string, args []byte, deadline time.Duration) 
 	if us > 1<<32-1 {
 		us = 1<<32 - 1
 	}
-	payload, err := wire.AppendCall(nil, id, uint32(us), proc, args)
-	if err != nil {
-		return nil, err
-	}
-	m, err := c.roundTrip(payload, deadline)
+	m, err := c.roundTrip(deadline, func(dst []byte) ([]byte, error) {
+		return wire.AppendCall(dst, id, uint32(us), proc, args)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +268,9 @@ func (c *Client) CallDeadline(proc string, args []byte, deadline time.Duration) 
 // serve.Status).
 func (c *Client) Status() ([]byte, error) {
 	id := c.nextID.Add(1)
-	m, err := c.roundTrip(wire.AppendStatusReq(nil, id), c.opts.Deadline)
+	m, err := c.roundTrip(c.opts.Deadline, func(dst []byte) ([]byte, error) {
+		return wire.AppendStatusReq(dst, id), nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -3,18 +3,21 @@
 // drtmr cluster, with per-procedure commit-protocol selection, admission
 // control with overload shedding, and a live status endpoint.
 //
-// Architecture: each accepted connection gets a reader goroutine that
-// decodes frames (internal/serve/wire), runs admission, and routes the
-// request to a per-node FIFO queue; a fixed pool of worker goroutines per
-// node — each owning one single-goroutine engine worker — drains the queue
-// and executes. Responses are written back on the request's connection
-// under a per-connection write lock, so workers never block each other on
-// the socket. Status requests are answered directly on the reader goroutine
-// from the live aggregate (liveStats): the read path never queues behind the
-// commit pipeline.
+// Architecture: each accepted connection gets a reader goroutine that reads
+// frames (internal/serve/wire) through a buffered reader it owns, decodes
+// them, runs admission, and routes the request to a per-node FIFO queue; a
+// fixed pool of worker goroutines per node — each owning one
+// single-goroutine engine worker — drains the queue and executes. Responses
+// are encoded into the connection's frame buffer and written back in one
+// Write under a per-connection write lock, so a frame costs one syscall and
+// workers never block each other on another connection's socket. Status
+// requests are answered directly on the reader goroutine from the live
+// aggregate (liveStats): the read path never queues behind the commit
+// pipeline.
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"maps"
@@ -108,30 +111,38 @@ func (q *queue) close() {
 }
 
 // conn is one client connection: reads happen on its reader goroutine,
-// writes from any worker under wmu.
+// through a bufio.Reader that goroutine owns; writes from any worker under
+// wmu, into out, the frame buffer the connection keeps.
 type conn struct {
 	nc  net.Conn
 	wmu sync.Mutex
+	out []byte // guarded by wmu
 }
 
 // writeResult frames and writes one Result message.
 func (c *conn) writeResult(id uint64, status, reason, stage uint8, site uint16, detail string, payload []byte) error {
-	buf, err := wire.AppendResult(nil, id, status, reason, stage, site, detail, payload)
-	if err != nil {
-		return err
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	//drtmr:allow lockorder wmu exists to serialize whole frames onto the socket; holding it across the write IS the invariant (interleaved partial frames would corrupt the stream)
-	return wire.WriteFrame(c.nc, buf)
+	return c.writeFrame(func(dst []byte) []byte {
+		dst, _ = wire.AppendResult(dst, id, status, reason, stage, site, detail, payload)
+		return dst
+	})
 }
 
 func (c *conn) writeStatusResult(id uint64, json []byte) error {
-	buf := wire.AppendStatusResult(nil, id, json)
+	return c.writeFrame(func(dst []byte) []byte { return wire.AppendStatusResult(dst, id, json) })
+}
+
+// writeFrame encodes one payload with enc into the connection's frame buffer
+// and sends the frame in one Write.
+func (c *conn) writeFrame(enc func(dst []byte) []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	c.out = enc(wire.BeginFrame(c.out[:0]))
+	if err := wire.EndFrame(c.out); err != nil {
+		return err
+	}
 	//drtmr:allow lockorder wmu exists to serialize whole frames onto the socket; holding it across the write IS the invariant (interleaved partial frames would corrupt the stream)
-	return wire.WriteFrame(c.nc, buf)
+	_, err := c.nc.Write(c.out)
+	return err
 }
 
 // liveStats is the server-wide mid-run aggregate the status endpoint
@@ -344,9 +355,10 @@ func (s *Server) readLoop(c *conn) {
 	defer s.wg.Done()
 	defer s.conns.Delete(c)
 	defer c.nc.Close()
+	br := bufio.NewReader(c.nc)
 	var buf []byte
 	for {
-		payload, err := wire.ReadFrame(c.nc, buf)
+		payload, err := wire.ReadFrame(br, buf)
 		if err != nil {
 			return // EOF, peer reset, or framing violation
 		}

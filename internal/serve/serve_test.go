@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,7 @@ import (
 	"drtmr/internal/bench/smallbank"
 	"drtmr/internal/check"
 	"drtmr/internal/serve/client"
+	"drtmr/internal/serve/wire"
 	"drtmr/internal/sim"
 	"drtmr/internal/txn"
 )
@@ -231,6 +233,83 @@ func TestUnknownProcAndBadArgs(t *testing.T) {
 	// The connection must still be usable after rejected requests.
 	if _, err := cl.Call("balance", EncBalanceReq(1)); err != nil {
 		t.Fatalf("healthy call after rejects: %v", err)
+	}
+}
+
+// TestFramesSplitAndCoalesced drives the reader's frame buffer from a raw
+// connection: a Call that arrives one byte per segment, two Calls that
+// arrive in one segment, and length prefixes that must close the connection
+// before any body is read.
+func TestFramesSplitAndCoalesced(t *testing.T) {
+	cfg := smallbank.Config{AccountsPerNode: 100, Nodes: 2, InitialBalance: 10}
+	_, addr := startBank(t, cfg, Options{}, BankProcs{})
+	dial := func() net.Conn {
+		t.Helper()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		return nc
+	}
+	frame := func(id uint64) []byte {
+		t.Helper()
+		p, err := wire.AppendCall(nil, id, 0, "balance", EncBalanceReq(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f bytes.Buffer
+		if err := wire.WriteFrame(&f, p); err != nil {
+			t.Fatal(err)
+		}
+		return f.Bytes()
+	}
+	// answered reads n Results and returns the IDs they answer.
+	answered := func(nc net.Conn, n int) map[uint64]bool {
+		t.Helper()
+		ids := map[uint64]bool{}
+		var buf []byte
+		for i := 0; i < n; i++ {
+			p, err := wire.ReadFrame(nc, buf)
+			if err != nil {
+				t.Fatalf("reply %d of %d: %v", i+1, n, err)
+			}
+			m, err := wire.Decode(p)
+			if err != nil || m.Kind != wire.KindResult || m.Status != wire.StatusOK {
+				t.Fatalf("reply %d of %d: %+v, err %v", i+1, n, m, err)
+			}
+			ids[m.ID] = true
+		}
+		return ids
+	}
+
+	nc := dial()
+	for _, b := range frame(1) {
+		if _, err := nc.Write([]byte{b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids := answered(nc, 1); !ids[1] {
+		t.Fatalf("call sent a byte at a time: answered %v, want id 1", ids)
+	}
+	if _, err := nc.Write(append(frame(2), frame(3)...)); err != nil {
+		t.Fatal(err)
+	}
+	if ids := answered(nc, 2); !ids[2] || !ids[3] {
+		t.Fatalf("two calls in one segment: answered %v, want ids 2 and 3", ids)
+	}
+
+	// A zero and an over-MaxFrame prefix, with no body behind them: the
+	// reader closes the connection instead of waiting for one.
+	for _, n := range []uint32{0, wire.MaxFrame + 1} {
+		nc := dial()
+		if _, err := nc.Write(binary.LittleEndian.AppendUint32(nil, n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("prefix %d: read %v, want EOF", n, err)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -42,7 +44,8 @@ func TestDecodeAllocFree(t *testing.T) {
 }
 
 // TestReadFrameReusesBuffer pins the framing read path: with a buffer of
-// sufficient capacity supplied, ReadFrame must not allocate.
+// sufficient capacity supplied, ReadFrame must not allocate, straight off a
+// reader or through the bufio.Reader a connection reads with.
 func TestReadFrameReusesBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -61,5 +64,52 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("ReadFrame with preallocated buffer allocates %v times per call, want 0", allocs)
+	}
+	br := bufio.NewReader(rd)
+	if allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(raw)
+		br.Reset(rd)
+		if _, err := ReadFrame(br, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ReadFrame through a bufio.Reader allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestFrameEncodeAllocFree pins the send path a connection runs per frame:
+// once its buffer has grown, encoding a Result or a Call behind a reserved
+// prefix, patching the prefix and writing the frame allocate nothing.
+func TestFrameEncodeAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	args := []byte("0123456789abcdef")
+	var out []byte
+	for _, c := range []struct {
+		name string
+		enc  func(dst []byte) ([]byte, error)
+	}{
+		{"Result", func(dst []byte) ([]byte, error) {
+			return AppendResult(dst, 7, StatusAbort, 3, 5, 12, "lock conflict", args)
+		}},
+		{"Call", func(dst []byte) ([]byte, error) {
+			return AppendCall(dst, 7, 1500, "payment", args)
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			var err error
+			if out, err = c.enc(BeginFrame(out[:0])); err != nil {
+				t.Fatal(err)
+			}
+			if err := EndFrame(out); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.Discard.Write(out); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("encode and write of a %s frame allocates %v times per frame, want 0", c.name, allocs)
+		}
 	}
 }

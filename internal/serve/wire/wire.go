@@ -264,20 +264,33 @@ func Decode(payload []byte) (Msg, error) {
 	return m, nil
 }
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) == 0 {
+// BeginFrame appends a frame's length prefix, still unset, to dst. A writer
+// that keeps its own buffer appends the payload behind it, then EndFrame,
+// then one Write.
+func BeginFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0) }
+
+// EndFrame sets the length prefix of a frame BeginFrame began at frame[0].
+// An empty or over-MaxFrame payload errors.
+func EndFrame(frame []byte) error {
+	n := len(frame) - 4
+	if n <= 0 {
 		return malformed("empty frame")
 	}
-	if len(payload) > MaxFrame {
+	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
+// WriteFrame writes one length-prefixed frame in one Write, copying the
+// payload behind the prefix.
+func WriteFrame(w io.Writer, payload []byte) error {
+	frame := append(BeginFrame(make([]byte, 0, 4+len(payload))), payload...)
+	if err := EndFrame(frame); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -287,6 +300,8 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // The length prefix is staged in buf too (a local array would escape
 // through the io.Reader interface and cost one heap allocation per frame),
 // so a read loop that recycles buf runs allocation-free at steady state.
+// A connection passes a bufio.Reader: then a frame that has arrived whole
+// costs one read syscall.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if cap(buf) < 4 {
 		buf = make([]byte, 4)

@@ -118,6 +118,36 @@ func TestFrameLimits(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls a frame costs.
+type countingWriter struct {
+	writes int
+	bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameOneWrite: a frame, prefix and payload, leaves in exactly one
+// Write, so on a socket it costs one write syscall and one segment.
+func TestWriteFrameOneWrite(t *testing.T) {
+	for _, n := range []int{1, 9, 4096, MaxFrame} {
+		payload := bytes.Repeat([]byte{7}, n)
+		var w countingWriter
+		if err := WriteFrame(&w, payload); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%d-byte payload: %d Writes, want 1", n, w.writes)
+		}
+		got, err := ReadFrame(&w.Buffer, nil)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte payload: read back %d bytes, err %v", n, len(got), err)
+		}
+	}
+}
+
 // FuzzFrameRoundtrip follows the FuzzRedoRoundtrip precedent: arbitrary
 // bytes through ReadFrame+Decode must error or roundtrip, never panic; and
 // every well-formed message must survive encode→frame→read→decode intact.

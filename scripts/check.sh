@@ -53,9 +53,12 @@ go test -run '^$' -fuzz FuzzRedoRoundtrip -fuzztime 5s ./internal/cluster/
 # procedures over real TCP through admission control, then the sampled
 # history must pass the strict-serializability checker, the bank must
 # conserve money exactly, and the fleet accounting must close (every offered
-# call lands in exactly one outcome bucket; Dropped == 0). Plus a fuzz smoke
-# of the wire frame codec (length-prefix framing + Call/Result roundtrip).
-go test -race -run 'TestServeGateEndToEnd|TestAdmissionShedsAtOverload|TestAdmissionDisabledQueuesEverything' -count=1 ./internal/serve/
+# call lands in exactly one outcome bucket; Dropped == 0). With them the
+# reader's frame buffer: a call split into one-byte segments, two calls in
+# one segment, and corrupt prefixes — on a 1-CPU and a 2-CPU host schedule,
+# which decide how the segments reach the reader. Plus a fuzz smoke of the
+# wire frame codec (length-prefix framing + Call/Result roundtrip).
+go test -race -cpu 1,2 -run 'TestServeGateEndToEnd|TestAdmissionShedsAtOverload|TestAdmissionDisabledQueuesEverything|TestFramesSplitAndCoalesced' -count=1 ./internal/serve/
 go test -run '^$' -fuzz FuzzFrameRoundtrip -fuzztime 5s ./internal/serve/wire/
 
 # Trace-overhead gate: the observability layer must not move virtual time.
