@@ -70,8 +70,8 @@ func run(out io.Writer, addr string) error {
 		return fmt.Errorf("deposit: %w", err)
 	}
 	if _, err := cl.Call("payment", serve.EncPayment(from, to, 25)); err != nil {
-		// Aborts come back typed: reason, pipeline stage and site survive
-		// the wire (client.AbortError), not just a string.
+		// Aborts come back typed: the *txn.Error the server built, its
+		// reason, pipeline stage, site and label intact, not just a string.
 		return fmt.Errorf("payment: %w", err)
 	}
 	for _, acct := range []uint64{from, to} {

@@ -16,6 +16,14 @@ import (
 // (Txn.abort/abortAt) satisfy the rule by construction; this analyzer
 // catches the ad-hoc literal someone adds on a new abort path.
 //
+// It keeps an abort plain data: the label (Detail) of a txn.Error literal,
+// and the label argument of the constructors Txn.abort/abortAt/abortOn/
+// abortConflict, is a constant or a value passed through, never computed
+// there. A formatted label (fmt.Sprintf, strconv, err.Error(), a
+// concatenation) costs its allocations on every abort,
+// and the retry loop drops almost every abort unread; the variable fact
+// goes in Seen, and Error formats only when read.
+//
 // It also enforces the CommitProtocol abort contract: a method on a type
 // implementing the package-scope CommitProtocol interface must not mint
 // untyped errors (fmt.Errorf, errors.New) — every error a protocol returns
@@ -24,7 +32,7 @@ import (
 // attribution cell at all. errors.Is/As and wrapping helpers remain fine.
 var AbortAttr = &analysis.Analyzer{
 	Name:          "abortattr",
-	Doc:           "require txn.Error literals to set Reason, Stage and Site (abort-attribution completeness)",
+	Doc:           "require txn.Error literals to set Reason, Stage and Site (abort-attribution completeness), with a label no call computes",
 	PackageFilter: isAbortSurfacePackage,
 	Run:           runAbortAttr,
 }
@@ -38,10 +46,18 @@ var abortAttrRequired = []string{"Reason", "Stage", "Site"}
 // detector, Table/Key without HasKey is silently dropped.
 var abortAttrKeyed = []string{"Table", "Key", "HasKey"}
 
+// abortHelpers are the txn.Error constructors; the last argument of each is
+// the abort's label.
+var abortHelpers = map[string]bool{"abort": true, "abortAt": true, "abortOn": true, "abortConflict": true}
+
 func runAbortAttr(pass *analysis.Pass) error {
 	checkProtocolMethods(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkHelperLabel(pass, call)
+				return true
+			}
 			cl, ok := n.(*ast.CompositeLit)
 			if !ok {
 				return true
@@ -59,6 +75,9 @@ func runAbortAttr(pass *analysis.Pass) error {
 				}
 				if id, ok := kv.Key.(*ast.Ident); ok {
 					have[id.Name] = true
+					if id.Name == "Detail" && computedLabel(pass.TypesInfo, kv.Value) {
+						pass.Reportf(kv.Value.Pos(), "txn.Error Detail is computed: the label is a string constant, formatted only when Error is read — put the variable fact in Seen")
+					}
 				}
 			}
 			if positional {
@@ -85,6 +104,35 @@ func runAbortAttr(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// checkHelperLabel flags a call of an abort constructor (a method named in
+// abortHelpers) whose label, its last argument, is computed.
+func checkHelperLabel(pass *analysis.Pass, call *ast.CallExpr) {
+	f := calleeFunc(pass.TypesInfo, call)
+	if f == nil || !abortHelpers[f.Name()] || len(call.Args) == 0 {
+		return
+	}
+	if sig, _ := f.Type().(*types.Signature); sig == nil || sig.Recv() == nil {
+		return
+	}
+	if label := call.Args[len(call.Args)-1]; computedLabel(pass.TypesInfo, label) {
+		pass.Reportf(label.Pos(), "%s label is computed: the label is a string constant, formatted only when Error is read — put the variable fact in Seen", f.Name())
+	}
+}
+
+// computedLabel reports whether e, an abort's label, is computed where it
+// is used: neither a constant nor a value passed through (a parameter, a
+// decoded field).
+func computedLabel(info *types.Info, e ast.Expr) bool {
+	if tv, ok := info.Types[e]; ok && tv.Value != nil {
+		return false
+	}
+	switch ast.Unparen(e).(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		return false
+	}
+	return true
 }
 
 // checkProtocolMethods flags fmt.Errorf / errors.New calls inside methods of

@@ -11,7 +11,8 @@
 //
 //	htmregion   — no blocking/yielding operation inside an HTM region
 //	virtualtime — no wall clock or global randomness in protocol packages
-//	abortattr   — every txn.Error names its Stage and Site
+//	abortattr   — every txn.Error names its Stage and Site, and its label
+//	              is never computed where the abort is raised
 //	lockorder   — no lock-order cycles; no lock held across a coroutine
 //	              yield, or across wire I/O in internal/serve
 //	enumswitch  — switches over protocol enums are exhaustive or carry an

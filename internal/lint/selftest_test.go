@@ -100,6 +100,34 @@ func (w *worker) park() {
 	expectTeeth(t, lint.LockOrder, clean, mutated, "held across coroutine switch")
 }
 
+// TestAbortAttrTeeth mirrors the admission controller's shed: a constant
+// label with the queue depth in Seen. Formatting the depth into the label —
+// the shape every abort site had before aborts became plain data — must
+// fire the label rule.
+func TestAbortAttrTeeth(t *testing.T) {
+	const body = `package seed
+
+import "fmt"
+
+var _ = fmt.Sprint
+
+type Error struct {
+	Reason int
+	Stage  uint8
+	Site   uint16
+	Detail string
+	Seen   uint64
+}
+
+func shed(d, max int64) *Error {
+	return &Error{Reason: 7, Stage: 10, Site: 1, %s}
+}
+`
+	clean := strings.Replace(body, "%s", `Detail: "queue depth at watermark", Seen: uint64(d)`, 1)
+	mutated := strings.Replace(body, "%s", `Detail: fmt.Sprintf("queue depth %d at watermark %d", d, max)`, 1)
+	expectTeeth(t, lint.AbortAttr, clean, mutated, "Detail is computed")
+}
+
 // TestEnumSwitchTeeth mirrors the txn write-set kind dispatch
 // (applyInsertsDeletes / postWriteBack): every wsKind must be handled or
 // the skip documented. Dropping the documented arm must fire enumswitch.

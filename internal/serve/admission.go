@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -77,7 +76,8 @@ func (a *admission) admit(node int, deadline time.Duration) *txn.Error {
 			Reason: txn.AbortServerBusy,
 			Stage:  txn.StageAdmission,
 			Site:   uint16(node),
-			Detail: fmt.Sprintf("queue depth %d at watermark %d", d, a.maxQueue),
+			Detail: "queue depth at watermark",
+			Seen:   uint64(d),
 		}
 	}
 	if deadline > 0 {
@@ -89,7 +89,8 @@ func (a *admission) admit(node int, deadline time.Duration) *txn.Error {
 					Reason: txn.AbortServerBusy,
 					Stage:  txn.StageAdmission,
 					Site:   uint16(node),
-					Detail: fmt.Sprintf("projected wait %s exceeds deadline %s", projected, deadline),
+					Detail: "projected wait exceeds deadline",
+					Seen:   uint64(projected),
 				}
 			}
 		}

@@ -1,7 +1,8 @@
 // Package client is the Go client for drtmr-serve: a connection pool over
 // the wire protocol (internal/serve/wire) with per-request deadlines and
-// typed abort reconstruction — a shed or deadline failure surfaces as the
-// same Reason/Stage/Site taxonomy the engine records server-side.
+// typed abort reconstruction — an abort, shed or deadline failure surfaces
+// as the *txn.Error the server built, with its Reason, Stage, Site and
+// label (Detail).
 package client
 
 import (
@@ -31,24 +32,6 @@ type Options struct {
 	DialTimeout time.Duration
 }
 
-// AbortError is a typed transaction failure from the server, carrying the
-// engine's abort taxonomy across the wire (txn.StageLocalHTM includes the
-// local check drtmr runs before C.1).
-type AbortError struct {
-	Reason txn.AbortReason
-	Stage  uint8
-	Site   uint16
-	Detail string
-}
-
-func (e *AbortError) Error() string {
-	s := fmt.Sprintf("serve: abort (%s@%s n%d)", e.Reason, txn.StageName(e.Stage), e.Site)
-	if e.Detail != "" {
-		s += ": " + e.Detail
-	}
-	return s
-}
-
 // RequestError is a client-side mistake the server rejected (unknown
 // procedure, malformed arguments). Not retryable as-is.
 type RequestError struct{ Detail string }
@@ -63,15 +46,15 @@ func (e *ServerError) Error() string { return "serve: server error: " + e.Detail
 // IsBusy reports whether err is an admission-control shed (ServerBusy): the
 // request never executed and may be retried after backing off.
 func IsBusy(err error) bool {
-	var ae *AbortError
-	return errors.As(err, &ae) && ae.Reason == txn.AbortServerBusy
+	var te *txn.Error
+	return errors.As(err, &te) && te.Reason == txn.AbortServerBusy
 }
 
 // IsDeadline reports whether err is a deadline failure — the server-side
 // queue-expiry abort or a socket timeout waiting for the reply.
 func IsDeadline(err error) bool {
-	var ae *AbortError
-	if errors.As(err, &ae) && ae.Reason == txn.AbortDeadline {
+	var te *txn.Error
+	if errors.As(err, &te) && te.Reason == txn.AbortDeadline {
 		return true
 	}
 	var ne net.Error
@@ -223,7 +206,11 @@ func (c *Client) roundTrip(deadline time.Duration, enc func(dst []byte) ([]byte,
 }
 
 // Call executes the named stored procedure with the client's default
-// deadline and returns its reply payload.
+// deadline and returns its reply payload. A typed abort comes back as the
+// *txn.Error the server built (Table, Key and Seen stay on the server); a
+// rejected request as *RequestError; any other server failure, a committed
+// transaction whose reply would not fit a frame among them, as
+// *ServerError.
 func (c *Client) Call(proc string, args []byte) ([]byte, error) {
 	return c.CallDeadline(proc, args, c.opts.Deadline)
 }
@@ -251,7 +238,7 @@ func (c *Client) CallDeadline(proc string, args []byte, deadline time.Duration) 
 	case wire.StatusOK:
 		return m.Payload, nil
 	case wire.StatusAbort:
-		return nil, &AbortError{
+		return nil, &txn.Error{
 			Reason: txn.AbortReason(m.Reason),
 			Stage:  m.Stage,
 			Site:   m.Site,

@@ -438,7 +438,8 @@ func (s *Server) workerLoop(node, exec int) {
 					Reason: txn.AbortDeadline,
 					Stage:  txn.StageAdmission,
 					Site:   uint16(node),
-					Detail: fmt.Sprintf("deadline %s expired after %s in queue", req.deadline, waited),
+					Detail: "deadline expired in queue",
+					Seen:   uint64(waited),
 				}
 				s.live.sheds.LiveRecord(uint8(e.Reason), e.Stage, int(e.Site))
 				s.respond(req, nil, e)
@@ -460,12 +461,17 @@ func (s *Server) workerLoop(node, exec int) {
 	}
 }
 
-// respond writes a request's Result. Write errors are swallowed: the client
-// is gone, and its remaining queued requests will fail the same way.
+// respond writes a request's Result. A reply too large for a frame is
+// answered with StatusError, which says the transaction committed: dropped,
+// it would leave the caller to time out on a commit. Other write errors are
+// swallowed: the client is gone, and its remaining queued requests will
+// fail the same way.
 func (s *Server) respond(req request, reply []byte, err error) {
 	switch {
 	case err == nil:
-		_ = req.c.writeResult(req.id, wire.StatusOK, 0, 0, 0, "", reply)
+		if err := req.c.writeResult(req.id, wire.StatusOK, 0, 0, 0, "", reply); errors.Is(err, wire.ErrFrameTooLarge) {
+			_ = req.c.writeResult(req.id, wire.StatusError, 0, 0, 0, replyTooLarge, nil)
+		}
 	default:
 		var te *txn.Error
 		if errors.As(err, &te) {
@@ -480,6 +486,10 @@ func (s *Server) respond(req request, reply []byte, err error) {
 		_ = req.c.writeResult(req.id, uint8(status), 0, 0, 0, err.Error(), nil)
 	}
 }
+
+// replyTooLarge is the detail of a committed transaction's reply that
+// exceeds wire.MaxFrame.
+const replyTooLarge = "reply exceeds the frame limit; the transaction committed"
 
 // errBadArgs marks malformed stored-procedure arguments (StatusBadRequest
 // on the wire, like an unknown procedure).

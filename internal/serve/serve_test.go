@@ -236,6 +236,74 @@ func TestUnknownProcAndBadArgs(t *testing.T) {
 	}
 }
 
+// TestOversizeReplyAnswered: a committed procedure whose reply does not fit
+// a frame gets a typed answer that says so, at once, not a socket timeout.
+func TestOversizeReplyAnswered(t *testing.T) {
+	cfg := smallbank.Config{AccountsPerNode: 100, Nodes: 2, InitialBalance: 10}
+	big := Proc{Name: "big", Fn: func(*txn.Worker, []byte) ([]byte, error) {
+		return make([]byte, wire.MaxFrame+1), nil
+	}}
+	_, addr := startBank(t, cfg, Options{}, BankProcs{}, big)
+	cl := client.New(client.Options{Addr: addr, Deadline: time.Second})
+	defer cl.Close()
+	start := time.Now()
+	_, err := cl.Call("big", nil)
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Detail != replyTooLarge {
+		t.Fatalf("oversize reply: got %T %v, want ServerError %q", err, err, replyTooLarge)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("oversize reply answered after %v, past the call's deadline", took)
+	}
+	// The connection is still good.
+	if _, err := cl.Call("balance", EncBalanceReq(1)); err != nil {
+		t.Fatalf("call after the oversize reply: %v", err)
+	}
+}
+
+// TestShedReachesClientTyped: an admission shed crosses the wire as the
+// *txn.Error the server built, its Reason, Stage, Site and label intact.
+// One request holds the only queue slot while a second one arrives.
+func TestShedReachesClientTyped(t *testing.T) {
+	cfg := smallbank.Config{AccountsPerNode: 100, Nodes: 2, InitialBalance: 10}
+	held, release := make(chan struct{}), make(chan struct{})
+	onNode1 := func([]byte) (int, bool) { return 1, true }
+	hold := Proc{Name: "hold", Home: onNode1, Fn: func(*txn.Worker, []byte) ([]byte, error) {
+		close(held)
+		<-release
+		return nil, nil
+	}}
+	probe := Proc{Name: "probe", Home: onNode1, Fn: func(*txn.Worker, []byte) ([]byte, error) {
+		return nil, nil
+	}}
+	_, addr := startBank(t, cfg, Options{WorkersPerNode: 1, Admission: AdmissionConfig{MaxQueue: 1}},
+		BankProcs{}, hold, probe)
+	cl := client.New(client.Options{Addr: addr, MaxConns: 2})
+	defer cl.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Call("hold", nil)
+		done <- err
+	}()
+	<-held
+	_, err := cl.Call("probe", nil)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("held call: %v", err)
+	}
+	var te *txn.Error
+	if !errors.As(err, &te) {
+		t.Fatalf("shed: got %T %v, want *txn.Error", err, err)
+	}
+	want := txn.Error{Reason: txn.AbortServerBusy, Stage: txn.StageAdmission, Site: 1, Detail: "queue depth at watermark"}
+	if *te != want {
+		t.Fatalf("shed crossed the wire as %+v, want %+v", *te, want)
+	}
+	if !client.IsBusy(err) || client.IsDeadline(err) {
+		t.Fatalf("shed %v: IsBusy %v, IsDeadline %v", err, client.IsBusy(err), client.IsDeadline(err))
+	}
+}
+
 // TestFramesSplitAndCoalesced drives the reader's frame buffer from a raw
 // connection: a Call that arrives one byte per segment, two Calls that
 // arrive in one segment, and length prefixes that must close the connection

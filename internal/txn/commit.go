@@ -261,16 +261,6 @@ func (proto drtmrProto) localHTMCommit(tx *Txn) error {
 	return tx.abort(AbortHTM, "commit HTM region exhausted retries")
 }
 
-// abortConflict is abort keyed with the conflict identity the HTM region
-// stamped (setConflict) before its explicit abort, when it stamped one.
-func (tx *Txn) abortConflict(r AbortReason, format string, args ...any) error {
-	a := tx.attempt()
-	if !a.confSet {
-		return tx.abort(r, format, args...)
-	}
-	return tx.abortOn(tx.w.E.M.ID, a.confTable, a.confKey, r, format, args...)
-}
-
 // localHTMAttempt is one C.3+C.4 HTM region attempt, bracketed with
 // htmBegin/htmEnd so the coroutine scheduler can assert that the region
 // never spans a yield point.
@@ -677,7 +667,7 @@ func (tx *Txn) commitReadOnly() error {
 			p := pend[0]
 			pend = pend[1:]
 			if p.Err != nil {
-				return tx.abortAt(r.node, AbortNodeDead, "ro validate: %v", p.Err)
+				return tx.abortAt(r.node, AbortNodeDead, "ro validate verb")
 			}
 			h = p.Data
 		}
@@ -701,10 +691,10 @@ func (tx *Txn) roConfirm(r *rsEntry, h []byte) error {
 	}
 	if lockW := memstore.RecLock(h); lockW != 0 {
 		tx.w.maybeReleaseDangling(tx.cfg, r.node, r.off, lockW)
-		return tx.abortOn(r.node, r.table, r.key, AbortLocked, "ro: record locked by %#x", lockW)
+		return tx.abortOn(r.node, r.table, r.key, AbortLocked, "ro: record locked").saw(lockW)
 	}
 	if memstore.RecInc(h) != r.inc || !tx.seqValidates(r.seq, memstore.RecSeq(h)) {
-		return tx.abortOn(r.node, r.table, r.key, AbortValidate, "ro: record changed")
+		return tx.abortOn(r.node, r.table, r.key, AbortValidate, "ro: record changed").saw(memstore.RecSeq(h))
 	}
 	return nil
 }

@@ -252,6 +252,7 @@ func (w *Worker) acquireGate(g *keyGate, hk HotKey) (ok bool, qerr *Error) {
 			Reason: AbortLocked, Stage: StageQueue, Site: uint16(w.E.M.ID),
 			Table: hk.Table, Key: hk.Key, HasKey: true,
 			Detail: "hot-key queue admission timed out",
+			Seen:   uint64(w.Clk.Now() - start), // the wait
 		}
 	}
 	w.Stats.GateAdmissions++

@@ -36,176 +36,6 @@ import (
 // partitions by warehouse, SmallBank by account range).
 type Partitioner func(table memstore.TableID, key uint64) cluster.ShardID
 
-// Abort reasons (for stats and retry policy).
-type AbortReason uint8
-
-const (
-	AbortNone AbortReason = iota
-	// AbortLockFailed: C.1 could not lock a remote record.
-	AbortLockFailed
-	// AbortValidate: read validation failed (C.2, C.3, or read-only).
-	AbortValidate
-	// AbortHTM: the commit-phase HTM region overflowed its capacity, or
-	// kept aborting until the bounded retries ran out, before the fallback
-	// handler succeeded.
-	AbortHTM
-	// AbortLocked: execution phase found a record locked for too long.
-	AbortLocked
-	// AbortNodeDead: a verb hit a dead machine (epoch change pending).
-	AbortNodeDead
-	// AbortStale: a cached location or incarnation went stale repeatedly.
-	AbortStale
-	// AbortServerBusy: the serve-layer admission controller shed the request
-	// before it reached a worker (queue-depth watermark or deadline-aware
-	// overload estimate). Never retried by the engine: the client decides.
-	AbortServerBusy
-	// AbortDeadline: the request's deadline expired while it waited in the
-	// serve-layer admission queue, so it was dropped before execution.
-	AbortDeadline
-
-	// NumAbortReasons sizes per-reason counters (Stats.Aborts,
-	// obs.NumReasons must be >= this).
-	NumAbortReasons
-)
-
-func (r AbortReason) String() string {
-	switch r {
-	case AbortNone:
-		return "none"
-	case AbortLockFailed:
-		return "lock-failed"
-	case AbortValidate:
-		return "validate"
-	case AbortHTM:
-		return "htm"
-	case AbortLocked:
-		return "locked"
-	case AbortNodeDead:
-		return "node-dead"
-	case AbortStale:
-		return "stale"
-	case AbortServerBusy:
-		return "server-busy"
-	case AbortDeadline:
-		return "deadline"
-	default:
-		return fmt.Sprintf("AbortReason(%d)", uint8(r))
-	}
-}
-
-// Lifecycle stages for abort attribution and phase trace events: WHERE in
-// the transaction an abort struck (obs.AbortMatrix stage axis, obs.EvPhase /
-// EvTxnAbort Detail). StageExec is the execution phase; the rest mirror the
-// commit pipeline (CommitPhase) shifted by one.
-const (
-	StageExec uint8 = iota
-	StageLock
-	StageValidate
-	// StageLocalHTM: C.3+C.4's HTM region, and drtmr's C.3 check before C.1
-	// (checkLocalWrites) — its aborts and its phase span.
-	StageLocalHTM
-	StageLog
-	StageWriteBack
-	StageUnlock
-	StageROValidate
-	StageFallback
-	// StageQueue: waiting for hot-key FIFO admission (contention manager) —
-	// the stage of queue-wait trace spans and queue-timeout aborts.
-	StageQueue
-	// StageAdmission: the serve-layer admission controller, before any
-	// engine worker touched the request (ServerBusy/Deadline sheds).
-	StageAdmission
-	NumStages
-)
-
-// StageName names a stage code (abort-matrix summaries, trace export).
-func StageName(s uint8) string {
-	switch s {
-	case StageExec:
-		return "exec"
-	case StageLock:
-		return PhaseLock.String()
-	case StageValidate:
-		return PhaseValidate.String()
-	case StageLocalHTM:
-		return "C.3+4-htm"
-	case StageLog:
-		return PhaseLog.String()
-	case StageWriteBack:
-		return PhaseWriteBack.String()
-	case StageUnlock:
-		return PhaseUnlock.String()
-	case StageROValidate:
-		return PhaseROValidate.String()
-	case StageFallback:
-		return PhaseFallback.String()
-	case StageQueue:
-		return "queue"
-	case StageAdmission:
-		return "admission"
-	default:
-		return fmt.Sprintf("stage(%d)", s)
-	}
-}
-
-// phaseStage maps a commit-pipeline phase to its lifecycle stage code.
-func phaseStage(p CommitPhase) uint8 {
-	switch p {
-	case PhaseLock:
-		return StageLock
-	case PhaseValidate:
-		return StageValidate
-	case PhaseLog:
-		return StageLog
-	case PhaseWriteBack:
-		return StageWriteBack
-	case PhaseUnlock:
-		return StageUnlock
-	case PhaseROValidate:
-		return StageROValidate
-	case PhaseFallback:
-		return StageFallback
-	default:
-		return StageExec
-	}
-}
-
-// Error is a transaction abort. Transactions signalling Error from Run are
-// retried according to the reason. Stage and Site attribute the abort for
-// the obs.AbortMatrix: WHERE in the lifecycle it struck and WHICH node's
-// record triggered it (the aborting worker's own node for local causes).
-type Error struct {
-	Reason AbortReason
-	Stage  uint8
-	Site   uint16
-	// Table/Key name the record whose conflict triggered the abort, when the
-	// abort site knows it (HasKey guards validity — key 0 is a legal key).
-	// They feed the contention manager's hot-key detector and the per-key
-	// abort counter behind Result.AbortSummary's hot-keys term.
-	Table  memstore.TableID
-	Key    uint64
-	HasKey bool
-	Detail string
-}
-
-func (e *Error) Error() string {
-	if e.Detail == "" {
-		return "txn: abort (" + e.Reason.String() + ")"
-	}
-	return "txn: abort (" + e.Reason.String() + "): " + e.Detail
-}
-
-// asError finds the first *Error in err's chain of wraps, without errors.As's
-// target, which would move to the heap on every abort.
-func asError(err error) (*Error, bool) {
-	for ; err != nil; err = errors.Unwrap(err) {
-		if te, ok := err.(*Error); ok {
-			return te, true
-		}
-	}
-	return nil, false
-}
-
 // ErrNotFound is returned by Read for missing keys (a user-level outcome,
 // not an abort).
 var ErrNotFound = errors.New("txn: key not found")
@@ -407,24 +237,10 @@ const (
 )
 
 func (p CommitPhase) String() string {
-	switch p {
-	case PhaseLock:
-		return "C.1-lock"
-	case PhaseValidate:
-		return "C.2-validate"
-	case PhaseLog:
-		return "R.1-log"
-	case PhaseWriteBack:
-		return "C.5-writeback"
-	case PhaseUnlock:
-		return "C.6-unlock"
-	case PhaseROValidate:
-		return "ro-validate"
-	case PhaseFallback:
-		return "fallback"
-	default:
-		return fmt.Sprintf("CommitPhase(%d)", int(p))
+	if p >= 0 && p < NumPhases {
+		return stageNames[phaseStages[p]]
 	}
+	return fmt.Sprintf("CommitPhase(%d)", int(p))
 }
 
 // PhaseStat counts one commit phase's one-sided verb traffic and the virtual
@@ -694,7 +510,7 @@ func (w *Worker) ExecBatch(phase CommitPhase, id uint64, b *rdma.Batch) error {
 	ps.Verbs += uint64(n)
 	ps.Nanos += uint64(w.Clk.Now() - start)
 	if w.Rec != nil {
-		w.Rec.Record(obs.EvPhase, phaseStage(phase), 0, uint32(n), id, start, w.Clk.Now())
+		w.Rec.Record(obs.EvPhase, phaseStages[phase], 0, uint32(n), id, start, w.Clk.Now())
 	}
 	return err
 }

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 	"unsafe"
@@ -255,7 +256,47 @@ func TestHotpathAllocFree(t *testing.T) {
 	}
 	run()
 	requireAllocs(t, "two-remote-record Run", 4, run)
+
+	// An abort is plain data: it allocates its *Error and formats nothing,
+	// since the retry loop drops almost every one unread. abortSink stands
+	// for the error's way up to runLoop, which keeps it on the heap.
+	requireAllocs(t, "local abort", 1, func() {
+		abortSink = tx.abort(AbortHTM, "commit HTM region exhausted retries")
+	})
+	requireAllocs(t, "keyed abort", 1, func() {
+		abortSink = tx.abortOn(1, tblAcct, 7, AbortValidate, "inc changed")
+	})
+	// roConfirm on a header another machine locked: keyed, with the lock
+	// word it saw in Seen.
+	rr := &ro.rs[0]
+	var locked [24]byte
+	binary.LittleEndian.PutUint64(locked[memstore.LockOff:], memstore.LockWord(2))
+	binary.LittleEndian.PutUint64(locked[memstore.IncOff:], rr.inc)
+	binary.LittleEndian.PutUint64(locked[memstore.SeqOff:], rr.seq)
+	requireAllocs(t, "abort with Seen", 1, func() {
+		abortSink = ro.roConfirm(rr, locked[:])
+	})
+	if te, ok := asError(abortSink); !ok || te.Reason != AbortLocked || te.Seen != memstore.LockWord(2) || !te.HasKey {
+		t.Errorf("roConfirm on a locked header: %v", abortSink)
+	}
+	// A READ of a record on a dead machine, its location cached.
+	dead := w3.engines[0].NewWorker(2).Begin()
+	if _, err := dead.Read(tblAcct, 2); err != nil {
+		t.Fatal(err)
+	}
+	w3.c.Kill(2)
+	requireAllocs(t, "dead-node abort", 1, func() {
+		dead.rs = dead.rs[:0]
+		_, abortSink = dead.Read(tblAcct, 2)
+	})
+	if te, ok := asError(abortSink); !ok || te.Reason != AbortNodeDead || te.Site != 2 {
+		t.Errorf("read on a dead machine: %v", abortSink)
+	}
 }
+
+// abortSink keeps an abort built in an allocation row on the heap, as the
+// way up to runLoop does.
+var abortSink error
 
 // gateHandoff is one admission through hot-key gate g, held across a park so
 // that the sibling contexts queue up behind it before it releases. The holder

@@ -305,7 +305,7 @@ func (tx *Txn) lockRemote(locks []LockTarget, run *LockRun) error {
 		tx.w.LockBatch(PhaseLock, PhaseValidate, tx.id, tx.cfg, todo, run)
 		if run.Err != nil {
 			tx.unlockTargets(PhaseLock, run.Held)
-			return tx.abortAt(run.ErrAt, AbortNodeDead, "lock: %v", run.Err)
+			return tx.abortAt(run.ErrAt, AbortNodeDead, "lock verb")
 		}
 		todo = run.Missed
 	}
@@ -322,9 +322,9 @@ func (tx *Txn) lockRemote(locks []LockTarget, run *LockRun) error {
 	tx.unlockTargets(PhaseLock, run.Held)
 	lt := todo[0]
 	if tbl, key, ok := tx.keyAt(lt.Node, lt.Off); ok {
-		return tx.abortOn(lt.Node, tbl, key, AbortLockFailed, "record %d:%#x held by %#x", lt.Node, lt.Off, run.Holder)
+		return tx.abortOn(lt.Node, tbl, key, AbortLockFailed, "record held").saw(run.Holder)
 	}
-	return tx.abortAt(lt.Node, AbortLockFailed, "record %d:%#x held by %#x", lt.Node, lt.Off, run.Holder)
+	return tx.abortAt(lt.Node, AbortLockFailed, "record held").saw(run.Holder)
 }
 
 // unlockTargets releases the given locks with one doorbell batch of CASes,
@@ -437,7 +437,7 @@ func (tx *Txn) validate(v validation, run *LockRun) error {
 		} else {
 			p := pend[i]
 			if p.Err != nil {
-				return tx.abortAt(r.node, AbortNodeDead, "validate: %v", p.Err)
+				return tx.abortAt(r.node, AbortNodeDead, "validate verb")
 			}
 			h = p.Data
 			if e == nil && !v.uncounted {
@@ -454,13 +454,13 @@ func (tx *Txn) validate(v validation, run *LockRun) error {
 			// pass — a pipeline that never CASes read-set records has no
 			// other chance, and every reader of the record would starve.
 			w.maybeReleaseDangling(tx.cfg, r.node, r.off, lockW)
-			return tx.abortOn(r.node, r.table, r.key, AbortLocked, "read-set record locked by %#x", lockW)
+			return tx.abortOn(r.node, r.table, r.key, AbortLocked, "read-set record locked").saw(lockW)
 		}
 		if inc != r.inc && !skip && !mut.SkipIncCheck {
-			return tx.abortOn(r.node, r.table, r.key, AbortValidate, "inc changed")
+			return tx.abortOn(r.node, r.table, r.key, AbortValidate, "inc changed").saw(inc)
 		}
 		if !tx.seqValidates(r.seq, cur) && !skip {
-			return tx.abortOn(r.node, r.table, r.key, AbortValidate, "seq %d -> %d", r.seq, cur)
+			return tx.abortOn(r.node, r.table, r.key, AbortValidate, "seq changed").saw(cur)
 		}
 		if e != nil && e.inPlace() {
 			tx.setBase(e, cur, inc)
@@ -486,14 +486,14 @@ func (tx *Txn) validate(v validation, run *LockRun) error {
 		} else {
 			p := pend[len(tx.rs)+i]
 			if p.Err != nil {
-				return tx.abortAt(e.node, AbortNodeDead, "ws fetch: %v", p.Err)
+				return tx.abortAt(e.node, AbortNodeDead, "ws fetch verb")
 			}
 			h = p.Data
 		}
 		cur := memstore.RecSeq(h)
 		if w.E.Replicated && !memstore.SeqIsCommittable(cur) {
 			// Table 4 C.2 R_WS: cannot overwrite an unreplicated record.
-			return tx.abortOn(e.node, e.table, e.key, AbortValidate, "ws uncommittable")
+			return tx.abortOn(e.node, e.table, e.key, AbortValidate, "ws uncommittable").saw(cur)
 		}
 		tx.setBase(e, cur, memstore.RecInc(h))
 		if e.kind == wsDelta {

@@ -269,26 +269,6 @@ func (w *Worker) BeginReadOnly() *Txn {
 	return tx
 }
 
-// abort builds an abort attributed to the worker's own node (local causes:
-// HTM exhaustion, local validation, locked local records).
-func (tx *Txn) abort(r AbortReason, format string, args ...any) error {
-	return tx.abortAt(tx.w.E.M.ID, r, format, args...)
-}
-
-// abortAt builds an abort attributed to node — the site whose record
-// triggered it — at the transaction's current lifecycle stage.
-func (tx *Txn) abortAt(node rdma.NodeID, r AbortReason, format string, args ...any) error {
-	return &Error{Reason: r, Stage: tx.stage, Site: uint16(node), Detail: fmt.Sprintf(format, args...)}
-}
-
-// abortOn is abortAt carrying the conflicting record's identity, which feeds
-// the contention manager's hot-key detector and the per-key abort counter.
-func (tx *Txn) abortOn(node rdma.NodeID, table memstore.TableID, key uint64, r AbortReason, format string, args ...any) error {
-	e := tx.abortAt(node, r, format, args...).(*Error)
-	e.Table, e.Key, e.HasKey = table, key, true
-	return e
-}
-
 // keyAt is the (table, key) of the record at (node, off), read set first, to
 // key aborts raised by offset-level operations (C.1 lock CASes). Unresolved
 // entries (off 0) never match.
@@ -705,7 +685,7 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 			tx.w.Backoff(BackoffLocalRead, attempt)
 		}
 	}
-	return rsEntry{}, tx.abortOn(tx.w.E.M.ID, table, key, AbortLocked, "local record %d/%d stayed locked", table, key)
+	return rsEntry{}, tx.abortOn(tx.w.E.M.ID, table, key, AbortLocked, "local record stayed locked")
 }
 
 // localReadAttempt is one HTM-protected snapshot attempt (Fig 5). The whole
@@ -784,7 +764,7 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 			tx.w.Stats.Phases[PhaseROValidate].Verbs += uint64(len(carry))
 		}
 		if err := tx.w.await(comp); err != nil {
-			return rsEntry{}, tx.abortAt(node, AbortNodeDead, "read %v", err)
+			return rsEntry{}, tx.abortAt(node, AbortNodeDead, "read verb")
 		}
 		for i, j := range carry {
 			if err := tx.roConfirm(&tx.rs[j], hdrs[i].Data); err != nil {
@@ -825,7 +805,7 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 			val: tx.shrink(img, tbl.Spec.ValueSize),
 		}, nil
 	}
-	return rsEntry{}, tx.abortOn(node, table, key, AbortStale, "remote record %d/%d never stabilized", table, key)
+	return rsEntry{}, tx.abortOn(node, table, key, AbortStale, "remote record never stabilized")
 }
 
 // Locate returns where key's record of tbl lives on node: the location
@@ -853,7 +833,7 @@ func (w *Worker) remoteLookup(qp *rdma.QP, tbl *memstore.Table, key uint64) (clu
 	switch {
 	case err != nil:
 		// Commit-time callers (resolveWriteOffsets) re-stamp Stage.
-		return loc, &Error{Reason: AbortNodeDead, Stage: StageExec, Site: uint16(qp.Remote()), Detail: err.Error()}
+		return loc, &Error{Reason: AbortNodeDead, Stage: StageExec, Site: uint16(qp.Remote()), Detail: "index lookup verb"}
 	case !found:
 		return loc, ErrNotFound
 	}

@@ -36,6 +36,12 @@ go vet -race ./...
 
 go test -race ./...
 
+# Allocation pins: each skips itself under -race, whose instrumentation
+# allocates, so the run above never reaches them; this plain run does. They
+# hold the hot path (aborts included), the coroutine hand-off, the runner and
+# the wire codec to their pinned allocation counts.
+go test -count=1 -run 'TestHotpathAllocFree|TestCoroutineHandoffAllocFree|TestRunnerAllocFree|TestDecodeAllocFree|TestFrameEncodeAllocFree|TestReadFrameReusesBuffer' ./internal/txn/ ./internal/sim/ ./internal/serve/wire/
+
 # The benchmark (benchmark/, a module of its own, so ./... above skips it):
 # its manifest and declaration tests and a smoke run of every workload with
 # its correctness checks, ~5 s. A change under internal/ that breaks the
@@ -56,9 +62,11 @@ go test -run '^$' -fuzz FuzzRedoRoundtrip -fuzztime 5s ./internal/cluster/
 # call lands in exactly one outcome bucket; Dropped == 0). With them the
 # reader's frame buffer: a call split into one-byte segments, two calls in
 # one segment, and corrupt prefixes — on a 1-CPU and a 2-CPU host schedule,
-# which decide how the segments reach the reader. Plus a fuzz smoke of the
-# wire frame codec (length-prefix framing + Call/Result roundtrip).
-go test -race -cpu 1,2 -run 'TestServeGateEndToEnd|TestAdmissionShedsAtOverload|TestAdmissionDisabledQueuesEverything|TestFramesSplitAndCoalesced' -count=1 ./internal/serve/
+# which decide how the segments reach the reader. A reply too large for a
+# frame is answered, not dropped, and a shed reaches the client as the
+# *txn.Error the server built. Plus a fuzz smoke of the wire frame codec
+# (length-prefix framing + Call/Result roundtrip).
+go test -race -cpu 1,2 -run 'TestServeGateEndToEnd|TestAdmissionShedsAtOverload|TestAdmissionDisabledQueuesEverything|TestFramesSplitAndCoalesced|TestOversizeReplyAnswered|TestShedReachesClientTyped' -count=1 ./internal/serve/
 go test -run '^$' -fuzz FuzzFrameRoundtrip -fuzztime 5s ./internal/serve/wire/
 
 # Trace-overhead gate: the observability layer must not move virtual time.
