@@ -142,10 +142,21 @@ func (t *Txn) Release() {
 // Active reports whether the transaction can still perform operations.
 func (t *Txn) Active() bool { return t.status.Load()&stateMask == statusActive }
 
-// abortErr builds the error for the recorded cause.
+// abortErrs holds every error a region can end with, so an abort allocates
+// nothing. Never written after init: callers only read through the pointers.
+var abortErrs = func() (errs [CauseSpurious + 1][256]AbortError) {
+	for c := range errs {
+		for code := range errs[c] {
+			errs[c][code] = AbortError{Cause: AbortCause(c), Code: uint8(code)}
+		}
+	}
+	return errs
+}()
+
+// abortErr returns the error for the recorded cause.
 func (t *Txn) abortErr() *AbortError {
 	_, cause, code := unpack(t.status.Load())
-	return &AbortError{Cause: cause, Code: code}
+	return &abortErrs[cause][code]
 }
 
 // checkActive returns nil if the transaction may proceed. If it was aborted

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // AbortMatrix dimensions. Fixed-size so recording is a single array index
@@ -18,9 +17,9 @@ const (
 
 // AbortMatrix attributes aborts along three axes: WHY (protocol-level abort
 // reason), WHERE in the transaction's lifecycle (execution or a specific
-// commit phase), and WHO — which site's record triggered it. It replaces the
-// flat per-reason Stats.Aborts view: "1200 conflict aborts" becomes "1100
-// C.1-lock conflicts on node 2", which is actionable.
+// commit phase), and WHO — which site's record triggered it. It is the only
+// abort count: "1200 conflict aborts" is its reason marginal, and "1100
+// C.1-lock conflicts on node 2", which is actionable, one of its cells.
 type AbortMatrix struct {
 	c [NumReasons][NumStages][NumSites]uint64
 }
@@ -38,28 +37,6 @@ func clampIdx(i, n int) int {
 // Record counts one abort with the given reason, stage, and site.
 func (m *AbortMatrix) Record(reason, stage uint8, site int) {
 	m.c[clampIdx(int(reason), NumReasons)][clampIdx(int(stage), NumStages)][clampIdx(site, NumSites)]++
-}
-
-// LiveRecord is Record with an atomic increment, for matrices a live status
-// endpoint snapshots while recording continues (internal/serve).
-func (m *AbortMatrix) LiveRecord(reason, stage uint8, site int) {
-	atomic.AddUint64(&m.c[clampIdx(int(reason), NumReasons)][clampIdx(int(stage), NumStages)][clampIdx(site, NumSites)], 1)
-}
-
-// Snapshot returns an atomically loaded copy safe to take while LiveRecord
-// races. Successive snapshots are monotone per cell.
-func (m *AbortMatrix) Snapshot() AbortMatrix {
-	var s AbortMatrix
-	for r := range m.c {
-		for st := range m.c[r] {
-			for n := range m.c[r][st] {
-				if c := atomic.LoadUint64(&m.c[r][st][n]); c != 0 {
-					s.c[r][st][n] = c
-				}
-			}
-		}
-	}
-	return s
 }
 
 // Merge adds all of o's counts into m.

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Log-linear (HDR-style) histogram over non-negative int64 values, tuned for
 // virtual-nanosecond latencies. Each power-of-two octave is split into
@@ -80,54 +77,6 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.n++
 	h.sum += v
-}
-
-// LiveRecord adds one value with atomic operations, so a concurrent
-// Snapshot — and other LiveRecord callers — stay race-free. It is the
-// mid-run recording path for histograms a live status endpoint reads while
-// workers are still recording (internal/serve); end-of-run histograms keep
-// using the cheaper single-writer Record. The two must not be mixed on one
-// histogram while concurrent readers exist. LiveRecord does not maintain
-// min/max; Snapshot derives them at bucket resolution instead.
-func (h *Histogram) LiveRecord(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	atomic.AddUint64(&h.counts[BucketIndex(v)], 1)
-	atomic.AddInt64(&h.sum, v)
-	atomic.AddUint64(&h.n, 1)
-}
-
-// Snapshot returns a self-consistent copy safe to take while LiveRecord
-// races: every bucket is loaded atomically and the copy's total is the sum
-// of the loaded buckets (so quantiles are exact over the copy), while sum —
-// loaded separately — may lag by the handful of records in flight, making
-// Mean approximate during concurrency. Min/max are reconstructed from the
-// occupied bucket range (exact for values < 32, bucket-resolution above).
-// Successive snapshots are monotone: no bucket count ever decreases.
-func (h *Histogram) Snapshot() Histogram {
-	var s Histogram
-	first, last := -1, -1
-	var n uint64
-	for i := range h.counts {
-		c := atomic.LoadUint64(&h.counts[i])
-		if c == 0 {
-			continue
-		}
-		s.counts[i] = c
-		n += c
-		if first < 0 {
-			first = i
-		}
-		last = i
-	}
-	s.n = n
-	s.sum = atomic.LoadInt64(&h.sum)
-	if first >= 0 {
-		s.min = BucketLower(first)
-		s.max = BucketUpper(last)
-	}
-	return s
 }
 
 // Count returns the number of recorded values.
@@ -248,35 +197,6 @@ func (t *TypedHist) Record(ty int, v int64) {
 	}
 	t.H[ty].Record(v)
 	t.all.Record(v)
-}
-
-// LiveRecord adds v under type ty with atomic operations (see
-// Histogram.LiveRecord): the mid-run path for per-procedure histograms a
-// status endpoint snapshots while workers record. Out-of-range types are
-// dropped, as in Record.
-func (t *TypedHist) LiveRecord(ty int, v int64) {
-	if ty < 0 || ty >= len(t.H) {
-		return
-	}
-	t.H[ty].LiveRecord(v)
-	t.all.LiveRecord(v)
-}
-
-// Snapshot returns an atomically loaded copy of every per-type histogram
-// with the aggregate derived by merging those copies, safe to take while
-// LiveRecord races. Deriving (rather than separately loading t.all) makes
-// the snapshot coherent by construction: its aggregate equals the sum of
-// its typed parts no matter how many records land mid-copy. Copying the
-// live aggregate instead would bound the skew only by whatever executes
-// between the typed loads and the aggregate load — a preempted snapshot
-// goroutine once made that window span an entire run.
-func (t *TypedHist) Snapshot() *TypedHist {
-	s := &TypedHist{Names: t.Names, H: make([]Histogram, len(t.H))}
-	for i := range t.H {
-		s.H[i] = t.H[i].Snapshot()
-		s.all.Merge(&s.H[i])
-	}
-	return s
 }
 
 // All returns the aggregate histogram over every type.

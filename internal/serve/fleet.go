@@ -86,9 +86,11 @@ func RunFleet(o FleetOptions) FleetResult {
 
 	rng := sim.NewRand(o.Seed ^ 0xF1EE7)
 	var res FleetResult
-	var lat obs.Histogram
 
-	type tally struct{ ok, shedBusy, shedDeadline, badReq, errs uint64 }
+	type tally struct {
+		ok, shedBusy, shedDeadline, badReq, errs uint64
+		lat                                      obs.Histogram
+	}
 	tallies := make([]tally, o.Users)
 
 	// The arrival queue holds every not-yet-picked-up call, so the pacer
@@ -145,7 +147,7 @@ func RunFleet(o FleetOptions) FleetResult {
 				switch {
 				case err == nil:
 					t.ok++
-					lat.LiveRecord(since(from).Nanoseconds())
+					t.lat.Record(since(from).Nanoseconds())
 				case client.IsBusy(err):
 					t.shedBusy++
 				case client.IsDeadline(err):
@@ -165,14 +167,15 @@ func RunFleet(o FleetOptions) FleetResult {
 		<-done
 	}
 	res.Elapsed = since(start)
-	for _, t := range tallies {
+	for i := range tallies {
+		t := &tallies[i]
 		res.OK += t.ok
 		res.ShedBusy += t.shedBusy
 		res.ShedDeadline += t.shedDeadline
 		res.BadRequest += t.badReq
 		res.Errors += t.errs
+		res.Lat.Merge(&t.lat)
 	}
-	res.Lat = lat.Snapshot()
 	res.Dropped = res.Offered - (res.OK + res.ShedBusy + res.ShedDeadline + res.BadRequest + res.Errors)
 	return res
 }

@@ -29,8 +29,8 @@ type Proc struct {
 	Home func(args []byte) (node int, ok bool)
 }
 
-// procEntry is a registered procedure plus its dense index — the label used
-// for per-procedure latency histograms (obs.TypedHist type axis).
+// procEntry is a registered procedure plus its dense index — its histogram's
+// place in each executor's per-procedure latency histograms.
 type procEntry struct {
 	Proc
 	idx int
@@ -77,14 +77,9 @@ func (r *registry) lookup(name string) *procEntry {
 	return r.byName[name]
 }
 
-// names returns the registered procedure names in registration (index)
-// order — the TypedHist label vector.
-func (r *registry) names() []string {
+// len returns the number of registered procedures.
+func (r *registry) len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, len(r.order))
-	for i, e := range r.order {
-		out[i] = e.Name
-	}
-	return out
+	return len(r.order)
 }

@@ -146,41 +146,65 @@ func (c *conn) writeFrame(enc func(dst []byte) []byte) error {
 }
 
 // liveStats is the server-wide mid-run aggregate the status endpoint
-// snapshots: per-procedure wall-latency histograms and the admission
-// controller's shed verdicts (lock-free, recorded per request), and one
-// txn.Stats per executor — the copy of its engine counters it last published.
+// snapshots, and the only way a number reaches it. Each executor owns slot
+// i and publishes into it every statsPublishEvery requests and when it
+// exits: a copy of its engine counters and of its per-procedure
+// service-time histograms. Sheds, which connection readers refuse too, are
+// counted in sheds.
 type liveStats struct {
-	hist  *obs.TypedHist
-	sheds obs.AbortMatrix
-
 	mu    sync.Mutex
-	execs []txn.Stats // guarded by mu; slot i belongs to executor i
+	execs []execSlot      // guarded by mu; slot i belongs to executor i
+	sheds obs.AbortMatrix // guarded by mu
 }
 
-// publish replaces executor i's slot with its worker's current counters. The
-// slot keeps a key-abort map of its own: the worker goes on writing to its map.
-func (l *liveStats) publish(i int, st *txn.Stats) {
+// execSlot is what one executor last published.
+type execSlot struct {
+	stats txn.Stats
+	procs []obs.Histogram // service time (wall ns), by procedure index
+}
+
+// publish replaces executor i's slot with its worker's current counters and
+// its procedures' histograms. The slot keeps a key-abort map of its own: the
+// worker goes on writing to its map.
+func (l *liveStats) publish(i int, st *txn.Stats, procs []obs.Histogram) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	slot := &l.execs[i]
-	hot := slot.KeyAborts
+	hot := slot.stats.KeyAborts
 	if hot == nil && len(st.KeyAborts) > 0 {
 		hot = make(map[txn.HotKey]uint64, len(st.KeyAborts))
 	}
-	*slot = *st
-	slot.KeyAborts = hot
+	slot.stats = *st
+	slot.stats.KeyAborts = hot
 	maps.Copy(hot, st.KeyAborts)
+	copy(slot.procs, procs)
 }
 
-// merged sums every executor's published counters and the shed verdicts.
-func (l *liveStats) merged() *txn.Stats {
-	agg := &txn.Stats{AbortMatrix: l.sheds.Snapshot()}
+// shed counts a request the front door refused: at admission or, expired,
+// in the queue.
+func (l *liveStats) shed(e *txn.Error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.sheds.Record(uint8(e.Reason), e.Stage, int(e.Site))
+}
+
+// merged sums every executor's slot into one Stats and one histogram per
+// procedure. aborts is the engine's abort count, taken before the sheds
+// join the matrix.
+func (l *liveStats) merged() (agg *txn.Stats, aborts uint64, procs []obs.Histogram) {
+	agg = &txn.Stats{}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	procs = make([]obs.Histogram, len(l.execs[0].procs))
 	for i := range l.execs {
-		agg.Merge(&l.execs[i])
+		agg.Merge(&l.execs[i].stats)
+		for p := range procs {
+			procs[p].Merge(&l.execs[i].procs[p])
+		}
 	}
-	return agg
+	aborts = agg.AbortsTotal()
+	agg.AbortMatrix.Merge(&l.sheds)
+	return agg, aborts, procs
 }
 
 // Server is a running drtmr-serve instance.
@@ -243,9 +267,9 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	}
 	nodes := len(s.db.Cluster().Machines)
 	s.adm = newAdmission(s.opts.Admission, nodes*s.opts.WorkersPerNode)
-	s.live = &liveStats{
-		hist:  obs.NewTypedHist(s.reg.names()...),
-		execs: make([]txn.Stats, s.Workers()),
+	s.live = &liveStats{execs: make([]execSlot, s.Workers())}
+	for i := range s.live.execs {
+		s.live.execs[i].procs = make([]obs.Histogram, s.reg.len())
 	}
 	s.start = now()
 	s.queues = make([]*queue, nodes)
@@ -386,11 +410,8 @@ func (s *Server) readLoop(c *conn) {
 			node := s.route(e, m.Args)
 			deadline := time.Duration(m.DeadlineUs) * time.Microsecond
 			if shed := s.adm.admit(node, deadline); shed != nil {
-				s.live.sheds.LiveRecord(uint8(shed.Reason), shed.Stage, int(shed.Site))
-				if err := c.writeResult(m.ID, wire.StatusAbort, uint8(shed.Reason),
-					shed.Stage, shed.Site, shed.Detail, nil); err != nil {
-					return
-				}
+				s.live.shed(shed)
+				s.respond(request{c: c, id: m.ID}, nil, shed)
 				continue
 			}
 			args := make([]byte, len(m.Args))
@@ -407,9 +428,10 @@ func (s *Server) readLoop(c *conn) {
 }
 
 // statsPublishEvery is how many requests a worker executes between
-// publishing its engine stats to the live aggregate. Small enough that the
-// status endpoint is fresh, large enough that publishing (a copy of the
-// worker's Stats under the aggregate's lock) stays off the per-request path.
+// publishing its engine stats and procedure histograms to the live
+// aggregate. Small enough that the status endpoint is fresh, large enough
+// that publishing (a copy of both under the aggregate's lock) stays off the
+// per-request path.
 const statsPublishEvery = 32
 
 // workerLoop drains one node's queue on a dedicated engine worker; exec is
@@ -424,8 +446,9 @@ func (s *Server) workerLoop(node, exec int) {
 		s.history = append(s.history, h)
 		s.histMu.Unlock()
 	}
+	procs := make([]obs.Histogram, s.reg.len())
 	sincePublish := 0
-	defer func() { s.live.publish(exec, &w.Stats) }()
+	defer func() { s.live.publish(exec, &w.Stats, procs) }()
 	for {
 		req, ok := s.queues[node].pop()
 		if !ok {
@@ -441,7 +464,7 @@ func (s *Server) workerLoop(node, exec int) {
 					Detail: "deadline expired in queue",
 					Seen:   uint64(waited),
 				}
-				s.live.sheds.LiveRecord(uint8(e.Reason), e.Stage, int(e.Site))
+				s.live.shed(e)
 				s.respond(req, nil, e)
 				s.adm.finish(0)
 				continue
@@ -451,11 +474,11 @@ func (s *Server) workerLoop(node, exec int) {
 		begin := now()
 		reply, err := req.proc.Fn(w, req.args)
 		svc := since(begin)
-		s.live.hist.LiveRecord(req.proc.idx, svc.Nanoseconds())
+		procs[req.proc.idx].Record(svc.Nanoseconds())
 		s.respond(req, reply, err)
 		s.adm.finish(svc)
 		if sincePublish++; sincePublish >= statsPublishEvery {
-			s.live.publish(exec, &w.Stats)
+			s.live.publish(exec, &w.Stats, procs)
 			sincePublish = 0
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,7 +119,7 @@ func TestServeGateEndToEnd(t *testing.T) {
 // in socket buffers, where the watermark cannot see it.
 func TestAdmissionShedsAtOverload(t *testing.T) {
 	cfg := smallbank.Config{AccountsPerNode: 500, Nodes: 2, InitialBalance: 10000}
-	_, addr := startBank(t, cfg,
+	s, addr := startBank(t, cfg,
 		Options{WorkersPerNode: 1, Admission: AdmissionConfig{MaxQueue: 2}}, BankProcs{})
 	res := RunFleet(FleetOptions{
 		Addr:      addr,
@@ -139,6 +140,20 @@ func TestAdmissionShedsAtOverload(t *testing.T) {
 		t.Fatalf("shedding starved all work: %+v", res)
 	}
 	t.Logf("overload: %d ok, %d shed busy, %d shed deadline", res.OK, res.ShedBusy, res.ShedDeadline)
+
+	// Every admission shed reaches the snapshot's abort cells, whichever
+	// reader goroutine refused it.
+	s.Close()
+	st := s.Snapshot()
+	var cells uint64
+	for _, c := range st.AbortTop {
+		if c.Reason == txn.AbortServerBusy.String() && c.Stage == txn.StageName(txn.StageAdmission) {
+			cells += c.Count
+		}
+	}
+	if want := st.Admission.ShedBusy + st.Admission.ShedHopeless; cells != want || want != res.ShedBusy {
+		t.Fatalf("server-busy@admission cells sum to %d, admission shed %d, fleet saw %d", cells, want, res.ShedBusy)
+	}
 }
 
 // TestAdmissionDisabledQueuesEverything is the ablation sanity check: with
@@ -458,11 +473,25 @@ func TestStatusEndpoints(t *testing.T) {
 		if st.Aborts < prev.Aborts || st.Admission.Admitted < prev.Admission.Admitted {
 			t.Fatalf("aborts %d -> %d, admitted %d -> %d", prev.Aborts, st.Aborts, prev.Admission.Admitted, st.Admission.Admitted)
 		}
+		for i := range prev.Procs {
+			if st.Procs[i].Count < prev.Procs[i].Count {
+				t.Fatalf("%s count went backwards: %d -> %d", st.Procs[i].Name, prev.Procs[i].Count, st.Procs[i].Count)
+			}
+		}
 		prev = st
+	}
+	// executed counts the calls that reached an executor: all but sheds.
+	var executed atomic.Uint64
+	call := func(proc string, args []byte) error {
+		_, err := cl.Call(proc, args)
+		if !client.IsBusy(err) && !client.IsDeadline(err) {
+			executed.Add(1)
+		}
+		return err
 	}
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 200; i++ {
-			if _, err := cl.Call("payment", EncPayment(uint64(i), uint64(i+1), 1)); err != nil {
+			if err := call("payment", EncPayment(uint64(i), uint64(i+1), 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -476,7 +505,7 @@ func TestStatusEndpoints(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 100; i++ {
 					// Sheds and aborts are fine here; only the counters matter.
-					_, _ = cl.Call("hot", nil)
+					_ = call("hot", nil)
 				}
 			}()
 		}
@@ -537,6 +566,19 @@ func TestStatusEndpoints(t *testing.T) {
 	// so every virtual ns asked for is a ns stalled.
 	if st.BackoffStallNanos != st.BackoffNanos || (st.Backoffs == 0) != (st.BackoffNanos == 0) {
 		t.Fatalf("/statusz backoffs %d asked %dns stalled %dns", st.Backoffs, st.BackoffNanos, st.BackoffStallNanos)
+	}
+
+	// Mid-run the per-procedure counts trail by what executors have not yet
+	// published; after Close every executor has published its last requests.
+	s.Close()
+	st = s.Snapshot()
+	monotone(st)
+	var counted uint64
+	for _, p := range st.Procs {
+		counted += p.Count
+	}
+	if counted != executed.Load() || counted != st.Admission.Admitted {
+		t.Fatalf("after Close the procedures count %d calls; %d executed, %d admitted", counted, executed.Load(), st.Admission.Admitted)
 	}
 }
 

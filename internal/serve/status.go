@@ -10,18 +10,21 @@ import (
 
 // Status is one point-in-time snapshot of a running server, shipped as JSON
 // over the wire (KindStatus) and over plain HTTP (/statusz). Every quantity
-// comes from the live aggregates (liveStats, the admission controller's
-// atomics), so taking it perturbs neither the commit pipeline nor the
-// admission queue.
+// comes from the live aggregate (liveStats) or the admission controller's
+// atomics, so taking it perturbs neither the commit pipeline nor the
+// admission queue. What executors record — the engine counters and the
+// per-procedure latencies — reaches the aggregate when they publish, every
+// statsPublishEvery requests, so it can trail the wire counters by up to
+// that many requests per executor. After Close it is exact: each executor
+// publishes as it exits.
 type Status struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Workers       int     `json:"workers"`
 
-	// Engine-side totals, published by workers every statsPublishEvery
-	// requests, so they can trail the wire counters slightly: every scalar
-	// counter txn.Stats declares (executors run one transaction at a time,
-	// so the coroutine counters read 0 and backoff_stall_ns equals
-	// backoff_ns; see txn.Worker.Backoff), plus the abort total.
+	// Engine-side totals: every scalar counter txn.Stats declares
+	// (executors run one transaction at a time, so the coroutine counters
+	// read 0 and backoff_stall_ns equals backoff_ns; see
+	// txn.Worker.Backoff), plus the abort total, sheds excluded.
 	txn.Counters
 	Aborts uint64 `json:"aborts"`
 
@@ -75,12 +78,12 @@ const statusTopK = 10
 // Snapshot assembles a Status from the live aggregates. Successive
 // snapshots are monotone in every counter.
 func (s *Server) Snapshot() Status {
-	agg := s.live.merged()
+	agg, aborts, procs := s.live.merged()
 	st := Status{
 		UptimeSeconds: since(s.start).Seconds(),
 		Workers:       s.Workers(),
 		Counters:      agg.Counters,
-		Aborts:        agg.AbortsTotal(),
+		Aborts:        aborts,
 		Admission: AdmissionStatus{
 			Disabled:      s.adm.disabled,
 			QueueDepth:    s.adm.depth.Load(),
@@ -92,10 +95,9 @@ func (s *Server) Snapshot() Status {
 			ExpiredQueued: s.adm.expired.Load(),
 		},
 	}
-	hist := s.live.hist.Snapshot()
 	s.reg.mu.RLock()
 	for i, e := range s.reg.order {
-		h := &hist.H[i]
+		h := &procs[i]
 		st.Procs = append(st.Procs, ProcStatus{
 			Name:     e.Name,
 			Protocol: e.Protocol,

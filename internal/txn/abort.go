@@ -36,8 +36,7 @@ const (
 	// serve-layer admission queue, so it was dropped before execution.
 	AbortDeadline
 
-	// NumAbortReasons sizes per-reason counters (Stats.Aborts,
-	// obs.NumReasons must be >= this).
+	// NumAbortReasons counts the reasons (obs.NumReasons must be >= this).
 	NumAbortReasons
 )
 

@@ -339,17 +339,16 @@ type Counters struct {
 // Stats counts one worker's outcomes, or, after Merge, a run's.
 type Stats struct {
 	Counters
-	Aborts [NumAbortReasons]uint64 // indexed by AbortReason
 	Phases [NumPhases]PhaseStat
 
 	// BackoffSites splits Backoffs and BackoffStallNanos by the step that
 	// backed off.
 	BackoffSites [NumBackoffSites]BackoffStat
 
-	// AbortMatrix attributes every abort along reason × stage × site — the
-	// structured replacement for the flat Aborts view ("1100 C.1-lock
-	// conflicts on node 2", not just "1200 lock-failed"). Always on:
-	// recording is one array increment.
+	// AbortMatrix counts every abort once, along reason × stage × site
+	// ("1100 C.1-lock conflicts on node 2", not just "1200 lock-failed"); the
+	// per-reason and total counts are its marginals. Always on: recording is
+	// one array increment.
 	AbortMatrix obs.AbortMatrix
 
 	// QueueWait is the distribution behind QueueWaits / QueueWaitNanos.
@@ -361,13 +360,7 @@ type Stats struct {
 }
 
 // AbortsTotal sums all abort reasons.
-func (s *Stats) AbortsTotal() uint64 {
-	var t uint64
-	for _, v := range s.Aborts {
-		t += v
-	}
-	return t
-}
+func (s *Stats) AbortsTotal() uint64 { return s.AbortMatrix.Total() }
 
 // KeyAbortCount is one record's attributed abort count (Stats.HotKeys).
 type KeyAbortCount struct {
@@ -415,9 +408,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.BackoffStallNanos += o.BackoffStallNanos
 	s.ROVerbs += o.ROVerbs
 	s.ROWakeups += o.ROWakeups
-	for i, n := range o.Aborts {
-		s.Aborts[i] += n
-	}
 	for i, p := range o.Phases {
 		s.Phases[i].Verbs += p.Verbs
 		s.Phases[i].Batches += p.Batches
@@ -582,7 +572,8 @@ func (w *Worker) Retry(attempt func() error, aborted error) error {
 
 // Run executes fn as a transaction with automatic retry on aborts. fn may be
 // re-executed; it must be idempotent up to its writes (standard OCC
-// contract). Returns the first non-abort error, or nil once committed.
+// contract). Returns the first non-abort error whose attempt's reads
+// validate (Txn.answer), or nil once committed.
 //
 // The *Txn fn is given belongs to fn only while fn runs: once the attempt
 // has ended the worker hands it to a later transaction, so fn must not keep
@@ -622,7 +613,6 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 			case qerr != nil:
 				// Admission timed out (or this machine died): account it
 				// like any abort, then retry ungated.
-				w.Stats.Aborts[qerr.Reason]++
 				w.Stats.AbortMatrix.Record(uint8(qerr.Reason), qerr.Stage, int(qerr.Site))
 				w.Stats.Retries++
 				if w.E.M.Dead() {
@@ -647,6 +637,8 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		err := fn(tx)
 		if err == nil {
 			err = tx.Commit()
+		} else if _, ok := asError(err); !ok {
+			err = tx.answer(err)
 		}
 		tx.endAttempt()
 		if held != nil {
@@ -671,9 +663,8 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		w.recycle(tx)
 		te, ok := asError(err)
 		if !ok {
-			return err // user error: not retried
+			return err // validated user error: not retried
 		}
-		w.Stats.Aborts[te.Reason]++
 		w.Stats.AbortMatrix.Record(uint8(te.Reason), te.Stage, int(te.Site))
 		w.Stats.Retries++
 		if w.Rec != nil {

@@ -175,7 +175,7 @@ func TestAbortAttribution(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if attempts := wk.Stats.Aborts[AbortLockFailed]; attempts >= 2 {
+		if attempts := wk.Stats.AbortMatrix.StageReasonTotal(uint8(AbortLockFailed), StageLock); attempts >= 2 {
 			// Release so the retry finally commits.
 			_, _, _ = wk.QP(1).CAS(off+memstore.LockOff, foreign, 0)
 		}
@@ -191,9 +191,6 @@ func TestAbortAttribution(t *testing.T) {
 	top := cells[0]
 	if AbortReason(top.Reason) != AbortLockFailed || top.Stage != StageLock || top.Site != 1 {
 		t.Errorf("top abort cell %+v, want lock-failed at C.1 on node 1", top)
-	}
-	if got, want := wk.Stats.AbortMatrix.Total(), wk.Stats.AbortsTotal(); got != want {
-		t.Errorf("matrix total %d != flat aborts %d", got, want)
 	}
 	s := wk.Stats.AbortMatrix.Summary(3,
 		func(r uint8) string { return AbortReason(r).String() }, StageName)

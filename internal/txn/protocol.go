@@ -95,17 +95,28 @@ func (w *Worker) protocol() CommitProtocol {
 // committed or aborted, and its scratch goes back to the worker.
 func (tx *Txn) Commit() error {
 	defer tx.endAttempt()
-	p := tx.w.protocol()
 	if tx.readOnly || len(tx.ws) == 0 {
-		tx.stage = StageROValidate
-		return p.ReadOnlyCommit(tx)
+		return tx.answer(nil)
 	}
 	tx.w.commits.Add(1)
 	defer tx.w.commits.Add(-1)
 	if err := tx.fenced(); err != nil {
 		return err
 	}
-	return p.Commit(tx)
+	return tx.w.protocol().Commit(tx)
+}
+
+// answer is the protocol's read-only commit: it returns reply once the
+// attempt's reads validate, or the abort that a stale read set is. Commit
+// answers nil for a transaction that wrote nothing, and runLoop answers a
+// body's user error, so a caller hears that error only from an attempt that
+// got as far as asking to commit (FaRM's rule) and a stale one is retried.
+func (tx *Txn) answer(reply error) error {
+	tx.stage = StageROValidate
+	if err := tx.w.protocol().ReadOnlyCommit(tx); err != nil {
+		return err
+	}
+	return reply
 }
 
 // fenced aborts a commit once a configuration newer than the transaction's

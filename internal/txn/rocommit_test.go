@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"drtmr/internal/cluster"
@@ -185,5 +186,72 @@ func TestReadOnlyCarriedHeaders(t *testing.T) {
 					wk.Stats.ROVerbs, ph.Verbs, ph.Batches, c.roVerbs, c.roBatches)
 			}
 		})
+	}
+}
+
+// TestZombieUserErrorValidated: a body that saw a state no serial order
+// produces must not answer its caller. The body on node 0 reads X (key 1,
+// node 1); a transfer of 10 from X to Y (key 0, node 0) then commits on node
+// 1; the body reads Y, sees 100 + 110 and returns a user error. That error
+// rests on a stale read of X, so the attempt aborts at the read-only
+// validation and retries, and the retry sees 90 + 110 and commits. Over Run
+// and RunReadOnly, under both protocols.
+func TestZombieUserErrorValidated(t *testing.T) {
+	const x, y = 1, 0
+	errSum := errors.New("balances do not sum to 200")
+	for _, proto := range []string{"drtmr", "farm"} {
+		for _, readOnly := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/readonly=%v", proto, readOnly), func(t *testing.T) {
+				w := newWorld(t, 3, 1, htm.Config{})
+				w.load(t, 6, 100)
+				wk, other := w.engines[0].NewWorker(0), w.engines[1].NewWorker(1)
+				wk.Protocol, other.Protocol = proto, proto
+				transfer := func(tx *Txn) error {
+					xv, err := tx.Read(tblAcct, x)
+					if err != nil {
+						return err
+					}
+					yv, err := tx.Read(tblAcct, y)
+					if err != nil {
+						return err
+					}
+					if err := tx.Write(tblAcct, x, encBal(decBal(xv)-10)); err != nil {
+						return err
+					}
+					return tx.Write(tblAcct, y, encBal(decBal(yv)+10))
+				}
+				run := wk.Run
+				if readOnly {
+					run = wk.RunReadOnly
+				}
+				attempts := 0
+				err := run(func(tx *Txn) error {
+					attempts++
+					xv, err := tx.Read(tblAcct, x)
+					if err != nil {
+						return err
+					}
+					if attempts == 1 {
+						if err := other.Run(transfer); err != nil {
+							t.Errorf("transfer: %v", err)
+						}
+					}
+					yv, err := tx.Read(tblAcct, y)
+					if err != nil {
+						return err
+					}
+					if decBal(xv)+decBal(yv) != 200 {
+						return errSum
+					}
+					return nil
+				})
+				if err != nil || attempts != 2 {
+					t.Fatalf("after %d attempts: %v; want a commit on the second", attempts, err)
+				}
+				if got := wk.Stats.AbortMatrix.StageReasonTotal(uint8(AbortValidate), StageROValidate); got != 1 {
+					t.Fatalf("%d validate aborts at %s, want 1", got, StageName(StageROValidate))
+				}
+			})
+		}
 	}
 }

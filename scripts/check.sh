@@ -64,9 +64,11 @@ go test -run '^$' -fuzz FuzzRedoRoundtrip -fuzztime 5s ./internal/cluster/
 # one segment, and corrupt prefixes — on a 1-CPU and a 2-CPU host schedule,
 # which decide how the segments reach the reader. A reply too large for a
 # frame is answered, not dropped, and a shed reaches the client as the
-# *txn.Error the server built. Plus a fuzz smoke of the wire frame codec
-# (length-prefix framing + Call/Result roundtrip).
-go test -race -cpu 1,2 -run 'TestServeGateEndToEnd|TestAdmissionShedsAtOverload|TestAdmissionDisabledQueuesEverything|TestFramesSplitAndCoalesced|TestOversizeReplyAnswered|TestShedReachesClientTyped' -count=1 ./internal/serve/
+# *txn.Error the server built. Status snapshots taken while executors
+# publish stay monotone, and after Close count every executed call. Plus a
+# fuzz smoke of the wire frame codec (length-prefix framing + Call/Result
+# roundtrip).
+go test -race -cpu 1,2 -run 'TestServeGateEndToEnd|TestAdmissionShedsAtOverload|TestAdmissionDisabledQueuesEverything|TestFramesSplitAndCoalesced|TestOversizeReplyAnswered|TestShedReachesClientTyped|TestStatusEndpoints' -count=1 ./internal/serve/
 go test -run '^$' -fuzz FuzzFrameRoundtrip -fuzztime 5s ./internal/serve/wire/
 
 # Trace-overhead gate: the observability layer must not move virtual time.
