@@ -16,7 +16,7 @@ help:
 	@echo "  test         full test suite"
 	@echo "  race         full test suite under -race"
 	@echo "  stress       htm, memstore, oplog, rdma, cluster, txn, baseline, check, serve,"
-	@echo "               harness and root-package suites"
+	@echo "               harness, obs, sim and root-package suites"
 	@echo "               20 times each on 1 and 2 CPUs (-count=20 -cpu 1,2): catches"
 	@echo "               tests that pass only when goroutines happen (not) to overlap"
 	@echo "               on the host, and the HTM line registry's entry reuse"
@@ -79,9 +79,10 @@ race:
 # oplog are here because the line registry reuses its entries, and whether a
 # reused entry meets a stale reader depends on the interleaving; cluster and
 # the root package because their kills race detector goroutines; baseline
-# because DrTM's concurrent tests lock through txn's lock stage too.
+# because DrTM's concurrent tests lock through txn's lock stage too; obs
+# and sim because their tick source and frontier are shared by goroutines.
 stress:
-	$(GO) test -count=20 -cpu 1,2 ./internal/htm/ ./internal/memstore/ ./internal/oplog/ ./internal/rdma/ ./internal/cluster/ ./internal/txn/ ./internal/baseline/... ./internal/check/ ./internal/serve/ ./internal/bench/harness/ .
+	$(GO) test -count=20 -cpu 1,2 ./internal/htm/ ./internal/memstore/ ./internal/oplog/ ./internal/rdma/ ./internal/cluster/ ./internal/txn/ ./internal/baseline/... ./internal/check/ ./internal/serve/ ./internal/bench/harness/ ./internal/obs/ ./internal/sim/ .
 
 # check is the CI gate: build, vet, the full suite under the race detector
 # (the simulator runs real goroutines per worker/applier, so -race exercises

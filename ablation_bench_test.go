@@ -30,7 +30,7 @@ func ablationWorld(b *testing.B, replicas int, remoteProb float64, nicBps int64)
 	}
 	var engines []*txn.Engine
 	for _, m := range c.Machines {
-		engines = append(engines, txn.NewEngine(m, cfg.Partitioner(), txn.DefaultCosts()))
+		engines = append(engines, txn.NewEngine(m, cfg.Partitioner()))
 	}
 	c.Start()
 	b.Cleanup(c.Stop)

@@ -135,7 +135,7 @@ func Open(o Options) (*DB, error) {
 	})
 	db := &DB{cluster: c, part: part}
 	for _, m := range c.Machines {
-		db.engines = append(db.engines, txn.NewEngine(m, part, txn.DefaultCosts()))
+		db.engines = append(db.engines, txn.NewEngine(m, part))
 	}
 	return db, nil
 }

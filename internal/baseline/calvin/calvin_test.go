@@ -49,7 +49,7 @@ func newWorld(t *testing.T, nodes int) *world {
 	}
 	w := &world{c: c, sys: New(nodes)}
 	for _, m := range c.Machines {
-		w.engines = append(w.engines, txn.NewEngine(m, part, txn.DefaultCosts()))
+		w.engines = append(w.engines, txn.NewEngine(m, part))
 	}
 	c.Start()
 	t.Cleanup(c.Stop)

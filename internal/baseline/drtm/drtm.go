@@ -49,8 +49,8 @@ type Engine struct {
 }
 
 // NewEngine builds DrTM on machine m.
-func NewEngine(m *cluster.Machine, part txn.Partitioner, cost txn.CostModel) *Engine {
-	return &Engine{txn.NewEngine(m, part, cost)}
+func NewEngine(m *cluster.Machine, part txn.Partitioner) *Engine {
+	return &Engine{txn.NewEngine(m, part)}
 }
 
 // Worker is one DrTM worker thread.

@@ -35,7 +35,7 @@ func newWorld(t *testing.T, nodes int) (*cluster.Cluster, []*Engine) {
 	var engines []*Engine
 	for _, m := range c.Machines {
 		m.Store.CreateTable(tbl, memstore.TableSpec{Name: "kv", ValueSize: 16, ExpectedRows: 256})
-		engines = append(engines, NewEngine(m, part, txn.DefaultCosts()))
+		engines = append(engines, NewEngine(m, part))
 	}
 	for key := uint64(0); key < 16; key++ {
 		node := key % uint64(nodes)

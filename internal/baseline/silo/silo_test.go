@@ -24,7 +24,7 @@ func dec(b []byte) uint64 { return binary.LittleEndian.Uint64(b[:8]) }
 func newDB(t *testing.T) (*DB, *txn.Engine) {
 	t.Helper()
 	c := cluster.New(cluster.Spec{Nodes: 1, MemBytes: 2 << 20})
-	return NewDB([]memstore.TableID{1}), txn.NewEngine(c.Machines[0], nil, txn.DefaultCosts())
+	return NewDB([]memstore.TableID{1}), txn.NewEngine(c.Machines[0], nil)
 }
 
 func tidEpoch(w uint64) uint64   { return (w &^ lockBit) >> epochBase }

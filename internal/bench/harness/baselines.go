@@ -117,7 +117,7 @@ func runDrTMBaseline(o Options) Result {
 	wcfg := tpccConfig(o)
 	var engines []*drtm.Engine
 	for _, m := range c.Machines {
-		e := drtm.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts())
+		e := drtm.NewEngine(m, wcfg.Partitioner(m.ID))
 		e.DisableVerbBatching = o.DisableVerbBatching
 		engines = append(engines, e)
 	}
@@ -135,7 +135,7 @@ func runCalvinBaseline(o Options) Result {
 	// machine, as DrTM's and DrTM+R's do.
 	var engines []*txn.Engine
 	for _, m := range c.Machines {
-		engines = append(engines, txn.NewEngine(m, wcfg.Partitioner(m.ID), txn.DefaultCosts()))
+		engines = append(engines, txn.NewEngine(m, wcfg.Partitioner(m.ID)))
 	}
 	sys := calvin.New(len(c.Machines))
 	c.Start()
@@ -154,7 +154,7 @@ func runSiloBaseline(o Options) Result {
 		tpcc.TableOrder, tpcc.TableOrderLine, tpcc.TableItem, tpcc.TableStock, tpcc.TableCustLastOrder,
 	})
 	siloLoad(db, wcfg, o.Seed)
-	e := txn.NewEngine(cluster.New(cluster.Spec{Nodes: 1, MemBytes: 2 << 20}).Machines[0], nil, txn.DefaultCosts())
+	e := txn.NewEngine(cluster.New(cluster.Spec{Nodes: 1, MemBytes: 2 << 20}).Machines[0], nil)
 	return runMix(o, wcfg, 29, &siloTxns, func(_, tid int) exec { return siloExec(db.NewWorker(e, tid)) })
 }
 

@@ -10,7 +10,6 @@ package harness
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -491,11 +490,11 @@ func runDrTMR(o Options) Result {
 	switch o.Workload {
 	case WLTPCC:
 		for _, m := range c.Machines {
-			engines = append(engines, txn.NewEngine(m, tcfg.Partitioner(m.ID), txn.DefaultCosts()))
+			engines = append(engines, txn.NewEngine(m, tcfg.Partitioner(m.ID)))
 		}
 	case WLSmallBank:
 		for _, m := range c.Machines {
-			engines = append(engines, txn.NewEngine(m, scfg.Partitioner(), txn.DefaultCosts()))
+			engines = append(engines, txn.NewEngine(m, scfg.Partitioner()))
 		}
 	}
 	for _, e := range engines {
@@ -648,18 +647,9 @@ func runDrTMR(o Options) Result {
 	return r
 }
 
-// HistoryTxns merges every worker's recorded transactions into one history,
-// ordered by invocation tick (globally unique, so the order is total and
-// independent of the goroutine-completion order the recorders were
-// collected in).
-func (r Result) HistoryTxns() []obs.HistTxn {
-	var out []obs.HistTxn
-	for _, h := range r.History {
-		out = append(out, h.Txns()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Invoke < out[j].Invoke })
-	return out
-}
+// HistoryTxns merges every worker's recorded transactions into one history
+// ordered by invocation tick (obs.MergeHistory).
+func (r Result) HistoryTxns() []obs.HistTxn { return obs.MergeHistory(r.History...) }
 
 // applyHistogram derives the latency summary fields from Lat. The mean
 // REPLACES summarize's back-computation: the two agree only when each worker

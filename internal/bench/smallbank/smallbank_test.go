@@ -19,7 +19,7 @@ func smallWorld(t *testing.T, nodes, replicas int, cfg Config) (*cluster.Cluster
 	}
 	var engines []*txn.Engine
 	for _, m := range c.Machines {
-		engines = append(engines, txn.NewEngine(m, cfg.Partitioner(), txn.DefaultCosts()))
+		engines = append(engines, txn.NewEngine(m, cfg.Partitioner()))
 	}
 	c.Start()
 	t.Cleanup(c.Stop)

@@ -19,7 +19,7 @@ func tpccWorld(t *testing.T, nodes, replicas, whPerNode int) (*cluster.Cluster, 
 	}
 	var engines []*txn.Engine
 	for _, m := range c.Machines {
-		engines = append(engines, txn.NewEngine(m, cfg.Partitioner(m.ID), txn.DefaultCosts()))
+		engines = append(engines, txn.NewEngine(m, cfg.Partitioner(m.ID)))
 	}
 	c.Start()
 	t.Cleanup(c.Stop)

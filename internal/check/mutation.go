@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"drtmr/internal/bench/harness"
 	"drtmr/internal/cluster"
@@ -122,8 +121,8 @@ func StaleIncarnationScenario(mutated bool) (*Result, error) {
 	part := func(_ memstore.TableID, key uint64) cluster.ShardID {
 		return cluster.ShardID(key % 2)
 	}
-	e0 := txn.NewEngine(c.Machines[0], part, txn.DefaultCosts())
-	e1 := txn.NewEngine(c.Machines[1], part, txn.DefaultCosts())
+	e0 := txn.NewEngine(c.Machines[0], part)
+	e1 := txn.NewEngine(c.Machines[1], part)
 	e0.Mut = txn.Mutations{SkipIncCheck: mutated}
 	c.Start()
 	defer c.Stop()
@@ -201,7 +200,5 @@ func StaleIncarnationScenario(mutated bool) (*Result, error) {
 		return nil, fmt.Errorf("check: observer: %w", err)
 	}
 
-	hist := append(w.Hist.Txns(), v.Hist.Txns()...)
-	sort.Slice(hist, func(i, j int) bool { return hist[i].Invoke < hist[j].Invoke })
-	return Check(hist, Options{Strict: true}), nil
+	return Check(obs.MergeHistory(w.Hist, v.Hist), Options{Strict: true}), nil
 }

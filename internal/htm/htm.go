@@ -33,7 +33,6 @@ package htm
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"drtmr/internal/sim"
 )
@@ -116,7 +115,6 @@ type Engine struct {
 	mem    []byte
 	cfg    Config
 	shards [numShards]shard
-	stats  Stats
 
 	rngMu sync.Mutex
 	rng   *sim.Rand
@@ -193,54 +191,4 @@ func (e *Engine) spurious() bool {
 	v := e.rng.Float64() < e.cfg.SpuriousAbortProb
 	e.rngMu.Unlock()
 	return v
-}
-
-// Stats is a snapshot of engine counters.
-type Stats struct {
-	Begins    atomic.Uint64
-	Commits   atomic.Uint64
-	Conflicts atomic.Uint64
-	Capacity  atomic.Uint64
-	Explicit  atomic.Uint64
-	Spurious  atomic.Uint64
-}
-
-// StatsSnapshot is a plain-value copy of Stats.
-type StatsSnapshot struct {
-	Begins, Commits, Conflicts, Capacity, Explicit, Spurious uint64
-}
-
-// Snapshot copies the counters.
-func (e *Engine) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Begins:    e.stats.Begins.Load(),
-		Commits:   e.stats.Commits.Load(),
-		Conflicts: e.stats.Conflicts.Load(),
-		Capacity:  e.stats.Capacity.Load(),
-		Explicit:  e.stats.Explicit.Load(),
-		Spurious:  e.stats.Spurious.Load(),
-	}
-}
-
-// AbortRate returns aborts / begins, the metric the paper reports (<1% for
-// DrTM+R's small HTM regions).
-func (s StatsSnapshot) AbortRate() float64 {
-	if s.Begins == 0 {
-		return 0
-	}
-	aborts := s.Conflicts + s.Capacity + s.Explicit + s.Spurious
-	return float64(aborts) / float64(s.Begins)
-}
-
-func (s *Stats) countAbort(c AbortCause) {
-	switch c {
-	case CauseConflict:
-		s.Conflicts.Add(1)
-	case CauseCapacity:
-		s.Capacity.Add(1)
-	case CauseExplicit:
-		s.Explicit.Add(1)
-	case CauseSpurious:
-		s.Spurious.Add(1)
-	}
 }

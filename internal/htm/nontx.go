@@ -42,7 +42,7 @@ func (e *Engine) nonTxLine(lineIdx uint64, write bool, fn func()) {
 			return
 		}
 		s.mu.Unlock()
-		abortVictims(e, vs, pending)
+		abortVictims(vs, pending)
 	}
 }
 

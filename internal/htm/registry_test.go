@@ -210,16 +210,12 @@ func TestReregisteredLineCarriesNoStaleReader(t *testing.T) {
 		t.Fatalf("re-registered line: writer %p readers %v, want only the two live readers", w, rs)
 	}
 
-	before := e.Snapshot().Conflicts
 	wr := e.Begin()
 	if err := wr.Store64(lineOff(l), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := wr.Commit(); err != nil {
 		t.Fatal(err)
-	}
-	if got := e.Snapshot().Conflicts - before; got != 2 {
-		t.Fatalf("writer caused %d conflict aborts, want 2", got)
 	}
 	for _, r := range []*Txn{r1, r2} {
 		var ae *AbortError

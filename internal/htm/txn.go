@@ -105,7 +105,6 @@ var released sync.Pool
 // Begin starts a hardware transaction, on a Txn an ended region handed back
 // with Release when there is one.
 func (e *Engine) Begin() *Txn {
-	e.stats.Begins.Add(1)
 	t, _ := released.Get().(*Txn)
 	if t == nil {
 		t = new(Txn)
@@ -178,8 +177,8 @@ func (t *Txn) checkActive() *AbortError {
 // selfAbort is called by the owning goroutine (which holds opMu) to abort
 // and clean up.
 func (t *Txn) selfAbort(cause AbortCause, code uint8) *AbortError {
-	if w := t.status.Load(); w&stateMask == statusActive && t.status.CompareAndSwap(w, packAborted(w, cause, code)) {
-		t.eng.stats.countAbort(cause)
+	if w := t.status.Load(); w&stateMask == statusActive {
+		t.status.CompareAndSwap(w, packAborted(w, cause, code))
 	}
 	t.releaseLocked(true)
 	_, cause, code = unpack(t.status.Load())
@@ -189,17 +188,17 @@ func (t *Txn) selfAbort(cause AbortCause, code uint8) *AbortError {
 
 // extAbort aborts the transaction from outside (conflicting access), if it
 // still is the active region of status word w, which the caller read while
-// the region was registered on one of e's lines. The caller must hold NO
+// the region was registered on one of its lines. The caller must hold NO
 // shard locks and must not block on the victim: if the victim is
 // mid-operation it will clean itself up on exit. The caller's retry loop
 // observes completion as deregistration from the line registry. Outside opMu
-// only e is read, never t.eng, which Begin rewrites when it reuses t.
-func (t *Txn) extAbort(e *Engine, w uint64, cause AbortCause) {
+// only the status word is read, never t.eng, which Begin rewrites when it
+// reuses t.
+func (t *Txn) extAbort(w uint64, cause AbortCause) {
 	aborted := packAborted(w, cause, 0)
 	if !t.status.CompareAndSwap(w, aborted) {
 		return
 	}
-	e.stats.countAbort(cause)
 	if t.opMu.TryLock() {
 		// The owner may have cleaned up, released t and begun the next
 		// region on it between the CAS and the TryLock.
@@ -286,12 +285,12 @@ func (ln *line) conflicts(self *Txn, write bool, vs []victim) (_ []victim, pendi
 	return vs, pending
 }
 
-// abortVictims aborts what conflicts collected on e's registry, after the
-// shard lock is released (a victim's cleanup takes shard locks), or lets a
-// victim that is mid-cleanup finish.
-func abortVictims(e *Engine, vs []victim, pending bool) {
+// abortVictims aborts what conflicts collected, after the shard lock is
+// released (a victim's cleanup takes shard locks), or lets a victim that is
+// mid-cleanup finish.
+func abortVictims(vs []victim, pending bool) {
 	for _, v := range vs {
-		v.t.extAbort(e, v.w, CauseConflict)
+		v.t.extAbort(v.w, CauseConflict)
 	}
 	if pending && len(vs) == 0 {
 		runtime.Gosched()
@@ -316,7 +315,7 @@ func (t *Txn) acquireLine(lineIdx uint64, asWriter bool) *AbortError {
 			var buf [4]victim
 			if vs, pending := ln.conflicts(t, asWriter, buf[:0]); len(vs) > 0 || pending {
 				s.mu.Unlock()
-				abortVictims(t.eng, vs, pending)
+				abortVictims(vs, pending)
 				continue // registry changed; retry
 			}
 			// A line this region already writes needs nothing more, and
@@ -480,7 +479,6 @@ func (t *Txn) Commit() error {
 		}
 		return t.abortErr()
 	}
-	t.eng.stats.Commits.Add(1)
 	t.releaseLocked(false)
 	t.traceEnd(0, 0)
 	return nil

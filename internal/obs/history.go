@@ -1,6 +1,10 @@
 package obs
 
-import "sync/atomic"
+import (
+	"cmp"
+	"slices"
+	"sync/atomic"
+)
 
 // Transaction history capture for the strict-serializability checker
 // (internal/check). A HistoryRecorder is the obs-side sibling of the event
@@ -98,8 +102,15 @@ func (h *HistoryRecorder) Add(t HistTxn) {
 	h.txns = append(h.txns, t)
 }
 
-// Txns returns the recorded transactions (read after the run).
-func (h *HistoryRecorder) Txns() []HistTxn { return h.txns }
-
-// Len returns the number of recorded transactions.
-func (h *HistoryRecorder) Len() int { return len(h.txns) }
+// MergeHistory returns every transaction the recorders hold as one history,
+// ordered by invocation tick: the one form internal/check reads. Ticks come
+// from one TickSource, so they are unique and the order does not depend on
+// the order of hs. Call it once the recorders' workers are idle.
+func MergeHistory(hs ...*HistoryRecorder) []HistTxn {
+	var out []HistTxn
+	for _, h := range hs {
+		out = append(out, h.txns...)
+	}
+	slices.SortFunc(out, func(a, b HistTxn) int { return cmp.Compare(a.Invoke, b.Invoke) })
+	return out
+}

@@ -322,3 +322,53 @@ func TestAbortMatrix(t *testing.T) {
 		t.Fatal("empty matrix summary not empty")
 	}
 }
+
+// TestMergeHistory: recorders sharing one tick source, with transactions
+// interleaved across them and, within one, committed out of invocation
+// order (two coroutines of one worker), merge into one complete history
+// sorted by Invoke, whatever order the recorders are passed in.
+func TestMergeHistory(t *testing.T) {
+	ts := NewTickSource()
+	hs := []*HistoryRecorder{NewHistoryRecorder(0, 0, ts), NewHistoryRecorder(0, 1, ts), NewHistoryRecorder(1, 0, ts)}
+	var id uint64
+	next := func(h *HistoryRecorder) HistTxn {
+		id++
+		return HistTxn{ID: id, Invoke: h.Tick()}
+	}
+	owner := make(map[uint64]*HistoryRecorder)
+	add := func(h *HistoryRecorder, tx HistTxn) {
+		owner[tx.ID] = h
+		h.Add(tx)
+	}
+	for round := 0; round < 20; round++ {
+		older := next(hs[0])
+		a, b := next(hs[1]), next(hs[2])
+		younger := next(hs[0])
+		add(hs[0], younger)
+		add(hs[2], b)
+		add(hs[1], a)
+		add(hs[0], older)
+	}
+	for _, order := range [][]*HistoryRecorder{hs, {hs[2], hs[0], hs[1]}} {
+		got := MergeHistory(order...)
+		if len(got) != int(id) {
+			t.Fatalf("merged %d transactions, want %d", len(got), id)
+		}
+		seen := make(map[uint64]bool)
+		for i, tx := range got {
+			if i > 0 && tx.Invoke <= got[i-1].Invoke {
+				t.Fatalf("txn %d: invoke %d after %d", i, tx.Invoke, got[i-1].Invoke)
+			}
+			if h := owner[tx.ID]; tx.Node != h.Node || tx.Worker != h.Worker {
+				t.Errorf("txn %d on (%d,%d), recorded by (%d,%d)", tx.ID, tx.Node, tx.Worker, h.Node, h.Worker)
+			}
+			seen[tx.ID] = true
+		}
+		if len(seen) != int(id) {
+			t.Fatalf("%d distinct transactions, want %d", len(seen), id)
+		}
+	}
+	if got := MergeHistory(); len(got) != 0 {
+		t.Fatalf("no recorders merged into %d transactions", len(got))
+	}
+}

@@ -335,16 +335,7 @@ func (s *Server) Close() {
 func (s *Server) HistoryTxns() []obs.HistTxn {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
-	var out []obs.HistTxn
-	for _, h := range s.history {
-		out = append(out, h.Txns()...)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Invoke < out[j-1].Invoke; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return obs.MergeHistory(s.history...)
 }
 
 func (s *Server) acceptLoop() {

@@ -111,8 +111,10 @@ func (k Knobs) Coroutines() int {
 
 // Engine is the per-machine transaction layer instance.
 type Engine struct {
-	M     *cluster.Machine
-	Part  Partitioner
+	M    *cluster.Machine
+	Part Partitioner
+	// Costs prices virtual time: DefaultCosts unless the caller assigns
+	// another model.
 	Costs CostModel
 	// Replicated enables the optimistic replication scheme (Replicas>1).
 	Replicated bool
@@ -148,14 +150,14 @@ type Mutations struct {
 	SkipROValidate bool
 }
 
-// NewEngine builds the transaction layer for machine m. It registers the
-// insert/delete RPC handlers (§4.3: inserts and deletes ship to the host
-// machine over SEND/RECV).
-func NewEngine(m *cluster.Machine, part Partitioner, costs CostModel) *Engine {
+// NewEngine builds the transaction layer for machine m, priced by
+// DefaultCosts. It registers the insert/delete RPC handlers (§4.3: inserts
+// and deletes ship to the host machine over SEND/RECV).
+func NewEngine(m *cluster.Machine, part Partitioner) *Engine {
 	e := &Engine{
 		M:          m,
 		Part:       part,
-		Costs:      costs,
+		Costs:      DefaultCosts(),
 		Replicated: m.Cluster().Spec.Replicas > 1,
 		cm:         newContentionManager(),
 	}
@@ -573,7 +575,8 @@ func (w *Worker) Retry(attempt func() error, aborted error) error {
 // Run executes fn as a transaction with automatic retry on aborts. fn may be
 // re-executed; it must be idempotent up to its writes (standard OCC
 // contract). Returns the first non-abort error whose attempt's reads
-// validate (Txn.answer), or nil once committed.
+// validate (Txn.answer), or nil once committed. A panic in fn is re-raised
+// on the same terms: an attempt whose reads are stale is retried instead.
 //
 // The *Txn fn is given belongs to fn only while fn runs: once the attempt
 // has ended the worker hands it to a later transaction, so fn must not keep
@@ -634,8 +637,10 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		if w.Rec != nil {
 			w.Rec.Record(obs.EvTxnBegin, 0, 0, uint32(attempt), tx.id, start, start)
 		}
-		err := fn(tx)
-		if err == nil {
+		panicked, err := call(fn, tx)
+		if panicked != nil {
+			err = tx.answer(nil)
+		} else if err == nil {
 			err = tx.Commit()
 		} else if _, ok := asError(err); !ok {
 			err = tx.answer(err)
@@ -643,6 +648,10 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		tx.endAttempt()
 		if held != nil {
 			held.release()
+		}
+		if panicked != nil && err == nil {
+			w.recycle(tx)
+			panic(panicked) // validated: the body's own panic, not a zombie's
 		}
 		if err == nil {
 			w.Stats.Committed++
@@ -689,6 +698,13 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		}
 		w.Backoff(BackoffRetry, attempt)
 	}
+}
+
+// call runs fn on tx, returning what fn panicked with instead of letting
+// it unwind runLoop: a zombie's panic is validated like its user error.
+func call(fn func(tx *Txn) error, tx *Txn) (panicked any, err error) {
+	defer func() { panicked = recover() }()
+	return nil, fn(tx)
 }
 
 // waitEpochChange waits for a configuration newer than epoch, the one a

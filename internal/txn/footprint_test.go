@@ -30,6 +30,7 @@ func TestIndexedReReadIsCached(t *testing.T) {
 	w := newWorld(t, 3, 1, htm.Config{})
 	w.load(t, 2*n, 0)
 	wk := w.engines[0].NewWorker(0)
+	rec := wk.EnableTrace(0)
 	err := wk.Run(func(tx *Txn) error {
 		for k := uint64(0); k < n; k++ {
 			if err := tx.Write(tblAcct, k+n, encBal(k)); err != nil {
@@ -48,7 +49,7 @@ func TestIndexedReReadIsCached(t *testing.T) {
 			t.Fatalf("no read-set index after %d reads", len(tx.rs))
 		}
 		reads, clk := len(tx.rs), wk.Clk.Now()
-		begins := w.c.Machines[0].Eng.Snapshot().Begins
+		regions, _ := htmRegions(rec)
 		for k := uint64(n - 1); k < n; k-- {
 			v, err := tx.Read(tblAcct, k)
 			if err != nil {
@@ -58,9 +59,9 @@ func TestIndexedReReadIsCached(t *testing.T) {
 				t.Errorf("re-read of %d: %x, first read %x", k, v, first[k])
 			}
 		}
-		if len(tx.rs) != reads || wk.Clk.Now() != clk || w.c.Machines[0].Eng.Snapshot().Begins != begins {
+		if after, _ := htmRegions(rec); len(tx.rs) != reads || wk.Clk.Now() != clk || after != regions {
 			t.Errorf("re-reads: read set %d→%d, clock %d→%d, HTM regions %d→%d; want all unchanged",
-				reads, len(tx.rs), clk, wk.Clk.Now(), begins, w.c.Machines[0].Eng.Snapshot().Begins)
+				reads, len(tx.rs), clk, wk.Clk.Now(), regions, after)
 		}
 		// The writes are the transaction's own: Read returns their buffers.
 		for k := uint64(0); k < n; k++ {

@@ -4,11 +4,25 @@ import (
 	"testing"
 
 	"drtmr/internal/htm"
+	"drtmr/internal/obs"
 )
+
+// htmRegions counts the HTM regions rec saw end (obs.EvHTM), all and by
+// abort cause (index 0: committed).
+func htmRegions(rec *obs.Recorder) (n uint64, byCause [htm.CauseSpurious + 1]uint64) {
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.EvHTM {
+			n++
+			byCause[ev.Detail]++
+		}
+	}
+	return n, byCause
+}
 
 // TestHTMRetryByCause: a failed HTM region's retry follows its abort cause
 // (htmRetryAfter). One worker on node 0 of three runs transfers over local
-// keys only, so nothing else can hold a line it touches.
+// keys only, so nothing else can hold a line it touches. Its regions are
+// counted from its trace, one obs.EvHTM event per region.
 //
 // (a) Under a 10 % per-operation spurious-abort probability most regions
 // abort, and none of those aborts waits: the reads and the commit region
@@ -35,14 +49,16 @@ func TestHTMRetryByCause(t *testing.T) {
 			w := newWorld(t, 3, 1, c.cfg)
 			w.load(t, 12, 1000)
 			wk := w.engines[0].NewWorker(0)
-			eng := w.c.Machines[0].Eng
-			before := eng.Snapshot()
+			rec := wk.EnableTrace(0)
 			for i := 0; i < iters; i++ {
 				if err := runTransfer(wk, c.keys); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got := eng.Snapshot()
+			regions, byCause := htmRegions(rec)
+			if rec.Dropped() != 0 {
+				t.Fatalf("trace ring dropped %d events", rec.Dropped())
+			}
 			st := &wk.Stats
 			if st.Committed != iters || st.Retries != 0 {
 				t.Fatalf("committed %d of %d with %d retries", st.Committed, iters, st.Retries)
@@ -52,16 +68,16 @@ func TestHTMRetryByCause(t *testing.T) {
 			}
 			switch c.name {
 			case "spurious":
-				if got.Spurious == before.Spurious {
+				if byCause[htm.CauseSpurious] == 0 {
 					t.Fatal("no spurious abort happened")
 				}
-				t.Logf("%d spurious aborts in %d regions, %d fallbacks", got.Spurious-before.Spurious, got.Begins-before.Begins, st.Fallbacks)
+				t.Logf("%d spurious aborts in %d regions, %d fallbacks", byCause[htm.CauseSpurious], regions, st.Fallbacks)
 			case "capacity":
 				reads := uint64(len(c.keys))
-				if n := got.Begins - before.Begins; n != iters*(reads+1) {
-					t.Errorf("%d regions began, want %d: %d reads and one commit region per commit", n, iters*(reads+1), reads)
+				if regions != iters*(reads+1) {
+					t.Errorf("%d regions began, want %d: %d reads and one commit region per commit", regions, iters*(reads+1), reads)
 				}
-				if n := got.Capacity - before.Capacity; n != iters {
+				if n := byCause[htm.CauseCapacity]; n != iters {
 					t.Errorf("%d capacity aborts, want one per commit (%d)", n, iters)
 				}
 				if st.Fallbacks != iters {

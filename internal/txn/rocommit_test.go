@@ -189,69 +189,129 @@ func TestReadOnlyCarriedHeaders(t *testing.T) {
 	}
 }
 
-// TestZombieUserErrorValidated: a body that saw a state no serial order
-// produces must not answer its caller. The body on node 0 reads X (key 1,
-// node 1); a transfer of 10 from X to Y (key 0, node 0) then commits on node
-// 1; the body reads Y, sees 100 + 110 and returns a user error. That error
-// rests on a stale read of X, so the attempt aborts at the read-only
-// validation and retries, and the retry sees 90 + 110 and commits. Over Run
-// and RunReadOnly, under both protocols.
-func TestZombieUserErrorValidated(t *testing.T) {
+// zombie is what one run of the zombie reproducer (runZombie) saw.
+type zombie struct {
+	attempts int
+	err      error
+	panicked any // what Run or RunReadOnly panicked with
+	w        *Worker
+}
+
+// runZombie runs the zombie reproducer on a fresh world: the body on node 0
+// reads X (key 1, node 1); during its first attempt only, if interfere, a
+// transfer of 10 from X to Y (key 0, node 0) commits on node 1; the body
+// reads Y and answers with onSum of the balances it saw, all of them 100 at
+// the start.
+func runZombie(t *testing.T, proto string, readOnly, interfere bool, onSum func(sum uint64) error) (z zombie) {
 	const x, y = 1, 0
-	errSum := errors.New("balances do not sum to 200")
+	w := newWorld(t, 3, 1, htm.Config{})
+	w.load(t, 6, 100)
+	wk, other := w.engines[0].NewWorker(0), w.engines[1].NewWorker(1)
+	wk.Protocol, other.Protocol = proto, proto
+	transfer := func(tx *Txn) error {
+		xv, err := tx.Read(tblAcct, x)
+		if err != nil {
+			return err
+		}
+		yv, err := tx.Read(tblAcct, y)
+		if err != nil {
+			return err
+		}
+		if err := tx.Write(tblAcct, x, encBal(decBal(xv)-10)); err != nil {
+			return err
+		}
+		return tx.Write(tblAcct, y, encBal(decBal(yv)+10))
+	}
+	run := wk.Run
+	if readOnly {
+		run = wk.RunReadOnly
+	}
+	z.w = wk
+	defer func() { z.panicked = recover() }()
+	z.err = run(func(tx *Txn) error {
+		z.attempts++
+		xv, err := tx.Read(tblAcct, x)
+		if err != nil {
+			return err
+		}
+		if interfere && z.attempts == 1 {
+			if err := other.Run(transfer); err != nil {
+				t.Errorf("transfer: %v", err)
+			}
+		}
+		yv, err := tx.Read(tblAcct, y)
+		if err != nil {
+			return err
+		}
+		return onSum(decBal(xv) + decBal(yv))
+	})
+	return z
+}
+
+// zombieCells runs test over Run and RunReadOnly, under both protocols.
+func zombieCells(t *testing.T, test func(t *testing.T, proto string, readOnly bool)) {
 	for _, proto := range []string{"drtmr", "farm"} {
 		for _, readOnly := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/readonly=%v", proto, readOnly), func(t *testing.T) {
-				w := newWorld(t, 3, 1, htm.Config{})
-				w.load(t, 6, 100)
-				wk, other := w.engines[0].NewWorker(0), w.engines[1].NewWorker(1)
-				wk.Protocol, other.Protocol = proto, proto
-				transfer := func(tx *Txn) error {
-					xv, err := tx.Read(tblAcct, x)
-					if err != nil {
-						return err
-					}
-					yv, err := tx.Read(tblAcct, y)
-					if err != nil {
-						return err
-					}
-					if err := tx.Write(tblAcct, x, encBal(decBal(xv)-10)); err != nil {
-						return err
-					}
-					return tx.Write(tblAcct, y, encBal(decBal(yv)+10))
-				}
-				run := wk.Run
-				if readOnly {
-					run = wk.RunReadOnly
-				}
-				attempts := 0
-				err := run(func(tx *Txn) error {
-					attempts++
-					xv, err := tx.Read(tblAcct, x)
-					if err != nil {
-						return err
-					}
-					if attempts == 1 {
-						if err := other.Run(transfer); err != nil {
-							t.Errorf("transfer: %v", err)
-						}
-					}
-					yv, err := tx.Read(tblAcct, y)
-					if err != nil {
-						return err
-					}
-					if decBal(xv)+decBal(yv) != 200 {
-						return errSum
-					}
-					return nil
-				})
-				if err != nil || attempts != 2 {
-					t.Fatalf("after %d attempts: %v; want a commit on the second", attempts, err)
-				}
-				if got := wk.Stats.AbortMatrix.StageReasonTotal(uint8(AbortValidate), StageROValidate); got != 1 {
-					t.Fatalf("%d validate aborts at %s, want 1", got, StageName(StageROValidate))
-				}
-			})
+			t.Run(fmt.Sprintf("%s/readonly=%v", proto, readOnly), func(t *testing.T) { test(t, proto, readOnly) })
 		}
 	}
+}
+
+// wantZombieRetried: the attempt that saw 100 + 110, which no serial order
+// produces, aborted at the read-only validation, and the retry, which sees
+// 90 + 110, committed.
+func wantZombieRetried(t *testing.T, z zombie) {
+	t.Helper()
+	if z.err != nil || z.panicked != nil || z.attempts != 2 {
+		t.Fatalf("after %d attempts: %v, panic %v; want a commit on the second", z.attempts, z.err, z.panicked)
+	}
+	if got := z.w.Stats.AbortMatrix.StageReasonTotal(uint8(AbortValidate), StageROValidate); got != 1 {
+		t.Fatalf("%d validate aborts at %s, want 1", got, StageName(StageROValidate))
+	}
+}
+
+// TestZombieUserErrorValidated: a body that saw a state no serial order
+// produces must not answer its caller. The zombie reproducer's body returns
+// a user error on a sum other than 200. That error rests on a stale read of
+// X, so the attempt aborts at the read-only validation and retries, and the
+// retry commits.
+func TestZombieUserErrorValidated(t *testing.T) {
+	errSum := errors.New("balances do not sum to 200")
+	zombieCells(t, func(t *testing.T, proto string, readOnly bool) {
+		wantZombieRetried(t, runZombie(t, proto, readOnly, true, func(sum uint64) error {
+			if sum != 200 {
+				return errSum
+			}
+			return nil
+		}))
+	})
+}
+
+// TestZombiePanicValidated: a body's panic answers its caller on the same
+// terms as a user error. The zombie reproducer's body panics on a sum other
+// than 200: the panic rests on a stale read, so the attempt is retried and
+// commits. A body that panics on a consistent read set re-raises the same
+// value after one attempt, and the worker's next transaction commits.
+func TestZombiePanicValidated(t *testing.T) {
+	zombieCells(t, func(t *testing.T, proto string, readOnly bool) {
+		wantZombieRetried(t, runZombie(t, proto, readOnly, true, func(sum uint64) error {
+			if sum != 200 {
+				panic(fmt.Sprintf("balances sum to %d", sum))
+			}
+			return nil
+		}))
+
+		boom := errors.New("the body's own panic")
+		z := runZombie(t, proto, readOnly, false, func(uint64) error { panic(boom) })
+		if z.panicked != boom || z.attempts != 1 {
+			t.Fatalf("consistent body: panic %v after %d attempts, want %v after 1", z.panicked, z.attempts, boom)
+		}
+		committed := z.w.Stats.Committed
+		if err := z.w.Run(func(tx *Txn) error { return tx.Write(tblAcct, 0, encBal(7)) }); err != nil {
+			t.Fatalf("next Run after the panic: %v", err)
+		}
+		if z.w.Stats.Committed != committed+1 {
+			t.Fatalf("committed %d, want %d", z.w.Stats.Committed, committed+1)
+		}
+	})
 }

@@ -41,7 +41,7 @@ func newWorld(t testing.TB, nodes, replicas int, htmCfg htm.Config) *world {
 		m.Store.CreateTable(tblAcct, memstore.TableSpec{
 			Name: "acct", ValueSize: 16, ExpectedRows: 1024,
 		})
-		w.engines = append(w.engines, NewEngine(m, part, DefaultCosts()))
+		w.engines = append(w.engines, NewEngine(m, part))
 	}
 	c.Start()
 	t.Cleanup(c.Stop)

@@ -89,9 +89,11 @@ go test -run '^$' -bench '^BenchmarkFig$/^tail$' -benchtime 1x .
 # dispatcher polls gates whose holder may be another worker's goroutine, so
 # how goroutines overlap on the host is exactly what must not matter. With
 # them the conservative idle jump: workers sleeping on and waking each other
-# across goroutines (sim.Frontier, TestIdle*).
+# across goroutines (sim.Frontier, TestIdle*). With them the zombie bodies:
+# a transfer commits on a second worker in the middle of a body, whose user
+# error or panic must then be validated and retried, not answered.
 go test -race -cpu 1,2 -run 'TestFrontier' -count=1 ./internal/sim/
-go test -race -cpu 1,2 -run 'TestBackoff|TestAllBackedOff|TestIdle|TestGatedWaiters|TestGateTimeout|TestCoroutine|TestHotKeyQueueConservation|TestKeyGateFIFO' -count=1 ./internal/txn/
+go test -race -cpu 1,2 -run 'TestBackoff|TestAllBackedOff|TestIdle|TestGatedWaiters|TestGateTimeout|TestCoroutine|TestHotKeyQueueConservation|TestKeyGateFIFO|TestZombieUserErrorValidated|TestZombiePanicValidated' -count=1 ./internal/txn/
 # The comparison systems under the schedule gate: DrTM, Calvin and Silo run
 # on DrTM+R's worker, so a gated run of each repeats to the digit on a 1-CPU
 # and a 2-CPU host schedule.
