@@ -194,9 +194,6 @@ func (db *DB) Session(node NodeID) *Session {
 // stats) for tests and experiments.
 func (db *DB) Cluster() *cluster.Cluster { return db.cluster }
 
-// Engine exposes a machine's transaction engine (benchmark harness use).
-func (db *DB) Engine(node NodeID) *txn.Engine { return db.engines[node] }
-
 // Session is a single-goroutine transaction handle homed on one machine.
 type Session struct {
 	db *DB

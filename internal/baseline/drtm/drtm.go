@@ -169,11 +169,7 @@ func (w *Worker) Run(refs []baseline.Ref, body func(baseline.Ctx) error) error {
 	return w.Retry(func() error { return w.attempt(refs, body) }, ErrAborted)
 }
 
-const (
-	bigHTMRetries = 8
-	// fallbackLockPasses bounds the fallback's loop-back lock doorbells.
-	fallbackLockPasses = 64
-)
+const bigHTMRetries = 8
 
 func (w *Worker) attempt(refs []baseline.Ref, body func(baseline.Ctx) error) error {
 	w.Clk.Advance(w.E.Costs.TxnOverhead)
@@ -315,25 +311,15 @@ func (w *Worker) bigHTMRun(ctx *bodyCtx, body func(baseline.Ctx) error) error {
 		}
 		w.Backoff(txn.BackoffCommitRegion, attempt)
 	}
-	// Fallback: lock the local records by loop-back RDMA CAS, one doorbell
-	// per pass over the ones still missing, and run without HTM.
+	// Fallback: lock the local records by loop-back RDMA CAS through §6.1's
+	// sorted loop, DrTM+R's, and run without HTM.
 	w.Stats.Fallbacks++
-	todo := make([]txn.LockTarget, len(ctx.local))
+	targets := make([]txn.LockTarget, len(ctx.local))
 	for i, st := range ctx.local {
-		todo[i] = txn.LockTarget{Node: st.node, Off: st.off}
+		targets[i] = txn.LockTarget{Node: st.node, Off: st.off}
 	}
-	for pass := 0; len(todo) > 0; pass++ {
-		if pass == fallbackLockPasses {
-			return ErrAborted
-		}
-		if pass > 0 {
-			w.Backoff(txn.BackoffFallbackLock, pass)
-		}
-		w.LockBatch(txn.PhaseFallback, txn.PhaseFallback, 0, w.E.M.Config(), todo, &ctx.run)
-		if ctx.run.Err != nil {
-			return ErrAborted
-		}
-		todo = ctx.run.Missed
+	if !w.LockInOrder(0, w.E.M.Config(), targets, &ctx.run) {
+		return ErrAborted
 	}
 	ctx.noHTM = true
 	ctx.clearPuts()

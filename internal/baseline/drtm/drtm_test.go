@@ -182,7 +182,7 @@ func lockWord(c *cluster.Cluster, key uint64) uint64 {
 // doorbells are held: the growing phase's over remote records, and the
 // fallback's loop-back one over local records (reached because the planted
 // lock aborts every big HTM region that reads it), which gives up after
-// fallbackLockPasses passes.
+// txn.Worker.LockInOrder's 32 batches.
 func TestLockBackoutReleasesAll(t *testing.T) {
 	for _, tc := range []struct {
 		name      string

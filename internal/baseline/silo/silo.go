@@ -149,12 +149,18 @@ type wsEnt struct {
 	insert bool
 }
 
-// Run executes fn with automatic retry.
+// Run executes fn with automatic retry. A body's error answers the caller
+// only if the reads it rests on still validate: one that read a record since
+// overwritten may be a zombie's reaction to values that never coexisted, so
+// its attempt is retried instead.
 func (w *Worker) Run(fn func(tx *Txn) error) error {
 	return w.Retry(func() error {
 		tx := &Txn{w: w}
 		w.Clk.Advance(w.E.Costs.TxnOverhead)
 		if err := fn(tx); err != nil {
+			if !errors.Is(err, errAbort) && !tx.readsValid(nil) {
+				return errAbort
+			}
 			return err
 		}
 		return tx.commit()
@@ -255,12 +261,9 @@ func (tx *Txn) commit() error {
 		tid = max(tid, r.word.Load()&^lockBit)
 	}
 	tid = max(tid, w.lastTID) + 1
-	for _, e := range tx.rs {
-		cur := e.rec.word.Load()
-		if cur&^lockBit != e.tid&^lockBit || cur&lockBit != 0 && !slices.Contains(locks, e.rec) {
-			unlock(locks)
-			return errAbort
-		}
+	if !tx.readsValid(locks) {
+		unlock(locks)
+		return errAbort
 	}
 	w.lastTID = tid
 	// Phase 3: install writes and unlock with the new TID.
@@ -278,6 +281,19 @@ func (tx *Txn) commit() error {
 		r.word.Store(tid)
 	}
 	return nil
+}
+
+// readsValid is commit phase 2's read validation: every read-set record's
+// TID is the one the read saw, and its word is unlocked unless the lock is
+// one of locks, the committing transaction's own.
+func (tx *Txn) readsValid(locks []*record) bool {
+	for _, e := range tx.rs {
+		cur := e.rec.word.Load()
+		if cur&^lockBit != e.tid&^lockBit || cur&lockBit != 0 && !slices.Contains(locks, e.rec) {
+			return false
+		}
+	}
+	return true
 }
 
 // unlock clears the lock bit of every record in locks, keeping its TID.

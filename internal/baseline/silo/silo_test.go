@@ -215,6 +215,60 @@ func TestConcurrentTransfersConserve(t *testing.T) {
 	}
 }
 
+// TestZombieUserErrorValidated: a body's error answers the caller only if
+// its reads validate. Worker A reads X; on A's first attempt only, B's
+// transfer of 50 from X to Y commits inside A's body; A then reads Y and
+// errors on a sum other than 200. The error rests on a stale read of X, so
+// Run must retry the attempt, which reads 50 + 150 and commits.
+func TestZombieUserErrorValidated(t *testing.T) {
+	db, e := newDB(t)
+	const x, y = 1, 2
+	for _, k := range []uint64{x, y} {
+		if err := db.Insert(1, k, enc(100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := db.NewWorker(e, 0), db.NewWorker(e, 1)
+	errSum := errors.New("balances do not sum to 200")
+	attempts := 0
+	err := a.Run(func(tx *Txn) error {
+		attempts++
+		vx, err := tx.Get(1, x)
+		if err != nil {
+			return err
+		}
+		if attempts == 1 {
+			if err := b.Run(func(tx *Txn) error {
+				from, err := tx.Get(1, x)
+				if err != nil {
+					return err
+				}
+				to, err := tx.Get(1, y)
+				if err != nil {
+					return err
+				}
+				if err := tx.Put(1, x, enc(dec(from)-50)); err != nil {
+					return err
+				}
+				return tx.Put(1, y, enc(dec(to)+50))
+			}); err != nil {
+				t.Fatalf("transfer: %v", err)
+			}
+		}
+		vy, err := tx.Get(1, y)
+		if err != nil {
+			return err
+		}
+		if dec(vx)+dec(vy) != 200 {
+			return errSum
+		}
+		return nil
+	})
+	if err != nil || attempts != 2 {
+		t.Fatalf("Run = %v after %d attempts, want nil after 2: a stale read answered the caller", err, attempts)
+	}
+}
+
 func TestTIDWordPacking(t *testing.T) {
 	w := makeTID(7, 123)
 	if tidEpoch(w) != 7 || tidCounter(w) != 123 {

@@ -29,72 +29,36 @@ import (
 // (NOT the harness's paper defaults — torture wants small, hot, conflicting
 // workloads, not throughput-shaped ones).
 type TortureOptions struct {
-	Seed uint64
-
-	Nodes           int
-	ThreadsPerNode  int
-	TxPerWorker     int
-	AccountsPerNode int     // small => hot => real conflicts
-	RemoteProb      float64 // cross-shard transaction probability
-
-	// The knob matrix: one cell per combination.
-	Coroutines   []int
-	Batching     []bool
-	FallbackProb []float64 // HTM spurious-abort probability (fallback pressure)
-
-	// Protocols lists extra commit protocols to sweep AFTER the default
-	// drtmr matrix: each named protocol gets a reduced matrix (coroutine ×
-	// batching at zero fallback pressure, one fallback-pressure cell, the
-	// hot-key contention pair, and — under Kill — a replicated kill cell).
-	// nil sweeps ["farm"]; an empty non-nil slice sweeps none. The drtmr
-	// cells always come first with unchanged seeds, so existing violating-
-	// seed replays stay valid.
-	Protocols []string
-
+	Seed        uint64
+	TxPerWorker int
+	// Coroutines lists the coroutines-per-worker settings of the knob
+	// matrix, one cell per combination with the verb-batching and HTM
+	// fallback-pressure settings.
+	Coroutines []int
 	// Kill adds replicated (3-way) cells that kill a machine mid-run.
 	Kill bool
-	// KillTxPerWorker sizes the kill cells; their failure-plane timing
-	// (killAt, killLease, killHeartbeat) is sized to the run it gives.
-	KillTxPerWorker int
-
-	// Mutations forwards protocol-breaking switches to every cell
-	// (mutation-test mode; all-false sweeps the correct protocol).
-	Mutations txn.Mutations
 }
+
+// The sweep's fixed sizes.
+const (
+	tortureNodes      = 3
+	tortureThreads    = 2
+	tortureAccounts   = 40   // per node: small => hot => real conflicts
+	tortureRemoteProb = 0.35 // cross-shard transaction probability
+	// killTxPerWorker sizes the kill cells; their failure-plane timing
+	// (killAt, killLease, killHeartbeat) is sized to the run it gives.
+	killTxPerWorker = 150
+)
 
 func (o TortureOptions) defaults() TortureOptions {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Nodes == 0 {
-		o.Nodes = 3
-	}
-	if o.ThreadsPerNode == 0 {
-		o.ThreadsPerNode = 2
-	}
 	if o.TxPerWorker == 0 {
 		o.TxPerWorker = 220
 	}
-	if o.AccountsPerNode == 0 {
-		o.AccountsPerNode = 40
-	}
-	if o.RemoteProb == 0 {
-		o.RemoteProb = 0.35
-	}
 	if len(o.Coroutines) == 0 {
 		o.Coroutines = []int{1, 4}
-	}
-	if len(o.Batching) == 0 {
-		o.Batching = []bool{true, false}
-	}
-	if len(o.FallbackProb) == 0 {
-		o.FallbackProb = []float64{0, 0.15}
-	}
-	if o.KillTxPerWorker == 0 {
-		o.KillTxPerWorker = 150
-	}
-	if o.Protocols == nil {
-		o.Protocols = []string{"farm"}
 	}
 	return o
 }
@@ -174,6 +138,7 @@ func cellSeed(seed uint64, idx int) uint64 {
 // Cells expands the knob matrix into runnable sweep points.
 func Cells(o TortureOptions) []Cell {
 	o = o.defaults()
+	batching := []bool{true, false} // the knob matrix's verb-batching axis
 	var cells []Cell
 	// add appends a cell: a deterministic, strictly checked SmallBank run of
 	// the default protocol at the sweep's sizes, with the next seed, which
@@ -183,12 +148,11 @@ func Cells(o TortureOptions) []Cell {
 		c := Cell{Name: name, Opts: harness.Options{
 			System:            harness.SysDrTMR,
 			Workload:          harness.WLSmallBank,
-			Nodes:             o.Nodes,
-			ThreadsPerNode:    o.ThreadsPerNode,
+			Nodes:             tortureNodes,
+			ThreadsPerNode:    tortureThreads,
 			TxPerWorker:       o.TxPerWorker,
-			SBAccountsPerNode: o.AccountsPerNode,
-			SBRemoteProb:      o.RemoteProb,
-			Knobs:             txn.Knobs{Mut: o.Mutations},
+			SBAccountsPerNode: tortureAccounts,
+			SBRemoteProb:      tortureRemoteProb,
 			History:           true,
 			Deterministic:     true,
 			Seed:              cellSeed(o.Seed, len(cells)),
@@ -205,7 +169,7 @@ func Cells(o TortureOptions) []Cell {
 	hot := func(proto string) {
 		for _, mode := range []txn.ContentionMode{txn.ContentionOn, txn.ContentionOff} {
 			add(fmt.Sprintf("%s hot-key contention=%s", cmp.Or(proto, "drtmr"), mode), func(c *Cell) {
-				c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4, ContentionMode: mode, Mut: o.Mutations}
+				c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4, ContentionMode: mode}
 				c.Opts.TxPerWorker /= 2
 				c.Opts.SBAccountsPerNode = 2
 			})
@@ -221,11 +185,11 @@ func Cells(o TortureOptions) []Cell {
 			return
 		}
 		for _, co := range o.Coroutines {
-			add(fmt.Sprintf("%s/r=3 coro=%d KILL node %d", cmp.Or(proto, "drtmr"), co, o.Nodes-1), func(c *Cell) {
+			add(fmt.Sprintf("%s/r=3 coro=%d KILL node %d", cmp.Or(proto, "drtmr"), co, tortureNodes-1), func(c *Cell) {
 				c.Opts.System, c.Opts.Deterministic = harness.SysDrTMR3, false
-				c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: co, Mut: o.Mutations}
-				c.Opts.TxPerWorker = o.KillTxPerWorker
-				c.Opts.KillAt, c.Opts.KillNode = killAt, o.Nodes-1
+				c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: co}
+				c.Opts.TxPerWorker = killTxPerWorker
+				c.Opts.KillAt, c.Opts.KillNode = killAt, tortureNodes-1
 				c.Opts.Lease, c.Opts.HeartbeatEvery = killLease, killHeartbeat
 				c.CheckOpts = Options{Replicated: true}
 			})
@@ -233,10 +197,10 @@ func Cells(o TortureOptions) []Cell {
 	}
 
 	for _, co := range o.Coroutines {
-		for _, batch := range o.Batching {
-			for _, fb := range o.FallbackProb {
+		for _, batch := range batching {
+			for _, fb := range []float64{0, 0.15} { // HTM spurious aborts: fallback pressure
 				add(fmt.Sprintf("drtmr coro=%d batch=%v fallback=%.2f", co, batch, fb), func(c *Cell) {
-					c.Opts.Knobs = txn.Knobs{CoroutinesPerWorker: co, DisableVerbBatching: !batch, Mut: o.Mutations}
+					c.Opts.Knobs = txn.Knobs{CoroutinesPerWorker: co, DisableVerbBatching: !batch}
 					c.Opts.HTM = htm.Config{SpuriousAbortProb: fb, Seed: c.Opts.Seed ^ 0xA5A5}
 				})
 			}
@@ -249,17 +213,17 @@ func Cells(o TortureOptions) []Cell {
 	// runs at zero HTM pressure — a protocol like farm has no HTM commit
 	// region, so fallback pressure only matters as background noise,
 	// covered by one dedicated cell.
-	for _, proto := range o.Protocols {
+	for _, proto := range []string{"farm"} {
 		for _, co := range o.Coroutines {
-			for _, batch := range o.Batching {
+			for _, batch := range batching {
 				add(fmt.Sprintf("%s coro=%d batch=%v", proto, co, batch), func(c *Cell) {
-					c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: co, DisableVerbBatching: !batch, Mut: o.Mutations}
+					c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: co, DisableVerbBatching: !batch}
 				})
 			}
 		}
 		// HTM spurious aborts as background noise (execution-phase regions).
 		add(fmt.Sprintf("%s coro=4 batch=true htm-noise=0.15", proto), func(c *Cell) {
-			c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4, Mut: o.Mutations}
+			c.Opts.Knobs = txn.Knobs{Protocol: proto, CoroutinesPerWorker: 4}
 			c.Opts.HTM = htm.Config{SpuriousAbortProb: 0.15, Seed: c.Opts.Seed ^ 0xA5A5}
 		})
 		hot(proto)

@@ -348,14 +348,14 @@ func (proto drtmrProto) localCommitBody(tx *Txn, htx *htm.Txn) error {
 			// Fold the pending adds over the current value, read inside the
 			// HTM region — strong atomicity makes this the moment the delta
 			// stops commuting and becomes a plain image install.
-			curImg, err := htx.Read(e.off, tbl.RecBytes, w.scratch(tbl.RecBytes))
+			curImg, err := htx.Read(e.off, tbl.RecBytes, tx.scratch(tbl.RecBytes))
 			if err != nil {
 				return err
 			}
 			e.buf = memstore.GatherValueInto(e.buf, curImg, tbl.Spec.ValueSize)
 			e.materialize()
 		}
-		img := memstore.BuildRecordImageInto(w.scratch(tbl.RecBytes), tbl.Spec.ValueSize, e.buf, inc, newSeq)
+		img := memstore.BuildRecordImageInto(tx.scratch(tbl.RecBytes), tbl.Spec.ValueSize, e.buf, inc, newSeq)
 		if err := htx.Write(e.off+8, img[8:]); err != nil {
 			return err
 		}

@@ -147,9 +147,9 @@ func (cm *contentionManager) gateFor(hk HotKey) *keyGate {
 // ticket and is admitted when serving reaches it; release advances serving.
 // Timed-out tickets are marked abandoned so release skips them — the queue
 // never wedges on a waiter that walked away. The gate only answers polls
-// (tryEnter); who polls is the waiter's business: the coroutine dispatcher on
-// behalf of a parked context (Worker.pollGate), or acquireGate in place on
-// a worker with no scheduler.
+// (tryEnter), and one rule polls it (Worker.pollGate): the coroutine
+// dispatcher on behalf of a parked context, or, on a worker with no
+// scheduler, acquireGate itself.
 //
 // Virtual-time accounting: the gate itself carries NO clock state and a
 // failed poll costs nothing. Worker clocks are not mutually synchronized,
@@ -220,31 +220,33 @@ func (g *keyGate) abandon(t uint64) {
 
 // acquireGate queues the worker on g until admitted. While queued the worker
 // never takes a virtual-time backoff, which is the whole point of queueing
-// instead of backing off. Under the coroutine scheduler the wait is ONE gated
-// park (sched.go): the dispatcher polls the ticket on this context's turns
-// and its goroutine sleeps until it is admitted or the bounded wait runs out,
-// so sibling contexts — the holder may be one of them — keep the worker busy.
-// A worker with no scheduler (w.cur == nil: N=1, the serve executors, a plain
-// Worker.Run) polls in place, handing the deterministic gate to other workers
-// and ceding the OS thread between polls. Every admission counts in
-// Stats.GateAdmissions; when the waiter's own clock also grew since enqueue
-// (sibling work on the shared clock while it was parked; see keyGate) that
-// growth is recorded as the queue wait (Stats.QueueWaits/QueueWait, plus
-// an EvPhase/StageQueue trace span). A worker with no sibling coroutines
-// waits in host time only, so its admissions show in the first counter and
-// never in the second. A bounded wait that runs out produces a keyed
-// StageQueue abort and the caller retries ungated.
+// instead of backing off. The admission rule is pollGate's, whoever polls:
+// under the coroutine scheduler the wait is ONE gated park (sched.go), the
+// dispatcher polls the ticket on this context's turns and its goroutine
+// sleeps until it is admitted or the bounded wait runs out, so sibling
+// contexts — the holder may be one of them — keep the worker busy. A worker
+// with no scheduler (N=1, the serve executors, a plain Worker.Run) takes
+// every turn itself, on a context of its own that never parks: each failed
+// poll hands the deterministic gate to other workers and cedes the OS
+// thread. Every admission counts in Stats.GateAdmissions; when the waiter's
+// own clock also grew since enqueue (sibling work on the shared clock while
+// it was parked; see keyGate) that growth is recorded as the queue wait
+// (Stats.QueueWaits/QueueWait, plus an EvPhase/StageQueue trace span). A
+// worker with no sibling coroutines waits in host time only, so its
+// admissions show in the first counter and never in the second. A bounded
+// wait that runs out produces a keyed StageQueue abort and the caller
+// retries ungated.
 func (w *Worker) acquireGate(g *keyGate, hk HotKey) (ok bool, qerr *Error) {
 	start := w.Clk.Now()
 	t := g.enqueue()
-	admitted := g.tryEnter(t)
+	var admitted bool
 	if w.cur != nil {
-		admitted = admitted || w.yieldGated(g, t)
+		admitted = g.tryEnter(t) || w.yieldGated(g, t)
 	} else {
-		for poll := 0; !admitted && poll < gateMaxPolls && !w.E.M.Dead(); poll++ {
-			w.Cede() // the holder is another worker
-			admitted = g.tryEnter(t)
+		c := coro{gate: g, ticket: t}
+		for !w.pollGate(&c) {
 		}
+		admitted = c.admitted
 	}
 	if !admitted {
 		g.abandon(t)

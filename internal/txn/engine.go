@@ -180,14 +180,9 @@ type Worker struct {
 	nextTxn uint64
 	commits *atomic.Int32 // commit phases running, for recovery's epoch fence
 
-	// img is scratch for record images that are dropped before the worker
-	// can reach a scheduling point (Worker.scratch).
-	img []byte
-	// spare holds the attempt scratch of ended attempts, for the next ones
-	// (Txn.attempt), and txns the transactions runLoop is done with, for the
-	// next Begin (recycle).
-	spare []*attempt
-	txns  []*Txn
+	// txns holds the transactions runLoop is done with, for the next Begin
+	// (recycle).
+	txns []*Txn
 
 	// Coroutine scheduler state (sched.go). cur is the running coroutine
 	// (nil when the worker runs a single transaction the classic way);
@@ -469,18 +464,6 @@ func (w *Worker) EnableHistory(ts *obs.TickSource) *obs.HistoryRecorder {
 // SetGate installs the deterministic-schedule gate: g is called at every
 // scheduling point and must block until this worker may run. nil removes it.
 func (w *Worker) SetGate(g func()) { w.gate = g }
-
-// scratch returns the worker's record-image scratch, n bytes long. A caller
-// must be done with it before it can yield: sibling transactions on this
-// worker share it. A local read's snapshot (its value is copied out first),
-// the images built inside an HTM region, which never spans a yield, and a
-// locked install's plain stores qualify.
-func (w *Worker) scratch(n int) []byte {
-	if cap(w.img) < n {
-		w.img = make([]byte, n)
-	}
-	return w.img[:n]
-}
 
 // ExecBatch rings the doorbell on b and charges its verbs, doorbell and
 // virtual latency to the given commit phase's counters. Empty batches cost

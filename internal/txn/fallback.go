@@ -1,5 +1,7 @@
 package txn
 
+import "drtmr/internal/cluster"
+
 // Fallback handler (§6.1). RTM is best-effort: the commit-phase HTM region
 // may keep aborting even without real conflicts, so after bounded retries
 // the transaction commits through a pure locking protocol instead. Because
@@ -16,8 +18,8 @@ package txn
 // the paper's explicit design choice, affordable because the fallback runs
 // on <1% of transactions.
 
-// fallbackLockAttempts bounds how often the handler re-posts one node
-// group's unacquired lock CASes before it gives up and aborts.
+// fallbackLockAttempts bounds how often LockInOrder posts one node group's
+// unacquired lock CASes before it gives up and the caller aborts.
 const fallbackLockAttempts = 32
 
 // fallbackCommit re-runs the commit under full locking and, on success,
@@ -38,7 +40,7 @@ func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []LockTarget) error 
 
 	// Step 3: lock everything (loop-back RDMA CAS for local records).
 	run := tx.lockRun()
-	if !tx.lockInOrder(targets, run) {
+	if !tx.w.LockInOrder(tx.id, tx.cfg, targets, run) {
 		tx.unlockTargets(PhaseFallback, run.Held)
 		return tx.abort(AbortLockFailed, "fallback lock failed")
 	}
@@ -60,14 +62,17 @@ func (proto drtmrProto) fallbackCommit(tx *Txn, remoteLocks []LockTarget) error 
 	return nil
 }
 
-// lockInOrder is the blocking lock stage: targets are globally sorted;
-// consecutive targets on the same node form one LockBatch, and node groups
-// are acquired strictly in sorted order — so the deadlock-freedom argument of
-// sorted acquisition is preserved while each group costs one CAS round-trip.
-// Targets a group's batch misses retry (after the passive dangling-lock
-// release and a backoff) in ever-smaller batches. It reports whether every
+// LockInOrder is the blocking lock stage, §6.1's sorted acquisition:
+// targets are globally sorted; consecutive targets on the same node form one
+// LockBatch, and node groups are acquired strictly in sorted order — so the
+// deadlock-freedom argument of sorted acquisition is preserved while each
+// group costs one CAS round-trip. Targets a group's batch misses retry (after
+// the passive dangling-lock release and a backoff) in ever-smaller batches,
+// up to fallbackLockAttempts batches per group. It reports whether every
 // target was acquired; either way run.Held is what the caller must release.
-func (tx *Txn) lockInOrder(targets []LockTarget, run *LockRun) bool {
+// DrTM+R's fallback handler and the DrTM baseline's fallback both lock
+// through it; id and cfg are as LockBatch's.
+func (w *Worker) LockInOrder(id uint64, cfg *cluster.Config, targets []LockTarget, run *LockRun) bool {
 	for lo, hi := 0, 0; lo < len(targets); lo = hi {
 		for hi = lo; hi < len(targets) && targets[hi].Node == targets[lo].Node; hi++ {
 		}
@@ -77,9 +82,9 @@ func (tx *Txn) lockInOrder(targets []LockTarget, run *LockRun) bool {
 				return false
 			}
 			if attempt > 0 {
-				tx.w.Backoff(BackoffFallbackLock, attempt)
+				w.Backoff(BackoffFallbackLock, attempt)
 			}
-			tx.w.LockBatch(PhaseFallback, PhaseFallback, tx.id, tx.cfg, todo, run)
+			w.LockBatch(PhaseFallback, PhaseFallback, id, cfg, todo, run)
 			if run.Err != nil {
 				return false
 			}

@@ -126,7 +126,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		}
 	})
 
-	// A local read's record snapshot is the worker's scratch and its HTM
+	// A local read's record snapshot is its attempt's scratch and its HTM
 	// region is handed back; the value the read set keeps and the copy Read
 	// returns are carved from the transaction's slab, whose chunks double, so
 	// a read allocates nothing once amortized.
@@ -211,31 +211,32 @@ func TestHotpathAllocFree(t *testing.T) {
 		}
 	})
 
-	// A commit of two remote records takes the attempt scratch an earlier one
-	// gave back: C.1's CASes and the header READs behind them, the write-back
-	// WRITEs and the unlock CASes post into its batch, and lockSet's targets
-	// and the lock stage's bookkeeping fill its slices. What it allocates is
-	// the Txn, the read and write sets' growth (to 1, then 2 entries each:
-	// 4) and the slab's chunks (4): the chunk each remote record's 64-byte
-	// READ opens, and the one each 64-byte write-back image opens.
+	// A commit of two remote records, through Run, reuses the Txn the last
+	// Run gave back and the attempt scratch it owns: C.1's CASes and the
+	// header READs behind them, the write-back WRITEs and the unlock CASes
+	// post into its batch, and lockSet's targets and the lock stage's
+	// bookkeeping fill its slices. What it allocates is the slab's chunks
+	// (4): the chunk each remote record's 64-byte READ opens, and the one
+	// each 64-byte write-back image opens.
 	commit := func() {
-		tx := wk.Begin()
-		for _, k := range []uint64{1, 2} {
-			v, err := tx.Read(tblAcct, k)
-			if err != nil {
-				t.Error(err)
-				return
+		err := wk.Run(func(tx *Txn) error {
+			for _, k := range []uint64{1, 2} {
+				v, err := tx.Read(tblAcct, k)
+				if err != nil {
+					return err
+				}
+				if err := tx.Write(tblAcct, k, v); err != nil {
+					return err
+				}
 			}
-			if err := tx.Write(tblAcct, k, v); err != nil {
-				t.Error(err)
-			}
-		}
-		if err := tx.Commit(); err != nil {
+			return nil
+		})
+		if err != nil {
 			t.Error(err)
 		}
 	}
 	commit()
-	requireAllocs(t, "two-remote-record commit", 9, commit)
+	requireAllocs(t, "two-remote-record commit", 4, commit)
 
 	// Through Run, the Txn and its sets are the ones the worker's last Run
 	// gave back, with their capacity, and Add's deltas take the capacity

@@ -92,7 +92,7 @@ func (w *Worker) protocol() CommitProtocol {
 // Commit dispatches to the worker's commit protocol. Read-only transactions
 // (and read-write ones that wrote nothing) take the protocol's read-only
 // path; everything else runs the full pipeline. The attempt ends here,
-// committed or aborted, and its scratch goes back to the worker.
+// committed or aborted, and its scratch is emptied for the next.
 func (tx *Txn) Commit() error {
 	defer tx.endAttempt()
 	if tx.readOnly || len(tx.ws) == 0 {

@@ -264,7 +264,8 @@ func (s *scheduler) take(i int) *coro {
 // either admitted (c.admitted) or because its bounded wait ran out. A failed
 // poll costs no virtual time (see keyGate); it cedes, so the holder — a
 // sibling that gets its own turn in this pass, or another worker — can run
-// to release.
+// to release. It is the one admission rule: a worker with no scheduler takes
+// every turn of a context of its own in acquireGate.
 func (w *Worker) pollGate(c *coro) bool {
 	if c.gate.tryEnter(c.ticket) {
 		c.admitted = true

@@ -128,9 +128,9 @@ type LockRun struct {
 	Err     error        // the last batch's last verb error: the target machine is dead
 	ErrAt   rdma.NodeID
 
-	b     *rdma.Batch
-	pend  []*rdma.Pending // LockBatch's lock CAS and the READ behind it, by target
-	spare []LockTarget    // the buffer the next LockBatch refills Missed into
+	b      *rdma.Batch
+	pend   []*rdma.Pending // LockBatch's lock CAS and the READ behind it, by target
+	refill []LockTarget    // the buffer the next LockBatch refills Missed into
 }
 
 // Batch is the attempt's doorbell, set up for w. Its slots stay valid across
@@ -163,11 +163,12 @@ func (tx *Txn) baseLen(e *wsEntry) int {
 	return 24
 }
 
-// attempt is the doorbell and commit scratch of one transaction attempt
+// attempt is the doorbell and commit scratch of a transaction's attempts
 // (DESIGN.md "Verbs a transaction posts"): every stage posts into run's
 // batch, and the stages' slices keep their capacity from one attempt to the
-// next. A transaction takes one from its worker when a stage first needs it
-// and gives it back when the attempt ends, so siblings never share one.
+// next. A Txn makes its attempt when a stage first needs one, empties it in
+// place when an attempt ends and keeps it for life, recycled with it, so
+// siblings never share one.
 type attempt struct {
 	run     LockRun
 	locks   []LockTarget    // lockSet's targets
@@ -177,6 +178,7 @@ type attempt struct {
 	toks    []ringToken     // replicate's ring entries
 	recs    []oplog.Rec     // logRecords' payload
 	entry   []byte          // replicate's log entry, encoded from recs
+	img     []byte          // Txn.scratch
 
 	// Conflict identity captured inside the commit HTM region: the region
 	// communicates failures through abort codes only (htx.Abort unwinds), so
@@ -187,33 +189,37 @@ type attempt struct {
 	confSet   bool
 }
 
-// attempt returns the transaction's attempt scratch, taken from its worker
-// on first use.
+// attempt returns the transaction's attempt scratch, made on first use.
 func (tx *Txn) attempt() *attempt {
-	if w := tx.w; tx.at == nil {
-		if n := len(w.spare); n > 0 {
-			tx.at, w.spare = w.spare[n-1], w.spare[:n-1]
-		} else {
-			tx.at = &attempt{}
-		}
-		tx.at.run.Batch(w)
+	if tx.at == nil {
+		tx.at = new(attempt)
 	}
 	return tx.at
 }
 
-// endAttempt gives the attempt scratch back to the worker once the attempt
-// has ended, committed or aborted. A second call does nothing.
+// endAttempt empties the attempt scratch once the attempt has ended,
+// committed or aborted, for the transaction's next attempt.
 func (tx *Txn) endAttempt() {
-	if tx.at != nil {
-		tx.at.run.Reset()
-		clear(tx.at.recs) // their values are the transaction's, not the scratch's
-		tx.w.spare = append(tx.w.spare, tx.at)
-		tx.at = nil
+	if a := tx.at; a != nil {
+		a.run.Reset()
+		clear(a.recs) // their values are the transaction's, not the scratch's
 	}
 }
 
-// batch is the attempt's doorbell.
-func (tx *Txn) batch() *rdma.Batch { return tx.attempt().run.b }
+// scratch returns the attempt's record-image scratch, n bytes long: for an
+// image that is dropped before the transaction yields (a local read's
+// snapshot, whose value is copied out, the images built inside an HTM
+// region, a locked install's plain stores).
+func (tx *Txn) scratch(n int) []byte {
+	a := tx.attempt()
+	if cap(a.img) < n {
+		a.img = make([]byte, n)
+	}
+	return a.img[:n]
+}
+
+// batch is the attempt's doorbell, set up for the worker's knobs.
+func (tx *Txn) batch() *rdma.Batch { return tx.attempt().run.Batch(tx.w) }
 
 // lockRun is the attempt's LockRun, emptied for a new lock set; the slots
 // of its earlier doorbells stay valid.
@@ -236,8 +242,9 @@ func (tx *Txn) lockRun() *LockRun {
 // the doorbell's trace span names; cfg is the configuration it runs under.
 //
 // This is the ONLY function that posts lock-acquire CASes and the only scan
-// over their results — C.1, F.1, the §6.1 fallback and the DrTM baseline's
-// growing phase and fallback all lock through it. The discipline the scan
+// over their results — C.1 and F.1 (lockRemote), the §6.1 loop (LockInOrder:
+// DrTM+R's fallback handler and the DrTM baseline's fallback) and the DrTM
+// baseline's growing phase all lock through it. The discipline the scan
 // must keep (TestProtocolLockBackoutReleasesAll holds it): the batch has
 // already executed when the first result is read, so CASes posted after a
 // failed verb may still have swapped — the scan runs to completion and
@@ -264,7 +271,7 @@ func (w *Worker) LockBatch(phase, fetchPhase CommitPhase, id uint64, cfg *cluste
 	w.MoveVerbs(phase, fetchPhase, reads)
 
 	// targets may alias run.Missed (a retry): refill the other buffer.
-	run.Missed, run.spare, run.Err = run.spare[:0], run.Missed, nil
+	run.Missed, run.refill, run.Err = run.refill[:0], run.Missed, nil
 	run.Held = slices.Grow(run.Held, len(targets))
 	run.Fetched = slices.Grow(run.Fetched, len(targets))
 	for i, lt := range targets {
@@ -531,7 +538,7 @@ func (tx *Txn) writeLocalLocked(final bool) {
 			seq = e.baseSeq + 1
 		}
 		tbl := w.E.M.Store.Table(e.table)
-		img := memstore.BuildRecordImageInto(w.scratch(tbl.RecBytes), tbl.Spec.ValueSize, e.buf, e.inc, seq)
+		img := memstore.BuildRecordImageInto(tx.scratch(tbl.RecBytes), tbl.Spec.ValueSize, e.buf, e.inc, seq)
 		w.E.M.Eng.WriteNonTx(e.off+8, img[8:])
 	}
 }

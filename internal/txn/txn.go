@@ -118,9 +118,9 @@ func (e *wsEntry) materialize() {
 // runs the hybrid commit protocol.
 //
 // A Txn is bookkeeping, recycled: Begin takes one its worker's runLoop gave
-// back (recycle), with the capacity of its sets and their indexes, or
-// allocates one. The fields are ordered so that the struct packs into 208
-// bytes, one allocation size class.
+// back (recycle), with the capacity of its sets and their indexes and its
+// attempt scratch, or allocates one. The fields are ordered so that the
+// struct packs into 208 bytes, one allocation size class.
 type Txn struct {
 	w   *Worker
 	id  uint64
@@ -135,8 +135,9 @@ type Txn struct {
 	// slab is the chunk carve cuts values from.
 	slab []byte
 
-	// at is the attempt's doorbell and commit scratch (nil until a stage
-	// needs it, and again once the attempt has ended).
+	// at is the doorbell and commit scratch of the transaction's attempts
+	// (nil until a stage first needs it), emptied when an attempt ends and
+	// kept by recycle.
 	at *attempt
 
 	readOnly bool
@@ -234,7 +235,8 @@ func (w *Worker) Begin() *Txn {
 
 // recycle gives tx back to its worker for a later Begin, once nothing reads
 // it any more. It keeps the capacity of the sets, of their indexes and of
-// each write-set slot's deltas, and drops every value reference: values live
+// each write-set slot's deltas, and the attempt scratch the last attempt
+// emptied, and drops every value reference: values live
 // in the slab they were carved from, and the next transaction on tx starts a
 // slab of its own, so a value outlives the Txn it came from.
 func (w *Worker) recycle(tx *Txn) {
@@ -245,6 +247,7 @@ func (w *Worker) recycle(tx *Txn) {
 	*tx = Txn{
 		rs: tx.rs[:0], ws: tx.ws[:0],
 		rsIdx: footIndex{slot: tx.rsIdx.slot[:0]}, wsIdx: footIndex{slot: tx.wsIdx.slot[:0]},
+		at: tx.at,
 	}
 	w.txns = append(w.txns, tx)
 }
@@ -659,9 +662,9 @@ func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
 	}
 	for attempt := 0; attempt < 256; attempt++ {
 		tx.w.Clk.Advance(tx.w.E.Costs.LocalAccess)
-		// The snapshot lands in the worker's scratch: its value is copied out
-		// before anything here can yield to a sibling transaction.
-		img, lockW, err := tx.localReadAttempt(off, tbl, tx.w.scratch(tbl.RecBytes))
+		// The snapshot lands in the attempt's scratch: its value is copied
+		// out, so the next try may overwrite it.
+		img, lockW, err := tx.localReadAttempt(off, tbl, tx.scratch(tbl.RecBytes))
 		if err == nil {
 			seq := memstore.RecSeq(img)
 			if tx.w.E.Replicated && !memstore.SeqIsCommittable(seq) {
@@ -737,10 +740,10 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 	if err != nil {
 		return rsEntry{}, err
 	}
-	// The record lands in a carve, not the worker's scratch: the READ is
-	// awaited, and a sibling may run meanwhile. Its value is then gathered
-	// in place, to the front of the same carve, and the rest given back:
-	// nothing else of this transaction carves until the read returns.
+	// The record lands in a carve, not the attempt's scratch, so the read
+	// set keeps its value without a copy: the value is gathered in place,
+	// to the front of the same carve, and the rest given back. Nothing else
+	// of this transaction carves until the read returns.
 	img := tx.carve(tbl.RecBytes)
 	var hdrs [maxCarry]*rdma.Pending
 	for attempt := 0; attempt < 256; attempt++ {

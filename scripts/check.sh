@@ -51,8 +51,11 @@ go test -count=1 -run 'TestHotpathAllocFree|TestCoroutineHandoffAllocFree|TestRu
 # Strict-serializability gate: a short torture sweep under -race (the full
 # suite above already ran the full sweep; -short keeps this pass <30s), the
 # mutation self-test (every deliberately broken protocol step must be
-# caught), and a fuzz smoke of the redo-record codec.
-go test -race -short -run 'TestTortureSweep|TestMutationSelfTest|TestStaleIncarnationScenario' -count=1 ./internal/check/
+# caught), the §4.3 torn-record pins (a torn remote record is never read, a
+# torn delta base never installed), the user-error validation of DrTM+R and
+# Silo (a body's error on a stale read is retried), and a fuzz smoke of the
+# redo-record codec.
+go test -race -short -run 'TestTortureSweep|TestMutationSelfTest|TestStaleIncarnationScenario|TestTornRemoteReadNeverReturned|TestTornDeltaBaseAborts|TestZombieUserErrorValidated' -count=1 ./internal/check/ ./internal/txn/ ./internal/baseline/silo/
 go test -run '^$' -fuzz FuzzRedoRoundtrip -fuzztime 5s ./internal/cluster/
 
 # Serve gate: the network front door end to end under -race — >=10k stored
