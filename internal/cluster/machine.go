@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,9 +78,6 @@ type Machine struct {
 	// watermark to push.
 	auxWake chan struct{}
 
-	handlersMu sync.RWMutex
-	handlers   map[uint8]Handler
-
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -95,14 +94,6 @@ type Machine struct {
 	commitsMu sync.Mutex
 	commits   []*atomic.Int32
 }
-
-// Handler processes one RPC request on the hosting machine and returns the
-// reply payload. It runs on the caller's goroutine (Call), so one machine's
-// handlers run concurrently, once per caller in flight, and must be safe for
-// that: memstore's insert and delete are HTM-protected, and oplog's ApplyRec
-// builds its record image in a buffer of its own. payload is the caller's
-// buffer: read it during the call, do not keep it.
-type Handler func(from rdma.NodeID, payload []byte) []byte
 
 // Cluster wires Spec.Nodes machines to one fabric and one coordinator.
 type Cluster struct {
@@ -158,18 +149,16 @@ func New(spec Spec) *Cluster {
 		c.Net.Attach(rdma.NodeID(i), eng)
 		arena := memstore.NewArena(eng, arenaStart)
 		m := &Machine{
-			ID:       rdma.NodeID(i),
-			Eng:      eng,
-			Store:    memstore.NewStore(eng, arena),
-			Arena:    arena,
-			cluster:  c,
-			handlers: make(map[uint8]Handler),
-			stop:     make(chan struct{}),
-			wake:     make(chan struct{}, 1),
-			auxWake:  make(chan struct{}, 1),
+			ID:      rdma.NodeID(i),
+			Eng:     eng,
+			Store:   memstore.NewStore(eng, arena),
+			Arena:   arena,
+			cluster: c,
+			stop:    make(chan struct{}),
+			wake:    make(chan struct{}, 1),
+			auxWake: make(chan struct{}, 1),
 		}
 		m.cfg.Store(initial)
-		m.RegisterHandler(rpcRedo, m.handleRedo)
 		// Ring control words and rings are one range; the record arena
 		// starts where it ends.
 		c.Net.NIC(m.ID).Watch(ringCtlBase, arenaStart, m.auxWake)
@@ -250,45 +239,50 @@ func (m *Machine) Commits() *atomic.Int32 {
 	return n
 }
 
-// RegisterHandler installs the RPC handler for a message kind.
-func (m *Machine) RegisterHandler(kind uint8, h Handler) {
-	m.handlersMu.Lock()
-	m.handlers[kind] = h
-	m.handlersMu.Unlock()
-}
+// shipHeader is what a shipped record carries on the wire ahead of its log
+// header and value: kind u8, request id u64, origin u32; shipReply is the
+// reply: status u8, offset u64. An inline call needs neither, but a real
+// SEND would carry them, so their bytes are charged.
+const (
+	shipHeader = 13
+	shipReply  = shipHeader + 9
+)
 
-// rpcHeader is what a request or a reply carries on the wire ahead of its
-// payload: kind u8, request id u64, origin u32. An inline call needs none of
-// it, but a real SEND would carry it, so its bytes are charged.
-const rpcHeader = 13
+// errRefused is a shipped record its target would not apply.
+var errRefused = errors.New("refused")
 
-// Call runs an RPC on qp's target machine and returns the reply. The request
-// is a SEND on qp: the caller's clock pays Profile.Send plus the request's
-// wire time. The target's handler then runs inline, on the caller's
-// goroutine, charged to nobody, and the reply's bytes queue on the target's
-// aux QP back to the caller, on the target's aux clock, which the caller
-// does not wait for (known delta 11). An unknown kind gets an empty reply. A
-// call to or from a dead machine fails at once with rdma.ErrNodeDead, as a
-// one-sided verb does; a call cannot be lost, so it has no deadline.
-func (m *Machine) Call(qp *rdma.QP, kind uint8, payload []byte) ([]byte, error) {
+// Ship applies r on qp's target machine, the record's host (§4.3's shipped
+// inserts and deletes, §5.2's redo), and returns the offset oplog.Install
+// reports. The request is a SEND on qp: the caller's clock pays
+// Profile.Send plus the wire time of the header, r's log header and its
+// value. The target then applies r inline, on the caller's goroutine,
+// charged to nobody, and the reply's bytes queue on the target's aux QP back
+// to the caller, on the target's aux clock, which the caller does not wait
+// for (known delta 11). A target that does not replicate r's shard refuses
+// it: committing transactions hold off a new configuration (awaitCommits),
+// so only redo can meet one. A ship to or from a dead machine fails at once
+// with rdma.ErrNodeDead and charges nothing, as a one-sided verb does; a
+// ship cannot be lost, so it has no deadline.
+func (m *Machine) Ship(qp *rdma.QP, r oplog.Rec) (off uint64, err error) {
 	if m.Dead() {
-		return nil, rdma.ErrNodeDead
+		return 0, rdma.ErrNodeDead
 	}
-	if err := qp.Send(rpcHeader + len(payload)); err != nil {
-		return nil, err
+	if err := qp.Send(shipHeader + oplog.RecHeader + len(r.Value)); err != nil {
+		return 0, err
 	}
 	t := m.cluster.Machines[qp.Remote()]
-	t.handlersMu.RLock()
-	h := t.handlers[kind]
-	t.handlersMu.RUnlock()
-	var reply []byte
-	if h != nil {
-		reply = h(m.ID, payload)
+	if !t.Replicates(ShardID(r.Shard)) {
+		err = errRefused
+	} else {
+		var img []byte
+		if off, err = oplog.Install(t.Store, r, &img); err != nil {
+			err = fmt.Errorf("%w: %w", errRefused, err)
+		}
 	}
-	if err := t.auxQPs[m.ID].Send(rpcHeader + len(reply)); err != nil {
-		return nil, err
+	if serr := t.auxQPs[m.ID].Send(shipReply); serr != nil {
+		return 0, serr
 	}
-	return reply, nil
+	return off, err
 }
 
 // runAux is the machine's auxiliary thread (the truncation thread of §5.1).
@@ -317,7 +311,8 @@ func (m *Machine) runAux() {
 }
 
 // Start launches every machine's background threads: its auxiliary thread
-// and its failure detector. RPCs need no thread of their own (Call).
+// and its failure detector. Shipped records need no thread of their own
+// (Ship).
 func (c *Cluster) Start() {
 	for _, m := range c.Machines {
 		// The initial epoch needs no log recovery; mark it recovered up

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
 
-	"drtmr/internal/memstore"
 	"drtmr/internal/obs"
 	"drtmr/internal/oplog"
 	"drtmr/internal/rdma"
@@ -37,11 +35,6 @@ import (
 // threads when they encounter a lock whose owner is not in the current
 // configuration — that path lives in the transaction layer; this file only
 // provides the membership question it asks.
-
-// RPC kinds used by recovery.
-const (
-	rpcRedo = 0x10 // forward a full log record to its shard's primary
-)
 
 // suspect proposes removing dead from the configuration at detection tick
 // at and, if this machine's proposal wins, triggers recovery cluster-wide
@@ -121,9 +114,9 @@ func (m *Machine) recoverLogs(cfg *Config) error {
 	for _, a := range m.appliers {
 		// Apply everything published (idempotent).
 		_, _ = a.Poll()
-		// Cross-redo: forward foreign records. A record's value aliases the
-		// applier's entry buffer until the callback returns; encodeRedo
-		// copies it into the request.
+		// Cross-redo: ship foreign records to their primaries. A record's
+		// value aliases the applier's entry buffer until the callback
+		// returns, and Ship is done with it when it returns.
 		err := a.Scan(func(txnID uint64, recs []oplog.Rec) error {
 			for _, r := range recs {
 				shard := ShardID(r.Shard)
@@ -134,12 +127,9 @@ func (m *Machine) recoverLogs(cfg *Config) error {
 				if primary == m.ID || !cfg.IsMember(primary) {
 					continue
 				}
-				reply, err := m.Call(m.auxQPs[primary], rpcRedo, encodeRedo(r))
+				_, err := m.Ship(m.auxQPs[primary], r)
 				if errors.Is(err, rdma.ErrNodeDead) {
 					continue
-				}
-				if err == nil && (len(reply) != 1 || reply[0] != 1) {
-					err = errRedoRefused
 				}
 				if err != nil {
 					return fmt.Errorf("redo of txn %d's record (table %d, shard %d, key %d, seq %d) on node %d: %w",
@@ -154,54 +144,3 @@ func (m *Machine) recoverLogs(cfg *Config) error {
 	}
 	return nil
 }
-
-// handleRedo applies a forwarded log record on the shard's current primary
-// (and lets normal replication re-propagate it later if needed).
-func (m *Machine) handleRedo(from rdma.NodeID, payload []byte) []byte {
-	r, err := decodeRedo(payload)
-	if err != nil {
-		return []byte{0}
-	}
-	if !m.Replicates(ShardID(r.Shard)) {
-		return []byte{0}
-	}
-	// Any applier can install records (they share the machine's store).
-	if err := m.appliers[(int(m.ID)+1)%len(m.appliers)].ApplyRec(r); err != nil {
-		return []byte{0}
-	}
-	return []byte{1}
-}
-
-func encodeRedo(r oplog.Rec) []byte {
-	buf := make([]byte, 24+len(r.Value))
-	buf[0] = r.Kind
-	buf[1] = uint8(r.Table)
-	binary.LittleEndian.PutUint16(buf[2:4], r.Shard)
-	binary.LittleEndian.PutUint64(buf[8:16], r.Key)
-	binary.LittleEndian.PutUint64(buf[16:24], r.Seq)
-	copy(buf[24:], r.Value)
-	return buf
-}
-
-func decodeRedo(buf []byte) (oplog.Rec, error) {
-	if len(buf) < 24 {
-		return oplog.Rec{}, errShortRedo
-	}
-	if buf[0] < oplog.KindUpdate || buf[0] > oplog.KindDelete {
-		return oplog.Rec{}, errBadRedoKind
-	}
-	return oplog.Rec{
-		Kind:  buf[0],
-		Table: memstore.TableID(buf[1]),
-		Shard: binary.LittleEndian.Uint16(buf[2:4]),
-		Key:   binary.LittleEndian.Uint64(buf[8:16]),
-		Seq:   binary.LittleEndian.Uint64(buf[16:24]),
-		Value: append([]byte(nil), buf[24:]...),
-	}, nil
-}
-
-var (
-	errShortRedo   = errors.New("cluster: short redo payload")
-	errBadRedoKind = errors.New("cluster: redo record has invalid kind")
-	errRedoRefused = errors.New("refused")
-)

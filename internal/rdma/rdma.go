@@ -13,8 +13,8 @@
 //     (strong consistency, §2.1).
 //   - Two-sided SEND, used by DrTM+R only for inserts and deletes (§4.3)
 //     and by recovery's redo (§5.2). Send prices a message on the sender's
-//     clock and the wire; delivery is the caller's: the cluster layer runs
-//     the receiver's handler inline (cluster.Machine.Call).
+//     clock and the wire; delivery is the caller's: the cluster layer
+//     applies the record it carries inline (cluster.Machine.Ship).
 //   - A latency profile plus a per-NIC virtual-time bandwidth queue that
 //     model verb cost and the 56Gbps NIC saturation the replication
 //     experiments hinge on (Figs 11, 15, 16). All durations are charged to
@@ -354,7 +354,7 @@ func (qp *QP) CAS(off uint64, old, new uint64) (prev uint64, swapped bool, err e
 // Send prices one two-sided message of n payload bytes: the sender's clock
 // pays Profile.Send plus the message's wire time, the bytes queue on both
 // NICs, and the target counts one SEND. What the receiver does with it is
-// the caller's (cluster.Machine.Call runs the handler inline). A dead target
+// the caller's (cluster.Machine.Ship applies its record inline). A dead target
 // fails at once and charges nothing.
 func (qp *QP) Send(n int) error {
 	if !qp.remote.alive.Load() {

@@ -148,9 +148,9 @@ func TestWriteFrameOneWrite(t *testing.T) {
 	}
 }
 
-// FuzzFrameRoundtrip follows the FuzzRedoRoundtrip precedent: arbitrary
-// bytes through ReadFrame+Decode must error or roundtrip, never panic; and
-// every well-formed message must survive encode→frame→read→decode intact.
+// FuzzFrameRoundtrip: arbitrary bytes through ReadFrame+Decode must error
+// or roundtrip, never panic; and every well-formed message must survive
+// encode→frame→read→decode intact.
 func FuzzFrameRoundtrip(f *testing.F) {
 	seed1, _ := AppendCall(nil, 1, 100, "payment", []byte{9, 9})
 	seed2, _ := AppendResult(nil, 2, StatusOK, 0, 0, 0, "", []byte("r"))

@@ -60,9 +60,6 @@ func htmRetryAfter(err error) htmRetry {
 // replication), flipping them even in R.2.
 type drtmrProto struct{}
 
-// ReadOnlyCommit implements CommitProtocol: §4.5's lock-free protocol.
-func (drtmrProto) ReadOnlyCommit(tx *Txn) error { return tx.commitReadOnly() }
-
 // Commit runs the six-step commit phase (Fig 7) plus optimistic replication
 // (§5.1):
 //
@@ -381,41 +378,38 @@ func (tx *Txn) setBase(e *wsEntry, cur, inc uint64) {
 	e.inc, e.haveInc = inc, true
 }
 
-// applyInsertsDeletes applies structural mutations after validation: local
-// ones directly, remote ones shipped to the host machine (§4.3). Fresh
-// inserts start at initialSeq (finish chooses it).
+// applyInsertsDeletes applies structural mutations after validation (§4.3):
+// local ones in this machine's store, remote ones shipped with a SEND to the
+// host machine, which applies them inside HTM there (oplog.Install's rule,
+// which the local calls follow too). Replication of the mutation itself
+// rides R.1's log entries, not the SEND. Fresh inserts start at initialSeq
+// (finish chooses it); an insert whose key is present installs nothing and
+// keeps off 0.
 func (tx *Txn) applyInsertsDeletes(initialSeq uint64) {
 	w := tx.w
 	for i := range tx.ws {
 		e := &tx.ws[i]
-		switch e.kind {
-		case wsInsert:
-			e.baseSeq = 0
-			e.finSeq = tx.finalSeq(0)
-			if e.local {
-				tbl := w.E.M.Store.Table(e.table)
-				off, err := tbl.InsertWithSeq(e.key, e.buf, initialSeq)
-				if err == nil {
-					e.off = off
-				}
-			} else {
-				tx.countWakeup(e.node)
-				off, ok := w.rpcInsert(e.node, e.table, e.shard, e.key, e.buf, initialSeq)
-				if ok {
-					e.off = off
-				}
+		if e.kind != wsInsert && e.kind != wsDelete {
+			// Updates and materialized deltas are installed in place by
+			// write-back (C.5), never here.
+			continue
+		}
+		if !e.local {
+			tx.countWakeup(e.node)
+			r := oplog.Rec{Kind: oplog.KindDelete, Table: e.table, Shard: uint16(e.shard), Key: e.key}
+			if e.kind == wsInsert {
+				r.Kind, r.Seq, r.Value = oplog.KindInsert, initialSeq, e.buf
 			}
-		case wsDelete:
-			if e.local {
-				tbl := w.E.M.Store.Table(e.table)
-				_ = tbl.Delete(e.key)
-			} else {
-				tx.countWakeup(e.node)
-				w.rpcDelete(e.node, e.table, e.key)
+			if off, err := w.E.M.Ship(w.QP(e.node), r); err == nil {
+				e.off = off
 			}
-		case wsUpdate, wsDelta:
-			// Not structural: updates and materialized deltas are installed
-			// in place by write-back (C.5), never here.
+			continue
+		}
+		tbl := w.E.M.Store.Table(e.table)
+		if e.kind == wsDelete {
+			_ = tbl.Delete(e.key)
+		} else if off, err := tbl.InsertWithSeq(e.key, e.buf, initialSeq); err == nil {
+			e.off = off
 		}
 	}
 }

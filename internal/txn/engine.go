@@ -151,18 +151,16 @@ type Mutations struct {
 }
 
 // NewEngine builds the transaction layer for machine m, priced by
-// DefaultCosts. It registers the insert/delete RPC handlers (§4.3: inserts
-// and deletes ship to the host machine over SEND/RECV).
+// DefaultCosts. It needs nothing on the other machines: a commit ships its
+// inserts and deletes of their records to them (cluster.Machine.Ship, §4.3).
 func NewEngine(m *cluster.Machine, part Partitioner) *Engine {
-	e := &Engine{
+	return &Engine{
 		M:          m,
 		Part:       part,
 		Costs:      DefaultCosts(),
 		Replicated: m.Cluster().Spec.Replicas > 1,
 		cm:         newContentionManager(),
 	}
-	e.registerRPC()
-	return e
 }
 
 // Worker is one worker thread: it owns a virtual clock, QPs to every peer,
@@ -325,10 +323,11 @@ type Counters struct {
 	// the transaction read but did not write: drtmrProto pays 3 per such
 	// record, in 2 doorbells (C.1 lock CAS with C.2's validation READ behind
 	// it, C.6 unlock CAS), farm 1 (a validation READ). ROWakeups counts
-	// remote-CPU deliveries (RPCs, redo-log appends) to pure read participants
-	// — nodes hosting none of the transaction's writes and owing it no
-	// replication duty. Both protocols keep reads fully one-sided, so ROWakeups
-	// stays zero; it is measured rather than assumed (Txn.countWakeup).
+	// remote-CPU deliveries (shipped records, redo-log appends) to pure
+	// read participants — nodes hosting none of the transaction's writes
+	// and owing it no replication duty. Both protocols keep reads fully
+	// one-sided, so ROWakeups stays zero; it is measured rather than
+	// assumed (Txn.countWakeup).
 	ROVerbs   uint64 `json:"ro_verbs"`
 	ROWakeups uint64 `json:"ro_wakeups"`
 }
@@ -621,14 +620,16 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 			w.Rec.Record(obs.EvTxnBegin, 0, 0, uint32(attempt), tx.id, start, start)
 		}
 		panicked, err := call(fn, tx)
-		if panicked != nil {
-			err = tx.answer(nil)
-		} else if err == nil {
-			err = tx.Commit()
-		} else if _, ok := asError(err); !ok {
-			err = tx.answer(err)
+		if panicked == nil && err == nil {
+			err = tx.Commit() // ends the attempt
+		} else {
+			if panicked != nil {
+				err = tx.answer(nil)
+			} else if _, ok := asError(err); !ok {
+				err = tx.answer(err)
+			}
+			tx.endAttempt()
 		}
-		tx.endAttempt()
 		if held != nil {
 			held.release()
 		}

@@ -39,14 +39,10 @@ package txn
 //
 // There is no commit-phase HTM region, hence no HTM-capacity fallback path:
 // the write-set install is plain stores under locks. Read-only transactions
-// share §4.5's lock-free protocol with drtmrProto (Txn.commitReadOnly) —
+// take §4.5's lock-free commit (Txn.commitReadOnly), as under drtmrProto —
 // sound here for the same reason: writers bump the sequence number before
 // unlocking, so a seq-stable read pair brackets any writer.
 type farmProto struct{}
-
-// ReadOnlyCommit implements CommitProtocol: the shared lock-free read-only
-// validation.
-func (farmProto) ReadOnlyCommit(tx *Txn) error { return tx.commitReadOnly() }
 
 // Commit implements CommitProtocol: the F.1–F.5 pipeline above, sequenced
 // from the same stage library as drtmrProto.

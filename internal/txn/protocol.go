@@ -17,11 +17,14 @@ import (
 // Contract (what the rest of the system relies on):
 //
 //   - Commit is called on read-write transactions with a non-empty write
-//     set; ReadOnlyCommit on read-only (or write-free) ones. Either returns
-//     nil once the transaction is durably committed under the engine's
-//     replication mode, or a *Error carrying full Reason/Stage/Site (and
-//     Table/Key when the conflicting record is known) abort attribution —
-//     the abortattr analyzer enforces the attribution statically.
+//     set. It returns nil once the transaction is durably committed under
+//     the engine's replication mode, or a *Error carrying full
+//     Reason/Stage/Site (and Table/Key when the conflicting record is known)
+//     abort attribution — the abortattr analyzer enforces the attribution
+//     statically. Read-only (or write-free) transactions never reach the
+//     protocol: they take §4.5's lock-free commit (Txn.commitReadOnly),
+//     whose test (roConfirm: lock word, incarnation, sequence number) a
+//     protocol's writers must keep sound.
 //   - On abort, no lock may stay held and no write may be visible: the
 //     retry loop re-executes from scratch.
 //   - A committed transaction's records must carry their final sequence
@@ -37,8 +40,6 @@ import (
 type CommitProtocol interface {
 	// Commit runs the full read-write commit pipeline.
 	Commit(tx *Txn) error
-	// ReadOnlyCommit validates a read-only transaction.
-	ReadOnlyCommit(tx *Txn) error
 }
 
 // DefaultProtocol is the protocol an Engine with an empty Protocol field
@@ -90,9 +91,9 @@ func (w *Worker) protocol() CommitProtocol {
 }
 
 // Commit dispatches to the worker's commit protocol. Read-only transactions
-// (and read-write ones that wrote nothing) take the protocol's read-only
-// path; everything else runs the full pipeline. The attempt ends here,
-// committed or aborted, and its scratch is emptied for the next.
+// (and read-write ones that wrote nothing) take the read-only commit
+// (answer); everything else runs the protocol's full pipeline. The attempt
+// ends here, committed or aborted, and its scratch is emptied for the next.
 func (tx *Txn) Commit() error {
 	defer tx.endAttempt()
 	if tx.readOnly || len(tx.ws) == 0 {
@@ -106,14 +107,15 @@ func (tx *Txn) Commit() error {
 	return tx.w.protocol().Commit(tx)
 }
 
-// answer is the protocol's read-only commit: it returns reply once the
-// attempt's reads validate, or the abort that a stale read set is. Commit
-// answers nil for a transaction that wrote nothing, and runLoop answers a
-// body's user error, so a caller hears that error only from an attempt that
-// got as far as asking to commit (FaRM's rule) and a stale one is retried.
+// answer is the read-only commit (§4.5, commitReadOnly): it returns reply
+// once the attempt's reads validate, or the abort that a stale read set is.
+// Commit answers nil for a transaction that wrote nothing, and runLoop
+// answers a body's user error, so a caller hears that error only from an
+// attempt that got as far as asking to commit (FaRM's rule) and a stale one
+// is retried.
 func (tx *Txn) answer(reply error) error {
 	tx.stage = StageROValidate
-	if err := tx.w.protocol().ReadOnlyCommit(tx); err != nil {
+	if err := tx.commitReadOnly(); err != nil {
 		return err
 	}
 	return reply
@@ -130,14 +132,14 @@ func (tx *Txn) fenced() error {
 	return nil
 }
 
-// countWakeup records a remote-CPU delivery (RPC or redo-log append) bound
-// for node if node is a pure read participant of this transaction: it hosts
-// read-set records but none of the write set, and owes the transaction no
-// replication duty (not a primary or backup of any written shard). Both
-// protocols derive their delivery targets from the write set alone, so the
-// counter stays zero — the protocol-matrix figure reports it as a measured
-// invariant rather than an assumption (FaRM's defining property: read-only
-// participants never wake a remote CPU).
+// countWakeup records a remote-CPU delivery (a shipped record or a redo-log
+// append) bound for node if node is a pure read participant of this
+// transaction: it hosts read-set records but none of the write set, and owes
+// the transaction no replication duty (not a primary or backup of any
+// written shard). Both protocols derive their delivery targets from the
+// write set alone, so the counter stays zero — the protocol-matrix figure
+// reports it as a measured invariant rather than an assumption (FaRM's
+// defining property: read-only participants never wake a remote CPU).
 func (tx *Txn) countWakeup(node rdma.NodeID) {
 	w := tx.w
 	self := w.E.M.ID

@@ -77,7 +77,7 @@ type wsEntry struct {
 	key   uint64
 	shard cluster.ShardID
 	node  rdma.NodeID
-	off   uint64 // 0 until resolved (inserts: after RPC/apply)
+	off   uint64 // 0 until resolved (inserts: once applied or shipped)
 	local bool
 	// read says the read set holds the record too: its header, not a base
 	// of the write's own, is what the validate stage fetches.
@@ -595,8 +595,10 @@ func (tx *Txn) Add(table memstore.TableID, key uint64, fieldOff int, delta uint6
 	return nil
 }
 
-// Insert creates a new record. Local inserts apply at commit inside the
-// host; remote inserts ship to the host machine over SEND/RECV (§4.3).
+// Insert creates a new record at commit: on this machine if it hosts the
+// key, else shipped to the host with one SEND (cluster.Machine.Ship, §4.3).
+// A key that is already present keeps its record: the insert installs
+// nothing.
 func (tx *Txn) Insert(table memstore.TableID, key uint64, value []byte) error {
 	if tx.readOnly {
 		return fmt.Errorf("txn: insert in read-only transaction")
@@ -608,7 +610,8 @@ func (tx *Txn) Insert(table memstore.TableID, key uint64, value []byte) error {
 	tx.appendWS(wsEntry{
 		kind: wsInsert, table: table, key: key,
 		shard: shard, node: node, local: local,
-		buf: tx.fill(nil, value),
+		finSeq: tx.finalSeq(0), // R.1 may log it before it is applied (farm)
+		buf:    tx.fill(nil, value),
 	})
 	return nil
 }
