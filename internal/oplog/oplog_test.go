@@ -177,6 +177,51 @@ func TestApplyDelete(t *testing.T) {
 	}
 }
 
+// TestInstallInsertOfPresentKey: an insert whose key is present installs
+// nothing and reports off 0, unless the record is the insert's own: its
+// value at an uncommittable seq below the insert's, which the insert
+// advances, or at the insert's seq when that is a replicated final seq.
+func TestInstallInsertOfPresentKey(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		have    string // the live record's value; the insert's is "v"
+		haveSeq uint64
+		seq     uint64 // the insert's
+		own     bool
+		wantSeq uint64
+	}{
+		{"shipped, not flipped", "v", 1, 2, true, 2},
+		{"applied before the ship", "v", 2, 2, true, 2},
+		{"another value, not flipped", "w", 1, 2, false, 1},
+		{"another value", "w", 2, 2, false, 2},
+		{"updated since", "v", 4, 2, false, 4},
+		{"unreplicated", "v", 0, 0, false, 0},
+		{"loaded, replicated", "v", 0, 2, false, 0},
+		{"another insert in flight", "v", 1, 1, false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newRingFixture(t, 1<<16)
+			tbl := f.stores[1].Table(1)
+			at, err := tbl.InsertWithSeq(5, val(tc.have), tc.haveSeq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var img []byte
+			off, err := Install(f.stores[1], Rec{Kind: KindInsert, Table: 1, Key: 5, Seq: tc.seq, Value: val("v")}, &img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := map[bool]uint64{true: at}[tc.own]; off != want {
+				t.Fatalf("off %d, want %d (the record is at %d)", off, want, at)
+			}
+			rec := f.engs[1].ReadNonTx(at, tbl.RecBytes, nil)
+			if seq := memstore.RecSeq(rec); seq != tc.wantSeq || !bytes.Equal(tbl.ReadValueNonTx(at), val(tc.have)) {
+				t.Fatalf("the record holds %q at seq %d; want %q at seq %d", tbl.ReadValueNonTx(at), seq, val(tc.have), tc.wantSeq)
+			}
+		})
+	}
+}
+
 func TestRingWrapAround(t *testing.T) {
 	// Ring of 4 lines; entries of 2 lines force wraps quickly.
 	f := newRingFixture(t, 4*sim.CachelineSize)
