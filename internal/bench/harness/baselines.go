@@ -272,13 +272,13 @@ func newOrderPlan(p tpcc.NewOrderParams) (refs []baseline.Ref, body func(baselin
 		{Table: tpcc.TableCustomer, Key: ckey},
 		{Table: tpcc.TableCustLastOrder, Key: ckey, Write: true},
 	}
-	for _, it := range p.Items {
+	for _, it := range p.Items[:p.N] {
 		refs = append(refs,
 			baseline.Ref{Table: tpcc.TableItem, Key: tpcc.IKey(it.Item)},
 			baseline.Ref{Table: tpcc.TableStock, Key: tpcc.SKey(it.SupplyW, it.Item), Write: true})
 	}
 	var oid uint64
-	amounts := make([]uint64, len(p.Items))
+	amounts := make([]uint64, p.N)
 	body = func(c baseline.Ctx) error {
 		if err := update(c, tpcc.TableDistrict, dkey, func(row []byte) {
 			oid = tpcc.DistrictNextOID(row)
@@ -289,7 +289,7 @@ func newOrderPlan(p tpcc.NewOrderParams) (refs []baseline.Ref, body func(baselin
 		if _, err := c.Get(tpcc.TableCustomer, ckey); err != nil {
 			return err
 		}
-		for i, it := range p.Items {
+		for i, it := range p.Items[:p.N] {
 			irow, err := c.Get(tpcc.TableItem, tpcc.IKey(it.Item))
 			if err != nil {
 				return err
@@ -306,10 +306,10 @@ func newOrderPlan(p tpcc.NewOrderParams) (refs []baseline.Ref, body func(baselin
 	muts = func() []mutation {
 		okey := tpcc.OKey(p.W, p.D, int(oid))
 		out := []mutation{
-			{tpcc.TableOrder, okey, tpcc.OrderRow(uint64(p.C), 1, 0, uint64(len(p.Items)))},
+			{tpcc.TableOrder, okey, tpcc.OrderRow(uint64(p.C), 1, 0, uint64(p.N))},
 			{tpcc.TableNewOrder, okey, binary.LittleEndian.AppendUint64(nil, oid)},
 		}
-		for l, it := range p.Items {
+		for l, it := range p.Items[:p.N] {
 			out = append(out, mutation{tpcc.TableOrderLine, tpcc.OLKey(p.W, p.D, int(oid), l+1),
 				tpcc.OrderLineRow(uint64(it.Item), uint64(it.SupplyW), uint64(it.Qty), amounts[l])})
 		}

@@ -108,10 +108,13 @@ func (g *Gen) otherWarehouse() int {
 	return w
 }
 
-// NewOrderParams is one generated new-order.
+// NewOrderParams is one generated new-order. Its lines are Items[:N], kept
+// in the params themselves: the worker's coroutines share one generator, so
+// a buffer the generator kept would be redrawn under an order still running.
 type NewOrderParams struct {
 	W, D, C int
-	Items   []NewOrderItem
+	Items   [maxOrderLines]NewOrderItem
+	N       int
 	// Distributed reports whether any supply warehouse is remote to W's
 	// machine (the paper's distributed-transaction criterion).
 	Distributed bool
@@ -135,10 +138,9 @@ func (g *Gen) GenNewOrder() NewOrderParams {
 		C: g.customer(),
 	}
 	n := 5 + g.rng.Intn(maxOrderLines-4)
-	p.Items = make([]NewOrderItem, 0, n)
-	for len(p.Items) < n {
+	for p.N < n {
 		it := g.item()
-		if slices.ContainsFunc(p.Items, func(x NewOrderItem) bool { return x.Item == it }) {
+		if slices.ContainsFunc(p.Items[:p.N], func(x NewOrderItem) bool { return x.Item == it }) {
 			continue
 		}
 		supply := g.home
@@ -148,7 +150,8 @@ func (g *Gen) GenNewOrder() NewOrderParams {
 		if g.cfg.NodeOfWarehouse(supply) != g.node {
 			p.Distributed = true
 		}
-		p.Items = append(p.Items, NewOrderItem{Item: it, SupplyW: supply, Qty: 1 + g.rng.Intn(10)})
+		p.Items[p.N] = NewOrderItem{Item: it, SupplyW: supply, Qty: 1 + g.rng.Intn(10)}
+		p.N++
 	}
 	return p
 }
@@ -243,7 +246,7 @@ func (e *Executor) NewOrder(p NewOrderParams) error {
 		}
 		var total uint64
 		var amounts [maxOrderLines]uint64
-		for i, it := range p.Items {
+		for i, it := range p.Items[:p.N] {
 			irow, err := tx.Read(TableItem, IKey(it.Item))
 			if err != nil {
 				return err
@@ -276,7 +279,7 @@ func (e *Executor) NewOrder(p NewOrderParams) error {
 			return err
 		}
 		okey := OKey(p.W, p.D, int(oid))
-		if err := tx.Insert(TableOrder, okey, OrderRow(uint64(p.C), 1, 0, uint64(len(p.Items)))); err != nil {
+		if err := tx.Insert(TableOrder, okey, OrderRow(uint64(p.C), 1, 0, uint64(p.N))); err != nil {
 			return err
 		}
 		no := make([]byte, newOrderSize)
@@ -284,7 +287,7 @@ func (e *Executor) NewOrder(p NewOrderParams) error {
 		if err := tx.Insert(TableNewOrder, okey, no); err != nil {
 			return err
 		}
-		for l, it := range p.Items {
+		for l, it := range p.Items[:p.N] {
 			row := OrderLineRow(uint64(it.Item), uint64(it.SupplyW), uint64(it.Qty), amounts[l])
 			if err := tx.Insert(TableOrderLine, OLKey(p.W, p.D, int(oid), l+1), row); err != nil {
 				return err

@@ -168,7 +168,17 @@ func NewEngine(mem []byte, cfg Config) *Engine {
 	if cfg.MaxReadLines <= 0 {
 		cfg.MaxReadLines = DefaultConfig().MaxReadLines
 	}
-	return &Engine{mem: mem, cfg: cfg, rng: sim.NewRand(cfg.Seed)}
+	e := &Engine{mem: mem, cfg: cfg, rng: sim.NewRand(cfg.Seed)}
+	// Every shard starts with room for one entry and the entry with room for
+	// one reader, which is all most shards ever hold at once: a run's first
+	// regions find the registry grown instead of growing it shard by shard.
+	lines := make([]line, numShards)
+	readers := make([]*Txn, numShards)
+	for i := range e.shards {
+		lines[i].readers = readers[i : i : i+1]
+		e.shards[i].lines = lines[i : i : i+1]
+	}
+	return e
 }
 
 // Mem exposes the underlying arena. Direct access bypasses conflict

@@ -17,7 +17,6 @@ import "sync"
 type BTree struct {
 	mu   sync.RWMutex
 	root btnode
-	size int
 }
 
 const btOrder = 32 // max keys per node
@@ -25,22 +24,22 @@ const btOrder = 32 // max keys per node
 type btnode interface {
 	// insert returns (newRight, sepKey, grew) when the node split.
 	insert(key, val uint64) (btnode, uint64, bool)
-	get(key uint64) (uint64, bool)
-	del(key uint64) bool
-	// scan calls fn for keys in [lo, hi]; returns false to stop early.
-	scan(lo, hi uint64, fn func(key, val uint64) bool) bool
-	min() (uint64, uint64, bool)
 }
 
+// A node keeps its entries in fixed arrays inside it, with room for the
+// entry that overflows it, so an insert never grows a node and a split
+// allocates just the new right half.
 type btleaf struct {
-	keys []uint64
-	vals []uint64
+	n    int // entries in keys[:n], vals[:n]
+	keys [btOrder + 1]uint64
+	vals [btOrder + 1]uint64
 	next *btleaf
 }
 
 type btinner struct {
-	keys []uint64 // len(children)-1 separators
-	kids []btnode
+	n    int // separators in keys[:n], children in kids[:n+1]
+	keys [btOrder]uint64
+	kids [btOrder + 1]btnode
 }
 
 // NewBTree returns an empty tree.
@@ -48,39 +47,27 @@ func NewBTree() *BTree {
 	return &BTree{root: &btleaf{}}
 }
 
-// Len returns the number of entries.
-func (t *BTree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.size
-}
-
 // Put inserts or replaces key -> val.
 func (t *BTree) Put(key, val uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	before := t.count(key)
-	right, sep, grew := t.root.insert(key, val)
-	if grew {
-		t.root = &btinner{keys: []uint64{sep}, kids: []btnode{t.root, right}}
+	if right, sep, grew := t.root.insert(key, val); grew {
+		root := &btinner{n: 1}
+		root.keys[0] = sep
+		root.kids[0], root.kids[1] = t.root, right
+		t.root = root
 	}
-	if before == 0 {
-		t.size++
-	}
-}
-
-func (t *BTree) count(key uint64) int {
-	if _, ok := t.root.get(key); ok {
-		return 1
-	}
-	return 0
 }
 
 // Get returns the value bound to key.
 func (t *BTree) Get(key uint64) (uint64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.root.get(key)
+	l := t.leafFor(key)
+	if i, found := l.find(key); found {
+		return l.vals[i], true
+	}
+	return 0, false
 }
 
 // Delete removes key, reporting whether it was present. Underflow is not
@@ -90,26 +77,30 @@ func (t *BTree) Get(key uint64) (uint64, bool) {
 func (t *BTree) Delete(key uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.root.del(key) {
-		t.size--
-		return true
+	l := t.leafFor(key)
+	i, found := l.find(key)
+	if found {
+		copy(l.keys[i:l.n], l.keys[i+1:l.n])
+		copy(l.vals[i:l.n], l.vals[i+1:l.n])
+		l.n--
 	}
-	return false
+	return found
 }
 
 // Scan visits entries with keys in [lo, hi] in ascending order; fn returns
-// false to stop.
+// false to stop. It walks the leaf chain from lo's leaf itself, so fn does
+// not escape and a caller's closure stays on its stack.
 func (t *BTree) Scan(lo, hi uint64, fn func(key, val uint64) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.root.scan(lo, hi, fn)
-}
-
-// Min returns the smallest entry.
-func (t *BTree) Min() (key, val uint64, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.root.min()
+	l := t.leafFor(lo)
+	for i, _ := l.find(lo); l != nil; l, i = l.next, 0 {
+		for ; i < l.n; i++ {
+			if l.keys[i] > hi || !fn(l.keys[i], l.vals[i]) {
+				return
+			}
+		}
+	}
 }
 
 // MinGE returns the smallest entry with key >= lo (the "oldest NEW-ORDER"
@@ -117,24 +108,28 @@ func (t *BTree) Min() (key, val uint64, ok bool) {
 func (t *BTree) MinGE(lo uint64) (key, val uint64, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for in, inner := n.(*btinner); inner; in, inner = n.(*btinner) {
-		n = in.kids[in.childFor(lo)]
-	}
-	l := n.(*btleaf)
-	i, _ := l.find(lo)
-	for ; l != nil; l, i = l.next, 0 {
-		if i < len(l.keys) {
+	l := t.leafFor(lo)
+	for i, _ := l.find(lo); l != nil; l, i = l.next, 0 {
+		if i < l.n {
 			return l.keys[i], l.vals[i], true
 		}
 	}
 	return 0, 0, false
 }
 
+// leafFor descends to the leaf whose range holds key. Caller holds t.mu.
+func (t *BTree) leafFor(key uint64) *btleaf {
+	n := t.root
+	for in, inner := n.(*btinner); inner; in, inner = n.(*btinner) {
+		n = in.kids[in.childFor(key)]
+	}
+	return n.(*btleaf)
+}
+
 // --- leaf ---
 
 func (l *btleaf) find(key uint64) (int, bool) {
-	lo, hi := 0, len(l.keys)
+	lo, hi := 0, l.n
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if l.keys[mid] < key {
@@ -143,7 +138,7 @@ func (l *btleaf) find(key uint64) (int, bool) {
 			hi = mid
 		}
 	}
-	return lo, lo < len(l.keys) && l.keys[lo] == key
+	return lo, lo < l.n && l.keys[lo] == key
 }
 
 func (l *btleaf) insert(key, val uint64) (btnode, uint64, bool) {
@@ -152,74 +147,26 @@ func (l *btleaf) insert(key, val uint64) (btnode, uint64, bool) {
 		l.vals[i] = val
 		return nil, 0, false
 	}
-	l.keys = append(l.keys, 0)
-	l.vals = append(l.vals, 0)
-	copy(l.keys[i+1:], l.keys[i:])
-	copy(l.vals[i+1:], l.vals[i:])
-	l.keys[i] = key
-	l.vals[i] = val
-	if len(l.keys) <= btOrder {
+	copy(l.keys[i+1:l.n+1], l.keys[i:l.n])
+	copy(l.vals[i+1:l.n+1], l.vals[i:l.n])
+	l.keys[i], l.vals[i] = key, val
+	l.n++
+	if l.n <= btOrder {
 		return nil, 0, false
 	}
-	mid := len(l.keys) / 2
-	right := &btleaf{
-		keys: append([]uint64(nil), l.keys[mid:]...),
-		vals: append([]uint64(nil), l.vals[mid:]...),
-		next: l.next,
-	}
-	l.keys = l.keys[:mid]
-	l.vals = l.vals[:mid]
+	mid := l.n / 2
+	right := &btleaf{n: l.n - mid, next: l.next}
+	copy(right.keys[:], l.keys[mid:l.n])
+	copy(right.vals[:], l.vals[mid:l.n])
+	l.n = mid
 	l.next = right
 	return right, right.keys[0], true
-}
-
-func (l *btleaf) get(key uint64) (uint64, bool) {
-	i, found := l.find(key)
-	if !found {
-		return 0, false
-	}
-	return l.vals[i], true
-}
-
-func (l *btleaf) del(key uint64) bool {
-	i, found := l.find(key)
-	if !found {
-		return false
-	}
-	l.keys = append(l.keys[:i], l.keys[i+1:]...)
-	l.vals = append(l.vals[:i], l.vals[i+1:]...)
-	return true
-}
-
-func (l *btleaf) scan(lo, hi uint64, fn func(key, val uint64) bool) bool {
-	i, _ := l.find(lo)
-	for n := l; n != nil; n = n.next {
-		for ; i < len(n.keys); i++ {
-			if n.keys[i] > hi {
-				return false
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return false
-			}
-		}
-		i = 0
-	}
-	return true
-}
-
-func (l *btleaf) min() (uint64, uint64, bool) {
-	for n := l; n != nil; n = n.next {
-		if len(n.keys) > 0 {
-			return n.keys[0], n.vals[0], true
-		}
-	}
-	return 0, 0, false
 }
 
 // --- inner ---
 
 func (n *btinner) childFor(key uint64) int {
-	lo, hi := 0, len(n.keys)
+	lo, hi := 0, n.n
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if n.keys[mid] <= key {
@@ -237,39 +184,18 @@ func (n *btinner) insert(key, val uint64) (btnode, uint64, bool) {
 	if !grew {
 		return nil, 0, false
 	}
-	n.keys = append(n.keys, 0)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = sep
-	n.kids = append(n.kids, nil)
-	copy(n.kids[ci+2:], n.kids[ci+1:])
-	n.kids[ci+1] = right
-	if len(n.kids) <= btOrder {
+	copy(n.keys[ci+1:n.n+1], n.keys[ci:n.n])
+	copy(n.kids[ci+2:n.n+2], n.kids[ci+1:n.n+1])
+	n.keys[ci], n.kids[ci+1] = sep, right
+	n.n++
+	if n.n < btOrder {
 		return nil, 0, false
 	}
-	mid := len(n.keys) / 2
-	sepUp := n.keys[mid]
-	rightNode := &btinner{
-		keys: append([]uint64(nil), n.keys[mid+1:]...),
-		kids: append([]btnode(nil), n.kids[mid+1:]...),
-	}
-	n.keys = n.keys[:mid]
-	n.kids = n.kids[:mid+1]
-	return rightNode, sepUp, true
-}
-
-func (n *btinner) get(key uint64) (uint64, bool) {
-	return n.kids[n.childFor(key)].get(key)
-}
-
-func (n *btinner) del(key uint64) bool {
-	return n.kids[n.childFor(key)].del(key)
-}
-
-func (n *btinner) scan(lo, hi uint64, fn func(key, val uint64) bool) bool {
-	// Descend to the leaf containing lo; the leaf chain handles the rest.
-	return n.kids[n.childFor(lo)].scan(lo, hi, fn)
-}
-
-func (n *btinner) min() (uint64, uint64, bool) {
-	return n.kids[0].min()
+	mid := n.n / 2
+	rightNode := &btinner{n: n.n - mid - 1}
+	copy(rightNode.keys[:], n.keys[mid+1:n.n])
+	copy(rightNode.kids[:], n.kids[mid+1:n.n+1])
+	clear(n.kids[mid+1 : n.n+1])
+	n.n = mid
+	return rightNode, n.keys[mid], true
 }

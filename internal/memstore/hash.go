@@ -190,18 +190,10 @@ func (h *HashTable) Insert(key uint64, recOff uint64) error {
 				}
 			}
 			next := binary.LittleEndian.Uint64(img[bucketNextOff : bucketNextOff+8])
-			if freeSlot >= 0 && next == 0 {
-				// Safe to use a free slot only in the chain's last
-				// bucket... actually the key could exist further
-				// down the chain only if next != 0, which we just
-				// excluded, so claim the slot.
-				return putSlot(tx, off, freeSlot, ik, recOff)
-			}
-			if next != 0 {
-				// Remember a free slot? Simpler: walk on; insert
-				// prefers chain tail after full duplicate check.
-				if freeSlot >= 0 {
-					// Check rest of chain for duplicates first.
+			if freeSlot >= 0 {
+				// The first free slot in chain order takes the key once
+				// the rest of the chain is known not to hold it.
+				if next != 0 {
 					dup, err := h.chainHas(tx, next, ik)
 					if err != nil {
 						return err
@@ -209,8 +201,10 @@ func (h *HashTable) Insert(key uint64, recOff uint64) error {
 					if dup {
 						return ErrKeyExists
 					}
-					return putSlot(tx, off, freeSlot, ik, recOff)
 				}
+				return putSlot(tx, off, freeSlot, ik, recOff)
+			}
+			if next != 0 {
 				off = next
 				continue
 			}

@@ -2,6 +2,7 @@ package memstore
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -232,8 +233,8 @@ func TestBTreeBasics(t *testing.T) {
 	for _, k := range perm {
 		bt.Put(uint64(k), uint64(k)*2)
 	}
-	if bt.Len() != n {
-		t.Fatalf("len: %d", bt.Len())
+	if got := entries(bt); got != n {
+		t.Fatalf("len: %d", got)
 	}
 	for k := uint64(0); k < n; k++ {
 		v, ok := bt.Get(k)
@@ -246,8 +247,8 @@ func TestBTreeBasics(t *testing.T) {
 	if v, _ := bt.Get(5); v != 999 {
 		t.Fatalf("overwrite: %d", v)
 	}
-	if bt.Len() != n {
-		t.Fatalf("overwrite changed len: %d", bt.Len())
+	if got := entries(bt); got != n {
+		t.Fatalf("overwrite changed len: %d", got)
 	}
 	// Scan range.
 	var got []uint64
@@ -258,8 +259,8 @@ func TestBTreeBasics(t *testing.T) {
 	if len(got) != 11 || got[0] != 100 || got[10] != 110 {
 		t.Fatalf("scan [100,110]: %v", got)
 	}
-	// Min / MinGE.
-	if k, _, ok := bt.Min(); !ok || k != 0 {
+	// MinGE.
+	if k, _, ok := bt.MinGE(0); !ok || k != 0 {
 		t.Fatalf("min: %d %v", k, ok)
 	}
 	if k, _, ok := bt.MinGE(1500); !ok || k != 1500 {
@@ -285,6 +286,51 @@ func TestBTreeBasics(t *testing.T) {
 	}
 }
 
+// entries counts bt's entries through Scan.
+func entries(bt *BTree) int {
+	n := 0
+	bt.Scan(0, ^uint64(0), func(uint64, uint64) bool { n++; return true })
+	return n
+}
+
+// nodes counts the nodes of the subtree at n.
+func nodes(n btnode) int {
+	in, ok := n.(*btinner)
+	if !ok {
+		return 1
+	}
+	c := 1
+	for _, kid := range in.kids[:in.n+1] {
+		c += nodes(kid)
+	}
+	return c
+}
+
+// TestBTreeSplitAllocs pins ascending Puts, the order of TPC-C's order-key
+// inserts, to one allocation per split: the new node, whose fixed arrays
+// never grow, and nothing else.
+func TestBTreeSplitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bt := NewBTree()
+	for k := uint64(0); k < 1000; k++ {
+		bt.Put(k, k)
+	}
+	before := nodes(bt.root)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for k := uint64(1000); k < 6000; k++ {
+		bt.Put(k, k)
+	}
+	runtime.ReadMemStats(&m1)
+	splits := nodes(bt.root) - before
+	if allocs := m1.Mallocs - m0.Mallocs; allocs != uint64(splits) || splits == 0 {
+		t.Errorf("5000 ascending Puts allocate %d times for %d splits, want one each", allocs, splits)
+	}
+}
+
 func TestBTreePropertyOrdered(t *testing.T) {
 	f := func(keys []uint64) bool {
 		bt := NewBTree()
@@ -292,9 +338,6 @@ func TestBTreePropertyOrdered(t *testing.T) {
 		for _, k := range keys {
 			bt.Put(k, k+1)
 			seen[k] = true
-		}
-		if bt.Len() != len(seen) {
-			return false
 		}
 		// Full scan must be sorted and complete.
 		var prev uint64

@@ -138,29 +138,38 @@ func TestHotpathAllocFree(t *testing.T) {
 		}
 	})
 
-	// A NewOrder-shaped execution — 20 reads, 10 writes of records it read
-	// and 13 inserts — allocates nothing but the slab's chunks, its sets
-	// reused here: 40 carves of 16 bytes for the reads, none for the writes
-	// (each takes its record's read-set copy) and 13 for the inserts, 848
-	// bytes in chunks of 16, 16, 32, 64, 128, 256 and 512.
-	requireAllocs(t, "NewOrder-shaped Txn execution", 7, func() {
-		tx.rs, tx.ws, tx.slab, tx.carved = tx.rs[:0], tx.ws[:0], nil, 0
-		for k := uint64(0); k < 20; k++ {
-			if _, err := tx.Read(tblAcct, k); err != nil {
-				t.Error(err)
+	// A NewOrder-shaped transaction — 20 reads, 10 writes of records it read
+	// and 13 inserts — through Run on a warm worker allocates one object: its
+	// slab's one chunk, as large as what the worker's last transaction
+	// carved, which is what this one carves. The Txn, its sets, its attempt
+	// scratch and its commit's HTM region are the ones the last Run gave back.
+	nw, next := w.engines[0].NewWorker(1), uint64(1000)
+	newOrder := func() {
+		err := nw.Run(func(tx *Txn) error {
+			for k := uint64(0); k < 20; k++ {
+				if _, err := tx.Read(tblAcct, k); err != nil {
+					return err
+				}
 			}
-		}
-		for k := uint64(0); k < 10; k++ {
-			if err := tx.Write(tblAcct, k, val); err != nil {
-				t.Error(err)
+			for k := uint64(0); k < 10; k++ {
+				if err := tx.Write(tblAcct, k, val); err != nil {
+					return err
+				}
 			}
-		}
-		for k := uint64(0); k < 13; k++ {
-			if err := tx.Insert(tblAcct, 1000+k, val); err != nil {
-				t.Error(err)
+			for k := uint64(0); k < 13; k++ {
+				if err := tx.Insert(tblAcct, next+k, val); err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
 		}
-	})
+		next += 13
+	}
+	newOrder()
+	requireAllocs(t, "NewOrder-shaped Run", 1, newOrder)
 
 	// Begin allocates the Txn itself, whose fields pack into 208 bytes, one
 	// allocation size class.
@@ -215,9 +224,9 @@ func TestHotpathAllocFree(t *testing.T) {
 	// Run gave back and the attempt scratch it owns: C.1's CASes and the
 	// header READs behind them, the write-back WRITEs and the unlock CASes
 	// post into its batch, and lockSet's targets and the lock stage's
-	// bookkeeping fill its slices. What it allocates is the slab's chunks
-	// (4): the chunk each remote record's 64-byte READ opens, and the one
-	// each 64-byte write-back image opens.
+	// bookkeeping fill its slices. What it allocates is its slab's one
+	// chunk: the last Run carved as much, so the two 64-byte READs and the
+	// two 64-byte write-back images fit in it.
 	commit := func() {
 		err := wk.Run(func(tx *Txn) error {
 			for _, k := range []uint64{1, 2} {
@@ -236,12 +245,12 @@ func TestHotpathAllocFree(t *testing.T) {
 		}
 	}
 	commit()
-	requireAllocs(t, "two-remote-record commit", 4, commit)
+	requireAllocs(t, "two-remote-record commit", 1, commit)
 
 	// Through Run, the Txn and its sets are the ones the worker's last Run
 	// gave back, with their capacity, and Add's deltas take the capacity
 	// their write-set slot kept: a warm two-remote-record Run, one record
-	// written and one added to, allocates only its slab's chunks (4).
+	// written and one added to, allocates only its slab's one chunk.
 	run := func() {
 		err := wk.Run(func(tx *Txn) error {
 			v, err := tx.Read(tblAcct, 1)
@@ -262,7 +271,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		}
 	}
 	run()
-	requireAllocs(t, "two-remote-record Run", 4, run)
+	requireAllocs(t, "two-remote-record Run", 1, run)
 
 	// An abort is plain data: it allocates its *Error and formats nothing,
 	// since the retry loop drops almost every one unread. abortSink stands

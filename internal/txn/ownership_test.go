@@ -17,8 +17,16 @@ import (
 // it alone. Every protocol runs it, on two workers per machine with four
 // coroutines each, so sibling transactions carve values, local and remote,
 // while one is held; each transaction moves one unit between two accounts,
-// so the records change under the values kept.
+// so the records change under the values kept. A transaction's slab starts
+// with a chunk as large as the worker's last transaction carved: in the
+// "sized chunks" case, one worker alone runs transactions of 1, 6 and 11
+// records in turn, so each sizes its first chunk from a smaller, a larger or
+// an equal predecessor, and the values transaction N returned must keep their
+// bytes while N+1 to N+3 run.
 func TestReadValueOwnership(t *testing.T) {
+	t.Run("sized chunks", func(t *testing.T) {
+		forEachProtocol(t, sizedChunkRounds)
+	})
 	forEachProtocol(t, func(t *testing.T, proto string) {
 		const (
 			nodes    = 3
@@ -47,6 +55,53 @@ func TestReadValueOwnership(t *testing.T) {
 			t.Fatalf("value not conserved: %d != %d", total, accounts*initial)
 		}
 	})
+}
+
+// sizedChunkRounds is TestReadValueOwnership's "sized chunks" case. Each
+// transaction reads its records, local and remote, writes each a value no
+// other transaction writes and reads it back, and keeps every value Read
+// returned.
+func sizedChunkRounds(t *testing.T, proto string) {
+	const accounts = 24
+	w := newWorld(t, 3, 1, htm.Config{})
+	w.setProtocol(proto)
+	w.load(t, accounts, 1000)
+	wk := w.engines[0].NewWorker(0)
+	type kept struct{ got, want []byte }
+	var last [4][]kept // the values transactions N-3 to N returned
+	for n := uint64(0); n < 40; n++ {
+		var mine []kept
+		err := wk.Run(func(tx *Txn) error {
+			mine = mine[:0]
+			for j := uint64(0); j < 1+n%3*5; j++ {
+				key := (n + j) % accounts
+				v, err := tx.Read(tblAcct, key)
+				if err != nil {
+					return err
+				}
+				if err := tx.Write(tblAcct, key, encBal(n<<8|j)); err != nil {
+					return err
+				}
+				nv, err := tx.Read(tblAcct, key)
+				if err != nil {
+					return err
+				}
+				mine = append(mine, kept{v, bytes.Clone(v)}, kept{nv, bytes.Clone(nv)})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("transaction %d: %v", n, err)
+		}
+		last[n%4] = mine
+		for _, vs := range last {
+			for _, v := range vs {
+				if !bytes.Equal(v.got, v.want) {
+					t.Fatalf("after transaction %d, a value one of the last four returned is %x, want %x", n, v.got, v.want)
+				}
+			}
+		}
+	}
 }
 
 // ownershipRounds is one coroutine's share of TestReadValueOwnership.

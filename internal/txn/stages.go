@@ -489,7 +489,7 @@ func (tx *Txn) validate(v validation, run *LockRun) error {
 		tbl := w.E.M.Store.Table(e.table)
 		var h []byte
 		if e.local {
-			h = w.E.M.Eng.ReadNonTx(e.off, tx.baseLen(e), hdr[:0])
+			h = w.E.M.Eng.ReadNonTx(e.off, tx.baseLen(e), tx.scratch(tx.baseLen(e)))
 		} else {
 			p := pend[len(tx.rs)+i]
 			if p.Err != nil {

@@ -155,27 +155,28 @@ type Txn struct {
 	carry   [maxCarry]int32
 
 	// carved counts the bytes carve has handed out, which sizes the next
-	// chunk of the slab.
-	carved int32
+	// chunk of the slab; chunk, what the last transaction on this Txn carved
+	// (recycle), sizes the first.
+	carved, chunk int32
 }
 
 // carve returns n bytes cut from the transaction's value slab: every value
 // the transaction keeps or returns — read-set snapshots, the copies Read
 // returns, buffered writes and inserts, materialized deltas, write-back
 // images — lives there. Each carve is capped, so a holder's append
-// reallocates instead of running into the next value. The slab grows
-// geometrically from its first request: a request the current chunk has no
-// room for starts a chunk as large as everything carved before it, so a
-// transaction pays one allocation per doubling instead of one per value, and
-// one of a few small values allocates about the bytes a copy per value
-// would. A slab is never reused, by a pool or by the worker's next
-// transaction: a value stays valid for as long as anyone holds it, after
-// Commit and after the transaction's own retry, and sibling coroutines never
-// share one, because each transaction has its own.
+// reallocates instead of running into the next value. A request the current
+// chunk has no room for starts a chunk as large as everything carved before
+// it, and the first chunk is as large as the worker's last transaction
+// carved, so a steady mix fits in one chunk and a transaction larger than
+// the last pays one allocation per doubling. Only the size is carried over:
+// a slab is never reused, by a pool or by the worker's next transaction, so a
+// value stays valid for as long as anyone holds it, after Commit and after
+// the transaction's own retry, and sibling coroutines never share one,
+// because each transaction has its own.
 func (tx *Txn) carve(n int) []byte {
 	used := len(tx.slab)
 	if cap(tx.slab)-used < n {
-		tx.slab = make([]byte, 0, max(n, int(tx.carved)))
+		tx.slab = make([]byte, 0, max(n, int(tx.carved), int(tx.chunk)))
 		used = 0
 	}
 	tx.slab = tx.slab[:used+n]
@@ -238,7 +239,8 @@ func (w *Worker) Begin() *Txn {
 // each write-set slot's deltas, and the attempt scratch the last attempt
 // emptied, and drops every value reference: values live
 // in the slab they were carved from, and the next transaction on tx starts a
-// slab of its own, so a value outlives the Txn it came from.
+// slab of its own, so a value outlives the Txn it came from. What tx carved
+// sizes that slab's first chunk.
 func (w *Worker) recycle(tx *Txn) {
 	clear(tx.rs)
 	for i := range tx.ws {
@@ -247,7 +249,7 @@ func (w *Worker) recycle(tx *Txn) {
 	*tx = Txn{
 		rs: tx.rs[:0], ws: tx.ws[:0],
 		rsIdx: footIndex{slot: tx.rsIdx.slot[:0]}, wsIdx: footIndex{slot: tx.wsIdx.slot[:0]},
-		at: tx.at,
+		at: tx.at, chunk: tx.carved,
 	}
 	w.txns = append(w.txns, tx)
 }

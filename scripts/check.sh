@@ -38,9 +38,9 @@ go test -race ./...
 
 # Allocation pins: each skips itself under -race, whose instrumentation
 # allocates, so the run above never reaches them; this plain run does. They
-# hold the hot path (aborts included), the coroutine hand-off, the runner and
-# the wire codec to their pinned allocation counts.
-go test -count=1 -run 'TestHotpathAllocFree|TestCoroutineHandoffAllocFree|TestRunnerAllocFree|TestDecodeAllocFree|TestFrameEncodeAllocFree|TestReadFrameReusesBuffer' ./internal/txn/ ./internal/sim/ ./internal/serve/wire/
+# hold the hot path (aborts included), the coroutine hand-off, the runner,
+# the wire codec and the B+-tree's splits to their pinned allocation counts.
+go test -count=1 -run 'TestHotpathAllocFree|TestCoroutineHandoffAllocFree|TestRunnerAllocFree|TestDecodeAllocFree|TestFrameEncodeAllocFree|TestReadFrameReusesBuffer|TestBTreeSplitAllocs' ./internal/txn/ ./internal/sim/ ./internal/serve/wire/ ./internal/memstore/
 
 # The benchmark (benchmark/, a module of its own, so ./... above skips it):
 # its manifest and declaration tests and a smoke run of every workload with
