@@ -295,11 +295,10 @@ func (r Result) CommitBreakdown() string {
 		return ""
 	}
 	if r.CoYields > 0 {
-		parts = append(parts, fmt.Sprintf("coroutine overlap %.1f yields, %.2fus hidden, %.2fus stalled, peak %d in-flight/worker, %.3f idle waits (%d gave up)",
+		parts = append(parts, fmt.Sprintf("coroutine overlap %.1f yields, %.2fus hidden, %.2fus stalled, %.3f idle waits (%d gave up)",
 			float64(r.CoYields)/float64(r.Committed),
 			float64(r.OverlapNanos)/float64(r.Committed)/1e3,
 			float64(r.StallNanos)/float64(r.Committed)/1e3,
-			r.MaxInFlight,
 			float64(r.IdleWaits)/float64(r.Committed), r.IdleGiveUps))
 	}
 	if r.Backoffs > 0 {
@@ -594,7 +593,8 @@ func runDrTMR(o Options) Result {
 		}
 		// The worker multiplexes its TxPerWorker budget over N coroutines
 		// (strict handoff keeps the shared countdown and generator state
-		// single-threaded); N=1 runs the classic sequential loop.
+		// single-threaded) and polls completions between two transactions,
+		// outside their latency; N=1 runs the classic sequential loop.
 		remaining := o.TxPerWorker
 		run := func() {
 			m := w.E.M
@@ -602,6 +602,7 @@ func runDrTMR(o Options) Result {
 				for remaining > 0 && !m.Dead() {
 					remaining--
 					one()
+					w.Poll()
 				}
 			})
 		}

@@ -25,11 +25,20 @@ func backoff(rng *sim.Rand, attempt int) {
 	}
 }
 
+// add64 reads, adds delta, and writes back a uint64 at off inside tx.
+func add64(tx *Txn, off uint64, delta uint64) error {
+	v, err := tx.Load64(off)
+	if err != nil {
+		return err
+	}
+	return tx.Store64(off, v+delta)
+}
+
 func mustCommitAdd(t *testing.T, e *Engine, rng *sim.Rand, off uint64, delta uint64) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
 		tx := e.Begin()
-		if _, err := tx.Add64(off, delta); err != nil {
+		if err := add64(tx, off, delta); err != nil {
 			backoff(rng, attempt)
 			continue
 		}

@@ -185,7 +185,7 @@ func TestReuseUnderConflictsCountsEveryIncrement(t *testing.T) {
 						runtime.Gosched() // on one CPU too, others run inside the region
 					}
 					if err == nil {
-						_, err = tx.Add64(counter, 1)
+						err = add64(tx, counter, 1)
 					}
 					if err == nil {
 						err = tx.Commit()

@@ -437,19 +437,6 @@ func (t *Txn) Store64(off uint64, v uint64) error {
 	return t.Write(off, tmp[:])
 }
 
-// Add64 reads, adds delta, and writes back a uint64 at off.
-func (t *Txn) Add64(off uint64, delta uint64) (uint64, error) {
-	v, err := t.Load64(off)
-	if err != nil {
-		return 0, err
-	}
-	v += delta
-	if err := t.Store64(off, v); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
 // Abort executes XABORT with the given 8-bit code.
 func (t *Txn) Abort(code uint8) error {
 	t.opMu.Lock()

@@ -17,6 +17,7 @@ func (w *worker) htmBegin() {}
 func (w *worker) htmEnd()   {}
 func (w *worker) yield()    {}
 func (w *worker) await()    {}
+func (w *worker) Poll()     {}
 
 var shared []int
 
@@ -39,6 +40,12 @@ func badYield(w *worker) {
 func badAwait(w *worker) {
 	w.htmBegin()
 	w.await() // want "yield or blocking wait"
+	w.htmEnd()
+}
+
+func badPoll(w *worker) {
+	w.htmBegin()
+	w.Poll() // want "yield or blocking wait"
 	w.htmEnd()
 }
 

@@ -184,10 +184,6 @@ func (nic *NIC) Alive() bool { return nic.alive.Load() }
 // is preserved (battery-backed NVRAM).
 func (nic *NIC) Kill() { nic.alive.Store(false) }
 
-// Revive brings a killed machine back (used to model a replacement instance
-// taking over the NIC of a surviving machine).
-func (nic *NIC) Revive() { nic.alive.Store(true) }
-
 // Watch makes every one-sided WRITE that lands in [lo, hi) of this NIC's
 // memory signal wake, without blocking, once the write has landed. Call it
 // before any verb targets the NIC.

@@ -273,7 +273,7 @@ func TestDeadNodeFailsVerbs(t *testing.T) {
 	if err := qp.Send(0); err != ErrNodeDead {
 		t.Fatalf("send to dead node: %v", err)
 	}
-	net.NIC(1).Revive()
+	net.NIC(1).alive.Store(true) // a revived machine
 	if _, err := qp.Read64(0); err != nil {
 		t.Fatalf("revived node: %v", err)
 	}

@@ -285,17 +285,15 @@ type Counters struct {
 	// For every awaited doorbell: OverlapNanos is the share of the fabric
 	// round-trip hidden behind other coroutines' work, StallNanos the share
 	// the worker still had to wait out. CoYields counts scheduling points
-	// taken; MaxInFlight is the peak number of parked in-flight
-	// transactions observed on any one worker. IdleWaits counts the sleeps
-	// the conservative idle jump took (sched.go): times a worker had nothing
-	// due and waited for a slower worker instead of skipping ahead of it —
-	// host cost only, never virtual time. IdleGiveUps counts the waits that
-	// ran out of patience and jumped anyway: not zero means a worker stopped
-	// outside the simulator while others were running.
+	// taken. IdleWaits counts the sleeps the conservative idle jump took
+	// (sched.go): times a worker had nothing due and waited for a slower
+	// worker instead of skipping ahead of it — host cost only, never virtual
+	// time. IdleGiveUps counts the waits that ran out of patience and jumped
+	// anyway: not zero means a worker stopped outside the simulator while
+	// others were running.
 	CoYields     uint64 `json:"yields"`
 	OverlapNanos uint64 `json:"overlap_ns"`
 	StallNanos   uint64 `json:"stall_ns"`
-	MaxInFlight  uint64 `json:"max_in_flight"`
 	IdleWaits    uint64 `json:"idle_waits"`
 	IdleGiveUps  uint64 `json:"idle_give_ups"`
 
@@ -384,8 +382,8 @@ func (s *Stats) HotKeys() []KeyAbortCount {
 }
 
 // Merge folds another worker's stats into s (harness roll-up, /statusz):
-// every counter sums, except MaxInFlight, a peak, which takes the max.
-// TestStatsMergeCoversEveryField fails when a field is missing here.
+// every counter sums. TestStatsMergeCoversEveryField fails when a field is
+// missing here.
 func (s *Stats) Merge(o *Stats) {
 	s.Committed += o.Committed
 	s.Fallbacks += o.Fallbacks
@@ -393,7 +391,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.CoYields += o.CoYields
 	s.OverlapNanos += o.OverlapNanos
 	s.StallNanos += o.StallNanos
-	s.MaxInFlight = max(s.MaxInFlight, o.MaxInFlight)
 	s.IdleWaits += o.IdleWaits
 	s.IdleGiveUps += o.IdleGiveUps
 	s.GateAdmissions += o.GateAdmissions
@@ -516,7 +513,7 @@ func (w *Worker) Backoff(site BackoffSite, attempt int) {
 	maxExp := 1 << uint(min(attempt, DefaultBackoffMaxExp))
 	d := time.Duration(1+w.rng.Intn(maxExp)) * w.E.Costs.Backoff
 	deadline := w.Clk.Now() + int64(d)
-	w.yield(deadline) // let another in-flight transaction (maybe the lock holder) run
+	w.yield(deadline, false) // let another in-flight transaction (maybe the lock holder) run
 	stall := uint64(w.Clk.WaitUntil(deadline))
 	w.Stats.Backoffs++
 	w.Stats.BackoffNanos += uint64(d)

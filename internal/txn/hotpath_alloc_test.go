@@ -322,7 +322,7 @@ func gateHandoff(wk *Worker, g *keyGate) bool {
 	ok, _ := wk.acquireGate(g, HotKey{Table: tblAcct})
 	if ok {
 		wk.Clk.Advance(time.Nanosecond)
-		wk.yield(wk.Clk.Now())
+		wk.yield(wk.Clk.Now(), false)
 		g.release()
 	}
 	return ok
@@ -333,11 +333,13 @@ func gateHandoff(wk *Worker, g *keyGate) bool {
 // neither in Worker.park nor in the dispatcher (the parked list is sized once;
 // pop-by-reslice used to reallocate the run queue on every handoff). One
 // cycle takes every kind of park: a gated wait behind three queued siblings,
-// a timed park that is due, one that is not, and a doorbell awaited with the
+// a timed park that is due, one that is not, a doorbell awaited with the
 // gate held — every sibling is queued behind it, so the dispatch pass finds
-// nothing due and asks whether the idle jump would pass another worker. The
-// doorbell's own allocations (its batch, never Reset here, takes a fresh chunk
-// of slots now and then) are the only ones allowed.
+// nothing due and asks whether the idle jump would pass another worker — and
+// a boundary poll that hands the worker to a fifth context whose doorbell
+// (on a batch it resets) is due. The first doorbell's own allocations (its
+// batch, never Reset here, takes a fresh chunk of slots now and then) are the
+// only ones allowed.
 func TestCoroutineHandoffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -351,15 +353,16 @@ func TestCoroutineHandoffAllocFree(t *testing.T) {
 		return b.ExecuteAsync()
 	}
 	own := testing.AllocsPerRun(200, func() { _ = doorbell().Wait() })
-	done := false
+	done, served := false, 0
 	var allocs float64
-	wk.RunCoroutines(4, func(slot int) {
-		if slot == 0 {
+	wk.RunCoroutines(5, func(slot int) {
+		switch slot {
+		case 0:
 			allocs = testing.AllocsPerRun(200, func() {
 				if !gateHandoff(wk, g) {
 					t.Error("gate admission timed out")
 				}
-				wk.yield(wk.Clk.Now() + 2)
+				wk.yield(wk.Clk.Now()+2, false)
 				if ok, _ := wk.acquireGate(g, HotKey{Table: tblAcct}); !ok {
 					t.Error("gate admission timed out")
 				}
@@ -374,8 +377,25 @@ func TestCoroutineHandoffAllocFree(t *testing.T) {
 				// The HTM bracket park asserts no region spans.
 				wk.htmBegin()
 				wk.htmEnd()
+				wk.Clk.Advance(10 * time.Microsecond) // past slot 4's round trip
+				before := served
+				wk.Poll()
+				if served == before {
+					t.Error("Poll did not hand off to the due doorbell")
+				}
 			})
 			done = true
+			return
+		case 4:
+			b4 := new(LockRun).Batch(wk)
+			for !done {
+				b4.Reset()
+				b4.PostRead64(wk.QP(0), 0)
+				if err := wk.await(b4.ExecuteAsync()); err != nil {
+					t.Error(err)
+				}
+				served++
+			}
 			return
 		}
 		for !done {

@@ -30,14 +30,15 @@ import (
 //     (clock, stats, QPs, rng) stays single-threaded and the interleaving is
 //     cooperative, like userspace coroutines on one core.
 //   - Every park states its WAKE CONDITION, and the dispatcher resumes a
-//     context only when it can make progress. A park is either
-//     TIMED — a virtual instant on this worker's clock: Completion.End() for
-//     a doorbell (Worker.await), now+d for a retry backoff (Worker.Backoff)
-//     — or GATED — ticket t on a hot-key keyGate (Worker.acquireGate).
-//     Lock words held across a park are fine — they are real protocol state,
-//     exactly as when two independent worker threads contend. HTM regions
-//     must NEVER span a park: speculative hardware state does not survive a
-//     context switch, so park asserts htmDepth is zero (see htmBegin/htmEnd).
+//     context only when it can make progress. A park is TIMED — a virtual
+//     instant on this worker's clock: Completion.End() for a doorbell
+//     (Worker.await), now+d for a retry backoff (Worker.Backoff) — GATED —
+//     ticket t on a hot-key keyGate (Worker.acquireGate) — or a BOUNDARY
+//     park, due at once (Worker.Poll). Lock words held across a park are
+//     fine — they are real protocol state, exactly as when two independent
+//     worker threads contend. HTM regions must NEVER span a park: speculative
+//     hardware state does not survive a context switch, so park asserts
+//     htmDepth is zero (see htmBegin/htmEnd).
 //   - Dispatch rule (scheduler.next): parked contexts take turns in park
 //     order. A timed context whose instant has passed is resumed; one whose
 //     instant is still ahead keeps its place and costs nothing. A gated
@@ -52,31 +53,34 @@ import (
 //     time to release before this worker may call itself idle. A context is
 //     passed over only by contexts that run, and running a transaction
 //     advances the clock, so a future instant is always reached.
+//   - A transaction boundary is a dispatch point too (Worker.Poll). A context
+//     running only local transactions never parks, so without it a sibling
+//     whose completion has arrived waits for that whole run, its C.1 locks
+//     held and its reads going stale. Between two transactions the running
+//     context hands the worker straight to a due doorbell, moved to the head
+//     of park order, and parks behind it, due at once. A due backoff is not
+//     served there: its deadline is only a lower bound on a retry. A
+//     boundary park belongs to no transaction, so it is neither traced nor
+//     counted.
 //   - The idle jump is conservative (scheduler.idleWait). What a worker
 //     skips is usually a backoff, and what the backoff waits for is usually
-//     another worker: a lock holder, a committer whose record is not yet
-//     committable. Free-running, the host decides how often each worker's
-//     goroutines run, so a waiter that jumped freely would retry, double its
-//     backoff and jump again many times per step of a holder the host left
-//     off the CPU — measured, one worker charged itself 22 ms (256 retries)
-//     for a hold of 5 us, and which worker drew that lot differed from run to
-//     run. So a worker jumps to instant T only when no other worker running a
-//     scheduler on this cluster (sim.Frontier) is still before T - idleSlack;
-//     otherwise it publishes T as its horizon, sleeps until that worker has
-//     got there (sim.Runner.Follow; the other wakes it from its own
-//     dispatcher, take), and takes the pass again. A worker stands, for the
-//     others, at the later of its clock and its horizon — Forever when only
-//     gated contexts are parked, or while the running context waits for a new
-//     configuration — so two idle workers never wait on each other, and the
-//     slowest worker never waits at all. A sleeping worker polls no gate: it
-//     is ahead of the worker it waits for, so on a common timeline its turn at
-//     the gate has not come yet. The sleep is bounded in host time, and one
-//     that runs out of patience is the last for that jump: a peer stopped
-//     outside the simulator costs host time, never a hang
-//     (Stats.IdleGiveUps). Work is never held back, only idling; a worker
-//     with no scheduler neither joins nor waits; and under the deterministic
-//     gate the rule is off, because there the seeded schedule steps every
-//     worker at the same rate and a waiter cannot out-poll its holder.
+//     another worker, which the host may keep off the CPU: a waiter that
+//     jumped freely would retry, double its backoff and jump again many times
+//     per step of that holder. So a worker jumps to instant T only when no
+//     other worker running a scheduler on this cluster (sim.Frontier) is
+//     still before T - idleSlack; otherwise it publishes T as its horizon,
+//     sleeps until that worker has got there (sim.Runner.Follow; the other
+//     wakes it from its own dispatcher, take), and takes the pass again. A
+//     worker stands, for the others, at the later of its clock and its
+//     horizon — Forever when only gated contexts are parked, or while the
+//     running context waits for a new configuration — so two idle workers
+//     never wait on each other, and the slowest never waits at all. A
+//     sleeping worker polls no gate: on a common timeline its turn has not
+//     come yet. The sleep is bounded in host time (Stats.IdleGiveUps): a
+//     peer stopped outside the simulator costs host time, never a hang. A
+//     worker with no scheduler neither joins nor waits, and under the
+//     deterministic gate, which steps every worker at the same rate, the
+//     rule is off.
 //   - Virtual-time accounting: a timed park charges only what is left of its
 //     wait on resume (sim.Clock.WaitUntil), the part the other contexts'
 //     work did not already cover. Overlapped round-trips and backoffs are
@@ -98,9 +102,11 @@ type coro struct {
 	yield func(struct{}) bool
 
 	// Wake condition, written by the context as it parks and read by the
-	// dispatcher: gate == nil is a timed park on until; otherwise a gated
-	// park on ticket, whose outcome the dispatcher leaves in admitted.
+	// dispatcher: gate == nil is a timed park on until, on a completion if
+	// doorbell; otherwise a gated park on ticket, whose outcome the
+	// dispatcher leaves in admitted.
 	until    int64
+	doorbell bool
 	gate     *keyGate
 	ticket   uint64
 	polls    int
@@ -111,18 +117,12 @@ type coro struct {
 // (see the header). Clocks a few retries apart describe the same timeline
 // well enough, and without slack every doorbell's worth of skew would put a
 // worker to sleep. It trades steadiness of the model for parallelism on the
-// host, where more workers than cores take turns in 10 ms slices and a tight
-// window makes them take turns in much shorter ones: free-running replicated
-// SmallBank (benchmark sb-r3) repeats to 1.4 % at 100 us, 1.7 % at 200, 1.8 % at
-// 300 and 2.7 % at 1 ms (22 % with no rule), while the read-mostly sb-ro loses
-// 12 %, 7 % and 4 % of its host throughput at 100 us, 300 us and 1 ms and TPC-C
-// 9 %, 3 % and nothing (EXPERIMENTS.md).
+// host: DESIGN.md "The idle jump is conservative" has the sweep.
 const idleSlack = 200 * time.Microsecond
 
 // scheduler owns a worker's parked contexts while RunCoroutines is active.
 type scheduler struct {
-	parked   []*coro // in park order; cap n, so parking never reallocates
-	inFlight int     // contexts parked mid-transaction (started, not done)
+	parked []*coro // in park order; cap n, so parking never reallocates
 
 	run  *sim.Runner // this worker's clock among the cluster's running ones
 	idle bool        // a horizon is published on run
@@ -293,12 +293,33 @@ func (w *Worker) Cede() {
 // yield is a timed park: the running context hands the worker to the
 // dispatcher and is resumed once the worker clock has reached until, or
 // earlier if nothing else on the worker can run — the caller settles the
-// difference with Clk.WaitUntil(until). yield(Clk.Now()) is a plain
-// round-robin yield. A no-op without a scheduler.
-func (w *Worker) yield(until int64) {
+// difference with Clk.WaitUntil(until). doorbell says until is a completion
+// (Worker.Poll serves it). yield(Clk.Now(), false) is a plain round-robin
+// yield. A no-op without a scheduler.
+func (w *Worker) yield(until int64, doorbell bool) {
 	if c := w.cur; c != nil {
-		c.until = until
+		c.until, c.doorbell = until, doorbell
 		w.park(c)
+	}
+}
+
+// Poll is the completion-queue poll between two transactions of the running
+// context (the boundary park in the file header): if a sibling's doorbell is
+// due, it runs first. A no-op without a scheduler or with nothing due.
+func (w *Worker) Poll() {
+	c := w.cur
+	if c == nil {
+		return
+	}
+	s, now := w.sched, w.Clk.Now()
+	for i, p := range s.parked {
+		if p.doorbell && p.gate == nil && p.until <= now {
+			copy(s.parked[1:i+1], s.parked[:i])
+			s.parked[0] = p
+			c.until, c.doorbell = now, false
+			c.yield(struct{}{})
+			return
+		}
 	}
 }
 
@@ -321,17 +342,11 @@ func (w *Worker) park(c *coro) {
 	if w.htmDepth > 0 {
 		panic("txn: coroutine yielded inside an HTM region")
 	}
-	s := w.sched
-	s.inFlight++
-	if uint64(s.inFlight) > w.Stats.MaxInFlight {
-		w.Stats.MaxInFlight = uint64(s.inFlight)
-	}
 	var parked int64
 	if w.Rec != nil {
 		parked = w.Clk.Now()
 	}
 	c.yield(struct{}{})
-	s.inFlight--
 	if w.Rec != nil {
 		// The span park→resume covers the virtual time other in-flight
 		// transactions consumed on this worker's (shared) clock while this
@@ -352,7 +367,7 @@ func (w *Worker) await(c rdma.Completion) error {
 		return c.Wait()
 	}
 	issued := w.Clk.Now()
-	w.yield(c.End())
+	w.yield(c.End(), true)
 	stalled := w.Clk.WaitUntil(c.End())
 	w.Stats.CoYields++
 	if flight := c.End() - issued; flight > 0 {

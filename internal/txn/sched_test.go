@@ -2,6 +2,7 @@ package txn
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,7 +46,7 @@ func TestCoroutineAblationExact(t *testing.T) {
 	if !reflect.DeepEqual(stPlain, stCoro) {
 		t.Errorf("stats differ:\nplain   %+v\ncoro(1) %+v", stPlain, stCoro)
 	}
-	if stCoro.CoYields != 0 || stCoro.OverlapNanos != 0 || stCoro.MaxInFlight != 0 {
+	if stCoro.CoYields != 0 || stCoro.OverlapNanos != 0 {
 		t.Errorf("N=1 recorded overlap activity: %+v", stCoro)
 	}
 }
@@ -72,9 +73,8 @@ func TestCoroutineOverlapSpeedup(t *testing.T) {
 }
 
 // TestCoroutineOverlapCounters checks the overlap instrumentation: an
-// overlapped run must record yields, hidden round-trip time, and an
-// in-flight peak above 1 (overlap happened) and at most N (each context
-// has at most one outstanding doorbell).
+// overlapped run must record yields and hidden round-trip time (overlap
+// happened).
 func TestCoroutineOverlapCounters(t *testing.T) {
 	w := newWorld(t, 3, 1, htm.Config{})
 	w.load(t, 48, 1000)
@@ -97,9 +97,6 @@ func TestCoroutineOverlapCounters(t *testing.T) {
 	if st.OverlapNanos == 0 {
 		t.Error("no round-trip time was hidden")
 	}
-	if st.MaxInFlight < 2 || st.MaxInFlight > 4 {
-		t.Errorf("in-flight peak %d, want 2..4", st.MaxInFlight)
-	}
 }
 
 // TestYieldInsideHTMPanics injects a yield attempt inside an open HTM
@@ -119,7 +116,7 @@ func TestYieldInsideHTMPanics(t *testing.T) {
 			wk.htmBegin()
 			defer wk.htmEnd()
 			//drtmr:allow htmregion deliberately trips the runtime yield-in-HTM assert under test
-			wk.yield(wk.Clk.Now())
+			wk.yield(wk.Clk.Now(), false)
 		}()
 	})
 	if p := <-panicked; p == nil {
@@ -141,7 +138,7 @@ func TestCoroutinePanicSurfaces(t *testing.T) {
 				panic("context failed")
 			}
 			wk.Clk.Advance(time.Microsecond)
-			wk.yield(wk.Clk.Now()) // parked when its sibling panics
+			wk.yield(wk.Clk.Now(), false) // parked when its sibling panics
 		})
 		return nil
 	}()
@@ -155,7 +152,7 @@ func TestCoroutinePanicSurfaces(t *testing.T) {
 	}
 	ran := 0
 	wk.RunCoroutines(2, func(int) {
-		wk.yield(wk.Clk.Now())
+		wk.yield(wk.Clk.Now(), false)
 		ran++
 	})
 	if ran != 2 {
@@ -582,7 +579,7 @@ func TestIdleJumpWaitsForSlowerWorker(t *testing.T) {
 				sim.Spin(0)
 			}
 			slow.Clk.Advance(5 * d)
-			slow.yield(slow.Clk.Now()) // a dispatch: where followers are woken
+			slow.yield(slow.Clk.Now(), false) // a dispatch: where followers are woken
 		})
 	}()
 	wg.Wait()
@@ -621,4 +618,128 @@ func TestIdleWorkersDoNotWaitOnEachOther(t *testing.T) {
 			t.Errorf("worker %d ran out of patience %d times waiting for an idle peer", i, wk.Stats.IdleGiveUps)
 		}
 	}
+}
+
+// readRemote is a read-only transaction of one remote record (key 1 lives on
+// node 1 of a 3-node world).
+func readRemote(wk *Worker) error {
+	return wk.Run(func(tx *Txn) error {
+		_, err := tx.Read(tblAcct, 1)
+		return err
+	})
+}
+
+// TestCompletionServedAtBoundary: context 0 runs one remote-read transaction
+// while contexts 1 and 2 loop over local-only transactions, polling after
+// each. Each of the read's completions is served at the first boundary after
+// it arrives, ahead of the sibling parked at an earlier boundary, so its
+// latency is at most its own round trip (the same transaction alone on a
+// worker) plus one local transaction per doorbell, not a whole loop. The
+// boundary parks are no transaction's parks: every yield is one of the read's
+// doorbells.
+func TestCompletionServedAtBoundary(t *testing.T) {
+	const loops = 20
+	w := newWorld(t, 3, 1, htm.Config{})
+	w.load(t, 7, 1000)
+	alone, solo := w.engines[0].NewWorker(1), int64(0)
+	for i := 0; i < 2; i++ { // the second read finds the record's location known, as context 0's will
+		s := alone.Clk.Now()
+		if err := readRemote(alone); err != nil {
+			t.Fatal(err)
+		}
+		solo = alone.Clk.Now() - s
+	}
+	wk := w.engines[0].NewWorker(0)
+	rec := wk.EnableTrace(0)
+	var lat, longest int64
+	wk.RunCoroutines(3, func(slot int) {
+		if slot == 0 {
+			s := wk.Clk.Now()
+			if err := readRemote(wk); err != nil {
+				t.Error(err)
+			}
+			lat = wk.Clk.Now() - s
+			return
+		}
+		for i := 0; i < loops; i++ {
+			s := wk.Clk.Now()
+			if err := wk.Run(func(tx *Txn) error { return tx.Write(tblAcct, uint64(3*slot), encBal(uint64(i))) }); err != nil {
+				t.Error(err)
+				return
+			}
+			longest = max(longest, wk.Clk.Now()-s)
+			wk.Poll()
+		}
+	})
+	evs := rec.Events()
+	doorbells := int64(countKind(evs, obs.EvDoorbell))
+	if loops*longest <= solo+doorbells*longest {
+		t.Fatalf("setup: %d local transactions of at most %dns do not outlast a %dns read of %d doorbells", loops, longest, solo, doorbells)
+	}
+	if lat > solo+doorbells*longest {
+		t.Errorf("remote read took %dns, want at most its %dns alone plus one local transaction (%dns) per doorbell (%d)", lat, solo, longest, doorbells)
+	}
+	if st := wk.Stats; st.Committed != 2*loops+1 || st.CoYields != uint64(doorbells) || countKind(evs, obs.EvYield) != int(doorbells) {
+		t.Errorf("committed %d, yields %d counted and %d traced; want %d and one per doorbell (%d): a boundary park is none",
+			st.Committed, st.CoYields, countKind(evs, obs.EvYield), 2*loops+1, doorbells)
+	}
+}
+
+// TestBackoffNotServedAtBoundary: a backoff's deadline is a lower bound on a
+// retry, not a completion, so due backoffs keep their places in park order and
+// Poll returns without a switch.
+func TestBackoffNotServedAtBoundary(t *testing.T) {
+	const d = time.Microsecond
+	wk := backoffWorld(t, 1, d).engines[0].NewWorker(0)
+	woke := [2]int64{-1, -1}
+	wk.RunCoroutines(3, func(slot int) {
+		if slot < 2 {
+			wk.Backoff(BackoffRetry, 0)
+			woke[slot] = wk.Clk.Now()
+			return
+		}
+		wk.Clk.Advance(2 * d)
+		order := slices.Clone(wk.sched.parked)
+		wk.Poll()
+		if woke != [2]int64{-1, -1} || !slices.Equal(order, wk.sched.parked) || wk.Clk.Now() != int64(2*d) {
+			t.Errorf("Poll served a due backoff: woke at %v, clock %dns", woke, wk.Clk.Now())
+		}
+	})
+	if woke != [2]int64{int64(2 * d), int64(2 * d)} {
+		t.Errorf("backed-off contexts resumed at %v, want %dns once their sibling finished", woke, 2*d)
+	}
+}
+
+// TestPollNothingDue: with no completion due — a sibling's doorbell still in
+// flight, or no scheduler at all — Poll leaves the clock, park order, every
+// counter and the trace as they were.
+func TestPollNothingDue(t *testing.T) {
+	w := newWorld(t, 3, 1, htm.Config{})
+	w.load(t, 4, 1000)
+	wk := w.engines[0].NewWorker(0)
+	rec := wk.EnableTrace(0)
+	check := func(where string) {
+		clk, st, evs := wk.Clk.Now(), wk.Stats, len(rec.Events())
+		var order []*coro
+		if wk.sched != nil {
+			order = slices.Clone(wk.sched.parked)
+		}
+		wk.Poll()
+		if wk.Clk.Now() != clk || !reflect.DeepEqual(wk.Stats, st) || len(rec.Events()) != evs {
+			t.Errorf("%s: Poll moved the clock %d→%d, the counters or the trace", where, clk, wk.Clk.Now())
+		}
+		if wk.sched != nil && !slices.Equal(order, wk.sched.parked) {
+			t.Errorf("%s: Poll reordered the parked contexts", where)
+		}
+	}
+	check("no scheduler")
+	wk.RunCoroutines(2, func(slot int) {
+		if slot == 0 {
+			if err := readRemote(wk); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		check("doorbell in flight")
+	})
 }

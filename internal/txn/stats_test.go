@@ -2,7 +2,6 @@ package txn
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"drtmr/internal/obs"
@@ -83,9 +82,6 @@ func TestStatsMergeCoversEveryField(t *testing.T) {
 		case reflect.Uint64:
 			leaves++
 			exp := 2 * want.Uint()
-			if strings.HasSuffix(path, ".MaxInFlight") {
-				exp = want.Uint() // a peak, not a sum
-			}
 			if got.Uint() != exp {
 				t.Errorf("%s = %d after two merges of %d, want %d: missing from Stats.Merge?", path, got.Uint(), want.Uint(), exp)
 			}
