@@ -345,12 +345,14 @@ func TestLogReplicationThroughMachines(t *testing.T) {
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for _, b := range backups {
-		a := c.Machines[b].Applier(0)
-		for a.Applied() < uint64(entries) {
-			if time.Now().After(deadline) {
-				t.Fatalf("machine %d applied %d of %d entries", b, a.Applied(), entries)
+		tbl := c.Machines[b].Store.Table(1)
+		for k := 0; k < entries; k++ {
+			for _, ok := tbl.Lookup(uint64(k)); !ok; _, ok = tbl.Lookup(uint64(k)) {
+				if time.Now().After(deadline) {
+					t.Fatalf("machine %d applied %d of %d entries", b, k, entries)
+				}
+				runtime.Gosched()
 			}
-			runtime.Gosched()
 		}
 	}
 	if err := <-appended; err != nil {

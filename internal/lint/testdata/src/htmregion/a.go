@@ -18,6 +18,7 @@ func (w *worker) htmEnd()   {}
 func (w *worker) yield()    {}
 func (w *worker) await()    {}
 func (w *worker) Poll()     {}
+func (w *worker) poll(bool) {}
 
 var shared []int
 
@@ -45,7 +46,8 @@ func badAwait(w *worker) {
 
 func badPoll(w *worker) {
 	w.htmBegin()
-	w.Poll() // want "yield or blocking wait"
+	w.Poll()     // want "yield or blocking wait"
+	w.poll(true) // want "yield or blocking wait"
 	w.htmEnd()
 }
 

@@ -374,20 +374,11 @@ type Applier struct {
 	buf     []byte // the entry image peek read last
 	recs    []Rec  // buf's records, decoded in place (their values alias buf)
 	zeros   []byte // zero's source, grown to the longest span zeroed
-
-	appliedEntries uint64
 }
 
 // NewApplier creates the applier for a ring hosted in eng's memory.
 func NewApplier(eng *htm.Engine, store *memstore.Store, geo Geometry, replicates func(shard uint16) bool) *Applier {
 	return &Applier{eng: eng, store: store, geo: geo, replicates: replicates}
-}
-
-// Applied returns the number of entries applied so far.
-func (a *Applier) Applied() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.appliedEntries
 }
 
 // Poll applies all newly published entries and truncates up to the
@@ -412,7 +403,6 @@ func (a *Applier) Poll() (int, error) {
 			if err := a.apply(entry); err != nil {
 				return n, err
 			}
-			a.appliedEntries++
 			n++
 		}
 		a.applied += adv

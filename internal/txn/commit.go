@@ -132,30 +132,38 @@ func (proto drtmrProto) Commit(tx *Txn) error {
 }
 
 // resolveWriteOffsets fills in offsets for remote blind writes and deletes
-// that were never read (lookups for local entries happen inside the HTM
-// region / apply step).
+// that were never read, and answers a blind write to a missing record with
+// ErrNotFound. A local one is only checked: C.4 and lockSet look it up again.
 func (tx *Txn) resolveWriteOffsets() error {
 	for i := range tx.ws {
 		e := &tx.ws[i]
-		if e.local || e.off != 0 || e.kind == wsInsert {
-			continue
-		}
-		if r := tx.findRS(e.table, e.key); r != nil {
-			e.off = r.off
+		if e.off != 0 || e.kind == wsInsert {
 			continue
 		}
 		tbl := tx.w.E.M.Store.Table(e.table)
-		loc, err := tx.w.remoteLookup(tx.w.QP(e.node), tbl, e.key)
-		if err != nil {
-			if errors.Is(err, ErrNotFound) && e.kind == wsDelete {
-				continue // deleting a missing record is a no-op
+		var err error
+		switch r := tx.findRS(e.table, e.key); {
+		case e.local:
+			if _, ok := tbl.Lookup(e.key); !ok {
+				err = ErrNotFound
 			}
+		case r != nil:
+			e.off = r.off
+		default:
+			loc, lerr := tx.w.remoteLookup(tx.w.QP(e.node), tbl, e.key)
+			e.off, err = loc.Off, lerr
+		}
+		switch {
+		case err == nil || e.kind == wsDelete && errors.Is(err, ErrNotFound):
+			// deleting a missing record is a no-op
+		case errors.Is(err, ErrNotFound):
+			return tx.answer(err)
+		default:
 			if te, ok := asError(err); ok {
 				te.Stage = tx.stage // commit-time lookup, not execution
 			}
 			return err
 		}
-		e.off = loc.Off
 	}
 	return nil
 }

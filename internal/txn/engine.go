@@ -604,6 +604,9 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 				continue
 			}
 		}
+		// The trace's attempt span covers Begin's TxnOverhead; the history's
+		// interval (the serve workload's virtual latency) starts after it.
+		traced := w.Clk.Now()
 		tx := begin(w)
 		start := w.Clk.Now()
 		// Invocation timestamp for the history: drawn before the attempt's
@@ -614,7 +617,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 			invTick = w.Hist.Tick()
 		}
 		if w.Rec != nil {
-			w.Rec.Record(obs.EvTxnBegin, 0, 0, uint32(attempt), tx.id, start, start)
+			w.Rec.Record(obs.EvTxnBegin, 0, 0, uint32(attempt), tx.id, traced, traced)
 		}
 		panicked, err := call(fn, tx)
 		if panicked == nil && err == nil {
@@ -644,7 +647,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 				w.Hist.Add(tx.histTxn(invTick, start, w.E.M.Dead()))
 			}
 			if w.Rec != nil {
-				w.Rec.Record(obs.EvTxnCommit, 0, 0, uint32(attempt), tx.id, start, w.Clk.Now())
+				w.Rec.Record(obs.EvTxnCommit, 0, 0, uint32(attempt), tx.id, traced, w.Clk.Now())
 			}
 			w.recycle(tx)
 			return nil
@@ -658,7 +661,7 @@ func (w *Worker) runLoop(fn func(tx *Txn) error, begin func(*Worker) *Txn) error
 		w.Stats.AbortMatrix.Record(uint8(te.Reason), te.Stage, int(te.Site))
 		w.Stats.Retries++
 		if w.Rec != nil {
-			w.Rec.Record(obs.EvTxnAbort, te.Stage, te.Site, uint32(te.Reason), id, start, w.Clk.Now())
+			w.Rec.Record(obs.EvTxnAbort, te.Stage, te.Site, uint32(te.Reason), id, traced, w.Clk.Now())
 		}
 		if te.HasKey {
 			if g := w.noteAbortKey(te); g != nil {

@@ -336,8 +336,8 @@ func gateHandoff(wk *Worker, g *keyGate) bool {
 // a timed park that is due, one that is not, a doorbell awaited with the
 // gate held — every sibling is queued behind it, so the dispatch pass finds
 // nothing due and asks whether the idle jump would pass another worker — and
-// a boundary poll that hands the worker to a fifth context whose doorbell
-// (on a batch it resets) is due. The first doorbell's own allocations (its
+// a boundary poll and a mid-transaction one, each handing the worker to a
+// fifth context whose doorbell (on a batch it resets) is due. The first doorbell's own allocations (its
 // batch, never Reset here, takes a fresh chunk of slots now and then) are the
 // only ones allowed.
 func TestCoroutineHandoffAllocFree(t *testing.T) {
@@ -382,6 +382,12 @@ func TestCoroutineHandoffAllocFree(t *testing.T) {
 				wk.Poll()
 				if served == before {
 					t.Error("Poll did not hand off to the due doorbell")
+				}
+				wk.Clk.Advance(10 * time.Microsecond) // past slot 4's next round trip
+				before = served
+				wk.poll(true)
+				if served == before {
+					t.Error("a mid-transaction poll did not hand off to the due doorbell")
 				}
 			})
 			done = true

@@ -6,6 +6,7 @@ package txn
 
 import (
 	"iter"
+	"slices"
 	"time"
 
 	"drtmr/internal/obs"
@@ -33,8 +34,8 @@ import (
 //     context only when it can make progress. A park is TIMED — a virtual
 //     instant on this worker's clock: Completion.End() for a doorbell
 //     (Worker.await), now+d for a retry backoff (Worker.Backoff) — GATED —
-//     ticket t on a hot-key keyGate (Worker.acquireGate) — or a BOUNDARY
-//     park, due at once (Worker.Poll). Lock words held across a park are
+//     ticket t on a hot-key keyGate (Worker.acquireGate) — or a POLL park,
+//     due at once (Worker.poll). Lock words held across a park are
 //     fine — they are real protocol state, exactly as when two independent
 //     worker threads contend. HTM regions must NEVER span a park: speculative
 //     hardware state does not survive a context switch, so park asserts
@@ -53,34 +54,18 @@ import (
 //     time to release before this worker may call itself idle. A context is
 //     passed over only by contexts that run, and running a transaction
 //     advances the clock, so a future instant is always reached.
-//   - A transaction boundary is a dispatch point too (Worker.Poll). A context
-//     running only local transactions never parks, so without it a sibling
-//     whose completion has arrived waits for that whole run, its C.1 locks
-//     held and its reads going stale. Between two transactions the running
-//     context hands the worker straight to a due doorbell, moved to the head
-//     of park order, and parks behind it, due at once. A due backoff is not
-//     served there: its deadline is only a lower bound on a retry. A
-//     boundary park belongs to no transaction, so it is neither traced nor
-//     counted.
-//   - The idle jump is conservative (scheduler.idleWait). What a worker
-//     skips is usually a backoff, and what the backoff waits for is usually
-//     another worker, which the host may keep off the CPU: a waiter that
-//     jumped freely would retry, double its backoff and jump again many times
-//     per step of that holder. So a worker jumps to instant T only when no
-//     other worker running a scheduler on this cluster (sim.Frontier) is
-//     still before T - idleSlack; otherwise it publishes T as its horizon,
-//     sleeps until that worker has got there (sim.Runner.Follow; the other
-//     wakes it from its own dispatcher, take), and takes the pass again. A
-//     worker stands, for the others, at the later of its clock and its
-//     horizon — Forever when only gated contexts are parked, or while the
-//     running context waits for a new configuration — so two idle workers
-//     never wait on each other, and the slowest never waits at all. A
-//     sleeping worker polls no gate: on a common timeline its turn has not
-//     come yet. The sleep is bounded in host time (Stats.IdleGiveUps): a
-//     peer stopped outside the simulator costs host time, never a hang. A
-//     worker with no scheduler neither joins nor waits, and under the
-//     deterministic gate, which steps every worker at the same rate, the
-//     rule is off.
+//   - Every local record read, and every transaction boundary, polls the
+//     completion queue (Worker.poll): a due doorbell moves to the head of
+//     park order and the running context parks, due at once, so a local-only
+//     run never keeps a sibling's arrived completion waiting. DESIGN.md
+//     "Coroutine overlap accounting" has where each park goes and why.
+//   - The idle jump is conservative (scheduler.idleWait): a worker jumps to
+//     instant T only when no other worker running a scheduler on this cluster
+//     (sim.Frontier) is still before T - idleSlack; otherwise it publishes T
+//     as its horizon, sleeps until that worker has got there
+//     (sim.Runner.Follow), bounded in host time (Stats.IdleGiveUps), and takes
+//     the pass again. Off for a worker with no scheduler and under the
+//     deterministic gate. DESIGN.md "The idle jump is conservative" says why.
 //   - Virtual-time accounting: a timed park charges only what is left of its
 //     wait on resume (sim.Clock.WaitUntil), the part the other contexts'
 //     work did not already cover. Overlapped round-trips and backoffs are
@@ -103,14 +88,15 @@ type coro struct {
 
 	// Wake condition, written by the context as it parks and read by the
 	// dispatcher: gate == nil is a timed park on until, on a completion if
-	// doorbell; otherwise a gated park on ticket, whose outcome the
-	// dispatcher leaves in admitted.
-	until    int64
-	doorbell bool
-	gate     *keyGate
-	ticket   uint64
-	polls    int
-	admitted bool
+	// doorbell, by a mid-transaction poll if preempted; otherwise a gated
+	// park on ticket, whose outcome the dispatcher leaves in admitted.
+	until     int64
+	doorbell  bool
+	preempted bool
+	gate      *keyGate
+	ticket    uint64
+	polls     int
+	admitted  bool
 }
 
 // idleSlack is how far past the slowest running worker an idle jump may land
@@ -162,10 +148,14 @@ func (w *Worker) RunCoroutines(n int, fn func(slot int)) {
 	for live := n; live > 0; {
 		c := s.next(w)
 		w.cur = c
-		if _, parked := c.next(); parked {
-			s.parked = append(s.parked, c)
-		} else {
+		switch _, parked := c.next(); {
+		case !parked:
 			live--
+		case c.preempted:
+			c.preempted = false
+			s.parked = slices.Insert(s.parked, 1, c) // right behind the context it let run
+		default:
+			s.parked = append(s.parked, c)
 		}
 	}
 }
@@ -294,7 +284,7 @@ func (w *Worker) Cede() {
 // dispatcher and is resumed once the worker clock has reached until, or
 // earlier if nothing else on the worker can run — the caller settles the
 // difference with Clk.WaitUntil(until). doorbell says until is a completion
-// (Worker.Poll serves it). yield(Clk.Now(), false) is a plain round-robin
+// (Worker.poll serves it). yield(Clk.Now(), false) is a plain round-robin
 // yield. A no-op without a scheduler.
 func (w *Worker) yield(until int64, doorbell bool) {
 	if c := w.cur; c != nil {
@@ -304,9 +294,15 @@ func (w *Worker) yield(until int64, doorbell bool) {
 }
 
 // Poll is the completion-queue poll between two transactions of the running
-// context (the boundary park in the file header): if a sibling's doorbell is
-// due, it runs first. A no-op without a scheduler or with nothing due.
-func (w *Worker) Poll() {
+// context: if a sibling's doorbell is due, it runs first.
+func (w *Worker) Poll() { w.poll(false) }
+
+// poll hands the worker to the first sibling in park order whose doorbell is
+// due (file header); with none, or no scheduler, it does nothing. Between
+// transactions the caller parks at the back, untraced and uncounted; inside
+// one (mid) it is preempted: a traced park, due at once as a completion,
+// right behind the served sibling.
+func (w *Worker) poll(mid bool) {
 	c := w.cur
 	if c == nil {
 		return
@@ -316,8 +312,12 @@ func (w *Worker) Poll() {
 		if p.doorbell && p.gate == nil && p.until <= now {
 			copy(s.parked[1:i+1], s.parked[:i])
 			s.parked[0] = p
-			c.until, c.doorbell = now, false
-			c.yield(struct{}{})
+			if c.preempted = mid; mid {
+				w.yield(now, true)
+			} else {
+				c.until, c.doorbell = now, false
+				c.yield(struct{}{})
+			}
 			return
 		}
 	}

@@ -685,6 +685,112 @@ func TestCompletionServedAtBoundary(t *testing.T) {
 	}
 }
 
+// TestCompletionServedMidTransaction: context 0 runs one remote-read
+// transaction while context 1 runs a single transaction of 200 local reads,
+// with no boundary in between. Each local read polls first, so each of the
+// remote read's completions is served within one local read of its arrival:
+// its latency is at most its own alone plus one local read per doorbell, not
+// the whole local transaction. Every serving preempts context 1 with a
+// traced park that counts as no doorbell's yield.
+func TestCompletionServedMidTransaction(t *testing.T) {
+	const reads = 200
+	w := newWorld(t, 3, 1, htm.Config{})
+	w.load(t, 3*reads, 1000)
+	local := func(tx *Txn) error {
+		for i := uint64(0); i < reads; i++ {
+			if _, err := tx.Read(tblAcct, 3*i); err != nil { // machine 0's keys
+				return err
+			}
+		}
+		return nil
+	}
+	alone, solo := w.engines[0].NewWorker(1), int64(0)
+	for i := 0; i < 2; i++ { // the second read finds the record's location known, as context 0's will
+		s := alone.Clk.Now()
+		if err := readRemote(alone); err != nil {
+			t.Fatal(err)
+		}
+		solo = alone.Clk.Now() - s
+	}
+	s := alone.Clk.Now()
+	if err := alone.Run(local); err != nil {
+		t.Fatal(err)
+	}
+	whole := alone.Clk.Now() - s
+	perRead := whole / reads // an over-estimate: it shares out the begin and the commit
+	wk := w.engines[0].NewWorker(0)
+	rec := wk.EnableTrace(0)
+	var lat int64
+	wk.RunCoroutines(2, func(slot int) {
+		if slot == 0 {
+			s := wk.Clk.Now()
+			if err := readRemote(wk); err != nil {
+				t.Error(err)
+			}
+			lat = wk.Clk.Now() - s
+			return
+		}
+		if err := wk.Run(local); err != nil {
+			t.Error(err)
+		}
+	})
+	evs := rec.Events()
+	doorbells := int64(countKind(evs, obs.EvDoorbell))
+	bound := solo + doorbells*perRead
+	if whole <= 2*bound {
+		t.Fatalf("setup: a %dns local transaction does not outlast a %dns read of %d doorbells", whole, solo, doorbells)
+	}
+	if lat > bound {
+		t.Errorf("remote read took %dns, want at most its %dns alone plus one local read (%dns) per doorbell (%d)", lat, solo, perRead, doorbells)
+	}
+	if st := wk.Stats; st.Committed != 2 || st.CoYields != uint64(doorbells) || countKind(evs, obs.EvYield) != int(2*doorbells) {
+		t.Errorf("committed %d, yields %d counted and %d traced; want 2, one per doorbell (%d) and one more per preemption",
+			st.Committed, st.CoYields, countKind(evs, obs.EvYield), doorbells)
+	}
+}
+
+// TestPreemptedResumesFirst: a context preempted by a mid-transaction poll
+// goes back right behind the context it let run, as a due completion. When
+// that context parks, the preempted one resumes ahead of a context parked at
+// a boundary and of a due backoff, both earlier in park order; when that
+// context polls instead, the preempted one is served.
+func TestPreemptedResumesFirst(t *testing.T) {
+	const d = time.Microsecond
+	for _, handBack := range []string{"park", "poll"} {
+		wk := backoffWorld(t, 1, d).engines[0].NewWorker(0)
+		var order []string
+		wk.RunCoroutines(4, func(slot int) {
+			switch slot {
+			case 0: // served at a boundary, then by the preemption
+				wk.yield(int64(d), true)
+				wk.yield(int64(2*d), true)
+				order = append(order, "served")
+				if handBack == "park" {
+					wk.yield(wk.Clk.Now(), false)
+				} else {
+					wk.Poll()
+				}
+				order = append(order, "served again")
+			case 1:
+				wk.Backoff(BackoffRetry, 0) // due at d
+				order = append(order, "backoff")
+			case 2:
+				wk.Clk.Advance(d)
+				wk.Poll() // serves slot 0's first doorbell, parks at the back
+				order = append(order, "boundary")
+			case 3:
+				wk.Clk.Advance(2 * d)
+				wk.poll(true) // slot 0's second doorbell is due
+				order = append(order, "preempted")
+			}
+		})
+		want := []string{"served", "preempted", "backoff", "boundary", "served again"}
+		if !slices.Equal(order, want) {
+			t.Errorf("%s: resumed in order %v, want %v", handBack, order, want)
+		}
+	}
+}
+
 // TestBackoffNotServedAtBoundary: a backoff's deadline is a lower bound on a
 // retry, not a completion, so due backoffs keep their places in park order and
 // Poll returns without a switch.

@@ -413,15 +413,7 @@ func (tx *Txn) Read(table memstore.TableID, key uint64) ([]byte, error) {
 	}
 	shard, node, local := tx.homeOf(table, key)
 	carry, all := tx.carryTo(node)
-	var (
-		e   rsEntry
-		err error
-	)
-	if local {
-		e, err = tx.localRead(table, key)
-	} else {
-		e, err = tx.remoteRead(node, table, key, tx.readOnly, carry)
-	}
+	e, err := tx.fetch(node, local, table, key, carry)
 	if err != nil {
 		return nil, err
 	}
@@ -491,15 +483,7 @@ func (tx *Txn) ReadStable(table memstore.TableID, key uint64) ([]byte, error) {
 		return tx.Read(table, key)
 	}
 	_, node, local := tx.homeOf(table, key)
-	var (
-		e   rsEntry
-		err error
-	)
-	if local {
-		e, err = tx.localRead(table, key)
-	} else {
-		e, err = tx.remoteRead(node, table, key, tx.readOnly, nil)
-	}
+	e, err := tx.fetch(node, local, table, key, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -650,13 +634,24 @@ func (tx *Txn) ReadForUpdate(table memstore.TableID, key uint64) ([]byte, error)
 	return v, tx.Write(table, key, v)
 }
 
+// fetch reads the record from its home, node: this machine's memory when
+// local, else one-sided READs.
+func (tx *Txn) fetch(node rdma.NodeID, local bool, table memstore.TableID, key uint64, carry []int32) (rsEntry, error) {
+	if local {
+		return tx.localRead(table, key)
+	}
+	return tx.remoteRead(node, table, key, carry)
+}
+
 // localRead performs a consistent read of a local record inside a small HTM
 // region (Fig 5): check the lock word first — a locked record means a
 // remote transaction is about to update it, so manually abort and retry
 // with randomized backoff (§4.3) — then snapshot the record. A spurious
 // abort retries at once (htmRetryAfter); a capacity abort, which a read has
-// no fallback for, backs off like a conflict.
+// no fallback for, backs off like a conflict. First it polls the completion
+// queue (Worker.poll): a sibling whose doorbell is due runs before it.
 func (tx *Txn) localRead(table memstore.TableID, key uint64) (rsEntry, error) {
+	tx.w.poll(true)
 	tbl := tx.w.E.M.Store.Table(table)
 	if tbl == nil {
 		return rsEntry{}, fmt.Errorf("txn: unknown table %d", table)
@@ -726,16 +721,16 @@ func (tx *Txn) localReadAttempt(off uint64, tbl *memstore.Table, buf []byte) (im
 
 // remoteRead performs a lock-free consistent read of a remote record with
 // one-sided RDMA: fetch the whole record, then check that every cacheline's
-// version matches the sequence number (Fig 6). checkLock additionally
-// rejects locked records — required only by the read-only protocol (§4.5);
-// read-write transactions may read locked records optimistically, because
-// commit-time validation (with the record locked) decides. Uncommittable
+// version matches the sequence number (Fig 6). A read-only transaction also
+// rejects locked records (§4.5); read-write transactions may read locked
+// records optimistically, because commit-time validation (with the record
+// locked) decides. Uncommittable
 // (odd-seq) records are never returned in replicated mode: seq-equality
 // validation cannot tell "still mid-replication" from "unchanged", so a
 // reader must wait for the makeup flip (Table 4). carry lists read-set
 // entries on node whose headers ride behind the record READ (carryTo); each
 // is confirmed with roConfirm, and one that fails aborts the read.
-func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, checkLock bool, carry []int32) (rsEntry, error) {
+func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, carry []int32) (rsEntry, error) {
 	tbl := tx.w.E.M.Store.Table(table)
 	if tbl == nil {
 		return rsEntry{}, fmt.Errorf("txn: unknown table %d", table)
@@ -792,7 +787,7 @@ func (tx *Txn) remoteRead(node rdma.NodeID, table memstore.TableID, key uint64, 
 			}
 			continue
 		}
-		if checkLock {
+		if tx.readOnly {
 			if lockW := memstore.RecLock(img); lockW != 0 {
 				tx.w.maybeReleaseDangling(tx.cfg, node, loc.Off, lockW)
 				tx.w.Backoff(BackoffRemoteRead, attempt)

@@ -206,6 +206,39 @@ func TestReadNotFound(t *testing.T) {
 	}
 }
 
+// TestBlindWriteNotFound: a blind write or add to a key that was never
+// inserted, on the worker's machine or another, answers ErrNotFound from
+// either protocol instead of aborting and retrying it forever.
+func TestBlindWriteNotFound(t *testing.T) {
+	forEachProtocol(t, func(t *testing.T, proto string) {
+		w := newWorld(t, 3, 1, htm.Config{})
+		w.setProtocol(proto)
+		w.load(t, 4, 100)
+		wk := w.engines[0].NewWorker(0)
+		for _, tc := range []struct {
+			name string
+			key  uint64 // keys 0-3 are loaded; key%3 is the machine
+			body func(tx *Txn, key uint64) error
+		}{
+			{"write local", 6, func(tx *Txn, key uint64) error { return tx.Write(tblAcct, key, encBal(7)) }},
+			{"write remote", 7, func(tx *Txn, key uint64) error { return tx.Write(tblAcct, key, encBal(7)) }},
+			{"add local", 9, func(tx *Txn, key uint64) error { return tx.Add(tblAcct, key, 0, 7) }},
+			{"add remote", 10, func(tx *Txn, key uint64) error { return tx.Add(tblAcct, key, 0, 7) }},
+		} {
+			done := make(chan error, 1)
+			go func() { done <- wk.Run(func(tx *Txn) error { return tc.body(tx, tc.key) }) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrNotFound) {
+					t.Errorf("%s: %v, want ErrNotFound", tc.name, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: still retrying after 10s", tc.name)
+			}
+		}
+	})
+}
+
 func TestReadYourOwnWrites(t *testing.T) {
 	w := newWorld(t, 2, 1, htm.Config{})
 	w.load(t, 2, 50)

@@ -95,11 +95,12 @@ go test -run '^$' -bench '^BenchmarkFig$/^tail$' -benchtime 1x .
 # error or panic must then be validated and retried, not answered.
 go test -race -cpu 1,2 -run 'TestFrontier' -count=1 ./internal/sim/
 go test -race -cpu 1,2 -run 'TestBackoff|TestAllBackedOff|TestIdle|TestGatedWaiters|TestGateTimeout|TestCoroutine|TestHotKeyQueueConservation|TestKeyGateFIFO|TestZombieUserErrorValidated|TestZombiePanicValidated' -count=1 ./internal/txn/
-# The boundary poll (Worker.Poll): a due doorbell is served between two
-# transactions, ahead of every other parked context; a due backoff is not; and
-# with nothing due the poll changes nothing. A dispatch-order bug shows up
-# under host interleavings, so three rounds on each schedule.
-go test -race -cpu 1,2 -count=3 -run 'TestCompletionServedAtBoundary|TestBackoffNotServedAtBoundary|TestPollNothingDue' ./internal/txn/
+# The completion poll (Worker.poll): a due doorbell is served between two
+# transactions and between two local reads of one, ahead of every other
+# parked context; the context it preempts resumes next; a due backoff is not
+# served; and with nothing due the poll changes nothing. A dispatch-order bug
+# shows up under host interleavings, so three rounds on each schedule.
+go test -race -cpu 1,2 -count=3 -run 'TestCompletionServedAtBoundary|TestCompletionServedMidTransaction|TestPreemptedResumesFirst|TestBackoffNotServedAtBoundary|TestPollNothingDue' ./internal/txn/
 # The comparison systems under the schedule gate: DrTM, Calvin and Silo run
 # on DrTM+R's worker, so a gated run of each repeats to the digit on a 1-CPU
 # and a 2-CPU host schedule.
